@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import PoleProximityError, SeriesDivergence
 from .lattice import Lattice, constants, reduce_to_cell, sorted_lattice_points
-from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, theta_dlog
+from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _dlog
 from .weier_core import EvalResult, Status, pole_status, zeta_w
 
 PI = math.pi
@@ -77,8 +77,8 @@ def _theta(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig) -> complex:
     lc = constants(lat, cfg)
     u_red, n, m = reduce_to_cell(lat, u)
     w1 = lat.omega1
-    idx = HALF_PERIOD_THETA[lam]
-    val = lc.eta1 * u_red / w1 + theta_dlog(idx, u_red / (2 * w1), lat.tau, cfg) / (2 * w1)
+    dlog = _dlog(HALF_PERIOD_THETA[lam], u_red / (2 * w1), lat.tau, cfg, lc.nullwert_scale)
+    val = lc.eta1 * u_red / w1 + dlog / (2 * w1)
     return val + 2 * n * lc.eta1 + 2 * m * lc.eta3
 
 

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import BranchAmbiguity, DegenerateLattice, PoleProximityError
-from .lattice import Lattice, constants, nearest_translate
+from .lattice import Lattice, constants, nearest_translate, reduce_to_cell
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import sigma, sigma_aux
+from .weier_core import _AUX_SIGN, _sigmas, sigma_aux
 from .aux_zeta import zeta_aux
 from .zeta_diff import DeltaRoute, delta, delta2
 
@@ -69,9 +69,14 @@ def agm_complete_integrals(ksq: complex, kpsq: complex, tol: float = 1e-15) -> t
 def jacobi_params(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> JacobiParams:
     """Moduli and complete integrals for the lattice.
 
-    Raises DegenerateLattice when the discriminant vanishes (two half-period
-    values collide and the moduli lose meaning).
+    Built on first use and kept with the lattice's constants.  Raises
+    DegenerateLattice, on every call, when the discriminant vanishes (two
+    half-period values collide and the moduli lose meaning).
     """
+    return constants(lat, cfg).derived("jacobi_params", _build_params, lat, cfg)
+
+
+def _build_params(lat: Lattice, cfg: SeriesConfig) -> JacobiParams:
     lc = constants(lat, cfg)
     scale_sq = lc.e1 - lc.e3
     if abs(lc.disc) <= 1e-10 * max(abs(lc.g2) ** 3, 27 * abs(lc.g3) ** 2, 1e-300):
@@ -102,11 +107,15 @@ def sn_cn_dn(p: JacobiParams, x: complex, cfg: SeriesConfig | None = None) -> tu
         raise PoleProximityError(
             f"Jacobi argument {x!r} sits at a shared sn/cn/dn pole (u near {translate!r})"
         )
-    s3 = sigma_aux(lat, 3, u, cfg)
+    # The quasi-periodicity factor common to all four sigmas cancels; only
+    # the auxiliary signs of the translate remain.
+    u_red, n, m = reduce_to_cell(lat, u)
+    s0, s1, s2, s3 = _sigmas(lat, constants(lat, cfg), u_red, cfg)
+    s3 *= _AUX_SIGN[3](n, m)
     return (
-        p.scale * sigma(lat, u, cfg) / s3,
-        sigma_aux(lat, 1, u, cfg) / s3,
-        sigma_aux(lat, 2, u, cfg) / s3,
+        p.scale * s0 / s3,
+        s1 * _AUX_SIGN[1](n, m) / s3,
+        s2 * _AUX_SIGN[2](n, m) / s3,
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -117,7 +117,15 @@ def nearest_translate(lat: Lattice, u: complex, offset: complex) -> tuple[float,
 
 @dataclass(frozen=True)
 class LatticeConstants:
-    """Half-period values, elliptic invariants, and squared moduli."""
+    """Per-lattice state: half-period values, elliptic invariants, squared
+    moduli, and the theta nullwerte every evaluation divides by.
+
+    `nullwerte[idx]` is theta_idx(0) for idx 0..3 (exactly 0 for the odd
+    index), `nullwert_prime` is theta_0'(0), and `nullwert_scale` is the
+    largest of |theta_1(0)|, |theta_2(0)|, |theta_3(0)|.  Values that only
+    some callers need are built on first use through `derived` and kept
+    here, so they live and are evicted with the constants.
+    """
 
     e1: complex
     e2: complex
@@ -130,6 +138,10 @@ class LatticeConstants:
     disc: complex
     ksq: complex
     kpsq: complex
+    nullwerte: tuple[complex, complex, complex, complex]
+    nullwert_prime: complex
+    nullwert_scale: float
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def e(self, lam: int) -> complex:
         return (self.e1, self.e2, self.e3)[lam - 1]
@@ -137,19 +149,32 @@ class LatticeConstants:
     def eta(self, lam: int) -> complex:
         return (self.eta1, self.eta2, self.eta3)[lam - 1]
 
+    def derived(self, key, build, *args):
+        """build(*args), computed on the first call for key and kept with
+        these constants.  A build that raises stores nothing, so the next
+        call raises again."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(*args)
+            return value
+
 
 @lru_cache(maxsize=128)
 def constants(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> LatticeConstants:
     """All per-lattice constants, from theta nullwerte.
+
+    This cache is the one per-lattice state of the package: the nullwerte
+    are summed here once, and everything derived from them later is kept on
+    the returned object (see `LatticeConstants.derived`).
 
     The half-period differences come from the nullwerte fourth powers, each
     individual e from 3*e_lam = (e_lam - e_mu) + (e_lam - e_nu); eta1 from the
     third-derivative nullwert, eta3 from the Legendre relation
     eta1*omega3 - eta3*omega1 = i*pi/2, and eta2 = -eta1 - eta3.
     """
-    t = theta_nullwerte(lat.tau, cfg)
-    nw = {1: t[0], 2: t[1], 3: t[2]}
-    tp, tppp = t[3], t[4]
+    t1, t2, t3, tp, tppp = theta_nullwerte(lat.tau, cfg)
+    nw = (0j, t1, t2, t3)
     w1 = lat.omega1
     c = (PI / (2 * w1)) ** 2
     d12 = c * nw[HALF_PERIOD_THETA[3]] ** 4
@@ -169,6 +194,7 @@ def constants(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> LatticeConsta
     return LatticeConstants(
         e1=e1, e2=e2, e3=e3, eta1=eta1, eta2=eta2, eta3=eta3,
         g2=g2, g3=g3, disc=disc, ksq=ksq, kpsq=kpsq,
+        nullwerte=nw, nullwert_prime=tp, nullwert_scale=max(abs(t1), abs(t2), abs(t3)),
     )
 
 

@@ -9,9 +9,10 @@ x = pi*v and q = exp(i*pi*tau):
     theta_2(v) = 1 + 2 * sum_{n>=1} (-1)^n q^(n^2) cos(2nx)
     theta_3(v) = 1 + 2 * sum_{n>=1}        q^(n^2) cos(2nx)
 
-The pairing of the n-th and (-n)-th exponential terms (n and -n-1 for the
-half-integer exponents) is already folded into the sin/cos form, so the
-odd series vanishes identically at v = 0 with no cancellation error.
+All four are summed together in one pass (`_theta4`).  The pairing of the
+n-th and (-n)-th exponential terms (n and -n-1 for the half-integer
+exponents) is kept as the sin/cos form above, so the odd series vanishes
+identically at v = 0 with no cancellation error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NearZeroDenominator, SeriesDivergence
 
@@ -62,19 +62,6 @@ def _check_tau(tau: complex) -> None:
         raise ValueError(f"Im(tau) must be positive, got {tau!r}")
 
 
-@lru_cache(maxsize=128)
-def _coeffs(tau: complex, n_terms: int):
-    """q-power coefficient tables for the four series at a fixed tau."""
-    iptau = 1j * PI * tau
-    half = [cmath.exp(iptau * (n + 0.5) ** 2) for n in range(n_terms)]
-    whole = [cmath.exp(iptau * n * n) for n in range(1, n_terms + 1)]
-    c0 = tuple(h if n % 2 == 0 else -h for n, h in enumerate(half))
-    c1 = tuple(half)
-    c2 = tuple(-w if n % 2 == 1 else w for n, w in enumerate(whole, start=1))
-    c3 = tuple(whole)
-    return c0, c1, c2, c3
-
-
 def _sum_series(terms, start: complex, cfg: SeriesConfig, what: str) -> complex:
     """Accumulate terms until two consecutive ones pass the truncation test."""
     total = start
@@ -95,85 +82,146 @@ def _sum_series(terms, start: complex, cfg: SeriesConfig, what: str) -> complex:
     )
 
 
+def _theta4(v: complex, tau: complex, cfg: SeriesConfig, deriv: bool = False) -> tuple:
+    """All four thetas at v, and with deriv their v-derivatives, in one pass.
+
+    With x = pi*v, each term of the four series is C_k = 2 q^(k^2/4) cos(kx)
+    or S_k = 2 q^(k^2/4) sin(kx): odd k for indices 0 and 1, even k for 2
+    and 3.  Both follow from C_0 = 2, S_0 = 0 by one rotation per step,
+
+        C_{k+1} = r_k (C_k cos x - S_k sin x),  S_{k+1} = r_k (S_k cos x + C_k sin x),
+
+    with r_k = q^((2k+1)/4) advanced by q^(1/2), so no term needs an exp,
+    sin or cos (the joint evaluation from shared q-powers of Johansson,
+    arXiv:1806.06725).  The sines are carried directly rather than as
+    differences of exponentials, so they keep full relative accuracy as
+    v -> 0, and theta_0(0) is exactly zero.  The pass stops once every
+    series has met the truncation test on two consecutive steps; the
+    derivatives ride along and never decide the stop, so both modes return
+    equal values.
+
+    Returns (theta_0, ..., theta_3), followed with deriv by their four
+    v-derivatives.
+    """
+    x = PI * v
+    cos_x = cmath.cos(x)
+    sin_x = cmath.sin(x)
+    q4 = cmath.exp(0.25j * PI * tau)
+    q2 = q4 * q4
+    rc = q4 * cos_x
+    rs = q4 * sin_x
+    c = 2.0 + 0j
+    s = 0j
+    s0 = s1 = d0 = d1 = d2 = d3 = 0j
+    s2 = s3 = 1.0 + 0j
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    small = 0
+    for n in range(cfg.max_terms):
+        # k = 2n+1: the n-th terms of theta_0 and theta_1.
+        c, s = c * rc - s * rs, s * rc + c * rs
+        rc *= q2
+        rs *= q2
+        c_odd, s_odd = c, s
+        # k = 2n+2: the (n+1)-th terms of theta_2 and theta_3.
+        c, s = c * rc - s * rs, s * rc + c * rs
+        rc *= q2
+        rs *= q2
+        if n & 1:
+            s0 -= s_odd
+            s2 += c
+        else:
+            s0 += s_odd
+            s2 -= c
+        s1 += c_odd
+        s3 += c
+        if deriv:
+            k = 2 * n + 1
+            odd_d = k * c_odd
+            even_d = (k + 1) * s
+            if n & 1:
+                d0 -= odd_d
+                d2 -= even_d
+            else:
+                d0 += odd_d
+                d2 += even_d
+            d1 += k * s_odd
+            d3 += even_d
+        if (
+            abs(s_odd) <= atol + rtol * abs(s0)
+            and abs(c_odd) <= atol + rtol * abs(s1)
+            and abs(c) <= atol + rtol * min(abs(s2), abs(s3))
+        ):
+            small += 1
+            if small >= 2:
+                break
+        else:
+            small = 0
+    else:
+        raise SeriesDivergence(
+            f"theta pass: no convergence within {cfg.max_terms} terms "
+            f"(abs_tol={cfg.abs_tol}, rel_tol={cfg.rel_tol})"
+        )
+    vals = (s0, s1, s2, s3)
+    if not deriv:
+        return vals
+    return vals + (PI * d0, -PI * d1, PI * d2, -PI * d3)
+
+
 def theta_eval(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Value of the idx-th theta function at v for half-period ratio tau."""
     _check_idx(idx)
     _check_tau(tau)
-    c0, c1, c2, c3 = _coeffs(tau, cfg.max_terms)
-    x = PI * v
-    if idx == 0:
-        terms = (2.0 * c0[n] * cmath.sin((2 * n + 1) * x) for n in range(cfg.max_terms))
-        return _sum_series(terms, 0j, cfg, "theta_0")
-    if idx == 1:
-        terms = (2.0 * c1[n] * cmath.cos((2 * n + 1) * x) for n in range(cfg.max_terms))
-        return _sum_series(terms, 0j, cfg, "theta_1")
-    if idx == 2:
-        terms = (2.0 * c2[n - 1] * cmath.cos(2 * n * x) for n in range(1, cfg.max_terms))
-        return _sum_series(terms, 1 + 0j, cfg, "theta_2")
-    terms = (2.0 * c3[n - 1] * cmath.cos(2 * n * x) for n in range(1, cfg.max_terms))
-    return _sum_series(terms, 1 + 0j, cfg, "theta_3")
+    return _theta4(v, tau, cfg)[idx]
 
 
 def theta_deriv(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """First v-derivative of the idx-th theta function (term-differentiated)."""
     _check_idx(idx)
     _check_tau(tau)
-    c0, c1, c2, c3 = _coeffs(tau, cfg.max_terms)
-    x = PI * v
-    if idx == 0:
-        terms = (
-            2.0 * PI * (2 * n + 1) * c0[n] * cmath.cos((2 * n + 1) * x)
-            for n in range(cfg.max_terms)
-        )
-        return _sum_series(terms, 0j, cfg, "theta_0'")
-    if idx == 1:
-        terms = (
-            -2.0 * PI * (2 * n + 1) * c1[n] * cmath.sin((2 * n + 1) * x)
-            for n in range(cfg.max_terms)
-        )
-        return _sum_series(terms, 0j, cfg, "theta_1'")
-    if idx == 2:
-        terms = (
-            -4.0 * PI * n * c2[n - 1] * cmath.sin(2 * n * x) for n in range(1, cfg.max_terms)
-        )
-        return _sum_series(terms, 0j, cfg, "theta_2'")
-    terms = (-4.0 * PI * n * c3[n - 1] * cmath.sin(2 * n * x) for n in range(1, cfg.max_terms))
-    return _sum_series(terms, 0j, cfg, "theta_3'")
+    return _theta4(v, tau, cfg, deriv=True)[4 + idx]
 
 
-@lru_cache(maxsize=128)
-def _nullwert_scale(tau: complex, cfg: SeriesConfig) -> float:
-    return max(abs(theta_eval(i, 0.0, tau, cfg)) for i in (1, 2, 3))
+def _dlog(idx: int, v: complex, tau: complex, cfg: SeriesConfig, scale: float) -> complex:
+    """theta'_idx(v)/theta_idx(v) from one pass; raises NearZeroDenominator
+    when |theta_idx(v)| is below 1e-12 * scale, the largest even nullwert."""
+    vals = _theta4(v, tau, cfg, deriv=True)
+    den = vals[idx]
+    if abs(den) < 1e-12 * scale:
+        raise NearZeroDenominator(
+            f"theta_{idx}({v!r}) = {den!r} is below the log-derivative guard"
+        )
+    return vals[4 + idx] / den
 
 
 def theta_dlog(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Logarithmic v-derivative theta'_idx(v)/theta_idx(v)."""
-    den = theta_eval(idx, v, tau, cfg)
-    if abs(den) < 1e-12 * _nullwert_scale(tau, cfg):
-        raise NearZeroDenominator(
-            f"theta_{idx}({v!r}) = {den!r} is below the log-derivative guard"
-        )
-    return theta_deriv(idx, v, tau, cfg) / den
+    _check_idx(idx)
+    _check_tau(tau)
+    null = _theta4(0.0, tau, cfg)
+    return _dlog(idx, v, tau, cfg, max(abs(null[1]), abs(null[2]), abs(null[3])))
 
 
 def theta_nullwerte(tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG):
     """Nullwerte (theta1_0, theta2_0, theta3_0, theta'_0, theta'''_0) at v = 0.
 
     The first and third derivatives are those of the odd series, obtained by
-    term-wise differentiation.
+    term-wise differentiation.  All but the third derivative come from one
+    theta pass at v = 0, the same pass every evaluation at v = 0 runs.
     """
     _check_tau(tau)
-    c0, _, _, _ = _coeffs(tau, cfg.max_terms)
-    t1 = theta_eval(1, 0.0, tau, cfg)
-    t2 = theta_eval(2, 0.0, tau, cfg)
-    t3 = theta_eval(3, 0.0, tau, cfg)
-    tp = _sum_series(
-        (2.0 * PI * (2 * n + 1) * c0[n] for n in range(cfg.max_terms)), 0j, cfg, "theta'"
-    )
-    tppp = _sum_series(
-        (-2.0 * PI**3 * (2 * n + 1) ** 3 * c0[n] for n in range(cfg.max_terms)),
-        0j,
-        cfg,
-        "theta'''",
-    )
+    _, t1, t2, t3, tp, _, _, _ = _theta4(0.0, tau, cfg, deriv=True)
+    tppp = _sum_series(_third_derivative_terms(tau, cfg.max_terms), 0j, cfg, "theta'''")
     return t1, t2, t3, tp, tppp
+
+
+def _third_derivative_terms(tau: complex, n_terms: int):
+    """Terms -2 pi^3 (-1)^n (2n+1)^3 q^((n+1/2)^2) of theta_0'''(0), with the
+    q-powers by the recurrence q^((n+3/2)^2) = q^((n+1/2)^2) q^(2n+2)."""
+    h = cmath.exp(0.25j * PI * tau)
+    q2 = h**8
+    ratio = q2
+    for n in range(n_terms):
+        term = -2.0 * PI**3 * (2 * n + 1) ** 3 * h
+        yield -term if n & 1 else term
+        h *= ratio
+        ratio *= q2

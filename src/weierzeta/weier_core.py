@@ -23,14 +23,7 @@ from .lattice import (
     reduce_to_cell,
     sorted_lattice_points,
 )
-from .theta import (
-    DEFAULT_CONFIG,
-    HALF_PERIOD_THETA,
-    SeriesConfig,
-    theta_dlog,
-    theta_eval,
-    theta_nullwerte,
-)
+from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _dlog, _theta4
 
 NEAR_POLE_FACTOR = 1e-8
 
@@ -81,6 +74,9 @@ def _quasi_factor(lat: Lattice, lc: LatticeConstants, u_red: complex, n: int, m:
     return sign * cmath.exp(eta * (u_red + omega / 2))
 
 
+# Theta index of each auxiliary sigma, in half-period order 1, 2, 3.
+_AUX_THETA = tuple(HALF_PERIOD_THETA[lam] for lam in (1, 2, 3))
+
 _AUX_SIGN = {
     1: lambda n, m: -1.0 if m % 2 else 1.0,
     2: lambda n, m: -1.0 if (n + m) % 2 else 1.0,
@@ -88,33 +84,43 @@ _AUX_SIGN = {
 }
 
 
+def _sigmas(lat: Lattice, lc: LatticeConstants, u_red: complex, cfg: SeriesConfig) -> tuple:
+    """(sigma, sigma_1, sigma_2, sigma_3) at a cell-reduced argument, from one
+    theta pass; the auxiliary sigmas divide by the nullwerte held in lc."""
+    w1 = lat.omega1
+    gauss = cmath.exp(lc.eta1 * u_red * u_red / (2 * w1))
+    t = _theta4(u_red / (2 * w1), lat.tau, cfg)
+    nw = lc.nullwerte
+    i1, i2, i3 = _AUX_THETA
+    return (
+        (2 * w1 / lc.nullwert_prime) * gauss * t[0],
+        gauss * t[i1] / nw[i1],
+        gauss * t[i2] / nw[i2],
+        gauss * t[i3] / nw[i3],
+    )
+
+
+def _wp_pair(lat: Lattice, lc: LatticeConstants, u_red: complex, cfg: SeriesConfig) -> tuple:
+    """(wp, wp') at a cell-reduced argument off the lattice, from one theta pass."""
+    s0, s1, s2, s3 = _sigmas(lat, lc, u_red, cfg)
+    ratio = s1 / s0
+    return lc.e1 + ratio * ratio, -2 * (s1 * s2 * s3) / s0**3
+
+
 def sigma(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Entire sigma function; exact zeros on the lattice."""
     lc = constants(lat, cfg)
     u_red, n, m = reduce_to_cell(lat, u)
-    w1 = lat.omega1
-    _, _, _, tp, _ = theta_nullwerte(lat.tau, cfg)
-    base = (
-        (2 * w1 / tp)
-        * cmath.exp(lc.eta1 * u_red * u_red / (2 * w1))
-        * theta_eval(0, u_red / (2 * w1), lat.tau, cfg)
-    )
-    return base * _quasi_factor(lat, lc, u_red, n, m)
+    return _sigmas(lat, lc, u_red, cfg)[0] * _quasi_factor(lat, lc, u_red, n, m)
 
 
 def sigma_aux(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Auxiliary sigma for half-period index lam, normalised to 1 at u = 0."""
-    idx = HALF_PERIOD_THETA[lam]
+    sign = _AUX_SIGN[lam]
     lc = constants(lat, cfg)
     u_red, n, m = reduce_to_cell(lat, u)
-    w1 = lat.omega1
-    null = theta_eval(idx, 0.0, lat.tau, cfg)
-    base = (
-        cmath.exp(lc.eta1 * u_red * u_red / (2 * w1))
-        * theta_eval(idx, u_red / (2 * w1), lat.tau, cfg)
-        / null
-    )
-    return base * _quasi_factor(lat, lc, u_red, n, m) * _AUX_SIGN[lam](n, m)
+    base = _sigmas(lat, lc, u_red, cfg)[lam]
+    return base * _quasi_factor(lat, lc, u_red, n, m) * sign(n, m)
 
 
 def zeta_w(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
@@ -125,30 +131,9 @@ def zeta_w(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> Eval
     lc = constants(lat, cfg)
     u_red, n, m = reduce_to_cell(lat, u)
     w1 = lat.omega1
-    val = lc.eta1 * u_red / w1 + theta_dlog(0, u_red / (2 * w1), lat.tau, cfg) / (2 * w1)
+    dlog = _dlog(0, u_red / (2 * w1), lat.tau, cfg, lc.nullwert_scale)
+    val = lc.eta1 * u_red / w1 + dlog / (2 * w1)
     return EvalResult(val + 2 * n * lc.eta1 + 2 * m * lc.eta3, Status.FINITE)
-
-
-def _sigma_base(lat: Lattice, u_red: complex, cfg: SeriesConfig) -> complex:
-    lc = constants(lat, cfg)
-    w1 = lat.omega1
-    _, _, _, tp, _ = theta_nullwerte(lat.tau, cfg)
-    return (
-        (2 * w1 / tp)
-        * cmath.exp(lc.eta1 * u_red * u_red / (2 * w1))
-        * theta_eval(0, u_red / (2 * w1), lat.tau, cfg)
-    )
-
-
-def _sigma_aux_base(lat: Lattice, lam: int, u_red: complex, cfg: SeriesConfig) -> complex:
-    idx = HALF_PERIOD_THETA[lam]
-    lc = constants(lat, cfg)
-    w1 = lat.omega1
-    return (
-        cmath.exp(lc.eta1 * u_red * u_red / (2 * w1))
-        * theta_eval(idx, u_red / (2 * w1), lat.tau, cfg)
-        / theta_eval(idx, 0.0, lat.tau, cfg)
-    )
 
 
 def wp(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
@@ -158,7 +143,8 @@ def wp(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResu
         return bad
     lc = constants(lat, cfg)
     u_red, _, _ = reduce_to_cell(lat, u)
-    ratio = _sigma_aux_base(lat, 1, u_red, cfg) / _sigma_base(lat, u_red, cfg)
+    s0, s1, _, _ = _sigmas(lat, lc, u_red, cfg)
+    ratio = s1 / s0
     return EvalResult(lc.e1 + ratio * ratio, Status.FINITE)
 
 
@@ -167,12 +153,9 @@ def wp_prime(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> Ev
     bad = pole_status(lat, u, (0j,))
     if bad is not None:
         return bad
+    lc = constants(lat, cfg)
     u_red, _, _ = reduce_to_cell(lat, u)
-    s0 = _sigma_base(lat, u_red, cfg)
-    prod = 1.0 + 0j
-    for lam in (1, 2, 3):
-        prod *= _sigma_aux_base(lat, lam, u_red, cfg)
-    return EvalResult(-2 * prod / s0**3, Status.FINITE)
+    return EvalResult(_wp_pair(lat, lc, u_red, cfg)[1], Status.FINITE)
 
 
 # ---------------------------------------------------------------------------

@@ -15,23 +15,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .aux_zeta import zeta_aux
 from .errors import IdenticalIndices, PoleProximityError
 from .lattice import Lattice, complement, constants, nearest_translate, reduce_to_cell
-from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, theta_eval, theta_nullwerte
-from .weier_core import (
-    EvalResult,
-    Status,
-    _sigma_aux_base,
-    _sigma_base,
-    pole_status,
-    sigma,
-    wp,
-    wp_prime,
-    zeta_w,
-)
+from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _theta4
+from .weier_core import EvalResult, Status, _sigmas, _wp_pair, pole_status, sigma, wp, zeta_w
 
 PI = math.pi
 
@@ -68,17 +57,14 @@ def delta(
     if route is DeltaRoute.ZETA_DIFF:
         val = zeta_aux(lat, lam, u, cfg=cfg).value - _unwrap(zeta_w(lat, u, cfg), "delta")
     elif route is DeltaRoute.WP_QUOTIENT:
+        # The pole guard above keeps u off the lattice, so wp is finite.
         lc = constants(lat, cfg)
-        p = _unwrap(wp(lat, u, cfg), "delta")
-        pp = _unwrap(wp_prime(lat, u, cfg), "delta")
+        p, pp = _wp_pair(lat, lc, reduce_to_cell(lat, u)[0], cfg)
         val = 0.5 * pp / (p - lc.e(lam))
     elif route is DeltaRoute.SIGMA_QUOTIENT:
-        u_red, _, _ = reduce_to_cell(lat, u)
-        val = -(
-            _sigma_aux_base(lat, mu, u_red, cfg)
-            * _sigma_aux_base(lat, nu, u_red, cfg)
-            / (_sigma_aux_base(lat, lam, u_red, cfg) * _sigma_base(lat, u_red, cfg))
-        )
+        lc = constants(lat, cfg)
+        s = _sigmas(lat, lc, reduce_to_cell(lat, u)[0], cfg)
+        val = -(s[mu] * s[nu] / (s[lam] * s[0]))
     elif route is DeltaRoute.THETA_QUOTIENT:
         val = _delta_theta_quotient(lat, lam, u, cfg)
     else:
@@ -94,23 +80,12 @@ def _delta_theta_quotient(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig)
     """
     mu, nu = complement(lam)
     il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (lam, mu, nu))
+    lc = constants(lat, cfg)
+    nw = lc.nullwerte
     u_red, _, _ = reduce_to_cell(lat, u)
-    v = u_red / (2 * lat.omega1)
-    tau = lat.tau
-    nw = _nullwerte_by_index(lat, cfg)
-    const = -nw[il] * nw["prime"] / (2 * lat.omega1 * nw[im_] * nw[in_])
-    return (
-        const
-        * theta_eval(im_, v, tau, cfg)
-        * theta_eval(in_, v, tau, cfg)
-        / (theta_eval(il, v, tau, cfg) * theta_eval(0, v, tau, cfg))
-    )
-
-
-@lru_cache(maxsize=128)
-def _nullwerte_by_index(lat: Lattice, cfg: SeriesConfig) -> dict:
-    t1, t2, t3, tp, _ = theta_nullwerte(lat.tau, cfg)
-    return {1: t1, 2: t2, 3: t3, "prime": tp}
+    t = _theta4(u_red / (2 * lat.omega1), lat.tau, cfg)
+    const = -nw[il] * lc.nullwert_prime / (2 * lat.omega1 * nw[im_] * nw[in_])
+    return const * t[im_] * t[in_] / (t[il] * t[0])
 
 
 def delta_prime(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
@@ -151,9 +126,9 @@ def delta2(
         ):
             val = _delta2_sigma(lat, lam, mu, nu, u, cfg)
         else:
+            # Outside the zone around 0, wp is finite.
             lc = constants(lat, cfg)
-            p = _unwrap(wp(lat, u, cfg), "delta2")
-            pp = _unwrap(wp_prime(lat, u, cfg), "delta2")
+            p, pp = _wp_pair(lat, lc, reduce_to_cell(lat, u)[0], cfg)
             val = 2 * (lc.e(lam) - lc.e(mu)) * (p - lc.e(nu)) / pp
     elif route is DeltaRoute.SIGMA_QUOTIENT:
         val = _delta2_sigma(lat, lam, mu, nu, u, cfg)
@@ -173,15 +148,14 @@ def _third(lam: int, mu: int) -> int:
 
 
 def _delta2_sigma(lat: Lattice, lam: int, mu: int, nu: int, u: complex, cfg: SeriesConfig) -> complex:
-    """Sigma-quotient form with its u-independent prefactor, cached per lattice."""
-    c = _delta2_sigma_const(lat, lam, mu, cfg)
+    """Sigma-quotient form with its u-independent prefactor, kept per lattice."""
+    c = constants(lat, cfg).derived(("delta2_sigma", lam, mu), _delta2_sigma_const, lat, lam, mu, cfg)
     wl, wm, wn = (lat.half_period(i) for i in (lam, mu, nu))
     return c * sigma(lat, u - wn, cfg) * sigma(lat, u, cfg) / (
         sigma(lat, u + wl, cfg) * sigma(lat, u + wm, cfg)
     )
 
 
-@lru_cache(maxsize=256)
 def _delta2_sigma_const(lat: Lattice, lam: int, mu: int, cfg: SeriesConfig) -> complex:
     wl, wm = lat.half_period(lam), lat.half_period(mu)
     return sigma(lat, wl - wm, cfg) / (sigma(lat, wl, cfg) * sigma(lat, wm, cfg))
@@ -191,40 +165,27 @@ def _delta2_theta_quotient(
     lat: Lattice, lam: int, mu: int, nu: int, u: complex, cfg: SeriesConfig
 ) -> complex:
     """Simplified theta form with the +-1 sign fixed once per lattice."""
-    eps = _delta2_epsilon(lat, lam, mu, cfg)
-    il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (lam, mu, nu))
-    nw = _nullwerte_by_index(lat, cfg)
+    eps = constants(lat, cfg).derived(("delta2_epsilon", lam, mu), _delta2_epsilon, lat, lam, mu, cfg)
     u_red, _, _ = reduce_to_cell(lat, u)
-    v = u_red / (2 * lat.omega1)
-    tau = lat.tau
-    return (
-        eps
-        * (PI / (2 * lat.omega1))
-        * nw[in_] ** 2
-        * theta_eval(in_, v, tau, cfg)
-        * theta_eval(0, v, tau, cfg)
-        / (theta_eval(il, v, tau, cfg) * theta_eval(im_, v, tau, cfg))
-    )
+    return eps * _delta2_theta_unsigned(lat, lam, mu, nu, u_red, cfg)
 
 
-@lru_cache(maxsize=256)
+def _delta2_theta_unsigned(
+    lat: Lattice, lam: int, mu: int, nu: int, u_red: complex, cfg: SeriesConfig
+) -> complex:
+    """The theta form before its sign, at a cell-reduced argument."""
+    il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (lam, mu, nu))
+    nw = constants(lat, cfg).nullwerte
+    t = _theta4(u_red / (2 * lat.omega1), lat.tau, cfg)
+    return (PI / (2 * lat.omega1)) * nw[in_] ** 2 * t[in_] * t[0] / (t[il] * t[im_])
+
+
 def _delta2_epsilon(lat: Lattice, lam: int, mu: int, cfg: SeriesConfig) -> float:
     """Determine the +-1 sign by comparing against the zeta-difference route
     at one probe point."""
     probe = 0.2468 * lat.omega1 + 0.327 * lat.omega3
     ref = delta2(lat, lam, mu, probe, DeltaRoute.ZETA_DIFF, cfg).value
-    nu = _third(lam, mu)
-    il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (lam, mu, nu))
-    nw = _nullwerte_by_index(lat, cfg)
-    v = probe / (2 * lat.omega1)
-    tau = lat.tau
-    unsigned = (
-        (PI / (2 * lat.omega1))
-        * nw[in_] ** 2
-        * theta_eval(in_, v, tau, cfg)
-        * theta_eval(0, v, tau, cfg)
-        / (theta_eval(il, v, tau, cfg) * theta_eval(im_, v, tau, cfg))
-    )
+    unsigned = _delta2_theta_unsigned(lat, lam, mu, _third(lam, mu), probe, cfg)
     return 1.0 if abs(ref - unsigned) <= abs(ref + unsigned) else -1.0
 
 

@@ -1,0 +1,108 @@
+"""Per-lattice state: once `constants` is warm, no call recomputes the
+nullwerte, and each multi-theta quotient runs one theta pass per point."""
+
+import dataclasses
+import random
+import sys
+
+import pytest
+
+from weierzeta import (
+    DeltaRoute,
+    constants,
+    delta,
+    delta2,
+    jacobi_params,
+    sn_cn_dn,
+    wp,
+    wp_prime,
+)
+from weierzeta import theta
+from weierzeta.errors import DegenerateLattice
+
+from conftest import guarded_points, make_lattice
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Record every call of fn made through any weierzeta module binding it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "weierzeta" or name.startswith("weierzeta."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def _warm_calls(lat):
+    params = jacobi_params(lat)
+    return {
+        "wp": lambda u: wp(lat, u),
+        "wp_prime": lambda u: wp_prime(lat, u),
+        "sn_cn_dn": lambda u: sn_cn_dn(params, params.scale * u),
+        "delta2": lambda u: delta2(lat, 1, 2, u),
+        "delta_sigma": lambda u: delta(lat, 3, u, DeltaRoute.SIGMA_QUOTIENT),
+        "delta_theta": lambda u: delta(lat, 2, u, DeltaRoute.THETA_QUOTIENT),
+        "delta_wp": lambda u: delta(lat, 1, u, DeltaRoute.WP_QUOTIENT),
+    }
+
+
+@pytest.fixture
+def warm_lattice():
+    lat = make_lattice("generic")
+    constants(lat)
+    # Points away from every half-period coset, so no call takes a
+    # pole or degenerate-zone branch.
+    return lat, guarded_points(lat, random.Random(2), 6)
+
+
+def test_warm_lattice_never_recomputes_nullwerte(monkeypatch, warm_lattice):
+    lat, pts = warm_lattice
+    calls = _warm_calls(lat)
+    nullwerte = _count_calls(monkeypatch, theta.theta_nullwerte)
+    series = _count_calls(monkeypatch, theta._sum_series)
+    for fn in calls.values():
+        for u in pts:
+            fn(u)
+    assert nullwerte == []
+    assert series == []
+
+
+def test_one_theta_pass_per_point(monkeypatch, warm_lattice):
+    lat, pts = warm_lattice
+    calls = _warm_calls(lat)
+    passes = _count_calls(monkeypatch, theta._theta4)
+    for name, fn in calls.items():
+        before = len(passes)
+        for u in pts:
+            fn(u)
+        assert len(passes) - before == len(pts), name
+
+
+def test_jacobi_params_built_once_per_lattice():
+    lat = make_lattice("rhombic")
+    assert jacobi_params(lat) is jacobi_params(lat)
+
+
+def test_derived_state_keeps_values_but_not_failures():
+    # A copy, so the probe values stay out of the shared cache.
+    lc = dataclasses.replace(constants(make_lattice("square")))
+    builds = []
+
+    def build(ok):
+        builds.append(ok)
+        if not ok:
+            raise DegenerateLattice("probe")
+        return object()
+
+    for _ in range(2):
+        with pytest.raises(DegenerateLattice):
+            lc.derived("test_failing", build, False)
+    first = lc.derived("test_value", build, True)
+    assert lc.derived("test_value", build, True) is first
+    assert builds == [False, False, True]

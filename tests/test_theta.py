@@ -13,20 +13,32 @@ from weierzeta.theta import theta_deriv
 
 PI = math.pi
 TAUS = (1j, 2j, 0.3 + 1.1j, 0.5 + 0.8660254037844386j)
+# A tall lattice and one with |q| = 0.88, sampled inside the reduced strip.
+STRIP_TAUS = (0.1 + 3j, 0.45 + 0.04j)
 
 
-def theta_brute(idx: int, v: complex, tau: complex, n_max: int = 200) -> complex:
-    """Direct partial sum of the defining exponential series (oracle)."""
+def sample_points(tau: complex) -> list[complex]:
+    if tau in TAUS:
+        return [0.3, 0.17 - 0.05j, -0.4 + 0.3j]
+    # alpha + beta*tau with |alpha|, |beta| <= 1/2: where a cell-reduced
+    # argument u/(2*omega1) lies.
+    return [a + b * tau for a, b in ((0.3, 0.0), (0.17, -0.05), (-0.4, 0.3), (0.45, -0.45))]
+
+
+def theta_brute(idx: int, v: complex, tau: complex, n_max: int = 200, deriv: bool = False) -> complex:
+    """Direct partial sum of the defining exponential series (oracle); with
+    deriv, the same sum differentiated term by term in v."""
     total = 0j
     for n in range(-n_max, n_max + 1):
-        if idx == 0:
-            total += (-1) ** n * cmath.exp(1j * PI * tau * (n + 0.5) ** 2 + (2 * n + 1) * 1j * PI * v)
-        elif idx == 1:
-            total += cmath.exp(1j * PI * tau * (n + 0.5) ** 2 + (2 * n + 1) * 1j * PI * v)
-        elif idx == 2:
-            total += (-1) ** n * cmath.exp(1j * PI * tau * n * n + 2 * n * 1j * PI * v)
+        if idx in (0, 1):
+            k = 2 * n + 1
+            term = cmath.exp(1j * PI * tau * (n + 0.5) ** 2 + k * 1j * PI * v)
         else:
-            total += cmath.exp(1j * PI * tau * n * n + 2 * n * 1j * PI * v)
+            k = 2 * n
+            term = cmath.exp(1j * PI * tau * n * n + k * 1j * PI * v)
+        if idx in (0, 2):
+            term *= (-1) ** n
+        total += 1j * PI * k * term if deriv else term
     return -1j * total if idx == 0 else total
 
 
@@ -39,12 +51,20 @@ def test_small_nome_limit_of_even_series():
     assert abs(theta_eval(3, 0.0, 40j) - 1) < 1e-50
 
 
-@pytest.mark.parametrize("tau", TAUS)
+@pytest.mark.parametrize("tau", TAUS + STRIP_TAUS)
 @pytest.mark.parametrize("idx", [0, 1, 2, 3])
 def test_matches_brute_force_partial_sums(tau, idx):
-    for v in (0.3, 0.17 - 0.05j, -0.4 + 0.3j):
+    for v in sample_points(tau):
         ref = theta_brute(idx, v, tau)
         assert abs(theta_eval(idx, v, tau) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("tau", TAUS + STRIP_TAUS)
+@pytest.mark.parametrize("idx", [0, 1, 2, 3])
+def test_derivative_matches_term_differentiated_brute_force(tau, idx):
+    for v in sample_points(tau):
+        ref = theta_brute(idx, v, tau, deriv=True)
+        assert abs(theta_deriv(idx, v, tau) - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("tau", TAUS)
