@@ -45,7 +45,7 @@ from .weier_core import (
     zeta_lattice_sum,
     zeta_w,
 )
-from .aux_zeta import ZetaRoute, zeta_aux, zeta_aux_quasiperiod_check
+from .aux_zeta import ZetaRoute, zeta_aux
 from .zeta_diff import (
     DeltaConstants,
     DeltaRoute,
@@ -60,7 +60,6 @@ from .jacobi import (
     agm_complete_integrals,
     check_cor212,
     check_thm211,
-    check_thm211_squared,
     jacobi_E_Z_Pi,
     jacobi_params,
     sn_cn_dn,

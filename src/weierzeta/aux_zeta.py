@@ -31,6 +31,10 @@ PI = math.pi
 # lose geometric convergence; fall back to the shift route there.
 QSERIES_STRIP = 0.45
 
+# Radius of the partial-fraction sum's cutoff disc, in minimum periods (see
+# sorted_lattice_points).
+PARTIALFRAC_RADIUS = 200
+
 
 class ZetaRoute(enum.Enum):
     SHIFT = "shift"
@@ -45,7 +49,6 @@ def zeta_aux(
     u: complex,
     route: ZetaRoute = ZetaRoute.THETA,
     cfg: SeriesConfig = DEFAULT_CONFIG,
-    partialfrac_radius: int = 200,
     qseries_form: str = "exp",
 ) -> EvalResult:
     """Auxiliary zeta for half-period index lam along the chosen route."""
@@ -61,7 +64,7 @@ def zeta_aux(
     if route is ZetaRoute.QSERIES:
         return EvalResult(_qseries(lat, lam, u, cfg, qseries_form), Status.FINITE)
     if route is ZetaRoute.PARTIAL_FRACTION:
-        return EvalResult(_partialfrac(lat, lam, u, cfg, partialfrac_radius), Status.FINITE)
+        return EvalResult(_partialfrac(lat, lam, u, cfg), Status.FINITE)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -138,26 +141,13 @@ def _qseries(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig, form: str) -
     )
 
 
-def _partialfrac(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig, radius: int) -> complex:
+def _partialfrac(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig) -> complex:
     lc = constants(lat, cfg)
     u_red, n, m = reduce_to_cell(lat, u)
     pts = sorted_lattice_points(
-        2 * lat.omega1, 2 * lat.omega3, radius, offset=lat.half_period(lam)
+        2 * lat.omega1, 2 * lat.omega3, PARTIALFRAC_RADIUS, offset=lat.half_period(lam)
     )
     terms = 1.0 / (u_red - pts) + 1.0 / pts + u_red / (pts**2)
     total = -lc.e(lam) * u_red + complex(np.sum(terms))
     return total + 2 * n * lc.eta1 + 2 * m * lc.eta3
 
-
-def zeta_aux_quasiperiod_check(
-    lat: Lattice, lam: int, lam_prime: int, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG
-) -> complex:
-    """Residual zeta_lam(u + 2*omega_lam') - zeta_lam(u) - 2*eta_lam'."""
-    lc = constants(lat, cfg)
-    a = zeta_aux(lat, lam, u + 2 * lat.half_period(lam_prime), cfg=cfg)
-    b = zeta_aux(lat, lam, u, cfg=cfg)
-    if not (a.is_finite and b.is_finite):
-        raise PoleProximityError(
-            f"quasi-period check needs non-pole points, got {a.status} / {b.status}"
-        )
-    return a.value - b.value - 2 * lc.eta(lam_prime)

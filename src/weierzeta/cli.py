@@ -13,84 +13,11 @@ import fnmatch
 import os
 import sys
 
-from . import jacobi
-from .aux_zeta import ZetaRoute, zeta_aux
 from .errors import BranchAmbiguity, PoleProximityError, WeierzetaError
 from .lattice import build_lattice, constants, constants_to_json
 from .theta import SeriesConfig
-from .verify import default_suite, reports_to_json, run_suite
-from .weier_core import EvalResult, Status, sigma, sigma_aux, wp, wp_prime, zeta_w
-from .zeta_diff import DeltaRoute, delta, delta2
-
-_ZETA_ROUTES = {r.value: r for r in ZetaRoute}
-_DELTA_ROUTES = {r.value: r for r in DeltaRoute}
-
-
-def _finite(value: complex) -> EvalResult:
-    return EvalResult(value, Status.FINITE)
-
-
-def _fn_registry() -> dict:
-    """name -> (needs_a, callable(lat, cfg, u, a, route_str) -> EvalResult)"""
-
-    def zl(lam):
-        def run(lat, cfg, u, a, route):
-            r = _ZETA_ROUTES[route or "theta"]
-            return zeta_aux(lat, lam, u, r, cfg)
-
-        return run
-
-    def dl(lam):
-        def run(lat, cfg, u, a, route):
-            r = _DELTA_ROUTES[route or "sigma"]
-            return delta(lat, lam, u, r, cfg)
-
-        return run
-
-    def d2(lam, mu):
-        def run(lat, cfg, u, a, route):
-            r = _DELTA_ROUTES[route or "wp"]
-            return delta2(lat, lam, mu, u, r, cfg)
-
-        return run
-
-    def jacobi_part(part):
-        def run(lat, cfg, u, a, route):
-            p = jacobi.jacobi_params(lat, cfg)
-            vals = jacobi.sn_cn_dn(p, p.scale * u)
-            return _finite(vals[part])
-
-        return run
-
-    def ezp(part):
-        def run(lat, cfg, u, a, route):
-            vals = jacobi.jacobi_E_Z_Pi(lat, u, a if a is not None else 0j, cfg)
-            return _finite(vals[part])
-
-        return run
-
-    reg = {
-        "wp": lambda lat, cfg, u, a, route: wp(lat, u, cfg),
-        "wp_prime": lambda lat, cfg, u, a, route: wp_prime(lat, u, cfg),
-        "zeta": lambda lat, cfg, u, a, route: zeta_w(lat, u, cfg),
-        "sigma": lambda lat, cfg, u, a, route: _finite(sigma(lat, u, cfg)),
-    }
-    for lam in (1, 2, 3):
-        reg[f"sigma{lam}"] = (lambda i: lambda lat, cfg, u, a, route: _finite(sigma_aux(lat, i, u, cfg)))(lam)
-        reg[f"zeta{lam}"] = zl(lam)
-        reg[f"delta{lam}"] = dl(lam)
-    for lam, mu in ((1, 2), (2, 3), (3, 1)):
-        reg[f"delta{lam}{mu}"] = d2(lam, mu)
-    for i, part in enumerate(("sn", "cn", "dn")):
-        reg[part] = jacobi_part(i)
-    for i, part in enumerate(("E", "Z", "Pi")):
-        reg[part] = ezp(i)
-    return reg
-
-
-FUNCTIONS = _fn_registry()
-
-_NEEDS_A = {"Pi"}
+from .verify import FUNCTIONS, default_suite, reports_to_json, run_suite
+from .weier_core import EvalResult, Status
 
 
 def parse_complex(text: str, lat=None) -> complex:
@@ -166,6 +93,24 @@ def _emit_eval(res: EvalResult, fmt: str, out) -> None:
             out.write(f",,{res.status.value}\n")
 
 
+def _lookup(command: str, args, err):
+    """(table entry, route) for --fn, --route and --a, checked before any
+    point is evaluated; None after a usage message."""
+    fn = FUNCTIONS.get(args.fn)
+    if fn is None:
+        see = "--list-fns" if command == "eval" else "eval --list-fns"
+        err.write(f"{command}: unknown function {args.fn!r}; see {see}\n")
+        return None
+    if fn.needs_a and args.a is None:
+        err.write(f"{command}: function {args.fn!r} needs --a\n")
+        return None
+    try:
+        return fn, fn.route(args.route)
+    except ValueError:
+        err.write(f"{command}: route {args.route!r} not valid for {args.fn!r}\n")
+        return None
+
+
 def cmd_eval(args, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -176,20 +121,15 @@ def cmd_eval(args, out=None, err=None) -> int:
     if not args.fn or args.u is None:
         err.write("eval: --fn and --u are required\n")
         return 2
-    if args.fn not in FUNCTIONS:
-        err.write(f"eval: unknown function {args.fn!r}; see --list-fns\n")
+    found = _lookup("eval", args, err)
+    if found is None:
         return 2
+    fn, route = found
     lat, cfg = _build(args)
     u = parse_complex(args.u, lat)
     a = parse_complex(args.a, lat) if args.a is not None else None
-    if args.fn in _NEEDS_A and a is None:
-        err.write(f"eval: function {args.fn!r} needs --a\n")
-        return 2
     try:
-        res = FUNCTIONS[args.fn](lat, cfg, u, a, args.route)
-    except KeyError:
-        err.write(f"eval: route {args.route!r} not valid for {args.fn!r}\n")
-        return 2
+        res = fn.run(lat, cfg, u, a, route)
     except (PoleProximityError, BranchAmbiguity) as exc:
         err.write(f"eval: {exc}\n")
         return 3
@@ -213,9 +153,10 @@ def _parse_axis(spec: str):
 def cmd_table(args, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    if args.fn not in FUNCTIONS:
-        err.write(f"table: unknown function {args.fn!r}; see eval --list-fns\n")
+    found = _lookup("table", args, err)
+    if found is None:
         return 2
+    fn, route = found
     lat, cfg = _build(args)
     try:
         res = _parse_axis(args.re)
@@ -229,7 +170,7 @@ def cmd_table(args, out=None, err=None) -> int:
         for re in res:
             u = complex(re, im)
             try:
-                r = FUNCTIONS[args.fn](lat, cfg, u, a, args.route)
+                r = fn.run(lat, cfg, u, a, route)
             except (PoleProximityError, BranchAmbiguity):
                 r = EvalResult(complex("nan"), Status.AT_POLE)
             rows.append((u, r))

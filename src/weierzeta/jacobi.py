@@ -35,9 +35,6 @@ class JacobiParams:
     lattice: Lattice
     cfg: SeriesConfig
 
-    def to_jacobi_arg(self, u: complex) -> complex:
-        return self.scale * u
-
 
 def agm_complete_integrals(ksq: complex, kpsq: complex, tol: float = 1e-15) -> tuple[complex, complex]:
     """Complete integrals (K, E) for squared moduli via the AGM iteration.
@@ -119,10 +116,6 @@ def sn_cn_dn(p: JacobiParams, x: complex, cfg: SeriesConfig | None = None) -> tu
     )
 
 
-def _delta_vals(lat: Lattice, u: complex, cfg: SeriesConfig) -> dict:
-    return {lam: delta(lat, lam, u, DeltaRoute.WP_QUOTIENT, cfg).value for lam in (1, 2, 3)}
-
-
 def check_thm211(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> list[float]:
     """Residuals of the six transformation rows linking delta products and
     quotients to ns, ds, cs, sn(K - x), dn, nc.
@@ -130,12 +123,13 @@ def check_thm211(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -
     The left sides combine wp-route delta values under principal square
     roots, so the row residuals are meaningful where the principal branch
     matches the sigma-quotient convention: rectangular lattices with real
-    arguments.  Use check_thm211_squared for arbitrary lattices.
+    arguments.  The suite's thm211_squared_* identities check the
+    square-root-free rows on arbitrary lattices.
     """
     p = jacobi_params(lat, cfg)
     x = p.scale * u
     s, c, d = sn_cn_dn(p, x)
-    dv = _delta_vals(lat, u, cfg)
+    dv = {lam: delta(lat, lam, u, DeltaRoute.WP_QUOTIENT, cfg).value for lam in (1, 2, 3)}
     sK, _, _ = sn_cn_dn(p, p.big_k - x)
     rows = [
         (cmath.sqrt(dv[1] * dv[2]), p.scale / s),
@@ -146,29 +140,6 @@ def check_thm211(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -
         (cmath.sqrt(dv[1] / dv[3]), 1.0 / c),
     ]
     return [abs(lhs - rhs) for lhs, rhs in rows]
-
-
-def check_thm211_squared(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> list[float]:
-    """Square-root-free relative residuals of the six rows; any lattice.
-
-    The sn(K - x) row is replaced by its K-free equivalent (cn/dn)^2.  The
-    squared members scale like the square of the half-period values, so each
-    residual is normalised by the row magnitude.
-    """
-    p = jacobi_params(lat, cfg)
-    x = p.scale * u
-    s, c, d = sn_cn_dn(p, x)
-    dv = _delta_vals(lat, u, cfg)
-    e13 = constants(lat, cfg).e1 - constants(lat, cfg).e3
-    rows = [
-        (dv[1] * dv[2], e13 / (s * s)),
-        (dv[1] * dv[3], e13 * d * d / (s * s)),
-        (dv[2] * dv[3], e13 * c * c / (s * s)),
-        (dv[2] / dv[1], (c / d) ** 2),
-        (dv[3] / dv[2], d * d),
-        (dv[1] / dv[3], 1.0 / (c * c)),
-    ]
-    return [abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0) for lhs, rhs in rows]
 
 
 def check_cor212(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> list[float]:

@@ -1,10 +1,13 @@
-"""Identity-certification harness.
+"""Function table and identity-certification harness.
 
-Every displayed identity in scope is registered as an IdentitySpec naming a
-left and right evaluator from a shared registry.  run_suite samples guarded
-points in the fundamental cell, evaluates both sides, and reports relative
-residual statistics per identity.  Deterministic given (lattice, suite, n,
-seed).
+FUNCTIONS binds each public function name to its callable, its routes and
+its need for a second argument; `weierzeta eval`, `weierzeta table` and the
+suite runner all read it.  Every displayed identity in scope is registered
+as an IdentitySpec whose sides are table functions, written `name` or
+`name:route`, or compound evaluators from EVALUATORS.  run_suite samples
+guarded points in the fundamental cell, evaluates both sides, and reports
+relative residual statistics per identity.  Deterministic given (lattice,
+suite, n, seed).
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .aux_zeta import ZetaRoute, zeta_aux
 from .errors import PoleProximityError, SuiteConfigError
-from .jacobi import jacobi_params, sn_cn_dn
+from .jacobi import jacobi_E_Z_Pi, jacobi_params, sn_cn_dn
 from .lattice import Lattice, complement, constants, nearest_translate, reduce_to_cell
 from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, theta_dlog, theta_eval
-from .weier_core import sigma, sigma_aux, wp, wp_prime, zeta_w
+from .weier_core import EvalResult, Status, sigma, sigma_aux, wp, wp_prime, zeta_w
 from .zeta_diff import DeltaRoute, delta, delta2, delta_prime, delta2_prime
 
 PI = math.pi
@@ -38,13 +42,85 @@ RESIDUAL_FLOOR = 1e-30
 FD_STEP = 1e-4
 FD_TOL = 1e-6
 
-PARTIALFRAC_RADIUS = 200
 PARTIALFRAC_TOL = 1e-5
+
+
+# ---------------------------------------------------------------------------
+# Function table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Function:
+    """One public function as `eval`, `table` and the suite call it.
+
+    run(lat, cfg, u, a, route) returns an EvalResult.  It looks the library
+    function up by its module-global name when it runs, so rebinding that
+    name (as bench/tracer.py does) reaches every caller of the table.
+    """
+
+    run: Callable
+    routes: tuple = ()  # accepted routes, the default first
+    needs_a: bool = False
+
+    def route(self, name: str | None):
+        """The route called name, or the default for None; ValueError if
+        this function does not accept it."""
+        if name is None:
+            return self.routes[0] if self.routes else None
+        for r in self.routes:
+            if r.value == name:
+                return r
+        raise ValueError(f"route {name!r} not valid")
+
+
+def _finite(value: complex) -> EvalResult:
+    return EvalResult(value, Status.FINITE)
+
+
+def _jacobi(lat: Lattice, cfg: SeriesConfig, u: complex) -> tuple:
+    """(sn, cn, dn) at the Jacobi argument scale*u."""
+    p = jacobi_params(lat, cfg)
+    return sn_cn_dn(p, p.scale * u)
+
+
+def _functions() -> dict:
+    zeta_routes = (ZetaRoute.THETA, ZetaRoute.SHIFT, ZetaRoute.QSERIES, ZetaRoute.PARTIAL_FRACTION)
+    delta_routes = (DeltaRoute.SIGMA_QUOTIENT, DeltaRoute.ZETA_DIFF, DeltaRoute.WP_QUOTIENT, DeltaRoute.THETA_QUOTIENT)
+    delta2_routes = (DeltaRoute.WP_QUOTIENT, DeltaRoute.ZETA_DIFF, DeltaRoute.SIGMA_QUOTIENT, DeltaRoute.THETA_QUOTIENT)
+    table = {
+        "wp": Function(lambda lat, cfg, u, a, r: wp(lat, u, cfg)),
+        "wp_prime": Function(lambda lat, cfg, u, a, r: wp_prime(lat, u, cfg)),
+        "zeta": Function(lambda lat, cfg, u, a, r: zeta_w(lat, u, cfg)),
+        "sigma": Function(lambda lat, cfg, u, a, r: _finite(sigma(lat, u, cfg))),
+    }
+    for lam in (1, 2, 3):
+        table[f"sigma{lam}"] = Function(lambda lat, cfg, u, a, r, i=lam: _finite(sigma_aux(lat, i, u, cfg)))
+        table[f"zeta{lam}"] = Function(lambda lat, cfg, u, a, r, i=lam: zeta_aux(lat, i, u, r, cfg), zeta_routes)
+        table[f"delta{lam}"] = Function(lambda lat, cfg, u, a, r, i=lam: delta(lat, i, u, r, cfg), delta_routes)
+    for lam, mu in ((1, 2), (2, 3), (3, 1)):
+        table[f"delta{lam}{mu}"] = Function(
+            lambda lat, cfg, u, a, r, i=lam, j=mu: delta2(lat, i, j, u, r, cfg), delta2_routes
+        )
+    for k, name in enumerate(("sn", "cn", "dn")):
+        table[name] = Function(lambda lat, cfg, u, a, r, k=k: _finite(_jacobi(lat, cfg, u)[k]))
+    for k, name in enumerate(("E", "Z", "Pi")):
+        table[name] = Function(
+            lambda lat, cfg, u, a, r, k=k: _finite(jacobi_E_Z_Pi(lat, u, 0j if a is None else a, cfg)[k]),
+            needs_a=name == "Pi",
+        )
+    return table
+
+
+FUNCTIONS = _functions()
 
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """One checkable identity: evaluator names, tolerance, loci to avoid."""
+    """One checkable identity: side names, tolerance, loci to avoid.
+
+    A side is a table function, `name` or `name:route`, or an EVALUATORS
+    entry."""
 
     name: str
     lhs: str
@@ -79,36 +155,16 @@ class _Ctx:
             self._jp = jacobi_params(self.lat, self.cfg)
         return self._jp
 
-    # ---- unwrapping helpers -------------------------------------------------
-    def wp(self, u):
-        return _val(wp(self.lat, u, self.cfg))
-
-    def wpp(self, u):
-        return _val(wp_prime(self.lat, u, self.cfg))
-
-    def zeta(self, u):
-        return _val(zeta_w(self.lat, u, self.cfg))
-
-    def zl(self, lam, u, route=ZetaRoute.THETA, **kw):
-        return _val(zeta_aux(self.lat, lam, u, route, self.cfg, **kw))
-
-    def d(self, lam, u, route=DeltaRoute.SIGMA_QUOTIENT):
-        return _val(delta(self.lat, lam, u, route, self.cfg))
+    def __call__(self, name: str, u: complex, route: str | None = None) -> complex:
+        """Value of the table function name at u on route; raises at a pole."""
+        f = FUNCTIONS[name]
+        return _val(f.run(self.lat, self.cfg, u, None, f.route(route)))
 
     def dp(self, lam, u):
         return _val(delta_prime(self.lat, lam, u, self.cfg))
 
-    def d2(self, lam, mu, u, route=DeltaRoute.WP_QUOTIENT):
-        return _val(delta2(self.lat, lam, mu, u, route, self.cfg))
-
     def d2p(self, lam, mu, u):
         return _val(delta2_prime(self.lat, lam, mu, u, self.cfg))
-
-    def sig(self, u):
-        return sigma(self.lat, u, self.cfg)
-
-    def sl(self, lam, u):
-        return sigma_aux(self.lat, lam, u, self.cfg)
 
     def w(self, lam):
         return self.lat.half_period(lam)
@@ -121,11 +177,6 @@ class _Ctx:
 
     def fd_step(self) -> float:
         return FD_STEP * self.lat.min_period
-
-    def snd(self, u):
-        """(sn, cn, dn) at the Jacobi argument scale*u."""
-        p = self.jp
-        return sn_cn_dn(p, p.scale * u)
 
 
 def _val(res):
@@ -149,7 +200,8 @@ def _fd_log(wfun, u, h):
 
 
 # ---------------------------------------------------------------------------
-# Evaluator registry
+# Compound evaluators: sides that are more than one table function on one
+# route.  Each takes the context and the sample point(s).
 # ---------------------------------------------------------------------------
 
 EVALUATORS: dict = {}
@@ -167,67 +219,45 @@ def _ev(name):
 
 def _register_all() -> None:
     # ---- classical core -----------------------------------------------------
-    _ev("wp")(lambda c, u: c.wp(u))
-    _ev("wp_neg")(lambda c, u: c.wp(-u))
-    _ev("wp_prime_sq")(lambda c, u: c.wpp(u) ** 2)
-    _ev("wp_cubic")(lambda c, u: 4 * c.wp(u) ** 3 - c.lc.g2 * c.wp(u) - c.lc.g3)
+    _ev("wp_neg")(lambda c, u: c("wp", -u))
+    _ev("wp_prime_sq")(lambda c, u: c("wp_prime", u) ** 2)
+    _ev("wp_cubic")(lambda c, u: 4 * c("wp", u) ** 3 - c.lc.g2 * c("wp", u) - c.lc.g3)
     _ev("wp_factored")(
-        lambda c, u: 4 * (c.wp(u) - c.e(1)) * (c.wp(u) - c.e(2)) * (c.wp(u) - c.e(3))
+        lambda c, u: 4 * (c("wp", u) - c.e(1)) * (c("wp", u) - c.e(2)) * (c("wp", u) - c.e(3))
     )
-    _ev("zeta")(lambda c, u: c.zeta(u))
-    _ev("zeta_odd")(lambda c, u: -c.zeta(-u))
+    _ev("zeta_odd")(lambda c, u: -c("zeta", -u))
 
     for lam in (1, 2, 3):
-        _ev(f"wp_via_s{lam}")(
-            lambda c, u, i=lam: c.e(i) + (c.sl(i, u) / c.sig(u)) ** 2
-        )
-        _ev(f"sigma{lam}_theta")(lambda c, u, i=lam: c.sl(i, u))
         _ev(f"sigma{lam}_shiftform")(
-            lambda c, u, i=lam: cmath.exp(-c.eta(i) * u) * c.sig(c.w(i) + u) / c.sig(c.w(i))
+            lambda c, u, i=lam: cmath.exp(-c.eta(i) * u) * c("sigma", c.w(i) + u) / c("sigma", c.w(i))
         )
-        _ev(f"sigma{lam}_sq")(lambda c, u, i=lam: c.sl(i, u) ** 2)
+    for lam in (2, 3):
+        _ev(f"wp_via_s{lam}")(
+            lambda c, u, i=lam, s=f"sigma{lam}": c.e(i) + (c(s, u) / c("sigma", u)) ** 2
+        )
+        _ev(f"sigma{lam}_sq")(lambda c, u, s=f"sigma{lam}": c(s, u) ** 2)
 
     # ---- auxiliary zeta routes ----------------------------------------------
     for lam in (1, 2, 3):
-        _ev(f"zeta{lam}_shift")(lambda c, u, i=lam: c.zl(i, u, ZetaRoute.SHIFT))
-        _ev(f"zeta{lam}_theta")(lambda c, u, i=lam: c.zl(i, u, ZetaRoute.THETA))
-        _ev(f"zeta{lam}_qexp")(
-            lambda c, u, i=lam: c.zl(i, u, ZetaRoute.QSERIES, qseries_form="exp")
-        )
         _ev(f"zeta{lam}_qcos")(
-            lambda c, u, i=lam: c.zl(i, u, ZetaRoute.QSERIES, qseries_form="cos")
-        )
-        _ev(f"zeta{lam}_pf")(
-            lambda c, u, i=lam: c.zl(
-                i, u, ZetaRoute.PARTIAL_FRACTION, partialfrac_radius=PARTIALFRAC_RADIUS
-            )
+            lambda c, u, i=lam: _val(zeta_aux(c.lat, i, u, ZetaRoute.QSERIES, c.cfg, qseries_form="cos"))
         )
 
     quasi_pairs = {(1, 1), (2, 3), (3, 2)}
     for lam, lp in quasi_pairs:
         _ev(f"zeta{lam}_quasi_w{lp}")(
-            lambda c, u, i=lam, j=lp: c.zl(i, u + 2 * c.w(j)) - c.zl(i, u)
+            lambda c, u, z=f"zeta{lam}", j=lp: c(z, u + 2 * c.w(j)) - c(z, u)
         )
         _ev(f"const_2eta{lp}_{lam}")(lambda c, u, j=lp: 2 * c.eta(j))
     _ev("zeta1_quasi_w1w3")(
-        lambda c, u: c.zl(1, u + 2 * c.w(1) + 2 * c.w(3)) - c.zl(1, u)
+        lambda c, u: c("zeta1", u + 2 * c.w(1) + 2 * c.w(3)) - c("zeta1", u)
     )
     _ev("const_2eta1_plus_2eta3")(lambda c, u: 2 * c.eta(1) + 2 * c.eta(3))
 
     # ---- first-kind differences ----------------------------------------------
-    route_map = {
-        "zetadiff": DeltaRoute.ZETA_DIFF,
-        "wp": DeltaRoute.WP_QUOTIENT,
-        "sigma": DeltaRoute.SIGMA_QUOTIENT,
-        "theta": DeltaRoute.THETA_QUOTIENT,
-    }
-    for lam in (1, 2, 3):
-        for rname, route in route_map.items():
-            _ev(f"delta_l{lam}_{rname}")(lambda c, u, i=lam, r=route: c.d(i, u, r))
-
     def delta_sigma4(c, u):
-        num = c.sig(c.w(1)) * c.sig(u + c.w(2)) * c.sig(u + c.w(3))
-        den = c.sig(c.w(2)) * c.sig(c.w(3)) * c.sig(u - c.w(1)) * c.sig(u)
+        num = c("sigma", c.w(1)) * c("sigma", u + c.w(2)) * c("sigma", u + c.w(3))
+        den = c("sigma", c.w(2)) * c("sigma", c.w(3)) * c("sigma", u - c.w(1)) * c("sigma", u)
         return num / den
 
     _ev("delta_l1_sigma4")(delta_sigma4)
@@ -263,86 +293,68 @@ def _register_all() -> None:
 
     for lam, mu, nu in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         _ev(f"eq4_prod_{lam}{mu}")(
-            lambda c, u, a=lam, b=mu: c.d(a, u) * c.d(b, u)
+            lambda c, u, a=f"delta{lam}", b=f"delta{mu}": c(a, u) * c(b, u)
         )
-        _ev(f"wp_minus_e{nu}")(lambda c, u, k=nu: c.wp(u) - c.e(k))
-    _ev("wp_prime")(lambda c, u: c.wpp(u))
-    _ev("eq5_delta_prod")(lambda c, u: 2 * c.d(1, u) * c.d(2, u) * c.d(3, u))
-    _ev("eq6_ratio")(lambda c, u: c.d(1, u, DeltaRoute.ZETA_DIFF) / c.d(2, u, DeltaRoute.ZETA_DIFF))
-    _ev("eq6_sigma_ratio")(lambda c, u: (c.sl(2, u) / c.sl(1, u)) ** 2)
-    _ev("eq6_lconst_1")(lambda c, u: c.d(1, u, DeltaRoute.ZETA_DIFF) * c.sl(1, u) ** 2)
-    _ev("eq6_lconst_2")(lambda c, u: c.d(2, u, DeltaRoute.ZETA_DIFF) * c.sl(2, u) ** 2)
+        _ev(f"wp_minus_e{nu}")(lambda c, u, k=nu: c("wp", u) - c.e(k))
+    _ev("eq5_delta_prod")(lambda c, u: 2 * c("delta1", u) * c("delta2", u) * c("delta3", u))
+    _ev("eq6_ratio")(lambda c, u: c("delta1", u, "zetadiff") / c("delta2", u, "zetadiff"))
+    _ev("eq6_sigma_ratio")(lambda c, u: (c("sigma2", u) / c("sigma1", u)) ** 2)
+    _ev("eq6_lconst_1")(lambda c, u: c("delta1", u, "zetadiff") * c("sigma1", u) ** 2)
+    _ev("eq6_lconst_2")(lambda c, u: c("delta2", u, "zetadiff") * c("sigma2", u) ** 2)
     _ev("eq6_dup_lhs")(
-        lambda c, u: c.d(1, u, DeltaRoute.ZETA_DIFF) * c.sl(1, u) ** 2 * c.sig(u) ** 2
+        lambda c, u: c("delta1", u, "zetadiff") * c("sigma1", u) ** 2 * c("sigma", u) ** 2
     )
-    _ev("eq6_dup_sigma2u")(lambda c, u: -c.sig(2 * u) / 2)
-    _ev("eq6_dup_wp")(lambda c, u: c.wpp(u) * c.sig(u) ** 4 / 2)
+    _ev("eq6_dup_sigma2u")(lambda c, u: -c("sigma", 2 * u) / 2)
+    _ev("eq6_dup_wp")(lambda c, u: c("wp_prime", u) * c("sigma", u) ** 4 / 2)
 
     # derivatives of the first kind
     _ev("ddelta_l1")(lambda c, u: c.dp(1, u))
-    _ev("ddelta_l1_shift")(lambda c, u: c.wp(u) - c.wp(u + c.w(1)))
+    _ev("ddelta_l1_shift")(lambda c, u: c("wp", u) - c("wp", u + c.w(1)))
 
     def ddelta_form2(c, u):
-        p = c.wp(u)
+        p = c("wp", u)
         ppp = 6 * p * p - c.lc.g2 / 2
         return 0.5 * (ppp - 4 * (p - c.e(2)) * (p - c.e(3))) / (p - c.e(1))
 
     _ev("ddelta_l1_form2")(ddelta_form2)
-    _ev("eq9_lhs")(lambda c, u: c.dp(1, u) / c.d(1, u))
-    _ev("eq9_rhs")(lambda c, u: c.zl(2, u) + c.zl(3, u) - c.zl(1, u) - c.zeta(u))
+    _ev("eq9_lhs")(lambda c, u: c.dp(1, u) / c("delta1", u))
+    _ev("eq9_rhs")(lambda c, u: c("zeta2", u) + c("zeta3", u) - c("zeta1", u) - c("zeta", u))
     _ev("eq10_lhs")(
-        lambda c, u: 0.5 * c.dp(1, u) / c.d(1, u) + 0.5 * c.dp(2, u) / c.d(2, u)
+        lambda c, u: 0.5 * c.dp(1, u) / c("delta1", u) + 0.5 * c.dp(2, u) / c("delta2", u)
     )
-    _ev("eq11_lhs")(lambda c, u: (6 * c.wp(u) ** 2 - c.lc.g2 / 2) / c.wpp(u))
-    _ev("eq11_delta_sum")(lambda c, u: c.d(1, u) + c.d(2, u) + c.d(3, u))
-    _ev("eq11_duplication")(lambda c, u: 2 * c.zeta(2 * u) - 4 * c.zeta(u))
+    _ev("eq11_lhs")(lambda c, u: (6 * c("wp", u) ** 2 - c.lc.g2 / 2) / c("wp_prime", u))
+    _ev("eq11_delta_sum")(lambda c, u: c("delta1", u) + c("delta2", u) + c("delta3", u))
+    _ev("eq11_duplication")(lambda c, u: 2 * c("zeta", 2 * u) - 4 * c("zeta", u))
 
     # ---- second-kind differences ----------------------------------------------
-    for lam, mu in ((1, 2), (2, 3), (3, 1)):
-        _ev(f"delta2_{lam}{mu}_zetadiff")(
-            lambda c, u, a=lam, b=mu: c.d2(a, b, u, DeltaRoute.ZETA_DIFF)
-        )
-        _ev(f"delta2_{lam}{mu}_eq20")(
-            lambda c, u, a=lam, b=mu: c.d2(a, b, u, DeltaRoute.WP_QUOTIENT)
-        )
-        _ev(f"delta2_{lam}{mu}_sigma")(
-            lambda c, u, a=lam, b=mu: c.d2(a, b, u, DeltaRoute.SIGMA_QUOTIENT)
-        )
-        _ev(f"delta2_{lam}{mu}_theta")(
-            lambda c, u, a=lam, b=mu: c.d2(a, b, u, DeltaRoute.THETA_QUOTIENT)
-        )
-
     # The eta terms follow from the definition zeta_lam = zeta(u + w_lam) -
     # eta_lam, and the quotient prefactor from subtracting two copies of the
     # single-index quotient form; both signs are checked by the cross routes.
     _ev("delta2_12_shiftdef")(
-        lambda c, u: c.zeta(u + c.w(1)) - c.zeta(u + c.w(2)) + c.eta(2) - c.eta(1)
+        lambda c, u: c("zeta", u + c.w(1)) - c("zeta", u + c.w(2)) + c.eta(2) - c.eta(1)
     )
     _ev("delta2_12_eq12")(
         lambda c, u: (c.e(1) - c.e(2))
         / 2
-        * c.wpp(u)
-        / ((c.wp(u) - c.e(1)) * (c.wp(u) - c.e(2)))
+        * c("wp_prime", u)
+        / ((c("wp", u) - c.e(1)) * (c("wp", u) - c.e(2)))
     )
     _ev("delta2_12_eq13")(
-        lambda c, u: (c.e(2) - c.e(1)) * c.sl(3, u) * c.sig(u) / (c.sl(1, u) * c.sl(2, u))
+        lambda c, u: (c.e(2) - c.e(1)) * c("sigma3", u) * c("sigma", u) / (c("sigma1", u) * c("sigma2", u))
     )
-    _ev("eq14_lhs")(
-        lambda c, u: c.d2(1, 2, u, DeltaRoute.ZETA_DIFF) * c.d(3, u)
-    )
+    _ev("eq14_lhs")(lambda c, u: c("delta12", u, "zetadiff") * c("delta3", u))
     _ev("const_e12")(lambda c, u: c.e(1) - c.e(2))
-    _ev("eq15_lhs")(
-        lambda c, u: c.d2(2, 3, u, DeltaRoute.ZETA_DIFF) * c.d(1, u)
-    )
+    _ev("eq15_lhs")(lambda c, u: c("delta23", u, "zetadiff") * c("delta1", u))
     _ev("const_e23")(lambda c, u: c.e(2) - c.e(3))
+    # The table holds the cyclic pairs; Delta_{1,3} = -Delta_{3,1}.
     _ev("eq16_lhs")(
         lambda c, u: (c.e(1) - c.e(3))
         * (c.e(2) - c.e(3))
-        / (c.d2(1, 3, u) * c.d2(2, 3, u, DeltaRoute.SIGMA_QUOTIENT))
+        / (-c("delta31", u) * c("delta23", u, "sigma"))
     )
     _ev("eq17_lhs")(
-        lambda c, u: (c.d2(1, 3, u) / (c.e(1) - c.e(3)))
-        * ((c.e(2) - c.e(3)) / c.d2(2, 3, u, DeltaRoute.SIGMA_QUOTIENT))
+        lambda c, u: (-c("delta31", u) / (c.e(1) - c.e(3)))
+        * ((c.e(2) - c.e(3)) / c("delta23", u, "sigma"))
     )
     # Half-period differences three ways: the cached constants, the nullwerte
     # fourth powers, and the pointwise delta product (the genuinely
@@ -352,20 +364,18 @@ def _register_all() -> None:
             lambda c, u, k=nu: (PI / (2 * c.lat.omega1)) ** 2
             * theta_eval(HALF_PERIOD_THETA[k], 0.0, c.lat.tau, c.cfg) ** 4
         )
-        _ev(f"eq18_prod_{lam}{mu}")(
-            lambda c, u, a=lam, b=mu, k=nu: c.d2(a, b, u, DeltaRoute.ZETA_DIFF)
-            * c.d(k, u, DeltaRoute.ZETA_DIFF)
-        )
-    _ev("const_e13")(lambda c, u: c.e(1) - c.e(3))
+    _ev("eq18_prod_12")(lambda c, u: c("delta12", u, "zetadiff") * c("delta3", u, "zetadiff"))
+    _ev("eq18_prod_13")(lambda c, u: -c("delta31", u, "zetadiff") * c("delta2", u, "zetadiff"))
+    _ev("eq18_prod_23")(lambda c, u: c("delta23", u, "zetadiff") * c("delta1", u, "zetadiff"))
 
-    _ev("sigid_12_lhs")(lambda c, u: c.sl(1, u) ** 2 + (c.e(1) - c.e(2)) * c.sig(u) ** 2)
-    _ev("sigid_23_lhs")(lambda c, u: c.sl(2, u) ** 2 + (c.e(2) - c.e(3)) * c.sig(u) ** 2)
+    _ev("sigid_12_lhs")(lambda c, u: c("sigma1", u) ** 2 + (c.e(1) - c.e(2)) * c("sigma", u) ** 2)
+    _ev("sigid_23_lhs")(lambda c, u: c("sigma2", u) ** 2 + (c.e(2) - c.e(3)) * c("sigma", u) ** 2)
 
     _ev("ddelta2_12")(lambda c, u: c.d2p(1, 2, u))
-    _ev("ddelta2_12_shift")(lambda c, u: c.wp(u + c.w(2)) - c.wp(u + c.w(1)))
+    _ev("ddelta2_12_shift")(lambda c, u: c("wp", u + c.w(2)) - c("wp", u + c.w(1)))
 
     def ddelta2_form1(c, u):
-        p = c.wp(u)
+        p = c("wp", u)
         return (c.e(1) - c.e(2)) * (
             (c.e(1) - c.e(3)) / (c.e(1) - p) + (c.e(2) - c.e(3)) / (c.e(2) - p) - 1
         )
@@ -373,79 +383,77 @@ def _register_all() -> None:
     _ev("ddelta2_12_form1")(ddelta2_form1)
 
     # ---- two-point identities ---------------------------------------------------
-    _ev("fs_lhs")(lambda c, z, w: c.wp(z) - c.wp(w))
+    _ev("fs_lhs")(lambda c, z, w: c("wp", z) - c("wp", w))
     _ev("fs_rhs")(
-        lambda c, z, w: c.sig(z + w) * c.sig(w - z) / (c.sig(z) ** 2 * c.sig(w) ** 2)
+        lambda c, z, w: c("sigma", z + w) * c("sigma", w - z) / (c("sigma", z) ** 2 * c("sigma", w) ** 2)
     )
 
     def w3term_lhs(c, u):
         a, b, cc = c.w(1), c.w(2), c.w(3)
-        return c.sig(u + a) * c.sig(u - a) * c.sig(b + cc) * c.sig(b - cc) + c.sig(
-            u + b
-        ) * c.sig(u - b) * c.sig(cc + a) * c.sig(cc - a)
+        return c("sigma", u + a) * c("sigma", u - a) * c("sigma", b + cc) * c("sigma", b - cc) + c(
+            "sigma", u + b
+        ) * c("sigma", u - b) * c("sigma", cc + a) * c("sigma", cc - a)
 
     def w3term_rhs(c, u):
         a, b, cc = c.w(1), c.w(2), c.w(3)
-        return -c.sig(u + cc) * c.sig(u - cc) * c.sig(a + b) * c.sig(a - b)
+        return -c("sigma", u + cc) * c("sigma", u - cc) * c("sigma", a + b) * c("sigma", a - b)
 
     _ev("w3term_lhs")(w3term_lhs)
     _ev("w3term_rhs")(w3term_rhs)
 
     def w3term2_lhs(c, u, a):
         b, cc = c.w(2), c.w(3)
-        return c.sig(u + a) * c.sig(u - a) * c.sig(b + cc) * c.sig(b - cc) + c.sig(
-            u + b
-        ) * c.sig(u - b) * c.sig(cc + a) * c.sig(cc - a)
+        return c("sigma", u + a) * c("sigma", u - a) * c("sigma", b + cc) * c("sigma", b - cc) + c(
+            "sigma", u + b
+        ) * c("sigma", u - b) * c("sigma", cc + a) * c("sigma", cc - a)
 
     def w3term2_rhs(c, u, a):
         b, cc = c.w(2), c.w(3)
-        return -c.sig(u + cc) * c.sig(u - cc) * c.sig(a + b) * c.sig(a - b)
+        return -c("sigma", u + cc) * c("sigma", u - cc) * c("sigma", a + b) * c("sigma", a - b)
 
     _ev("w3term2_lhs")(w3term2_lhs)
     _ev("w3term2_rhs")(w3term2_rhs)
 
     # ---- integral formulas, checked by differentiating the closed forms --------
-    _ev("eq19a_delta")(lambda c, u: c.d(1, u, DeltaRoute.ZETA_DIFF))
     _ev("eq19a_fd")(
-        lambda c, u: 0.5 * _fd_log(lambda x: c.wp(x) - c.e(1), u, c.fd_step())
+        lambda c, u: 0.5 * _fd_log(lambda x: c("wp", x) - c.e(1), u, c.fd_step())
     )
-    _ev("eq19b_delta2")(lambda c, u: c.d2(1, 2, u, DeltaRoute.ZETA_DIFF))
     _ev("eq19b_fd")(
         lambda c, u: 0.5
-        * _fd_log(lambda x: (c.wp(x) - c.e(1)) / (c.wp(x) - c.e(2)), u, c.fd_step())
+        * _fd_log(lambda x: (c("wp", x) - c.e(1)) / (c("wp", x) - c.e(2)), u, c.fd_step())
     )
-    _ev("eq19c_inv_delta")(lambda c, u: 1.0 / c.d(1, u, DeltaRoute.ZETA_DIFF))
+    _ev("eq19c_inv_delta")(lambda c, u: 1.0 / c("delta1", u, "zetadiff"))
     _ev("eq19c_fd")(
         lambda c, u: _fd_log(
-            lambda x: (c.wp(x) - c.e(2)) / (c.wp(x) - c.e(3)), u, c.fd_step()
+            lambda x: (c("wp", x) - c.e(2)) / (c("wp", x) - c.e(3)), u, c.fd_step()
         )
         / (2 * (c.e(2) - c.e(3)))
     )
-    _ev("eq19d_inv_delta2")(lambda c, u: 1.0 / c.d2(1, 2, u, DeltaRoute.ZETA_DIFF))
+    _ev("eq19d_inv_delta2")(lambda c, u: 1.0 / c("delta12", u, "zetadiff"))
     _ev("eq19d_fd")(
-        lambda c, u: _fd_log(lambda x: c.wp(x) - c.e(3), u, c.fd_step())
+        lambda c, u: _fd_log(lambda x: c("wp", x) - c.e(3), u, c.fd_step())
         / (2 * (c.e(1) - c.e(2)))
     )
-    _ev("eq19e_wp_over_wpp")(lambda c, u: c.wp(u) / c.wpp(u))
+    _ev("eq19e_wp_over_wpp")(lambda c, u: c("wp", u) / c("wp_prime", u))
 
     def eq19e_fd(c, u):
         h = c.fd_step()
         total = 0j
         for lam, mu in ((1, 2), (2, 3), (3, 1)):
             total += _fd_log(
-                lambda x, a=lam, b=mu: (c.wp(x) - c.e(a)) / (c.wp(x) - c.e(b)), u, h
+                lambda x, a=lam, b=mu: (c("wp", x) - c.e(a)) / (c("wp", x) - c.e(b)), u, h
             ) / (12 * (c.e(lam) - c.e(mu)))
         return total
 
     _ev("eq19e_fd")(eq19e_fd)
-    _ev("eq19f_inv_wpp")(lambda c, u: 1.0 / c.wpp(u))
+    _ev("eq19f_inv_wpp")(lambda c, u: 1.0 / c("wp_prime", u))
 
     def eq19f_fd(c, u):
         h = c.fd_step()
         total = 0j
         for lam in (1, 2, 3):
             mu, nu = complement(lam)
-            total += _fd_log(lambda x, a=lam: c.wp(x) - c.e(a), u, h) / (
+            total += _fd_log(lambda x, a=lam: c("wp", x) - c.e(a), u, h) / (
                 4 * (c.e(lam) - c.e(mu)) * (c.e(lam) - c.e(nu))
             )
         return total
@@ -453,63 +461,50 @@ def _register_all() -> None:
     _ev("eq19f_fd")(eq19f_fd)
 
     # ---- Jacobi bridge -----------------------------------------------------------
-    _ev("t211sq_ns_lhs")(lambda c, u: c.d(1, u, DeltaRoute.WP_QUOTIENT) * c.d(2, u, DeltaRoute.WP_QUOTIENT))
-    _ev("t211sq_ns_rhs")(lambda c, u: (c.e(1) - c.e(3)) / c.snd(u)[0] ** 2)
-    _ev("t211sq_ds_lhs")(lambda c, u: c.d(1, u, DeltaRoute.WP_QUOTIENT) * c.d(3, u, DeltaRoute.WP_QUOTIENT))
-    _ev("t211sq_ds_rhs")(
-        lambda c, u: (c.e(1) - c.e(3)) * (c.snd(u)[2] / c.snd(u)[0]) ** 2
-    )
-    _ev("t211sq_cs_lhs")(lambda c, u: c.d(2, u, DeltaRoute.WP_QUOTIENT) * c.d(3, u, DeltaRoute.WP_QUOTIENT))
-    _ev("t211sq_cs_rhs")(
-        lambda c, u: (c.e(1) - c.e(3)) * (c.snd(u)[1] / c.snd(u)[0]) ** 2
-    )
-    _ev("t211sq_snK_lhs")(lambda c, u: c.d(2, u, DeltaRoute.WP_QUOTIENT) / c.d(1, u, DeltaRoute.WP_QUOTIENT))
-    _ev("t211sq_snK_rhs")(lambda c, u: (c.snd(u)[1] / c.snd(u)[2]) ** 2)
-    _ev("t211sq_dn_lhs")(lambda c, u: c.d(3, u, DeltaRoute.WP_QUOTIENT) / c.d(2, u, DeltaRoute.WP_QUOTIENT))
-    _ev("t211sq_dn_rhs")(lambda c, u: c.snd(u)[2] ** 2)
-    _ev("t211sq_nc_lhs")(lambda c, u: c.d(1, u, DeltaRoute.WP_QUOTIENT) / c.d(3, u, DeltaRoute.WP_QUOTIENT))
-    _ev("t211sq_nc_rhs")(lambda c, u: 1.0 / c.snd(u)[1] ** 2)
+    _ev("t211sq_ns_lhs")(lambda c, u: c("delta1", u, "wp") * c("delta2", u, "wp"))
+    _ev("t211sq_ns_rhs")(lambda c, u: (c.e(1) - c.e(3)) / c("sn", u) ** 2)
+    _ev("t211sq_ds_lhs")(lambda c, u: c("delta1", u, "wp") * c("delta3", u, "wp"))
+    _ev("t211sq_ds_rhs")(lambda c, u: (c.e(1) - c.e(3)) * (c("dn", u) / c("sn", u)) ** 2)
+    _ev("t211sq_cs_lhs")(lambda c, u: c("delta2", u, "wp") * c("delta3", u, "wp"))
+    _ev("t211sq_cs_rhs")(lambda c, u: (c.e(1) - c.e(3)) * (c("cn", u) / c("sn", u)) ** 2)
+    _ev("t211sq_snK_lhs")(lambda c, u: c("delta2", u, "wp") / c("delta1", u, "wp"))
+    _ev("t211sq_snK_rhs")(lambda c, u: (c("cn", u) / c("dn", u)) ** 2)
+    _ev("t211sq_dn_lhs")(lambda c, u: c("delta3", u, "wp") / c("delta2", u, "wp"))
+    _ev("t211sq_dn_rhs")(lambda c, u: c("dn", u) ** 2)
+    _ev("t211sq_nc_lhs")(lambda c, u: c("delta1", u, "wp") / c("delta3", u, "wp"))
+    _ev("t211sq_nc_rhs")(lambda c, u: 1.0 / c("cn", u) ** 2)
 
     # Jacobi-function members of the delta rows carry a minus sign relative
     # to the naive quotient: delta_lam ~ -1/u at the origin while the
     # sn/cn/dn quotients behave as +1/x there.
-    _ev("c212_r1_delta")(lambda c, u: c.d(1, u, DeltaRoute.ZETA_DIFF))
-    _ev("c212_r1_jac")(
-        lambda c, u: -c.jp.scale * c.snd(u)[2] / (c.snd(u)[0] * c.snd(u)[1])
-    )
-    _ev("c212_r2_delta")(lambda c, u: c.d(2, u, DeltaRoute.ZETA_DIFF))
-    _ev("c212_r2_jac")(
-        lambda c, u: -c.jp.scale * c.snd(u)[1] / (c.snd(u)[2] * c.snd(u)[0])
-    )
-    _ev("c212_r3_delta")(lambda c, u: c.d(3, u, DeltaRoute.ZETA_DIFF))
-    _ev("c212_r3_jac")(
-        lambda c, u: -c.jp.scale * c.snd(u)[1] * c.snd(u)[2] / c.snd(u)[0]
-    )
+    _ev("c212_r1_jac")(lambda c, u: -c.jp.scale * c("dn", u) / (c("sn", u) * c("cn", u)))
+    _ev("c212_r2_jac")(lambda c, u: -c.jp.scale * c("cn", u) / (c("dn", u) * c("sn", u)))
+    _ev("c212_r3_jac")(lambda c, u: -c.jp.scale * c("cn", u) * c("dn", u) / c("sn", u))
 
     _ev("ksq_const")(lambda c, u: c.lc.ksq)
     _ev("ksq_deltas")(
-        lambda c, u: c.d(1, u) * c.d2(2, 3, u) / (c.d(2, u) * c.d2(1, 3, u))
+        lambda c, u: c("delta1", u) * c("delta23", u) / (c("delta2", u) * -c("delta31", u))
     )
     _ev("kpsq_const")(lambda c, u: c.lc.kpsq)
     _ev("kpsq_deltas")(
-        lambda c, u: c.d(3, u) * c.d2(1, 2, u) / (c.d(2, u) * c.d2(1, 3, u))
+        lambda c, u: c("delta3", u) * c("delta12", u) / (c("delta2", u) * -c("delta31", u))
     )
 
     def t213_E_fd(c, u):
         s = c.jp.scale
-        f = lambda x: (c.zl(3, x) + c.e(1) * x) / s
+        f = lambda x: (c("zeta3", x) + c.e(1) * x) / s
         return _fd(f, u, c.fd_step())
 
     _ev("t213_E_fd")(t213_E_fd)
-    _ev("t213_E_rhs")(lambda c, u: c.jp.scale * c.snd(u)[2] ** 2)
+    _ev("t213_E_rhs")(lambda c, u: c.jp.scale * c("dn", u) ** 2)
 
     def t213_pi_lhs(c, u, a):
-        return 0.5 * (c.zl(3, u - a) - c.zl(3, u + a)) + c.zl(3, a)
+        return 0.5 * (c("zeta3", u - a) - c("zeta3", u + a)) + c("zeta3", a)
 
     def t213_pi_rhs(c, u, a):
         s = c.jp.scale
-        sa, ca, da = c.snd(a)
-        su, _, _ = c.snd(u)
+        sa, ca, da = c("sn", a), c("cn", a), c("dn", a)
+        su = c("sn", u)
         k2 = c.lc.ksq
         return s * k2 * sa * ca * da * su * su / (1 - k2 * sa * sa * su * su)
 
@@ -518,7 +513,6 @@ def _register_all() -> None:
 
 
 _register_all()
-
 
 # ---------------------------------------------------------------------------
 # Default suite
@@ -535,11 +529,11 @@ def default_suite() -> tuple[IdentitySpec, ...]:
     # Auxiliary zeta: four routes and the quasi-periodicity law.
     for lam in (1, 2, 3):
         excl = (f"w{lam}",)
-        add(IdentitySpec(f"prop24_theta_route_zeta{lam}", f"zeta{lam}_theta", f"zeta{lam}_shift", exclusions=excl))
-        add(IdentitySpec(f"prop23_exp_form_zeta{lam}", f"zeta{lam}_qexp", f"zeta{lam}_shift", exclusions=excl))
-        add(IdentitySpec(f"prop23_cos_form_zeta{lam}", f"zeta{lam}_qcos", f"zeta{lam}_qexp", exclusions=excl))
+        add(IdentitySpec(f"prop24_theta_route_zeta{lam}", f"zeta{lam}:theta", f"zeta{lam}:shift", exclusions=excl))
+        add(IdentitySpec(f"prop23_exp_form_zeta{lam}", f"zeta{lam}:qseries", f"zeta{lam}:shift", exclusions=excl))
+        add(IdentitySpec(f"prop23_cos_form_zeta{lam}", f"zeta{lam}_qcos", f"zeta{lam}:qseries", exclusions=excl))
         add(IdentitySpec(
-            f"prop22_partialfrac_zeta{lam}", f"zeta{lam}_pf", f"zeta{lam}_shift",
+            f"prop22_partialfrac_zeta{lam}", f"zeta{lam}:partialfrac", f"zeta{lam}:shift",
             tol=PARTIALFRAC_TOL, exclusions=excl,
         ))
     for lam, lp in ((1, 1), (2, 3), (3, 2)):
@@ -551,7 +545,7 @@ def default_suite() -> tuple[IdentitySpec, ...]:
 
     # Auxiliary sigma: theta form vs half-period shift form (both sides of eq 1/2).
     for lam in (1, 2, 3):
-        add(IdentitySpec(f"eq2_sigma_aux_theta_vs_shift_s{lam}", f"sigma{lam}_theta", f"sigma{lam}_shiftform"))
+        add(IdentitySpec(f"eq2_sigma_aux_theta_vs_shift_s{lam}", f"sigma{lam}", f"sigma{lam}_shiftform"))
 
     # Classical core sanity: parity, differential equation, route independence.
     add(IdentitySpec("wp_even", "wp_neg", "wp", exclusions=("0",)))
@@ -562,13 +556,13 @@ def default_suite() -> tuple[IdentitySpec, ...]:
     add(IdentitySpec("wp_diffeq_factored", "wp_prime_sq", "wp_factored", exclusions=("0",)))
 
     # First-kind differences: quotient, sigma, and theta-product forms.
-    add(IdentitySpec("eq3_delta1_wp_quotient", "delta_l1_zetadiff", "delta_l1_wp", exclusions=("0", "w1")))
-    add(IdentitySpec("thm26_delta1_sigma_quotient", "delta_l1_zetadiff", "delta_l1_sigma", exclusions=("0", "w1")))
-    add(IdentitySpec("thm26_delta1_sigma_4factor", "delta_l1_zetadiff", "delta_l1_sigma4", exclusions=("0", "w1")))
-    add(IdentitySpec("eq7_delta1_theta_dlog", "delta_l1_zetadiff", "delta_l1_eq7", exclusions=("0", "w1")))
-    add(IdentitySpec("eq8_delta1_theta_product", "delta_l1_zetadiff", "delta_l1_theta", exclusions=("0", "w1")))
-    add(IdentitySpec("eq8_simplified_delta2", "delta_l2_zetadiff", "delta_l2_eq8s", exclusions=("0", "w2")))
-    add(IdentitySpec("thm26_delta3_sigma_quotient", "delta_l3_zetadiff", "delta_l3_sigma", exclusions=("0", "w3")))
+    add(IdentitySpec("eq3_delta1_wp_quotient", "delta1:zetadiff", "delta1:wp", exclusions=("0", "w1")))
+    add(IdentitySpec("thm26_delta1_sigma_quotient", "delta1:zetadiff", "delta1:sigma", exclusions=("0", "w1")))
+    add(IdentitySpec("thm26_delta1_sigma_4factor", "delta1:zetadiff", "delta_l1_sigma4", exclusions=("0", "w1")))
+    add(IdentitySpec("eq7_delta1_theta_dlog", "delta1:zetadiff", "delta_l1_eq7", exclusions=("0", "w1")))
+    add(IdentitySpec("eq8_delta1_theta_product", "delta1:zetadiff", "delta1:theta", exclusions=("0", "w1")))
+    add(IdentitySpec("eq8_simplified_delta2", "delta2:zetadiff", "delta_l2_eq8s", exclusions=("0", "w2")))
+    add(IdentitySpec("thm26_delta3_sigma_quotient", "delta3:zetadiff", "delta3:sigma", exclusions=("0", "w3")))
     for lam, mu, nu in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         add(IdentitySpec(
             f"eq4_delta_product_{lam}{mu}", f"eq4_prod_{lam}{mu}", f"wp_minus_e{nu}", exclusions=_ALL,
@@ -583,17 +577,17 @@ def default_suite() -> tuple[IdentitySpec, ...]:
     add(IdentitySpec("thm27_delta1_prime_shift", "ddelta_l1", "ddelta_l1_shift", exclusions=("0", "w1")))
     add(IdentitySpec("thm27_delta1_prime_wpp_form", "ddelta_l1", "ddelta_l1_form2", exclusions=("0", "w1")))
     add(IdentitySpec("eq9_dlog_delta1", "eq9_lhs", "eq9_rhs", exclusions=_ALL))
-    add(IdentitySpec("eq10_dlog_pair", "eq10_lhs", "delta_l3_zetadiff", exclusions=_ALL))
+    add(IdentitySpec("eq10_dlog_pair", "eq10_lhs", "delta3:zetadiff", exclusions=_ALL))
     add(IdentitySpec("eq11_wpp_ratio_delta_sum", "eq11_lhs", "eq11_delta_sum", exclusions=_ALL))
     add(IdentitySpec("eq11_duplication_2zeta2u", "eq11_delta_sum", "eq11_duplication", exclusions=_ALL))
 
     # Second-kind differences: definition, quotient, sigma, and theta forms.
-    add(IdentitySpec("def28_delta2_shift_form", "delta2_12_zetadiff", "delta2_12_shiftdef", exclusions=("w1", "w2")))
-    add(IdentitySpec("eq12_delta2_wp_quotient", "delta2_12_zetadiff", "delta2_12_eq12", exclusions=("0", "w1", "w2")))
-    add(IdentitySpec("eq20_delta2_wp_quotient", "delta2_12_zetadiff", "delta2_12_eq20", exclusions=_ALL))
-    add(IdentitySpec("thm29_delta2_sigma_quotient", "delta2_12_zetadiff", "delta2_12_sigma", exclusions=("w1", "w2")))
-    add(IdentitySpec("eq13_delta2_branch_convention", "delta2_12_zetadiff", "delta2_12_eq13", exclusions=("w1", "w2")))
-    add(IdentitySpec("eq8_delta2_theta_simplified", "delta2_12_zetadiff", "delta2_12_theta", exclusions=("w1", "w2")))
+    add(IdentitySpec("def28_delta2_shift_form", "delta12:zetadiff", "delta2_12_shiftdef", exclusions=("w1", "w2")))
+    add(IdentitySpec("eq12_delta2_wp_quotient", "delta12:zetadiff", "delta2_12_eq12", exclusions=("0", "w1", "w2")))
+    add(IdentitySpec("eq20_delta2_wp_quotient", "delta12:zetadiff", "delta12:wp", exclusions=_ALL))
+    add(IdentitySpec("thm29_delta2_sigma_quotient", "delta12:zetadiff", "delta12:sigma", exclusions=("w1", "w2")))
+    add(IdentitySpec("eq13_delta2_branch_convention", "delta12:zetadiff", "delta2_12_eq13", exclusions=("w1", "w2")))
+    add(IdentitySpec("eq8_delta2_theta_simplified", "delta12:zetadiff", "delta12:theta", exclusions=("w1", "w2")))
     add(IdentitySpec("eq14_delta2_times_delta_constant", "eq14_lhs", "const_e12", exclusions=_ALL))
     add(IdentitySpec("eq15_delta2_times_delta_perm", "eq15_lhs", "const_e23", exclusions=_ALL))
     add(IdentitySpec("eq16_wp_from_delta2", "eq16_lhs", "wp_minus_e3", exclusions=_ALL))
@@ -614,8 +608,8 @@ def default_suite() -> tuple[IdentitySpec, ...]:
     add(IdentitySpec("weierstrass_3term_two_point", "w3term2_lhs", "w3term2_rhs", arity=2))
 
     # Integral formulas: finite differences of the log closed forms.
-    add(IdentitySpec("eq19_log_delta", "eq19a_delta", "eq19a_fd", tol=FD_TOL, exclusions=_ALL))
-    add(IdentitySpec("eq19_log_delta2", "eq19b_delta2", "eq19b_fd", tol=FD_TOL, exclusions=_ALL))
+    add(IdentitySpec("eq19_log_delta", "delta1:zetadiff", "eq19a_fd", tol=FD_TOL, exclusions=_ALL))
+    add(IdentitySpec("eq19_log_delta2", "delta12:zetadiff", "eq19b_fd", tol=FD_TOL, exclusions=_ALL))
     add(IdentitySpec("eq19_inv_delta", "eq19c_inv_delta", "eq19c_fd", tol=FD_TOL, exclusions=_ALL))
     add(IdentitySpec("eq19_inv_delta2", "eq19d_inv_delta2", "eq19d_fd", tol=FD_TOL, exclusions=_ALL))
     add(IdentitySpec("eq19_wp_over_wp_prime", "eq19e_wp_over_wpp", "eq19e_fd", tol=FD_TOL, exclusions=_ALL))
@@ -625,7 +619,7 @@ def default_suite() -> tuple[IdentitySpec, ...]:
     for row in ("ns", "ds", "cs", "snK", "dn", "nc"):
         add(IdentitySpec(f"thm211_squared_{row}", f"t211sq_{row}_lhs", f"t211sq_{row}_rhs", exclusions=_ALL))
     for row in ("r1", "r2", "r3"):
-        add(IdentitySpec(f"cor212_row_{row}", f"c212_{row}_delta", f"c212_{row}_jac", exclusions=_ALL))
+        add(IdentitySpec(f"cor212_row_{row}", f"delta{row[1]}:zetadiff", f"c212_{row}_jac", exclusions=_ALL))
     add(IdentitySpec("modulus_ksq_from_deltas", "ksq_deltas", "ksq_const", exclusions=_ALL))
     add(IdentitySpec("modulus_kpsq_from_deltas", "kpsq_deltas", "kpsq_const", exclusions=_ALL))
     add(IdentitySpec("thm213_E_derivative", "t213_E_fd", "t213_E_rhs", tol=FD_TOL, exclusions=("w3",)))
@@ -679,6 +673,30 @@ def _sample_points(lat: Lattice, rng: random.Random, arity: int, single, pair):
     raise SuiteConfigError("could not sample a guarded point after 10000 tries")
 
 
+def _side(spec: IdentitySpec, name: str):
+    """The evaluator for one side of spec: a table function, written `name`
+    or `name:route`, or an EVALUATORS entry."""
+    fn, _, route = name.partition(":")
+    if fn in FUNCTIONS:
+        route = route or None
+        try:
+            FUNCTIONS[fn].route(route)
+        except ValueError:
+            raise SuiteConfigError(f"{spec.name}: route {route!r} not valid for {fn!r}") from None
+        return lambda c, u: c(fn, u, route)
+    try:
+        return EVALUATORS[name]
+    except KeyError:
+        raise SuiteConfigError(f"{spec.name}: unknown evaluator {name!r}") from None
+
+
+def _residual(ctx: _Ctx, lhs, rhs, pts) -> float:
+    """Relative residual of one identity at one sample."""
+    a = lhs(ctx, *pts)
+    b = rhs(ctx, *pts)
+    return abs(a - b) / max(abs(a), abs(b), RESIDUAL_FLOOR)
+
+
 def run_suite(
     lat: Lattice,
     suite,
@@ -692,14 +710,7 @@ def run_suite(
     ctx = _Ctx(lat, cfg)
     reports = []
     for index, spec in enumerate(suite):
-        try:
-            lhs = EVALUATORS[spec.lhs]
-        except KeyError:
-            raise SuiteConfigError(f"{spec.name}: unknown evaluator {spec.lhs!r}") from None
-        try:
-            rhs = EVALUATORS[spec.rhs]
-        except KeyError:
-            raise SuiteConfigError(f"{spec.name}: unknown evaluator {spec.rhs!r}") from None
+        lhs, rhs = _side(spec, spec.lhs), _side(spec, spec.rhs)
         if spec.arity not in (1, 2):
             raise SuiteConfigError(f"{spec.name}: arity must be 1 or 2")
         single, pair = _exclusion_offsets(lat, spec.exclusions)
@@ -708,9 +719,7 @@ def run_suite(
         failures = []
         for _ in range(n):
             pts = _sample_points(lat, rng, spec.arity, single, pair)
-            a = lhs(ctx, *pts)
-            b = rhs(ctx, *pts)
-            rel = abs(a - b) / max(abs(a), abs(b), RESIDUAL_FLOOR)
+            rel = _residual(ctx, lhs, rhs, pts)
             residuals.append(rel)
             if rel > spec.tol:
                 failures.append((tuple(pts), rel))

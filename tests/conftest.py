@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import fnmatch
 import random
 
 import pytest
 
-from weierzeta import build_lattice
+from weierzeta import build_lattice, default_suite
 from weierzeta.lattice import nearest_translate
+from weierzeta.theta import DEFAULT_CONFIG
+from weierzeta.verify import _Ctx, _residual, _side
 
 REFERENCE_TAUS = {
     "square": 1j,
@@ -52,3 +55,12 @@ def guarded_points(lat, rng: random.Random, n: int, guard: float = 0.05, offsets
         if all(nearest_translate(lat, u, off)[0] >= guard * lat.min_period for off in offsets):
             pts.append(u)
     return pts
+
+
+def suite_residuals(lat, pattern: str, pts) -> list[float]:
+    """Residuals at one sample of the default-suite identities whose names
+    match the glob pattern, by the function run_suite applies per sample."""
+    ctx = _Ctx(lat, DEFAULT_CONFIG)
+    specs = [s for s in default_suite() if fnmatch.fnmatch(s.name, pattern)]
+    assert specs, pattern
+    return [_residual(ctx, _side(s, s.lhs), _side(s, s.rhs), pts) for s in specs]

@@ -13,7 +13,6 @@ from weierzeta import (
     ZetaRoute,
     check_cor212,
     check_thm211,
-    check_thm211_squared,
     constants,
     constants_from_deltas,
     delta,
@@ -30,7 +29,7 @@ from weierzeta import (
 )
 from weierzeta.cli import main as cli_main
 
-from conftest import RECTANGULAR, REFERENCE_TAUS, guarded_points, make_lattice
+from conftest import RECTANGULAR, REFERENCE_TAUS, guarded_points, make_lattice, suite_residuals
 
 ALL_LATTICES = sorted(REFERENCE_TAUS)
 
@@ -176,7 +175,7 @@ def test_criterion_6_jacobi_rows_and_identities():
         p = jacobi_params(lat)
         rng = random.Random(14142)
         for u in guarded_points(lat, rng, 10, guard=0.06):
-            worst_sq = max(worst_sq, max(check_thm211_squared(lat, u)))
+            worst_sq = max(worst_sq, max(suite_residuals(lat, "thm211_squared_*", (u,))))
         for u in guarded_points(lat, rng, 50, guard=0.05):
             s, c, d = sn_cn_dn(p, p.scale * u)
             worst_pyth = max(

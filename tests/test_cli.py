@@ -7,7 +7,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from weierzeta.cli import FUNCTIONS, main, parse_complex
+from weierzeta.cli import main, parse_complex
+from weierzeta.verify import FUNCTIONS, Function
 from weierzeta import build_lattice
 
 
@@ -217,3 +218,42 @@ def test_eval_jacobi_layer_functions():
     # sn at its pole coset exits 3
     rc, _, _ = run_cli(["eval", "--fn", "sn", "--u", "w3", "--tau", "0,2"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_eval_rejects_route_not_in_table(name):
+    # Functions without routes used to ignore --route and exit 0.
+    argv = ["eval", "--fn", name, "--u", "0.1,0.1", "--a", "0.1,0.05", "--route", "bogus"]
+    rc, out, err = run_cli(argv)
+    assert rc == 2 and out == ""
+    assert f"route 'bogus' not valid for {name!r}" in err
+
+
+def test_table_validates_route_before_evaluating():
+    grid = ["--re", "0.1:0.2:2", "--im", "0.1:0.1:1"]
+    rc, out, err = run_cli(["table", "--fn", "zeta1", "--route", "bogus"] + grid)
+    assert rc == 2 and out == "" and "route 'bogus' not valid for 'zeta1'" in err
+    rc, out, err = run_cli(["table", "--fn", "sn", "--route", "theta"] + grid)
+    assert rc == 2 and out == "" and "not valid for 'sn'" in err
+    rc, out, _ = run_cli(["table", "--fn", "zeta1", "--route", "shift", "--format", "csv"] + grid)
+    assert rc == 0 and len(out.splitlines()) == 3
+
+
+def test_table_pi_needs_a():
+    grid = ["--re", "0.1:0.2:2", "--im", "0.05:0.05:1", "--format", "csv"]
+    rc, out, err = run_cli(["table", "--fn", "Pi"] + grid)
+    assert rc == 2 and out == "" and "--a" in err
+    rc, out, _ = run_cli(["table", "--fn", "Pi", "--a", "0.1,0.05"] + grid)
+    assert rc == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2 and all(r.endswith(",Finite") for r in rows)
+    assert all(r.split(",")[2:4] != ["0.0", "0.0"] for r in rows)
+
+
+def test_eval_does_not_hide_key_error(monkeypatch):
+    def broken(lat, cfg, u, a, route):
+        raise KeyError("inside evaluation")
+
+    monkeypatch.setitem(FUNCTIONS, "wp", Function(broken))
+    with pytest.raises(KeyError):
+        main(["eval", "--fn", "wp", "--u", "0.1,0.1"])

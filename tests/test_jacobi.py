@@ -12,7 +12,6 @@ from weierzeta import (
     delta2,
     check_cor212,
     check_thm211,
-    check_thm211_squared,
     constants,
     jacobi_E_Z_Pi,
     jacobi_params,
@@ -20,7 +19,7 @@ from weierzeta import (
 )
 from weierzeta.errors import BranchAmbiguity, DegenerateLattice, PoleProximityError
 
-from conftest import RECTANGULAR, REFERENCE_TAUS, guarded_points, make_lattice
+from conftest import RECTANGULAR, REFERENCE_TAUS, guarded_points, make_lattice, suite_residuals
 
 PI = math.pi
 
@@ -145,8 +144,8 @@ def test_thm211_squared_everywhere(name):
     lat = make_lattice(name)
     rng = random.Random(47)
     for u in guarded_points(lat, rng, 15, guard=0.06):
-        resid = check_thm211_squared(lat, u)
-        assert max(resid) <= 1e-9, resid
+        resid = suite_residuals(lat, "thm211_squared_*", (u,))
+        assert len(resid) == 6 and max(resid) <= 1e-9, resid
 
 
 @pytest.mark.parametrize("name", RECTANGULAR)

@@ -15,7 +15,9 @@ from weierzeta import (
     reports_to_json,
     run_suite,
 )
+from weierzeta.cli import main
 from weierzeta.errors import SuiteConfigError
+from weierzeta.verify import EVALUATORS, FUNCTIONS, _side
 
 
 
@@ -115,3 +117,16 @@ def test_two_point_identities_sample_two_points(generic_lat):
     assert suite
     reports = run_suite(generic_lat, suite, n=25, seed=11)
     assert all(r.passed for r in reports)
+
+
+def test_evaluators_used_and_sides_resolve(capsys):
+    suite = default_suite()
+    sides = {name for s in suite for name in (s.lhs, s.rhs)}
+    assert set(EVALUATORS) <= sides
+    assert not set(EVALUATORS) & set(FUNCTIONS)
+    for s in suite:
+        assert callable(_side(s, s.lhs)) and callable(_side(s, s.rhs))
+    with pytest.raises(SuiteConfigError):
+        _side(IdentitySpec("bad_route", "wp:theta", "wp"), "wp:theta")
+    assert main(["eval", "--list-fns"]) == 0
+    assert capsys.readouterr().out.split() == sorted(FUNCTIONS)
