@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import PoleProximityError, SeriesDivergence
 from .lattice import Lattice, constants, reduce_to_cell, sorted_lattice_points
-from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _dlog
-from .weier_core import EvalResult, Status, pole_status, zeta_w
+from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig
+from .weier_core import EvalResult, Status, _theta_zeta, pole_status, zeta_w
 
 PI = math.pi
 
@@ -60,7 +60,7 @@ def zeta_aux(
     if route is ZetaRoute.SHIFT:
         return _shift(lat, lam, u, cfg)
     if route is ZetaRoute.THETA:
-        return EvalResult(_theta(lat, lam, u, cfg), Status.FINITE)
+        return EvalResult(_theta_zeta(lat, HALF_PERIOD_THETA[lam], u, cfg), Status.FINITE)
     if route is ZetaRoute.QSERIES:
         return EvalResult(_qseries(lat, lam, u, cfg, qseries_form), Status.FINITE)
     if route is ZetaRoute.PARTIAL_FRACTION:
@@ -74,15 +74,6 @@ def _shift(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig) -> EvalResult:
     if not inner.is_finite:
         return inner
     return EvalResult(inner.value - lc.eta(lam), Status.FINITE)
-
-
-def _theta(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig) -> complex:
-    lc = constants(lat, cfg)
-    u_red, n, m = reduce_to_cell(lat, u)
-    w1 = lat.omega1
-    dlog = _dlog(HALF_PERIOD_THETA[lam], u_red / (2 * w1), lat.tau, cfg, lc.nullwert_scale)
-    val = lc.eta1 * u_red / w1 + dlog / (2 * w1)
-    return val + 2 * n * lc.eta1 + 2 * m * lc.eta3
 
 
 def _qseries(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig, form: str) -> complex:

@@ -160,15 +160,20 @@ class LatticeConstants:
             return value
 
 
-@lru_cache(maxsize=128)
 def constants(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> LatticeConstants:
     """All per-lattice constants, from theta nullwerte.
 
     This cache is the one per-lattice state of the package: the nullwerte
     are summed here once, and everything derived from them later is kept on
-    the returned object (see `LatticeConstants.derived`).
+    the returned object (see `LatticeConstants.derived`).  It is keyed on
+    (lat, cfg) however cfg is passed; `constants.cache_info()` reports it.
+    """
+    return _constants(lat, cfg)
 
-    The half-period differences come from the nullwerte fourth powers, each
+
+@lru_cache(maxsize=128)
+def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
+    """The half-period differences come from the nullwerte fourth powers, each
     individual e from 3*e_lam = (e_lam - e_mu) + (e_lam - e_nu); eta1 from the
     third-derivative nullwert, eta3 from the Legendre relation
     eta1*omega3 - eta3*omega1 = i*pi/2, and eta2 = -eta1 - eta3.
@@ -196,6 +201,9 @@ def constants(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> LatticeConsta
         g2=g2, g3=g3, disc=disc, ksq=ksq, kpsq=kpsq,
         nullwerte=nw, nullwert_prime=tp, nullwert_scale=max(abs(t1), abs(t2), abs(t3)),
     )
+
+
+constants.cache_info = _constants.cache_info
 
 
 def _pair(z: complex) -> list[float]:

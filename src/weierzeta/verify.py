@@ -339,9 +339,14 @@ def _register_all() -> None:
         * c("wp_prime", u)
         / ((c("wp", u) - c.e(1)) * (c("wp", u) - c.e(2)))
     )
-    _ev("delta2_12_eq13")(
-        lambda c, u: (c.e(2) - c.e(1)) * c("sigma3", u) * c("sigma", u) / (c("sigma1", u) * c("sigma2", u))
-    )
+
+    def delta2_sigma4(c, u):
+        # Theorem 2.9: the four-sigma product with its half-period prefactor.
+        num = c("sigma", c.w(1) - c.w(2)) * c("sigma", u - c.w(3)) * c("sigma", u)
+        den = c("sigma", c.w(1)) * c("sigma", c.w(2)) * c("sigma", u + c.w(1)) * c("sigma", u + c.w(2))
+        return num / den
+
+    _ev("delta2_12_sigma4")(delta2_sigma4)
     _ev("eq14_lhs")(lambda c, u: c("delta12", u, "zetadiff") * c("delta3", u))
     _ev("const_e12")(lambda c, u: c.e(1) - c.e(2))
     _ev("eq15_lhs")(lambda c, u: c("delta23", u, "zetadiff") * c("delta1", u))
@@ -585,8 +590,8 @@ def default_suite() -> tuple[IdentitySpec, ...]:
     add(IdentitySpec("def28_delta2_shift_form", "delta12:zetadiff", "delta2_12_shiftdef", exclusions=("w1", "w2")))
     add(IdentitySpec("eq12_delta2_wp_quotient", "delta12:zetadiff", "delta2_12_eq12", exclusions=("0", "w1", "w2")))
     add(IdentitySpec("eq20_delta2_wp_quotient", "delta12:zetadiff", "delta12:wp", exclusions=_ALL))
-    add(IdentitySpec("thm29_delta2_sigma_quotient", "delta12:zetadiff", "delta12:sigma", exclusions=("w1", "w2")))
-    add(IdentitySpec("eq13_delta2_branch_convention", "delta12:zetadiff", "delta2_12_eq13", exclusions=("w1", "w2")))
+    add(IdentitySpec("thm29_delta2_sigma_quotient", "delta12:zetadiff", "delta2_12_sigma4", exclusions=("w1", "w2")))
+    add(IdentitySpec("eq13_delta2_branch_convention", "delta12:zetadiff", "delta12:sigma", exclusions=("w1", "w2")))
     add(IdentitySpec("eq8_delta2_theta_simplified", "delta12:zetadiff", "delta12:theta", exclusions=("w1", "w2")))
     add(IdentitySpec("eq14_delta2_times_delta_constant", "eq14_lhs", "const_e12", exclusions=_ALL))
     add(IdentitySpec("eq15_delta2_times_delta_perm", "eq15_lhs", "const_e23", exclusions=_ALL))

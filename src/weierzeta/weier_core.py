@@ -128,12 +128,19 @@ def zeta_w(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> Eval
     bad = pole_status(lat, u, (0j,))
     if bad is not None:
         return bad
+    return EvalResult(_theta_zeta(lat, 0, u, cfg), Status.FINITE)
+
+
+def _theta_zeta(lat: Lattice, idx: int, u: complex, cfg: SeriesConfig) -> complex:
+    """eta1*u/omega1 + theta_idx'/theta_idx / (2*omega1) at the cell-reduced
+    argument, plus the lattice increment: zeta_w for idx 0, and for
+    idx = HALF_PERIOD_THETA[lam] the auxiliary zeta of index lam."""
     lc = constants(lat, cfg)
     u_red, n, m = reduce_to_cell(lat, u)
     w1 = lat.omega1
-    dlog = _dlog(0, u_red / (2 * w1), lat.tau, cfg, lc.nullwert_scale)
+    dlog = _dlog(idx, u_red / (2 * w1), lat.tau, cfg, lc.nullwert_scale)
     val = lc.eta1 * u_red / w1 + dlog / (2 * w1)
-    return EvalResult(val + 2 * n * lc.eta1 + 2 * m * lc.eta3, Status.FINITE)
+    return val + 2 * n * lc.eta1 + 2 * m * lc.eta3
 
 
 def wp(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:

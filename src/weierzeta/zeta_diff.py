@@ -6,8 +6,15 @@ u = 0 and u = omega_lam and zeros at the other two half-periods.  The
 second-kind difference for (lam, mu) subtracts two auxiliary zetas: poles at
 omega_lam, omega_mu and zeros at 0, omega_nu.
 
-Both evaluate along several independent routes (used to cross-certify each
-other), and their pointwise values recover every lattice constant.
+Both evaluate along four routes that cross-certify each other.  Every route
+but `zetadiff` (two zetas subtracted) is one cell reduction, one theta pass
+and one closed form in s = (sigma, sigma_1, sigma_2, sigma_3).  For delta2
+these are (e_mu - e_lam) s_nu s / (s_lam s_mu) on the sigma route (eq. 13),
+its theta image, negated for lam < mu, on the theta route, and
+2 (e_lam - e_mu)(wp - e_nu) / wp' on the wp route away from its removable
+0/0 points.  The derivatives are closed forms in the same sigmas (see
+`delta_prime`, `delta2_prime`), and the pointwise values of the differences
+recover every lattice constant.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .aux_zeta import zeta_aux
 from .errors import IdenticalIndices, PoleProximityError
 from .lattice import Lattice, complement, constants, nearest_translate, reduce_to_cell
 from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _theta4
-from .weier_core import EvalResult, Status, _sigmas, _wp_pair, pole_status, sigma, wp, zeta_w
+from .weier_core import EvalResult, Status, _sigmas, _wp_pair, pole_status, zeta_w
 
 PI = math.pi
 
@@ -36,12 +43,6 @@ class DeltaRoute(enum.Enum):
     THETA_QUOTIENT = "theta"
 
 
-def _unwrap(res: EvalResult, where: str) -> complex:
-    if not res.is_finite:
-        raise PoleProximityError(f"{where}: {res.status.value} at {res.pole!r}")
-    return res.value
-
-
 def delta(
     lat: Lattice,
     lam: int,
@@ -55,7 +56,8 @@ def delta(
     if bad is not None:
         return bad
     if route is DeltaRoute.ZETA_DIFF:
-        val = zeta_aux(lat, lam, u, cfg=cfg).value - _unwrap(zeta_w(lat, u, cfg), "delta")
+        # The pole guard above covers zeta_w's and zeta_aux's, so both are finite.
+        val = zeta_aux(lat, lam, u, cfg=cfg).value - zeta_w(lat, u, cfg).value
     elif route is DeltaRoute.WP_QUOTIENT:
         # The pole guard above keeps u off the lattice, so wp is finite.
         lc = constants(lat, cfg)
@@ -89,16 +91,21 @@ def _delta_theta_quotient(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig)
 
 
 def delta_prime(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
-    """Derivative of the first-kind difference, closed form in wp."""
+    """Derivative of the first-kind difference, wp(u) - wp(u + omega_lam).
+
+    Evaluated as r - (e_lam - e_mu)(e_lam - e_nu) / r with r =
+    (sigma_lam/sigma)^2 = wp - e_lam from one pass, so no term cancels near
+    the poles.
+    """
     mu, nu = complement(lam)
     bad = pole_status(lat, u, (0j, lat.half_period(lam)))
     if bad is not None:
         return bad
     lc = constants(lat, cfg)
-    p = _unwrap(wp(lat, u, cfg), "delta_prime")
-    pe = p - lc.e(lam)
-    val = (pe * pe - (lc.e(lam) - lc.e(mu)) * (lc.e(lam) - lc.e(nu))) / pe
-    return EvalResult(val, Status.FINITE)
+    s = _sigmas(lat, lc, reduce_to_cell(lat, u)[0], cfg)
+    ratio = s[lam] / s[0]
+    r = ratio * ratio
+    return EvalResult(r - (lc.e(lam) - lc.e(mu)) * (lc.e(lam) - lc.e(nu)) / r, Status.FINITE)
 
 
 def delta2(
@@ -116,24 +123,24 @@ def delta2(
         return bad
     if route is DeltaRoute.ZETA_DIFF:
         val = zeta_aux(lat, lam, u, cfg=cfg).value - zeta_aux(lat, mu, u, cfg=cfg).value
-    elif route is DeltaRoute.WP_QUOTIENT:
-        # The quotient form has removable 0/0 points at the zeros u = 0 and
-        # u = omega_nu; switch to the sigma-quotient form in a small zone.
-        zone = _DEGENERATE_ZONE * lat.min_period
-        if (
-            nearest_translate(lat, u, 0j)[0] < zone
-            or nearest_translate(lat, u, lat.half_period(nu))[0] < zone
-        ):
-            val = _delta2_sigma(lat, lam, mu, nu, u, cfg)
-        else:
-            # Outside the zone around 0, wp is finite.
-            lc = constants(lat, cfg)
-            p, pp = _wp_pair(lat, lc, reduce_to_cell(lat, u)[0], cfg)
-            val = 2 * (lc.e(lam) - lc.e(mu)) * (p - lc.e(nu)) / pp
-    elif route is DeltaRoute.SIGMA_QUOTIENT:
-        val = _delta2_sigma(lat, lam, mu, nu, u, cfg)
     elif route is DeltaRoute.THETA_QUOTIENT:
         val = _delta2_theta_quotient(lat, lam, mu, nu, u, cfg)
+    elif route is DeltaRoute.WP_QUOTIENT or route is DeltaRoute.SIGMA_QUOTIENT:
+        lc = constants(lat, cfg)
+        u_red = reduce_to_cell(lat, u)[0]
+        # The wp form has removable 0/0 points at its zeros u = 0 and
+        # u = omega_nu; the sigma form serves in a small zone around them.
+        zone = _DEGENERATE_ZONE * lat.min_period
+        if (
+            route is DeltaRoute.WP_QUOTIENT
+            and nearest_translate(lat, u, 0j)[0] >= zone
+            and nearest_translate(lat, u, lat.half_period(nu))[0] >= zone
+        ):
+            p, pp = _wp_pair(lat, lc, u_red, cfg)
+            val = 2 * (lc.e(lam) - lc.e(mu)) * (p - lc.e(nu)) / pp
+        else:
+            s = _sigmas(lat, lc, u_red, cfg)
+            val = (lc.e(mu) - lc.e(lam)) * s[nu] * s[0] / (s[lam] * s[mu])
     else:
         raise ValueError(f"unknown route {route!r}")
     return EvalResult(val, Status.FINITE)
@@ -147,70 +154,44 @@ def _third(lam: int, mu: int) -> int:
     return 6 - lam - mu
 
 
-def _delta2_sigma(lat: Lattice, lam: int, mu: int, nu: int, u: complex, cfg: SeriesConfig) -> complex:
-    """Sigma-quotient form with its u-independent prefactor, kept per lattice."""
-    c = constants(lat, cfg).derived(("delta2_sigma", lam, mu), _delta2_sigma_const, lat, lam, mu, cfg)
-    wl, wm, wn = (lat.half_period(i) for i in (lam, mu, nu))
-    return c * sigma(lat, u - wn, cfg) * sigma(lat, u, cfg) / (
-        sigma(lat, u + wl, cfg) * sigma(lat, u + wm, cfg)
-    )
-
-
-def _delta2_sigma_const(lat: Lattice, lam: int, mu: int, cfg: SeriesConfig) -> complex:
-    wl, wm = lat.half_period(lam), lat.half_period(mu)
-    return sigma(lat, wl - wm, cfg) / (sigma(lat, wl, cfg) * sigma(lat, wm, cfg))
-
-
 def _delta2_theta_quotient(
     lat: Lattice, lam: int, mu: int, nu: int, u: complex, cfg: SeriesConfig
 ) -> complex:
-    """Simplified theta form with the +-1 sign fixed once per lattice."""
-    eps = constants(lat, cfg).derived(("delta2_epsilon", lam, mu), _delta2_epsilon, lat, lam, mu, cfg)
-    u_red, _, _ = reduce_to_cell(lat, u)
-    return eps * _delta2_theta_unsigned(lat, lam, mu, nu, u_red, cfg)
+    """Simplified theta form of the sigma quotient.
 
-
-def _delta2_theta_unsigned(
-    lat: Lattice, lam: int, mu: int, nu: int, u_red: complex, cfg: SeriesConfig
-) -> complex:
-    """The theta form before its sign, at a cell-reduced argument."""
+    Its sign is -1 for lam < mu and +1 otherwise: there e_lam - e_mu =
+    (pi/2 omega1)^2 theta_nu(0)^4 (how `constants` builds the e's), and
+    Jacobi's theta'(0) = pi theta_1(0) theta_2(0) theta_3(0) carries the
+    sigma form over to this one.
+    """
     il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (lam, mu, nu))
     nw = constants(lat, cfg).nullwerte
+    u_red, _, _ = reduce_to_cell(lat, u)
     t = _theta4(u_red / (2 * lat.omega1), lat.tau, cfg)
-    return (PI / (2 * lat.omega1)) * nw[in_] ** 2 * t[in_] * t[0] / (t[il] * t[im_])
-
-
-def _delta2_epsilon(lat: Lattice, lam: int, mu: int, cfg: SeriesConfig) -> float:
-    """Determine the +-1 sign by comparing against the zeta-difference route
-    at one probe point."""
-    probe = 0.2468 * lat.omega1 + 0.327 * lat.omega3
-    ref = delta2(lat, lam, mu, probe, DeltaRoute.ZETA_DIFF, cfg).value
-    unsigned = _delta2_theta_unsigned(lat, lam, mu, _third(lam, mu), probe, cfg)
-    return 1.0 if abs(ref - unsigned) <= abs(ref + unsigned) else -1.0
+    val = (PI / (2 * lat.omega1)) * nw[in_] ** 2 * t[in_] * t[0] / (t[il] * t[im_])
+    return -val if lam < mu else val
 
 
 def delta2_prime(
     lat: Lattice, lam: int, mu: int, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> EvalResult:
-    """Derivative of the second-kind difference, closed form in wp.
+    """Derivative of the second-kind difference, wp(u + omega_mu) - wp(u + omega_lam).
 
-    Uses wp'' = 6 wp^2 - g2/2.  Near the lattice (where wp blows up but the
-    expression stays finite) the half-period shift form wp(u + omega_mu) -
-    wp(u + omega_lam) is used instead.
+    With r_k = (sigma_k/sigma)^2 = wp - e_k from one pass and A_k =
+    (e_k - e_i)(e_k - e_j), this is e_mu - e_lam + A_mu / r_mu - A_lam / r_lam,
+    evaluated as (e_mu - e_lam)(1 + (e_mu - e_nu) / r_mu + (e_lam - e_nu) / r_lam)
+    with each 1/r_k as (sigma/sigma_k)^2: exact at u = 0, where it is
+    e_mu - e_lam, and free of cancellation near the poles.
     """
     nu = _third(lam, mu)
     bad = pole_status(lat, u, (lat.half_period(lam), lat.half_period(mu)))
     if bad is not None:
         return bad
     lc = constants(lat, cfg)
-    if nearest_translate(lat, u, 0j)[0] < _DEGENERATE_ZONE * lat.min_period:
-        val = _unwrap(wp(lat, u + lat.half_period(mu), cfg), "delta2_prime") - _unwrap(
-            wp(lat, u + lat.half_period(lam), cfg), "delta2_prime"
-        )
-        return EvalResult(val, Status.FINITE)
-    p = _unwrap(wp(lat, u, cfg), "delta2_prime")
-    ppp = 6 * p * p - lc.g2 / 2
-    val = 2 * (lc.e(lam) - lc.e(mu)) * (1 - ppp / (4 * (p - lc.e(lam)) * (p - lc.e(mu))))
+    s = _sigmas(lat, lc, reduce_to_cell(lat, u)[0], cfg)
+    el, em, en = lc.e(lam), lc.e(mu), lc.e(nu)
+    inv_m, inv_l = s[0] / s[mu], s[0] / s[lam]
+    val = (em - el) * (1 + (em - en) * inv_m * inv_m + (el - en) * inv_l * inv_l)
     return EvalResult(val, Status.FINITE)
 
 

@@ -1,5 +1,6 @@
-"""Per-lattice state: once `constants` is warm, no call recomputes the
-nullwerte, and each multi-theta quotient runs one theta pass per point."""
+"""Per-lattice state: one `constants` entry per lattice; once it is warm, no
+call recomputes the nullwerte, and each multi-theta quotient runs one theta
+pass per point."""
 
 import dataclasses
 import random
@@ -9,15 +10,19 @@ import pytest
 
 from weierzeta import (
     DeltaRoute,
+    build_lattice,
     constants,
     delta,
     delta2,
+    delta2_prime,
+    delta_prime,
     jacobi_params,
     sn_cn_dn,
     wp,
     wp_prime,
 )
-from weierzeta import theta
+from weierzeta import aux_zeta, theta
+from weierzeta.theta import DEFAULT_CONFIG
 from weierzeta.errors import DegenerateLattice
 
 from conftest import guarded_points, make_lattice
@@ -46,9 +51,13 @@ def _warm_calls(lat):
         "wp_prime": lambda u: wp_prime(lat, u),
         "sn_cn_dn": lambda u: sn_cn_dn(params, params.scale * u),
         "delta2": lambda u: delta2(lat, 1, 2, u),
+        "delta2_sigma": lambda u: delta2(lat, 2, 3, u, DeltaRoute.SIGMA_QUOTIENT),
+        "delta2_theta": lambda u: delta2(lat, 3, 1, u, DeltaRoute.THETA_QUOTIENT),
         "delta_sigma": lambda u: delta(lat, 3, u, DeltaRoute.SIGMA_QUOTIENT),
         "delta_theta": lambda u: delta(lat, 2, u, DeltaRoute.THETA_QUOTIENT),
         "delta_wp": lambda u: delta(lat, 1, u, DeltaRoute.WP_QUOTIENT),
+        "delta_prime": lambda u: delta_prime(lat, 2, u),
+        "delta2_prime": lambda u: delta2_prime(lat, 1, 2, u),
     }
 
 
@@ -75,6 +84,9 @@ def test_warm_lattice_never_recomputes_nullwerte(monkeypatch, warm_lattice):
 
 def test_one_theta_pass_per_point(monkeypatch, warm_lattice):
     lat, pts = warm_lattice
+    # Also inside delta2's degenerate zone around omega_nu = omega_3, and
+    # next to the origin, where delta2_prime's form has no 0/0.
+    pts = pts + [lat.omega3 + 1e-4 * (1 + 0.7j), 1e-5 * (1 + 1j)]
     calls = _warm_calls(lat)
     passes = _count_calls(monkeypatch, theta._theta4)
     for name, fn in calls.items():
@@ -82,6 +94,29 @@ def test_one_theta_pass_per_point(monkeypatch, warm_lattice):
         for u in pts:
             fn(u)
         assert len(passes) - before == len(pts), name
+
+
+def test_delta2_theta_route_needs_no_zeta_aux(monkeypatch):
+    lat = build_lattice(0.5, 0.5 * (0.17 + 1.37j))  # new to the constants cache
+    aux = _count_calls(monkeypatch, aux_zeta.zeta_aux)
+    for lam, mu in ((1, 2), (2, 1), (2, 3), (3, 2), (3, 1), (1, 3)):
+        delta2(lat, lam, mu, 0.21 + 0.13j, DeltaRoute.THETA_QUOTIENT)
+    assert aux == []
+
+
+def test_constants_one_entry_however_cfg_is_passed():
+    lat = build_lattice(0.5, 0.5 * (0.23 + 1.41j))
+    first = constants(lat)
+    assert constants(lat, DEFAULT_CONFIG) is first
+    assert constants(lat, cfg=DEFAULT_CONFIG) is first
+
+
+def test_constants_of_lattice_serve_library_calls(monkeypatch):
+    lat = build_lattice(0.5, 0.5 * (-0.19 + 1.29j))
+    constants(lat)
+    nullwerte = _count_calls(monkeypatch, theta.theta_nullwerte)
+    wp(lat, 0.21 + 0.13j)
+    assert nullwerte == []
 
 
 def test_jacobi_params_built_once_per_lattice():

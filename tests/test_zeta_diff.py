@@ -129,6 +129,41 @@ def test_delta2_prime_shift_form():
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
 
 
+NEAR_POLE_STEPS = (1e-6, 1e-5, 1e-4)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TAUS))
+def test_delta_prime_near_poles_matches_shift_form(name):
+    # Theorem 2.7 off the poles 0 and omega_lam by 1.2e-6..1.2e-4: the
+    # closed form must not lose what wp - e_lam loses to cancellation.
+    lat = make_lattice(name)
+    for lam in (1, 2, 3):
+        for base in (0j, lat.half_period(lam)):
+            for eps in NEAR_POLE_STEPS:
+                u = base + eps * (1 + 0.7j)
+                got = delta_prime(lat, lam, u)
+                shift = wp(lat, u).value - wp(lat, u + lat.half_period(lam)).value
+                assert got.status is Status.FINITE
+                assert abs(got.value - shift) <= 1e-8 * abs(shift), (lam, base, eps)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TAUS))
+def test_delta2_prime_near_half_periods_matches_shift_form(name):
+    # Theorem 2.10 near its poles omega_lam, omega_mu and its zeros 0, omega_nu.
+    lat = make_lattice(name)
+    for lam, mu in ((1, 2), (2, 3), (3, 1)):
+        for base in (0j, lat.omega1, lat.omega2, lat.omega3):
+            for eps in NEAR_POLE_STEPS:
+                u = base + eps * (1 + 0.7j)
+                got = delta2_prime(lat, lam, mu, u)
+                shift = (
+                    wp(lat, u + lat.half_period(mu)).value
+                    - wp(lat, u + lat.half_period(lam)).value
+                )
+                assert got.status is Status.FINITE
+                assert abs(got.value - shift) <= 1e-8 * abs(shift), (lam, mu, base, eps)
+
+
 def test_theta_dlog_difference_reproduces_delta():
     # cross-module property: the dlog-difference form out of raw theta evaluations
     lat = make_lattice("generic")
