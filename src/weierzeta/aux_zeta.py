@@ -20,10 +20,10 @@ import math
 
 import numpy as np
 
-from .errors import PoleProximityError, SeriesDivergence
+from .errors import SeriesDivergence
 from .lattice import Lattice, constants, reduce_to_cell, sorted_lattice_points
 from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig
-from .weier_core import EvalResult, Status, _theta_zeta, pole_status, zeta_w
+from .weier_core import EvalResult, Status, _theta_zeta, pole_status
 
 PI = math.pi
 
@@ -58,7 +58,7 @@ def zeta_aux(
     if bad is not None:
         return bad
     if route is ZetaRoute.SHIFT:
-        return _shift(lat, lam, u, cfg)
+        return EvalResult(_shift(lat, lam, u, cfg), Status.FINITE)
     if route is ZetaRoute.THETA:
         return EvalResult(_theta_zeta(lat, HALF_PERIOD_THETA[lam], u, cfg), Status.FINITE)
     if route is ZetaRoute.QSERIES:
@@ -68,12 +68,9 @@ def zeta_aux(
     raise ValueError(f"unknown route {route!r}")
 
 
-def _shift(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig) -> EvalResult:
-    lc = constants(lat, cfg)
-    inner = zeta_w(lat, u + lat.half_period(lam), cfg)
-    if not inner.is_finite:
-        return inner
-    return EvalResult(inner.value - lc.eta(lam), Status.FINITE)
+def _shift(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig) -> complex:
+    """zeta(u + omega_lam) - eta_lam, for u off the omega_lam coset."""
+    return _theta_zeta(lat, 0, u + lat.half_period(lam), cfg) - constants(lat, cfg).eta(lam)
 
 
 def _qseries(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig, form: str) -> complex:
@@ -84,10 +81,7 @@ def _qseries(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig, form: str) -
     incr = 2 * n * lc.eta1 + 2 * m * lc.eta3
     w1 = lat.omega1
     if abs((PI * u_red / w1).imag) >= 2 * PI * lat.tau.imag * QSERIES_STRIP:
-        res = _shift(lat, lam, u_red, cfg)
-        if not res.is_finite:
-            raise PoleProximityError(f"q-series fallback hit a pole at {u_red!r}")
-        return res.value + incr
+        return _shift(lat, lam, u_red, cfg) + incr
     q = lat.q
     total = lc.eta1 * u_red / w1
     if lam == 1:

@@ -14,13 +14,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import BranchAmbiguity, DegenerateLattice, PoleProximityError
-from .lattice import Lattice, constants, nearest_translate, reduce_to_cell
+from .lattice import Lattice, constants, reduce_to_cell
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import _AUX_SIGN, _sigmas, sigma_aux
+from .weier_core import _AUX_SIGN, _sigmas, pole_status, sigma_aux
 from .aux_zeta import zeta_aux
 from .zeta_diff import DeltaRoute, delta, delta2
 
 PI = math.pi
+
+# The AGM stops once |c_n| <= AGM_TOL * |a_n|.
+AGM_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,7 @@ class JacobiParams:
     cfg: SeriesConfig
 
 
-def agm_complete_integrals(ksq: complex, kpsq: complex, tol: float = 1e-15) -> tuple[complex, complex]:
+def agm_complete_integrals(ksq: complex, kpsq: complex) -> tuple[complex, complex]:
     """Complete integrals (K, E) for squared moduli via the AGM iteration.
 
     The geometric-mean branch is chosen so that |a - b| <= |a + b| at every
@@ -56,7 +59,7 @@ def agm_complete_integrals(ksq: complex, kpsq: complex, tol: float = 1e-15) -> t
             b = -b
         pow2 *= 2
         csum += pow2 * c * c
-        if abs(c) <= tol * abs(a):
+        if abs(c) <= AGM_TOL * abs(a):
             break
     big_k = PI / (2 * a)
     big_e = big_k * (1 - csum)
@@ -90,19 +93,19 @@ def _build_params(lat: Lattice, cfg: SeriesConfig) -> JacobiParams:
     )
 
 
-def sn_cn_dn(p: JacobiParams, x: complex, cfg: SeriesConfig | None = None) -> tuple[complex, complex, complex]:
+def sn_cn_dn(p: JacobiParams, x: complex) -> tuple[complex, complex, complex]:
     """(sn, cn, dn) at Jacobi argument x, from sigma quotients.
 
     sn = scale*sigma/sigma_3, cn = sigma_1/sigma_3, dn = sigma_2/sigma_3 at
-    u = x/scale; the shared poles sit on the omega_3 coset.
+    u = x/scale; the shared poles sit on the omega_3 coset, and within the
+    pole radius of it this raises PoleProximityError.
     """
-    cfg = cfg or p.cfg
-    lat = p.lattice
+    lat, cfg = p.lattice, p.cfg
     u = x / p.scale
-    dist, translate = nearest_translate(lat, u, lat.omega3)
-    if dist < 1e-8 * lat.min_period:
+    bad = pole_status(lat, u, (lat.omega3,))
+    if bad is not None:
         raise PoleProximityError(
-            f"Jacobi argument {x!r} sits at a shared sn/cn/dn pole (u near {translate!r})"
+            f"Jacobi argument {x!r} sits at a shared sn/cn/dn pole (u near {bad.pole!r})"
         )
     # The quasi-periodicity factor common to all four sigmas cancels; only
     # the auxiliary signs of the translate remain.

@@ -20,6 +20,9 @@ from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, theta_nullwe
 
 PI = math.pi
 
+# Largest nome |q| build_lattice accepts.
+Q_MAX = 0.9
+
 # Cyclic complementary pair for each half-period index.
 _COMPLEMENT = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
@@ -56,11 +59,11 @@ class Lattice:
         return min(abs(2 * self.omega1), abs(2 * self.omega3))
 
 
-def build_lattice(omega1: complex, omega3: complex, q_max: float = 0.9) -> Lattice:
+def build_lattice(omega1: complex, omega3: complex) -> Lattice:
     """Validate half-periods and derive tau, q, omega2.
 
     Raises ZeroPeriod, InvalidPeriodRatio, or ConvergencePolicyError when the
-    nome magnitude exceeds q_max (theta series degrade; no modular reduction
+    nome magnitude exceeds Q_MAX (theta series degrade; no modular reduction
     is attempted).
     """
     omega1 = complex(omega1)
@@ -71,9 +74,9 @@ def build_lattice(omega1: complex, omega3: complex, q_max: float = 0.9) -> Latti
     if not tau.imag > 0:
         raise InvalidPeriodRatio(f"Im(omega3/omega1) must be positive, got {tau!r}")
     q = cmath.exp(1j * PI * tau)
-    if abs(q) > q_max:
+    if abs(q) > Q_MAX:
         raise ConvergencePolicyError(
-            f"|q| = {abs(q):.6g} exceeds q_max = {q_max}; lattice too extreme for the series"
+            f"|q| = {abs(q):.6g} exceeds Q_MAX = {Q_MAX}; lattice too extreme for the series"
         )
     return Lattice(omega1=omega1, omega3=omega3, omega2=-(omega1 + omega3), tau=tau, q=q)
 
@@ -100,19 +103,17 @@ def reduce_to_cell(lat: Lattice, u: complex) -> tuple[complex, int, int]:
 
 
 def nearest_translate(lat: Lattice, u: complex, offset: complex) -> tuple[float, complex]:
-    """Distance from u to the coset offset + lattice, and the closest point."""
+    """Distance from u to the coset offset + lattice, and the closest point.
+
+    The point is u - offset with its cell coordinates rounded.  It is the
+    closest one whenever the closest lies within h/2 = min_period*sin(theta)/2,
+    theta the angle between the periods: h/2 is the inradius of the cell, so
+    each cell coordinate is then within 1/2 of the point's.  Farther out the
+    distance returned is an upper bound.
+    """
     alpha, beta = cell_coords(lat, u - offset)
-    n0, m0 = round(alpha), round(beta)
-    best = math.inf
-    best_pt = offset
-    for dn in (-1, 0, 1):
-        for dm in (-1, 0, 1):
-            pt = offset + 2 * (n0 + dn) * lat.omega1 + 2 * (m0 + dm) * lat.omega3
-            d = abs(u - pt)
-            if d < best:
-                best = d
-                best_pt = pt
-    return best, best_pt
+    pt = offset + 2 * round(alpha) * lat.omega1 + 2 * round(beta) * lat.omega3
+    return abs(u - pt), pt
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .aux_zeta import ZetaRoute, zeta_aux
 from .errors import PoleProximityError, SuiteConfigError
 from .jacobi import jacobi_E_Z_Pi, jacobi_params, sn_cn_dn
 from .lattice import Lattice, complement, constants, nearest_translate, reduce_to_cell
-from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, theta_dlog, theta_eval
+from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _dlog, _theta4
 from .weier_core import EvalResult, Status, sigma, sigma_aux, wp, wp_prime, zeta_w
 from .zeta_diff import DeltaRoute, delta, delta2, delta_prime, delta2_prime
 
@@ -266,8 +266,9 @@ def _register_all() -> None:
         u_red, _, _ = reduce_to_cell(c.lat, u)
         v = u_red / (2 * c.lat.omega1)
         idx = HALF_PERIOD_THETA[1]
+        scale = c.lc.nullwert_scale
         return (
-            theta_dlog(idx, v, c.lat.tau, c.cfg) - theta_dlog(0, v, c.lat.tau, c.cfg)
+            _dlog(idx, v, c.lat.tau, c.cfg, scale) - _dlog(0, v, c.lat.tau, c.cfg, scale)
         ) / (2 * c.lat.omega1)
 
     _ev("delta_l1_eq7")(delta_eq7)
@@ -278,16 +279,9 @@ def _register_all() -> None:
         mu, nu = complement(lam)
         il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (lam, mu, nu))
         u_red, _, _ = reduce_to_cell(c.lat, u)
-        v = u_red / (2 * c.lat.omega1)
-        tau = c.lat.tau
-        t0 = theta_eval(il, 0.0, tau, c.cfg)
-        return (
-            -(PI / (2 * c.lat.omega1))
-            * t0**2
-            * theta_eval(im_, v, tau, c.cfg)
-            * theta_eval(in_, v, tau, c.cfg)
-            / (theta_eval(il, v, tau, c.cfg) * theta_eval(0, v, tau, c.cfg))
-        )
+        t = _theta4(u_red / (2 * c.lat.omega1), c.lat.tau, c.cfg)
+        t0 = c.lc.nullwerte[il]
+        return -(PI / (2 * c.lat.omega1)) * t0**2 * t[im_] * t[in_] / (t[il] * t[0])
 
     _ev("delta_l2_eq8s")(delta_eq8s)
 
@@ -367,7 +361,7 @@ def _register_all() -> None:
     for lam, mu, nu in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
         _ev(f"const_e{lam}{mu}_nullwerte")(
             lambda c, u, k=nu: (PI / (2 * c.lat.omega1)) ** 2
-            * theta_eval(HALF_PERIOD_THETA[k], 0.0, c.lat.tau, c.cfg) ** 4
+            * c.lc.nullwerte[HALF_PERIOD_THETA[k]] ** 4
         )
     _ev("eq18_prod_12")(lambda c, u: c("delta12", u, "zetadiff") * c("delta3", u, "zetadiff"))
     _ev("eq18_prod_13")(lambda c, u: -c("delta31", u, "zetadiff") * c("delta2", u, "zetadiff"))
@@ -393,19 +387,6 @@ def _register_all() -> None:
         lambda c, z, w: c("sigma", z + w) * c("sigma", w - z) / (c("sigma", z) ** 2 * c("sigma", w) ** 2)
     )
 
-    def w3term_lhs(c, u):
-        a, b, cc = c.w(1), c.w(2), c.w(3)
-        return c("sigma", u + a) * c("sigma", u - a) * c("sigma", b + cc) * c("sigma", b - cc) + c(
-            "sigma", u + b
-        ) * c("sigma", u - b) * c("sigma", cc + a) * c("sigma", cc - a)
-
-    def w3term_rhs(c, u):
-        a, b, cc = c.w(1), c.w(2), c.w(3)
-        return -c("sigma", u + cc) * c("sigma", u - cc) * c("sigma", a + b) * c("sigma", a - b)
-
-    _ev("w3term_lhs")(w3term_lhs)
-    _ev("w3term_rhs")(w3term_rhs)
-
     def w3term2_lhs(c, u, a):
         b, cc = c.w(2), c.w(3)
         return c("sigma", u + a) * c("sigma", u - a) * c("sigma", b + cc) * c("sigma", b - cc) + c(
@@ -418,6 +399,8 @@ def _register_all() -> None:
 
     _ev("w3term2_lhs")(w3term2_lhs)
     _ev("w3term2_rhs")(w3term2_rhs)
+    _ev("w3term_lhs")(lambda c, u: w3term2_lhs(c, u, c.w(1)))
+    _ev("w3term_rhs")(lambda c, u: w3term2_rhs(c, u, c.w(1)))
 
     # ---- integral formulas, checked by differentiating the closed forms --------
     _ev("eq19a_fd")(

@@ -6,9 +6,13 @@ u = 0 and u = omega_lam and zeros at the other two half-periods.  The
 second-kind difference for (lam, mu) subtracts two auxiliary zetas: poles at
 omega_lam, omega_mu and zeros at 0, omega_nu.
 
-Both evaluate along four routes that cross-certify each other.  Every route
-but `zetadiff` (two zetas subtracted) is one cell reduction, one theta pass
-and one closed form in s = (sigma, sigma_1, sigma_2, sigma_3).  For delta2
+Both evaluate along four routes that cross-certify each other.  Each public
+function guards its argument against the pole cosets once; the routes then
+call the kernels of weier_core directly, which never guard.  Every route
+but `zetadiff` (two theta log-derivatives subtracted) is one cell reduction,
+one theta pass and one closed form in s = (sigma, sigma_1, sigma_2, sigma_3).
+For delta the wp route is wp' / (2 (wp - e_lam)), with the sigma form inside
+a small zone around omega_lam, where wp - e_lam cancels.  For delta2
 these are (e_mu - e_lam) s_nu s / (s_lam s_mu) on the sigma route (eq. 13),
 its theta image, negated for lam < mu, on the theta route, and
 2 (e_lam - e_mu)(wp - e_nu) / wp' on the wp route away from its removable
@@ -23,16 +27,16 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .aux_zeta import zeta_aux
 from .errors import IdenticalIndices, PoleProximityError
 from .lattice import Lattice, complement, constants, nearest_translate, reduce_to_cell
 from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _theta4
-from .weier_core import EvalResult, Status, _sigmas, _wp_pair, pole_status, zeta_w
+from .weier_core import EvalResult, Status, _sigmas, _theta_zeta, _wp_pair, pole_status
 
 PI = math.pi
 
-# Inside this fraction of the minimum period around a removable 0/0 point of
-# the production formula, evaluation switches to the sigma-quotient form.
+# Inside this fraction of the minimum period around a point where the wp
+# form cancels (delta's pole omega_lam, delta2's removable 0/0 points),
+# evaluation switches to the sigma-quotient form.
 _DEGENERATE_ZONE = 1e-3
 
 
@@ -51,27 +55,36 @@ def delta(
     cfg: SeriesConfig = DEFAULT_CONFIG,
 ) -> EvalResult:
     """First-kind zeta difference for half-period index lam."""
-    mu, nu = complement(lam)
     bad = pole_status(lat, u, (0j, lat.half_period(lam)))
     if bad is not None:
         return bad
     if route is DeltaRoute.ZETA_DIFF:
-        # The pole guard above covers zeta_w's and zeta_aux's, so both are finite.
-        val = zeta_aux(lat, lam, u, cfg=cfg).value - zeta_w(lat, u, cfg).value
-    elif route is DeltaRoute.WP_QUOTIENT:
-        # The pole guard above keeps u off the lattice, so wp is finite.
+        val = _theta_zeta(lat, HALF_PERIOD_THETA[lam], u, cfg) - _theta_zeta(lat, 0, u, cfg)
+    elif route is DeltaRoute.WP_QUOTIENT or route is DeltaRoute.SIGMA_QUOTIENT:
         lc = constants(lat, cfg)
-        p, pp = _wp_pair(lat, lc, reduce_to_cell(lat, u)[0], cfg)
-        val = 0.5 * pp / (p - lc.e(lam))
-    elif route is DeltaRoute.SIGMA_QUOTIENT:
-        lc = constants(lat, cfg)
-        s = _sigmas(lat, lc, reduce_to_cell(lat, u)[0], cfg)
-        val = -(s[mu] * s[nu] / (s[lam] * s[0]))
+        u_red = reduce_to_cell(lat, u)[0]
+        # The wp form's wp - e_lam cancels next to omega_lam; the sigma
+        # form serves in a small zone around it.
+        zone = _DEGENERATE_ZONE * lat.min_period
+        if (
+            route is DeltaRoute.WP_QUOTIENT
+            and nearest_translate(lat, u, lat.half_period(lam))[0] >= zone
+        ):
+            p, pp = _wp_pair(lat, lc, u_red, cfg)
+            val = 0.5 * pp / (p - lc.e(lam))
+        else:
+            val = _delta_sigma(_sigmas(lat, lc, u_red, cfg), lam)
     elif route is DeltaRoute.THETA_QUOTIENT:
         val = _delta_theta_quotient(lat, lam, u, cfg)
     else:
         raise ValueError(f"unknown route {route!r}")
     return EvalResult(val, Status.FINITE)
+
+
+def _delta_sigma(s: tuple, lam: int) -> complex:
+    """The sigma quotient -s_mu s_nu / (s_lam s) from the sigmas s at u."""
+    mu, nu = complement(lam)
+    return -(s[mu] * s[nu] / (s[lam] * s[0]))
 
 
 def _delta_theta_quotient(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig) -> complex:
@@ -122,7 +135,8 @@ def delta2(
     if bad is not None:
         return bad
     if route is DeltaRoute.ZETA_DIFF:
-        val = zeta_aux(lat, lam, u, cfg=cfg).value - zeta_aux(lat, mu, u, cfg=cfg).value
+        il, im_ = HALF_PERIOD_THETA[lam], HALF_PERIOD_THETA[mu]
+        val = _theta_zeta(lat, il, u, cfg) - _theta_zeta(lat, im_, u, cfg)
     elif route is DeltaRoute.THETA_QUOTIENT:
         val = _delta2_theta_quotient(lat, lam, mu, nu, u, cfg)
     elif route is DeltaRoute.WP_QUOTIENT or route is DeltaRoute.SIGMA_QUOTIENT:
@@ -221,9 +235,8 @@ def constants_from_deltas(
             raise PoleProximityError(
                 f"constants_from_deltas needs u away from every half-period coset, got {u!r}"
             )
-    d = {
-        lam: delta(lat, lam, u, DeltaRoute.SIGMA_QUOTIENT, cfg).value for lam in (1, 2, 3)
-    }
+    s = _sigmas(lat, constants(lat, cfg), reduce_to_cell(lat, u)[0], cfg)
+    d = {lam: _delta_sigma(s, lam) for lam in (1, 2, 3)}
     d2 = {(a, b): d[a] - d[b] for a in (1, 2, 3) for b in (1, 2, 3) if a != b}
     e = {}
     for lam in (1, 2, 3):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import pytest
 
@@ -14,7 +15,9 @@ from weierzeta.lattice import (
     nearest_translate,
     reduce_to_cell,
 )
-from weierzeta.weier_core import zeta_lattice_sum
+from weierzeta.verify import POLE_GUARD
+from weierzeta.weier_core import NEAR_POLE_FACTOR, zeta_lattice_sum
+from weierzeta.zeta_diff import _DEGENERATE_ZONE
 
 from conftest import REFERENCE_TAUS, make_lattice
 
@@ -72,6 +75,60 @@ def test_nearest_translate_exact_hit():
     d, t = nearest_translate(lat, lat.omega1 + 2 * lat.omega3, lat.omega1)
     assert d == 0.0
     assert t == lat.omega1 + 2 * lat.omega3
+
+
+# Every distance nearest_translate's result is compared with, in minimum
+# periods: the pole radius, constants_from_deltas' guard, the degenerate zone
+# of delta and delta2, verify's sampling guard and guarded_points' default.
+THRESHOLDS = (NEAR_POLE_FACTOR, 1e-6, _DEGENERATE_ZONE, POLE_GUARD, 0.05)
+
+_W_SWEEP = 225 * cmath.exp(0.8442354444173306j)
+THIN_BASES = {
+    "tau=4+0.034i": (0.5, 0.5 * (4 + 0.034j)),
+    "tau=-3.9+0.05i": (0.5, 0.5 * (-3.9 + 0.05j)),
+    "sweep-reproducer": (_W_SWEEP, (2.0117 + 0.0387j) * _W_SWEEP),
+}
+BASES = {name: (0.5, 0.5 * tau) for name, tau in REFERENCE_TAUS.items()} | THIN_BASES
+
+
+def _brute_nearest(lat, u, offset, reach=8):
+    """Closest point of offset + lattice among (2*reach + 1)**2 candidates."""
+    alpha, beta = cell_coords(lat, u - offset)
+    n0, m0 = round(alpha), round(beta)
+    candidates = [
+        offset + 2 * (n0 + dn) * lat.omega1 + 2 * (m0 + dm) * lat.omega3
+        for dn in range(-reach, reach + 1)
+        for dm in range(-reach, reach + 1)
+    ]
+    return min(candidates, key=lambda p: abs(u - p))
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_nearest_translate_matches_brute_force_below_inradius(name):
+    # The rounded translate is the nearest one within h/2, half the cell's
+    # height min_period * sin(angle between the periods); every threshold
+    # below h/2 must therefore get the decision and the translate of a
+    # brute-force search.
+    lat = build_lattice(*BASES[name])
+    half_height = 0.5 * lat.min_period * lat.tau.imag / abs(lat.tau)
+    limits = [f * lat.min_period for f in THRESHOLDS if f * lat.min_period < half_height]
+    assert len(limits) >= 3
+    rng = random.Random(5)
+    offsets = (0j, lat.omega1, lat.omega2, lat.omega3)
+    pts = [2 * rng.uniform(-2, 2) * lat.omega1 + 2 * rng.uniform(-2, 2) * lat.omega3 for _ in range(40)]
+    for t in limits:
+        for off in offsets:
+            for n, m in ((0, 0), (1, -1)):
+                p = off + 2 * n * lat.omega1 + 2 * m * lat.omega3
+                pts += [p + r * t * cmath.exp(2j * PI * rng.random()) for r in (0.5, 0.99, 1.01)]
+    for u in pts:
+        for off in offsets:
+            dist, translate = nearest_translate(lat, u, off)
+            nearest = _brute_nearest(lat, u, off)
+            for t in limits:
+                assert (dist < t) == (abs(u - nearest) < t), (u, off, t)
+                if dist < t:
+                    assert translate == nearest, (u, off, t)
 
 
 def test_complement_triples():

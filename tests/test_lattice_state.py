@@ -1,6 +1,6 @@
 """Per-lattice state: one `constants` entry per lattice; once it is warm, no
-call recomputes the nullwerte, and each multi-theta quotient runs one theta
-pass per point."""
+call recomputes the nullwerte, each multi-theta quotient runs one theta
+pass per point, and each public call guards its point once."""
 
 import dataclasses
 import random
@@ -10,6 +10,7 @@ import pytest
 
 from weierzeta import (
     DeltaRoute,
+    ZetaRoute,
     build_lattice,
     constants,
     delta,
@@ -20,8 +21,10 @@ from weierzeta import (
     sn_cn_dn,
     wp,
     wp_prime,
+    zeta_aux,
+    zeta_w,
 )
-from weierzeta import aux_zeta, theta
+from weierzeta import aux_zeta, theta, weier_core
 from weierzeta.theta import DEFAULT_CONFIG
 from weierzeta.errors import DegenerateLattice
 
@@ -94,6 +97,37 @@ def test_one_theta_pass_per_point(monkeypatch, warm_lattice):
         for u in pts:
             fn(u)
         assert len(passes) - before == len(pts), name
+
+
+def test_one_guard_per_public_call(monkeypatch, warm_lattice):
+    lat, pts = warm_lattice
+    params = jacobi_params(lat)
+    calls = {
+        "zeta_w": lambda u: zeta_w(lat, u),
+        "wp": lambda u: wp(lat, u),
+        "wp_prime": lambda u: wp_prime(lat, u),
+        "delta_prime": lambda u: delta_prime(lat, 2, u),
+        "delta2_prime": lambda u: delta2_prime(lat, 1, 2, u),
+        "sn_cn_dn": lambda u: sn_cn_dn(params, params.scale * u),
+    }
+    for r in ZetaRoute:
+        calls[f"zeta_aux_{r.value}"] = lambda u, r=r: zeta_aux(lat, 3, u, r)
+    for r in DeltaRoute:
+        calls[f"delta_{r.value}"] = lambda u, r=r: delta(lat, 1, u, r)
+        calls[f"delta2_{r.value}"] = lambda u, r=r: delta2(lat, 2, 3, u, r)
+    guards = _count_calls(monkeypatch, weier_core.pole_status)
+    for name, fn in calls.items():
+        before = len(guards)
+        for u in pts:
+            fn(u)
+        assert len(guards) - before == len(pts), name
+    # Beyond QSERIES_STRIP (|beta| >= 0.45) the q-series route falls back to
+    # the shift form, still behind the one guard.
+    shifts = _count_calls(monkeypatch, aux_zeta._shift)
+    before = len(guards)
+    zeta_aux(lat, 1, 0.4 * lat.omega1 + 0.96 * lat.omega3, ZetaRoute.QSERIES)
+    assert len(shifts) == 1
+    assert len(guards) - before == 1
 
 
 def test_delta2_theta_route_needs_no_zeta_aux(monkeypatch):

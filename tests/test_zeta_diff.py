@@ -148,6 +148,20 @@ def test_delta_prime_near_poles_matches_shift_form(name):
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_TAUS))
+def test_delta_wp_route_near_omega_lam_matches_zetadiff(name):
+    # wp - e_lam cancels next to the pole omega_lam; the wp route must not
+    # lose the value to it.
+    lat = make_lattice(name)
+    for lam in (1, 2, 3):
+        for eps in NEAR_POLE_STEPS:
+            u = lat.half_period(lam) + eps * (1 + 0.7j) * lat.min_period
+            got = delta(lat, lam, u, DeltaRoute.WP_QUOTIENT)
+            ref = delta(lat, lam, u, DeltaRoute.ZETA_DIFF).value
+            assert got.status is Status.FINITE
+            assert abs(got.value - ref) <= 1e-8 * abs(ref), (lam, eps)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TAUS))
 def test_delta2_prime_near_half_periods_matches_shift_form(name):
     # Theorem 2.10 near its poles omega_lam, omega_mu and its zeros 0, omega_nu.
     lat = make_lattice(name)
