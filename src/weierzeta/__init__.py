@@ -60,6 +60,7 @@ from .jacobi import (
     agm_complete_integrals,
     check_cor212,
     check_thm211,
+    jacobi_E_Z,
     jacobi_E_Z_Pi,
     jacobi_params,
     sn_cn_dn,

@@ -18,8 +18,6 @@ import cmath
 import enum
 import math
 
-import numpy as np
-
 from .errors import SeriesDivergence
 from .lattice import Lattice, constants, reduce_to_cell, sorted_lattice_points
 from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig
@@ -127,6 +125,8 @@ def _qseries(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig, form: str) -
 
 
 def _partialfrac(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig) -> complex:
+    import numpy as np  # here, not at module scope: only this oracle route needs it
+
     lc = constants(lat, cfg)
     u_red, n, m = reduce_to_cell(lat, u)
     pts = sorted_lattice_points(

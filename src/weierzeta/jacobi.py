@@ -171,15 +171,8 @@ def check_cor212(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -
     return [max(abs(a - b), abs(a - c_)) for a, b, c_ in rows]
 
 
-def jacobi_E_Z_Pi(
-    lat: Lattice, u: complex, a: complex, cfg: SeriesConfig = DEFAULT_CONFIG
-) -> tuple[complex, complex, complex]:
-    """Epsilon E(scale*u), zeta Z(scale*u), and Pi(scale*u, scale*a).
-
-    E and Z come from the third auxiliary zeta; Pi needs the log of a sigma
-    quotient, tracked continuously along the straight segment from 0 so the
-    branch agrees with the defining integral from 0.
-    """
+def jacobi_E_Z(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> tuple[complex, complex]:
+    """Epsilon E(scale*u) and zeta Z(scale*u), both from the third auxiliary zeta."""
     lc = constants(lat, cfg)
     p = jacobi_params(lat, cfg)
     z3 = zeta_aux(lat, 3, u, cfg=cfg)
@@ -187,6 +180,19 @@ def jacobi_E_Z_Pi(
         raise PoleProximityError(f"u = {u!r} is at/near a pole of the third auxiliary zeta")
     big_e = (z3.value + lc.e1 * u) / p.scale
     big_z = (z3.value - (lc.eta1 / lat.omega1) * u) / p.scale
+    return big_e, big_z
+
+
+def jacobi_E_Z_Pi(
+    lat: Lattice, u: complex, a: complex, cfg: SeriesConfig = DEFAULT_CONFIG
+) -> tuple[complex, complex, complex]:
+    """Epsilon E(scale*u), zeta Z(scale*u), and Pi(scale*u, scale*a).
+
+    E and Z are `jacobi_E_Z`; Pi needs the log of a sigma quotient, tracked
+    continuously along the straight segment from 0 so the branch agrees with
+    the defining integral from 0.
+    """
+    big_e, big_z = jacobi_E_Z(lat, u, cfg)
     if u == 0:
         big_pi = 0j
     else:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ConvergencePolicyError, InvalidPeriodRatio, ZeroPeriod
 from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, theta_nullwerte
 
@@ -228,10 +226,12 @@ def constants_to_json(lat: Lattice, lc: LatticeConstants) -> dict:
     }
 
 
+# The lattice-sum oracles below import numpy when called, so that the theta
+# routes start without it.
 @lru_cache(maxsize=64)
 def sorted_lattice_points(
     two_w1: complex, two_w3: complex, radius: int, offset: complex = 0j
-) -> np.ndarray:
+) -> "np.ndarray":
     """Points of offset + lattice inside the disc |p| <= radius * min period.
 
     The cutoff is symmetric in the plane metric, which is what makes the
@@ -240,6 +240,8 @@ def sorted_lattice_points(
     Points come back sorted by increasing magnitude (exact zero dropped),
     so partial accumulation walks outward shell by shell.
     """
+    import numpy as np
+
     if radius < 1:
         raise ValueError("radius must be >= 1")
     cut = radius * min(abs(two_w1), abs(two_w3))
@@ -263,6 +265,8 @@ def eisenstein_invariants(lat: Lattice, shell_radius: int) -> tuple[complex, com
     outward; serves as an independent oracle for `constants`, not as a
     production path.
     """
+    import numpy as np
+
     pts = sorted_lattice_points(2 * lat.omega1, 2 * lat.omega3, shell_radius)
     inv2 = 1.0 / (pts * pts)
     inv4 = inv2 * inv2

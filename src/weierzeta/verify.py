@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .aux_zeta import ZetaRoute, zeta_aux
-from .errors import PoleProximityError, SuiteConfigError
-from .jacobi import jacobi_E_Z_Pi, jacobi_params, sn_cn_dn
+from .errors import PoleProximityError, SuiteConfigError, WeierzetaError
+from .jacobi import jacobi_E_Z, jacobi_E_Z_Pi, jacobi_params, sn_cn_dn
 from .lattice import Lattice, complement, constants, nearest_translate, reduce_to_cell
 from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _dlog, _theta4
 from .weier_core import EvalResult, Status, sigma, sigma_aux, wp, wp_prime, zeta_w
@@ -43,6 +43,11 @@ FD_STEP = 1e-4
 FD_TOL = 1e-6
 
 PARTIALFRAC_TOL = 1e-5
+
+# Exceptions a side can raise at one sample point that fail its identity
+# alone: evaluation errors of the library and floating-point failures.
+# Anything else is a fault in the program or the suite and still ends the run.
+SAMPLE_ERRORS = (WeierzetaError, ArithmeticError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +109,12 @@ def _functions() -> dict:
         )
     for k, name in enumerate(("sn", "cn", "dn")):
         table[name] = Function(lambda lat, cfg, u, a, r, k=k: _finite(_jacobi(lat, cfg, u)[k]))
-    for k, name in enumerate(("E", "Z", "Pi")):
-        table[name] = Function(
-            lambda lat, cfg, u, a, r, k=k: _finite(jacobi_E_Z_Pi(lat, u, 0j if a is None else a, cfg)[k]),
-            needs_a=name == "Pi",
-        )
+    for k, name in enumerate(("E", "Z")):
+        table[name] = Function(lambda lat, cfg, u, a, r, k=k: _finite(jacobi_E_Z(lat, u, cfg)[k]))
+    table["Pi"] = Function(
+        lambda lat, cfg, u, a, r: _finite(jacobi_E_Z_Pi(lat, u, 0j if a is None else a, cfg)[2]),
+        needs_a=True,
+    )
     return table
 
 
@@ -132,12 +138,21 @@ class IdentitySpec:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """Residual statistics of one identity over its samples.
+
+    When a side raised one of SAMPLE_ERRORS, the identity stopped there:
+    `error` names the exception type, the point that raised is the last
+    entry of `failures` with residual None, and the statistics cover the
+    `samples` points evaluated before it (None when there were none).
+    """
+
     name: str
     samples: int
-    max_rel: float
-    mean_rel: float
+    max_rel: float | None
+    mean_rel: float | None
     failures: tuple
     passed: bool
+    error: str | None = None
 
 
 class _Ctx:
@@ -159,6 +174,11 @@ class _Ctx:
         """Value of the table function name at u on route; raises at a pole."""
         f = FUNCTIONS[name]
         return _val(f.run(self.lat, self.cfg, u, None, f.route(route)))
+
+    def jac(self, u: complex) -> tuple:
+        """(sn, cn, dn) at the Jacobi argument scale*u, the table's sn, cn
+        and dn in one call; raises at their shared poles."""
+        return _jacobi(self.lat, self.cfg, u)
 
     def dp(self, lam, u):
         return _val(delta_prime(self.lat, lam, u, self.cfg))
@@ -449,25 +469,29 @@ def _register_all() -> None:
     _ev("eq19f_fd")(eq19f_fd)
 
     # ---- Jacobi bridge -----------------------------------------------------------
+    def jacobi_side(f):
+        """Evaluator f(c, sn, cn, dn) of the Jacobi functions at one point."""
+        return lambda c, u: f(c, *c.jac(u))
+
     _ev("t211sq_ns_lhs")(lambda c, u: c("delta1", u, "wp") * c("delta2", u, "wp"))
-    _ev("t211sq_ns_rhs")(lambda c, u: (c.e(1) - c.e(3)) / c("sn", u) ** 2)
+    _ev("t211sq_ns_rhs")(jacobi_side(lambda c, s, cn, d: (c.e(1) - c.e(3)) / s ** 2))
     _ev("t211sq_ds_lhs")(lambda c, u: c("delta1", u, "wp") * c("delta3", u, "wp"))
-    _ev("t211sq_ds_rhs")(lambda c, u: (c.e(1) - c.e(3)) * (c("dn", u) / c("sn", u)) ** 2)
+    _ev("t211sq_ds_rhs")(jacobi_side(lambda c, s, cn, d: (c.e(1) - c.e(3)) * (d / s) ** 2))
     _ev("t211sq_cs_lhs")(lambda c, u: c("delta2", u, "wp") * c("delta3", u, "wp"))
-    _ev("t211sq_cs_rhs")(lambda c, u: (c.e(1) - c.e(3)) * (c("cn", u) / c("sn", u)) ** 2)
+    _ev("t211sq_cs_rhs")(jacobi_side(lambda c, s, cn, d: (c.e(1) - c.e(3)) * (cn / s) ** 2))
     _ev("t211sq_snK_lhs")(lambda c, u: c("delta2", u, "wp") / c("delta1", u, "wp"))
-    _ev("t211sq_snK_rhs")(lambda c, u: (c("cn", u) / c("dn", u)) ** 2)
+    _ev("t211sq_snK_rhs")(jacobi_side(lambda c, s, cn, d: (cn / d) ** 2))
     _ev("t211sq_dn_lhs")(lambda c, u: c("delta3", u, "wp") / c("delta2", u, "wp"))
-    _ev("t211sq_dn_rhs")(lambda c, u: c("dn", u) ** 2)
+    _ev("t211sq_dn_rhs")(jacobi_side(lambda c, s, cn, d: d ** 2))
     _ev("t211sq_nc_lhs")(lambda c, u: c("delta1", u, "wp") / c("delta3", u, "wp"))
-    _ev("t211sq_nc_rhs")(lambda c, u: 1.0 / c("cn", u) ** 2)
+    _ev("t211sq_nc_rhs")(jacobi_side(lambda c, s, cn, d: 1.0 / cn ** 2))
 
     # Jacobi-function members of the delta rows carry a minus sign relative
     # to the naive quotient: delta_lam ~ -1/u at the origin while the
     # sn/cn/dn quotients behave as +1/x there.
-    _ev("c212_r1_jac")(lambda c, u: -c.jp.scale * c("dn", u) / (c("sn", u) * c("cn", u)))
-    _ev("c212_r2_jac")(lambda c, u: -c.jp.scale * c("cn", u) / (c("dn", u) * c("sn", u)))
-    _ev("c212_r3_jac")(lambda c, u: -c.jp.scale * c("cn", u) * c("dn", u) / c("sn", u))
+    _ev("c212_r1_jac")(jacobi_side(lambda c, s, cn, d: -c.jp.scale * d / (s * cn)))
+    _ev("c212_r2_jac")(jacobi_side(lambda c, s, cn, d: -c.jp.scale * cn / (d * s)))
+    _ev("c212_r3_jac")(jacobi_side(lambda c, s, cn, d: -c.jp.scale * cn * d / s))
 
     _ev("ksq_const")(lambda c, u: c.lc.ksq)
     _ev("ksq_deltas")(
@@ -484,15 +508,15 @@ def _register_all() -> None:
         return _fd(f, u, c.fd_step())
 
     _ev("t213_E_fd")(t213_E_fd)
-    _ev("t213_E_rhs")(lambda c, u: c.jp.scale * c("dn", u) ** 2)
+    _ev("t213_E_rhs")(jacobi_side(lambda c, s, cn, d: c.jp.scale * d ** 2))
 
     def t213_pi_lhs(c, u, a):
         return 0.5 * (c("zeta3", u - a) - c("zeta3", u + a)) + c("zeta3", a)
 
     def t213_pi_rhs(c, u, a):
         s = c.jp.scale
-        sa, ca, da = c("sn", a), c("cn", a), c("dn", a)
-        su = c("sn", u)
+        sa, ca, da = c.jac(a)
+        su = c.jac(u)[0]
         k2 = c.lc.ksq
         return s * k2 * sa * ca * da * su * su / (1 - k2 * sa * sa * su * su)
 
@@ -692,7 +716,11 @@ def run_suite(
     seed: int = 0,
     cfg: SeriesConfig = DEFAULT_CONFIG,
 ) -> list[IdentityReport]:
-    """Evaluate every identity at n guarded sample points; deterministic in seed."""
+    """Evaluate every identity at n guarded sample points; deterministic in seed.
+
+    An identity whose side raises one of SAMPLE_ERRORS gets a failed report
+    naming the error (see IdentityReport), and the rest of the suite runs.
+    """
     if n < 1:
         raise SuiteConfigError("n must be >= 1")
     ctx = _Ctx(lat, cfg)
@@ -705,22 +733,27 @@ def run_suite(
         rng = random.Random(seed * 1_000_003 + index)
         residuals = []
         failures = []
+        error = None
         for _ in range(n):
             pts = _sample_points(lat, rng, spec.arity, single, pair)
-            rel = _residual(ctx, lhs, rhs, pts)
+            try:
+                rel = _residual(ctx, lhs, rhs, pts)
+            except SAMPLE_ERRORS as exc:
+                error = type(exc).__name__
+                failures.append((tuple(pts), None))
+                break
             residuals.append(rel)
             if rel > spec.tol:
                 failures.append((tuple(pts), rel))
-        max_rel = max(residuals)
-        mean_rel = sum(residuals) / len(residuals)
         reports.append(
             IdentityReport(
                 name=spec.name,
-                samples=n,
-                max_rel=max_rel,
-                mean_rel=mean_rel,
+                samples=len(residuals),
+                max_rel=max(residuals, default=None),
+                mean_rel=sum(residuals) / len(residuals) if residuals else None,
                 failures=tuple(failures),
                 passed=not failures,
+                error=error,
             )
         )
     return reports
@@ -733,7 +766,7 @@ def report_to_json(report: IdentityReport) -> dict:
         if len(pts) > 1:
             entry["point2"] = [pts[1].real, pts[1].imag]
         failures.append(entry)
-    return {
+    out = {
         "name": report.name,
         "samples": report.samples,
         "maxRel": report.max_rel,
@@ -741,6 +774,9 @@ def report_to_json(report: IdentityReport) -> dict:
         "passed": report.passed,
         "failures": failures,
     }
+    if report.error is not None:
+        out["error"] = report.error
+    return out
 
 
 def reports_to_json(reports) -> list[dict]:

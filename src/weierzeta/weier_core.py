@@ -13,8 +13,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .lattice import (
     Lattice,
     LatticeConstants,
@@ -167,12 +165,15 @@ def wp_prime(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> Ev
 
 # ---------------------------------------------------------------------------
 # Slow oracles: direct lattice sums/products, truncated at a symmetric cutoff
-# |point| <= radius * min period.  Verification only.
+# |point| <= radius * min period.  Verification only; each imports numpy
+# when called, so that the theta routes start without it.
 # ---------------------------------------------------------------------------
 
 
 def wp_lattice_sum(lat: Lattice, u: complex, radius: int = 200) -> complex:
     """1/u^2 + sum over the lattice of 1/(u-Omega)^2 - 1/Omega^2."""
+    import numpy as np
+
     pts = sorted_lattice_points(2 * lat.omega1, 2 * lat.omega3, radius)
     terms = 1.0 / ((u - pts) ** 2) - 1.0 / (pts**2)
     return 1.0 / (u * u) + complex(np.sum(terms))
@@ -180,6 +181,8 @@ def wp_lattice_sum(lat: Lattice, u: complex, radius: int = 200) -> complex:
 
 def zeta_lattice_sum(lat: Lattice, u: complex, radius: int = 200) -> complex:
     """1/u + sum over the lattice of 1/(u-Omega) + 1/Omega + u/Omega^2."""
+    import numpy as np
+
     pts = sorted_lattice_points(2 * lat.omega1, 2 * lat.omega3, radius)
     terms = 1.0 / (u - pts) + 1.0 / pts + u / (pts**2)
     return 1.0 / u + complex(np.sum(terms))
@@ -191,6 +194,8 @@ def sigma_product(lat: Lattice, u: complex, radius: int = 60) -> complex:
     Computed as u * exp(sum of factor logs); principal logs per factor are
     safe because the exponential removes any 2*pi*i bookkeeping.
     """
+    import numpy as np
+
     pts = sorted_lattice_points(2 * lat.omega1, 2 * lat.omega3, radius)
     logs = np.log(1.0 - u / pts) + u / pts + u * u / (2.0 * pts**2)
     return u * cmath.exp(complex(np.sum(logs)))

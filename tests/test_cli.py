@@ -3,10 +3,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import weierzeta
+from weierzeta import jacobi
 from weierzeta.cli import main, parse_complex
 from weierzeta.verify import FUNCTIONS, Function
 from weierzeta import build_lattice
@@ -257,3 +262,79 @@ def test_eval_does_not_hide_key_error(monkeypatch):
     monkeypatch.setitem(FUNCTIONS, "wp", Function(broken))
     with pytest.raises(KeyError):
         main(["eval", "--fn", "wp", "--u", "0.1,0.1"])
+
+
+def run_fresh(*args):
+    """(exit code, stdout, imported module names) of a fresh interpreter
+    started as `python -X importtime *args` on this package."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(weierzeta.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    modules = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, proc.stdout, modules
+
+
+def loads_numpy(modules) -> bool:
+    return any(m == "numpy" or m.startswith("numpy.") for m in modules)
+
+
+GRID = ["--re=0:0.5:3", "--im=0.1:0.5:3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--fn", "wp", "--u", "0.2,0.1"],
+        ["table", "--fn", "sn"] + GRID,
+        ["table", "--fn", "sn", "--format", "csv"] + GRID,
+        ["constants"],
+    ],
+    ids=["eval", "table", "table-csv", "constants"],
+)
+def test_commands_start_without_numpy(argv):
+    # numpy serves only the lattice-sum oracles; the scalar commands must
+    # not pay for importing it.
+    rc, out, modules = run_fresh("-m", "weierzeta.cli", *argv)
+    assert rc == 0 and out
+    assert "weierzeta.verify" in modules
+    assert not loads_numpy(modules)
+
+
+def test_package_import_without_numpy():
+    rc, _, modules = run_fresh("-c", "import weierzeta")
+    assert rc == 0 and "weierzeta" in modules
+    assert not loads_numpy(modules)
+
+
+def test_partialfrac_verify_loads_numpy():
+    rc, out, modules = run_fresh(
+        "-m", "weierzeta.cli", "verify", "--n", "3", "--only", "prop22_partialfrac_zeta1"
+    )
+    assert rc == 0
+    assert [r["passed"] for r in json.loads(out)] == [True]
+    assert loads_numpy(modules)
+
+
+@pytest.mark.parametrize(
+    "fn, expected",
+    [
+        ("E", "[0.5624881177155968, 0.1634063758353278]"),
+        ("Z", "[0.059844216027091425, 0.09242521307899973]"),
+    ],
+)
+def test_E_and_Z_do_not_compute_Pi(monkeypatch, fn, expected):
+    def no_pi(*args):
+        raise AssertionError("Pi was computed")
+
+    monkeypatch.setattr(jacobi, "_tracked_log_ratio", no_pi)
+    rc, out, _ = run_cli(["eval", "--fn", fn, "--u", "0.17,0.04", "--tau", "0.3,1.1"])
+    assert rc == 0
+    assert out == '{"value": %s, "status": "Finite"}\n' % expected

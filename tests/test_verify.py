@@ -15,6 +15,7 @@ from weierzeta import (
     reports_to_json,
     run_suite,
 )
+from weierzeta import verify
 from weierzeta.cli import main
 from weierzeta.errors import SuiteConfigError
 from weierzeta.verify import EVALUATORS, FUNCTIONS, _side
@@ -130,3 +131,63 @@ def test_evaluators_used_and_sides_resolve(capsys):
         _side(IdentitySpec("bad_route", "wp:theta", "wp"), "wp:theta")
     assert main(["eval", "--list-fns"]) == 0
     assert capsys.readouterr().out.split() == sorted(FUNCTIONS)
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [
+        ("cor212_row_r1", 1),
+        ("cor212_row_r2", 1),
+        ("cor212_row_r3", 1),
+        ("thm211_squared_ds", 1),
+        ("thm211_squared_cs", 1),
+        ("thm211_squared_snK", 1),
+        ("thm213_Pi_integrand", 2),
+    ],
+)
+def test_jacobi_sides_compute_sn_cn_dn_once_per_point(monkeypatch, generic_lat, name, calls):
+    count = 0
+    sn_cn_dn = verify.sn_cn_dn
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return sn_cn_dn(*args)
+
+    monkeypatch.setattr(verify, "sn_cn_dn", counted)
+    spec = next(s for s in default_suite() if s.name == name)
+    (rep,) = run_suite(generic_lat, [spec], n=10, seed=5)
+    assert rep.passed
+    assert count == 10 * calls
+
+
+def _raises_zero_division(c, u):
+    return 1 / 0
+
+
+def _at_pole(c, u):
+    return c("wp", 0j)
+
+
+@pytest.mark.parametrize(
+    "evaluator, error",
+    [(_raises_zero_division, "ZeroDivisionError"), (_at_pole, "PoleProximityError")],
+)
+def test_raising_identity_fails_alone(monkeypatch, capsys, generic_lat, evaluator, error):
+    monkeypatch.setitem(EVALUATORS, "raises", evaluator)
+    good = IdentitySpec("good", "wp_neg", "wp", exclusions=("0",))
+    bad = IdentitySpec("bad", "wp", "raises", exclusions=("0",))
+    reports = run_suite(generic_lat, [good, bad, good], n=3, seed=2)
+    assert [r.passed for r in reports] == [True, False, True]
+    failed = report_to_json(reports[1])
+    assert failed["error"] == error
+    assert failed["samples"] == 0 and failed["maxRel"] is None and failed["meanRel"] is None
+    assert [f["residual"] for f in failed["failures"]] == [None]
+    assert all("error" not in report_to_json(r) for r in (reports[0], reports[2]))
+
+    # Through the command line: every identity still reports, exit code 1.
+    monkeypatch.setattr("weierzeta.cli.default_suite", lambda: (good, bad))
+    assert main(["verify", "--n", "3", "--seed", "2"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["name"] for r in payload] == ["good", "bad"]
+    assert payload[1]["error"] == error and "error" not in payload[0]
