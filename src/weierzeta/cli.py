@@ -214,7 +214,7 @@ def cmd_verify(args, out=None, err=None) -> int:
             err.write(f"verify: no identity matches {args.only!r}\n")
             return 2
     reports = run_suite(lat, suite, n=args.n, seed=args.seed, cfg=cfg)
-    out.write(json.dumps(reports_to_json(reports)) + "\n")
+    out.write(json.dumps(reports_to_json(reports), allow_nan=False) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -1,20 +1,29 @@
 """Jacobian elliptic functions and integrals tied to the zeta differences.
 
-The moduli come from the half-period values, the complete integrals from the
-arithmetic-geometric mean, and sn/cn/dn from sigma quotients, so that every
-transformation formula connecting them to the zeta differences can be checked
-numerically.  Arguments named x live on the Jacobi side; u = x/scale lives on
-the lattice side, where scale**2 = e1 - e3.
+The moduli (from the half-period differences) and the complete integrals
+(from the arithmetic-geometric mean) are built with the lattice's constants,
+in `lattice.constants`; this module hands them out behind the degeneracy
+test and forms sn/cn/dn from sigma quotients, so that every transformation
+formula connecting them to the zeta differences can be checked numerically.
+Arguments named x live on the Jacobi side; u = x/scale lives on the lattice
+side, where scale**2 = e1 - e3.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import BranchAmbiguity, DegenerateLattice, PoleProximityError
-from .lattice import Lattice, constants, reduce_to_cell
+# AGM_TOL and agm_complete_integrals are re-exported from here.
+from .lattice import (
+    AGM_TOL,
+    JacobiParams,
+    Lattice,
+    agm_complete_integrals,
+    constants,
+    reduce_to_cell,
+)
 from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import _AUX_SIGN, _sigmas, pole_status, sigma_aux
 from .aux_zeta import zeta_aux
@@ -22,75 +31,19 @@ from .zeta_diff import DeltaRoute, delta, delta2
 
 PI = math.pi
 
-# The AGM stops once |c_n| <= AGM_TOL * |a_n|.
-AGM_TOL = 1e-15
-
-
-@dataclass(frozen=True)
-class JacobiParams:
-    """Moduli, complete integrals, and the lattice they came from."""
-
-    k: complex
-    kprime: complex
-    big_k: complex
-    big_e: complex
-    scale: complex
-    lattice: Lattice
-    cfg: SeriesConfig
-
-
-def agm_complete_integrals(ksq: complex, kpsq: complex) -> tuple[complex, complex]:
-    """Complete integrals (K, E) for squared moduli via the AGM iteration.
-
-    The geometric-mean branch is chosen so that |a - b| <= |a + b| at every
-    step (the convergent chain); quadratic convergence gives full precision
-    in about ten iterations for moduli away from 1.
-    """
-    a = 1.0 + 0j
-    b = cmath.sqrt(kpsq)
-    if abs(b - 1) > abs(b + 1):
-        b = -b
-    csum = 0.5 * ksq  # 2^(n-1) * c_n^2 accumulated, n = 0 term is ksq/2
-    pow2 = 0.5
-    for _ in range(60):
-        c = (a - b) / 2
-        a, b = (a + b) / 2, cmath.sqrt(a * b)
-        if abs(a - b) > abs(a + b):
-            b = -b
-        pow2 *= 2
-        csum += pow2 * c * c
-        if abs(c) <= AGM_TOL * abs(a):
-            break
-    big_k = PI / (2 * a)
-    big_e = big_k * (1 - csum)
-    return big_k, big_e
-
 
 def jacobi_params(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> JacobiParams:
-    """Moduli and complete integrals for the lattice.
+    """Moduli and complete integrals for the lattice, as built with its
+    constants.
 
-    Built on first use and kept with the lattice's constants.  Raises
-    DegenerateLattice, on every call, when the discriminant vanishes (two
-    half-period values collide and the moduli lose meaning).
+    Raises DegenerateLattice, on every call, when the discriminant is
+    negligible against the invariants (two half-period values collide and
+    the moduli lose meaning).
     """
-    return constants(lat, cfg).derived("jacobi_params", _build_params, lat, cfg)
-
-
-def _build_params(lat: Lattice, cfg: SeriesConfig) -> JacobiParams:
     lc = constants(lat, cfg)
-    scale_sq = lc.e1 - lc.e3
     if abs(lc.disc) <= 1e-10 * max(abs(lc.g2) ** 3, 27 * abs(lc.g3) ** 2, 1e-300):
         raise DegenerateLattice(f"discriminant {lc.disc!r} is numerically zero")
-    big_k, big_e = agm_complete_integrals(lc.ksq, lc.kpsq)
-    return JacobiParams(
-        k=cmath.sqrt(lc.ksq),
-        kprime=cmath.sqrt(lc.kpsq),
-        big_k=big_k,
-        big_e=big_e,
-        scale=cmath.sqrt(scale_sq),
-        lattice=lat,
-        cfg=cfg,
-    )
+    return lc.jacobi
 
 
 def sn_cn_dn(p: JacobiParams, x: complex) -> tuple[complex, complex, complex]:

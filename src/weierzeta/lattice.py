@@ -4,13 +4,17 @@ A lattice is generated by the periods (2*omega1, 2*omega3) with
 Im(omega3/omega1) > 0, and omega2 = -(omega1 + omega3), so the three
 half-periods sum to zero exactly.  Lattice points are
 Omega_{n,m} = 2*omega1*n + 2*omega3*m.
+
+`constants` is the one per-lattice record: the theta nullwerte, the
+half-period values and invariants, and the Jacobi moduli and complete
+integrals, built together once per (lattice, series config).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConvergencePolicyError, InvalidPeriodRatio, ZeroPeriod
@@ -35,7 +39,7 @@ def complement(lam: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Immutable period lattice with derived ratio and nome."""
+    """Immutable period lattice with its ratio and nome."""
 
     omega1: complex
     omega3: complex
@@ -114,16 +118,59 @@ def nearest_translate(lat: Lattice, u: complex, offset: complex) -> tuple[float,
     return abs(u - pt), pt
 
 
+# The AGM stops once |c_n| <= AGM_TOL * |a_n|.
+AGM_TOL = 1e-15
+
+
+@dataclass(frozen=True)
+class JacobiParams:
+    """Moduli, complete integrals, and the lattice they came from."""
+
+    k: complex
+    kprime: complex
+    big_k: complex
+    big_e: complex
+    scale: complex
+    lattice: Lattice
+    cfg: SeriesConfig
+
+
+def agm_complete_integrals(ksq: complex, kpsq: complex) -> tuple[complex, complex]:
+    """Complete integrals (K, E) for squared moduli via the AGM iteration.
+
+    The geometric-mean branch is chosen so that |a - b| <= |a + b| at every
+    step (the convergent chain); quadratic convergence gives full precision
+    in about ten iterations for moduli away from 1.
+    """
+    a = 1.0 + 0j
+    b = cmath.sqrt(kpsq)
+    if abs(b - 1) > abs(b + 1):
+        b = -b
+    csum = 0.5 * ksq  # 2^(n-1) * c_n^2 accumulated, n = 0 term is ksq/2
+    pow2 = 0.5
+    for _ in range(60):
+        c = (a - b) / 2
+        a, b = (a + b) / 2, cmath.sqrt(a * b)
+        if abs(a - b) > abs(a + b):
+            b = -b
+        pow2 *= 2
+        csum += pow2 * c * c
+        if abs(c) <= AGM_TOL * abs(a):
+            break
+    big_k = PI / (2 * a)
+    big_e = big_k * (1 - csum)
+    return big_k, big_e
+
+
 @dataclass(frozen=True)
 class LatticeConstants:
     """Per-lattice state: half-period values, elliptic invariants, squared
-    moduli, and the theta nullwerte every evaluation divides by.
+    moduli, the theta nullwerte every evaluation divides by, and the Jacobi
+    parameters.
 
     `nullwerte[idx]` is theta_idx(0) for idx 0..3 (exactly 0 for the odd
-    index), `nullwert_prime` is theta_0'(0), and `nullwert_scale` is the
-    largest of |theta_1(0)|, |theta_2(0)|, |theta_3(0)|.  Values that only
-    some callers need are built on first use through `derived` and kept
-    here, so they live and are evicted with the constants.
+    index), `nullwert_prime` is theta_0'(0), and `jacobi` holds the moduli,
+    the complete integrals and the scale of the Jacobi bridge.
     """
 
     e1: complex
@@ -139,8 +186,7 @@ class LatticeConstants:
     kpsq: complex
     nullwerte: tuple[complex, complex, complex, complex]
     nullwert_prime: complex
-    nullwert_scale: float
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    jacobi: JacobiParams
 
     def e(self, lam: int) -> complex:
         return (self.e1, self.e2, self.e3)[lam - 1]
@@ -148,33 +194,26 @@ class LatticeConstants:
     def eta(self, lam: int) -> complex:
         return (self.eta1, self.eta2, self.eta3)[lam - 1]
 
-    def derived(self, key, build, *args):
-        """build(*args), computed on the first call for key and kept with
-        these constants.  A build that raises stores nothing, so the next
-        call raises again."""
-        try:
-            return self._derived[key]
-        except KeyError:
-            value = self._derived[key] = build(*args)
-            return value
-
 
 def constants(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> LatticeConstants:
     """All per-lattice constants, from theta nullwerte.
 
     This cache is the one per-lattice state of the package: the nullwerte
-    are summed here once, and everything derived from them later is kept on
-    the returned object (see `LatticeConstants.derived`).  It is keyed on
-    (lat, cfg) however cfg is passed; `constants.cache_info()` reports it.
+    are summed here once, and the Jacobi parameters are built with them.
+    It is keyed on (lat, cfg) however cfg is passed; `constants.cache_info()`
+    reports it.
     """
     return _constants(lat, cfg)
 
 
 @lru_cache(maxsize=128)
 def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
-    """The half-period differences come from the nullwerte fourth powers, each
-    individual e from 3*e_lam = (e_lam - e_mu) + (e_lam - e_nu); eta1 from the
-    third-derivative nullwert, eta3 from the Legendre relation
+    """The half-period differences d_lam_mu = e_lam - e_mu come from the
+    nullwerte fourth powers (DLMF 23.6(i)), and the discriminant and the
+    squared moduli straight from them, so no difference of rounded e's
+    enters: disc = 16 (d12 d13 d23)^2, k^2 = d23/d13, k'^2 = d12/d13.  Each
+    individual e comes from 3*e_lam = (e_lam - e_mu) + (e_lam - e_nu); eta1
+    from the third-derivative nullwert, eta3 from the Legendre relation
     eta1*omega3 - eta3*omega1 = i*pi/2, and eta2 = -eta1 - eta3.
     """
     t1, t2, t3, tp, tppp = theta_nullwerte(lat.tau, cfg)
@@ -190,15 +229,18 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
     eta1 = -tppp / (12 * w1 * tp)
     eta3 = (eta1 * lat.omega3 - 1j * PI / 2) / w1
     eta2 = -eta1 - eta3
-    g2 = -4 * (e1 * e2 + e2 * e3 + e3 * e1)
-    g3 = 4 * e1 * e2 * e3
-    disc = g2**3 - 27 * g3**2
-    ksq = (e2 - e3) / (e1 - e3)
-    kpsq = (e1 - e2) / (e1 - e3)
+    ksq = d23 / d13
+    kpsq = d12 / d13
+    big_k, big_e = agm_complete_integrals(ksq, kpsq)
+    jacobi = JacobiParams(
+        k=cmath.sqrt(ksq), kprime=cmath.sqrt(kpsq), big_k=big_k, big_e=big_e,
+        scale=cmath.sqrt(e1 - e3), lattice=lat, cfg=cfg,
+    )
     return LatticeConstants(
         e1=e1, e2=e2, e3=e3, eta1=eta1, eta2=eta2, eta3=eta3,
-        g2=g2, g3=g3, disc=disc, ksq=ksq, kpsq=kpsq,
-        nullwerte=nw, nullwert_prime=tp, nullwert_scale=max(abs(t1), abs(t2), abs(t3)),
+        g2=-4 * (e1 * e2 + e2 * e3 + e3 * e1), g3=4 * e1 * e2 * e3,
+        disc=16 * (d12 * d13 * d23) ** 2, ksq=ksq, kpsq=kpsq,
+        nullwerte=nw, nullwert_prime=tp, jacobi=jacobi,
     )
 
 

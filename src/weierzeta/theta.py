@@ -62,26 +62,6 @@ def _check_tau(tau: complex) -> None:
         raise ValueError(f"Im(tau) must be positive, got {tau!r}")
 
 
-def _sum_series(terms, start: complex, cfg: SeriesConfig, what: str) -> complex:
-    """Accumulate terms until two consecutive ones pass the truncation test."""
-    total = start
-    small = 0
-    count = 0
-    for term in terms:
-        total += term
-        count += 1
-        if abs(term) <= cfg.abs_tol + cfg.rel_tol * abs(total):
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-    raise SeriesDivergence(
-        f"{what}: no convergence within {count} terms "
-        f"(abs_tol={cfg.abs_tol}, rel_tol={cfg.rel_tol})"
-    )
-
-
 def _theta4(v: complex, tau: complex, cfg: SeriesConfig, deriv: bool = False) -> tuple:
     """All four thetas at v, and with deriv their v-derivatives, in one pass.
 
@@ -181,24 +161,27 @@ def theta_deriv(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_
     return _theta4(v, tau, cfg, deriv=True)[4 + idx]
 
 
-def _dlog(idx: int, v: complex, tau: complex, cfg: SeriesConfig, scale: float) -> complex:
+def _dlog(idx: int, v: complex, tau: complex, cfg: SeriesConfig) -> complex:
     """theta'_idx(v)/theta_idx(v) from one pass; raises NearZeroDenominator
-    when |theta_idx(v)| is below 1e-12 * scale, the largest even nullwert."""
+    only where theta_idx(v) is exactly 0.
+
+    Refusing points near a zero is the public callers' guard, which each
+    runs (`weier_core.pole_status`) before it gets here.  No bound on
+    |theta_idx(v)| fits every lattice: the terms of theta_0 and theta_1 all
+    carry |q|^(1/4), so on a tall lattice they are tiny at ordinary points.
+    """
     vals = _theta4(v, tau, cfg, deriv=True)
     den = vals[idx]
-    if abs(den) < 1e-12 * scale:
-        raise NearZeroDenominator(
-            f"theta_{idx}({v!r}) = {den!r} is below the log-derivative guard"
-        )
+    if den == 0:
+        raise NearZeroDenominator(f"theta_{idx}({v!r}) is zero")
     return vals[4 + idx] / den
 
 
 def theta_dlog(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
-    """Logarithmic v-derivative theta'_idx(v)/theta_idx(v)."""
+    """Logarithmic v-derivative theta'_idx(v)/theta_idx(v), from one pass."""
     _check_idx(idx)
     _check_tau(tau)
-    null = _theta4(0.0, tau, cfg)
-    return _dlog(idx, v, tau, cfg, max(abs(null[1]), abs(null[2]), abs(null[3])))
+    return _dlog(idx, v, tau, cfg)
 
 
 def theta_nullwerte(tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG):
@@ -206,22 +189,32 @@ def theta_nullwerte(tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG):
 
     The first and third derivatives are those of the odd series, obtained by
     term-wise differentiation.  All but the third derivative come from one
-    theta pass at v = 0, the same pass every evaluation at v = 0 runs.
+    theta pass at v = 0, the same pass every evaluation at v = 0 runs.  The
+    third derivative sums the terms -2 pi^3 (-1)^n (2n+1)^3 q^((n+1/2)^2),
+    with the q-powers by the recurrence q^((n+3/2)^2) = q^((n+1/2)^2) q^(2n+2),
+    until two consecutive terms pass the truncation test.
     """
     _check_tau(tau)
     _, t1, t2, t3, tp, _, _, _ = _theta4(0.0, tau, cfg, deriv=True)
-    tppp = _sum_series(_third_derivative_terms(tau, cfg.max_terms), 0j, cfg, "theta'''")
-    return t1, t2, t3, tp, tppp
-
-
-def _third_derivative_terms(tau: complex, n_terms: int):
-    """Terms -2 pi^3 (-1)^n (2n+1)^3 q^((n+1/2)^2) of theta_0'''(0), with the
-    q-powers by the recurrence q^((n+3/2)^2) = q^((n+1/2)^2) q^(2n+2)."""
     h = cmath.exp(0.25j * PI * tau)
     q2 = h**8
     ratio = q2
-    for n in range(n_terms):
+    tppp = 0j
+    small = 0
+    for n in range(cfg.max_terms):
         term = -2.0 * PI**3 * (2 * n + 1) ** 3 * h
-        yield -term if n & 1 else term
+        if n & 1:
+            term = -term
+        tppp += term
+        if abs(term) <= cfg.abs_tol + cfg.rel_tol * abs(tppp):
+            small += 1
+            if small >= 2:
+                return t1, t2, t3, tp, tppp
+        else:
+            small = 0
         h *= ratio
         ratio *= q2
+    raise SeriesDivergence(
+        f"theta''': no convergence within {cfg.max_terms} terms "
+        f"(abs_tol={cfg.abs_tol}, rel_tol={cfg.rel_tol})"
+    )

@@ -143,7 +143,9 @@ class IdentityReport:
     When a side raised one of SAMPLE_ERRORS, the identity stopped there:
     `error` names the exception type, the point that raised is the last
     entry of `failures` with residual None, and the statistics cover the
-    `samples` points evaluated before it (None when there were none).
+    `samples` points evaluated before it (None when there were none).  A
+    residual that is not <= the tolerance, NaN included, is a failure;
+    `report_to_json` writes a non-finite residual or statistic as null.
     """
 
     name: str
@@ -162,13 +164,10 @@ class _Ctx:
         self.lat = lat
         self.cfg = cfg
         self.lc = constants(lat, cfg)
-        self._jp = None
 
     @property
     def jp(self):
-        if self._jp is None:
-            self._jp = jacobi_params(self.lat, self.cfg)
-        return self._jp
+        return jacobi_params(self.lat, self.cfg)
 
     def __call__(self, name: str, u: complex, route: str | None = None) -> complex:
         """Value of the table function name at u on route; raises at a pole."""
@@ -286,10 +285,7 @@ def _register_all() -> None:
         u_red, _, _ = reduce_to_cell(c.lat, u)
         v = u_red / (2 * c.lat.omega1)
         idx = HALF_PERIOD_THETA[1]
-        scale = c.lc.nullwert_scale
-        return (
-            _dlog(idx, v, c.lat.tau, c.cfg, scale) - _dlog(0, v, c.lat.tau, c.cfg, scale)
-        ) / (2 * c.lat.omega1)
+        return (_dlog(idx, v, c.lat.tau, c.cfg) - _dlog(0, v, c.lat.tau, c.cfg)) / (2 * c.lat.omega1)
 
     _ev("delta_l1_eq7")(delta_eq7)
 
@@ -743,7 +739,7 @@ def run_suite(
                 failures.append((tuple(pts), None))
                 break
             residuals.append(rel)
-            if rel > spec.tol:
+            if not rel <= spec.tol:  # a NaN residual fails too
                 failures.append((tuple(pts), rel))
         reports.append(
             IdentityReport(
@@ -759,18 +755,23 @@ def run_suite(
     return reports
 
 
+def _json_number(x: float | None) -> float | None:
+    """x, or None where JSON has no number for it (None, NaN, infinity)."""
+    return x if x is not None and math.isfinite(x) else None
+
+
 def report_to_json(report: IdentityReport) -> dict:
     failures = []
     for pts, rel in report.failures:
-        entry = {"point": [pts[0].real, pts[0].imag], "residual": rel}
+        entry = {"point": [pts[0].real, pts[0].imag], "residual": _json_number(rel)}
         if len(pts) > 1:
             entry["point2"] = [pts[1].real, pts[1].imag]
         failures.append(entry)
     out = {
         "name": report.name,
         "samples": report.samples,
-        "maxRel": report.max_rel,
-        "meanRel": report.mean_rel,
+        "maxRel": _json_number(report.max_rel),
+        "meanRel": _json_number(report.mean_rel),
         "passed": report.passed,
         "failures": failures,
     }

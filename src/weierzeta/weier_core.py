@@ -136,7 +136,7 @@ def _theta_zeta(lat: Lattice, idx: int, u: complex, cfg: SeriesConfig) -> comple
     lc = constants(lat, cfg)
     u_red, n, m = reduce_to_cell(lat, u)
     w1 = lat.omega1
-    dlog = _dlog(idx, u_red / (2 * w1), lat.tau, cfg, lc.nullwert_scale)
+    dlog = _dlog(idx, u_red / (2 * w1), lat.tau, cfg)
     val = lc.eta1 * u_red / w1 + dlog / (2 * w1)
     return val + 2 * n * lc.eta1 + 2 * m * lc.eta3
 

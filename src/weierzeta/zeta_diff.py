@@ -91,7 +91,7 @@ def _delta_theta_quotient(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig)
     """Theta product form: nullwerte constant times a quotient of four thetas.
 
     The overall minus sign is fixed by the -1/u behaviour at the origin
-    (equivalently by the sigma-quotient form it is derived from).
+    (equivalently by the sigma-quotient form it comes from).
     """
     mu, nu = complement(lam)
     il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (lam, mu, nu))

@@ -1,9 +1,12 @@
-"""Shared fixtures: reference lattices and guarded sampling."""
+"""Shared fixtures: reference lattices, guarded sampling, and the mpmath
+reference values."""
 
 from __future__ import annotations
 
 import fnmatch
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +44,18 @@ def generic_lat():
 @pytest.fixture
 def square_lat():
     return make_lattice("square")
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """bench/reference.py, the benchmark's 30-digit mpmath reference (one
+    copy for both); skips the test when mpmath is missing."""
+    pytest.importorskip("mpmath")
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("weierzeta_bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def guarded_points(lat, rng: random.Random, n: int, guard: float = 0.05, offsets=None):

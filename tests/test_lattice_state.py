@@ -1,8 +1,8 @@
-"""Per-lattice state: one `constants` entry per lattice; once it is warm, no
-call recomputes the nullwerte, each multi-theta quotient runs one theta
-pass per point, and each public call guards its point once."""
+"""Per-lattice state: one `constants` entry per lattice, which also holds
+the Jacobi parameters; once it is warm, no call recomputes the nullwerte or
+the complete integrals, each multi-theta quotient runs one theta pass per
+point, and each public call guards its point once."""
 
-import dataclasses
 import random
 import sys
 
@@ -11,6 +11,7 @@ import pytest
 from weierzeta import (
     DeltaRoute,
     ZetaRoute,
+    agm_complete_integrals,
     build_lattice,
     constants,
     delta,
@@ -26,7 +27,6 @@ from weierzeta import (
 )
 from weierzeta import aux_zeta, theta, weier_core
 from weierzeta.theta import DEFAULT_CONFIG
-from weierzeta.errors import DegenerateLattice
 
 from conftest import guarded_points, make_lattice
 
@@ -77,12 +77,10 @@ def test_warm_lattice_never_recomputes_nullwerte(monkeypatch, warm_lattice):
     lat, pts = warm_lattice
     calls = _warm_calls(lat)
     nullwerte = _count_calls(monkeypatch, theta.theta_nullwerte)
-    series = _count_calls(monkeypatch, theta._sum_series)
     for fn in calls.values():
         for u in pts:
             fn(u)
     assert nullwerte == []
-    assert series == []
 
 
 def test_one_theta_pass_per_point(monkeypatch, warm_lattice):
@@ -158,20 +156,14 @@ def test_jacobi_params_built_once_per_lattice():
     assert jacobi_params(lat) is jacobi_params(lat)
 
 
-def test_derived_state_keeps_values_but_not_failures():
-    # A copy, so the probe values stay out of the shared cache.
-    lc = dataclasses.replace(constants(make_lattice("square")))
-    builds = []
+def test_jacobi_params_are_the_constants_record():
+    lat = build_lattice(0.5, 0.5 * (0.27 + 1.33j))
+    assert jacobi_params(lat) is constants(lat).jacobi
 
-    def build(ok):
-        builds.append(ok)
-        if not ok:
-            raise DegenerateLattice("probe")
-        return object()
 
-    for _ in range(2):
-        with pytest.raises(DegenerateLattice):
-            lc.derived("test_failing", build, False)
-    first = lc.derived("test_value", build, True)
-    assert lc.derived("test_value", build, True) is first
-    assert builds == [False, False, True]
+def test_warm_jacobi_params_runs_no_agm(monkeypatch):
+    lat = build_lattice(0.5, 0.5 * (-0.31 + 1.17j))  # new to the constants cache
+    constants(lat)
+    agm = _count_calls(monkeypatch, agm_complete_integrals)
+    jacobi_params(lat)
+    assert agm == []

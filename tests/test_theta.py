@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from weierzeta import SeriesConfig, theta_dlog, theta_eval, theta_nullwerte
 from weierzeta.errors import NearZeroDenominator, SeriesDivergence
+from weierzeta import theta
 from weierzeta.theta import theta_deriv
 
 PI = math.pi
@@ -161,3 +162,16 @@ def test_config_validation():
         theta_eval(5, 0.0, 1j)
     with pytest.raises(ValueError):
         theta_eval(0, 0.0, -1j)
+
+
+def test_dlog_runs_one_theta_pass(monkeypatch):
+    passes = []
+    pass4 = theta._theta4
+
+    def counted(*args, **kwargs):
+        passes.append(args)
+        return pass4(*args, **kwargs)
+
+    monkeypatch.setattr(theta, "_theta4", counted)
+    theta_dlog(2, 0.21 + 0.13j, 0.3 + 1.1j)
+    assert len(passes) == 1

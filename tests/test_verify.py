@@ -191,3 +191,24 @@ def test_raising_identity_fails_alone(monkeypatch, capsys, generic_lat, evaluato
     payload = json.loads(capsys.readouterr().out)
     assert [r["name"] for r in payload] == ["good", "bad"]
     assert payload[1]["error"] == error and "error" not in payload[0]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"stdout holds {name}, which is not JSON")
+
+
+def test_nan_residual_fails_and_stays_json(monkeypatch, capsys, generic_lat):
+    monkeypatch.setitem(EVALUATORS, "nan_side", lambda c, u: complex("nan"))
+    good = IdentitySpec("good", "wp_neg", "wp", exclusions=("0",))
+    bad = IdentitySpec("bad", "wp", "nan_side", exclusions=("0",))
+    (rep,) = run_suite(generic_lat, [bad], n=3, seed=2)
+    assert not rep.passed and len(rep.failures) == 3
+    out = report_to_json(rep)
+    assert out["meanRel"] is None
+    assert [f["residual"] for f in out["failures"]] == [None] * 3
+
+    monkeypatch.setattr("weierzeta.cli.default_suite", lambda: (good, bad))
+    assert main(["verify", "--n", "3", "--seed", "2"]) == 1
+    payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert [r["passed"] for r in payload] == [True, False]
+    assert payload[1]["maxRel"] is None and payload[1]["meanRel"] is None
