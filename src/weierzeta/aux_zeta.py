@@ -19,7 +19,7 @@ import enum
 import math
 
 from .errors import SeriesDivergence
-from .lattice import Lattice, constants, reduce_to_cell, sorted_lattice_points
+from .lattice import Lattice, Located, check_index, constants, locate, sorted_lattice_points
 from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig
 from .weier_core import EvalResult, Status, _theta_zeta, pole_status
 
@@ -50,33 +50,33 @@ def zeta_aux(
     qseries_form: str = "exp",
 ) -> EvalResult:
     """Auxiliary zeta for half-period index lam along the chosen route."""
-    if lam not in (1, 2, 3):
-        raise ValueError(f"half-period index must be 1, 2 or 3, got {lam!r}")
-    bad = pole_status(lat, u, (lat.half_period(lam),))
+    check_index(lam)
+    p, bad = pole_status(lat, u, (lam,))
     if bad is not None:
         return bad
     if route is ZetaRoute.SHIFT:
         return EvalResult(_shift(lat, lam, u, cfg), Status.FINITE)
     if route is ZetaRoute.THETA:
-        return EvalResult(_theta_zeta(lat, HALF_PERIOD_THETA[lam], u, cfg), Status.FINITE)
+        return EvalResult(_theta_zeta(lat, p, cfg, HALF_PERIOD_THETA[lam])[0], Status.FINITE)
     if route is ZetaRoute.QSERIES:
-        return EvalResult(_qseries(lat, lam, u, cfg, qseries_form), Status.FINITE)
+        return EvalResult(_qseries(lat, lam, p, cfg, qseries_form), Status.FINITE)
     if route is ZetaRoute.PARTIAL_FRACTION:
-        return EvalResult(_partialfrac(lat, lam, u, cfg), Status.FINITE)
+        return EvalResult(_partialfrac(lat, lam, p, cfg), Status.FINITE)
     raise ValueError(f"unknown route {route!r}")
 
 
 def _shift(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig) -> complex:
     """zeta(u + omega_lam) - eta_lam, for u off the omega_lam coset."""
-    return _theta_zeta(lat, 0, u + lat.half_period(lam), cfg) - constants(lat, cfg).eta(lam)
+    p = locate(lat, u + lat.half_period(lam))
+    return _theta_zeta(lat, p, cfg, 0)[0] - constants(lat, cfg).eta(lam)
 
 
-def _qseries(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig, form: str) -> complex:
+def _qseries(lat: Lattice, lam: int, p: Located, cfg: SeriesConfig, form: str) -> complex:
     if form not in ("exp", "cos"):
         raise ValueError(f"qseries form must be 'exp' or 'cos', got {form!r}")
     lc = constants(lat, cfg)
-    u_red, n, m = reduce_to_cell(lat, u)
-    incr = 2 * n * lc.eta1 + 2 * m * lc.eta3
+    u_red = p.u_red
+    incr = 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3
     w1 = lat.omega1
     if abs((PI * u_red / w1).imag) >= 2 * PI * lat.tau.imag * QSERIES_STRIP:
         return _shift(lat, lam, u_red, cfg) + incr
@@ -124,15 +124,14 @@ def _qseries(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig, form: str) -
     )
 
 
-def _partialfrac(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig) -> complex:
+def _partialfrac(lat: Lattice, lam: int, p: Located, cfg: SeriesConfig) -> complex:
     import numpy as np  # here, not at module scope: only this oracle route needs it
 
     lc = constants(lat, cfg)
-    u_red, n, m = reduce_to_cell(lat, u)
     pts = sorted_lattice_points(
         2 * lat.omega1, 2 * lat.omega3, PARTIALFRAC_RADIUS, offset=lat.half_period(lam)
     )
-    terms = 1.0 / (u_red - pts) + 1.0 / pts + u_red / (pts**2)
-    total = -lc.e(lam) * u_red + complex(np.sum(terms))
-    return total + 2 * n * lc.eta1 + 2 * m * lc.eta3
+    terms = 1.0 / (p.u_red - pts) + 1.0 / pts + p.u_red / (pts**2)
+    total = -lc.e(lam) * p.u_red + complex(np.sum(terms))
+    return total + 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3
 

@@ -22,7 +22,6 @@ from .lattice import (
     Lattice,
     agm_complete_integrals,
     constants,
-    reduce_to_cell,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import _AUX_SIGN, _sigmas, pole_status, sigma_aux
@@ -54,21 +53,19 @@ def sn_cn_dn(p: JacobiParams, x: complex) -> tuple[complex, complex, complex]:
     pole radius of it this raises PoleProximityError.
     """
     lat, cfg = p.lattice, p.cfg
-    u = x / p.scale
-    bad = pole_status(lat, u, (lat.omega3,))
+    pt, bad = pole_status(lat, x / p.scale, (3,))
     if bad is not None:
         raise PoleProximityError(
             f"Jacobi argument {x!r} sits at a shared sn/cn/dn pole (u near {bad.pole!r})"
         )
     # The quasi-periodicity factor common to all four sigmas cancels; only
     # the auxiliary signs of the translate remain.
-    u_red, n, m = reduce_to_cell(lat, u)
-    s0, s1, s2, s3 = _sigmas(lat, constants(lat, cfg), u_red, cfg)
-    s3 *= _AUX_SIGN[3](n, m)
+    s0, s1, s2, s3 = _sigmas(lat, constants(lat, cfg), pt, cfg)
+    s3 *= _AUX_SIGN[3](pt.n, pt.m)
     return (
         p.scale * s0 / s3,
-        s1 * _AUX_SIGN[1](n, m) / s3,
-        s2 * _AUX_SIGN[2](n, m) / s3,
+        s1 * _AUX_SIGN[1](pt.n, pt.m) / s3,
+        s2 * _AUX_SIGN[2](pt.n, pt.m) / s3,
     )
 
 
@@ -143,14 +140,16 @@ def jacobi_E_Z_Pi(
 
     E and Z are `jacobi_E_Z`; Pi needs the log of a sigma quotient, tracked
     continuously along the straight segment from 0 so the branch agrees with
-    the defining integral from 0.
+    the defining integral from 0.  Raises PoleProximityError when u or a is
+    at/near a pole of the third auxiliary zeta.
     """
     big_e, big_z = jacobi_E_Z(lat, u, cfg)
+    z3a = zeta_aux(lat, 3, a, cfg=cfg)
+    if not z3a.is_finite:
+        raise PoleProximityError(f"a = {a!r} is at/near a pole of the third auxiliary zeta")
     if u == 0:
-        big_pi = 0j
-    else:
-        big_pi = 0.5 * _tracked_log_ratio(lat, u, a, cfg) + zeta_aux(lat, 3, a, cfg=cfg).value * u
-    return big_e, big_z, big_pi
+        return big_e, big_z, 0j
+    return big_e, big_z, 0.5 * _tracked_log_ratio(lat, u, a, cfg) + z3a.value * u
 
 
 def _tracked_log_ratio(lat: Lattice, u: complex, a: complex, cfg: SeriesConfig) -> complex:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,12 +30,16 @@ Q_MAX = 0.9
 _COMPLEMENT = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
 
+def check_index(lam: int) -> None:
+    """ValueError unless lam is a half-period index 1, 2 or 3."""
+    if lam not in _COMPLEMENT:
+        raise ValueError(f"half-period index must be 1, 2 or 3, got {lam!r}")
+
+
 def complement(lam: int) -> tuple[int, int]:
     """The ordered pair (mu, nu) completing lam to a permutation of 1,2,3."""
-    try:
-        return _COMPLEMENT[lam]
-    except KeyError:
-        raise ValueError(f"half-period index must be 1, 2 or 3, got {lam!r}") from None
+    check_index(lam)
+    return _COMPLEMENT[lam]
 
 
 @dataclass(frozen=True)
@@ -48,13 +53,8 @@ class Lattice:
     q: complex
 
     def half_period(self, lam: int) -> complex:
-        if lam == 1:
-            return self.omega1
-        if lam == 2:
-            return self.omega2
-        if lam == 3:
-            return self.omega3
-        raise ValueError(f"half-period index must be 1, 2 or 3, got {lam!r}")
+        check_index(lam)
+        return (self.omega1, self.omega2, self.omega3)[lam - 1]
 
     @property
     def min_period(self) -> float:
@@ -92,16 +92,28 @@ def cell_coords(lat: Lattice, u: complex) -> tuple[float, float]:
     return alpha, beta
 
 
-def reduce_to_cell(lat: Lattice, u: complex) -> tuple[complex, int, int]:
-    """Translate u by a lattice vector into the centred fundamental cell.
+# A located point: u = 2*alpha*omega1 + 2*beta*omega3 = u_red + 2*n*omega1 + 2*m*omega3.
+Located = namedtuple("Located", "u alpha beta u_red n m")
 
-    Returns (u_red, n, m) with u = u_red + 2*n*omega1 + 2*m*omega3 and the
-    cell coordinates of u_red in [-1/2, 1/2].
-    """
+
+def locate(lat: Lattice, u: complex) -> Located:
+    """The one placement of u behind every evaluator: the cell coordinates the
+    guard and the zone tests read, and from their rounding the reduction the
+    theta pass reads (u_red with cell coordinates in [-1/2, 1/2])."""
     alpha, beta = cell_coords(lat, u)
-    n = round(alpha)
-    m = round(beta)
-    return u - 2 * n * lat.omega1 - 2 * m * lat.omega3, n, m
+    n, m = round(alpha), round(beta)
+    return Located(u, alpha, beta, u - 2 * n * lat.omega1 - 2 * m * lat.omega3, n, m)
+
+
+def reduce_to_cell(lat: Lattice, u: complex) -> tuple[complex, int, int]:
+    """(u_red, n, m) of `locate`: u = u_red + 2*n*omega1 + 2*m*omega3."""
+    return locate(lat, u)[3:]
+
+
+def _closest(lat: Lattice, u: complex, offset: complex, alpha: float, beta: float) -> tuple:
+    """Distance from u to pt = offset + 2*round(alpha)*omega1 + 2*round(beta)*omega3, and pt."""
+    pt = offset + 2 * round(alpha) * lat.omega1 + 2 * round(beta) * lat.omega3
+    return abs(u - pt), pt
 
 
 def nearest_translate(lat: Lattice, u: complex, offset: complex) -> tuple[float, complex]:
@@ -113,9 +125,19 @@ def nearest_translate(lat: Lattice, u: complex, offset: complex) -> tuple[float,
     each cell coordinate is then within 1/2 of the point's.  Farther out the
     distance returned is an upper bound.
     """
-    alpha, beta = cell_coords(lat, u - offset)
-    pt = offset + 2 * round(alpha) * lat.omega1 + 2 * round(beta) * lat.omega3
-    return abs(u - pt), pt
+    return _closest(lat, u, offset, *cell_coords(lat, u - offset))
+
+
+# Cell coordinates of the half-period of each index; 0 stands for the lattice.
+_HALF_CELL = ((0.0, 0.0), (0.5, 0.0), (-0.5, -0.5), (0.0, 0.5))
+
+
+def nearest(lat: Lattice, p: Located, k: int) -> tuple[float, complex]:
+    """`nearest_translate` to the coset omega_k + lattice (k = 0 the lattice),
+    from the located point's own cell coordinates."""
+    a, b = _HALF_CELL[k]
+    offset = (0j, lat.omega1, lat.omega2, lat.omega3)[k]
+    return _closest(lat, p.u, offset, p.alpha - a, p.beta - b)
 
 
 # The AGM stops once |c_n| <= AGM_TOL * |a_n|.

@@ -52,9 +52,10 @@ class SeriesConfig:
 DEFAULT_CONFIG = SeriesConfig()
 
 
-def _check_idx(idx: int) -> None:
+def _check_idx(idx: int, tau: complex) -> None:
     if idx not in (0, 1, 2, 3):
         raise ValueError(f"theta index must be 0..3, got {idx!r}")
+    _check_tau(tau)
 
 
 def _check_tau(tau: complex) -> None:
@@ -149,39 +150,24 @@ def _theta4(v: complex, tau: complex, cfg: SeriesConfig, deriv: bool = False) ->
 
 def theta_eval(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Value of the idx-th theta function at v for half-period ratio tau."""
-    _check_idx(idx)
-    _check_tau(tau)
+    _check_idx(idx, tau)
     return _theta4(v, tau, cfg)[idx]
 
 
 def theta_deriv(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """First v-derivative of the idx-th theta function (term-differentiated)."""
-    _check_idx(idx)
-    _check_tau(tau)
+    _check_idx(idx, tau)
     return _theta4(v, tau, cfg, deriv=True)[4 + idx]
 
 
-def _dlog(idx: int, v: complex, tau: complex, cfg: SeriesConfig) -> complex:
-    """theta'_idx(v)/theta_idx(v) from one pass; raises NearZeroDenominator
-    only where theta_idx(v) is exactly 0.
-
-    Refusing points near a zero is the public callers' guard, which each
-    runs (`weier_core.pole_status`) before it gets here.  No bound on
-    |theta_idx(v)| fits every lattice: the terms of theta_0 and theta_1 all
-    carry |q|^(1/4), so on a tall lattice they are tiny at ordinary points.
-    """
-    vals = _theta4(v, tau, cfg, deriv=True)
-    den = vals[idx]
-    if den == 0:
-        raise NearZeroDenominator(f"theta_{idx}({v!r}) is zero")
-    return vals[4 + idx] / den
-
-
 def theta_dlog(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
-    """Logarithmic v-derivative theta'_idx(v)/theta_idx(v), from one pass."""
-    _check_idx(idx)
-    _check_tau(tau)
-    return _dlog(idx, v, tau, cfg)
+    """Logarithmic v-derivative theta'_idx(v)/theta_idx(v), from one pass;
+    raises NearZeroDenominator only where theta_idx(v) is exactly 0."""
+    _check_idx(idx, tau)
+    vals = _theta4(v, tau, cfg, deriv=True)
+    if vals[idx] == 0:
+        raise NearZeroDenominator(f"theta_{idx}({v!r}) is zero")
+    return vals[4 + idx] / vals[idx]
 
 
 def theta_nullwerte(tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG):

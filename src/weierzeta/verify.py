@@ -21,9 +21,9 @@ from typing import Callable
 from .aux_zeta import ZetaRoute, zeta_aux
 from .errors import PoleProximityError, SuiteConfigError, WeierzetaError
 from .jacobi import jacobi_E_Z, jacobi_E_Z_Pi, jacobi_params, sn_cn_dn
-from .lattice import Lattice, complement, constants, nearest_translate, reduce_to_cell
-from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _dlog, _theta4
-from .weier_core import EvalResult, Status, sigma, sigma_aux, wp, wp_prime, zeta_w
+from .lattice import Lattice, complement, constants, locate, nearest
+from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig
+from .weier_core import EvalResult, Status, _thetas, sigma, sigma_aux, wp, wp_prime, zeta_w
 from .zeta_diff import DeltaRoute, delta, delta2, delta_prime, delta2_prime
 
 PI = math.pi
@@ -282,20 +282,17 @@ def _register_all() -> None:
     _ev("delta_l1_sigma4")(delta_sigma4)
 
     def delta_eq7(c, u):
-        u_red, _, _ = reduce_to_cell(c.lat, u)
-        v = u_red / (2 * c.lat.omega1)
+        t = _thetas(c.lat, locate(c.lat, u), c.cfg, deriv=True)
         idx = HALF_PERIOD_THETA[1]
-        return (_dlog(idx, v, c.lat.tau, c.cfg) - _dlog(0, v, c.lat.tau, c.cfg)) / (2 * c.lat.omega1)
+        return (t[4 + idx] / t[idx] - t[4] / t[0]) / (2 * c.lat.omega1)
 
     _ev("delta_l1_eq7")(delta_eq7)
 
     def delta_eq8s(c, u):
-        # Simplified theta-product form, sign fixed by the -1/u origin limit.
-        lam = 2
-        mu, nu = complement(lam)
-        il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (lam, mu, nu))
-        u_red, _, _ = reduce_to_cell(c.lat, u)
-        t = _theta4(u_red / (2 * c.lat.omega1), c.lat.tau, c.cfg)
+        # Simplified theta-product form for lam = 2 (mu, nu = 3, 1), sign
+        # fixed by the -1/u origin limit.
+        il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (2, *complement(2)))
+        t = _thetas(c.lat, locate(c.lat, u), c.cfg)
         t0 = c.lc.nullwerte[il]
         return -(PI / (2 * c.lat.omega1)) * t0**2 * t[im_] * t[in_] / (t[il] * t[0])
 
@@ -644,20 +641,19 @@ def default_suite() -> tuple[IdentitySpec, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _exclusion_offsets(lat: Lattice, tokens) -> tuple[list[complex], list[tuple[int, complex]]]:
-    """Split exclusion tokens into per-point loci and pair (sign, locus) pairs."""
-    table = {"0": 0j, "w1": lat.omega1, "w2": lat.omega2, "w3": lat.omega3}
-    single: list[complex] = []
-    pair: list[tuple[int, complex]] = []
+def _exclusion_cosets(tokens) -> tuple[list[int], list[tuple[int, int]]]:
+    """Split exclusion tokens into per-point coset indices and pair (sign, index) pairs."""
+    table = {"0": 0, "w1": 1, "w2": 2, "w3": 3}
+    single: list[int] = []
+    pair: list[tuple[int, int]] = []
     for tok in tokens:
-        if tok in table:
-            single.append(table[tok])
-        elif tok.startswith("sum:"):
-            pair.append((+1, table[tok[4:]]))
-        elif tok.startswith("diff:"):
-            pair.append((-1, table[tok[5:]]))
-        else:
+        kind, _, name = tok.rpartition(":")
+        if name not in table or kind not in ("", "sum", "diff"):
             raise SuiteConfigError(f"unknown exclusion token {tok!r}")
+        if kind:
+            pair.append((+1 if kind == "sum" else -1, table[name]))
+        else:
+            single.append(table[name])
     return single, pair
 
 
@@ -669,12 +665,12 @@ def _sample_points(lat: Lattice, rng: random.Random, arity: int, single, pair):
             a, b = rng.random(), rng.random()
             pts.append(2 * a * lat.omega1 + 2 * b * lat.omega3)
         ok = all(
-            nearest_translate(lat, p, off)[0] >= guard for p in pts for off in single
+            nearest(lat, p, k)[0] >= guard for p in [locate(lat, u) for u in pts] for k in single
         )
         if ok and arity == 2 and pair:
             z, w = pts
             ok = all(
-                nearest_translate(lat, z + sign * w, off)[0] >= guard for sign, off in pair
+                nearest(lat, locate(lat, z + sign * w), k)[0] >= guard for sign, k in pair
             )
         if ok:
             return pts
@@ -725,7 +721,7 @@ def run_suite(
         lhs, rhs = _side(spec, spec.lhs), _side(spec, spec.rhs)
         if spec.arity not in (1, 2):
             raise SuiteConfigError(f"{spec.name}: arity must be 1 or 2")
-        single, pair = _exclusion_offsets(lat, spec.exclusions)
+        single, pair = _exclusion_cosets(spec.exclusions)
         rng = random.Random(seed * 1_000_003 + index)
         residuals = []
         failures = []

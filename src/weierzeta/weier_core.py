@@ -13,15 +13,18 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .errors import NearZeroDenominator
 from .lattice import (
     Lattice,
     LatticeConstants,
+    Located,
+    check_index,
     constants,
-    nearest_translate,
-    reduce_to_cell,
+    locate,
+    nearest,
     sorted_lattice_points,
 )
-from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _dlog, _theta4
+from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _theta4
 
 NEAR_POLE_FACTOR = 1e-8
 
@@ -50,16 +53,19 @@ class EvalResult:
         return self.status is Status.FINITE
 
 
-def pole_status(lat: Lattice, u: complex, offsets) -> EvalResult | None:
-    """EvalResult for u at/near any of the given pole cosets, else None."""
+def pole_status(lat: Lattice, u: complex, cosets) -> tuple[Located, EvalResult | None]:
+    """The located u, and the EvalResult for u at/near a pole (else None):
+    each pole coset, a half-period index (0 for the lattice), is tested once
+    against NEAR_POLE_FACTOR * min_period.  The kernels behind never guard."""
+    p = locate(lat, u)
     radius = NEAR_POLE_FACTOR * lat.min_period
-    for off in offsets:
-        dist, translate = nearest_translate(lat, u, off)
+    for k in cosets:
+        dist, translate = nearest(lat, p, k)
         if dist == 0.0:
-            return EvalResult(_NAN, Status.AT_POLE, translate)
+            return p, EvalResult(_NAN, Status.AT_POLE, translate)
         if dist < radius:
-            return EvalResult(_NAN, Status.NEAR_POLE, translate)
-    return None
+            return p, EvalResult(_NAN, Status.NEAR_POLE, translate)
+    return p, None
 
 
 def _quasi_factor(lat: Lattice, lc: LatticeConstants, u_red: complex, n: int, m: int) -> complex:
@@ -82,12 +88,17 @@ _AUX_SIGN = {
 }
 
 
-def _sigmas(lat: Lattice, lc: LatticeConstants, u_red: complex, cfg: SeriesConfig) -> tuple:
-    """(sigma, sigma_1, sigma_2, sigma_3) at a cell-reduced argument, from one
-    theta pass; the auxiliary sigmas divide by the nullwerte held in lc."""
+def _thetas(lat: Lattice, p: Located, cfg: SeriesConfig, deriv: bool = False) -> tuple:
+    """The one theta pass of every kernel: _theta4 at v = u_red/(2*omega1)."""
+    return _theta4(p.u_red / (2 * lat.omega1), lat.tau, cfg, deriv)
+
+
+def _sigmas(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> tuple:
+    """(sigma, sigma_1, sigma_2, sigma_3) at the reduced argument of p, from
+    one theta pass; the auxiliary sigmas divide by the nullwerte held in lc."""
     w1 = lat.omega1
-    gauss = cmath.exp(lc.eta1 * u_red * u_red / (2 * w1))
-    t = _theta4(u_red / (2 * w1), lat.tau, cfg)
+    gauss = cmath.exp(lc.eta1 * p.u_red * p.u_red / (2 * w1))
+    t = _thetas(lat, p, cfg)
     nw = lc.nullwerte
     i1, i2, i3 = _AUX_THETA
     return (
@@ -98,9 +109,9 @@ def _sigmas(lat: Lattice, lc: LatticeConstants, u_red: complex, cfg: SeriesConfi
     )
 
 
-def _wp_pair(lat: Lattice, lc: LatticeConstants, u_red: complex, cfg: SeriesConfig) -> tuple:
-    """(wp, wp') at a cell-reduced argument off the lattice, from one theta pass."""
-    s0, s1, s2, s3 = _sigmas(lat, lc, u_red, cfg)
+def _wp_pair(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> tuple:
+    """(wp, wp') at a located point off the lattice, from one theta pass."""
+    s0, s1, s2, s3 = _sigmas(lat, lc, p, cfg)
     ratio = s1 / s0
     return lc.e1 + ratio * ratio, -2 * (s1 * s2 * s3) / s0**3
 
@@ -108,59 +119,64 @@ def _wp_pair(lat: Lattice, lc: LatticeConstants, u_red: complex, cfg: SeriesConf
 def sigma(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Entire sigma function; exact zeros on the lattice."""
     lc = constants(lat, cfg)
-    u_red, n, m = reduce_to_cell(lat, u)
-    return _sigmas(lat, lc, u_red, cfg)[0] * _quasi_factor(lat, lc, u_red, n, m)
+    p = locate(lat, u)
+    return _sigmas(lat, lc, p, cfg)[0] * _quasi_factor(lat, lc, p.u_red, p.n, p.m)
 
 
 def sigma_aux(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Auxiliary sigma for half-period index lam, normalised to 1 at u = 0."""
+    check_index(lam)
     sign = _AUX_SIGN[lam]
     lc = constants(lat, cfg)
-    u_red, n, m = reduce_to_cell(lat, u)
-    base = _sigmas(lat, lc, u_red, cfg)[lam]
-    return base * _quasi_factor(lat, lc, u_red, n, m) * sign(n, m)
+    p = locate(lat, u)
+    base = _sigmas(lat, lc, p, cfg)[lam]
+    return base * _quasi_factor(lat, lc, p.u_red, p.n, p.m) * sign(p.n, p.m)
 
 
 def zeta_w(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
     """Weierstrass zeta; simple poles on the lattice."""
-    bad = pole_status(lat, u, (0j,))
+    p, bad = pole_status(lat, u, (0,))
     if bad is not None:
         return bad
-    return EvalResult(_theta_zeta(lat, 0, u, cfg), Status.FINITE)
+    return EvalResult(_theta_zeta(lat, p, cfg, 0)[0], Status.FINITE)
 
 
-def _theta_zeta(lat: Lattice, idx: int, u: complex, cfg: SeriesConfig) -> complex:
-    """eta1*u/omega1 + theta_idx'/theta_idx / (2*omega1) at the cell-reduced
-    argument, plus the lattice increment: zeta_w for idx 0, and for
-    idx = HALF_PERIOD_THETA[lam] the auxiliary zeta of index lam."""
+def _theta_zeta(lat: Lattice, p: Located, cfg: SeriesConfig, *idxs: int) -> list[complex]:
+    """eta1*u_red/omega1 + theta_idx'/theta_idx / (2*omega1) plus the lattice
+    increment at p for each theta index given, all from one theta pass: zeta_w
+    for idx 0, the auxiliary zeta of index lam for idx = HALF_PERIOD_THETA[lam].
+    Only an exact zero of theta_idx raises: the callers guard first, and no
+    bound fits every lattice (the terms of theta_0, theta_1 carry |q|^(1/4))."""
     lc = constants(lat, cfg)
-    u_red, n, m = reduce_to_cell(lat, u)
     w1 = lat.omega1
-    dlog = _dlog(idx, u_red / (2 * w1), lat.tau, cfg)
-    val = lc.eta1 * u_red / w1 + dlog / (2 * w1)
-    return val + 2 * n * lc.eta1 + 2 * m * lc.eta3
+    t = _thetas(lat, p, cfg, deriv=True)
+    out = []
+    for idx in idxs:
+        if t[idx] == 0:
+            raise NearZeroDenominator(f"theta_{idx} is zero at u = {p.u!r}")
+        val = lc.eta1 * p.u_red / w1 + t[4 + idx] / t[idx] / (2 * w1)
+        out.append(val + 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3)
+    return out
 
 
 def wp(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
     """Weierstrass p-function via e1 + (sigma1/sigma)^2; double poles on the lattice."""
-    bad = pole_status(lat, u, (0j,))
+    p, bad = pole_status(lat, u, (0,))
     if bad is not None:
         return bad
     lc = constants(lat, cfg)
-    u_red, _, _ = reduce_to_cell(lat, u)
-    s0, s1, _, _ = _sigmas(lat, lc, u_red, cfg)
+    s0, s1, _, _ = _sigmas(lat, lc, p, cfg)
     ratio = s1 / s0
     return EvalResult(lc.e1 + ratio * ratio, Status.FINITE)
 
 
 def wp_prime(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
     """Derivative of wp via -2*sigma1*sigma2*sigma3/sigma^3; triple poles on the lattice."""
-    bad = pole_status(lat, u, (0j,))
+    p, bad = pole_status(lat, u, (0,))
     if bad is not None:
         return bad
     lc = constants(lat, cfg)
-    u_red, _, _ = reduce_to_cell(lat, u)
-    return EvalResult(_wp_pair(lat, lc, u_red, cfg)[1], Status.FINITE)
+    return EvalResult(_wp_pair(lat, lc, p, cfg)[1], Status.FINITE)
 
 
 # ---------------------------------------------------------------------------

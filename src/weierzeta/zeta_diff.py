@@ -7,12 +7,12 @@ second-kind difference for (lam, mu) subtracts two auxiliary zetas: poles at
 omega_lam, omega_mu and zeros at 0, omega_nu.
 
 Both evaluate along four routes that cross-certify each other.  Each public
-function guards its argument against the pole cosets once; the routes then
-call the kernels of weier_core directly, which never guard.  Every route
-but `zetadiff` (two theta log-derivatives subtracted) is one cell reduction,
-one theta pass and one closed form in s = (sigma, sigma_1, sigma_2, sigma_3).
-For delta the wp route is wp' / (2 (wp - e_lam)), with the sigma form inside
-a small zone around omega_lam, where wp - e_lam cancels.  For delta2
+function locates its argument and guards it against the pole cosets once
+(`weier_core.pole_status`); every route is then one theta pass at that
+point: `zetadiff` subtracts two theta log-derivatives from it, and the
+others take one closed form in s = (sigma, sigma_1, sigma_2, sigma_3) or
+in the thetas.  For delta the wp route is wp' / (2 (wp - e_lam)), with the
+sigma form inside `_zone` of omega_lam, where wp - e_lam cancels.  For delta2
 these are (e_mu - e_lam) s_nu s / (s_lam s_mu) on the sigma route (eq. 13),
 its theta image, negated for lam < mu, on the theta route, and
 2 (e_lam - e_mu)(wp - e_nu) / wp' on the wp route away from its removable
@@ -25,19 +25,29 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import IdenticalIndices, PoleProximityError
-from .lattice import Lattice, complement, constants, nearest_translate, reduce_to_cell
-from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _theta4
-from .weier_core import EvalResult, Status, _sigmas, _theta_zeta, _wp_pair, pole_status
+from .lattice import Lattice, LatticeConstants, check_index, complement, constants, locate, nearest
+from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig
+from .weier_core import NEAR_POLE_FACTOR, EvalResult, Status, _sigmas, _theta_zeta, _thetas
+from .weier_core import _wp_pair, pole_status
 
 PI = math.pi
 
-# Inside this fraction of the minimum period around a point where the wp
-# form cancels (delta's pole omega_lam, delta2's removable 0/0 points),
-# evaluation switches to the sigma-quotient form.
-_DEGENERATE_ZONE = 1e-3
+
+def _zone(lc: LatticeConstants, k: int) -> float:
+    """Radius around omega_k inside which the wp forms give way to the sigma form.
+
+    At distance d, wp - e_k ~ A_k d^2 with A_k = (e_k - e_i)(e_k - e_j), so the
+    forms lose about eps*max|e|/(|A_k| d^2) to rounding, and within ten times
+    that against bench/reference.py; the zone ends where ten times it is 1e-9.
+    """
+    i, j = complement(k)
+    a = abs((lc.e(k) - lc.e(i)) * (lc.e(k) - lc.e(j)))
+    e = max(abs(lc.e1), abs(lc.e2), abs(lc.e3))
+    return math.sqrt(10 * sys.float_info.epsilon * e / (1e-9 * a)) if a else math.inf
 
 
 class DeltaRoute(enum.Enum):
@@ -55,27 +65,27 @@ def delta(
     cfg: SeriesConfig = DEFAULT_CONFIG,
 ) -> EvalResult:
     """First-kind zeta difference for half-period index lam."""
-    bad = pole_status(lat, u, (0j, lat.half_period(lam)))
+    check_index(lam)
+    p, bad = pole_status(lat, u, (0, lam))
     if bad is not None:
         return bad
+    lc = constants(lat, cfg)
     if route is DeltaRoute.ZETA_DIFF:
-        val = _theta_zeta(lat, HALF_PERIOD_THETA[lam], u, cfg) - _theta_zeta(lat, 0, u, cfg)
+        z, z_lam = _theta_zeta(lat, p, cfg, 0, HALF_PERIOD_THETA[lam])
+        val = z_lam - z
+    elif route is DeltaRoute.WP_QUOTIENT and nearest(lat, p, lam)[0] >= _zone(lc, lam):
+        # Outside the zone where wp - e_lam cancels; the sigma form serves inside.
+        wp_, wpp = _wp_pair(lat, lc, p, cfg)
+        val = 0.5 * wpp / (wp_ - lc.e(lam))
     elif route is DeltaRoute.WP_QUOTIENT or route is DeltaRoute.SIGMA_QUOTIENT:
-        lc = constants(lat, cfg)
-        u_red = reduce_to_cell(lat, u)[0]
-        # The wp form's wp - e_lam cancels next to omega_lam; the sigma
-        # form serves in a small zone around it.
-        zone = _DEGENERATE_ZONE * lat.min_period
-        if (
-            route is DeltaRoute.WP_QUOTIENT
-            and nearest_translate(lat, u, lat.half_period(lam))[0] >= zone
-        ):
-            p, pp = _wp_pair(lat, lc, u_red, cfg)
-            val = 0.5 * pp / (p - lc.e(lam))
-        else:
-            val = _delta_sigma(_sigmas(lat, lc, u_red, cfg), lam)
+        val = _delta_sigma(_sigmas(lat, lc, p, cfg), lam)
     elif route is DeltaRoute.THETA_QUOTIENT:
-        val = _delta_theta_quotient(lat, lam, u, cfg)
+        # A nullwerte constant times a quotient of four thetas; the minus sign
+        # is fixed by the -1/u behaviour at the origin.
+        il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (lam, *complement(lam)))
+        nw, t = lc.nullwerte, _thetas(lat, p, cfg)
+        const = -nw[il] * lc.nullwert_prime / (2 * lat.omega1 * nw[im_] * nw[in_])
+        val = const * t[im_] * t[in_] / (t[il] * t[0])
     else:
         raise ValueError(f"unknown route {route!r}")
     return EvalResult(val, Status.FINITE)
@@ -87,22 +97,6 @@ def _delta_sigma(s: tuple, lam: int) -> complex:
     return -(s[mu] * s[nu] / (s[lam] * s[0]))
 
 
-def _delta_theta_quotient(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig) -> complex:
-    """Theta product form: nullwerte constant times a quotient of four thetas.
-
-    The overall minus sign is fixed by the -1/u behaviour at the origin
-    (equivalently by the sigma-quotient form it comes from).
-    """
-    mu, nu = complement(lam)
-    il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (lam, mu, nu))
-    lc = constants(lat, cfg)
-    nw = lc.nullwerte
-    u_red, _, _ = reduce_to_cell(lat, u)
-    t = _theta4(u_red / (2 * lat.omega1), lat.tau, cfg)
-    const = -nw[il] * lc.nullwert_prime / (2 * lat.omega1 * nw[im_] * nw[in_])
-    return const * t[im_] * t[in_] / (t[il] * t[0])
-
-
 def delta_prime(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
     """Derivative of the first-kind difference, wp(u) - wp(u + omega_lam).
 
@@ -111,11 +105,11 @@ def delta_prime(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_
     the poles.
     """
     mu, nu = complement(lam)
-    bad = pole_status(lat, u, (0j, lat.half_period(lam)))
+    p, bad = pole_status(lat, u, (0, lam))
     if bad is not None:
         return bad
     lc = constants(lat, cfg)
-    s = _sigmas(lat, lc, reduce_to_cell(lat, u)[0], cfg)
+    s = _sigmas(lat, lc, p, cfg)
     ratio = s[lam] / s[0]
     r = ratio * ratio
     return EvalResult(r - (lc.e(lam) - lc.e(mu)) * (lc.e(lam) - lc.e(nu)) / r, Status.FINITE)
@@ -131,59 +125,46 @@ def delta2(
 ) -> EvalResult:
     """Second-kind zeta difference for the ordered pair (lam, mu)."""
     nu = _third(lam, mu)
-    bad = pole_status(lat, u, (lat.half_period(lam), lat.half_period(mu)))
+    p, bad = pole_status(lat, u, (lam, mu))
     if bad is not None:
         return bad
+    lc = constants(lat, cfg)
     if route is DeltaRoute.ZETA_DIFF:
-        il, im_ = HALF_PERIOD_THETA[lam], HALF_PERIOD_THETA[mu]
-        val = _theta_zeta(lat, il, u, cfg) - _theta_zeta(lat, im_, u, cfg)
+        z_lam, z_mu = _theta_zeta(lat, p, cfg, HALF_PERIOD_THETA[lam], HALF_PERIOD_THETA[mu])
+        val = z_lam - z_mu
     elif route is DeltaRoute.THETA_QUOTIENT:
-        val = _delta2_theta_quotient(lat, lam, mu, nu, u, cfg)
+        # The theta image of the sigma form, negated for lam < mu: there
+        # e_lam - e_mu = (pi/2 omega1)^2 theta_nu(0)^4 (how `constants` builds
+        # the e's), and Jacobi's theta'(0) = pi theta_1(0) theta_2(0) theta_3(0)
+        # carries the sigma form over to this one.
+        il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (lam, mu, nu))
+        t = _thetas(lat, p, cfg)
+        val = (PI / (2 * lat.omega1)) * lc.nullwerte[in_] ** 2 * t[in_] * t[0] / (t[il] * t[im_])
+        val = -val if lam < mu else val
+    elif (
+        # The wp form has removable 0/0 points at its zeros: at u = 0, refused
+        # within the pole radius like wp itself, and at u = omega_nu, where
+        # wp - e_nu cancels; the sigma form serves around them.
+        route is DeltaRoute.WP_QUOTIENT
+        and nearest(lat, p, 0)[0] >= NEAR_POLE_FACTOR * lat.min_period
+        and nearest(lat, p, nu)[0] >= _zone(lc, nu)
+    ):
+        wp_, wpp = _wp_pair(lat, lc, p, cfg)
+        val = 2 * (lc.e(lam) - lc.e(mu)) * (wp_ - lc.e(nu)) / wpp
     elif route is DeltaRoute.WP_QUOTIENT or route is DeltaRoute.SIGMA_QUOTIENT:
-        lc = constants(lat, cfg)
-        u_red = reduce_to_cell(lat, u)[0]
-        # The wp form has removable 0/0 points at its zeros u = 0 and
-        # u = omega_nu; the sigma form serves in a small zone around them.
-        zone = _DEGENERATE_ZONE * lat.min_period
-        if (
-            route is DeltaRoute.WP_QUOTIENT
-            and nearest_translate(lat, u, 0j)[0] >= zone
-            and nearest_translate(lat, u, lat.half_period(nu))[0] >= zone
-        ):
-            p, pp = _wp_pair(lat, lc, u_red, cfg)
-            val = 2 * (lc.e(lam) - lc.e(mu)) * (p - lc.e(nu)) / pp
-        else:
-            s = _sigmas(lat, lc, u_red, cfg)
-            val = (lc.e(mu) - lc.e(lam)) * s[nu] * s[0] / (s[lam] * s[mu])
+        s = _sigmas(lat, lc, p, cfg)
+        val = (lc.e(mu) - lc.e(lam)) * s[nu] * s[0] / (s[lam] * s[mu])
     else:
         raise ValueError(f"unknown route {route!r}")
     return EvalResult(val, Status.FINITE)
 
 
 def _third(lam: int, mu: int) -> int:
-    if lam not in (1, 2, 3) or mu not in (1, 2, 3):
-        raise ValueError(f"half-period indices must be 1, 2 or 3, got ({lam!r}, {mu!r})")
+    check_index(lam)
+    check_index(mu)
     if lam == mu:
         raise IdenticalIndices(f"second-kind difference needs distinct indices, got {lam}")
     return 6 - lam - mu
-
-
-def _delta2_theta_quotient(
-    lat: Lattice, lam: int, mu: int, nu: int, u: complex, cfg: SeriesConfig
-) -> complex:
-    """Simplified theta form of the sigma quotient.
-
-    Its sign is -1 for lam < mu and +1 otherwise: there e_lam - e_mu =
-    (pi/2 omega1)^2 theta_nu(0)^4 (how `constants` builds the e's), and
-    Jacobi's theta'(0) = pi theta_1(0) theta_2(0) theta_3(0) carries the
-    sigma form over to this one.
-    """
-    il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (lam, mu, nu))
-    nw = constants(lat, cfg).nullwerte
-    u_red, _, _ = reduce_to_cell(lat, u)
-    t = _theta4(u_red / (2 * lat.omega1), lat.tau, cfg)
-    val = (PI / (2 * lat.omega1)) * nw[in_] ** 2 * t[in_] * t[0] / (t[il] * t[im_])
-    return -val if lam < mu else val
 
 
 def delta2_prime(
@@ -198,11 +179,11 @@ def delta2_prime(
     e_mu - e_lam, and free of cancellation near the poles.
     """
     nu = _third(lam, mu)
-    bad = pole_status(lat, u, (lat.half_period(lam), lat.half_period(mu)))
+    p, bad = pole_status(lat, u, (lam, mu))
     if bad is not None:
         return bad
     lc = constants(lat, cfg)
-    s = _sigmas(lat, lc, reduce_to_cell(lat, u)[0], cfg)
+    s = _sigmas(lat, lc, p, cfg)
     el, em, en = lc.e(lam), lc.e(mu), lc.e(nu)
     inv_m, inv_l = s[0] / s[mu], s[0] / s[lam]
     val = (em - el) * (1 + (em - en) * inv_m * inv_m + (el - en) * inv_l * inv_l)
@@ -229,13 +210,13 @@ def constants_from_deltas(
     Every formula is independent of u; only sigma-quotient values feed the
     recovery, so the result genuinely cross-checks the nullwerte constants.
     """
-    guard = 100 * 1e-8 * lat.min_period
-    for off in (0j, lat.omega1, lat.omega2, lat.omega3):
-        if nearest_translate(lat, u, off)[0] < guard:
-            raise PoleProximityError(
-                f"constants_from_deltas needs u away from every half-period coset, got {u!r}"
-            )
-    s = _sigmas(lat, constants(lat, cfg), reduce_to_cell(lat, u)[0], cfg)
+    p = locate(lat, u)
+    guard = 100 * NEAR_POLE_FACTOR * lat.min_period
+    if any(nearest(lat, p, k)[0] < guard for k in range(4)):
+        raise PoleProximityError(
+            f"constants_from_deltas needs u away from every half-period coset, got {u!r}"
+        )
+    s = _sigmas(lat, constants(lat, cfg), p, cfg)
     d = {lam: _delta_sigma(s, lam) for lam in (1, 2, 3)}
     d2 = {(a, b): d[a] - d[b] for a in (1, 2, 3) for b in (1, 2, 3) if a != b}
     e = {}

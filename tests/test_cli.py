@@ -220,8 +220,10 @@ def test_eval_jacobi_layer_functions():
         rc, out, _ = run_cli(["eval", "--fn", fn, "--u", "0.17,0.04", "--tau", "0,2"])
         assert rc == 0, fn
         assert json.loads(out)["status"] == "Finite"
-    # sn at its pole coset exits 3
+    # sn at its pole coset exits 3, and so does Pi with a there
     rc, _, _ = run_cli(["eval", "--fn", "sn", "--u", "w3", "--tau", "0,2"])
+    assert rc == 3
+    rc, _, _ = run_cli(["eval", "--fn", "Pi", "--u", "0.1,0.05", "--a", "w3"])
     assert rc == 3
 
 

@@ -120,6 +120,15 @@ def test_sn_pole_proximity():
         sn_cn_dn(p, p.scale * lat.omega3)
 
 
+def test_Pi_refuses_a_on_the_omega3_coset():
+    # Pi added zeta_3(a) without its status: NaN labelled Finite.
+    lat = make_lattice("generic")
+    for a in (lat.omega3, lat.omega3 - 2 * lat.omega1, -lat.omega3 + 1e-10):
+        for u in (0.1 + 0.05j, 0.0):
+            with pytest.raises(PoleProximityError):
+                jacobi_E_Z_Pi(lat, u, a)
+
+
 def test_sn_periodicity_rectangular():
     lat = make_lattice("rect")
     p = jacobi_params(lat)

@@ -8,16 +8,18 @@ import pytest
 
 from weierzeta import build_lattice, constants, eisenstein_invariants
 from weierzeta.errors import ConvergencePolicyError, InvalidPeriodRatio, ZeroPeriod
+from weierzeta import lattice
 from weierzeta.lattice import (
     cell_coords,
     complement,
     constants_to_json,
+    locate,
     nearest_translate,
     reduce_to_cell,
 )
 from weierzeta.verify import POLE_GUARD
 from weierzeta.weier_core import NEAR_POLE_FACTOR, zeta_lattice_sum
-from weierzeta.zeta_diff import _DEGENERATE_ZONE
+from weierzeta.zeta_diff import _zone
 
 from conftest import REFERENCE_TAUS, make_lattice
 
@@ -77,10 +79,11 @@ def test_nearest_translate_exact_hit():
     assert t == lat.omega1 + 2 * lat.omega3
 
 
-# Every distance nearest_translate's result is compared with, in minimum
-# periods: the pole radius, constants_from_deltas' guard, the degenerate zone
-# of delta and delta2, verify's sampling guard and guarded_points' default.
-THRESHOLDS = (NEAR_POLE_FACTOR, 1e-6, _DEGENERATE_ZONE, POLE_GUARD, 0.05)
+# Every distance a coset distance is compared with, in minimum periods: the
+# pole radius, constants_from_deltas' guard, verify's sampling guard and
+# guarded_points' default; the test adds the lattice's zones of delta and
+# delta2 (`zeta_diff._zone`).
+THRESHOLDS = (NEAR_POLE_FACTOR, 1e-6, POLE_GUARD, 0.05)
 
 _W_SWEEP = 225 * cmath.exp(0.8442354444173306j)
 THIN_BASES = {
@@ -108,10 +111,12 @@ def test_nearest_translate_matches_brute_force_below_inradius(name):
     # The rounded translate is the nearest one within h/2, half the cell's
     # height min_period * sin(angle between the periods); every threshold
     # below h/2 must therefore get the decision and the translate of a
-    # brute-force search.
+    # brute-force search, from nearest_translate and from the located point
+    # (lattice.nearest) alike.
     lat = build_lattice(*BASES[name])
     half_height = 0.5 * lat.min_period * lat.tau.imag / abs(lat.tau)
-    limits = [f * lat.min_period for f in THRESHOLDS if f * lat.min_period < half_height]
+    limits = [f * lat.min_period for f in THRESHOLDS] + [_zone(constants(lat), k) for k in (1, 2, 3)]
+    limits = [t for t in limits if t < half_height]
     assert len(limits) >= 3
     rng = random.Random(5)
     offsets = (0j, lat.omega1, lat.omega2, lat.omega3)
@@ -122,13 +127,14 @@ def test_nearest_translate_matches_brute_force_below_inradius(name):
                 p = off + 2 * n * lat.omega1 + 2 * m * lat.omega3
                 pts += [p + r * t * cmath.exp(2j * PI * rng.random()) for r in (0.5, 0.99, 1.01)]
     for u in pts:
-        for off in offsets:
-            dist, translate = nearest_translate(lat, u, off)
+        p = locate(lat, u)
+        for k, off in enumerate(offsets):
             nearest = _brute_nearest(lat, u, off)
-            for t in limits:
-                assert (dist < t) == (abs(u - nearest) < t), (u, off, t)
-                if dist < t:
-                    assert translate == nearest, (u, off, t)
+            for dist, translate in (nearest_translate(lat, u, off), lattice.nearest(lat, p, k)):
+                for t in limits:
+                    assert (dist < t) == (abs(u - nearest) < t), (u, off, t)
+                    if dist < t:
+                        assert translate == nearest, (u, off, t)
 
 
 def test_complement_triples():

@@ -25,7 +25,7 @@ from weierzeta import (
     zeta_aux,
     zeta_w,
 )
-from weierzeta import aux_zeta, theta, weier_core
+from weierzeta import aux_zeta, lattice, theta, weier_core
 from weierzeta.theta import DEFAULT_CONFIG
 
 from conftest import guarded_points, make_lattice
@@ -59,6 +59,9 @@ def _warm_calls(lat):
         "delta_sigma": lambda u: delta(lat, 3, u, DeltaRoute.SIGMA_QUOTIENT),
         "delta_theta": lambda u: delta(lat, 2, u, DeltaRoute.THETA_QUOTIENT),
         "delta_wp": lambda u: delta(lat, 1, u, DeltaRoute.WP_QUOTIENT),
+        "delta_zetadiff": lambda u: delta(lat, 3, u, DeltaRoute.ZETA_DIFF),
+        "delta2_zetadiff": lambda u: delta2(lat, 2, 1, u, DeltaRoute.ZETA_DIFF),
+        "zeta_aux_theta": lambda u: zeta_aux(lat, 1, u, ZetaRoute.THETA),
         "delta_prime": lambda u: delta_prime(lat, 2, u),
         "delta2_prime": lambda u: delta2_prime(lat, 1, 2, u),
     }
@@ -114,18 +117,24 @@ def test_one_guard_per_public_call(monkeypatch, warm_lattice):
         calls[f"delta_{r.value}"] = lambda u, r=r: delta(lat, 1, u, r)
         calls[f"delta2_{r.value}"] = lambda u, r=r: delta2(lat, 2, 3, u, r)
     guards = _count_calls(monkeypatch, weier_core.pole_status)
+    # One set of cell coordinates per call; the shift form also locates
+    # u + omega_lam.
+    coords = _count_calls(monkeypatch, lattice.cell_coords)
+    shifts = _count_calls(monkeypatch, aux_zeta._shift)
     for name, fn in calls.items():
-        before = len(guards)
+        before = len(guards), len(coords), len(shifts)
         for u in pts:
             fn(u)
-        assert len(guards) - before == len(pts), name
+        assert len(guards) - before[0] == len(pts), name
+        assert len(coords) - before[1] == len(pts) + len(shifts) - before[2], name
+    assert len(shifts) == len(pts)  # the shift route's calls
     # Beyond QSERIES_STRIP (|beta| >= 0.45) the q-series route falls back to
     # the shift form, still behind the one guard.
-    shifts = _count_calls(monkeypatch, aux_zeta._shift)
-    before = len(guards)
+    before = len(guards), len(coords), len(shifts)
     zeta_aux(lat, 1, 0.4 * lat.omega1 + 0.96 * lat.omega3, ZetaRoute.QSERIES)
-    assert len(shifts) == 1
-    assert len(guards) - before == 1
+    assert len(shifts) - before[2] == 1
+    assert len(guards) - before[0] == 1
+    assert len(coords) - before[1] == 2
 
 
 def test_delta2_theta_route_needs_no_zeta_aux(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from weierzeta import DeltaRoute, ZetaRoute, build_lattice, constants, delta, delta2, zeta_aux, zeta_w
 
+from conftest import REFERENCE_TAUS
 from test_cli import run_cli
 
 
@@ -56,3 +57,27 @@ def test_cli_eval_zeta_on_very_tall_lattices(reference, height):
     ref = reference.LatticeRef(0.5, 0.5j * height)
     got = complex(*payload["value"])
     assert reference.rel_error(got, ref.zeta(0.13 + 0.21j), ref.unit) <= 1e-9
+
+
+@pytest.mark.parametrize("eps", [6e-4, 1.1e-3, 1.5e-3, 2e-3])
+def test_wp_forms_next_to_their_cancellation(reference, eps):
+    # wp - e_k cancels next to omega_lam in delta's wp form and next to
+    # omega_nu in delta2's: with a zone of 1e-3 min periods they were 4.0e-8,
+    # 3.1e-8 and 1.7e-8 off on `tall` at the last three distances; at 6e-4
+    # the smaller zones of the other lattices give way to the wp form.
+    for tau in REFERENCE_TAUS.values():
+        lat = build_lattice(0.5, 0.5 * tau)
+        ref = reference.LatticeRef(0.5, 0.5 * tau)
+        step = eps * (1 + 0.7j) * lat.min_period
+        for lam, mu, nu in ((1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3), (3, 2, 1), (1, 3, 2)):
+            u = lat.half_period(lam) + step
+            _check(reference, ref, delta(lat, lam, u, DeltaRoute.WP_QUOTIENT), ref.zeta_aux(lam, u) - ref.zeta(u))
+            # Relative to the value itself, which vanishes at omega_nu.
+            v = lat.half_period(nu) + step
+            got = delta2(lat, lam, mu, v, DeltaRoute.WP_QUOTIENT)
+            assert reference.rel_error(got.value, ref.delta2(lam, mu, v), 1e-300) <= 1e-9
+            # And next to its other zero, u = 0, where nothing cancels: the wp
+            # form serves from the pole radius out (1e-3 min periods out before).
+            for w in (step, 1e-3 * step):
+                got = delta2(lat, lam, mu, w, DeltaRoute.WP_QUOTIENT)
+                assert reference.rel_error(got.value, ref.delta2(lam, mu, w), 1e-300) <= 1e-9

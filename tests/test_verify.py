@@ -72,9 +72,10 @@ def test_unknown_evaluator_rejected(generic_lat):
     bogus2 = IdentitySpec("nope2", "wp", "wp", arity=3)
     with pytest.raises(SuiteConfigError):
         run_suite(generic_lat, [bogus2], n=2, seed=0)
-    bogus3 = IdentitySpec("nope3", "wp", "wp", exclusions=("w9",))
-    with pytest.raises(SuiteConfigError):
-        run_suite(generic_lat, [bogus3], n=2, seed=0)
+    for token in ("w9", "sum:w9", "diff:", "prod:w1", "sum:diff:w1"):
+        bogus3 = IdentitySpec("nope3", "wp", "wp", exclusions=(token,))
+        with pytest.raises(SuiteConfigError):
+            run_suite(generic_lat, [bogus3], n=2, seed=0)
 
 
 def test_report_json_schema(generic_lat):

@@ -12,12 +12,17 @@ from weierzeta import (
     Status,
     build_lattice,
     constants,
+    delta,
+    delta2,
+    delta2_prime,
+    delta_prime,
     sigma,
     sigma_aux,
     sigma_product,
     wp,
     wp_lattice_sum,
     wp_prime,
+    zeta_aux,
     zeta_lattice_sum,
     zeta_w,
 )
@@ -145,6 +150,25 @@ def test_frobenius_stickelberger():
         lhs = wp(lat, z).value - wp(lat, w).value
         rhs = sigma(lat, z + w) * sigma(lat, w - z) / (sigma(lat, z) ** 2 * sigma(lat, w) ** 2)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
+
+
+BAD_INDEX_CALLS = {
+    "sigma_aux": lambda lat, lam, u: sigma_aux(lat, lam, u),
+    "zeta_aux": lambda lat, lam, u: zeta_aux(lat, lam, u),
+    "delta": lambda lat, lam, u: delta(lat, lam, u),
+    "delta_prime": lambda lat, lam, u: delta_prime(lat, lam, u),
+    "delta2": lambda lat, lam, u: delta2(lat, lam, 2, u),
+    "delta2_prime": lambda lat, lam, u: delta2_prime(lat, 1, lam, u),
+}
+
+
+@pytest.mark.parametrize("lam", [0, -1, 4])
+@pytest.mark.parametrize("name", sorted(BAD_INDEX_CALLS))
+def test_bad_half_period_index_is_value_error(name, lam):
+    # Cosets are looked up by index, where -1 would silently select omega_3;
+    # sigma_aux raised an untyped KeyError.
+    with pytest.raises(ValueError):
+        BAD_INDEX_CALLS[name](make_lattice("generic"), lam, 0.21 + 0.13j)
 
 
 def test_pole_statuses():
