@@ -9,7 +9,8 @@ Routes:
   SHIFT            zeta(u + omega_lam) - eta_lam
   THETA            eta1*u/omega1 + theta log-derivative of the companion index
   QSERIES          the lam-specific q-series (tan term only for lam = 1)
-  PARTIAL_FRACTION coset partial-fraction sum, symmetric cutoff
+  PARTIAL_FRACTION coset partial-fraction sum, symmetric cutoff, each pair +-w
+                   of coset points one term in w^2
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import enum
 import math
 
 from .errors import SeriesDivergence
-from .lattice import Lattice, Located, check_index, constants, locate, sorted_lattice_points
+from .lattice import Lattice, Located, check_index, constants, locate
 from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig
-from .weier_core import EvalResult, Status, _theta_zeta, pole_status
+from .weier_core import EvalResult, Status, _theta_zeta, _zeta_pair_sum, pole_status
 
 PI = math.pi
 
@@ -30,7 +31,7 @@ PI = math.pi
 QSERIES_STRIP = 0.45
 
 # Radius of the partial-fraction sum's cutoff disc, in minimum periods (see
-# sorted_lattice_points).
+# half_lattice_squares).
 PARTIALFRAC_RADIUS = 200
 
 
@@ -125,13 +126,8 @@ def _qseries(lat: Lattice, lam: int, p: Located, cfg: SeriesConfig, form: str) -
 
 
 def _partialfrac(lat: Lattice, lam: int, p: Located, cfg: SeriesConfig) -> complex:
-    import numpy as np  # here, not at module scope: only this oracle route needs it
-
+    """-e_lam*u + sum over omega_lam + lattice of 1/(u-w) + 1/w + u/w^2 at
+    u = u_red, plus the lattice increment."""
     lc = constants(lat, cfg)
-    pts = sorted_lattice_points(
-        2 * lat.omega1, 2 * lat.omega3, PARTIALFRAC_RADIUS, offset=lat.half_period(lam)
-    )
-    terms = 1.0 / (p.u_red - pts) + 1.0 / pts + p.u_red / (pts**2)
-    total = -lc.e(lam) * p.u_red + complex(np.sum(terms))
+    total = -lc.e(lam) * p.u_red + _zeta_pair_sum(lat, p.u_red, PARTIALFRAC_RADIUS, lam)
     return total + 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3
-

@@ -8,6 +8,8 @@ Omega_{n,m} = 2*omega1*n + 2*omega3*m.
 `constants` is the one per-lattice record: the theta nullwerte, the
 half-period values and invariants, and the Jacobi moduli and complete
 integrals, built together once per (lattice, series config).
+`half_lattice_squares` is the point table of the lattice-sum oracles: the
+squares of one point of each pair +-p of a coset inside a disc.
 """
 
 from __future__ import annotations
@@ -293,47 +295,50 @@ def constants_to_json(lat: Lattice, lc: LatticeConstants) -> dict:
 # The lattice-sum oracles below import numpy when called, so that the theta
 # routes start without it.
 @lru_cache(maxsize=64)
-def sorted_lattice_points(
-    two_w1: complex, two_w3: complex, radius: int, offset: complex = 0j
-) -> "np.ndarray":
-    """Points of offset + lattice inside the disc |p| <= radius * min period.
+def half_lattice_squares(lat: Lattice, radius: int, k: int) -> "np.ndarray":
+    """P = p*p for one point p of each pair +-p of omega_k + lattice (k = 0
+    the lattice itself) inside the disc |p| <= radius * min period.
 
     The cutoff is symmetric in the plane metric, which is what makes the
     slowly convergent lattice tails cancel angularly; a square index-box
     cutoff leaves an O(radius^-2) bias that symmetric truncation removes.
-    Points come back sorted by increasing magnitude (exact zero dropped),
-    so partial accumulation walks outward shell by shell.
+    The disc and each coset are symmetric under p -> -p, so the oracles sum
+    over pairs in P.  With (alpha, beta) the coset's cell coordinates
+    (_HALF_CELL), p = omega_k + 2n*omega1 + 2m*omega3 is the representative
+    of its pair when (m + beta, n + alpha) > (0, 0) in lexicographic order:
+    chosen by index, since Re p is exactly 0 on some lattices and rounding
+    need not keep -p the negative of p.
     """
     import numpy as np
 
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    cut = radius * min(abs(two_w1), abs(two_w3))
+    two_w1, two_w3 = 2 * lat.omega1, 2 * lat.omega3
+    alpha, beta = _HALF_CELL[k]
+    offset = alpha * two_w1 + beta * two_w3
+    cut = radius * lat.min_period
     area = abs((two_w1.conjugate() * two_w3).imag)
     n_span = int(math.ceil((cut + abs(offset)) * abs(two_w3) / area)) + 1
     m_span = int(math.ceil((cut + abs(offset)) * abs(two_w1) / area)) + 1
     n = np.arange(-n_span, n_span + 1)
-    m = np.arange(-m_span, m_span + 1)
-    nn, mm = np.meshgrid(n, m, indexing="ij")
-    pts = (offset + nn * two_w1 + mm * two_w3).ravel()
-    mag = np.abs(pts)
-    keep = (mag > 1e-12 * cut / radius) & (mag <= cut)
-    pts = pts[keep]
-    return pts[np.argsort(np.abs(pts), kind="stable")]
+    m = np.arange(math.ceil(-beta), m_span + 1)
+    p = offset + n * two_w1 + m[:, None] * two_w3
+    keep = ((m[:, None] + beta > 0) | (n + alpha > 0)) & (np.abs(p) <= cut)
+    p = p[keep]
+    return p * p
 
 
 def eisenstein_invariants(lat: Lattice, shell_radius: int) -> tuple[complex, complex]:
-    """(g2, g3) by direct truncated lattice sums 60*sum(1/Omega^4), 140*sum(1/Omega^6).
+    """(g2, g3) by direct truncated lattice sums 60*sum(1/Omega^4), 140*sum(1/Omega^6),
+    taken over the pairs +-Omega as 120*sum(P^-2), 280*sum(P^-3) with P = Omega^2.
 
-    Truncated at |Omega| <= shell_radius * min period and accumulated
-    outward; serves as an independent oracle for `constants`, not as a
-    production path.
+    Truncated at |Omega| <= shell_radius * min period; serves as an
+    independent oracle for `constants`, not as a production path.
     """
     import numpy as np
 
-    pts = sorted_lattice_points(2 * lat.omega1, 2 * lat.omega3, shell_radius)
-    inv2 = 1.0 / (pts * pts)
-    inv4 = inv2 * inv2
-    g2 = 60.0 * complex(np.sum(inv4))
-    g3 = 140.0 * complex(np.sum(inv4 * inv2))
+    inv = 1.0 / half_lattice_squares(lat, shell_radius, 0)
+    inv2 = inv * inv
+    g2 = 120.0 * complex(np.sum(inv2))
+    g3 = 280.0 * complex(np.sum(inv2 * inv))
     return g2, g3

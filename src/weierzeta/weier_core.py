@@ -3,7 +3,8 @@
 Production evaluation reduces the argument to the centred fundamental cell,
 evaluates a short theta series there, and reapplies the quasi-periodicity
 factors analytically.  Slow lattice-sum and product oracles are provided for
-each function; they exist for verification only.
+each function; they exist for verification only, and sum each pair +-Omega of
+lattice points as one term in Omega^2 (`lattice.half_lattice_squares`).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from .lattice import (
     Located,
     check_index,
     constants,
+    half_lattice_squares,
     locate,
     nearest,
-    sorted_lattice_points,
 )
 from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _theta4
 
@@ -181,37 +182,45 @@ def wp_prime(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> Ev
 
 # ---------------------------------------------------------------------------
 # Slow oracles: direct lattice sums/products, truncated at a symmetric cutoff
-# |point| <= radius * min period.  Verification only; each imports numpy
-# when called, so that the theta routes start without it.
+# |point| <= radius * min period, each pair +-Omega folded into one term in
+# P = Omega^2 (see half_lattice_squares).  Verification only; each imports
+# numpy when called, so that the theta routes start without it.
 # ---------------------------------------------------------------------------
 
 
 def wp_lattice_sum(lat: Lattice, u: complex, radius: int = 200) -> complex:
-    """1/u^2 + sum over the lattice of 1/(u-Omega)^2 - 1/Omega^2."""
+    """1/u^2 + sum over the lattice of 1/(u-Omega)^2 - 1/Omega^2,
+    taken over the pairs as 2u^2 * sum of (3P - u^2)/(P (u^2 - P)^2)."""
     import numpy as np
 
-    pts = sorted_lattice_points(2 * lat.omega1, 2 * lat.omega3, radius)
-    terms = 1.0 / ((u - pts) ** 2) - 1.0 / (pts**2)
-    return 1.0 / (u * u) + complex(np.sum(terms))
+    big_p = half_lattice_squares(lat, radius, 0)
+    usq = u * u
+    d = usq - big_p
+    return 1.0 / usq + 2 * usq * complex(np.sum((3 * big_p - usq) / (big_p * d * d)))
 
 
 def zeta_lattice_sum(lat: Lattice, u: complex, radius: int = 200) -> complex:
     """1/u + sum over the lattice of 1/(u-Omega) + 1/Omega + u/Omega^2."""
+    return 1.0 / u + _zeta_pair_sum(lat, u, radius, 0)
+
+
+def _zeta_pair_sum(lat: Lattice, u: complex, radius: int, k: int) -> complex:
+    """Sum over omega_k + lattice, origin left out, of 1/(u-w) + 1/w + u/w^2,
+    taken over the pairs +-w as 2u^3 * sum of 1/(P (u^2 - P)) with P = w^2."""
     import numpy as np
 
-    pts = sorted_lattice_points(2 * lat.omega1, 2 * lat.omega3, radius)
-    terms = 1.0 / (u - pts) + 1.0 / pts + u / (pts**2)
-    return 1.0 / u + complex(np.sum(terms))
+    big_p = half_lattice_squares(lat, radius, k)
+    return 2 * u**3 * complex(np.sum(1.0 / (big_p * (u * u - big_p))))
 
 
 def sigma_product(lat: Lattice, u: complex, radius: int = 60) -> complex:
     """u * prod over the lattice of (1 - u/Omega) exp(u/Omega + u^2/(2 Omega^2)).
 
-    Computed as u * exp(sum of factor logs); principal logs per factor are
-    safe because the exponential removes any 2*pi*i bookkeeping.
+    Computed as u * exp(sum over the pairs of log(1 - u^2/P) + u^2/P);
+    principal logs per pair are safe because the exponential removes any
+    2*pi*i bookkeeping.
     """
     import numpy as np
 
-    pts = sorted_lattice_points(2 * lat.omega1, 2 * lat.omega3, radius)
-    logs = np.log(1.0 - u / pts) + u / pts + u * u / (2.0 * pts**2)
-    return u * cmath.exp(complex(np.sum(logs)))
+    x = (u * u) / half_lattice_squares(lat, radius, 0)
+    return u * cmath.exp(complex(np.sum(np.log(1.0 - x) + x)))

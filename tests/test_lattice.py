@@ -1,24 +1,36 @@
-"""Lattice construction, constants, and the Eisenstein-sum oracle."""
+"""Lattice construction, constants, and the lattice-sum oracles."""
 
 import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
-from weierzeta import build_lattice, constants, eisenstein_invariants
+from weierzeta import (
+    ZetaRoute,
+    aux_zeta,
+    build_lattice,
+    constants,
+    eisenstein_invariants,
+    sigma_product,
+    wp_lattice_sum,
+    zeta_aux,
+    zeta_lattice_sum,
+)
 from weierzeta.errors import ConvergencePolicyError, InvalidPeriodRatio, ZeroPeriod
 from weierzeta import lattice
 from weierzeta.lattice import (
     cell_coords,
     complement,
     constants_to_json,
+    half_lattice_squares,
     locate,
     nearest_translate,
     reduce_to_cell,
 )
 from weierzeta.verify import POLE_GUARD
-from weierzeta.weier_core import NEAR_POLE_FACTOR, zeta_lattice_sum
+from weierzeta.weier_core import NEAR_POLE_FACTOR
 from weierzeta.zeta_diff import _zone
 
 from conftest import REFERENCE_TAUS, make_lattice
@@ -219,6 +231,91 @@ def test_eisenstein_matches_theta_route(name):
     assert abs(g3s - lc.g3) <= 1e-6 * max(abs(lc.g3), scale**3)
     with pytest.raises(ValueError):
         eisenstein_invariants(lat, 0)
+
+
+def _disc_points(lat, radius, k):
+    """Every point p != 0 of omega_k + lattice (k = 0 the lattice) with
+    |p| <= radius * min period, from explicit (n, m) loops."""
+    offset = (0j, lat.omega1, lat.omega2, lat.omega3)[k]
+    w1, w3 = 2 * lat.omega1, 2 * lat.omega3
+    cut = radius * lat.min_period
+    area = abs((w1.conjugate() * w3).imag)
+    n_span = int((cut + abs(offset)) * abs(w3) / area) + 2
+    m_span = int((cut + abs(offset)) * abs(w1) / area) + 2
+    pts = []
+    for n in range(-n_span, n_span + 1):
+        for m in range(-m_span, m_span + 1):
+            p = offset + n * w1 + m * w3
+            if 0 < abs(p) <= cut:
+                pts.append(p)
+    return pts
+
+
+def _fsum(terms):
+    """Sum of complex terms, each part summed exactly rounded."""
+    terms = list(terms)
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", sorted(REFERENCE_TAUS))
+def test_half_table_holds_one_point_of_each_pair(name, k):
+    # Square and rhombic put points on the imaginary axis, where a rule on
+    # the sign of Re p would keep both p and -p or neither.
+    lat = make_lattice(name)
+    pts = np.array(_disc_points(lat, 20, k))
+    table = half_lattice_squares(lat, 20, k)
+    assert 2 * len(table) == len(pts)
+    # Match each disc point to the table entry nearest its square: every
+    # entry is met by exactly two points, and those two are p and -p.
+    sq = pts * pts
+    hit = np.abs(sq[:, None] - table[None, :]).argmin(axis=1)
+    assert np.all(np.abs(sq - table[hit]) <= 1e-13 * np.abs(sq))
+    assert np.all(np.bincount(hit, minlength=len(table)) == 2)
+    order = np.argsort(hit, kind="stable")
+    first, second = pts[order[0::2]], pts[order[1::2]]
+    assert np.all(np.abs(first + second) <= 1e-13 * np.abs(first))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TAUS))
+def test_paired_oracles_match_unpaired_sums(name, monkeypatch):
+    # Each oracle against its defining sum over every point of the disc,
+    # p and -p as separate terms.
+    lat = make_lattice(name)
+    lc = constants(lat)
+    u = 0.3 * lat.omega1 + 0.2 * lat.omega3  # in the centred cell, off every coset
+    pts = _disc_points(lat, 20, 0)
+
+    def close(got, lead, terms, tol=1e-12):
+        terms = list(terms)
+        scale = abs(lead) + sum(abs(t) for t in terms)
+        assert abs(got - (lead + _fsum(terms))) <= tol * scale
+
+    close(zeta_lattice_sum(lat, u, radius=20), 1 / u, (1 / (u - p) + 1 / p + u / p**2 for p in pts))
+    close(wp_lattice_sum(lat, u, radius=20), 1 / u**2, (1 / (u - p) ** 2 - 1 / p**2 for p in pts))
+    g2, g3 = eisenstein_invariants(lat, 20)
+    close(g2, 0, (60 / p**4 for p in pts))
+    close(g3, 0, (140 / p**6 for p in pts))
+    log_sum = _fsum(cmath.log(1 - u / p) + u / p + u * u / (2 * p * p) for p in pts)
+    sig = u * cmath.exp(log_sum)
+    assert abs(sigma_product(lat, u, radius=20) - sig) <= 1e-12 * abs(sig)
+
+    monkeypatch.setattr(aux_zeta, "PARTIALFRAC_RADIUS", 20)
+    for lam in (1, 2, 3):
+        terms = (1 / (u - p) + 1 / p + u / p**2 for p in _disc_points(lat, 20, lam))
+        close(zeta_aux(lat, lam, u, ZetaRoute.PARTIAL_FRACTION).value, -lc.e(lam) * u, terms)
+
+
+def test_oracles_refuse_radius_below_one(monkeypatch):
+    # eisenstein_invariants: see test_eisenstein_matches_theta_route.
+    lat = make_lattice("generic")
+    u = 0.3 * lat.omega1 + 0.2 * lat.omega3
+    for oracle in (wp_lattice_sum, zeta_lattice_sum, sigma_product):
+        with pytest.raises(ValueError):
+            oracle(lat, u, radius=0)
+    monkeypatch.setattr(aux_zeta, "PARTIALFRAC_RADIUS", 0)
+    with pytest.raises(ValueError):
+        zeta_aux(lat, 1, u, ZetaRoute.PARTIAL_FRACTION)
 
 
 def test_constants_json_schema():
