@@ -20,7 +20,7 @@ import enum
 import math
 
 from .errors import SeriesDivergence
-from .lattice import Lattice, Located, check_index, constants, locate
+from .lattice import Lattice, LatticeConstants, Located, check_index, constants, locate
 from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig
 from .weier_core import EvalResult, Status, _theta_zeta, _zeta_pair_sum, pole_status
 
@@ -55,32 +55,34 @@ def zeta_aux(
     p, bad = pole_status(lat, u, (lam,))
     if bad is not None:
         return bad
+    lc = constants(lat, cfg)
     if route is ZetaRoute.SHIFT:
-        return EvalResult(_shift(lat, lam, u, cfg), Status.FINITE)
+        return EvalResult(_shift(lat, lc, lam, u, cfg), Status.FINITE)
     if route is ZetaRoute.THETA:
-        return EvalResult(_theta_zeta(lat, p, cfg, HALF_PERIOD_THETA[lam])[0], Status.FINITE)
+        return EvalResult(_theta_zeta(lat, lc, p, cfg, HALF_PERIOD_THETA[lam])[0], Status.FINITE)
     if route is ZetaRoute.QSERIES:
-        return EvalResult(_qseries(lat, lam, p, cfg, qseries_form), Status.FINITE)
+        return EvalResult(_qseries(lat, lc, lam, p, cfg, qseries_form), Status.FINITE)
     if route is ZetaRoute.PARTIAL_FRACTION:
-        return EvalResult(_partialfrac(lat, lam, p, cfg), Status.FINITE)
+        return EvalResult(_partialfrac(lat, lc, lam, p), Status.FINITE)
     raise ValueError(f"unknown route {route!r}")
 
 
-def _shift(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig) -> complex:
+def _shift(lat: Lattice, lc: LatticeConstants, lam: int, u: complex, cfg: SeriesConfig) -> complex:
     """zeta(u + omega_lam) - eta_lam, for u off the omega_lam coset."""
     p = locate(lat, u + lat.half_period(lam))
-    return _theta_zeta(lat, p, cfg, 0)[0] - constants(lat, cfg).eta(lam)
+    return _theta_zeta(lat, lc, p, cfg, 0)[0] - lc.eta(lam)
 
 
-def _qseries(lat: Lattice, lam: int, p: Located, cfg: SeriesConfig, form: str) -> complex:
+def _qseries(
+    lat: Lattice, lc: LatticeConstants, lam: int, p: Located, cfg: SeriesConfig, form: str
+) -> complex:
     if form not in ("exp", "cos"):
         raise ValueError(f"qseries form must be 'exp' or 'cos', got {form!r}")
-    lc = constants(lat, cfg)
     u_red = p.u_red
     incr = 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3
     w1 = lat.omega1
     if abs((PI * u_red / w1).imag) >= 2 * PI * lat.tau.imag * QSERIES_STRIP:
-        return _shift(lat, lam, u_red, cfg) + incr
+        return _shift(lat, lc, lam, u_red, cfg) + incr
     q = lat.q
     total = lc.eta1 * u_red / w1
     if lam == 1:
@@ -125,9 +127,8 @@ def _qseries(lat: Lattice, lam: int, p: Located, cfg: SeriesConfig, form: str) -
     )
 
 
-def _partialfrac(lat: Lattice, lam: int, p: Located, cfg: SeriesConfig) -> complex:
+def _partialfrac(lat: Lattice, lc: LatticeConstants, lam: int, p: Located) -> complex:
     """-e_lam*u + sum over omega_lam + lattice of 1/(u-w) + 1/w + u/w^2 at
     u = u_red, plus the lattice increment."""
-    lc = constants(lat, cfg)
     total = -lc.e(lam) * p.u_red + _zeta_pair_sum(lat, p.u_red, PARTIALFRAC_RADIUS, lam)
     return total + 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3

@@ -20,11 +20,12 @@ from .lattice import (
     AGM_TOL,
     JacobiParams,
     Lattice,
+    LatticeConstants,
     agm_complete_integrals,
     constants,
 )
-from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import _AUX_SIGN, _sigmas, pole_status, sigma_aux
+from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig
+from .weier_core import _AUX_SIGN, _sigmas, _theta_zeta, pole_status, sigma_aux
 from .aux_zeta import zeta_aux
 from .zeta_diff import DeltaRoute, delta, delta2
 
@@ -39,7 +40,10 @@ def jacobi_params(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> JacobiPar
     negligible against the invariants (two half-period values collide and
     the moduli lose meaning).
     """
-    lc = constants(lat, cfg)
+    return _params(constants(lat, cfg))
+
+
+def _params(lc: LatticeConstants) -> JacobiParams:
     if abs(lc.disc) <= 1e-10 * max(abs(lc.g2) ** 3, 27 * abs(lc.g3) ** 2, 1e-300):
         raise DegenerateLattice(f"discriminant {lc.disc!r} is numerically zero")
     return lc.jacobi
@@ -122,14 +126,16 @@ def check_cor212(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -
 
 
 def jacobi_E_Z(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> tuple[complex, complex]:
-    """Epsilon E(scale*u) and zeta Z(scale*u), both from the third auxiliary zeta."""
+    """Epsilon E(scale*u) and zeta Z(scale*u), both from the third auxiliary
+    zeta on its theta route."""
     lc = constants(lat, cfg)
-    p = jacobi_params(lat, cfg)
-    z3 = zeta_aux(lat, 3, u, cfg=cfg)
-    if not z3.is_finite:
+    p = _params(lc)
+    pt, bad = pole_status(lat, u, (3,))
+    if bad is not None:
         raise PoleProximityError(f"u = {u!r} is at/near a pole of the third auxiliary zeta")
-    big_e = (z3.value + lc.e1 * u) / p.scale
-    big_z = (z3.value - (lc.eta1 / lat.omega1) * u) / p.scale
+    z3 = _theta_zeta(lat, lc, pt, cfg, HALF_PERIOD_THETA[3])[0]
+    big_e = (z3 + lc.e1 * u) / p.scale
+    big_z = (z3 - (lc.eta1 / lat.omega1) * u) / p.scale
     return big_e, big_z
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConvergencePolicyError, InvalidPeriodRatio, ZeroPeriod
@@ -44,15 +43,10 @@ def complement(lam: int) -> tuple[int, int]:
     return _COMPLEMENT[lam]
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(namedtuple("Lattice", "omega1 omega3 omega2 tau q")):
     """Immutable period lattice with its ratio and nome."""
 
-    omega1: complex
-    omega3: complex
-    omega2: complex
-    tau: complex
-    q: complex
+    __slots__ = ()
 
     def half_period(self, lam: int) -> complex:
         check_index(lam)
@@ -146,17 +140,8 @@ def nearest(lat: Lattice, p: Located, k: int) -> tuple[float, complex]:
 AGM_TOL = 1e-15
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Moduli, complete integrals, and the lattice they came from."""
-
-    k: complex
-    kprime: complex
-    big_k: complex
-    big_e: complex
-    scale: complex
-    lattice: Lattice
-    cfg: SeriesConfig
+JacobiParams = namedtuple("JacobiParams", "k kprime big_k big_e scale lattice cfg")
+JacobiParams.__doc__ = """Moduli, complete integrals, and the lattice they came from."""
 
 
 def agm_complete_integrals(ksq: complex, kpsq: complex) -> tuple[complex, complex]:
@@ -186,8 +171,9 @@ def agm_complete_integrals(ksq: complex, kpsq: complex) -> tuple[complex, comple
     return big_k, big_e
 
 
-@dataclass(frozen=True)
-class LatticeConstants:
+class LatticeConstants(namedtuple(
+    "LatticeConstants", "e1 e2 e3 eta1 eta2 eta3 g2 g3 disc ksq kpsq nullwerte nullwert_prime jacobi"
+)):
     """Per-lattice state: half-period values, elliptic invariants, squared
     moduli, the theta nullwerte every evaluation divides by, and the Jacobi
     parameters.
@@ -197,20 +183,7 @@ class LatticeConstants:
     the complete integrals and the scale of the Jacobi bridge.
     """
 
-    e1: complex
-    e2: complex
-    e3: complex
-    eta1: complex
-    eta2: complex
-    eta3: complex
-    g2: complex
-    g3: complex
-    disc: complex
-    ksq: complex
-    kpsq: complex
-    nullwerte: tuple[complex, complex, complex, complex]
-    nullwert_prime: complex
-    jacobi: JacobiParams
+    __slots__ = ()
 
     def e(self, lam: int) -> complex:
         return (self.e1, self.e2, self.e3)[lam - 1]

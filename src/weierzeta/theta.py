@@ -9,8 +9,9 @@ x = pi*v and q = exp(i*pi*tau):
     theta_2(v) = 1 + 2 * sum_{n>=1} (-1)^n q^(n^2) cos(2nx)
     theta_3(v) = 1 + 2 * sum_{n>=1}        q^(n^2) cos(2nx)
 
-All four are summed together in one pass (`_theta4`).  The pairing of the
-n-th and (-n)-th exponential terms (n and -n-1 for the half-integer
+All four are summed together in one pass (`_theta4`), whose length follows
+in closed form from |q|, |Im v| and the truncation policy.  The pairing of
+the n-th and (-n)-th exponential terms (n and -n-1 for the half-integer
 exponents) is kept as the sin/cos form above, so the odd series vanishes
 identically at v = 0 with no cancellation error.
 """
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NearZeroDenominator, SeriesDivergence
 
 PI = math.pi
+_LN2 = math.log(2.0)
 
 # Theta index whose zero set lies on the coset of each half-period
 # (omega_1 -> index 1, omega_2 -> index 3, omega_3 -> index 2).  This is
@@ -32,21 +34,24 @@ PI = math.pi
 HALF_PERIOD_THETA = {1: 1, 2: 3, 3: 2}
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
+class SeriesConfig(namedtuple("SeriesConfig", "abs_tol rel_tol max_terms")):
     """Truncation policy shared by every series and product in the package."""
 
-    abs_tol: float = 1e-16
-    rel_tol: float = 1e-16
-    max_terms: int = 96
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.abs_tol < 0 or self.rel_tol < 0:
+    def __new__(cls, abs_tol: float = 1e-16, rel_tol: float = 1e-16, max_terms: int = 96):
+        if abs_tol < 0 or rel_tol < 0:
             raise ValueError("tolerances must be non-negative")
-        if self.abs_tol == 0 and self.rel_tol == 0:
+        if abs_tol == 0 and rel_tol == 0:
             raise ValueError("at least one of abs_tol/rel_tol must be positive")
-        if self.max_terms < 4:
+        if max_terms < 4:
             raise ValueError("max_terms must be >= 4")
+        return super().__new__(cls, abs_tol, rel_tol, max_terms)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it validates too.
+        return cls(*iterable)
 
 
 DEFAULT_CONFIG = SeriesConfig()
@@ -76,15 +81,37 @@ def _theta4(v: complex, tau: complex, cfg: SeriesConfig, deriv: bool = False) ->
     sin or cos (the joint evaluation from shared q-powers of Johansson,
     arXiv:1806.06725).  The sines are carried directly rather than as
     differences of exponentials, so they keep full relative accuracy as
-    v -> 0, and theta_0(0) is exactly zero.  The pass stops once every
-    series has met the truncation test on two consecutive steps; the
-    derivatives ride along and never decide the stop, so both modes return
-    equal values.
+    v -> 0, and theta_0(0) is exactly zero.
+
+    Step n adds the terms of k = 2n+1 and 2n+2, and the number of steps is
+    fixed before the first; no term is tested.  With y = |Im x| and
+    a = pi*Im(tau)/4, the k-th terms are at most 2 e^(k*y - a*k^2) in
+    modulus.  The tolerance is tol = abs_tol + rel_tol*scale, where
+    scale = min(1, 2 e^(y - a)) bounds the leading terms (the even series
+    start from 1, the odd ones from 2 q^(1/4) e^(+-ix)); below y - a = -300,
+    where one step meets any tolerance, scale stays at 2 e^-300.  From
+    K = (y + R)/(2a) on, with R = sqrt(y^2 + 4a log(1 + 4/tol) + log(2)^2),
+    the bounds lie below tol/2 and at least halve from term to term, so the
+    terms from K on sum below tol.  The pass runs through the first step
+    whose terms both lie past K, so what it omits is a whole step below the
+    tolerance, under the rounding of the sums.  A count above cfg.max_terms
+    raises SeriesDivergence.  The derivatives ride along, so both modes
+    return equal values.
 
     Returns (theta_0, ..., theta_3), followed with deriv by their four
     v-derivatives.
     """
+    abs_tol, rel_tol, max_terms = cfg
     x = PI * v
+    y = abs(x.imag)
+    a = 0.25 * PI * tau.imag
+    tol = abs_tol + rel_tol * (1.0 if y >= a - _LN2 else 2.0 * math.exp(max(y - a, -300.0)))
+    k_min = (y + math.sqrt(y * y + 4.0 * a * math.log(1.0 + 4.0 / tol) + _LN2 * _LN2)) / (2.0 * a)
+    if not k_min < 2 * max_terms - 1:
+        raise SeriesDivergence(
+            f"theta pass: needs more than {max_terms} steps "
+            f"(abs_tol={abs_tol}, rel_tol={rel_tol})"
+        )
     cos_x = cmath.cos(x)
     sin_x = cmath.sin(x)
     q4 = cmath.exp(0.25j * PI * tau)
@@ -95,9 +122,7 @@ def _theta4(v: complex, tau: complex, cfg: SeriesConfig, deriv: bool = False) ->
     s = 0j
     s0 = s1 = d0 = d1 = d2 = d3 = 0j
     s2 = s3 = 1.0 + 0j
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
-    small = 0
-    for n in range(cfg.max_terms):
+    for n in range(int(0.5 * k_min + 1.5)):
         # k = 2n+1: the n-th terms of theta_0 and theta_1.
         c, s = c * rc - s * rs, s * rc + c * rs
         rc *= q2
@@ -127,21 +152,6 @@ def _theta4(v: complex, tau: complex, cfg: SeriesConfig, deriv: bool = False) ->
                 d2 += even_d
             d1 += k * s_odd
             d3 += even_d
-        if (
-            abs(s_odd) <= atol + rtol * abs(s0)
-            and abs(c_odd) <= atol + rtol * abs(s1)
-            and abs(c) <= atol + rtol * min(abs(s2), abs(s3))
-        ):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-    else:
-        raise SeriesDivergence(
-            f"theta pass: no convergence within {cfg.max_terms} terms "
-            f"(abs_tol={cfg.abs_tol}, rel_tol={cfg.rel_tol})"
-        )
     vals = (s0, s1, s2, s3)
     if not deriv:
         return vals

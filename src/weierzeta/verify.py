@@ -15,8 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .aux_zeta import ZetaRoute, zeta_aux
 from .errors import PoleProximityError, SuiteConfigError, WeierzetaError
@@ -55,18 +54,16 @@ SAMPLE_ERRORS = (WeierzetaError, ArithmeticError, ValueError)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Function:
+class Function(namedtuple("Function", "run routes needs_a", defaults=((), False))):
     """One public function as `eval`, `table` and the suite call it.
 
     run(lat, cfg, u, a, route) returns an EvalResult.  It looks the library
     function up by its module-global name when it runs, so rebinding that
     name (as bench/tracer.py does) reaches every caller of the table.
+    `routes` holds the accepted routes, the default first.
     """
 
-    run: Callable
-    routes: tuple = ()  # accepted routes, the default first
-    needs_a: bool = False
+    __slots__ = ()
 
     def route(self, name: str | None):
         """The route called name, or the default for None; ValueError if
@@ -121,24 +118,17 @@ def _functions() -> dict:
 FUNCTIONS = _functions()
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
-    """One checkable identity: side names, tolerance, loci to avoid.
+IdentitySpec = namedtuple("IdentitySpec", "name lhs rhs arity tol exclusions", defaults=(1, 1e-9, ()))
+IdentitySpec.__doc__ = """One checkable identity: side names, tolerance, loci to avoid.
 
     A side is a table function, `name` or `name:route`, or an EVALUATORS
     entry."""
 
-    name: str
-    lhs: str
-    rhs: str
-    arity: int = 1
-    tol: float = 1e-9
-    exclusions: tuple[str, ...] = ()
 
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Residual statistics of one identity over its samples.
+IdentityReport = namedtuple(
+    "IdentityReport", "name samples max_rel mean_rel failures passed error", defaults=(None,)
+)
+IdentityReport.__doc__ = """Residual statistics of one identity over its samples.
 
     When a side raised one of SAMPLE_ERRORS, the identity stopped there:
     `error` names the exception type, the point that raised is the last
@@ -147,14 +137,6 @@ class IdentityReport:
     residual that is not <= the tolerance, NaN included, is a failure;
     `report_to_json` writes a non-finite residual or statistic as null.
     """
-
-    name: str
-    samples: int
-    max_rel: float | None
-    mean_rel: float | None
-    failures: tuple
-    passed: bool
-    error: str | None = None
 
 
 class _Ctx:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NearZeroDenominator
 from .lattice import (
@@ -38,16 +38,13 @@ class Status(enum.Enum):
     NEAR_POLE = "NearPole"
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult", "value status pole", defaults=(None,))):
     """Complex value plus pole status; value is meaningful only when Finite.
 
     For NearPole/AtPole results `pole` holds the offending lattice translate.
     """
 
-    value: complex
-    status: Status
-    pole: complex | None = None
+    __slots__ = ()
 
     @property
     def is_finite(self) -> bool:
@@ -139,16 +136,17 @@ def zeta_w(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> Eval
     p, bad = pole_status(lat, u, (0,))
     if bad is not None:
         return bad
-    return EvalResult(_theta_zeta(lat, p, cfg, 0)[0], Status.FINITE)
+    return EvalResult(_theta_zeta(lat, constants(lat, cfg), p, cfg, 0)[0], Status.FINITE)
 
 
-def _theta_zeta(lat: Lattice, p: Located, cfg: SeriesConfig, *idxs: int) -> list[complex]:
+def _theta_zeta(
+    lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, *idxs: int
+) -> list[complex]:
     """eta1*u_red/omega1 + theta_idx'/theta_idx / (2*omega1) plus the lattice
     increment at p for each theta index given, all from one theta pass: zeta_w
     for idx 0, the auxiliary zeta of index lam for idx = HALF_PERIOD_THETA[lam].
     Only an exact zero of theta_idx raises: the callers guard first, and no
     bound fits every lattice (the terms of theta_0, theta_1 carry |q|^(1/4))."""
-    lc = constants(lat, cfg)
     w1 = lat.omega1
     t = _thetas(lat, p, cfg, deriv=True)
     out = []

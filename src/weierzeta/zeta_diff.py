@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import IdenticalIndices, PoleProximityError
 from .lattice import Lattice, LatticeConstants, check_index, complement, constants, locate, nearest
@@ -71,7 +71,7 @@ def delta(
         return bad
     lc = constants(lat, cfg)
     if route is DeltaRoute.ZETA_DIFF:
-        z, z_lam = _theta_zeta(lat, p, cfg, 0, HALF_PERIOD_THETA[lam])
+        z, z_lam = _theta_zeta(lat, lc, p, cfg, 0, HALF_PERIOD_THETA[lam])
         val = z_lam - z
     elif route is DeltaRoute.WP_QUOTIENT and nearest(lat, p, lam)[0] >= _zone(lc, lam):
         # Outside the zone where wp - e_lam cancels; the sigma form serves inside.
@@ -130,7 +130,7 @@ def delta2(
         return bad
     lc = constants(lat, cfg)
     if route is DeltaRoute.ZETA_DIFF:
-        z_lam, z_mu = _theta_zeta(lat, p, cfg, HALF_PERIOD_THETA[lam], HALF_PERIOD_THETA[mu])
+        z_lam, z_mu = _theta_zeta(lat, lc, p, cfg, HALF_PERIOD_THETA[lam], HALF_PERIOD_THETA[mu])
         val = z_lam - z_mu
     elif route is DeltaRoute.THETA_QUOTIENT:
         # The theta image of the sigma form, negated for lam < mu: there
@@ -190,16 +190,8 @@ def delta2_prime(
     return EvalResult(val, Status.FINITE)
 
 
-@dataclass(frozen=True)
-class DeltaConstants:
-    """Lattice constants recovered from pointwise zeta-difference values."""
-
-    e1: complex
-    e2: complex
-    e3: complex
-    g2: complex
-    g3: complex
-    disc: complex
+DeltaConstants = namedtuple("DeltaConstants", "e1 e2 e3 g2 g3 disc")
+DeltaConstants.__doc__ = """Lattice constants recovered from pointwise zeta-difference values."""
 
 
 def constants_from_deltas(

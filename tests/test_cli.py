@@ -288,6 +288,11 @@ def loads_numpy(modules) -> bool:
     return any(m == "numpy" or m.startswith("numpy.") for m in modules)
 
 
+# The records are named tuples: start-up builds no dataclass, whose module
+# pulls in inspect and execs generated methods for each class.
+DATACLASS_IMPORTS = {"dataclasses", "inspect"}
+
+
 GRID = ["--re=0:0.5:3", "--im=0.1:0.5:3"]
 
 
@@ -308,12 +313,14 @@ def test_commands_start_without_numpy(argv):
     assert rc == 0 and out
     assert "weierzeta.verify" in modules
     assert not loads_numpy(modules)
+    assert not DATACLASS_IMPORTS & modules
 
 
 def test_package_import_without_numpy():
     rc, _, modules = run_fresh("-c", "import weierzeta")
     assert rc == 0 and "weierzeta" in modules
     assert not loads_numpy(modules)
+    assert not DATACLASS_IMPORTS & modules
 
 
 def test_partialfrac_verify_loads_numpy():

@@ -76,9 +76,8 @@ def test_degenerate_lattice_rejected():
     from weierzeta.jacobi import jacobi_params as jp
     import weierzeta.jacobi as jac
     import weierzeta.lattice as latmod
-    from dataclasses import replace
 
-    broken = replace(lc, disc=0j)
+    broken = lc._replace(disc=0j)
     original = latmod.constants
     try:
         jac.constants = lambda *a, **k: broken

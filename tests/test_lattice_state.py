@@ -1,7 +1,8 @@
 """Per-lattice state: one `constants` entry per lattice, which also holds
 the Jacobi parameters; once it is warm, no call recomputes the nullwerte or
 the complete integrals, each multi-theta quotient runs one theta pass per
-point, and each public call guards its point once."""
+point, and each public call guards its point and looks its constants up
+once.  The records are immutable values."""
 
 import random
 import sys
@@ -10,15 +11,22 @@ import pytest
 
 from weierzeta import (
     DeltaRoute,
+    SeriesConfig,
     ZetaRoute,
     agm_complete_integrals,
     build_lattice,
     constants,
+    constants_from_deltas,
+    default_suite,
     delta,
     delta2,
     delta2_prime,
     delta_prime,
+    jacobi_E_Z,
     jacobi_params,
+    run_suite,
+    sigma,
+    sigma_aux,
     sn_cn_dn,
     wp,
     wp_prime,
@@ -27,6 +35,7 @@ from weierzeta import (
 )
 from weierzeta import aux_zeta, lattice, theta, weier_core
 from weierzeta.theta import DEFAULT_CONFIG
+from weierzeta.verify import FUNCTIONS
 
 from conftest import guarded_points, make_lattice
 
@@ -137,6 +146,76 @@ def test_one_guard_per_public_call(monkeypatch, warm_lattice):
     assert len(coords) - before[1] == 2
 
 
+def test_one_constants_lookup_per_public_call(warm_lattice):
+    lat, pts = warm_lattice
+    params = jacobi_params(lat)
+    calls = {
+        "sigma": lambda u: sigma(lat, u),
+        "sigma_aux": lambda u: sigma_aux(lat, 2, u),
+        "zeta_w": lambda u: zeta_w(lat, u),
+        "wp": lambda u: wp(lat, u),
+        "wp_prime": lambda u: wp_prime(lat, u),
+        "delta_prime": lambda u: delta_prime(lat, 2, u),
+        "delta2_prime": lambda u: delta2_prime(lat, 1, 2, u),
+        "constants_from_deltas": lambda u: constants_from_deltas(lat, u),
+        "jacobi_params": lambda u: jacobi_params(lat),
+        "sn_cn_dn": lambda u: sn_cn_dn(params, params.scale * u),
+        "jacobi_E_Z": lambda u: jacobi_E_Z(lat, u),
+    }
+    for r in ZetaRoute:
+        calls[f"zeta_aux_{r.value}"] = lambda u, r=r: zeta_aux(lat, 3, u, r)
+    for r in DeltaRoute:
+        calls[f"delta_{r.value}"] = lambda u, r=r: delta(lat, 1, u, r)
+        calls[f"delta2_{r.value}"] = lambda u, r=r: delta2(lat, 2, 3, u, r)
+    # Past QSERIES_STRIP the q-series route takes the shift form.
+    strip_edge = 0.4 * lat.omega1 + 0.96 * lat.omega3
+    calls["zeta_aux_qseries_fallback"] = lambda u: zeta_aux(lat, 1, strip_edge, ZetaRoute.QSERIES)
+    for name, fn in calls.items():
+        for u in pts:
+            before = constants.cache_info()
+            fn(u)
+            after = constants.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (1, 0), name
+
+
+def _records() -> dict:
+    lat = make_lattice("generic")
+    lc = constants(lat)
+    spec = default_suite()[0]
+    return {
+        "Lattice": lat,
+        "LatticeConstants": lc,
+        "JacobiParams": lc.jacobi,
+        "SeriesConfig": SeriesConfig(abs_tol=1e-15),
+        "EvalResult": wp(lat, 0.21 + 0.13j),
+        "DeltaConstants": constants_from_deltas(lat, 0.21 + 0.13j),
+        "Function": FUNCTIONS["zeta2"],
+        "IdentitySpec": spec,
+        "IdentityReport": run_suite(lat, [spec], n=1)[0],
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "Lattice", "LatticeConstants", "JacobiParams", "SeriesConfig", "EvalResult",
+        "DeltaConstants", "Function", "IdentitySpec", "IdentityReport",
+    ],
+)
+def test_records_are_immutable_values(name):
+    rec = _records()[name]
+    assert type(rec).__name__ == name
+    for field in rec._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, getattr(rec, field))
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    copy = type(rec)(*rec)
+    assert copy is not rec
+    assert copy == rec and hash(copy) == hash(rec)
+    assert {rec: 1}[copy] == 1
+
+
 def test_delta2_theta_route_needs_no_zeta_aux(monkeypatch):
     lat = build_lattice(0.5, 0.5 * (0.17 + 1.37j))  # new to the constants cache
     aux = _count_calls(monkeypatch, aux_zeta.zeta_aux)
@@ -150,6 +229,7 @@ def test_constants_one_entry_however_cfg_is_passed():
     first = constants(lat)
     assert constants(lat, DEFAULT_CONFIG) is first
     assert constants(lat, cfg=DEFAULT_CONFIG) is first
+    assert constants(lat, SeriesConfig()) is first
 
 
 def test_constants_of_lattice_serve_library_calls(monkeypatch):

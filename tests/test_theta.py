@@ -1,13 +1,16 @@
 """Theta series against brute-force partial sums and classical identities."""
 
 import cmath
+import functools
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weierzeta import SeriesConfig, theta_dlog, theta_eval, theta_nullwerte
+from weierzeta import DEFAULT_CONFIG, SeriesConfig, theta_dlog, theta_eval, theta_nullwerte
 from weierzeta.errors import NearZeroDenominator, SeriesDivergence
 from weierzeta import theta
 from weierzeta.theta import theta_deriv
@@ -41,6 +44,81 @@ def theta_brute(idx: int, v: complex, tau: complex, n_max: int = 200, deriv: boo
             term *= (-1) ** n
         total += 1j * PI * k * term if deriv else term
     return -1j * total if idx == 0 else total
+
+
+@functools.lru_cache(maxsize=None)
+def theta_brute_mp(v: complex, tau: complex) -> tuple:
+    """The defining sums of theta_brute at 30 digits, for all four series and
+    their v-derivatives at once: (theta_0..3, theta_0'..3'), and for each the
+    rounding scale of the pass, the sum over its terms of (|k| + 1)|term|
+    (term k comes out of |k| rotations)."""
+    mpmath = pytest.importorskip("mpmath")
+    a, y = PI * tau.imag / 4, PI * abs(v.imag)
+    k_max = int((y + math.sqrt(y * y + 300 * a)) / (2 * a)) + 2  # |terms| < e^-75 beyond
+    with mpmath.workdps(30):
+        v_mp, tau_mp = mpmath.mpc(v), mpmath.mpc(tau)
+        sums = [mpmath.mpc(0)] * 8
+        scales = [0.0] * 8
+        for k in range(-k_max, k_max + 1):
+            term = mpmath.exp(1j * mpmath.pi * (tau_mp * k * k / 4 + k * v_mp))
+            n = (k - 1) // 2 if k % 2 else k // 2
+            for idx in ((0, 1) if k % 2 else (2, 3)):
+                t = -term if idx in (0, 2) and n % 2 else term
+                d = 1j * mpmath.pi * k * t
+                sums[idx] += t
+                sums[4 + idx] += d
+                scales[idx] += (abs(k) + 1) * float(abs(t))
+                scales[4 + idx] += (abs(k) + 1) * float(abs(d))
+        sums[0] *= -1j
+        sums[4] *= -1j
+        return tuple(complex(x) for x in sums), tuple(scales)
+
+
+# |q| from 8.1e-5 (tau = 0.1+3i) to 0.9.
+ACCURACY_TAUS = TAUS + STRIP_TAUS + (1j * (-math.log(0.9) / PI),)
+ACCURACY_CONFIGS = (
+    DEFAULT_CONFIG,
+    SeriesConfig(abs_tol=0.0, rel_tol=1e-15),
+    SeriesConfig(abs_tol=1e-15, rel_tol=0.0),
+)
+
+
+def assert_within_tolerance(got, ref, scale, cfg, what):
+    """Truncation within cfg's tolerance, on top of the pass's rounding: a
+    few roundings per rotation, 8 eps * scale."""
+    bound = cfg.abs_tol + cfg.rel_tol * abs(ref) + 8 * sys.float_info.epsilon * scale
+    assert abs(got - ref) <= bound, what
+
+
+@pytest.mark.parametrize("cfg", ACCURACY_CONFIGS, ids=["default", "rel-only", "abs-only"])
+@pytest.mark.parametrize("tau", ACCURACY_TAUS)
+def test_pass_within_tolerance_of_brute_force(tau, cfg):
+    # Reduced arguments, on the edges |Im v| = Im(tau)/2 (where the terms
+    # are largest) and inside.
+    for v in [a + b * tau for a in (0.0, 0.3, -0.5) for b in (0.5, -0.5)] + [0.0, 0.17 - 0.05 * tau]:
+        got = theta._theta4(v, tau, cfg, deriv=True)
+        refs, scales = theta_brute_mp(v, tau)
+        for i in range(8):
+            assert_within_tolerance(got[i], refs[i], scales[i], cfg, (v, i))
+    # Unreduced arguments through the public one-index calls.
+    for v in (0.3 + 1.7 * tau, -2.2 + 0.4 * tau, 0.8 - 1.3 * tau):
+        refs, scales = theta_brute_mp(v, tau)
+        for idx in range(4):
+            assert_within_tolerance(theta_eval(idx, v, tau, cfg), refs[idx], scales[idx], cfg, (v, idx))
+            assert_within_tolerance(
+                theta_deriv(idx, v, tau, cfg), refs[4 + idx], scales[4 + idx], cfg, (v, 4 + idx)
+            )
+
+
+@pytest.mark.parametrize("tau", TAUS + STRIP_TAUS[:1])
+def test_pass_omits_only_what_rounding_hides(tau):
+    # The pass runs one step past the tolerance, so running it longer
+    # changes no bit of any value or derivative on the reference lattices.
+    longer = SeriesConfig(abs_tol=1e-40, rel_tol=1e-40)
+    rng = random.Random(7)
+    for _ in range(200):
+        v = rng.uniform(-0.5, 0.5) + rng.uniform(-0.5, 0.5) * tau
+        assert theta._theta4(v, tau, DEFAULT_CONFIG, True) == theta._theta4(v, tau, longer, True), v
 
 
 def test_odd_series_vanishes_exactly_at_zero():
@@ -158,6 +236,9 @@ def test_config_validation():
         SeriesConfig(abs_tol=0.0, rel_tol=0.0)
     with pytest.raises(ValueError):
         SeriesConfig(max_terms=3)
+    with pytest.raises(ValueError):
+        DEFAULT_CONFIG._replace(abs_tol=0.0, rel_tol=0.0)
+    assert DEFAULT_CONFIG._replace(max_terms=64) == SeriesConfig(max_terms=64)
     with pytest.raises(ValueError):
         theta_eval(5, 0.0, 1j)
     with pytest.raises(ValueError):
