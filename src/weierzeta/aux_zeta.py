@@ -21,7 +21,7 @@ import math
 
 from .errors import SeriesDivergence
 from .lattice import Lattice, LatticeConstants, Located, check_index, constants, locate
-from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig
+from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import EvalResult, Status, _theta_zeta, _zeta_pair_sum, pole_status
 
 PI = math.pi
@@ -59,7 +59,7 @@ def zeta_aux(
     if route is ZetaRoute.SHIFT:
         return EvalResult(_shift(lat, lc, lam, u, cfg), Status.FINITE)
     if route is ZetaRoute.THETA:
-        return EvalResult(_theta_zeta(lat, lc, p, cfg, HALF_PERIOD_THETA[lam])[0], Status.FINITE)
+        return EvalResult(_theta_zeta(lat, lc, p, cfg, lam)[0], Status.FINITE)
     if route is ZetaRoute.QSERIES:
         return EvalResult(_qseries(lat, lc, lam, p, cfg, qseries_form), Status.FINITE)
     if route is ZetaRoute.PARTIAL_FRACTION:

@@ -24,7 +24,7 @@ from .lattice import (
     agm_complete_integrals,
     constants,
 )
-from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig
+from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import _AUX_SIGN, _sigmas, _theta_zeta, pole_status, sigma_aux
 from .aux_zeta import zeta_aux
 from .zeta_diff import DeltaRoute, delta, delta2
@@ -133,7 +133,7 @@ def jacobi_E_Z(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> 
     pt, bad = pole_status(lat, u, (3,))
     if bad is not None:
         raise PoleProximityError(f"u = {u!r} is at/near a pole of the third auxiliary zeta")
-    z3 = _theta_zeta(lat, lc, pt, cfg, HALF_PERIOD_THETA[3])[0]
+    z3 = _theta_zeta(lat, lc, pt, cfg, 3)[0]
     big_e = (z3 + lc.e1 * u) / p.scale
     big_z = (z3 - (lc.eta1 / lat.omega1) * u) / p.scale
     return big_e, big_z

@@ -27,6 +27,12 @@ PI = math.pi
 # Largest nome |q| build_lattice accepts.
 Q_MAX = 0.9
 
+# Theta index of the lattice (0) and of each half-period coset omega_1,
+# omega_2, omega_3: the one place where half-period labels meet theta
+# indices.  The nullwerte and every theta pass (weier_core._thetas) are held
+# in this order, so entry k of either belongs to omega_k + lattice.
+HALF_PERIOD_ORDER = (0, HALF_PERIOD_THETA[1], HALF_PERIOD_THETA[2], HALF_PERIOD_THETA[3])
+
 # Cyclic complementary pair for each half-period index.
 _COMPLEMENT = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
@@ -178,8 +184,9 @@ class LatticeConstants(namedtuple(
     moduli, the theta nullwerte every evaluation divides by, and the Jacobi
     parameters.
 
-    `nullwerte[idx]` is theta_idx(0) for idx 0..3 (exactly 0 for the odd
-    index), `nullwert_prime` is theta_0'(0), and `jacobi` holds the moduli,
+    `nullwerte[k]` is theta(0) for the theta that vanishes on omega_k +
+    lattice, k = 1, 2, 3 (HALF_PERIOD_ORDER), and `nullwerte[0]` is the odd
+    theta's, exactly 0; `nullwert_prime` is the odd theta's derivative at 0, and `jacobi` holds the moduli,
     the complete integrals and the scale of the Jacobi bridge.
     """
 
@@ -214,12 +221,12 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
     eta1*omega3 - eta3*omega1 = i*pi/2, and eta2 = -eta1 - eta3.
     """
     t1, t2, t3, tp, tppp = theta_nullwerte(lat.tau, cfg)
-    nw = (0j, t1, t2, t3)
+    nw = tuple((0j, t1, t2, t3)[i] for i in HALF_PERIOD_ORDER)
     w1 = lat.omega1
     c = (PI / (2 * w1)) ** 2
-    d12 = c * nw[HALF_PERIOD_THETA[3]] ** 4
-    d13 = c * nw[HALF_PERIOD_THETA[2]] ** 4
-    d23 = c * nw[HALF_PERIOD_THETA[1]] ** 4
+    d12 = c * nw[3] ** 4
+    d13 = c * nw[2] ** 4
+    d23 = c * nw[1] ** 4
     e1 = (d12 + d13) / 3
     e2 = (-d12 + d23) / 3
     e3 = (-d13 - d23) / 3

@@ -21,7 +21,7 @@ from .aux_zeta import ZetaRoute, zeta_aux
 from .errors import PoleProximityError, SuiteConfigError, WeierzetaError
 from .jacobi import jacobi_E_Z, jacobi_E_Z_Pi, jacobi_params, sn_cn_dn
 from .lattice import Lattice, complement, constants, locate, nearest
-from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig
+from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import EvalResult, Status, _thetas, sigma, sigma_aux, wp, wp_prime, zeta_w
 from .zeta_diff import DeltaRoute, delta, delta2, delta_prime, delta2_prime
 
@@ -265,18 +265,17 @@ def _register_all() -> None:
 
     def delta_eq7(c, u):
         t = _thetas(c.lat, locate(c.lat, u), c.cfg, deriv=True)
-        idx = HALF_PERIOD_THETA[1]
-        return (t[4 + idx] / t[idx] - t[4] / t[0]) / (2 * c.lat.omega1)
+        return (t[5] / t[1] - t[4] / t[0]) / (2 * c.lat.omega1)
 
     _ev("delta_l1_eq7")(delta_eq7)
 
     def delta_eq8s(c, u):
         # Simplified theta-product form for lam = 2 (mu, nu = 3, 1), sign
         # fixed by the -1/u origin limit.
-        il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (2, *complement(2)))
+        mu, nu = complement(2)
         t = _thetas(c.lat, locate(c.lat, u), c.cfg)
-        t0 = c.lc.nullwerte[il]
-        return -(PI / (2 * c.lat.omega1)) * t0**2 * t[im_] * t[in_] / (t[il] * t[0])
+        t0 = c.lc.nullwerte[2]
+        return -(PI / (2 * c.lat.omega1)) * t0**2 * t[mu] * t[nu] / (t[2] * t[0])
 
     _ev("delta_l2_eq8s")(delta_eq8s)
 
@@ -356,7 +355,7 @@ def _register_all() -> None:
     for lam, mu, nu in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
         _ev(f"const_e{lam}{mu}_nullwerte")(
             lambda c, u, k=nu: (PI / (2 * c.lat.omega1)) ** 2
-            * c.lc.nullwerte[HALF_PERIOD_THETA[k]] ** 4
+            * c.lc.nullwerte[k] ** 4
         )
     _ev("eq18_prod_12")(lambda c, u: c("delta12", u, "zetadiff") * c("delta3", u, "zetadiff"))
     _ev("eq18_prod_13")(lambda c, u: -c("delta31", u, "zetadiff") * c("delta2", u, "zetadiff"))

@@ -13,9 +13,11 @@ import cmath
 import enum
 import math
 from collections import namedtuple
+from operator import itemgetter
 
 from .errors import NearZeroDenominator
 from .lattice import (
+    HALF_PERIOD_ORDER,
     Lattice,
     LatticeConstants,
     Located,
@@ -25,7 +27,7 @@ from .lattice import (
     locate,
     nearest,
 )
-from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _theta4
+from .theta import DEFAULT_CONFIG, SeriesConfig, _theta4
 
 NEAR_POLE_FACTOR = 1e-8
 
@@ -76,9 +78,6 @@ def _quasi_factor(lat: Lattice, lc: LatticeConstants, u_red: complex, n: int, m:
     return sign * cmath.exp(eta * (u_red + omega / 2))
 
 
-# Theta index of each auxiliary sigma, in half-period order 1, 2, 3.
-_AUX_THETA = tuple(HALF_PERIOD_THETA[lam] for lam in (1, 2, 3))
-
 _AUX_SIGN = {
     1: lambda n, m: -1.0 if m % 2 else 1.0,
     2: lambda n, m: -1.0 if (n + m) % 2 else 1.0,
@@ -86,9 +85,17 @@ _AUX_SIGN = {
 }
 
 
+_IN_HALF_PERIOD_ORDER = (
+    itemgetter(*HALF_PERIOD_ORDER),
+    itemgetter(*HALF_PERIOD_ORDER, *(4 + i for i in HALF_PERIOD_ORDER)),
+)
+
+
 def _thetas(lat: Lattice, p: Located, cfg: SeriesConfig, deriv: bool = False) -> tuple:
-    """The one theta pass of every kernel: _theta4 at v = u_red/(2*omega1)."""
-    return _theta4(p.u_red / (2 * lat.omega1), lat.tau, cfg, deriv)
+    """The one theta pass of every kernel, _theta4 at v = u_red/(2*omega1),
+    in half-period order: entry k vanishes on omega_k + lattice (k = 0 the
+    lattice, the odd theta), and with deriv its v-derivative sits at 4 + k."""
+    return _IN_HALF_PERIOD_ORDER[deriv](_theta4(p.u_red / (2 * lat.omega1), lat.tau, cfg, deriv))
 
 
 def _sigmas(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> tuple:
@@ -98,12 +105,11 @@ def _sigmas(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -
     gauss = cmath.exp(lc.eta1 * p.u_red * p.u_red / (2 * w1))
     t = _thetas(lat, p, cfg)
     nw = lc.nullwerte
-    i1, i2, i3 = _AUX_THETA
     return (
         (2 * w1 / lc.nullwert_prime) * gauss * t[0],
-        gauss * t[i1] / nw[i1],
-        gauss * t[i2] / nw[i2],
-        gauss * t[i3] / nw[i3],
+        gauss * t[1] / nw[1],
+        gauss * t[2] / nw[2],
+        gauss * t[3] / nw[3],
     )
 
 
@@ -140,20 +146,21 @@ def zeta_w(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> Eval
 
 
 def _theta_zeta(
-    lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, *idxs: int
+    lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, *ks: int
 ) -> list[complex]:
-    """eta1*u_red/omega1 + theta_idx'/theta_idx / (2*omega1) plus the lattice
-    increment at p for each theta index given, all from one theta pass: zeta_w
-    for idx 0, the auxiliary zeta of index lam for idx = HALF_PERIOD_THETA[lam].
-    Only an exact zero of theta_idx raises: the callers guard first, and no
-    bound fits every lattice (the terms of theta_0, theta_1 carry |q|^(1/4))."""
+    """eta1*u_red/omega1 + theta_k'/theta_k / (2*omega1) plus the lattice
+    increment at p for each half-period index k given (0 for the lattice),
+    all from one theta pass: zeta_w for k = 0, the auxiliary zeta of index k
+    otherwise.  Only an exact zero of theta_k raises: the callers guard
+    first, and no bound fits every lattice (the terms of the odd theta and of
+    theta_1 carry |q|^(1/4))."""
     w1 = lat.omega1
     t = _thetas(lat, p, cfg, deriv=True)
     out = []
-    for idx in idxs:
-        if t[idx] == 0:
-            raise NearZeroDenominator(f"theta_{idx} is zero at u = {p.u!r}")
-        val = lc.eta1 * p.u_red / w1 + t[4 + idx] / t[idx] / (2 * w1)
+    for k in ks:
+        if t[k] == 0:
+            raise NearZeroDenominator(f"the theta of coset {k} is zero at u = {p.u!r}")
+        val = lc.eta1 * p.u_red / w1 + t[4 + k] / t[k] / (2 * w1)
         out.append(val + 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3)
     return out
 

@@ -30,7 +30,7 @@ from collections import namedtuple
 
 from .errors import IdenticalIndices, PoleProximityError
 from .lattice import Lattice, LatticeConstants, check_index, complement, constants, locate, nearest
-from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig
+from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import NEAR_POLE_FACTOR, EvalResult, Status, _sigmas, _theta_zeta, _thetas
 from .weier_core import _wp_pair, pole_status
 
@@ -71,7 +71,7 @@ def delta(
         return bad
     lc = constants(lat, cfg)
     if route is DeltaRoute.ZETA_DIFF:
-        z, z_lam = _theta_zeta(lat, lc, p, cfg, 0, HALF_PERIOD_THETA[lam])
+        z, z_lam = _theta_zeta(lat, lc, p, cfg, 0, lam)
         val = z_lam - z
     elif route is DeltaRoute.WP_QUOTIENT and nearest(lat, p, lam)[0] >= _zone(lc, lam):
         # Outside the zone where wp - e_lam cancels; the sigma form serves inside.
@@ -82,10 +82,10 @@ def delta(
     elif route is DeltaRoute.THETA_QUOTIENT:
         # A nullwerte constant times a quotient of four thetas; the minus sign
         # is fixed by the -1/u behaviour at the origin.
-        il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (lam, *complement(lam)))
+        mu, nu = complement(lam)
         nw, t = lc.nullwerte, _thetas(lat, p, cfg)
-        const = -nw[il] * lc.nullwert_prime / (2 * lat.omega1 * nw[im_] * nw[in_])
-        val = const * t[im_] * t[in_] / (t[il] * t[0])
+        const = -nw[lam] * lc.nullwert_prime / (2 * lat.omega1 * nw[mu] * nw[nu])
+        val = const * t[mu] * t[nu] / (t[lam] * t[0])
     else:
         raise ValueError(f"unknown route {route!r}")
     return EvalResult(val, Status.FINITE)
@@ -130,16 +130,15 @@ def delta2(
         return bad
     lc = constants(lat, cfg)
     if route is DeltaRoute.ZETA_DIFF:
-        z_lam, z_mu = _theta_zeta(lat, lc, p, cfg, HALF_PERIOD_THETA[lam], HALF_PERIOD_THETA[mu])
+        z_lam, z_mu = _theta_zeta(lat, lc, p, cfg, lam, mu)
         val = z_lam - z_mu
     elif route is DeltaRoute.THETA_QUOTIENT:
         # The theta image of the sigma form, negated for lam < mu: there
         # e_lam - e_mu = (pi/2 omega1)^2 theta_nu(0)^4 (how `constants` builds
         # the e's), and Jacobi's theta'(0) = pi theta_1(0) theta_2(0) theta_3(0)
         # carries the sigma form over to this one.
-        il, im_, in_ = (HALF_PERIOD_THETA[i] for i in (lam, mu, nu))
         t = _thetas(lat, p, cfg)
-        val = (PI / (2 * lat.omega1)) * lc.nullwerte[in_] ** 2 * t[in_] * t[0] / (t[il] * t[im_])
+        val = (PI / (2 * lat.omega1)) * lc.nullwerte[nu] ** 2 * t[nu] * t[0] / (t[lam] * t[mu])
         val = -val if lam < mu else val
     elif (
         # The wp form has removable 0/0 points at its zeros: at u = 0, refused
