@@ -25,7 +25,7 @@ from .lattice import (
     constants,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import _AUX_SIGN, _sigmas, _theta_zeta, pole_status, sigma_aux
+from .weier_core import _sigmas, _theta_zeta, _translate_sign, pole_status, sigma_aux
 from .aux_zeta import zeta_aux
 from .zeta_diff import DeltaRoute, delta, delta2
 
@@ -62,15 +62,11 @@ def sn_cn_dn(p: JacobiParams, x: complex) -> tuple[complex, complex, complex]:
         raise PoleProximityError(
             f"Jacobi argument {x!r} sits at a shared sn/cn/dn pole (u near {bad.pole!r})"
         )
-    # The quasi-periodicity factor common to all four sigmas cancels; only
-    # the auxiliary signs of the translate remain.
+    # The Gaussian and quasi-period factors common to all four sigmas cancel;
+    # only the auxiliary signs of the translate remain.
     s0, s1, s2, s3 = _sigmas(lat, constants(lat, cfg), pt, cfg)
-    s3 *= _AUX_SIGN[3](pt.n, pt.m)
-    return (
-        p.scale * s0 / s3,
-        s1 * _AUX_SIGN[1](pt.n, pt.m) / s3,
-        s2 * _AUX_SIGN[2](pt.n, pt.m) / s3,
-    )
+    s3 *= _translate_sign(pt, 3)
+    return p.scale * s0 / s3, s1 * _translate_sign(pt, 1) / s3, s2 * _translate_sign(pt, 2) / s3
 
 
 def check_thm211(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> list[float]:

@@ -17,6 +17,7 @@ from operator import itemgetter
 
 from .errors import NearZeroDenominator
 from .lattice import (
+    _HALF_CELL,
     HALF_PERIOD_ORDER,
     Lattice,
     LatticeConstants,
@@ -68,21 +69,13 @@ def pole_status(lat: Lattice, u: complex, cosets) -> tuple[Located, EvalResult |
     return p, None
 
 
-def _quasi_factor(lat: Lattice, lc: LatticeConstants, u_red: complex, n: int, m: int) -> complex:
-    """sigma(u_red + Omega)/sigma(u_red) for Omega = 2n*w1 + 2m*w3."""
-    if n == 0 and m == 0:
-        return 1.0 + 0j
-    omega = 2 * n * lat.omega1 + 2 * m * lat.omega3
-    eta = 2 * n * lc.eta1 + 2 * m * lc.eta3
-    sign = -1.0 if (n + m + n * m) % 2 else 1.0
-    return sign * cmath.exp(eta * (u_red + omega / 2))
-
-
-_AUX_SIGN = {
-    1: lambda n, m: -1.0 if m % 2 else 1.0,
-    2: lambda n, m: -1.0 if (n + m) % 2 else 1.0,
-    3: lambda n, m: -1.0 if n % 2 else 1.0,
-}
+def _translate_sign(p: Located, k: int) -> float:
+    """The sign by which sigma_k's quasi-periodicity at the translate (n, m)
+    of p differs from sigma's (1 for k = 0): exp(eta_Omega*omega_k -
+    eta_k*Omega) = exp(2*pi*i*(n*b - m*a)) by the Legendre relation, with
+    (a, b) the cell coordinates of omega_k."""
+    a, b = _HALF_CELL[k]
+    return -1.0 if (p.n * b - p.m * a) % 1 else 1.0
 
 
 _IN_HALF_PERIOD_ORDER = (
@@ -100,17 +93,14 @@ def _thetas(lat: Lattice, p: Located, cfg: SeriesConfig, deriv: bool = False) ->
 
 def _sigmas(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> tuple:
     """(sigma, sigma_1, sigma_2, sigma_3) at the reduced argument of p, from
-    one theta pass; the auxiliary sigmas divide by the nullwerte held in lc."""
-    w1 = lat.omega1
-    gauss = cmath.exp(lc.eta1 * p.u_red * p.u_red / (2 * w1))
+    one theta pass, each without the Gaussian factor exp(eta1*u_red^2/(2*omega1))
+    the four share: 2*omega1*theta(v)/theta'(0) and theta_k(v)/theta_k(0).
+    Every quotient of degree 0 in them cancels that factor, and only `sigma`
+    and `sigma_aux`, which return a sigma itself, apply it; on tall or skewed
+    cells it underflows before anything else does."""
     t = _thetas(lat, p, cfg)
     nw = lc.nullwerte
-    return (
-        (2 * w1 / lc.nullwert_prime) * gauss * t[0],
-        gauss * t[1] / nw[1],
-        gauss * t[2] / nw[2],
-        gauss * t[3] / nw[3],
-    )
+    return (2 * lat.omega1 / lc.nullwert_prime) * t[0], t[1] / nw[1], t[2] / nw[2], t[3] / nw[3]
 
 
 def _wp_pair(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> tuple:
@@ -122,19 +112,28 @@ def _wp_pair(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) 
 
 def sigma(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Entire sigma function; exact zeros on the lattice."""
-    lc = constants(lat, cfg)
-    p = locate(lat, u)
-    return _sigmas(lat, lc, p, cfg)[0] * _quasi_factor(lat, lc, p.u_red, p.n, p.m)
+    return _sigma(lat, 0, u, cfg)
 
 
 def sigma_aux(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Auxiliary sigma for half-period index lam, normalised to 1 at u = 0."""
     check_index(lam)
-    sign = _AUX_SIGN[lam]
+    return _sigma(lat, lam, u, cfg)
+
+
+def _sigma(lat: Lattice, k: int, u: complex, cfg: SeriesConfig) -> complex:
+    """sigma (k = 0) or sigma_k at u: the reduced value from `_sigmas` times
+    the Gaussian factor, then, for u = u_red + Omega with Omega = 2n*omega1 +
+    2m*omega3, times sigma's quasi-period factor
+    (-1)^(n+m+nm) exp(eta_Omega*(u_red + Omega/2)) and the translate's sign."""
     lc = constants(lat, cfg)
     p = locate(lat, u)
-    base = _sigmas(lat, lc, p, cfg)[lam]
-    return base * _quasi_factor(lat, lc, p.u_red, p.n, p.m) * sign(p.n, p.m)
+    n, m = p.n, p.m
+    val = _sigmas(lat, lc, p, cfg)[k] * cmath.exp(lc.eta1 * p.u_red * p.u_red / (2 * lat.omega1))
+    if n or m:
+        eta = 2 * n * lc.eta1 + 2 * m * lc.eta3
+        val *= cmath.exp(eta * (p.u_red + n * lat.omega1 + m * lat.omega3))
+    return val * _translate_sign(p, k) * (-1.0 if (n + m + n * m) % 2 else 1.0)
 
 
 def zeta_w(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
