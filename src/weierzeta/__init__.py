@@ -58,8 +58,6 @@ from .zeta_diff import (
 from .jacobi import (
     JacobiParams,
     agm_complete_integrals,
-    check_cor212,
-    check_thm211,
     jacobi_E_Z,
     jacobi_E_Z_Pi,
     jacobi_params,

@@ -27,7 +27,6 @@ from .lattice import (
 from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import _sigmas, _theta_zeta, _translate_sign, pole_status, sigma_aux
 from .aux_zeta import zeta_aux
-from .zeta_diff import DeltaRoute, delta, delta2
 
 PI = math.pi
 
@@ -69,61 +68,16 @@ def sn_cn_dn(p: JacobiParams, x: complex) -> tuple[complex, complex, complex]:
     return p.scale * s0 / s3, s1 * _translate_sign(pt, 1) / s3, s2 * _translate_sign(pt, 2) / s3
 
 
-def check_thm211(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> list[float]:
-    """Residuals of the six transformation rows linking delta products and
-    quotients to ns, ds, cs, sn(K - x), dn, nc.
-
-    The left sides combine wp-route delta values under principal square
-    roots, so the row residuals are meaningful where the principal branch
-    matches the sigma-quotient convention: rectangular lattices with real
-    arguments.  The suite's thm211_squared_* identities check the
-    square-root-free rows on arbitrary lattices.
-    """
-    p = jacobi_params(lat, cfg)
-    x = p.scale * u
-    s, c, d = sn_cn_dn(p, x)
-    dv = {lam: delta(lat, lam, u, DeltaRoute.WP_QUOTIENT, cfg).value for lam in (1, 2, 3)}
-    sK, _, _ = sn_cn_dn(p, p.big_k - x)
-    rows = [
-        (cmath.sqrt(dv[1] * dv[2]), p.scale / s),
-        (cmath.sqrt(dv[1] * dv[3]), p.scale * d / s),
-        (cmath.sqrt(dv[2] * dv[3]), p.scale * c / s),
-        (cmath.sqrt(dv[2] / dv[1]), sK),
-        (cmath.sqrt(dv[3] / dv[2]), d),
-        (cmath.sqrt(dv[1] / dv[3]), 1.0 / c),
-    ]
-    return [abs(lhs - rhs) for lhs, rhs in rows]
-
-
-def check_cor212(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> list[float]:
-    """Residuals of the three delta-to-Jacobi rows.
-
-    Each entry is the max of |delta_lam - (e_mu - e_nu)/delta2_{mu,nu}| and
-    |delta_lam - jacobi member|.  The Jacobi members carry a minus sign
-    relative to their naive quotient form: delta_lam behaves as -1/u at the
-    origin while dn/(sn*cn), cn/(dn*sn), cn*dn/sn all behave as +1/x, so the
-    sigma-quotient branch convention forces the sign.
-    """
-    p = jacobi_params(lat, cfg)
-    lc = constants(lat, cfg)
-    x = p.scale * u
-    s, c, d = sn_cn_dn(p, x)
-    dv = {lam: delta(lat, lam, u, DeltaRoute.ZETA_DIFF, cfg).value for lam in (1, 2, 3)}
-    d2 = {
-        pair: delta2(lat, pair[0], pair[1], u, DeltaRoute.WP_QUOTIENT, cfg).value
-        for pair in ((2, 3), (1, 3), (1, 2))
-    }
-    rows = [
-        (dv[1], (lc.e2 - lc.e3) / d2[(2, 3)], -p.scale * d / (s * c)),
-        (dv[2], (lc.e1 - lc.e3) / d2[(1, 3)], -p.scale * c / (d * s)),
-        (dv[3], (lc.e1 - lc.e2) / d2[(1, 2)], -p.scale * c * d / s),
-    ]
-    return [max(abs(a - b), abs(a - c_)) for a, b, c_ in rows]
-
-
 def jacobi_E_Z(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> tuple[complex, complex]:
-    """Epsilon E(scale*u) and zeta Z(scale*u), both from the third auxiliary
-    zeta on its theta route."""
+    """Epsilon E(x) and zeta Z(x) = E(x) - (E/K)*x at x = scale*u.
+
+    E(x) = (zeta_3(u) + e1*u)/scale, from the third auxiliary zeta on its
+    theta route, and Z takes the record's complete integrals `big_k` and
+    `big_e`, the principal K(k) and E(k) of DLMF 22.16.  The paper's form
+    Z = (zeta_3(u) - eta1*u/omega1)/scale is the same function only where
+    scale*omega1 = K, as on the reference lattices; on other bases of a
+    lattice the two differ by a multiple of x.
+    """
     lc = constants(lat, cfg)
     p = _params(lc)
     pt, bad = pole_status(lat, u, (3,))
@@ -131,8 +85,7 @@ def jacobi_E_Z(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> 
         raise PoleProximityError(f"u = {u!r} is at/near a pole of the third auxiliary zeta")
     z3 = _theta_zeta(lat, lc, pt, cfg, 3)[0]
     big_e = (z3 + lc.e1 * u) / p.scale
-    big_z = (z3 - (lc.eta1 / lat.omega1) * u) / p.scale
-    return big_e, big_z
+    return big_e, big_e - (p.big_e / p.big_k) * (p.scale * u)
 
 
 def jacobi_E_Z_Pi(

@@ -178,22 +178,33 @@ def agm_complete_integrals(ksq: complex, kpsq: complex) -> tuple[complex, comple
 
 
 class LatticeConstants(namedtuple(
-    "LatticeConstants", "e1 e2 e3 eta1 eta2 eta3 g2 g3 disc ksq kpsq nullwerte nullwert_prime jacobi"
+    "LatticeConstants",
+    "e1 e2 e3 ediffs eta1 eta2 eta3 g2 g3 disc ksq kpsq nullwerte nullwert_prime jacobi",
 )):
-    """Per-lattice state: half-period values, elliptic invariants, squared
-    moduli, the theta nullwerte every evaluation divides by, and the Jacobi
-    parameters.
+    """Per-lattice state: half-period values and their differences, elliptic
+    invariants, squared moduli, the theta nullwerte every evaluation divides
+    by, and the Jacobi parameters.
 
-    `nullwerte[k]` is theta(0) for the theta that vanishes on omega_k +
-    lattice, k = 1, 2, 3 (HALF_PERIOD_ORDER), and `nullwerte[0]` is the odd
-    theta's, exactly 0; `nullwert_prime` is the odd theta's derivative at 0, and `jacobi` holds the moduli,
-    the complete integrals and the scale of the Jacobi bridge.
+    `nullwerte` is in half-period order (HALF_PERIOD_ORDER): `nullwerte[k]`
+    is theta(0) of the theta that vanishes on omega_k + lattice, and
+    `nullwerte[0]`, the odd theta's, is exactly 0.  `nullwert_prime` is the
+    odd theta's derivative at 0.  `ediffs` holds (e2 - e3, e1 - e3, e1 - e2)
+    as the nullwerte give them; read them through `ediff`, never as a
+    difference of the rounded e's, which cancels on tall lattices.  `jacobi`
+    holds the moduli, the complete integrals and the scale of the Jacobi
+    bridge.
     """
 
     __slots__ = ()
 
     def e(self, lam: int) -> complex:
         return (self.e1, self.e2, self.e3)[lam - 1]
+
+    def ediff(self, lam: int, mu: int) -> complex:
+        """e_lam - e_mu for distinct indices: (pi/(2*omega1))^2 nullwerte[nu]^4
+        for lam < mu, nu the third index, and its negative for lam > mu."""
+        d = self.ediffs[5 - lam - mu]
+        return d if lam < mu else -d
 
     def eta(self, lam: int) -> complex:
         return (self.eta1, self.eta2, self.eta3)[lam - 1]
@@ -215,7 +226,8 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
     """The half-period differences d_lam_mu = e_lam - e_mu come from the
     nullwerte fourth powers (DLMF 23.6(i)), and the discriminant and the
     squared moduli straight from them, so no difference of rounded e's
-    enters: disc = 16 (d12 d13 d23)^2, k^2 = d23/d13, k'^2 = d12/d13.  Each
+    enters: disc = 16 (d12 d13 d23)^2, k^2 = d23/d13, k'^2 = d12/d13; the
+    record keeps the d's for every formula that needs one (`ediff`).  Each
     individual e comes from 3*e_lam = (e_lam - e_mu) + (e_lam - e_nu); eta1
     from the third-derivative nullwert, eta3 from the Legendre relation
     eta1*omega3 - eta3*omega1 = i*pi/2, and eta2 = -eta1 - eta3.
@@ -241,7 +253,7 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
         scale=cmath.sqrt(e1 - e3), lattice=lat, cfg=cfg,
     )
     return LatticeConstants(
-        e1=e1, e2=e2, e3=e3, eta1=eta1, eta2=eta2, eta3=eta3,
+        e1=e1, e2=e2, e3=e3, ediffs=(d23, d13, d12), eta1=eta1, eta2=eta2, eta3=eta3,
         g2=-4 * (e1 * e2 + e2 * e3 + e3 * e1), g3=4 * e1 * e2 * e3,
         disc=16 * (d12 * d13 * d23) ** 2, ksq=ksq, kpsq=kpsq,
         nullwerte=nw, nullwert_prime=tp, jacobi=jacobi,

@@ -1,8 +1,12 @@
 """Weierstrass sigma, zeta, and p-functions via the theta route.
 
-Production evaluation reduces the argument to the centred fundamental cell,
-evaluates a short theta series there, and reapplies the quasi-periodicity
-factors analytically.  Slow lattice-sum and product oracles are provided for
+Production evaluation reduces the argument to the centred fundamental cell
+and runs one theta pass there, held in half-period order (`_thetas`: entry
+k vanishes on omega_k + lattice).  The four sigmas at the reduced point
+(`_sigmas`) leave out the Gaussian factor they share, which every quotient
+of degree 0 cancels; only `sigma` and `sigma_aux` apply it, with the
+quasi-periodicity factor and the sign of the translate, in one body.
+Slow lattice-sum and product oracles are provided for
 each function; they exist for verification only, and sum each pair +-Omega of
 lattice points as one term in Omega^2 (`lattice.half_lattice_squares`).
 """

@@ -18,7 +18,9 @@ its theta image, negated for lam < mu, on the theta route, and
 2 (e_lam - e_mu)(wp - e_nu) / wp' on the wp route away from its removable
 0/0 points.  The derivatives are closed forms in the same sigmas (see
 `delta_prime`, `delta2_prime`), and the pointwise values of the differences
-recover every lattice constant.
+recover every lattice constant.  Every e_lam - e_mu these forms take is the
+record's `ediff`, built from the nullwerte: on tall lattices e2 - e3 is of
+order |q|*e1, and a difference of the rounded e's loses it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def _zone(lc: LatticeConstants, k: int) -> float:
     that against bench/reference.py; the zone ends where ten times it is 1e-9.
     """
     i, j = complement(k)
-    a = abs((lc.e(k) - lc.e(i)) * (lc.e(k) - lc.e(j)))
+    a = abs(lc.ediff(k, i) * lc.ediff(k, j))
     e = max(abs(lc.e1), abs(lc.e2), abs(lc.e3))
     return math.sqrt(10 * sys.float_info.epsilon * e / (1e-9 * a)) if a else math.inf
 
@@ -112,7 +114,7 @@ def delta_prime(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_
     s = _sigmas(lat, lc, p, cfg)
     ratio = s[lam] / s[0]
     r = ratio * ratio
-    return EvalResult(r - (lc.e(lam) - lc.e(mu)) * (lc.e(lam) - lc.e(nu)) / r, Status.FINITE)
+    return EvalResult(r - lc.ediff(lam, mu) * lc.ediff(lam, nu) / r, Status.FINITE)
 
 
 def delta2(
@@ -149,10 +151,10 @@ def delta2(
         and nearest(lat, p, nu)[0] >= _zone(lc, nu)
     ):
         wp_, wpp = _wp_pair(lat, lc, p, cfg)
-        val = 2 * (lc.e(lam) - lc.e(mu)) * (wp_ - lc.e(nu)) / wpp
+        val = 2 * lc.ediff(lam, mu) * (wp_ - lc.e(nu)) / wpp
     elif route is DeltaRoute.WP_QUOTIENT or route is DeltaRoute.SIGMA_QUOTIENT:
         s = _sigmas(lat, lc, p, cfg)
-        val = (lc.e(mu) - lc.e(lam)) * s[nu] * s[0] / (s[lam] * s[mu])
+        val = lc.ediff(mu, lam) * s[nu] * s[0] / (s[lam] * s[mu])
     else:
         raise ValueError(f"unknown route {route!r}")
     return EvalResult(val, Status.FINITE)
@@ -183,9 +185,10 @@ def delta2_prime(
         return bad
     lc = constants(lat, cfg)
     s = _sigmas(lat, lc, p, cfg)
-    el, em, en = lc.e(lam), lc.e(mu), lc.e(nu)
     inv_m, inv_l = s[0] / s[mu], s[0] / s[lam]
-    val = (em - el) * (1 + (em - en) * inv_m * inv_m + (el - en) * inv_l * inv_l)
+    val = lc.ediff(mu, lam) * (
+        1 + lc.ediff(mu, nu) * inv_m * inv_m + lc.ediff(lam, nu) * inv_l * inv_l
+    )
     return EvalResult(val, Status.FINITE)
 
 

@@ -1,8 +1,9 @@
-"""Shared fixtures: reference lattices, guarded sampling, and the mpmath
-reference values."""
+"""Shared fixtures: reference lattices, guarded sampling, the mpmath
+reference values, and the row checks of Theorem 2.11 and Corollary 2.12."""
 
 from __future__ import annotations
 
+import cmath
 import fnmatch
 import importlib.util
 import random
@@ -10,9 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from weierzeta import build_lattice, default_suite
-from weierzeta.lattice import nearest_translate
-from weierzeta.theta import DEFAULT_CONFIG
+from weierzeta import (
+    DeltaRoute,
+    build_lattice,
+    constants,
+    default_suite,
+    delta,
+    delta2,
+    jacobi_params,
+    sn_cn_dn,
+)
+from weierzeta.lattice import Lattice, nearest_translate
+from weierzeta.theta import DEFAULT_CONFIG, SeriesConfig
 from weierzeta.verify import _Ctx, _residual, _side
 
 REFERENCE_TAUS = {
@@ -79,3 +89,55 @@ def suite_residuals(lat, pattern: str, pts) -> list[float]:
     specs = [s for s in default_suite() if fnmatch.fnmatch(s.name, pattern)]
     assert specs, pattern
     return [_residual(ctx, _side(s, s.lhs), _side(s, s.rhs), pts) for s in specs]
+
+
+def check_thm211(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> list[float]:
+    """Residuals of the six transformation rows linking delta products and
+    quotients to ns, ds, cs, sn(K - x), dn, nc.
+
+    The left sides combine wp-route delta values under principal square
+    roots, so the row residuals are meaningful where the principal branch
+    matches the sigma-quotient convention: rectangular lattices with real
+    arguments.  The suite's thm211_squared_* identities check the
+    square-root-free rows on arbitrary lattices.
+    """
+    p = jacobi_params(lat, cfg)
+    x = p.scale * u
+    s, c, d = sn_cn_dn(p, x)
+    dv = {lam: delta(lat, lam, u, DeltaRoute.WP_QUOTIENT, cfg).value for lam in (1, 2, 3)}
+    sK, _, _ = sn_cn_dn(p, p.big_k - x)
+    rows = [
+        (cmath.sqrt(dv[1] * dv[2]), p.scale / s),
+        (cmath.sqrt(dv[1] * dv[3]), p.scale * d / s),
+        (cmath.sqrt(dv[2] * dv[3]), p.scale * c / s),
+        (cmath.sqrt(dv[2] / dv[1]), sK),
+        (cmath.sqrt(dv[3] / dv[2]), d),
+        (cmath.sqrt(dv[1] / dv[3]), 1.0 / c),
+    ]
+    return [abs(lhs - rhs) for lhs, rhs in rows]
+
+
+def check_cor212(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> list[float]:
+    """Residuals of the three delta-to-Jacobi rows.
+
+    Each entry is the max of |delta_lam - (e_mu - e_nu)/delta2_{mu,nu}| and
+    |delta_lam - jacobi member|.  The Jacobi members carry a minus sign
+    relative to their naive quotient form: delta_lam behaves as -1/u at the
+    origin while dn/(sn*cn), cn/(dn*sn), cn*dn/sn all behave as +1/x, so the
+    sigma-quotient branch convention forces the sign.
+    """
+    p = jacobi_params(lat, cfg)
+    lc = constants(lat, cfg)
+    x = p.scale * u
+    s, c, d = sn_cn_dn(p, x)
+    dv = {lam: delta(lat, lam, u, DeltaRoute.ZETA_DIFF, cfg).value for lam in (1, 2, 3)}
+    d2 = {
+        pair: delta2(lat, pair[0], pair[1], u, DeltaRoute.WP_QUOTIENT, cfg).value
+        for pair in ((2, 3), (1, 3), (1, 2))
+    }
+    rows = [
+        (dv[1], (lc.e2 - lc.e3) / d2[(2, 3)], -p.scale * d / (s * c)),
+        (dv[2], (lc.e1 - lc.e3) / d2[(1, 3)], -p.scale * c / (d * s)),
+        (dv[3], (lc.e1 - lc.e2) / d2[(1, 2)], -p.scale * c * d / s),
+    ]
+    return [max(abs(a - b), abs(a - c_)) for a, b, c_ in rows]

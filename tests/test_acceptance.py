@@ -11,8 +11,6 @@ from contextlib import redirect_stdout
 
 from weierzeta import (
     ZetaRoute,
-    check_cor212,
-    check_thm211,
     constants,
     constants_from_deltas,
     delta,
@@ -29,7 +27,15 @@ from weierzeta import (
 )
 from weierzeta.cli import main as cli_main
 
-from conftest import RECTANGULAR, REFERENCE_TAUS, guarded_points, make_lattice, suite_residuals
+from conftest import (
+    RECTANGULAR,
+    REFERENCE_TAUS,
+    check_cor212,
+    check_thm211,
+    guarded_points,
+    make_lattice,
+    suite_residuals,
+)
 
 ALL_LATTICES = sorted(REFERENCE_TAUS)
 

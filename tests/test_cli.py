@@ -336,7 +336,7 @@ def test_partialfrac_verify_loads_numpy():
     "fn, expected",
     [
         ("E", "[0.5624881177155968, 0.1634063758353278]"),
-        ("Z", "[0.059844216027091425, 0.09242521307899973]"),
+        ("Z", "[0.05984421602709167, 0.09242521307899978]"),
     ],
 )
 def test_E_and_Z_do_not_compute_Pi(monkeypatch, fn, expected):

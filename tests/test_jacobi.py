@@ -10,8 +10,6 @@ from weierzeta import (
     agm_complete_integrals,
     delta,
     delta2,
-    check_cor212,
-    check_thm211,
     constants,
     jacobi_E_Z_Pi,
     jacobi_params,
@@ -19,7 +17,15 @@ from weierzeta import (
 )
 from weierzeta.errors import BranchAmbiguity, DegenerateLattice, PoleProximityError
 
-from conftest import RECTANGULAR, REFERENCE_TAUS, guarded_points, make_lattice, suite_residuals
+from conftest import (
+    RECTANGULAR,
+    REFERENCE_TAUS,
+    check_cor212,
+    check_thm211,
+    guarded_points,
+    make_lattice,
+    suite_residuals,
+)
 
 PI = math.pi
 

@@ -4,7 +4,19 @@ import json
 
 import pytest
 
-from weierzeta import DeltaRoute, ZetaRoute, build_lattice, constants, delta, delta2, zeta_aux, zeta_w
+from weierzeta import (
+    DeltaRoute,
+    ZetaRoute,
+    build_lattice,
+    constants,
+    delta,
+    delta2,
+    delta2_prime,
+    jacobi_E_Z,
+    wp_prime,
+    zeta_aux,
+    zeta_w,
+)
 
 from conftest import REFERENCE_TAUS
 from test_cli import run_cli
@@ -27,9 +39,17 @@ TALL = [40, 60]
 POINTS = [0.13 + 0.21j, -0.37 + 0.06j, 0.21 - 1.3j]
 
 
-def _check(reference, ref, got, expected):
+def _check(reference, ref, got, expected, weight=1):
     assert got.is_finite
-    assert reference.rel_error(got.value, expected, ref.unit) <= 1e-9
+    assert reference.rel_error(got.value, expected, ref.unit**weight) <= 1e-9
+
+
+def _wp_prime(reference, ref, u):
+    """wp'(u) from the reference's odd theta and its first three derivatives."""
+    z = ref.c * u
+    t = [reference.mp.jtheta(1, z, ref.q, k) for k in range(4)]
+    d1, d2, d3 = t[1] / t[0], t[2] / t[0], t[3] / t[0]
+    return -ref.c**3 * (d3 - 3 * d2 * d1 + 2 * d1**3)
 
 
 @pytest.mark.parametrize("height", TALL)
@@ -81,3 +101,47 @@ def test_wp_forms_next_to_their_cancellation(reference, eps):
             for w in (step, 1e-3 * step):
                 got = delta2(lat, lam, mu, w, DeltaRoute.WP_QUOTIENT)
                 assert reference.rel_error(got.value, ref.delta2(lam, mu, w), 1e-300) <= 1e-9
+
+
+def test_sigma_quotients_deep_in_a_very_tall_cell(reference):
+    # exp(eta1*u^2/(2*omega1)) underflows to 0 here; the quotients must not
+    # form it (they raised ZeroDivisionError when every sigma carried it).
+    lat = build_lattice(0.5, 20j)
+    ref = reference.LatticeRef(0.5, 20j)
+    u = 0.21 + 16j
+    _check(reference, ref, wp_prime(lat, u), _wp_prime(reference, ref, u), weight=3)
+    _check(reference, ref, delta2(lat, 1, 2, u), ref.delta2(1, 2, u))
+    _check(reference, ref, delta(lat, 3, u), ref.zeta_aux(3, u) - ref.zeta(u))
+
+
+@pytest.mark.parametrize("height", [8, 16])
+def test_e_differences_that_cancel(reference, height):
+    # e2 - e3 is of order |q| e1 here: taken as a difference of rounded e's
+    # it made Delta_{2,3} 5.5e-7 off at 8i and 100% off at 16i.
+    lat = build_lattice(0.5, 0.5j * height)
+    ref = reference.LatticeRef(0.5, 0.5j * height)
+    for u in POINTS:
+        want = ref.delta2(2, 3, u)
+        for route in (DeltaRoute.WP_QUOTIENT, DeltaRoute.SIGMA_QUOTIENT):
+            got = delta2(lat, 2, 3, u, route)
+            assert got.is_finite
+            assert reference.rel_error(got.value, want, 1e-300) <= 1e-9, route
+        got = delta2_prime(lat, 2, 3, u)
+        want = ref.wp(u + ref.w3) - ref.wp(u + ref.w2)
+        assert got.is_finite
+        assert reference.rel_error(got.value, want, 1e-300) <= 1e-9
+
+
+def test_Z_in_another_basis(reference):
+    # The ST image of the generic lattice, omega1' = omega1 + omega3 and
+    # omega3' = -omega1: scale*omega1' is not K there, and Z by the paper's
+    # zeta_3 form was 0.14 to 1.9 off.
+    w1, w3 = 0.5, 0.5 * REFERENCE_TAUS["generic"]
+    lat = build_lattice(w1 + w3, -w1)
+    ref = reference.LatticeRef(w1 + w3, -w1)
+    for a, b in ((0.23, 0.31), (-0.41, 0.12), (0.37, -0.28)):
+        u = 2 * a * lat.omega1 + 2 * b * lat.omega3
+        big_e, big_z = jacobi_E_Z(lat, u)
+        want_e, want_z = ref.jacobi_E_Z(u)
+        assert reference.rel_error(big_e, want_e, 1) <= 1e-12
+        assert reference.rel_error(big_z, want_z, 1) <= 1e-12

@@ -70,6 +70,33 @@ def test_sigma_aux_shift_route_agreement(lam):
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 
+# Sign of sigma_k(u + Omega) / (exp(eta_Omega*(u + Omega/2)) sigma_k(u)) for
+# Omega = 2n*omega1 + 2m*omega3, eta_Omega = 2n*eta1 + 2m*eta3: k = 0 is sigma.
+QUASI_SIGN = {
+    0: lambda n, m: (-1) ** (n + m + n * m),
+    1: lambda n, m: (-1) ** (n + n * m),
+    2: lambda n, m: (-1) ** (n * m),
+    3: lambda n, m: (-1) ** (m + n * m),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TAUS))
+def test_sigma_quasi_periodic_under_every_translate(name):
+    # Every sign parity of (n, m), for sigma and the three auxiliary sigmas.
+    lat = make_lattice(name)
+    lc = constants(lat)
+    w1, w3 = lat.omega1, lat.omega3
+    for u in (0.23 * w1 + 0.31 * w3, -0.41 * w1 + 0.12 * w3):
+        for n in range(-2, 3):
+            for m in range(-2, 3):
+                omega = 2 * n * w1 + 2 * m * w3
+                factor = cmath.exp((2 * n * lc.eta1 + 2 * m * lc.eta3) * (u + omega / 2))
+                for k, sign in QUASI_SIGN.items():
+                    f = sigma if k == 0 else lambda lat, v, k=k: sigma_aux(lat, k, v)
+                    want = sign(n, m) * factor * f(lat, u)
+                    assert abs(f(lat, u + omega) - want) <= 1e-12 * abs(want), (k, n, m)
+
+
 def test_zeta_odd_and_quasi_periodic():
     lat = make_lattice("generic")
     lc = constants(lat)
