@@ -30,7 +30,8 @@ _LN2 = math.log(2.0)
 # Theta index whose zero set lies on the coset of each half-period
 # (omega_1 -> index 1, omega_2 -> index 3, omega_3 -> index 2).  This is
 # what makes the auxiliary sigma/zeta formulas hold; it is fixed by the
-# zero loci of the four series above.
+# zero loci of the four series above.  lattice.HALF_PERIOD_ORDER turns it
+# into the order every theta pass of the kernels and the nullwerte are held in.
 HALF_PERIOD_THETA = {1: 1, 2: 3, 3: 2}
 
 

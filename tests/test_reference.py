@@ -117,19 +117,22 @@ def test_sigma_quotients_deep_in_a_very_tall_cell(reference):
 @pytest.mark.parametrize("height", [8, 16])
 def test_e_differences_that_cancel(reference, height):
     # e2 - e3 is of order |q| e1 here: taken as a difference of rounded e's
-    # it made Delta_{2,3} 5.5e-7 off at 8i and 100% off at 16i.
+    # it made Delta_{2,3} 5.5e-7 off at 8i and 100% off at 16i.  The
+    # reference runs at 60 digits: at 30 its own zeta_2 - zeta_3 is 5.8e-10
+    # off at 16i.
     lat = build_lattice(0.5, 0.5j * height)
-    ref = reference.LatticeRef(0.5, 0.5j * height)
-    for u in POINTS:
-        want = ref.delta2(2, 3, u)
-        for route in (DeltaRoute.WP_QUOTIENT, DeltaRoute.SIGMA_QUOTIENT):
-            got = delta2(lat, 2, 3, u, route)
+    with reference.mp.workdps(60):
+        ref = reference.LatticeRef(0.5, 0.5j * height)
+        for u in POINTS:
+            want = ref.delta2(2, 3, u)
+            for route in (DeltaRoute.WP_QUOTIENT, DeltaRoute.SIGMA_QUOTIENT):
+                got = delta2(lat, 2, 3, u, route)
+                assert got.is_finite
+                assert reference.rel_error(got.value, want, 1e-300) <= 1e-9, route
+            got = delta2_prime(lat, 2, 3, u)
+            want = ref.wp(u + ref.w3) - ref.wp(u + ref.w2)
             assert got.is_finite
-            assert reference.rel_error(got.value, want, 1e-300) <= 1e-9, route
-        got = delta2_prime(lat, 2, 3, u)
-        want = ref.wp(u + ref.w3) - ref.wp(u + ref.w2)
-        assert got.is_finite
-        assert reference.rel_error(got.value, want, 1e-300) <= 1e-9
+            assert reference.rel_error(got.value, want, 1e-300) <= 1e-9
 
 
 def test_Z_in_another_basis(reference):
