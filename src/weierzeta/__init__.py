@@ -12,6 +12,7 @@ from .errors import (
     PoleProximityError,
     SeriesDivergence,
     SuiteConfigError,
+    ValueOverflow,
     WeierzetaError,
     ZeroPeriod,
 )

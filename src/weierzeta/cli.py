@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import fnmatch
-import os
 import sys
 
 from .errors import BranchAmbiguity, PoleProximityError, WeierzetaError
@@ -39,16 +38,6 @@ def parse_complex(text: str, lat=None) -> complex:
     raise ValueError(f"cannot parse complex literal {text!r}")
 
 
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    return float(raw) if raw else fallback
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else fallback
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega1", default="0.5,0", help="first half-period as 're,im' (default 0.5,0)")
     p.add_argument("--omega3", default=None, help="third half-period as 're,im'")
@@ -56,10 +45,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--tau", default=None,
         help="period ratio shorthand; omega3 = tau*omega1 (default lattice: tau = 0.3,1.1)",
     )
-    p.add_argument("--abs-tol", type=float, default=_env_float("WEIERZETA_ABS_TOL", 1e-16))
-    p.add_argument("--rel-tol", type=float, default=_env_float("WEIERZETA_REL_TOL", 1e-16))
-    p.add_argument("--max-terms", type=int, default=_env_int("WEIERZETA_MAX_TERMS", 96))
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--abs-tol", type=float, default=1e-16)
+    p.add_argument("--rel-tol", type=float, default=1e-16)
+    p.add_argument("--max-terms", type=int, default=96)
 
 
 def _build(args):
@@ -77,51 +65,46 @@ def _build(args):
     return lat, cfg
 
 
-def _emit_eval(res: EvalResult, fmt: str, out) -> None:
-    finite = res.status is Status.FINITE
-    if fmt == "json":
-        payload = {
-            "value": [res.value.real, res.value.imag] if finite else None,
-            "status": res.status.value,
-        }
-        out.write(json.dumps(payload) + "\n")
-    else:
-        out.write("re_value,im_value,status\n")
-        if finite:
-            out.write(f"{res.value.real!r},{res.value.imag!r},{res.status.value}\n")
-        else:
-            out.write(f",,{res.status.value}\n")
+def _value_json(r: EvalResult) -> dict:
+    """The JSON fields of a result: value [re, im], null unless Finite, and status."""
+    finite = r.status is Status.FINITE
+    return {"value": [r.value.real, r.value.imag] if finite else None, "status": r.status.value}
 
 
-def _lookup(command: str, args, err):
+def _value_csv(r: EvalResult) -> str:
+    """The CSV fields of a result, "re,im,status", the value empty unless Finite."""
+    if r.status is Status.FINITE:
+        return f"{r.value.real!r},{r.value.imag!r},{r.status.value}"
+    return f",,{r.status.value}"
+
+
+def _lookup(command: str, args):
     """(table entry, route) for --fn, --route and --a, checked before any
     point is evaluated; None after a usage message."""
     fn = FUNCTIONS.get(args.fn)
     if fn is None:
         see = "--list-fns" if command == "eval" else "eval --list-fns"
-        err.write(f"{command}: unknown function {args.fn!r}; see {see}\n")
+        sys.stderr.write(f"{command}: unknown function {args.fn!r}; see {see}\n")
         return None
     if fn.needs_a and args.a is None:
-        err.write(f"{command}: function {args.fn!r} needs --a\n")
+        sys.stderr.write(f"{command}: function {args.fn!r} needs --a\n")
         return None
     try:
         return fn, fn.route(args.route)
     except ValueError:
-        err.write(f"{command}: route {args.route!r} not valid for {args.fn!r}\n")
+        sys.stderr.write(f"{command}: route {args.route!r} not valid for {args.fn!r}\n")
         return None
 
 
-def cmd_eval(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_eval(args) -> int:
     if args.list_fns:
         for name in sorted(FUNCTIONS):
-            out.write(name + "\n")
+            sys.stdout.write(name + "\n")
         return 0
     if not args.fn or args.u is None:
-        err.write("eval: --fn and --u are required\n")
+        sys.stderr.write("eval: --fn and --u are required\n")
         return 2
-    found = _lookup("eval", args, err)
+    found = _lookup("eval", args)
     if found is None:
         return 2
     fn, route = found
@@ -131,9 +114,12 @@ def cmd_eval(args, out=None, err=None) -> int:
     try:
         res = fn.run(lat, cfg, u, a, route)
     except (PoleProximityError, BranchAmbiguity) as exc:
-        err.write(f"eval: {exc}\n")
+        sys.stderr.write(f"eval: {exc}\n")
         return 3
-    _emit_eval(res, args.format, out)
+    if args.format == "csv":
+        sys.stdout.write(f"re_value,im_value,status\n{_value_csv(res)}\n")
+    else:
+        sys.stdout.write(json.dumps(_value_json(res)) + "\n")
     return 0 if res.status is Status.FINITE else 3
 
 
@@ -150,10 +136,8 @@ def _parse_axis(spec: str):
     return [start + k * step for k in range(count)]
 
 
-def cmd_table(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
-    found = _lookup("table", args, err)
+def cmd_table(args) -> int:
+    found = _lookup("table", args)
     if found is None:
         return 2
     fn, route = found
@@ -162,7 +146,7 @@ def cmd_table(args, out=None, err=None) -> int:
         res = _parse_axis(args.re)
         ims = _parse_axis(args.im)
     except ValueError as exc:
-        err.write(f"table: {exc}\n")
+        sys.stderr.write(f"table: {exc}\n")
         return 2
     a = parse_complex(args.a, lat) if args.a is not None else None
     rows = []
@@ -175,46 +159,32 @@ def cmd_table(args, out=None, err=None) -> int:
                 r = EvalResult(complex("nan"), Status.AT_POLE)
             rows.append((u, r))
     if args.format == "csv":
-        out.write("re_u,im_u,re_value,im_value,status\n")
+        sys.stdout.write("re_u,im_u,re_value,im_value,status\n")
         for u, r in rows:
-            if r.status is Status.FINITE:
-                out.write(f"{u.real!r},{u.imag!r},{r.value.real!r},{r.value.imag!r},{r.status.value}\n")
-            else:
-                out.write(f"{u.real!r},{u.imag!r},,,{r.status.value}\n")
+            sys.stdout.write(f"{u.real!r},{u.imag!r},{_value_csv(r)}\n")
     else:
-        payload = []
-        for u, r in rows:
-            finite = r.status is Status.FINITE
-            payload.append({
-                "u": [u.real, u.imag],
-                "value": [r.value.real, r.value.imag] if finite else None,
-                "status": r.status.value,
-            })
-        out.write(json.dumps(payload) + "\n")
+        payload = [{"u": [u.real, u.imag], **_value_json(r)} for u, r in rows]
+        sys.stdout.write(json.dumps(payload) + "\n")
     return 0
 
 
-def cmd_constants(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_constants(args) -> int:
     lat, cfg = _build(args)
     payload = constants_to_json(lat, constants(lat, cfg))
-    out.write(json.dumps(payload) + "\n")
+    sys.stdout.write(json.dumps(payload) + "\n")
     return 0
 
 
-def cmd_verify(args, out=None, err=None) -> int:
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
+def cmd_verify(args) -> int:
     lat, cfg = _build(args)
     suite = default_suite()
     if args.only:
         suite = tuple(s for s in suite if fnmatch.fnmatch(s.name, args.only))
         if not suite:
-            err.write(f"verify: no identity matches {args.only!r}\n")
+            sys.stderr.write(f"verify: no identity matches {args.only!r}\n")
             return 2
     reports = run_suite(lat, suite, n=args.n, seed=args.seed, cfg=cfg)
-    out.write(json.dumps(reports_to_json(reports), allow_nan=False) + "\n")
+    sys.stdout.write(json.dumps(reports_to_json(reports), allow_nan=False) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -250,6 +220,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=12345)
     p_ver.add_argument("--only", default=None, help="glob filter on identity names")
 
+    for p in (p_eval, p_table):
+        p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 

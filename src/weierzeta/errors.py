@@ -22,7 +22,7 @@ class SeriesDivergence(WeierzetaError):
 
 
 class NearZeroDenominator(WeierzetaError):
-    """A log-derivative denominator fell below the guard threshold."""
+    """A log-derivative denominator is exactly zero."""
 
 
 class IdenticalIndices(WeierzetaError):
@@ -35,6 +35,10 @@ class DegenerateLattice(WeierzetaError):
 
 class PoleProximityError(WeierzetaError):
     """An argument sits too close to a pole or singular locus to evaluate."""
+
+
+class ValueOverflow(WeierzetaError, OverflowError):
+    """A value is too large for a float (sigma's exponential factors)."""
 
 
 class BranchAmbiguity(WeierzetaError):

@@ -19,7 +19,7 @@ import math
 from collections import namedtuple
 from operator import itemgetter
 
-from .errors import NearZeroDenominator
+from .errors import NearZeroDenominator, ValueOverflow
 from .lattice import (
     _HALF_CELL,
     HALF_PERIOD_ORDER,
@@ -129,14 +129,19 @@ def _sigma(lat: Lattice, k: int, u: complex, cfg: SeriesConfig) -> complex:
     """sigma (k = 0) or sigma_k at u: the reduced value from `_sigmas` times
     the Gaussian factor, then, for u = u_red + Omega with Omega = 2n*omega1 +
     2m*omega3, times sigma's quasi-period factor
-    (-1)^(n+m+nm) exp(eta_Omega*(u_red + Omega/2)) and the translate's sign."""
+    (-1)^(n+m+nm) exp(eta_Omega*(u_red + Omega/2)) and the translate's sign.
+    A factor too large for a float raises ValueOverflow."""
     lc = constants(lat, cfg)
     p = locate(lat, u)
     n, m = p.n, p.m
-    val = _sigmas(lat, lc, p, cfg)[k] * cmath.exp(lc.eta1 * p.u_red * p.u_red / (2 * lat.omega1))
-    if n or m:
-        eta = 2 * n * lc.eta1 + 2 * m * lc.eta3
-        val *= cmath.exp(eta * (p.u_red + n * lat.omega1 + m * lat.omega3))
+    val = _sigmas(lat, lc, p, cfg)[k]
+    try:
+        val *= cmath.exp(lc.eta1 * p.u_red * p.u_red / (2 * lat.omega1))
+        if n or m:
+            eta = 2 * n * lc.eta1 + 2 * m * lc.eta3
+            val *= cmath.exp(eta * (p.u_red + n * lat.omega1 + m * lat.omega3))
+    except OverflowError:
+        raise ValueOverflow(f"the exponential factor of sigma overflows at u = {u!r}") from None
     return val * _translate_sign(p, k) * (-1.0 if (n + m + n * m) % 2 else 1.0)
 
 

@@ -182,15 +182,32 @@ def test_verify_same_seed_identical_bytes():
     assert out1 == out2
 
 
-def test_env_precision_default(monkeypatch):
-    monkeypatch.setenv("WEIERZETA_MAX_TERMS", "8")
+def test_max_terms_budget():
     # |q| large needs many terms; an 8-term budget must fail loudly
     tau_im = -math.log(0.8) / math.pi
     rc, _, err = run_cli(
-        ["eval", "--fn", "zeta", "--u", "0.2,0.01", "--tau", f"0,{tau_im}"]
+        ["eval", "--fn", "zeta", "--u", "0.2,0.01", "--tau", f"0,{tau_im}", "--max-terms", "8"]
     )
     assert rc == 2
-    monkeypatch.delenv("WEIERZETA_MAX_TERMS")
+
+
+def test_precision_is_not_read_from_the_environment(monkeypatch):
+    # The precision flags are the only way to set the series budget: a
+    # malformed variable of the old names is ignored, not a traceback.
+    monkeypatch.setenv("WEIERZETA_MAX_TERMS", "abc")
+    rc, out, _ = run_cli(["eval", "--fn", "wp", "--u", "0.1,0.1"])
+    assert rc == 0 and json.loads(out)["status"] == "Finite"
+
+
+@pytest.mark.parametrize("command", ["verify", "constants"])
+def test_format_only_where_honoured(command):
+    rc, out, err = run_cli([command, "--format", "csv"])
+    assert rc == 2 and out == "" and "--format" in err
+
+
+def test_sigma_overflow_is_a_usage_error():
+    rc, out, err = run_cli(["eval", "--fn", "sigma", "--u", "30.3,30.1", "--tau", "0,1"])
+    assert rc == 2 and out == "" and "overflows" in err
 
 
 def test_table_json_format():

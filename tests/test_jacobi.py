@@ -8,6 +8,7 @@ import pytest
 
 from weierzeta import (
     agm_complete_integrals,
+    build_lattice,
     delta,
     delta2,
     constants,
@@ -15,7 +16,7 @@ from weierzeta import (
     jacobi_params,
     sn_cn_dn,
 )
-from weierzeta.errors import BranchAmbiguity, DegenerateLattice, PoleProximityError
+from weierzeta.errors import BranchAmbiguity, DegenerateLattice, PoleProximityError, WeierzetaError
 
 from conftest import (
     RECTANGULAR,
@@ -239,4 +240,16 @@ def test_Pi_branch_ambiguity_when_segment_hits_singularity():
     u = 0.4 + 0.1j
     a = u / 2 - lat.omega3
     with pytest.raises((BranchAmbiguity, PoleProximityError)):
+        jacobi_E_Z_Pi(lat, u, a)
+
+
+def test_pi_overflow_is_typed():
+    # Visit 14 of the benchmark sweep at seed 11, an unreduced lattice where
+    # the factors of Pi's sigma_aux calls overflow: the error is the
+    # package's own, not a bare OverflowError.
+    lat = build_lattice(-0.6023146064119039 + 1.1378012751788178j,
+                        -1.9114756605068277 + 3.510893205775389j)
+    u = -0.9560646401132007 + 1.7720284500609111j
+    a = -4.035813921045829 + 7.465584129911877j
+    with pytest.raises(WeierzetaError):
         jacobi_E_Z_Pi(lat, u, a)

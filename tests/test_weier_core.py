@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from weierzeta import (
     Status,
+    ValueOverflow,
+    WeierzetaError,
     build_lattice,
     constants,
     delta,
@@ -225,3 +227,13 @@ def test_property_wp_even_zeta_odd(a, b):
     z1, z2 = zeta_w(lat, u), zeta_w(lat, -u)
     if z1.is_finite and z2.is_finite:
         assert abs(z1.value + z2.value) <= 1e-9 * max(abs(z1.value), 1.0)
+
+
+def test_sigma_overflow_is_typed():
+    # sigma's quasi-period factor is beyond a float here (|u| = 43 on the
+    # lattice of periods 1 and i); the error is both the package's own and
+    # an OverflowError.
+    lat = build_lattice(0.5, 0.5j)
+    with pytest.raises(ValueOverflow) as info:
+        sigma(lat, 30.3 + 30.1j)
+    assert isinstance(info.value, WeierzetaError) and isinstance(info.value, OverflowError)
