@@ -93,37 +93,34 @@ def _qseries(
     else:
         qpow, sgn = q, -1.0
     step = q * q
-    if form == "exp":
+    exp_form = form == "exp"
+    if exp_form:
         wplus = cmath.exp(1j * PI * u_red / w1)
         wminus = 1.0 / wplus
         coef = sgn * 1j * PI / w1
-
-        def term_at(_k: int, p: complex) -> complex:
-            a = p * wplus
-            b = p * wminus
-            return coef * (a / (1.0 + sgn * a) - b / (1.0 + sgn * b))
-
     else:
         c = cmath.cos(PI * u_red / w1)
         s = cmath.sin(PI * u_red / w1)
         coef = -sgn * 2 * PI / w1
-
-        def term_at(_k: int, p: complex) -> complex:
-            return coef * p * s / (1.0 + sgn * 2 * p * c + p * p)
-
+    abs_tol, rel_tol, max_terms = cfg
     small = 0
-    for k in range(cfg.max_terms):
-        term = term_at(k, qpow)
+    for _ in range(max_terms):
+        if exp_form:
+            a = qpow * wplus
+            b = qpow * wminus
+            term = coef * (a / (1.0 + sgn * a) - b / (1.0 + sgn * b))
+        else:
+            term = coef * qpow * s / (1.0 + sgn * 2 * qpow * c + qpow * qpow)
         total += term
         qpow *= step
-        if abs(term) <= cfg.abs_tol + cfg.rel_tol * abs(total):
+        if abs(term) <= abs_tol + rel_tol * abs(total):
             small += 1
             if small >= 2:
                 return total + incr
         else:
             small = 0
     raise SeriesDivergence(
-        f"auxiliary zeta q-series for index {lam}: no convergence within {cfg.max_terms} terms"
+        f"auxiliary zeta q-series for index {lam}: no convergence within {max_terms} terms"
     )
 
 

@@ -8,6 +8,7 @@ keywords w1|w2|w3 (or omega1|...) are accepted for point arguments.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import fnmatch
 import sys
@@ -20,7 +21,8 @@ from .weier_core import EvalResult, Status
 
 
 def parse_complex(text: str, lat=None) -> complex:
-    """Parse 're,im', a bare real, or a half-period keyword."""
+    """Parse 're,im', a bare real, or a half-period keyword; ValueError
+    unless both parts are finite."""
     t = text.strip()
     keywords = {"w1": 1, "omega1": 1, "ω1": 1,
                 "w2": 2, "omega2": 2, "ω2": 2,
@@ -32,10 +34,14 @@ def parse_complex(text: str, lat=None) -> complex:
         return lat.half_period(keywords[low])
     parts = t.split(",")
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"cannot parse complex literal {text!r}")
+        z = complex(float(parts[0]), 0.0)
+    elif len(parts) == 2:
+        z = complex(float(parts[0]), float(parts[1]))
+    else:
+        raise ValueError(f"cannot parse complex literal {text!r}")
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -149,21 +155,25 @@ def cmd_table(args) -> int:
         sys.stderr.write(f"table: {exc}\n")
         return 2
     a = parse_complex(args.a, lat) if args.a is not None else None
-    rows = []
+    results = []
     for im in ims:
         for re in res:
-            u = complex(re, im)
             try:
-                r = fn.run(lat, cfg, u, a, route)
+                r = fn.run(lat, cfg, complex(re, im), a, route)
             except (PoleProximityError, BranchAmbiguity):
                 r = EvalResult(complex("nan"), Status.AT_POLE)
-            rows.append((u, r))
+            results.append(r)
+    rows = iter(results)
     if args.format == "csv":
-        sys.stdout.write("re_u,im_u,re_value,im_value,status\n")
-        for u, r in rows:
-            sys.stdout.write(f"{u.real!r},{u.imag!r},{_value_csv(r)}\n")
+        # Row-major over the grid; each axis value is formatted once.
+        re_txt = [f"{re!r}," for re in res]
+        lines = ["re_u,im_u,re_value,im_value,status\n"]
+        for im in ims:
+            im_txt = f"{im!r},"
+            lines += [f"{x}{im_txt}{_value_csv(next(rows))}\n" for x in re_txt]
+        sys.stdout.write("".join(lines))
     else:
-        payload = [{"u": [u.real, u.imag], **_value_json(r)} for u, r in rows]
+        payload = [{"u": [re, im], **_value_json(next(rows))} for im in ims for re in res]
         sys.stdout.write(json.dumps(payload) + "\n")
     return 0
 

@@ -43,7 +43,7 @@ def jacobi_params(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> JacobiPar
 
 
 def _params(lc: LatticeConstants) -> JacobiParams:
-    if abs(lc.disc) <= 1e-10 * max(abs(lc.g2) ** 3, 27 * abs(lc.g3) ** 2, 1e-300):
+    if abs(lc.disc) <= lc.disc_floor:
         raise DegenerateLattice(f"discriminant {lc.disc!r} is numerically zero")
     return lc.jacobi
 
@@ -53,7 +53,9 @@ def sn_cn_dn(p: JacobiParams, x: complex) -> tuple[complex, complex, complex]:
 
     sn = scale*sigma/sigma_3, cn = sigma_1/sigma_3, dn = sigma_2/sigma_3 at
     u = x/scale; the shared poles sit on the omega_3 coset, and within the
-    pole radius of it this raises PoleProximityError.
+    pole radius of it this raises PoleProximityError.  The sigmas divide by
+    the record's `sigma_factor` and `nullwerte` that p carries, so no
+    constants lookup is made.
     """
     lat, cfg = p.lattice, p.cfg
     pt, bad = pole_status(lat, x / p.scale, (3,))
@@ -63,7 +65,7 @@ def sn_cn_dn(p: JacobiParams, x: complex) -> tuple[complex, complex, complex]:
         )
     # The Gaussian and quasi-period factors common to all four sigmas cancel;
     # only the auxiliary signs of the translate remain.
-    s0, s1, s2, s3 = _sigmas(lat, constants(lat, cfg), pt, cfg)
+    s0, s1, s2, s3 = _sigmas(lat, p, pt, cfg)
     s3 *= _translate_sign(pt, 3)
     return p.scale * s0 / s3, s1 * _translate_sign(pt, 1) / s3, s2 * _translate_sign(pt, 2) / s3
 

@@ -5,6 +5,7 @@ Im(omega3/omega1) > 0, and omega2 = -(omega1 + omega3), so the three
 half-periods sum to zero exactly.  Lattice points are
 Omega_{n,m} = 2*omega1*n + 2*omega3*m.
 
+`build_lattice` also fixes the cell geometry every located point reads.
 `constants` is the one per-lattice record: the theta nullwerte, the
 half-period values and invariants, and the Jacobi moduli and complete
 integrals, built together once per (lattice, series config).
@@ -16,11 +17,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import ConvergencePolicyError, InvalidPeriodRatio, ZeroPeriod
-from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, theta_nullwerte
+from .errors import ConvergencePolicyError, InvalidPeriodRatio, ValueOverflow, ZeroPeriod
+from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _quarter_nome, theta_nullwerte
 
 PI = math.pi
 
@@ -49,26 +51,35 @@ def complement(lam: int) -> tuple[int, int]:
     return _COMPLEMENT[lam]
 
 
-class Lattice(namedtuple("Lattice", "omega1 omega3 omega2 tau q")):
-    """Immutable period lattice with its ratio and nome."""
+class Lattice(namedtuple(
+    "Lattice", "omega1 omega3 omega2 tau q period1 period3 area min_period q4 offsets"
+)):
+    """Immutable period lattice with its ratio and nome, and the geometry
+    every located point reads, built once by `build_lattice`: the periods
+    2*omega1 and 2*omega3, the cell area (the determinant of that basis),
+    the shorter period's length, q^(1/4) = exp(i*pi*tau/4) for the theta
+    pass, and the coset offsets (0, omega1, omega2, omega3) by half-period
+    index."""
 
     __slots__ = ()
 
+    def __hash__(self) -> int:
+        # The half-periods fix every other field; hashing them alone keeps
+        # the cost of a `constants` lookup independent of the derived fields.
+        return hash((self.omega1, self.omega3))
+
     def half_period(self, lam: int) -> complex:
         check_index(lam)
-        return (self.omega1, self.omega2, self.omega3)[lam - 1]
-
-    @property
-    def min_period(self) -> float:
-        return min(abs(2 * self.omega1), abs(2 * self.omega3))
+        return self.offsets[lam]
 
 
 def build_lattice(omega1: complex, omega3: complex) -> Lattice:
-    """Validate half-periods and derive tau, q, omega2.
+    """Validate half-periods and derive tau, q, omega2 and the cell geometry.
 
     Raises ZeroPeriod, InvalidPeriodRatio, or ConvergencePolicyError when the
     nome magnitude exceeds Q_MAX (theta series degrade; no modular reduction
-    is attempted).
+    is attempted) or q^(1/4) underflows to 0.  Periods whose cell area is 0
+    or not finite in floating point raise ZeroPeriod or ValueOverflow.
     """
     omega1 = complex(omega1)
     omega3 = complex(omega3)
@@ -82,13 +93,26 @@ def build_lattice(omega1: complex, omega3: complex) -> Lattice:
         raise ConvergencePolicyError(
             f"|q| = {abs(q):.6g} exceeds Q_MAX = {Q_MAX}; lattice too extreme for the series"
         )
-    return Lattice(omega1=omega1, omega3=omega3, omega2=-(omega1 + omega3), tau=tau, q=q)
+    q4 = _quarter_nome(tau)
+    if q4 == 0:
+        raise ConvergencePolicyError(f"q^(1/4) underflows to 0 at Im(tau) = {tau.imag:.6g}")
+    w1, w3 = 2 * omega1, 2 * omega3
+    area = w1.real * w3.imag - w1.imag * w3.real
+    if area == 0:
+        raise ZeroPeriod(f"the periods {w1!r}, {w3!r} span a cell of area 0 in floating point")
+    if not math.isfinite(area):
+        raise ValueOverflow(f"the area of the cell of periods {w1!r}, {w3!r} overflows")
+    omega2 = -(omega1 + omega3)
+    return Lattice(
+        omega1=omega1, omega3=omega3, omega2=omega2, tau=tau, q=q,
+        period1=w1, period3=w3, area=area, min_period=min(abs(w1), abs(w3)), q4=q4,
+        offsets=(0j, omega1, omega2, omega3),
+    )
 
 
 def cell_coords(lat: Lattice, u: complex) -> tuple[float, float]:
     """Real coordinates (alpha, beta) with u = 2*alpha*omega1 + 2*beta*omega3."""
-    w1, w3 = 2 * lat.omega1, 2 * lat.omega3
-    det = w1.real * w3.imag - w1.imag * w3.real
+    w1, w3, det = lat.period1, lat.period3, lat.area
     alpha = (u.real * w3.imag - u.imag * w3.real) / det
     beta = (w1.real * u.imag - w1.imag * u.real) / det
     return alpha, beta
@@ -101,9 +125,13 @@ Located = namedtuple("Located", "u alpha beta u_red n m")
 def locate(lat: Lattice, u: complex) -> Located:
     """The one placement of u behind every evaluator: the cell coordinates the
     guard and the zone tests read, and from their rounding the reduction the
-    theta pass reads (u_red with cell coordinates in [-1/2, 1/2])."""
+    theta pass reads (u_red with cell coordinates in [-1/2, 1/2]).  Cell
+    coordinates that are not finite raise ValueOverflow."""
     alpha, beta = cell_coords(lat, u)
-    n, m = round(alpha), round(beta)
+    try:
+        n, m = round(alpha), round(beta)
+    except (OverflowError, ValueError):
+        raise ValueOverflow(f"the cell coordinates of u = {u!r} are not finite") from None
     return Located(u, alpha, beta, u - 2 * n * lat.omega1 - 2 * m * lat.omega3, n, m)
 
 
@@ -138,16 +166,26 @@ def nearest(lat: Lattice, p: Located, k: int) -> tuple[float, complex]:
     """`nearest_translate` to the coset omega_k + lattice (k = 0 the lattice),
     from the located point's own cell coordinates."""
     a, b = _HALF_CELL[k]
-    offset = (0j, lat.omega1, lat.omega2, lat.omega3)[k]
-    return _closest(lat, p.u, offset, p.alpha - a, p.beta - b)
+    return _closest(lat, p.u, lat.offsets[k], p.alpha - a, p.beta - b)
+
+
+def _nearest_lattice_point(lat: Lattice, p: Located) -> tuple[float, complex]:
+    """`nearest(lat, p, 0)` from the n, m that `locate` rounded, with the
+    arithmetic of `_closest`, so the distance and the point are the same bits."""
+    pt = 0j + 2 * p.n * lat.omega1 + 2 * p.m * lat.omega3
+    return abs(p.u - pt), pt
 
 
 # The AGM stops once |c_n| <= AGM_TOL * |a_n|.
 AGM_TOL = 1e-15
 
 
-JacobiParams = namedtuple("JacobiParams", "k kprime big_k big_e scale lattice cfg")
-JacobiParams.__doc__ = """Moduli, complete integrals, and the lattice they came from."""
+JacobiParams = namedtuple(
+    "JacobiParams", "k kprime big_k big_e scale lattice cfg sigma_factor nullwerte"
+)
+JacobiParams.__doc__ = """Moduli, complete integrals, the lattice they came from,
+and the record's sigma normalisation (`sigma_factor`, `nullwerte`), so that
+sn, cn and dn need no constants lookup."""
 
 
 def agm_complete_integrals(ksq: complex, kpsq: complex) -> tuple[complex, complex]:
@@ -179,11 +217,13 @@ def agm_complete_integrals(ksq: complex, kpsq: complex) -> tuple[complex, comple
 
 class LatticeConstants(namedtuple(
     "LatticeConstants",
-    "e1 e2 e3 ediffs eta1 eta2 eta3 g2 g3 disc ksq kpsq nullwerte nullwert_prime jacobi",
+    "e1 e2 e3 ediffs eta1 eta2 eta3 g2 g3 disc ksq kpsq nullwerte nullwert_prime jacobi"
+    " sigma_factor zones disc_floor",
 )):
     """Per-lattice state: half-period values and their differences, elliptic
     invariants, squared moduli, the theta nullwerte every evaluation divides
-    by, and the Jacobi parameters.
+    by, the Jacobi parameters, and the per-lattice factors and radii the
+    evaluators read at every point.
 
     `nullwerte` is in half-period order (HALF_PERIOD_ORDER): `nullwerte[k]`
     is theta(0) of the theta that vanishes on omega_k + lattice, and
@@ -192,7 +232,14 @@ class LatticeConstants(namedtuple(
     as the nullwerte give them; read them through `ediff`, never as a
     difference of the rounded e's, which cancels on tall lattices.  `jacobi`
     holds the moduli, the complete integrals and the scale of the Jacobi
-    bridge.
+    bridge.  `sigma_factor` is 2*omega1/theta'(0), the factor of the odd
+    theta in sigma.  `zones[k - 1]` is the radius around omega_k inside
+    which zeta_diff's wp forms give way to the sigma form: at distance d,
+    wp - e_k ~ A_k d^2 with A_k = (e_k - e_i)(e_k - e_j), so the forms lose
+    about eps*max|e|/(|A_k| d^2) to rounding, and within ten times that
+    against bench/reference.py; the zone ends where ten times it is 1e-9.
+    `disc_floor` is the discriminant at or below which `jacobi_params`
+    refuses the lattice as degenerate, 1e-10 * max(|g2|^3, 27 |g3|^2).
     """
 
     __slots__ = ()
@@ -248,15 +295,23 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
     ksq = d23 / d13
     kpsq = d12 / d13
     big_k, big_e = agm_complete_integrals(ksq, kpsq)
+    sigma_factor = 2 * w1 / tp
     jacobi = JacobiParams(
         k=cmath.sqrt(ksq), kprime=cmath.sqrt(kpsq), big_k=big_k, big_e=big_e,
-        scale=cmath.sqrt(e1 - e3), lattice=lat, cfg=cfg,
+        scale=cmath.sqrt(e1 - e3), lattice=lat, cfg=cfg, sigma_factor=sigma_factor, nullwerte=nw,
+    )
+    g2 = -4 * (e1 * e2 + e2 * e3 + e3 * e1)
+    g3 = 4 * e1 * e2 * e3
+    e_max = max(abs(e1), abs(e2), abs(e3))
+    zones = tuple(
+        math.sqrt(10 * sys.float_info.epsilon * e_max / (1e-9 * a)) if a else math.inf
+        for a in (abs(d12 * d13), abs(d12 * d23), abs(d13 * d23))
     )
     return LatticeConstants(
         e1=e1, e2=e2, e3=e3, ediffs=(d23, d13, d12), eta1=eta1, eta2=eta2, eta3=eta3,
-        g2=-4 * (e1 * e2 + e2 * e3 + e3 * e1), g3=4 * e1 * e2 * e3,
-        disc=16 * (d12 * d13 * d23) ** 2, ksq=ksq, kpsq=kpsq,
-        nullwerte=nw, nullwert_prime=tp, jacobi=jacobi,
+        g2=g2, g3=g3, disc=16 * (d12 * d13 * d23) ** 2, ksq=ksq, kpsq=kpsq,
+        nullwerte=nw, nullwert_prime=tp, jacobi=jacobi, sigma_factor=sigma_factor, zones=zones,
+        disc_floor=1e-10 * max(abs(g2) ** 3, 27 * abs(g3) ** 2, 1e-300),
     )
 
 
@@ -305,11 +360,11 @@ def half_lattice_squares(lat: Lattice, radius: int, k: int) -> "np.ndarray":
 
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    two_w1, two_w3 = 2 * lat.omega1, 2 * lat.omega3
+    two_w1, two_w3 = lat.period1, lat.period3
     alpha, beta = _HALF_CELL[k]
     offset = alpha * two_w1 + beta * two_w3
     cut = radius * lat.min_period
-    area = abs((two_w1.conjugate() * two_w3).imag)
+    area = abs(lat.area)
     n_span = int(math.ceil((cut + abs(offset)) * abs(two_w3) / area)) + 1
     m_span = int(math.ceil((cut + abs(offset)) * abs(two_w1) / area)) + 1
     n = np.arange(-n_span, n_span + 1)

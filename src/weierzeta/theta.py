@@ -69,8 +69,15 @@ def _check_tau(tau: complex) -> None:
         raise ValueError(f"Im(tau) must be positive, got {tau!r}")
 
 
-def _theta4(v: complex, tau: complex, cfg: SeriesConfig, deriv: bool = False) -> tuple:
-    """All four thetas at v, and with deriv their v-derivatives, in one pass.
+def _quarter_nome(tau: complex) -> complex:
+    """q^(1/4) = exp(i*pi*tau/4), the ratio the theta pass starts from."""
+    return cmath.exp(0.25j * PI * tau)
+
+
+def _theta4(v: complex, tau: complex, q4: complex, cfg: SeriesConfig, deriv: bool = False) -> tuple:
+    """All four thetas at v, and with deriv their v-derivatives, in one pass;
+    q4 is q^(1/4) = `_quarter_nome(tau)`, which every lattice holds
+    (`Lattice.q4`).
 
     With x = pi*v, each term of the four series is C_k = 2 q^(k^2/4) cos(kx)
     or S_k = 2 q^(k^2/4) sin(kx): odd k for indices 0 and 1, even k for 2
@@ -115,7 +122,6 @@ def _theta4(v: complex, tau: complex, cfg: SeriesConfig, deriv: bool = False) ->
         )
     cos_x = cmath.cos(x)
     sin_x = cmath.sin(x)
-    q4 = cmath.exp(0.25j * PI * tau)
     q2 = q4 * q4
     rc = q4 * cos_x
     rs = q4 * sin_x
@@ -162,20 +168,20 @@ def _theta4(v: complex, tau: complex, cfg: SeriesConfig, deriv: bool = False) ->
 def theta_eval(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Value of the idx-th theta function at v for half-period ratio tau."""
     _check_idx(idx, tau)
-    return _theta4(v, tau, cfg)[idx]
+    return _theta4(v, tau, _quarter_nome(tau), cfg)[idx]
 
 
 def theta_deriv(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """First v-derivative of the idx-th theta function (term-differentiated)."""
     _check_idx(idx, tau)
-    return _theta4(v, tau, cfg, deriv=True)[4 + idx]
+    return _theta4(v, tau, _quarter_nome(tau), cfg, deriv=True)[4 + idx]
 
 
 def theta_dlog(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Logarithmic v-derivative theta'_idx(v)/theta_idx(v), from one pass;
     raises NearZeroDenominator only where theta_idx(v) is exactly 0."""
     _check_idx(idx, tau)
-    vals = _theta4(v, tau, cfg, deriv=True)
+    vals = _theta4(v, tau, _quarter_nome(tau), cfg, deriv=True)
     if vals[idx] == 0:
         raise NearZeroDenominator(f"theta_{idx}({v!r}) is zero")
     return vals[4 + idx] / vals[idx]
@@ -192,8 +198,8 @@ def theta_nullwerte(tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG):
     until two consecutive terms pass the truncation test.
     """
     _check_tau(tau)
-    _, t1, t2, t3, tp, _, _, _ = _theta4(0.0, tau, cfg, deriv=True)
-    h = cmath.exp(0.25j * PI * tau)
+    h = _quarter_nome(tau)
+    _, t1, t2, t3, tp, _, _, _ = _theta4(0.0, tau, h, cfg, deriv=True)
     q2 = h**8
     ratio = q2
     tppp = 0j

@@ -26,6 +26,7 @@ from .lattice import (
     Lattice,
     LatticeConstants,
     Located,
+    _nearest_lattice_point,
     check_index,
     constants,
     half_lattice_squares,
@@ -65,7 +66,7 @@ def pole_status(lat: Lattice, u: complex, cosets) -> tuple[Located, EvalResult |
     p = locate(lat, u)
     radius = NEAR_POLE_FACTOR * lat.min_period
     for k in cosets:
-        dist, translate = nearest(lat, p, k)
+        dist, translate = nearest(lat, p, k) if k else _nearest_lattice_point(lat, p)
         if dist == 0.0:
             return p, EvalResult(_NAN, Status.AT_POLE, translate)
         if dist < radius:
@@ -92,19 +93,21 @@ def _thetas(lat: Lattice, p: Located, cfg: SeriesConfig, deriv: bool = False) ->
     """The one theta pass of every kernel, _theta4 at v = u_red/(2*omega1),
     in half-period order: entry k vanishes on omega_k + lattice (k = 0 the
     lattice, the odd theta), and with deriv its v-derivative sits at 4 + k."""
-    return _IN_HALF_PERIOD_ORDER[deriv](_theta4(p.u_red / (2 * lat.omega1), lat.tau, cfg, deriv))
+    return _IN_HALF_PERIOD_ORDER[deriv](_theta4(p.u_red / lat.period1, lat.tau, lat.q4, cfg, deriv))
 
 
-def _sigmas(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> tuple:
+def _sigmas(lat: Lattice, lc, p: Located, cfg: SeriesConfig) -> tuple:
     """(sigma, sigma_1, sigma_2, sigma_3) at the reduced argument of p, from
     one theta pass, each without the Gaussian factor exp(eta1*u_red^2/(2*omega1))
-    the four share: 2*omega1*theta(v)/theta'(0) and theta_k(v)/theta_k(0).
+    the four share: 2*omega1*theta(v)/theta'(0) (`sigma_factor` times
+    theta(v)) and theta_k(v)/theta_k(0).  lc is the lattice's
+    LatticeConstants or JacobiParams; both carry `sigma_factor` and `nullwerte`.
     Every quotient of degree 0 in them cancels that factor, and only `sigma`
     and `sigma_aux`, which return a sigma itself, apply it; on tall or skewed
     cells it underflows before anything else does."""
     t = _thetas(lat, p, cfg)
     nw = lc.nullwerte
-    return (2 * lat.omega1 / lc.nullwert_prime) * t[0], t[1] / nw[1], t[2] / nw[2], t[3] / nw[3]
+    return lc.sigma_factor * t[0], t[1] / nw[1], t[2] / nw[2], t[3] / nw[3]
 
 
 def _wp_pair(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> tuple:

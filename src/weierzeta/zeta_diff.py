@@ -12,11 +12,11 @@ function locates its argument and guards it against the pole cosets once
 point: `zetadiff` subtracts two theta log-derivatives from it, and the
 others take one closed form in s = (sigma, sigma_1, sigma_2, sigma_3) or
 in the thetas.  For delta the wp route is wp' / (2 (wp - e_lam)), with the
-sigma form inside `_zone` of omega_lam, where wp - e_lam cancels.  For delta2
-these are (e_mu - e_lam) s_nu s / (s_lam s_mu) on the sigma route (eq. 13),
-its theta image, negated for lam < mu, on the theta route, and
-2 (e_lam - e_mu)(wp - e_nu) / wp' on the wp route away from its removable
-0/0 points.  The derivatives are closed forms in the same sigmas (see
+sigma form inside the zone of omega_lam (`LatticeConstants.zones`), where
+wp - e_lam cancels.  For delta2 these are (e_mu - e_lam) s_nu s / (s_lam s_mu)
+on the sigma route (eq. 13), its theta image, negated for lam < mu, on the
+theta route, and 2 (e_lam - e_mu)(wp - e_nu) / wp' on the wp route away from
+its removable 0/0 points.  The derivatives are closed forms in the same sigmas (see
 `delta_prime`, `delta2_prime`), and the pointwise values of the differences
 recover every lattice constant.  Every e_lam - e_mu these forms take is the
 record's `ediff`, built from the nullwerte: on tall lattices e2 - e3 is of
@@ -27,29 +27,15 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from collections import namedtuple
 
 from .errors import IdenticalIndices, PoleProximityError
-from .lattice import Lattice, LatticeConstants, check_index, complement, constants, locate, nearest
+from .lattice import Lattice, _nearest_lattice_point, check_index, complement, constants, locate, nearest
 from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import NEAR_POLE_FACTOR, EvalResult, Status, _sigmas, _theta_zeta, _thetas
 from .weier_core import _wp_pair, pole_status
 
 PI = math.pi
-
-
-def _zone(lc: LatticeConstants, k: int) -> float:
-    """Radius around omega_k inside which the wp forms give way to the sigma form.
-
-    At distance d, wp - e_k ~ A_k d^2 with A_k = (e_k - e_i)(e_k - e_j), so the
-    forms lose about eps*max|e|/(|A_k| d^2) to rounding, and within ten times
-    that against bench/reference.py; the zone ends where ten times it is 1e-9.
-    """
-    i, j = complement(k)
-    a = abs(lc.ediff(k, i) * lc.ediff(k, j))
-    e = max(abs(lc.e1), abs(lc.e2), abs(lc.e3))
-    return math.sqrt(10 * sys.float_info.epsilon * e / (1e-9 * a)) if a else math.inf
 
 
 class DeltaRoute(enum.Enum):
@@ -75,7 +61,7 @@ def delta(
     if route is DeltaRoute.ZETA_DIFF:
         z, z_lam = _theta_zeta(lat, lc, p, cfg, 0, lam)
         val = z_lam - z
-    elif route is DeltaRoute.WP_QUOTIENT and nearest(lat, p, lam)[0] >= _zone(lc, lam):
+    elif route is DeltaRoute.WP_QUOTIENT and nearest(lat, p, lam)[0] >= lc.zones[lam - 1]:
         # Outside the zone where wp - e_lam cancels; the sigma form serves inside.
         wp_, wpp = _wp_pair(lat, lc, p, cfg)
         val = 0.5 * wpp / (wp_ - lc.e(lam))
@@ -147,8 +133,8 @@ def delta2(
         # within the pole radius like wp itself, and at u = omega_nu, where
         # wp - e_nu cancels; the sigma form serves around them.
         route is DeltaRoute.WP_QUOTIENT
-        and nearest(lat, p, 0)[0] >= NEAR_POLE_FACTOR * lat.min_period
-        and nearest(lat, p, nu)[0] >= _zone(lc, nu)
+        and _nearest_lattice_point(lat, p)[0] >= NEAR_POLE_FACTOR * lat.min_period
+        and nearest(lat, p, nu)[0] >= lc.zones[nu - 1]
     ):
         wp_, wpp = _wp_pair(lat, lc, p, cfg)
         val = 2 * lc.ediff(lam, mu) * (wp_ - lc.e(nu)) / wpp

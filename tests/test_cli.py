@@ -210,6 +210,46 @@ def test_sigma_overflow_is_a_usage_error():
     assert rc == 2 and out == "" and "overflows" in err
 
 
+@pytest.mark.parametrize("u", ["1e400,0", "nan,0", "0,-inf"])
+def test_non_finite_point_is_a_usage_error(u):
+    rc, out, err = run_cli(["eval", "--fn", "sigma", "--u", u])
+    assert rc == 2 and out == "" and "not finite" in err
+
+
+@pytest.mark.parametrize(
+    "lattice", [["--omega1", "1e-300,0"], ["--tau", "1e-30,1e300"]], ids=["area-underflow", "q4-underflow"]
+)
+def test_extreme_scale_is_a_usage_error(lattice):
+    rc, out, err = run_cli(["eval", "--fn", "wp", "--u", "0.1,0", *lattice])
+    assert rc == 2 and out == "" and err.startswith("weierzeta: ")
+
+
+@pytest.mark.parametrize(
+    "fn", [["wp"], ["zeta2", "--route", "qseries"], ["delta12"], ["sn"]], ids=lambda f: f[0]
+)
+def test_table_rows_match_eval(fn):
+    # A grid of the generic lattice through the origin, omega_1, omega_2 and
+    # omega_3 + lattice points, so each function has pole rows; every row
+    # must be what eval prints at its u (eval exits 3 at a pole, and sn's
+    # pole has no value row at all).
+    lat = ["--tau", "0.3,1.1"]
+    rc, out, _ = run_cli(["table", "--fn", *fn, "--re=-0.65:0.65:27", "--im=-1.1:1.1:5",
+                          "--format", "csv", *lat])
+    assert rc == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 135
+    poles = 0
+    for row in rows:
+        re_u, im_u, value = row.split(",", 2)
+        rc, point, _ = run_cli(["eval", "--fn", *fn, f"--u={re_u},{im_u}", "--format", "csv", *lat])
+        if value.endswith("Finite"):
+            assert rc == 0 and point.splitlines()[1] == value, row
+        else:
+            poles += 1
+            assert rc == 3 and point.splitlines()[1:] in ([value], []), row
+    assert poles >= 2
+
+
 def test_table_json_format():
     rc, out, _ = run_cli(["table", "--fn", "zeta", "--re", "0.1:0.3:3", "--im", "0.05:0.05:1"])
     assert rc == 0

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weierzeta import (
     ZetaRoute,
@@ -18,9 +20,10 @@ from weierzeta import (
     zeta_aux,
     zeta_lattice_sum,
 )
-from weierzeta.errors import ConvergencePolicyError, InvalidPeriodRatio, ZeroPeriod
+from weierzeta.errors import ConvergencePolicyError, InvalidPeriodRatio, ValueOverflow, ZeroPeriod
 from weierzeta import lattice
 from weierzeta.lattice import (
+    _nearest_lattice_point,
     cell_coords,
     complement,
     constants_to_json,
@@ -31,7 +34,6 @@ from weierzeta.lattice import (
 )
 from weierzeta.verify import POLE_GUARD
 from weierzeta.weier_core import NEAR_POLE_FACTOR
-from weierzeta.zeta_diff import _zone
 
 from conftest import REFERENCE_TAUS, make_lattice
 
@@ -49,6 +51,27 @@ def test_build_square_lattice():
     assert abs(lat.q - math.exp(-PI)) < 1e-16
     assert lat.omega2 == -(0.5 + 0.5j)
     assert lat.omega1 + lat.omega2 + lat.omega3 == 0
+
+
+@pytest.mark.parametrize(
+    "w1, w3, error",
+    [
+        (1e-300, 1e-300 * (0.3 + 1.1j), ZeroPeriod),  # the cell area underflows to 0
+        (1e200, 1e200 * (0.3 + 1.1j), ValueOverflow),  # the cell area overflows
+        (0.5, 0.5 * (1e-30 + 1e300j), ConvergencePolicyError),  # q^(1/4) underflows to 0
+    ],
+    ids=["area-underflow", "area-overflow", "q4-underflow"],
+)
+def test_build_refuses_cells_beyond_float_range(w1, w3, error):
+    with pytest.raises(error):
+        build_lattice(w1, w3)
+
+
+@pytest.mark.parametrize("u", [1e308 + 1e308j, complex(math.inf, 0), complex(0, math.nan)])
+def test_locate_refuses_coordinates_that_are_not_finite(u):
+    lat = build_lattice(1e-5, 1e-5j)
+    with pytest.raises(ValueOverflow):
+        locate(lat, u)
 
 
 def test_build_rejects_flat_ratio():
@@ -127,7 +150,7 @@ def test_nearest_translate_matches_brute_force_below_inradius(name):
     # (lattice.nearest) alike.
     lat = build_lattice(*BASES[name])
     half_height = 0.5 * lat.min_period * lat.tau.imag / abs(lat.tau)
-    limits = [f * lat.min_period for f in THRESHOLDS] + [_zone(constants(lat), k) for k in (1, 2, 3)]
+    limits = [f * lat.min_period for f in THRESHOLDS] + list(constants(lat).zones)
     limits = [t for t in limits if t < half_height]
     assert len(limits) >= 3
     rng = random.Random(5)
@@ -147,6 +170,42 @@ def test_nearest_translate_matches_brute_force_below_inradius(name):
                     assert (dist < t) == (abs(u - nearest) < t), (u, off, t)
                     if dist < t:
                         assert translate == nearest, (u, off, t)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BASES)),
+    n=st.integers(-(2**40), 2**40) | st.integers(-3, 3),
+    m=st.integers(-(2**40), 2**40) | st.integers(-3, 3),
+    r=st.sampled_from([0.0, 1.0, 1.0 - 1e-12, 1.0 + 1e-12]) | st.floats(0, 2) | st.floats(0, 1e8),
+    angle=st.floats(0, 1),
+)
+def test_lattice_coset_guard_is_nearest_bit_for_bit(name, n, m, r, angle):
+    # The guard's coset-0 distance and translate come from the n, m that
+    # locate rounded; they must be the bits nearest(lat, p, 0) gives, at
+    # exact lattice points, at the pole radius, anywhere in the cell (r up
+    # to 1e8 pole radii) and at far translates.
+    lat = build_lattice(*BASES[name])
+    pt = 2 * n * lat.omega1 + 2 * m * lat.omega3
+    u = pt + r * NEAR_POLE_FACTOR * lat.min_period * cmath.exp(2j * PI * angle)
+    p = locate(lat, u)
+    got = _nearest_lattice_point(lat, p)
+    want = lattice.nearest(lat, p, 0)
+    # repr round-trips every float and tells -0.0 from 0.0.
+    assert list(map(repr, got)) == list(map(repr, want))
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_cell_geometry_is_built_with_the_lattice(name):
+    # The fields hold what the per-point path computed from the half-periods.
+    lat = build_lattice(*BASES[name])
+    w1, w3 = 2 * lat.omega1, 2 * lat.omega3
+    assert (lat.period1, lat.period3) == (w1, w3)
+    assert lat.area == w1.real * w3.imag - w1.imag * w3.real
+    assert lat.min_period == min(abs(w1), abs(w3))
+    assert lat.q4 == cmath.exp(0.25j * PI * lat.tau)
+    assert lat.offsets == (0j, lat.omega1, lat.omega2, lat.omega3)
+    assert [lat.half_period(k) for k in (1, 2, 3)] == [lat.omega1, lat.omega2, lat.omega3]
 
 
 def test_complement_triples():

@@ -159,9 +159,11 @@ def test_one_constants_lookup_per_public_call(warm_lattice):
         "delta2_prime": lambda u: delta2_prime(lat, 1, 2, u),
         "constants_from_deltas": lambda u: constants_from_deltas(lat, u),
         "jacobi_params": lambda u: jacobi_params(lat),
-        "sn_cn_dn": lambda u: sn_cn_dn(params, params.scale * u),
         "jacobi_E_Z": lambda u: jacobi_E_Z(lat, u),
     }
+    # The table's sn, cn and dn: jacobi_params, then sn_cn_dn on its record.
+    for name in ("sn", "cn", "dn"):
+        calls[name] = lambda u, f=FUNCTIONS[name]: f.run(lat, DEFAULT_CONFIG, u, None, None)
     for r in ZetaRoute:
         calls[f"zeta_aux_{r.value}"] = lambda u, r=r: zeta_aux(lat, 3, u, r)
     for r in DeltaRoute:
@@ -176,6 +178,11 @@ def test_one_constants_lookup_per_public_call(warm_lattice):
             fn(u)
             after = constants.cache_info()
             assert (after.hits - before.hits, after.misses - before.misses) == (1, 0), name
+    # sn_cn_dn divides by what its params carry and looks nothing up.
+    for u in pts:
+        before = constants.cache_info()
+        sn_cn_dn(params, params.scale * u)
+        assert constants.cache_info() == before
 
 
 def _records() -> dict:

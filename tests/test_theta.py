@@ -96,7 +96,7 @@ def test_pass_within_tolerance_of_brute_force(tau, cfg):
     # Reduced arguments, on the edges |Im v| = Im(tau)/2 (where the terms
     # are largest) and inside.
     for v in [a + b * tau for a in (0.0, 0.3, -0.5) for b in (0.5, -0.5)] + [0.0, 0.17 - 0.05 * tau]:
-        got = theta._theta4(v, tau, cfg, deriv=True)
+        got = theta._theta4(v, tau, theta._quarter_nome(tau), cfg, deriv=True)
         refs, scales = theta_brute_mp(v, tau)
         for i in range(8):
             assert_within_tolerance(got[i], refs[i], scales[i], cfg, (v, i))
@@ -116,9 +116,10 @@ def test_pass_omits_only_what_rounding_hides(tau):
     # changes no bit of any value or derivative on the reference lattices.
     longer = SeriesConfig(abs_tol=1e-40, rel_tol=1e-40)
     rng = random.Random(7)
+    q4 = theta._quarter_nome(tau)
     for _ in range(200):
         v = rng.uniform(-0.5, 0.5) + rng.uniform(-0.5, 0.5) * tau
-        assert theta._theta4(v, tau, DEFAULT_CONFIG, True) == theta._theta4(v, tau, longer, True), v
+        assert theta._theta4(v, tau, q4, DEFAULT_CONFIG, True) == theta._theta4(v, tau, q4, longer, True), v
 
 
 def test_odd_series_vanishes_exactly_at_zero():
