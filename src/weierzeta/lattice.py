@@ -126,13 +126,15 @@ def locate(lat: Lattice, u: complex) -> Located:
     """The one placement of u behind every evaluator: the cell coordinates the
     guard and the zone tests read, and from their rounding the reduction the
     theta pass reads (u_red with cell coordinates in [-1/2, 1/2]).  Cell
-    coordinates that are not finite raise ValueOverflow."""
+    coordinates that are not finite, or whose translate 2*n, 2*m is past the
+    float range, raise ValueOverflow."""
     alpha, beta = cell_coords(lat, u)
     try:
         n, m = round(alpha), round(beta)
+        u_red = u - 2 * n * lat.omega1 - 2 * m * lat.omega3
     except (OverflowError, ValueError):
-        raise ValueOverflow(f"the cell coordinates of u = {u!r} are not finite") from None
-    return Located(u, alpha, beta, u - 2 * n * lat.omega1 - 2 * m * lat.omega3, n, m)
+        raise ValueOverflow(f"the cell coordinates of u = {u!r} are too large") from None
+    return Located(u, alpha, beta, u_red, n, m)
 
 
 def reduce_to_cell(lat: Lattice, u: complex) -> tuple[complex, int, int]:
@@ -164,16 +166,14 @@ _HALF_CELL = ((0.0, 0.0), (0.5, 0.0), (-0.5, -0.5), (0.0, 0.5))
 
 def nearest(lat: Lattice, p: Located, k: int) -> tuple[float, complex]:
     """`nearest_translate` to the coset omega_k + lattice (k = 0 the lattice),
-    from the located point's own cell coordinates."""
+    from the located point's own cell coordinates.  For the lattice these are
+    already rounded to the point's n, m; `_closest`'s arithmetic is kept, so
+    the distance and the point are its bits."""
+    if k == 0:
+        pt = 0j + 2 * p.n * lat.omega1 + 2 * p.m * lat.omega3
+        return abs(p.u - pt), pt
     a, b = _HALF_CELL[k]
     return _closest(lat, p.u, lat.offsets[k], p.alpha - a, p.beta - b)
-
-
-def _nearest_lattice_point(lat: Lattice, p: Located) -> tuple[float, complex]:
-    """`nearest(lat, p, 0)` from the n, m that `locate` rounded, with the
-    arithmetic of `_closest`, so the distance and the point are the same bits."""
-    pt = 0j + 2 * p.n * lat.omega1 + 2 * p.m * lat.omega3
-    return abs(p.u - pt), pt
 
 
 # The AGM stops once |c_n| <= AGM_TOL * |a_n|.

@@ -26,7 +26,6 @@ from .lattice import (
     Lattice,
     LatticeConstants,
     Located,
-    _nearest_lattice_point,
     check_index,
     constants,
     half_lattice_squares,
@@ -66,7 +65,7 @@ def pole_status(lat: Lattice, u: complex, cosets) -> tuple[Located, EvalResult |
     p = locate(lat, u)
     radius = NEAR_POLE_FACTOR * lat.min_period
     for k in cosets:
-        dist, translate = nearest(lat, p, k) if k else _nearest_lattice_point(lat, p)
+        dist, translate = nearest(lat, p, k)
         if dist == 0.0:
             return p, EvalResult(_NAN, Status.AT_POLE, translate)
         if dist < radius:

@@ -30,7 +30,7 @@ import math
 from collections import namedtuple
 
 from .errors import IdenticalIndices, PoleProximityError
-from .lattice import Lattice, _nearest_lattice_point, check_index, complement, constants, locate, nearest
+from .lattice import Lattice, check_index, complement, constants, locate, nearest
 from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import NEAR_POLE_FACTOR, EvalResult, Status, _sigmas, _theta_zeta, _thetas
 from .weier_core import _wp_pair, pole_status
@@ -133,7 +133,7 @@ def delta2(
         # within the pole radius like wp itself, and at u = omega_nu, where
         # wp - e_nu cancels; the sigma form serves around them.
         route is DeltaRoute.WP_QUOTIENT
-        and _nearest_lattice_point(lat, p)[0] >= NEAR_POLE_FACTOR * lat.min_period
+        and nearest(lat, p, 0)[0] >= NEAR_POLE_FACTOR * lat.min_period
         and nearest(lat, p, nu)[0] >= lc.zones[nu - 1]
     ):
         wp_, wpp = _wp_pair(lat, lc, p, cfg)

@@ -216,6 +216,14 @@ def test_non_finite_point_is_a_usage_error(u):
     assert rc == 2 and out == "" and "not finite" in err
 
 
+@pytest.mark.parametrize("fn", ["wp", "sigma", "delta12"])
+def test_point_past_the_translate_range_is_a_usage_error(fn):
+    # A finite u whose cell coordinates round to an n with 2*n past the
+    # float range.
+    rc, out, err = run_cli(["eval", "--fn", fn, "--u", "1e308,0"])
+    assert rc == 2 and out == "" and "too large" in err
+
+
 @pytest.mark.parametrize(
     "lattice", [["--omega1", "1e-300,0"], ["--tau", "1e-30,1e300"]], ids=["area-underflow", "q4-underflow"]
 )

@@ -23,7 +23,6 @@ from weierzeta import (
 from weierzeta.errors import ConvergencePolicyError, InvalidPeriodRatio, ValueOverflow, ZeroPeriod
 from weierzeta import lattice
 from weierzeta.lattice import (
-    _nearest_lattice_point,
     cell_coords,
     complement,
     constants_to_json,
@@ -70,6 +69,15 @@ def test_build_refuses_cells_beyond_float_range(w1, w3, error):
 @pytest.mark.parametrize("u", [1e308 + 1e308j, complex(math.inf, 0), complex(0, math.nan)])
 def test_locate_refuses_coordinates_that_are_not_finite(u):
     lat = build_lattice(1e-5, 1e-5j)
+    with pytest.raises(ValueOverflow):
+        locate(lat, u)
+
+
+@pytest.mark.parametrize("u", [1e308, 1.7e308j, -1e308 - 1e308j])
+def test_locate_refuses_translates_past_float_range(u):
+    # The cell coordinates are finite, but 2*n or 2*m is an int past the
+    # float range, so the reduction cannot be formed.
+    lat = build_lattice(0.5, 0.55j)
     with pytest.raises(ValueOverflow):
         locate(lat, u)
 
@@ -181,16 +189,16 @@ def test_nearest_translate_matches_brute_force_below_inradius(name):
     angle=st.floats(0, 1),
 )
 def test_lattice_coset_guard_is_nearest_bit_for_bit(name, n, m, r, angle):
-    # The guard's coset-0 distance and translate come from the n, m that
-    # locate rounded; they must be the bits nearest(lat, p, 0) gives, at
-    # exact lattice points, at the pole radius, anywhere in the cell (r up
-    # to 1e8 pole radii) and at far translates.
+    # nearest's coset-0 distance and translate come from the n, m that
+    # locate rounded; they must be the bits _closest gives from the cell
+    # coordinates, at exact lattice points, at the pole radius, anywhere in
+    # the cell (r up to 1e8 pole radii) and at far translates.
     lat = build_lattice(*BASES[name])
     pt = 2 * n * lat.omega1 + 2 * m * lat.omega3
     u = pt + r * NEAR_POLE_FACTOR * lat.min_period * cmath.exp(2j * PI * angle)
     p = locate(lat, u)
-    got = _nearest_lattice_point(lat, p)
-    want = lattice.nearest(lat, p, 0)
+    got = lattice.nearest(lat, p, 0)
+    want = lattice._closest(lat, p.u, 0j, p.alpha, p.beta)
     # repr round-trips every float and tells -0.0 from 0.0.
     assert list(map(repr, got)) == list(map(repr, want))
 
