@@ -122,18 +122,25 @@ def cell_coords(lat: Lattice, u: complex) -> tuple[float, float]:
 Located = namedtuple("Located", "u alpha beta u_red n m")
 
 
+# Cell coordinates at or past this size have no fractional bit left, so
+# rounding them says nothing about where u lies in its cell.
+_COORD_LIMIT = 2.0**52
+
+
 def locate(lat: Lattice, u: complex) -> Located:
     """The one placement of u behind every evaluator: the cell coordinates the
     guard and the zone tests read, and from their rounding the reduction the
     theta pass reads (u_red with cell coordinates in [-1/2, 1/2]).  Cell
-    coordinates that are not finite, or whose translate 2*n, 2*m is past the
-    float range, raise ValueOverflow."""
+    coordinates that are not finite or reach _COORD_LIMIT in size, where no
+    digit of the reduction is left, raise ValueOverflow."""
     alpha, beta = cell_coords(lat, u)
     try:
+        if not (-_COORD_LIMIT < alpha < _COORD_LIMIT and -_COORD_LIMIT < beta < _COORD_LIMIT):
+            raise OverflowError
         n, m = round(alpha), round(beta)
         u_red = u - 2 * n * lat.omega1 - 2 * m * lat.omega3
-    except (OverflowError, ValueError):
-        raise ValueOverflow(f"the cell coordinates of u = {u!r} are too large") from None
+    except OverflowError:
+        raise ValueOverflow(f"the cell coordinates of u = {u!r} are too large to reduce") from None
     return Located(u, alpha, beta, u_red, n, m)
 
 
@@ -282,7 +289,10 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
     t1, t2, t3, tp, tppp = theta_nullwerte(lat.tau, cfg)
     nw = tuple((0j, t1, t2, t3)[i] for i in HALF_PERIOD_ORDER)
     w1 = lat.omega1
-    c = (PI / (2 * w1)) ** 2
+    try:
+        c = (PI / (2 * w1)) ** 2
+    except OverflowError:
+        raise ValueOverflow(f"(pi/(2*omega1))^2 overflows at omega1 = {w1!r}") from None
     d12 = c * nw[3] ** 4
     d13 = c * nw[2] ** 4
     d23 = c * nw[1] ** 4

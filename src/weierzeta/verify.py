@@ -18,7 +18,7 @@ import random
 from collections import namedtuple
 
 from .aux_zeta import ZetaRoute, zeta_aux
-from .errors import PoleProximityError, SuiteConfigError, WeierzetaError
+from .errors import PoleProximityError, SuiteConfigError, ValueOverflow, WeierzetaError
 from .jacobi import jacobi_E_Z, jacobi_E_Z_Pi, jacobi_params, sn_cn_dn
 from .lattice import Lattice, complement, constants, locate, nearest
 from .theta import DEFAULT_CONFIG, SeriesConfig
@@ -81,9 +81,13 @@ def _finite(value: complex) -> EvalResult:
 
 
 def _jacobi(lat: Lattice, cfg: SeriesConfig, u: complex) -> tuple:
-    """(sn, cn, dn) at the Jacobi argument scale*u."""
+    """(sn, cn, dn) at the Jacobi argument scale*u; a u too large to reduce
+    raises ValueOverflow naming u, not its scaled image."""
     p = jacobi_params(lat, cfg)
-    return sn_cn_dn(p, p.scale * u)
+    try:
+        return sn_cn_dn(p, p.scale * u)
+    except ValueOverflow:
+        raise ValueOverflow(f"the cell coordinates of u = {u!r} are too large to reduce") from None
 
 
 def _functions() -> dict:
@@ -140,12 +144,19 @@ IdentityReport.__doc__ = """Residual statistics of one identity over its samples
 
 
 class _Ctx:
-    """Per-(lattice, config) evaluation context shared by all evaluators."""
+    """Per-(lattice, config) evaluation context shared by all evaluators.
+
+    `memo` holds the value of each table function call, keyed on (name,
+    route name, u), so a side that needs a value twice, or both sides of an
+    identity, evaluate it once; run_suite empties it at each identity.  A
+    call that raises stores nothing and raises again when repeated.
+    """
 
     def __init__(self, lat: Lattice, cfg: SeriesConfig):
         self.lat = lat
         self.cfg = cfg
         self.lc = constants(lat, cfg)
+        self.memo = {}
 
     @property
     def jp(self):
@@ -153,8 +164,17 @@ class _Ctx:
 
     def __call__(self, name: str, u: complex, route: str | None = None) -> complex:
         """Value of the table function name at u on route; raises at a pole."""
+        key = (name, route, u)
+        if key in self.memo:
+            return self.memo[key]
         f = FUNCTIONS[name]
-        return _val(f.run(self.lat, self.cfg, u, None, f.route(route)))
+        return self.evaluate(key, f.run, f.route(route))
+
+    def evaluate(self, key: tuple, run, route) -> complex:
+        """Value of key = (name, route name, u) by the table entry's run on
+        the route it resolves to, kept in `memo`."""
+        value = self.memo[key] = _val(run(self.lat, self.cfg, key[2], None, route))
+        return value
 
     def jac(self, u: complex) -> tuple:
         """(sn, cn, dn) at the Jacobi argument scale*u, the table's sn, cn
@@ -664,11 +684,17 @@ def _side(spec: IdentitySpec, name: str):
     fn, _, route = name.partition(":")
     if fn in FUNCTIONS:
         route = route or None
+        f = FUNCTIONS[fn]
         try:
-            FUNCTIONS[fn].route(route)
+            resolved = f.route(route)
         except ValueError:
             raise SuiteConfigError(f"{spec.name}: route {route!r} not valid for {fn!r}") from None
-        return lambda c, u: c(fn, u, route)
+
+        def side(c, u):
+            key = (fn, route, u)
+            return c.memo[key] if key in c.memo else c.evaluate(key, f.run, resolved)
+
+        return side
     try:
         return EVALUATORS[name]
     except KeyError:
@@ -699,6 +725,7 @@ def run_suite(
     ctx = _Ctx(lat, cfg)
     reports = []
     for index, spec in enumerate(suite):
+        ctx.memo.clear()
         lhs, rhs = _side(spec, spec.lhs), _side(spec, spec.rhs)
         if spec.arity not in (1, 2):
             raise SuiteConfigError(f"{spec.name}: arity must be 1 or 2")
