@@ -16,10 +16,11 @@ The partial-fraction route sums at the reduced point, |u| <= rho with rho
 the circumradius of the centred cell.  It splits the pairs of the disc at
 |w| = 8*rho: the near ones are summed term by term at each point, and the
 far ones, where |u/w|^2 <= 1/64, as the power series -sum_{j<J} u^(2j) M_j
-in the per-coset moments M_j = sum_far w^(-2j-4), built once per (lattice,
-radius, coset).  J = 9 terms leave out less than 2^-53 of each far term
-(64^-9 = 2^-54), so this is the same finite sum, rearranged, and it reads
-no theta route (weier_core._zeta_pair_sum).
+of their sum of 1/(P (u^2 - P)), P = w^2, with the per-coset moments
+M_j = sum_far P^(-j-2) built once per (lattice, radius, coset).  J = 9
+terms leave out less than 2^-53 of each far term (64^-9 = 2^-54), so this
+is the same finite sum, rearranged, and it reads no theta route
+(weier_core._zeta_pair_sum).
 """
 
 from __future__ import annotations
@@ -136,9 +137,8 @@ def _qseries(
 def _partialfrac(lat: Lattice, lc: LatticeConstants, lam: int, p: Located) -> complex:
     """-e_lam*u + sum over omega_lam + lattice of 1/(u-w) + 1/w + u/w^2 at
     u = u_red, plus the lattice increment.  The reduced point lies within
-    the cell's circumradius, so `_zeta_pair_sum` takes its near/far split:
-    the pairs with |w| <= 8*rho term by term, the rest from J = 9 moments
-    per coset.  The disc radius is read here at each call, and the split
-    table is keyed on it."""
+    the cell's circumradius, so `_zeta_pair_sum` takes its near/far split
+    (see the module docstring).  PARTIALFRAC_RADIUS is read at each call,
+    and the split table is keyed on it."""
     total = -lc.e(lam) * p.u_red + _zeta_pair_sum(lat, p.u_red, PARTIALFRAC_RADIUS, lam)
     return total + 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3

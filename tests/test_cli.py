@@ -225,6 +225,33 @@ def test_point_past_the_translate_range_is_a_usage_error(fn):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [["--u", "1e200,0"], ["--u", "1e300,0", "--tau", "1e10,0.1"]],
+    ids=["default-lattice", "long-period"],
+)
+def test_far_point_is_a_usage_error_not_a_pole(args):
+    # The floats near u are further apart than the periods, so the point
+    # rounds onto a lattice point; that is no pole.
+    rc, out, err = run_cli(["eval", "--fn", "wp", *args])
+    assert rc == 2 and out == "" and "too large" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["constants", "--omega1", "1e-155,0"], ["eval", "--fn", "wp", "--u", "0.1,0", "--omega1", "1e-160,0"]],
+    ids=["constants", "eval"],
+)
+def test_tiny_half_period_is_a_usage_error(command):
+    rc, out, err = run_cli(command)
+    assert rc == 2 and out == "" and err.startswith("weierzeta: ") and "Traceback" not in err
+
+
+def test_jacobi_overflow_names_the_callers_point():
+    rc, out, err = run_cli(["eval", "--fn", "sn", "--u", "1e308,0"])
+    assert rc == 2 and out == "" and "1e+308" in err and "inf" not in err
+
+
+@pytest.mark.parametrize(
     "lattice", [["--omega1", "1e-300,0"], ["--tau", "1e-30,1e300"]], ids=["area-underflow", "q4-underflow"]
 )
 def test_extreme_scale_is_a_usage_error(lattice):

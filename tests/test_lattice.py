@@ -32,7 +32,7 @@ from weierzeta.lattice import (
     reduce_to_cell,
 )
 from weierzeta.verify import POLE_GUARD
-from weierzeta.weier_core import NEAR_POLE_FACTOR
+from weierzeta.weier_core import NEAR_POLE_FACTOR, _pair_split, _zeta_pair_sum
 
 from conftest import REFERENCE_TAUS, make_lattice
 
@@ -80,6 +80,25 @@ def test_locate_refuses_translates_past_float_range(u):
     lat = build_lattice(0.5, 0.55j)
     with pytest.raises(ValueOverflow):
         locate(lat, u)
+
+
+@pytest.mark.parametrize(
+    "u", [2.0**52, -(2.0**52) - 8, 1e200, 2.0**52 * (0.3 + 1.1j)], ids=["alpha", "-alpha", "far", "beta"]
+)
+def test_locate_refuses_coordinates_without_a_fractional_bit(u):
+    # From 2**52 on the cell coordinates are integers in floating point, so
+    # the reduction cannot place u in its cell; just below it still can.
+    lat = build_lattice(0.5, 0.55j)
+    with pytest.raises(ValueOverflow, match="too large"):
+        locate(lat, u)
+    assert abs(locate(lat, 2.0**51 + 0.5).u_red) == 0.5  # spacing 0.5 at 2**51
+
+
+def test_constants_type_the_overflow_of_the_period_scale():
+    # (pi/(2*omega1))^2 overflows while the cell area is still a subnormal.
+    lat = build_lattice(1e-155, 1e-155 * (0.3 + 1.1j))
+    with pytest.raises(ValueOverflow, match="omega1"):
+        constants(lat)
 
 
 def test_build_rejects_flat_ratio():
@@ -371,6 +390,40 @@ def test_paired_oracles_match_unpaired_sums(name, monkeypatch):
     for lam in (1, 2, 3):
         terms = (1 / (u - p) + 1 / p + u / p**2 for p in _disc_points(lat, 20, lam))
         close(zeta_aux(lat, lam, u, ZetaRoute.PARTIAL_FRACTION).value, -lc.e(lam) * u, terms)
+
+
+@pytest.mark.parametrize("radius", [1, 20, 200])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(REFERENCE_TAUS))
+def test_split_pair_sum_matches_the_direct_sum(name, k, radius):
+    # At reduced points the near pairs are summed term by term and the far
+    # ones from moments; against the pairwise sum over the same table.
+    lat = make_lattice(name)
+    table = half_lattice_squares(lat, radius, k)
+    near, _, rho = _pair_split(lat, radius, k)
+    if radius > 1:
+        assert len(near) < len(table)  # the far field is taken from moments
+    w1, w3 = lat.omega1, lat.omega3
+    corners = [w1 + w3, w1 - w3, -w1 - w3, w3 - w1]  # |u| = rho at two of them
+    if k == 2:
+        corners = [(1 - 1e-9) * c for c in corners]  # the corners are omega_2's coset
+    near_cosets = [s * lat.offsets[j] for j in (1, 2, 3) for s in (1 - 1e-3, 1 - 1e-6)]
+    rng = random.Random(f"{name}{k}{radius}")
+    inside = [locate(lat, complex(rng.uniform(-3, 3), rng.uniform(-3, 3))).u_red for _ in range(8)]
+    for u in corners + near_cosets + inside:
+        assert abs(u) <= rho
+        terms = 2 * u**3 / (table * (u * u - table))
+        got = _zeta_pair_sum(lat, u, radius, k)
+        assert abs(got - complex(math.fsum(terms.real), math.fsum(terms.imag))) <= 1e-13 * np.sum(np.abs(terms))
+    assert max(abs(c) for c in corners) == rho or k == 2
+
+
+def test_pair_sum_beyond_the_cell_is_the_direct_sum():
+    lat = make_lattice("generic")
+    u = 3.2 + 1.7j  # outside the circumradius: only zeta_lattice_sum passes such a u
+    assert abs(u) > _pair_split(lat, 20, 0)[2]
+    table = half_lattice_squares(lat, 20, 0)
+    assert _zeta_pair_sum(lat, u, 20, 0) == 2 * u**3 * complex(np.sum(1.0 / (table * (u * u - table))))
 
 
 def test_oracles_refuse_radius_below_one(monkeypatch):

@@ -17,7 +17,7 @@ from weierzeta import (
 )
 from weierzeta import verify
 from weierzeta.cli import main
-from weierzeta.errors import SuiteConfigError
+from weierzeta.errors import PoleProximityError, SuiteConfigError
 from weierzeta.verify import EVALUATORS, FUNCTIONS, _side
 
 
@@ -213,3 +213,59 @@ def test_nan_residual_fails_and_stays_json(monkeypatch, capsys, generic_lat):
     payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
     assert [r["passed"] for r in payload] == [True, False]
     assert payload[1]["maxRel"] is None and payload[1]["meanRel"] is None
+
+
+def test_memo_evaluates_each_side_value_once(monkeypatch, generic_lat):
+    # wp_factored reads wp(u) three times per sample, wp_cubic twice.
+    count = 0
+    wp = FUNCTIONS["wp"]
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return wp.run(*args)
+
+    monkeypatch.setitem(FUNCTIONS, "wp", wp._replace(run=counted))
+    for name in ("wp_diffeq_factored", "wp_diffeq_invariants"):
+        count = 0
+        spec = next(s for s in default_suite() if s.name == name)
+        (rep,) = run_suite(generic_lat, [spec], n=10, seed=5)
+        assert rep.passed and count == 10
+
+
+def test_memo_holds_one_identity_at_a_time(monkeypatch, generic_lat):
+    seen = []
+
+    def probe(c, u):
+        seen.append(set(c.memo))
+        return c("wp", u)
+
+    monkeypatch.setitem(EVALUATORS, "probe", probe)
+    first = next(s for s in default_suite() if s.name == "wp_diffeq_factored")
+    spec = IdentitySpec("probe", "probe", "wp", exclusions=("0",))
+    reports = run_suite(generic_lat, [first, spec], n=4, seed=1)
+    assert all(r.passed for r in reports)
+    assert seen[0] == set()  # nothing of wp_diffeq_factored is left
+    assert all(len(keys) == i and all(k[:2] == ("wp", None) for k in keys) for i, keys in enumerate(seen))
+    assert reports[1].max_rel == 0.0  # both sides read the one stored value
+
+
+def test_memo_keeps_the_report_of_a_raising_side(monkeypatch, generic_lat):
+    points = []
+
+    def late_pole(c, u):
+        points.append(u)
+        value = c("wp", u)
+        if len(points) == 3:
+            for _ in range(2):  # a call that raised stored nothing: it raises again
+                with pytest.raises(PoleProximityError):
+                    c("wp", 0j)
+            return c("wp", 0j)
+        return value
+
+    monkeypatch.setitem(EVALUATORS, "late_pole", late_pole)
+    spec = IdentitySpec("late", "wp", "late_pole", exclusions=("0",))
+    (rep,) = run_suite(generic_lat, [spec], n=5, seed=3)
+    assert rep.error == "PoleProximityError" and not rep.passed
+    assert rep.samples == 2 and rep.max_rel == 0.0
+    assert rep.failures == (((points[2],), None),)
