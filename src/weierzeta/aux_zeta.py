@@ -9,18 +9,24 @@ Routes:
   SHIFT            zeta(u + omega_lam) - eta_lam
   THETA            eta1*u/omega1 + theta log-derivative of the companion index
   QSERIES          the lam-specific q-series (tan term only for lam = 1)
-  PARTIAL_FRACTION coset partial-fraction sum, symmetric cutoff, each pair +-w
-                   of coset points one term in w^2
+  PARTIAL_FRACTION coset partial-fraction sum over the whole coset, no cutoff,
+                   each pair +-w of coset points one term in w^2
 
 The partial-fraction route sums at the reduced point, |u| <= rho with rho
-the circumradius of the centred cell.  It splits the pairs of the disc at
+the circumradius of the centred cell.  It splits the pairs of the coset at
 |w| = 8*rho: the near ones are summed term by term at each point, and the
-far ones, where |u/w|^2 <= 1/64, as the power series -sum_{j<J} u^(2j) M_j
-of their sum of 1/(P (u^2 - P)), P = w^2, with the per-coset moments
-M_j = sum_far P^(-j-2) built once per (lattice, radius, coset).  J = 9
-terms leave out less than 2^-53 of each far term (64^-9 = 2^-54), so this
-is the same finite sum, rearranged, and it reads no theta route
-(weier_core._zeta_pair_sum).
+far ones, where |u/w|^2 <= 1/64, as the power series -sum_{j<J} x^j M_j of
+their sum of 1/(P (u^2 - P)), P = w^2 and x = u^2/rho^2, with the moments
+M_j = sum_far P^-2 (rho^2/P)^j built once per (lattice, cfg, coset) in pure
+Python (`_coset_tables`).  J = 9 terms leave out less than 2^-53 of each far
+term (64^-9 = 2^-54).  M_0 and M_1 are the whole coset's sums of w^-4 and
+w^-6, closed forms in e_lam and the e differences, less the near pairs;
+M_2 .. M_8 are summed over the pairs with 8*rho < |w| <= 32*rho; beyond,
+the terms of each circle all but cancel, and the route stays within 1e-12
+of a 60-digit reference on the five reference lattices.  What the route
+reads: the near field and M_2 .. M_8 read only the lattice geometry; M_0
+and M_1 read e_lam and the record's e differences (from the nullwerte), as
+the -e_lam*u term reads e_lam.  No theta pass is involved.
 """
 
 from __future__ import annotations
@@ -28,21 +34,28 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from functools import lru_cache
+from operator import mul
 
 from .errors import SeriesDivergence
-from .lattice import Lattice, LatticeConstants, Located, check_index, constants, locate
+from .lattice import (
+    _HALF_CELL,
+    Lattice,
+    LatticeConstants,
+    Located,
+    check_index,
+    complement,
+    constants,
+    locate,
+)
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import EvalResult, Status, _theta_zeta, _zeta_pair_sum, pole_status
+from .weier_core import EvalResult, Status, _theta_zeta, pole_status
 
 PI = math.pi
 
 # q-series points with |Im(pi*u/omega1)| beyond this multiple of 2*pi*Im(tau)
 # lose geometric convergence; fall back to the shift route there.
 QSERIES_STRIP = 0.45
-
-# Radius of the partial-fraction sum's cutoff disc, in minimum periods (see
-# half_lattice_squares).
-PARTIALFRAC_RADIUS = 200
 
 
 class ZetaRoute(enum.Enum):
@@ -73,7 +86,7 @@ def zeta_aux(
     if route is ZetaRoute.QSERIES:
         return EvalResult(_qseries(lat, lc, lam, p, cfg, qseries_form), Status.FINITE)
     if route is ZetaRoute.PARTIAL_FRACTION:
-        return EvalResult(_partialfrac(lat, lc, lam, p), Status.FINITE)
+        return EvalResult(_partialfrac(lat, lc, lam, p, cfg), Status.FINITE)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -134,11 +147,98 @@ def _qseries(
     )
 
 
-def _partialfrac(lat: Lattice, lc: LatticeConstants, lam: int, p: Located) -> complex:
-    """-e_lam*u + sum over omega_lam + lattice of 1/(u-w) + 1/w + u/w^2 at
-    u = u_red, plus the lattice increment.  The reduced point lies within
-    the cell's circumradius, so `_zeta_pair_sum` takes its near/far split
-    (see the module docstring).  PARTIALFRAC_RADIUS is read at each call,
-    and the split table is keyed on it."""
-    total = -lc.e(lam) * p.u_red + _zeta_pair_sum(lat, p.u_red, PARTIALFRAC_RADIUS, lam)
+def _partialfrac(
+    lat: Lattice, lc: LatticeConstants, lam: int, p: Located, cfg: SeriesConfig
+) -> complex:
+    """-e_lam*u + the sum over omega_lam + lattice of 1/(u-w) + 1/w + u/w^2 at
+    u = u_red, plus the lattice increment: the pair sum of `_pair_series`
+    over the whole coset, from the tables of `_coset_tables`."""
+    total = -lc.e(lam) * p.u_red + _pair_series(*_coset_tables(lat, cfg, lam), p.u_red)
     return total + 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3
+
+
+# The pairs of a coset split at |w| = PAIR_SPLIT * rho (rho the cell's
+# circumradius); the far ones are taken from PAIR_MOMENTS moments, the least J
+# with (1/PAIR_SPLIT)^(2J) <= 2^-53, and the moments past the two closed forms
+# are summed out to |w| = PAIR_ANNULUS * rho.
+PAIR_SPLIT = 8
+PAIR_MOMENTS = math.ceil(53 / (2 * math.log2(PAIR_SPLIT)))
+PAIR_ANNULUS = 32
+
+
+def _pair_series(near: list, moments: list, rho: float, u: complex) -> complex:
+    """2u^3 * sum of 1/(P (u^2 - P)) over the pairs +-w of a coset, P = w^2,
+    for |u| <= rho: the near pairs term by term, and the far ones as
+    -sum_{j<J} x^j M_j with x = u^2/rho^2, the moments highest first."""
+    usq = u * u
+    total = 0j
+    for big_p in near:
+        total += 1.0 / (big_p * (usq - big_p))
+    x = usq / (rho * rho)
+    far = 0j
+    for moment in moments:
+        far = far * x + moment
+    return 2 * u**3 * (total - far)
+
+
+def _pair_moments(pairs, rho: float) -> list:
+    """M_j = sum P^-2 (rho^2/P)^j over the given P, for j < PAIR_MOMENTS."""
+    inv = [1.0 / big_p for big_p in pairs]
+    ratio = [rho * rho * x for x in inv]
+    term = list(map(mul, inv, inv))
+    sums = []
+    for _ in range(PAIR_MOMENTS):
+        sums.append(sum(term, 0j))
+        term = list(map(mul, term, ratio))
+    return sums
+
+
+def _coset_pairs(lat: Lattice, k: int, r_lo: float, r_hi: float) -> list:
+    """P = p*p for one point p of each pair +-p of omega_k + lattice with
+    r_lo < |p| <= r_hi, p and the pair's representative formed as in
+    `lattice.half_lattice_squares`.  Each row of fixed m holds its points on
+    a line, so the n with |p| <= r_hi lie between the roots of a quadratic
+    in n; one more n either side absorbs their rounding."""
+    two_w1, two_w3 = lat.period1, lat.period3
+    alpha, beta = _HALF_CELL[k]
+    offset = alpha * two_w1 + beta * two_w3
+    w1sq = abs(two_w1) ** 2
+    row_gap = abs(lat.area) / abs(two_w1)
+    out = []
+    for m in range(math.ceil(-beta), int((r_hi / row_gap) - beta) + 2):
+        c = offset + m * two_w3
+        b = c.real * two_w1.real + c.imag * two_w1.imag
+        disc = b * b - w1sq * (abs(c) ** 2 - r_hi * r_hi)
+        if disc < 0:
+            continue
+        root = math.sqrt(disc)
+        n_lo = math.floor((-b - root) / w1sq) - 1
+        if m + beta == 0:
+            n_lo = max(n_lo, math.floor(-alpha) + 1)
+        for n in range(n_lo, math.ceil((-b + root) / w1sq) + 2):
+            pt = offset + n * two_w1 + m * two_w3
+            if r_lo < abs(pt) <= r_hi:
+                out.append(pt * pt)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _coset_tables(lat: Lattice, cfg: SeriesConfig, lam: int) -> tuple[list, list, float]:
+    """(near, moments, rho) for `_pair_series` over the whole coset
+    omega_lam + lattice: rho = max(|omega1 + omega3|, |omega1 - omega3|),
+    the pairs with |p| <= PAIR_SPLIT * rho, and the far pairs' moments,
+    highest first.  M_0 and M_1 are the whole coset's closed forms less the
+    near pairs: with A = (e_lam - e_mu)(e_lam - e_nu), wp(omega_lam + v) =
+    e_lam + A v^2 + e_lam A v^4 + ..., so the coset sums p^-4 to A/3 and
+    p^-6 to e_lam A/5 (DLMF 23.3, 23.9), and the pairs to half of each.
+    M_2 .. M_8 are summed over PAIR_SPLIT * rho < |p| <= PAIR_ANNULUS * rho."""
+    lc = constants(lat, cfg)
+    rho = max(abs(lat.omega1 + lat.omega3), abs(lat.omega1 - lat.omega3))
+    near = _coset_pairs(lat, lam, 0.0, PAIR_SPLIT * rho)
+    inner = _pair_moments(near, rho)
+    moments = _pair_moments(_coset_pairs(lat, lam, PAIR_SPLIT * rho, PAIR_ANNULUS * rho), rho)
+    mu, nu = complement(lam)
+    a = lc.ediff(lam, mu) * lc.ediff(lam, nu)
+    moments[0] = a / 6 - inner[0]
+    moments[1] = rho * rho * (lc.e(lam) * a / 10) - inner[1]
+    return near, moments[::-1], rho

@@ -43,7 +43,7 @@ def jacobi_params(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> JacobiPar
 
 
 def _params(lc: LatticeConstants) -> JacobiParams:
-    if abs(lc.disc) <= lc.disc_floor:
+    if lc.degenerate:
         raise DegenerateLattice(f"discriminant {lc.disc!r} is numerically zero")
     return lc.jacobi
 

@@ -225,7 +225,7 @@ def agm_complete_integrals(ksq: complex, kpsq: complex) -> tuple[complex, comple
 class LatticeConstants(namedtuple(
     "LatticeConstants",
     "e1 e2 e3 ediffs eta1 eta2 eta3 g2 g3 disc ksq kpsq nullwerte nullwert_prime jacobi"
-    " sigma_factor zones disc_floor",
+    " sigma_factor zones degenerate",
 )):
     """Per-lattice state: half-period values and their differences, elliptic
     invariants, squared moduli, the theta nullwerte every evaluation divides
@@ -245,8 +245,11 @@ class LatticeConstants(namedtuple(
     wp - e_k ~ A_k d^2 with A_k = (e_k - e_i)(e_k - e_j), so the forms lose
     about eps*max|e|/(|A_k| d^2) to rounding, and within ten times that
     against bench/reference.py; the zone ends where ten times it is 1e-9.
-    `disc_floor` is the discriminant at or below which `jacobi_params`
-    refuses the lattice as degenerate, 1e-10 * max(|g2|^3, 27 |g3|^2).
+    `degenerate` is true when `jacobi_params` refuses the lattice:
+    |disc| <= 1e-10 * max(|g2|^3, 27 |g3|^2), taken on the e differences
+    scaled by 2^-k, k the binary exponent of max |e|.  That scaling is exact,
+    so the decision is the unscaled one wherever those powers are normal
+    numbers, and it stays in range at any scale of the lattice.
     """
 
     __slots__ = ()
@@ -296,9 +299,7 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
     d12 = c * nw[3] ** 4
     d13 = c * nw[2] ** 4
     d23 = c * nw[1] ** 4
-    e1 = (d12 + d13) / 3
-    e2 = (-d12 + d23) / 3
-    e3 = (-d13 - d23) / 3
+    e1, e2, e3, g2, g3, disc = _invariants(d12, d13, d23)
     eta1 = -tppp / (12 * w1 * tp)
     eta3 = (eta1 * lat.omega3 - 1j * PI / 2) / w1
     eta2 = -eta1 - eta3
@@ -310,19 +311,34 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
         k=cmath.sqrt(ksq), kprime=cmath.sqrt(kpsq), big_k=big_k, big_e=big_e,
         scale=cmath.sqrt(e1 - e3), lattice=lat, cfg=cfg, sigma_factor=sigma_factor, nullwerte=nw,
     )
-    g2 = -4 * (e1 * e2 + e2 * e3 + e3 * e1)
-    g3 = 4 * e1 * e2 * e3
     e_max = max(abs(e1), abs(e2), abs(e3))
+    k = math.frexp(e_max)[1]
+    *_, g2s, g3s, discs = _invariants(
+        *(complex(math.ldexp(d.real, -k), math.ldexp(d.imag, -k)) for d in (d12, d13, d23))
+    )
     zones = tuple(
         math.sqrt(10 * sys.float_info.epsilon * e_max / (1e-9 * a)) if a else math.inf
         for a in (abs(d12 * d13), abs(d12 * d23), abs(d13 * d23))
     )
     return LatticeConstants(
         e1=e1, e2=e2, e3=e3, ediffs=(d23, d13, d12), eta1=eta1, eta2=eta2, eta3=eta3,
-        g2=g2, g3=g3, disc=16 * (d12 * d13 * d23) ** 2, ksq=ksq, kpsq=kpsq,
+        g2=g2, g3=g3, disc=disc, ksq=ksq, kpsq=kpsq,
         nullwerte=nw, nullwert_prime=tp, jacobi=jacobi, sigma_factor=sigma_factor, zones=zones,
-        disc_floor=1e-10 * max(abs(g2) ** 3, 27 * abs(g3) ** 2, 1e-300),
+        degenerate=abs(discs) <= 1e-10 * max(abs(g2s) ** 3, 27 * abs(g3s) ** 2, 1e-300),
     )
+
+
+def _invariants(d12: complex, d13: complex, d23: complex) -> tuple:
+    """(e1, e2, e3, g2, g3, disc) from the e differences: 3*e_lam =
+    (e_lam - e_mu) + (e_lam - e_nu), and disc = 16 (d12 d13 d23)^2, squared
+    by a product, which overflows to inf where a complex power raises."""
+    e1 = (d12 + d13) / 3
+    e2 = (-d12 + d23) / 3
+    e3 = (-d13 - d23) / 3
+    g2 = -4 * (e1 * e2 + e2 * e3 + e3 * e1)
+    g3 = 4 * e1 * e2 * e3
+    prod = d12 * d13 * d23
+    return e1, e2, e3, g2, g3, 16 * (prod * prod)
 
 
 constants.cache_info = _constants.cache_info
@@ -333,7 +349,12 @@ def _pair(z: complex) -> list[float]:
 
 
 def constants_to_json(lat: Lattice, lc: LatticeConstants) -> dict:
-    """JSON-ready dict with complex numbers as [re, im] pairs."""
+    """JSON-ready dict with complex numbers as [re, im] pairs.  Invariants
+    beyond float range (g2 ~ omega^-4, g3 ~ omega^-6, disc ~ omega^-12 on a
+    lattice far from unit scale) raise ValueOverflow: JSON has no NaN."""
+    for name in ("g2", "g3", "disc"):
+        if not cmath.isfinite(getattr(lc, name)):
+            raise ValueOverflow(f"{name} is not finite at omega1 = {lat.omega1!r}")
     return {
         "omega1": _pair(lat.omega1),
         "omega3": _pair(lat.omega3),

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import cmath
 import enum
-import math
 from collections import namedtuple
-from functools import lru_cache
 from operator import itemgetter
 
 from .errors import NearZeroDenominator, ValueOverflow
@@ -216,69 +214,12 @@ def wp_lattice_sum(lat: Lattice, u: complex, radius: int = 200) -> complex:
 
 
 def zeta_lattice_sum(lat: Lattice, u: complex, radius: int = 200) -> complex:
-    """1/u + sum over the lattice of 1/(u-Omega) + 1/Omega + u/Omega^2."""
-    return 1.0 / u + _zeta_pair_sum(lat, u, radius, 0)
-
-
-# The partial-fraction sum splits its pairs at |p| = PAIR_SPLIT * rho, rho the
-# circumradius of the centred cell, and sums the far ones from PAIR_MOMENTS
-# moments: the smallest J with (1/PAIR_SPLIT)^(2J) <= 2^-53.
-PAIR_SPLIT = 8
-PAIR_MOMENTS = math.ceil(53 / (2 * math.log2(PAIR_SPLIT)))
-
-
-def _zeta_pair_sum(lat: Lattice, u: complex, radius: int, k: int) -> complex:
-    """Sum over omega_k + lattice, origin left out, of 1/(u-w) + 1/w + u/w^2,
-    taken over the pairs +-w as 2u^3 * sum of 1/(P (u^2 - P)) with P = w^2.
-
-    For |u| <= rho, the circumradius of the centred cell (every reduced
-    point), the pairs of the disc split at |p| = r0 = PAIR_SPLIT * rho: the
-    near ones are summed term by term, and each far one is the geometric
-    series 1/(P (u^2 - P)) = -sum_j u^(2j) P^(-j-2), so the far pairs sum
-    to -sum_{j<J} x^j M_j with x = u^2/rho^2 and the moments
-    M_j = sum_far P^-2 (rho^2/P)^j (`_pair_split`).  |x| rho^2/|P| <=
-    (rho/r0)^2, so the J = PAIR_MOMENTS terms leave out less than 2^-53 of
-    each far term: the same disc and the same pairs, rearranged.  A larger
-    |u| takes the direct sum."""
-    near, moments, rho = _pair_split(lat, radius, k)
-    usq = u * u
-    if abs(u) > rho:
-        import numpy as np
-
-        big_p = half_lattice_squares(lat, radius, k)
-        return 2 * u**3 * complex(np.sum(1.0 / (big_p * (usq - big_p))))
-    total = 0j
-    for big_p in near:
-        total += 1.0 / (big_p * (usq - big_p))
-    x = usq / (rho * rho)
-    far = 0j
-    for moment in moments:
-        far = far * x + moment
-    return 2 * u**3 * (total - far)
-
-
-@lru_cache(maxsize=64)
-def _pair_split(lat: Lattice, radius: int, k: int) -> tuple[list, list, float]:
-    """(near, moments, rho) for `_zeta_pair_sum`: rho = max(|omega1 + omega3|,
-    |omega1 - omega3|), the P of half_lattice_squares(lat, radius, k) with
-    |p| <= PAIR_SPLIT * rho as Python complexes, and the far pairs' moments
-    M_j = sum P^-2 (rho^2/P)^j for j < PAIR_MOMENTS, highest first.  Keyed on
-    the radius its caller reads, like the table; ValueError below 1."""
+    """1/u + sum over the lattice of 1/(u-Omega) + 1/Omega + u/Omega^2,
+    taken over the pairs as 2u^3 * sum of 1/(P (u^2 - P))."""
     import numpy as np
 
-    big_p = half_lattice_squares(lat, radius, k)
-    rho = max(abs(lat.omega1 + lat.omega3), abs(lat.omega1 - lat.omega3))
-    far = np.abs(big_p) > (PAIR_SPLIT * rho) ** 2
-    # In place where it can be, to hold no more arrays than the direct sum.
-    ratio = big_p[far]
-    np.divide(1.0, ratio, out=ratio)
-    term = ratio * ratio
-    ratio *= rho * rho
-    moments = []
-    for _ in range(PAIR_MOMENTS):
-        moments.append(complex(np.sum(term)))
-        term *= ratio
-    return big_p[~far].tolist(), moments[::-1], rho
+    big_p = half_lattice_squares(lat, radius, 0)
+    return 1.0 / u + 2 * u**3 * complex(np.sum(1.0 / (big_p * (u * u - big_p))))
 
 
 def sigma_product(lat: Lattice, u: complex, radius: int = 60) -> complex:

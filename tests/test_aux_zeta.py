@@ -2,15 +2,19 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from weierzeta import (
     Status,
     ZetaRoute,
+    aux_zeta,
     constants,
     wp,
     zeta_aux,
 )
+from weierzeta.lattice import half_lattice_squares
+from weierzeta.theta import DEFAULT_CONFIG
 
 from conftest import REFERENCE_TAUS, guarded_points, make_lattice
 
@@ -156,3 +160,25 @@ def test_qseries_divergence_with_tiny_budget():
     cfg = SeriesConfig(abs_tol=1e-15, rel_tol=0.0, max_terms=6)
     with pytest.raises(SeriesDivergence):
         zeta_aux(lat, 2, 0.2 + 0.001j, ZetaRoute.QSERIES, cfg)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TAUS))
+def test_coset_closed_forms_match_the_disc_sums(name):
+    # The partial-fraction tables' M_0 and M_1, with the near pairs they
+    # leave out, are the whole coset's pair sums of P^-2 = p^-4 and P^-3:
+    # A/6 and e_lam*A/10.  Against numpy sums over the pairs of the disc of
+    # 200 minimum periods, within that disc's truncation, read off as the
+    # change of its sums from the disc of 100, plus rounding on the sum of
+    # the magnitudes (the p^-6 sum is exactly 0 on the square lattice's
+    # omega_2 coset).
+    lat = make_lattice(name)
+    for lam in (1, 2, 3):
+        near, moments, rho = aux_zeta._coset_tables(lat, DEFAULT_CONFIG, lam)
+        inner = aux_zeta._pair_moments(near, rho)
+        whole = (moments[-1] + inner[0], (moments[-2] + inner[1]) / rho**2)
+        disc = {}
+        for radius in (100, 200):
+            inv = 1.0 / half_lattice_squares(lat, radius, lam)
+            disc[radius] = [(complex(np.sum(inv**j)), np.sum(np.abs(inv) ** j)) for j in (2, 3)]
+        for got, (s100, _), (s200, magnitude) in zip(whole, disc[100], disc[200]):
+            assert abs(got - s200) <= abs(s200 - s100) + 1e-14 * magnitude

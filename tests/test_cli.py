@@ -13,7 +13,7 @@ import pytest
 import weierzeta
 from weierzeta import jacobi
 from weierzeta.cli import main, parse_complex
-from weierzeta.verify import FUNCTIONS, Function
+from weierzeta.verify import FUNCTIONS, Function, default_suite
 from weierzeta import build_lattice
 
 
@@ -246,6 +246,26 @@ def test_tiny_half_period_is_a_usage_error(command):
     assert rc == 2 and out == "" and err.startswith("weierzeta: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("omega1", ["1e-30,0", "1e-80,0"])
+def test_constants_refuse_invariants_beyond_float_range(omega1):
+    # g2, g3 and disc scale as omega1^-4, -6 and -12: at 1e-30 disc
+    # overflows, at 1e-80 g2 and g3 too, and JSON has no NaN or Infinity.
+    rc, out, err = run_cli(["constants", "--omega1", omega1])
+    assert rc == 2 and out == "" and "not finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e30])
+def test_jacobi_functions_at_extreme_scale(scale):
+    # The degeneracy test is scale-free: at 1e-30 its cube of g2 overflowed
+    # (a traceback), and at 1e30 disc underflows to 0 (a valid lattice
+    # refused).  sn(scale*u) does not depend on the scale of the lattice.
+    rc, out, err = run_cli(["eval", "--fn", "sn", "--u", f"{0.1 * scale!r},0", "--omega1", f"{scale!r},0"])
+    assert rc == 0, err
+    rc, unit_out, _ = run_cli(["eval", "--fn", "sn", "--u", "0.1,0", "--omega1", "1,0"])
+    got, want = (complex(*json.loads(s)["value"]) for s in (out, unit_out))
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
 def test_jacobi_overflow_names_the_callers_point():
     rc, out, err = run_cli(["eval", "--fn", "sn", "--u", "1e308,0"])
     assert rc == 2 and out == "" and "1e+308" in err and "inf" not in err
@@ -415,13 +435,20 @@ def test_package_import_without_numpy():
     assert not DATACLASS_IMPORTS & modules
 
 
-def test_partialfrac_verify_loads_numpy():
-    rc, out, modules = run_fresh(
-        "-m", "weierzeta.cli", "verify", "--n", "3", "--only", "prop22_partialfrac_zeta1"
-    )
+def test_verify_and_partialfrac_eval_load_no_numpy():
+    # The partial-fraction route builds its coset tables in pure Python, so
+    # the whole suite, its prop22 rows included, runs without numpy.
+    rc, out, modules = run_fresh("-m", "weierzeta.cli", "verify", "--n", "3")
     assert rc == 0
-    assert [r["passed"] for r in json.loads(out)] == [True]
-    assert loads_numpy(modules)
+    report = json.loads(out)
+    assert len(report) == len(default_suite()) and all(r["passed"] for r in report)
+    assert sum(r["name"].startswith("prop22_partialfrac_") for r in report) == 3
+    assert not loads_numpy(modules)
+    rc, out, modules = run_fresh(
+        "-m", "weierzeta.cli", "eval", "--fn", "zeta1", "--route", "partialfrac", "--u", "0.2,0.1"
+    )
+    assert rc == 0 and json.loads(out)["status"] == "Finite"
+    assert not loads_numpy(modules)
 
 
 @pytest.mark.parametrize(

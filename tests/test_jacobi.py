@@ -77,6 +77,10 @@ def test_moduli_consistency():
 
 
 def test_degenerate_lattice_rejected():
+    # A genuinely degenerate lattice: at tau = 5i, |disc| is 8.6e-5 against
+    # |g2|^3 of about 2e7.
+    with pytest.raises(DegenerateLattice):
+        jacobi_params(build_lattice(0.5, 2.5j))
     lat = make_lattice("square")
     lc = constants(lat)
     # fake a degenerate configuration by a synthetic constants object
@@ -84,7 +88,7 @@ def test_degenerate_lattice_rejected():
     import weierzeta.jacobi as jac
     import weierzeta.lattice as latmod
 
-    broken = lc._replace(disc=0j)
+    broken = lc._replace(degenerate=True)
     original = latmod.constants
     try:
         jac.constants = lambda *a, **k: broken

@@ -10,14 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weierzeta import (
-    ZetaRoute,
     aux_zeta,
     build_lattice,
     constants,
     eisenstein_invariants,
     sigma_product,
     wp_lattice_sum,
-    zeta_aux,
     zeta_lattice_sum,
 )
 from weierzeta.errors import ConvergencePolicyError, InvalidPeriodRatio, ValueOverflow, ZeroPeriod
@@ -32,7 +30,8 @@ from weierzeta.lattice import (
     reduce_to_cell,
 )
 from weierzeta.verify import POLE_GUARD
-from weierzeta.weier_core import NEAR_POLE_FACTOR, _pair_split, _zeta_pair_sum
+from weierzeta.theta import DEFAULT_CONFIG
+from weierzeta.weier_core import NEAR_POLE_FACTOR
 
 from conftest import REFERENCE_TAUS, make_lattice
 
@@ -363,8 +362,37 @@ def test_half_table_holds_one_point_of_each_pair(name, k):
     assert np.all(np.abs(first + second) <= 1e-13 * np.abs(first))
 
 
+def _disc_split(lat, k, radius):
+    """(near, far, moments, rho) of the partial-fraction route's pair form
+    over the pairs of the disc |p| <= radius * min period instead of the
+    whole coset: the pairs within PAIR_SPLIT * rho and the rest of the disc,
+    both by `aux_zeta._coset_pairs`, and the rest's `_pair_moments`, highest
+    first, as `aux_zeta._pair_series` reads them."""
+    rho = aux_zeta._coset_tables(lat, DEFAULT_CONFIG, k)[2]
+    assert rho == max(abs(lat.omega1 + lat.omega3), abs(lat.omega1 - lat.omega3))
+    cut = radius * lat.min_period
+    split = min(cut, aux_zeta.PAIR_SPLIT * rho)
+    near = aux_zeta._coset_pairs(lat, k, 0.0, split)
+    far = aux_zeta._coset_pairs(lat, k, split, cut)
+    return near, far, aux_zeta._pair_moments(far, rho)[::-1], rho
+
+
+def _pair_keys(lat, squares):
+    """The doubled cell coordinates (2a, 2b) of one point p = 2a*omega1 +
+    2b*omega3 of each pair +-p with the given squares, the pair's sign fixed
+    as in half_lattice_squares, in lexicographic order; and the squares in
+    that order."""
+    big_p = np.asarray(squares)
+    a, b = cell_coords(lat, np.sqrt(big_p))
+    a, b = np.rint(2 * a).astype(int), np.rint(2 * b).astype(int)
+    sign = np.where((b < 0) | ((b == 0) & (a < 0)), -1, 1)
+    a, b = sign * a, sign * b
+    order = np.lexsort((a, b))
+    return np.stack([b[order], a[order]]), big_p[order]
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE_TAUS))
-def test_paired_oracles_match_unpaired_sums(name, monkeypatch):
+def test_paired_oracles_match_unpaired_sums(name):
     # Each oracle against its defining sum over every point of the disc,
     # p and -p as separate terms.
     lat = make_lattice(name)
@@ -386,10 +414,11 @@ def test_paired_oracles_match_unpaired_sums(name, monkeypatch):
     sig = u * cmath.exp(log_sum)
     assert abs(sigma_product(lat, u, radius=20) - sig) <= 1e-12 * abs(sig)
 
-    monkeypatch.setattr(aux_zeta, "PARTIALFRAC_RADIUS", 20)
+    # The partial-fraction route's pair form, over the same disc.
     for lam in (1, 2, 3):
         terms = (1 / (u - p) + 1 / p + u / p**2 for p in _disc_points(lat, 20, lam))
-        close(zeta_aux(lat, lam, u, ZetaRoute.PARTIAL_FRACTION).value, -lc.e(lam) * u, terms)
+        near, _, moments, rho = _disc_split(lat, lam, 20)
+        close(-lc.e(lam) * u + aux_zeta._pair_series(near, moments, rho, u), -lc.e(lam) * u, terms)
 
 
 @pytest.mark.parametrize("radius", [1, 20, 200])
@@ -397,10 +426,17 @@ def test_paired_oracles_match_unpaired_sums(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(REFERENCE_TAUS))
 def test_split_pair_sum_matches_the_direct_sum(name, k, radius):
     # At reduced points the near pairs are summed term by term and the far
-    # ones from moments; against the pairwise sum over the same table.
+    # ones from moments; against the pairwise sum over the same pairs.  The
+    # pure-Python enumeration lists the pairs of the numpy table, each
+    # square within two units in the last place (numpy may fuse the
+    # square's multiply and add).
     lat = make_lattice(name)
-    table = half_lattice_squares(lat, radius, k)
-    near, _, rho = _pair_split(lat, radius, k)
+    near, far, moments, rho = _disc_split(lat, k, radius)
+    table = np.array(near + far)
+    keys, squares = _pair_keys(lat, table)
+    numpy_keys, numpy_squares = _pair_keys(lat, half_lattice_squares(lat, radius, k))
+    assert np.array_equal(keys, numpy_keys)
+    assert np.all(np.abs(squares - numpy_squares) <= 4.5e-16 * np.abs(numpy_squares))
     if radius > 1:
         assert len(near) < len(table)  # the far field is taken from moments
     w1, w3 = lat.omega1, lat.omega3
@@ -413,29 +449,46 @@ def test_split_pair_sum_matches_the_direct_sum(name, k, radius):
     for u in corners + near_cosets + inside:
         assert abs(u) <= rho
         terms = 2 * u**3 / (table * (u * u - table))
-        got = _zeta_pair_sum(lat, u, radius, k)
+        got = aux_zeta._pair_series(near, moments, rho, u)
         assert abs(got - complex(math.fsum(terms.real), math.fsum(terms.imag))) <= 1e-13 * np.sum(np.abs(terms))
     assert max(abs(c) for c in corners) == rho or k == 2
 
 
 def test_pair_sum_beyond_the_cell_is_the_direct_sum():
+    # zeta_lattice_sum is the direct numpy sum over its disc, bit for bit,
+    # beyond the cell and at a reduced point alike.
     lat = make_lattice("generic")
-    u = 3.2 + 1.7j  # outside the circumradius: only zeta_lattice_sum passes such a u
-    assert abs(u) > _pair_split(lat, 20, 0)[2]
     table = half_lattice_squares(lat, 20, 0)
-    assert _zeta_pair_sum(lat, u, 20, 0) == 2 * u**3 * complex(np.sum(1.0 / (table * (u * u - table))))
+    for u in (3.2 + 1.7j, 0.3 * lat.omega1 + 0.2 * lat.omega3):
+        direct = 1.0 / u + 2 * u**3 * complex(np.sum(1.0 / (table * (u * u - table))))
+        assert zeta_lattice_sum(lat, u, 20) == direct
 
 
-def test_oracles_refuse_radius_below_one(monkeypatch):
+def test_oracles_refuse_radius_below_one():
     # eisenstein_invariants: see test_eisenstein_matches_theta_route.
     lat = make_lattice("generic")
     u = 0.3 * lat.omega1 + 0.2 * lat.omega3
     for oracle in (wp_lattice_sum, zeta_lattice_sum, sigma_product):
         with pytest.raises(ValueError):
             oracle(lat, u, radius=0)
-    monkeypatch.setattr(aux_zeta, "PARTIALFRAC_RADIUS", 0)
-    with pytest.raises(ValueError):
-        zeta_aux(lat, 1, u, ZetaRoute.PARTIAL_FRACTION)
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.45 + 0.04j, 3j, 5j, 8j])
+def test_degeneracy_is_scale_free(tau):
+    # The degeneracy test takes the e differences scaled by a power of two
+    # near 1/max|e|, which is exact: where the unscaled powers are normal
+    # numbers it decides as |disc| <= 1e-10 * max(|g2|^3, 27 |g3|^2) does,
+    # and at any scale as at unit scale.  Unscaled, |g2|^3 overflowed from
+    # omega1 = 1e-30 (a traceback) and disc underflowed to 0 at 1e30.
+    unit = constants(build_lattice(0.5, 0.5 * tau)).degenerate
+    assert unit == (abs(tau) >= 5)
+    for w1 in (1e-3, 0.037, 7.3, 1e3):
+        lc = constants(build_lattice(w1, w1 * tau))
+        assert lc.degenerate == (abs(lc.disc) <= 1e-10 * max(abs(lc.g2) ** 3, 27 * abs(lc.g3) ** 2, 1e-300))
+        assert lc.degenerate == unit
+    for j in (-150, -100, 100, 150):
+        w1 = math.ldexp(0.5, j)
+        assert constants(build_lattice(w1, w1 * tau)).degenerate == unit
 
 
 def test_constants_json_schema():

@@ -1,6 +1,7 @@
 """Library values against bench/reference.py's 30-digit mpmath values."""
 
 import json
+import random
 
 import pytest
 
@@ -18,7 +19,7 @@ from weierzeta import (
     zeta_w,
 )
 
-from conftest import REFERENCE_TAUS
+from conftest import REFERENCE_TAUS, guarded_points
 from test_cli import run_cli
 
 
@@ -148,3 +149,27 @@ def test_Z_in_another_basis(reference):
         want_e, want_z = ref.jacobi_E_Z(u)
         assert reference.rel_error(big_e, want_e, 1) <= 1e-12
         assert reference.rel_error(big_z, want_z, 1) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "tau", [*REFERENCE_TAUS.values(), 8j, 16j], ids=[*REFERENCE_TAUS, "8i", "16i"]
+)
+def test_zeta_aux_routes_against_60_digits(reference, tau):
+    # Every route of the auxiliary zetas against the reference at 60 digits
+    # (at 30 the reference's own zeta_2 - zeta_3 is 5.8e-10 off at 16i).
+    # The partial fractions sum the whole coset; over a disc of 200 minimum
+    # periods they were 0.9-6.3e-9 off on the five lattices, 2.0e-7 at 8i
+    # and 7.0e-7 at 16i.
+    lat = build_lattice(0.5, 0.5 * tau)
+    tols = dict.fromkeys(ZetaRoute, 1e-13)
+    tols[ZetaRoute.PARTIAL_FRACTION] = 1e-11 if tau in REFERENCE_TAUS.values() else 1e-9
+    pts = guarded_points(lat, random.Random(repr(tau)), 4)
+    with reference.mp.workdps(60):
+        ref = reference.LatticeRef(0.5, 0.5 * tau)
+        for u in pts:
+            for lam in (1, 2, 3):
+                want = ref.zeta_aux(lam, u)
+                for route, tol in tols.items():
+                    got = zeta_aux(lat, lam, u, route)
+                    assert got.is_finite
+                    assert reference.rel_error(got.value, want, ref.unit) <= tol, (route, lam, u)
