@@ -49,7 +49,7 @@ from .lattice import (
     locate,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import EvalResult, Status, _theta_zeta, pole_status
+from .weier_core import EvalResult, _guarded, _theta_zeta
 
 PI = math.pi
 
@@ -75,18 +75,18 @@ def zeta_aux(
 ) -> EvalResult:
     """Auxiliary zeta for half-period index lam along the chosen route."""
     check_index(lam)
-    p, bad = pole_status(lat, u, (lam,))
-    if bad is not None:
-        return bad
-    lc = constants(lat, cfg)
+    return _guarded(_zeta_aux, lat, u, (lam,), cfg, None, lam, route, qseries_form)
+
+
+def _zeta_aux(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int, route, form="exp"):
     if route is ZetaRoute.SHIFT:
-        return EvalResult(_shift(lat, lc, lam, u, cfg), Status.FINITE)
+        return _shift(lat, lc, lam, p.u, cfg)
     if route is ZetaRoute.THETA:
-        return EvalResult(_theta_zeta(lat, lc, p, cfg, lam)[0], Status.FINITE)
+        return _theta_zeta(lat, lc, p, cfg, lam)[0]
     if route is ZetaRoute.QSERIES:
-        return EvalResult(_qseries(lat, lc, lam, p, cfg, qseries_form), Status.FINITE)
+        return _qseries(lat, lc, lam, p, cfg, form)
     if route is ZetaRoute.PARTIAL_FRACTION:
-        return EvalResult(_partialfrac(lat, lc, lam, p, cfg), Status.FINITE)
+        return _partialfrac(lat, lc, lam, p, cfg)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -198,7 +198,9 @@ def _coset_pairs(lat: Lattice, k: int, r_lo: float, r_hi: float) -> list:
     r_lo < |p| <= r_hi, p and the pair's representative formed as in
     `lattice.half_lattice_squares`.  Each row of fixed m holds its points on
     a line, so the n with |p| <= r_hi lie between the roots of a quadratic
-    in n; one more n either side absorbs their rounding."""
+    in n; one more n either side absorbs their rounding.  A row tangent to
+    the circle has a discriminant of 0 that rounding can make negative, so
+    only a clearly negative one skips the row."""
     two_w1, two_w3 = lat.period1, lat.period3
     alpha, beta = _HALF_CELL[k]
     offset = alpha * two_w1 + beta * two_w3
@@ -208,10 +210,11 @@ def _coset_pairs(lat: Lattice, k: int, r_lo: float, r_hi: float) -> list:
     for m in range(math.ceil(-beta), int((r_hi / row_gap) - beta) + 2):
         c = offset + m * two_w3
         b = c.real * two_w1.real + c.imag * two_w1.imag
-        disc = b * b - w1sq * (abs(c) ** 2 - r_hi * r_hi)
-        if disc < 0:
+        csq = abs(c) ** 2
+        disc = b * b - w1sq * (csq - r_hi * r_hi)
+        if disc < -1e-9 * w1sq * (csq + r_hi * r_hi):
             continue
-        root = math.sqrt(disc)
+        root = math.sqrt(max(disc, 0.0))
         n_lo = math.floor((-b - root) / w1sq) - 1
         if m + beta == 0:
             n_lo = max(n_lo, math.floor(-alpha) + 1)

@@ -17,7 +17,7 @@ from .errors import BranchAmbiguity, PoleProximityError, WeierzetaError
 from .lattice import build_lattice, constants, constants_to_json
 from .theta import SeriesConfig
 from .verify import FUNCTIONS, default_suite, reports_to_json, run_suite
-from .weier_core import EvalResult, Status
+from .weier_core import _FINITE, EvalResult, Status
 
 
 def parse_complex(text: str, lat=None) -> complex:
@@ -71,16 +71,19 @@ def _build(args):
     return lat, cfg
 
 
+_FINITE_TEXT = _FINITE.value  # read once: an Enum's `value` is a descriptor
+
+
 def _value_json(r: EvalResult) -> dict:
     """The JSON fields of a result: value [re, im], null unless Finite, and status."""
-    finite = r.status is Status.FINITE
+    finite = r.status is _FINITE
     return {"value": [r.value.real, r.value.imag] if finite else None, "status": r.status.value}
 
 
 def _value_csv(r: EvalResult) -> str:
     """The CSV fields of a result, "re,im,status", the value empty unless Finite."""
-    if r.status is Status.FINITE:
-        return f"{r.value.real!r},{r.value.imag!r},{r.status.value}"
+    if r.status is _FINITE:
+        return f"{r.value.real!r},{r.value.imag!r},{_FINITE_TEXT}"
     return f",,{r.status.value}"
 
 
@@ -118,7 +121,7 @@ def cmd_eval(args) -> int:
     u = parse_complex(args.u, lat)
     a = parse_complex(args.a, lat) if args.a is not None else None
     try:
-        res = fn.run(lat, cfg, u, a, route)
+        res = fn.run(lat, None, cfg, u, a, route)
     except (PoleProximityError, BranchAmbiguity) as exc:
         sys.stderr.write(f"eval: {exc}\n")
         return 3
@@ -155,15 +158,21 @@ def cmd_table(args) -> int:
         sys.stderr.write(f"table: {exc}\n")
         return 2
     a = parse_complex(args.a, lat) if args.a is not None else None
-    results = []
-    for im in ims:
-        for re in res:
-            try:
-                r = fn.run(lat, cfg, complex(re, im), a, route)
-            except (PoleProximityError, BranchAmbiguity):
-                r = EvalResult(complex("nan"), Status.AT_POLE)
-            results.append(r)
-    rows = iter(results)
+    try:
+        lc = constants(lat, cfg)
+    except (WeierzetaError, ArithmeticError):
+        lc = None  # each point then looks it up after its guard, as eval does
+    run = fn.run
+
+    def results():
+        for im in ims:
+            for re in res:
+                try:
+                    yield run(lat, lc, cfg, complex(re, im), a, route)
+                except (PoleProximityError, BranchAmbiguity):
+                    yield EvalResult(complex("nan"), Status.AT_POLE)
+
+    rows = results()
     if args.format == "csv":
         # Row-major over the grid; each axis value is formatted once.
         re_txt = [f"{re!r}," for re in res]

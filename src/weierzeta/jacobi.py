@@ -80,7 +80,10 @@ def jacobi_E_Z(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> 
     scale*omega1 = K, as on the reference lattices; on other bases of a
     lattice the two differ by a multiple of x.
     """
-    lc = constants(lat, cfg)
+    return _E_Z(lat, constants(lat, cfg), u, cfg)
+
+
+def _E_Z(lat: Lattice, lc: LatticeConstants, u: complex, cfg: SeriesConfig) -> tuple[complex, complex]:
     p = _params(lc)
     pt, bad = pole_status(lat, u, (3,))
     if bad is not None:

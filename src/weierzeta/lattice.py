@@ -121,6 +121,8 @@ def cell_coords(lat: Lattice, u: complex) -> tuple[float, float]:
 # A located point: u = 2*alpha*omega1 + 2*beta*omega3 = u_red + 2*n*omega1 + 2*m*omega3.
 Located = namedtuple("Located", "u alpha beta u_red n m")
 
+_tuple_new = tuple.__new__  # a named tuple without its Python-level __new__, for per-point records
+
 
 # Cell coordinates at or past this size have no fractional bit left, so
 # rounding them says nothing about where u lies in its cell.
@@ -133,15 +135,17 @@ def locate(lat: Lattice, u: complex) -> Located:
     theta pass reads (u_red with cell coordinates in [-1/2, 1/2]).  Cell
     coordinates that are not finite or reach _COORD_LIMIT in size, where no
     digit of the reduction is left, raise ValueOverflow."""
-    alpha, beta = cell_coords(lat, u)
+    w1, w3, det = lat.period1, lat.period3, lat.area  # `cell_coords`, written out
+    alpha = (u.real * w3.imag - u.imag * w3.real) / det
+    beta = (w1.real * u.imag - w1.imag * u.real) / det
     try:
-        if not (-_COORD_LIMIT < alpha < _COORD_LIMIT and -_COORD_LIMIT < beta < _COORD_LIMIT):
+        if not (abs(alpha) < _COORD_LIMIT and abs(beta) < _COORD_LIMIT):
             raise OverflowError
         n, m = round(alpha), round(beta)
         u_red = u - 2 * n * lat.omega1 - 2 * m * lat.omega3
     except OverflowError:
         raise ValueOverflow(f"the cell coordinates of u = {u!r} are too large to reduce") from None
-    return Located(u, alpha, beta, u_red, n, m)
+    return _tuple_new(Located, (u, alpha, beta, u_red, n, m))
 
 
 def reduce_to_cell(lat: Lattice, u: complex) -> tuple[complex, int, int]:
@@ -246,10 +250,11 @@ class LatticeConstants(namedtuple(
     about eps*max|e|/(|A_k| d^2) to rounding, and within ten times that
     against bench/reference.py; the zone ends where ten times it is 1e-9.
     `degenerate` is true when `jacobi_params` refuses the lattice:
-    |disc| <= 1e-10 * max(|g2|^3, 27 |g3|^2), taken on the e differences
-    scaled by 2^-k, k the binary exponent of max |e|.  That scaling is exact,
-    so the decision is the unscaled one wherever those powers are normal
-    numbers, and it stays in range at any scale of the lattice.
+    |disc| <= 1e-10 * max(|g2|^3, 27 |g3|^2).  Both are taken on the e
+    differences scaled by 2^-2k, 2k the even number at or below the binary
+    exponent of max |e|.  That scaling is exact, so the zones and the
+    decision are the unscaled ones wherever those powers are normal numbers,
+    and they stay in range at any scale of the lattice.
     """
 
     __slots__ = ()
@@ -312,13 +317,17 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
         scale=cmath.sqrt(e1 - e3), lattice=lat, cfg=cfg, sigma_factor=sigma_factor, nullwerte=nw,
     )
     e_max = max(abs(e1), abs(e2), abs(e3))
-    k = math.frexp(e_max)[1]
-    *_, g2s, g3s, discs = _invariants(
-        *(complex(math.ldexp(d.real, -k), math.ldexp(d.imag, -k)) for d in (d12, d13, d23))
+    k = math.frexp(e_max)[1] // 2
+    s12, s13, s23 = (
+        complex(math.ldexp(d.real, -2 * k), math.ldexp(d.imag, -2 * k)) for d in (d12, d13, d23)
     )
+    *_, g2s, g3s, discs = _invariants(s12, s13, s23)
+    # Each zone scales as the periods do: taken on the differences scaled by
+    # 2^-2k, it is the unscaled one times 2^k, exactly.
     zones = tuple(
-        math.sqrt(10 * sys.float_info.epsilon * e_max / (1e-9 * a)) if a else math.inf
-        for a in (abs(d12 * d13), abs(d12 * d23), abs(d13 * d23))
+        math.ldexp(math.sqrt(10 * sys.float_info.epsilon * math.ldexp(e_max, -2 * k) / (1e-9 * a)), -k)
+        if a else math.inf
+        for a in (abs(s12 * s13), abs(s12 * s23), abs(s13 * s23))
     )
     return LatticeConstants(
         e1=e1, e2=e2, e3=e3, ediffs=(d23, d13, d12), eta1=eta1, eta2=eta2, eta3=eta3,

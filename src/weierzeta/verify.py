@@ -17,13 +17,13 @@ import math
 import random
 from collections import namedtuple
 
-from .aux_zeta import ZetaRoute, zeta_aux
+from .aux_zeta import ZetaRoute, _zeta_aux, zeta_aux
 from .errors import PoleProximityError, SuiteConfigError, ValueOverflow, WeierzetaError
-from .jacobi import jacobi_E_Z, jacobi_E_Z_Pi, jacobi_params, sn_cn_dn
-from .lattice import Lattice, complement, constants, locate, nearest
+from .jacobi import _E_Z, _params, jacobi_E_Z_Pi, sn_cn_dn
+from .lattice import Lattice, _tuple_new, complement, constants, locate, nearest
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import EvalResult, Status, _thetas, sigma, sigma_aux, wp, wp_prime, zeta_w
-from .zeta_diff import DeltaRoute, delta, delta2, delta_prime, delta2_prime
+from .weier_core import _FINITE, EvalResult, _guarded, _sigma, _thetas, _wp, _wp_prime, _zeta_w
+from .zeta_diff import DeltaRoute, _delta, _delta2, delta2_prime, delta_prime
 
 PI = math.pi
 
@@ -57,10 +57,12 @@ SAMPLE_ERRORS = (WeierzetaError, ArithmeticError, ValueError)
 class Function(namedtuple("Function", "run routes needs_a", defaults=((), False))):
     """One public function as `eval`, `table` and the suite call it.
 
-    run(lat, cfg, u, a, route) returns an EvalResult.  It looks the library
-    function up by its module-global name when it runs, so rebinding that
-    name (as bench/tracer.py does) reaches every caller of the table.
-    `routes` holds the accepted routes, the default first.
+    run(lat, lc, cfg, u, a, route) returns an EvalResult.  It runs the
+    function's kernel, not the public function, on the lattice's record lc
+    (`table` looks it up once per command, the suite once per lattice), and
+    looks it up itself only for lc None, after the pole guard where there is
+    one; Pi makes its own lookups.  `routes` holds the accepted routes, the
+    default first.
     """
 
     __slots__ = ()
@@ -77,13 +79,13 @@ class Function(namedtuple("Function", "run routes needs_a", defaults=((), False)
 
 
 def _finite(value: complex) -> EvalResult:
-    return EvalResult(value, Status.FINITE)
+    return _tuple_new(EvalResult, (value, _FINITE, None))
 
 
-def _jacobi(lat: Lattice, cfg: SeriesConfig, u: complex) -> tuple:
+def _jacobi(lat: Lattice, lc, cfg: SeriesConfig, u: complex) -> tuple:
     """(sn, cn, dn) at the Jacobi argument scale*u; a u too large to reduce
     raises ValueOverflow naming u, not its scaled image."""
-    p = jacobi_params(lat, cfg)
+    p = _params(lc or constants(lat, cfg))
     try:
         return sn_cn_dn(p, p.scale * u)
     except ValueOverflow:
@@ -95,25 +97,34 @@ def _functions() -> dict:
     delta_routes = (DeltaRoute.SIGMA_QUOTIENT, DeltaRoute.ZETA_DIFF, DeltaRoute.WP_QUOTIENT, DeltaRoute.THETA_QUOTIENT)
     delta2_routes = (DeltaRoute.WP_QUOTIENT, DeltaRoute.ZETA_DIFF, DeltaRoute.SIGMA_QUOTIENT, DeltaRoute.THETA_QUOTIENT)
     table = {
-        "wp": Function(lambda lat, cfg, u, a, r: wp(lat, u, cfg)),
-        "wp_prime": Function(lambda lat, cfg, u, a, r: wp_prime(lat, u, cfg)),
-        "zeta": Function(lambda lat, cfg, u, a, r: zeta_w(lat, u, cfg)),
-        "sigma": Function(lambda lat, cfg, u, a, r: _finite(sigma(lat, u, cfg))),
+        "wp": Function(lambda lat, lc, cfg, u, *_: _guarded(_wp, lat, u, (0,), cfg, lc)),
+        "wp_prime": Function(lambda lat, lc, cfg, u, *_: _guarded(_wp_prime, lat, u, (0,), cfg, lc)),
+        "zeta": Function(lambda lat, lc, cfg, u, *_: _guarded(_zeta_w, lat, u, (0,), cfg, lc)),
     }
-    for lam in (1, 2, 3):
-        table[f"sigma{lam}"] = Function(lambda lat, cfg, u, a, r, i=lam: _finite(sigma_aux(lat, i, u, cfg)))
-        table[f"zeta{lam}"] = Function(lambda lat, cfg, u, a, r, i=lam: zeta_aux(lat, i, u, r, cfg), zeta_routes)
-        table[f"delta{lam}"] = Function(lambda lat, cfg, u, a, r, i=lam: delta(lat, i, u, r, cfg), delta_routes)
-    for lam, mu in ((1, 2), (2, 3), (3, 1)):
-        table[f"delta{lam}{mu}"] = Function(
-            lambda lat, cfg, u, a, r, i=lam, j=mu: delta2(lat, i, j, u, r, cfg), delta2_routes
+    for k in (0, 1, 2, 3):
+        table[f"sigma{k or ''}"] = Function(
+            lambda lat, lc, cfg, u, *_, k=k: _finite(_sigma(lat, lc or constants(lat, cfg), k, u, cfg))
+        )
+    for i in (1, 2, 3):
+        table[f"zeta{i}"] = Function(
+            lambda lat, lc, cfg, u, a, r, i=i: _guarded(_zeta_aux, lat, u, (i,), cfg, lc, i, r), zeta_routes
+        )
+        table[f"delta{i}"] = Function(
+            lambda lat, lc, cfg, u, a, r, i=i: _guarded(_delta, lat, u, (0, i), cfg, lc, i, r), delta_routes
+        )
+    for i, j in ((1, 2), (2, 3), (3, 1)):
+        table[f"delta{i}{j}"] = Function(
+            lambda lat, lc, cfg, u, a, r, i=i, j=j: _guarded(_delta2, lat, u, (i, j), cfg, lc, i, j, r),
+            delta2_routes,
         )
     for k, name in enumerate(("sn", "cn", "dn")):
-        table[name] = Function(lambda lat, cfg, u, a, r, k=k: _finite(_jacobi(lat, cfg, u)[k]))
+        table[name] = Function(lambda lat, lc, cfg, u, *_, k=k: _finite(_jacobi(lat, lc, cfg, u)[k]))
     for k, name in enumerate(("E", "Z")):
-        table[name] = Function(lambda lat, cfg, u, a, r, k=k: _finite(jacobi_E_Z(lat, u, cfg)[k]))
+        table[name] = Function(
+            lambda lat, lc, cfg, u, *_, k=k: _finite(_E_Z(lat, lc or constants(lat, cfg), u, cfg)[k])
+        )
     table["Pi"] = Function(
-        lambda lat, cfg, u, a, r: _finite(jacobi_E_Z_Pi(lat, u, 0j if a is None else a, cfg)[2]),
+        lambda lat, lc, cfg, u, a, r: _finite(jacobi_E_Z_Pi(lat, u, 0j if a is None else a, cfg)[2]),
         needs_a=True,
     )
     return table
@@ -160,7 +171,7 @@ class _Ctx:
 
     @property
     def jp(self):
-        return jacobi_params(self.lat, self.cfg)
+        return _params(self.lc)
 
     def __call__(self, name: str, u: complex, route: str | None = None) -> complex:
         """Value of the table function name at u on route; raises at a pole."""
@@ -173,13 +184,13 @@ class _Ctx:
     def evaluate(self, key: tuple, run, route) -> complex:
         """Value of key = (name, route name, u) by the table entry's run on
         the route it resolves to, kept in `memo`."""
-        value = self.memo[key] = _val(run(self.lat, self.cfg, key[2], None, route))
+        value = self.memo[key] = _val(run(self.lat, self.lc, self.cfg, key[2], None, route))
         return value
 
     def jac(self, u: complex) -> tuple:
         """(sn, cn, dn) at the Jacobi argument scale*u, the table's sn, cn
         and dn in one call; raises at their shared poles."""
-        return _jacobi(self.lat, self.cfg, u)
+        return _jacobi(self.lat, self.lc, self.cfg, u)
 
     def dp(self, lam, u):
         return _val(delta_prime(self.lat, lam, u, self.cfg))

@@ -6,7 +6,10 @@ k vanishes on omega_k + lattice).  The four sigmas at the reduced point
 (`_sigmas`) leave out the Gaussian factor they share, which every quotient
 of degree 0 cancels; only `sigma` and `sigma_aux` apply it, with the
 quasi-periodicity factor and the sign of the translate, in one body.
-Slow lattice-sum and product oracles are provided for
+Every function with poles is a kernel behind one path (`_guarded`): the
+guard on its pole cosets at the located point, then the kernel with the
+lattice's record, which the caller hands in or which is looked up after the
+guard.  Slow lattice-sum and product oracles are provided for
 each function; they exist for verification only, and sum each pair +-Omega of
 lattice points as one term in Omega^2 (`lattice.half_lattice_squares`).
 """
@@ -25,11 +28,11 @@ from .lattice import (
     Lattice,
     LatticeConstants,
     Located,
+    _tuple_new,
     check_index,
     constants,
     half_lattice_squares,
     locate,
-    nearest,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig, _theta4
 
@@ -44,6 +47,9 @@ class Status(enum.Enum):
     NEAR_POLE = "NearPole"
 
 
+_FINITE = Status.FINITE  # read once: an Enum member is a descriptor lookup
+
+
 class EvalResult(namedtuple("EvalResult", "value status pole", defaults=(None,))):
     """Complex value plus pole status; value is meaningful only when Finite.
 
@@ -54,22 +60,41 @@ class EvalResult(namedtuple("EvalResult", "value status pole", defaults=(None,))
 
     @property
     def is_finite(self) -> bool:
-        return self.status is Status.FINITE
+        return self.status is _FINITE
 
 
 def pole_status(lat: Lattice, u: complex, cosets) -> tuple[Located, EvalResult | None]:
     """The located u, and the EvalResult for u at/near a pole (else None):
     each pole coset, a half-period index (0 for the lattice), is tested once
-    against NEAR_POLE_FACTOR * min_period.  The kernels behind never guard."""
+    against NEAR_POLE_FACTOR * min_period, by `lattice.nearest`'s arithmetic
+    written out."""
     p = locate(lat, u)
     radius = NEAR_POLE_FACTOR * lat.min_period
+    w1, w3 = lat.omega1, lat.omega3
     for k in cosets:
-        dist, translate = nearest(lat, p, k)
+        if k == 0:
+            translate = 0j + 2 * p.n * w1 + 2 * p.m * w3
+        else:
+            a, b = _HALF_CELL[k]
+            translate = lat.offsets[k] + 2 * round(p.alpha - a) * w1 + 2 * round(p.beta - b) * w3
+        dist = abs(u - translate)
         if dist == 0.0:
             return p, EvalResult(_NAN, Status.AT_POLE, translate)
         if dist < radius:
             return p, EvalResult(_NAN, Status.NEAR_POLE, translate)
     return p, None
+
+
+def _guarded(kernel, lat: Lattice, u: complex, cosets, cfg: SeriesConfig, lc, *args) -> EvalResult:
+    """`pole_status` on the cosets, and off them kernel(lat, lc, p, cfg, *args)
+    at the located point p, Finite.  lc None is looked up here, after the
+    guard, so a pole is reported even where the record overflows."""
+    p, bad = pole_status(lat, u, cosets)
+    if bad is not None:
+        return bad
+    if lc is None:
+        lc = constants(lat, cfg)
+    return _tuple_new(EvalResult, (kernel(lat, lc, p, cfg, *args), _FINITE, None))
 
 
 def _translate_sign(p: Located, k: int) -> float:
@@ -117,22 +142,21 @@ def _wp_pair(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) 
 
 def sigma(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Entire sigma function; exact zeros on the lattice."""
-    return _sigma(lat, 0, u, cfg)
+    return _sigma(lat, constants(lat, cfg), 0, u, cfg)
 
 
 def sigma_aux(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Auxiliary sigma for half-period index lam, normalised to 1 at u = 0."""
     check_index(lam)
-    return _sigma(lat, lam, u, cfg)
+    return _sigma(lat, constants(lat, cfg), lam, u, cfg)
 
 
-def _sigma(lat: Lattice, k: int, u: complex, cfg: SeriesConfig) -> complex:
+def _sigma(lat: Lattice, lc: LatticeConstants, k: int, u: complex, cfg: SeriesConfig) -> complex:
     """sigma (k = 0) or sigma_k at u: the reduced value from `_sigmas` times
     the Gaussian factor, then, for u = u_red + Omega with Omega = 2n*omega1 +
     2m*omega3, times sigma's quasi-period factor
     (-1)^(n+m+nm) exp(eta_Omega*(u_red + Omega/2)) and the translate's sign.
     A factor too large for a float raises ValueOverflow."""
-    lc = constants(lat, cfg)
     p = locate(lat, u)
     n, m = p.n, p.m
     val = _sigmas(lat, lc, p, cfg)[k]
@@ -148,10 +172,11 @@ def _sigma(lat: Lattice, k: int, u: complex, cfg: SeriesConfig) -> complex:
 
 def zeta_w(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
     """Weierstrass zeta; simple poles on the lattice."""
-    p, bad = pole_status(lat, u, (0,))
-    if bad is not None:
-        return bad
-    return EvalResult(_theta_zeta(lat, constants(lat, cfg), p, cfg, 0)[0], Status.FINITE)
+    return _guarded(_zeta_w, lat, u, (0,), cfg, None)
+
+
+def _zeta_w(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> complex:
+    return _theta_zeta(lat, lc, p, cfg, 0)[0]
 
 
 def _theta_zeta(
@@ -176,22 +201,22 @@ def _theta_zeta(
 
 def wp(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
     """Weierstrass p-function via e1 + (sigma1/sigma)^2; double poles on the lattice."""
-    p, bad = pole_status(lat, u, (0,))
-    if bad is not None:
-        return bad
-    lc = constants(lat, cfg)
+    return _guarded(_wp, lat, u, (0,), cfg, None)
+
+
+def _wp(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> complex:
     s0, s1, _, _ = _sigmas(lat, lc, p, cfg)
     ratio = s1 / s0
-    return EvalResult(lc.e1 + ratio * ratio, Status.FINITE)
+    return lc.e1 + ratio * ratio
 
 
 def wp_prime(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
     """Derivative of wp via -2*sigma1*sigma2*sigma3/sigma^3; triple poles on the lattice."""
-    p, bad = pole_status(lat, u, (0,))
-    if bad is not None:
-        return bad
-    lc = constants(lat, cfg)
-    return EvalResult(_wp_pair(lat, lc, p, cfg)[1], Status.FINITE)
+    return _guarded(_wp_prime, lat, u, (0,), cfg, None)
+
+
+def _wp_prime(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> complex:
+    return _wp_pair(lat, lc, p, cfg)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ second-kind difference for (lam, mu) subtracts two auxiliary zetas: poles at
 omega_lam, omega_mu and zeros at 0, omega_nu.
 
 Both evaluate along four routes that cross-certify each other.  Each public
-function locates its argument and guards it against the pole cosets once
-(`weier_core.pole_status`); every route is then one theta pass at that
-point: `zetadiff` subtracts two theta log-derivatives from it, and the
+function is a kernel behind `weier_core._guarded`, which locates the
+argument and guards it against the pole cosets once, and looks the record
+up after that; every route is then one theta pass at that point: `zetadiff` subtracts two theta log-derivatives from it, and the
 others take one closed form in s = (sigma, sigma_1, sigma_2, sigma_3) or
 in the thetas.  For delta the wp route is wp' / (2 (wp - e_lam)), with the
 sigma form inside the zone of omega_lam (`LatticeConstants.zones`), where
@@ -30,10 +30,11 @@ import math
 from collections import namedtuple
 
 from .errors import IdenticalIndices, PoleProximityError
-from .lattice import Lattice, check_index, complement, constants, locate, nearest
+from .lattice import (
+    Lattice, LatticeConstants, Located, check_index, complement, constants, locate, nearest,
+)
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import NEAR_POLE_FACTOR, EvalResult, Status, _sigmas, _theta_zeta, _thetas
-from .weier_core import _wp_pair, pole_status
+from .weier_core import NEAR_POLE_FACTOR, EvalResult, _guarded, _sigmas, _theta_zeta, _thetas, _wp_pair
 
 PI = math.pi
 
@@ -54,29 +55,29 @@ def delta(
 ) -> EvalResult:
     """First-kind zeta difference for half-period index lam."""
     check_index(lam)
-    p, bad = pole_status(lat, u, (0, lam))
-    if bad is not None:
-        return bad
-    lc = constants(lat, cfg)
+    return _guarded(_delta, lat, u, (0, lam), cfg, None, lam, route)
+
+
+def _delta(
+    lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int, route: DeltaRoute
+) -> complex:
     if route is DeltaRoute.ZETA_DIFF:
         z, z_lam = _theta_zeta(lat, lc, p, cfg, 0, lam)
-        val = z_lam - z
-    elif route is DeltaRoute.WP_QUOTIENT and nearest(lat, p, lam)[0] >= lc.zones[lam - 1]:
+        return z_lam - z
+    if route is DeltaRoute.WP_QUOTIENT and nearest(lat, p, lam)[0] >= lc.zones[lam - 1]:
         # Outside the zone where wp - e_lam cancels; the sigma form serves inside.
         wp_, wpp = _wp_pair(lat, lc, p, cfg)
-        val = 0.5 * wpp / (wp_ - lc.e(lam))
-    elif route is DeltaRoute.WP_QUOTIENT or route is DeltaRoute.SIGMA_QUOTIENT:
-        val = _delta_sigma(_sigmas(lat, lc, p, cfg), lam)
-    elif route is DeltaRoute.THETA_QUOTIENT:
+        return 0.5 * wpp / (wp_ - lc.e(lam))
+    if route is DeltaRoute.WP_QUOTIENT or route is DeltaRoute.SIGMA_QUOTIENT:
+        return _delta_sigma(_sigmas(lat, lc, p, cfg), lam)
+    if route is DeltaRoute.THETA_QUOTIENT:
         # A nullwerte constant times a quotient of four thetas; the minus sign
         # is fixed by the -1/u behaviour at the origin.
         mu, nu = complement(lam)
         nw, t = lc.nullwerte, _thetas(lat, p, cfg)
         const = -nw[lam] * lc.nullwert_prime / (2 * lat.omega1 * nw[mu] * nw[nu])
-        val = const * t[mu] * t[nu] / (t[lam] * t[0])
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    return EvalResult(val, Status.FINITE)
+        return const * t[mu] * t[nu] / (t[lam] * t[0])
+    raise ValueError(f"unknown route {route!r}")
 
 
 def _delta_sigma(s: tuple, lam: int) -> complex:
@@ -92,15 +93,16 @@ def delta_prime(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_
     (sigma_lam/sigma)^2 = wp - e_lam from one pass, so no term cancels near
     the poles.
     """
+    check_index(lam)
+    return _guarded(_delta_prime, lat, u, (0, lam), cfg, None, lam)
+
+
+def _delta_prime(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int) -> complex:
     mu, nu = complement(lam)
-    p, bad = pole_status(lat, u, (0, lam))
-    if bad is not None:
-        return bad
-    lc = constants(lat, cfg)
     s = _sigmas(lat, lc, p, cfg)
     ratio = s[lam] / s[0]
     r = ratio * ratio
-    return EvalResult(r - lc.ediff(lam, mu) * lc.ediff(lam, nu) / r, Status.FINITE)
+    return r - lc.ediff(lam, mu) * lc.ediff(lam, nu) / r
 
 
 def delta2(
@@ -112,23 +114,26 @@ def delta2(
     cfg: SeriesConfig = DEFAULT_CONFIG,
 ) -> EvalResult:
     """Second-kind zeta difference for the ordered pair (lam, mu)."""
-    nu = _third(lam, mu)
-    p, bad = pole_status(lat, u, (lam, mu))
-    if bad is not None:
-        return bad
-    lc = constants(lat, cfg)
+    _check_pair(lam, mu)
+    return _guarded(_delta2, lat, u, (lam, mu), cfg, None, lam, mu, route)
+
+
+def _delta2(
+    lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int, mu: int, route: DeltaRoute
+) -> complex:
+    nu = 6 - lam - mu
     if route is DeltaRoute.ZETA_DIFF:
         z_lam, z_mu = _theta_zeta(lat, lc, p, cfg, lam, mu)
-        val = z_lam - z_mu
-    elif route is DeltaRoute.THETA_QUOTIENT:
+        return z_lam - z_mu
+    if route is DeltaRoute.THETA_QUOTIENT:
         # The theta image of the sigma form, negated for lam < mu: there
         # e_lam - e_mu = (pi/2 omega1)^2 theta_nu(0)^4 (how `constants` builds
         # the e's), and Jacobi's theta'(0) = pi theta_1(0) theta_2(0) theta_3(0)
         # carries the sigma form over to this one.
         t = _thetas(lat, p, cfg)
         val = (PI / (2 * lat.omega1)) * lc.nullwerte[nu] ** 2 * t[nu] * t[0] / (t[lam] * t[mu])
-        val = -val if lam < mu else val
-    elif (
+        return -val if lam < mu else val
+    if (
         # The wp form has removable 0/0 points at its zeros: at u = 0, refused
         # within the pole radius like wp itself, and at u = omega_nu, where
         # wp - e_nu cancels; the sigma form serves around them.
@@ -137,21 +142,18 @@ def delta2(
         and nearest(lat, p, nu)[0] >= lc.zones[nu - 1]
     ):
         wp_, wpp = _wp_pair(lat, lc, p, cfg)
-        val = 2 * lc.ediff(lam, mu) * (wp_ - lc.e(nu)) / wpp
-    elif route is DeltaRoute.WP_QUOTIENT or route is DeltaRoute.SIGMA_QUOTIENT:
+        return 2 * lc.ediff(lam, mu) * (wp_ - lc.e(nu)) / wpp
+    if route is DeltaRoute.WP_QUOTIENT or route is DeltaRoute.SIGMA_QUOTIENT:
         s = _sigmas(lat, lc, p, cfg)
-        val = lc.ediff(mu, lam) * s[nu] * s[0] / (s[lam] * s[mu])
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    return EvalResult(val, Status.FINITE)
+        return lc.ediff(mu, lam) * s[nu] * s[0] / (s[lam] * s[mu])
+    raise ValueError(f"unknown route {route!r}")
 
 
-def _third(lam: int, mu: int) -> int:
+def _check_pair(lam: int, mu: int) -> None:
     check_index(lam)
     check_index(mu)
     if lam == mu:
         raise IdenticalIndices(f"second-kind difference needs distinct indices, got {lam}")
-    return 6 - lam - mu
 
 
 def delta2_prime(
@@ -165,17 +167,19 @@ def delta2_prime(
     with each 1/r_k as (sigma/sigma_k)^2: exact at u = 0, where it is
     e_mu - e_lam, and free of cancellation near the poles.
     """
-    nu = _third(lam, mu)
-    p, bad = pole_status(lat, u, (lam, mu))
-    if bad is not None:
-        return bad
-    lc = constants(lat, cfg)
+    _check_pair(lam, mu)
+    return _guarded(_delta2_prime, lat, u, (lam, mu), cfg, None, lam, mu)
+
+
+def _delta2_prime(
+    lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int, mu: int
+) -> complex:
+    nu = 6 - lam - mu
     s = _sigmas(lat, lc, p, cfg)
     inv_m, inv_l = s[0] / s[mu], s[0] / s[lam]
-    val = lc.ediff(mu, lam) * (
+    return lc.ediff(mu, lam) * (
         1 + lc.ediff(mu, nu) * inv_m * inv_m + lc.ediff(lam, nu) * inv_l * inv_l
     )
-    return EvalResult(val, Status.FINITE)
 
 
 DeltaConstants = namedtuple("DeltaConstants", "e1 e2 e3 g2 g3 disc")

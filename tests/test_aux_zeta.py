@@ -9,6 +9,7 @@ from weierzeta import (
     Status,
     ZetaRoute,
     aux_zeta,
+    build_lattice,
     constants,
     wp,
     zeta_aux,
@@ -182,3 +183,37 @@ def test_coset_closed_forms_match_the_disc_sums(name):
             disc[radius] = [(complex(np.sum(inv**j)), np.sum(np.abs(inv) ** j)) for j in (2, 3)]
         for got, (s100, _), (s200, magnitude) in zip(whole, disc[100], disc[200]):
             assert abs(got - s200) <= abs(s200 - s100) + 1e-14 * magnitude
+
+
+@pytest.mark.parametrize(
+    "tau, k, tangent",
+    [(0.5 + 2j, 1, -100.0), (REFERENCE_TAUS["rhombic"], 0, -48.0)],
+    ids=["0.5+2i-coset1", "rhombic-coset0"],
+)
+def test_split_enumeration_keeps_rows_tangent_to_the_cut(tau, k, tangent):
+    # The pair +-10i of the omega1 coset at tau = 0.5+2i, and the pair at
+    # P = -48 of the rhombic lattice, lie on |p| = PAIR_SPLIT * rho, where
+    # their row touches the circle: rounding made its discriminant negative,
+    # and the pair fell in neither the near set nor the annulus.
+    lat = build_lattice(0.5, 0.5 * tau)
+    rho = aux_zeta._coset_tables(lat, DEFAULT_CONFIG, max(k, 1))[2]
+    split, cut = aux_zeta.PAIR_SPLIT * rho, aux_zeta.PAIR_ANNULUS * rho
+    near = aux_zeta._coset_pairs(lat, k, 0.0, split)
+    far = aux_zeta._coset_pairs(lat, k, split, cut)
+
+    def order(pairs):
+        return sorted(pairs, key=lambda z: (z.real, z.imag))
+
+    assert order(near + far) == order(aux_zeta._coset_pairs(lat, k, 0.0, cut))
+    assert any(abs(big_p - tangent) <= 1e-12 * abs(tangent) for big_p in near)
+
+
+def test_partialfrac_zeta1_with_a_tangent_pair(reference):
+    # Without the pair +-10i the route read 9.5e-9 in prop22 here.
+    lat = build_lattice(0.5, 0.5 * (0.5 + 2j))
+    pts = guarded_points(lat, random.Random(5), 4, offsets=(lat.omega1,))
+    with reference.mp.workdps(60):
+        ref = reference.LatticeRef(0.5, 0.5 * (0.5 + 2j))
+        for u in pts:
+            got = zeta_aux(lat, 1, u, ZetaRoute.PARTIAL_FRACTION)
+            assert reference.rel_error(got.value, ref.zeta_aux(1, u), ref.unit) <= 1e-12, u

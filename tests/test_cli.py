@@ -370,7 +370,7 @@ def test_table_pi_needs_a():
 
 
 def test_eval_does_not_hide_key_error(monkeypatch):
-    def broken(lat, cfg, u, a, route):
+    def broken(lat, lc, cfg, u, a, route):
         raise KeyError("inside evaluation")
 
     monkeypatch.setitem(FUNCTIONS, "wp", Function(broken))

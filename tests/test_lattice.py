@@ -491,6 +491,33 @@ def test_degeneracy_is_scale_free(tau):
         assert constants(build_lattice(w1, w1 * tau)).degenerate == unit
 
 
+@pytest.mark.parametrize("scale", [1e-80, 1e-30, 1e30, 1e80])
+def test_zones_keep_their_size_in_periods_at_any_scale(scale):
+    # A zone scales as the periods do.  Unscaled, the products of two e
+    # differences overflowed at omega1 = 1e-80 and every zone read 0.0, and
+    # at 1e80 they underflowed and `constants` raised ZeroDivisionError.
+    tau = 0.3 + 1.1j
+    unit = build_lattice(1.0, tau)
+    lat = build_lattice(scale, scale * tau)
+    want = [z / unit.min_period for z in constants(unit).zones]
+    got = [z / lat.min_period for z in constants(lat).zones]
+    assert [round(z, 5) for z in want] == [3.8e-4, 5.8e-4, 5.0e-4]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_zones_are_bit_identical_at_unit_scale():
+    # The scaling by 2^-2k is exact, so the zones are the unscaled formula's.
+    eps = 2.0**-52
+    for name in sorted(REFERENCE_TAUS):
+        lc = constants(make_lattice(name))
+        e_max = max(abs(lc.e1), abs(lc.e2), abs(lc.e3))
+        d23, d13, d12 = lc.ediffs
+        want = tuple(
+            math.sqrt(10 * eps * e_max / (1e-9 * abs(a))) for a in (d12 * d13, d12 * d23, d13 * d23)
+        )
+        assert lc.zones == want, name
+
+
 def test_constants_json_schema():
     lat = build_lattice(0.5, 0.5j)
     payload = constants_to_json(lat, constants(lat))

@@ -125,10 +125,15 @@ def test_one_guard_per_public_call(monkeypatch, warm_lattice):
     for r in DeltaRoute:
         calls[f"delta_{r.value}"] = lambda u, r=r: delta(lat, 1, u, r)
         calls[f"delta2_{r.value}"] = lambda u, r=r: delta2(lat, 2, 3, u, r)
+    # The registry's guarded entries, handed the record as table hands it.
+    lc = constants(lat)
+    for name in ("wp", "wp_prime", "zeta", "zeta2", "delta3", "delta31"):
+        f = FUNCTIONS[name]
+        for r in f.routes or (None,):
+            calls[f"FUNCTIONS[{name}]:{r}"] = lambda u, f=f, r=r: f.run(lat, lc, DEFAULT_CONFIG, u, None, r)
     guards = _count_calls(monkeypatch, weier_core.pole_status)
-    # One set of cell coordinates per call; the shift form also locates
-    # u + omega_lam.
-    coords = _count_calls(monkeypatch, lattice.cell_coords)
+    # One location per call; the shift form also locates u + omega_lam.
+    coords = _count_calls(monkeypatch, lattice.locate)
     shifts = _count_calls(monkeypatch, aux_zeta._shift)
     for name, fn in calls.items():
         before = len(guards), len(coords), len(shifts)
@@ -136,7 +141,7 @@ def test_one_guard_per_public_call(monkeypatch, warm_lattice):
             fn(u)
         assert len(guards) - before[0] == len(pts), name
         assert len(coords) - before[1] == len(pts) + len(shifts) - before[2], name
-    assert len(shifts) == len(pts)  # the shift route's calls
+    assert len(shifts) == 2 * len(pts)  # the shift route's calls, public and registry
     # Beyond QSERIES_STRIP (|beta| >= 0.45) the q-series route falls back to
     # the shift form, still behind the one guard.
     before = len(guards), len(coords), len(shifts)
@@ -161,9 +166,6 @@ def test_one_constants_lookup_per_public_call(warm_lattice):
         "jacobi_params": lambda u: jacobi_params(lat),
         "jacobi_E_Z": lambda u: jacobi_E_Z(lat, u),
     }
-    # The table's sn, cn and dn: jacobi_params, then sn_cn_dn on its record.
-    for name in ("sn", "cn", "dn"):
-        calls[name] = lambda u, f=FUNCTIONS[name]: f.run(lat, DEFAULT_CONFIG, u, None, None)
     for r in ZetaRoute:
         calls[f"zeta_aux_{r.value}"] = lambda u, r=r: zeta_aux(lat, 3, u, r)
     for r in DeltaRoute:
@@ -183,6 +185,27 @@ def test_one_constants_lookup_per_public_call(warm_lattice):
         before = constants.cache_info()
         sn_cn_dn(params, params.scale * u)
         assert constants.cache_info() == before
+
+
+def test_registry_looks_nothing_up_when_handed_the_record(warm_lattice):
+    # Every entry but Pi, which makes its own lookups, on every route: as
+    # eval calls it, without the record, one lookup; as table and the suite
+    # call it, handed the record, none.  The first call builds the
+    # partial-fraction route's per-lattice tables, which look the record up.
+    lat, pts = warm_lattice
+    lc = constants(lat)
+    for name, f in FUNCTIONS.items():
+        if f.needs_a:
+            continue
+        for r in f.routes or (None,):
+            f.run(lat, lc, DEFAULT_CONFIG, pts[0], None, r)
+            for u in pts:
+                before = constants.cache_info()
+                f.run(lat, None, DEFAULT_CONFIG, u, None, r)
+                after = constants.cache_info()
+                assert (after.hits - before.hits, after.misses - before.misses) == (1, 0), (name, r)
+                f.run(lat, lc, DEFAULT_CONFIG, u, None, r)
+                assert constants.cache_info() == after, (name, r)
 
 
 def _records() -> dict:

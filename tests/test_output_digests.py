@@ -1,0 +1,183 @@
+"""The bytes of `table` and `eval`, pinned by SHA-256.
+
+For every FUNCTIONS entry on every route, on the generic lattice and at
+tau = 8i: a small `table` grid in CSV and in JSON that takes in the lattice
+point 0, a lattice point 2*omega3, omega1 and (at 8i exactly, on the generic
+lattice within rounding) omega3, and `eval` at a regular point, at 0, next
+to 0 and at the half-periods, in both formats.  Each digest covers the
+command line, the exit code, stdout and stderr of every command.  A change
+to any evaluation path that moves one byte of output fails here.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from weierzeta.cli import main
+from weierzeta.verify import FUNCTIONS
+
+LATTICES = {
+    "generic": ["--tau", "0.3,1.1"],
+    "8i": ["--tau", "0,8"],
+}
+GRIDS = {
+    "generic": ["--re=0:1:21", "--im=0:1.1:3"],
+    "8i": ["--re=0:1:21", "--im=0:8:3"],
+}
+EVAL_POINTS = ("0.21,0.13", "0,0", "1e-9,0", "w1", "w2", "w3")
+PI_A = ["--a", "0.1,0.2"]
+
+
+def _commands(lattice: str, name: str, route: str | None) -> list[list[str]]:
+    extra = LATTICES[lattice] + (["--route", route] if route else [])
+    extra += PI_A if FUNCTIONS[name].needs_a else []
+    cmds = [["table", "--fn", name, *GRIDS[lattice], *extra, "--format", fmt] for fmt in ("csv", "json")]
+    for u in EVAL_POINTS:
+        cmds += [["eval", "--fn", name, "--u", u, *extra, "--format", fmt] for fmt in ("csv", "json")]
+    return cmds
+
+
+def digest(lattice: str, name: str, route: str | None) -> str:
+    h = hashlib.sha256()
+    for argv in _commands(lattice, name, route):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+        h.update(repr((argv, rc, out.getvalue(), err.getvalue())).encode())
+    return h.hexdigest()
+
+
+def _cases():
+    for lattice in LATTICES:
+        for name in sorted(FUNCTIONS):
+            for route in [r.value for r in FUNCTIONS[name].routes] or [None]:
+                yield lattice, name, route
+
+
+# Recorded at commit 26bb0fd.
+DIGESTS = {
+    ('generic', 'E', None): 'dffacecab5322c8a3ac3f318f83b8b2264e9355c35e86ef81838cff4e15c0d45',
+    ('generic', 'Pi', None): '8f5d1fc8ea52b9cee9712481da705b2c3f2ec07c0eb1326357457c30ecd688fc',
+    ('generic', 'Z', None): '9db2c5729f2a85d659fa8a56d1f48fa0819c97450eadc85f2ca2d0ab4354a7a7',
+    ('generic', 'cn', None): 'e20601c84d0420dfd7157cc895804ae8cd756fbf878bdfc7c7230ca698653cd1',
+    ('generic', 'delta1', 'sigma'): 'ccf4c5cb64800266309522ee1cddf263e6c583aa8deb0475ac0b3386386e9f27',
+    ('generic', 'delta1', 'zetadiff'): 'a9574db9d2e52f5ac371c585543d286f0ed919291bfd4f5ca7245e21b1b636ce',
+    ('generic', 'delta1', 'wp'): 'f1ac356a4b96d319f030892e5c9a8a52116a7eca50600e928b024672bbd61b3f',
+    ('generic', 'delta1', 'theta'): 'b5b318e2a68372f2ae7e95cdc455cb7cb8a7d78ae2c2ac7c6161884c76306ae1',
+    ('generic', 'delta12', 'wp'): '0fcb704040100f9d48935ad25dd4a6dc21033414924a9549a8f597a33322fdfd',
+    ('generic', 'delta12', 'zetadiff'): 'c54279927511004655e60d54e021aed7d417f97a7c875a6bd33f0dc59f4f403f',
+    ('generic', 'delta12', 'sigma'): 'dff140bedb261b7aeb81082a8d73d22874ee6112078cd62e95782015fc4c325e',
+    ('generic', 'delta12', 'theta'): '445f61aa98d94c7707d3447d60c147339781b8dce7f57d4346436a35b0e82495',
+    ('generic', 'delta2', 'sigma'): '0bc686975cc7e91709fd8520e692c5266b8cbb2e07584bcca1566219650579d5',
+    ('generic', 'delta2', 'zetadiff'): '9d738d2c06e15adaeadc05537577bdedd69c83cc076052bccfa0cc889039f1f0',
+    ('generic', 'delta2', 'wp'): '6e9350bb2258fea73374d2de7162cfda04a5c6a3658eb5e3cfa046c884c03f4e',
+    ('generic', 'delta2', 'theta'): 'cc7e6ae60000fc05d1b6ed36a0745f1c8d10bde3749c428f4bdc5c017ffdc2d6',
+    ('generic', 'delta23', 'wp'): '326522b392391b00b19b58b630c3aa2fdb5061e56126b4b1438cc84d9a8024ce',
+    ('generic', 'delta23', 'zetadiff'): '93214822bff7d432fa190c4d07ca7b1ce50e3aa462cc923a9926df5a35dae3b6',
+    ('generic', 'delta23', 'sigma'): '227d9d866ee528d7b329b30c54cf8a00224a188d511ec47f0a7c010e10fbca1f',
+    ('generic', 'delta23', 'theta'): 'e0efa051f682d89f931c608b6d81acb933a484349d599864df601522e176539d',
+    ('generic', 'delta3', 'sigma'): '26b74e585eb4287eacdaab01c0395edf1b0870f945c277fd9e720affceba6189',
+    ('generic', 'delta3', 'zetadiff'): 'dceaf91ef0a1f4d509cd7e543157b78fba0426af5786613add1249bc0b1aab36',
+    ('generic', 'delta3', 'wp'): 'bd06fd93457c5cc303112070a0cc16aad613c43d256793a7a9356e8e0ed3699e',
+    ('generic', 'delta3', 'theta'): '26888d1f3beccb00e245e8c3b0658be8d72c5015f997074556afd636afd769d8',
+    ('generic', 'delta31', 'wp'): '9693c464e4283d2bbfbcf9cc154103e9d7dfe67de476a48bd316208293510aa8',
+    ('generic', 'delta31', 'zetadiff'): 'd044aa2825d368adc119daac476e801f1779f86278f1252cfddd262a5f4e6d05',
+    ('generic', 'delta31', 'sigma'): '6bc8299506a3ce97afee10dba24d5be95f432a23f43f5dc246320d3b9793736d',
+    ('generic', 'delta31', 'theta'): '29ce633def7cbd077dc8cfe99d784c4ddfac9e2e36a120b82b630685fec9ebaa',
+    ('generic', 'dn', None): '7930025644677f2b61ba7cf5ce4370cb8b644aaed493804853a2fd5d90ef52ef',
+    ('generic', 'sigma', None): '3825d3ad3436de143b6fa77f253577e8a2c867f55459f7d194ba73c0f3b2c59f',
+    ('generic', 'sigma1', None): '65388c9c0e6557ce8d4a49da6e0a61500947f400ae8accc308bb86c9c2dce3ba',
+    ('generic', 'sigma2', None): '001ecc29de0ce850fd26f01f18c05894973e308fbebe18d8a5f5dc7ddc9cffb1',
+    ('generic', 'sigma3', None): '70cb9951599e0b7c988b22182269eb08ba4cee6995c496b64a6d463e4cbd26da',
+    ('generic', 'sn', None): '888e12f24c3e05f1adeb9aac4d49cb839d82d383a2b8c4c4d64afcc05bddb7a1',
+    ('generic', 'wp', None): 'f2c94d0e2adbcf5e8c087c688eb2cf39199b65ecf5f59de0f83f2f630270a3de',
+    ('generic', 'wp_prime', None): 'f48614b9206e576dcff780663e2e1a7e2d53c2d600091e7c9075dce02c613425',
+    ('generic', 'zeta', None): 'a1968af16e7810b7aea53c04241229be85d900b24cc7535155b08e01c53ff648',
+    ('generic', 'zeta1', 'theta'): '2a1a1a38d2c65b04de96a453c17e364896f76b0c51e8a07d304cd82c696282da',
+    ('generic', 'zeta1', 'shift'): '59658d893a9f109fcba3a6892ff121da1523094d545bceff51bd4fda804e180c',
+    ('generic', 'zeta1', 'qseries'): 'a0c62bb17e83d5017e93efed2e691e4d7dd663f364e8a3cf2f5ff574780c4f60',
+    ('generic', 'zeta1', 'partialfrac'): '7779dd4b79a20276e79d30814ea3e94b6c09b7ff4c549b4319e9129dd93cf195',
+    ('generic', 'zeta2', 'theta'): '7e880e1bcc17701b89236021e9d2eae88158a2950e50639f1685a792c020dc28',
+    ('generic', 'zeta2', 'shift'): 'd0f4e8d475be9fa856dbd1bbb906522e102f94290535b6be45fd96a0798c219f',
+    ('generic', 'zeta2', 'qseries'): 'e10aac5246c1cddddec1641e66d15b75e35cc655c533195328e88fe931197fac',
+    ('generic', 'zeta2', 'partialfrac'): '233a1e6ce4dffcae506dbf6ca04cc74742da9c8d9b5c7682cf47c98b2e4ae374',
+    ('generic', 'zeta3', 'theta'): '84e5a4f8653b4788ca45372df50b566908870e76ed850e57e27fa3832f5aab74',
+    ('generic', 'zeta3', 'shift'): '24c926175fa19d882da8a38fe936dd849354eb82738418e10e08583464ad223a',
+    ('generic', 'zeta3', 'qseries'): 'b05f6bd61a6cb4d8f25fb718afca439ffd6f67fd98b50c592ed3077cf90704a0',
+    ('generic', 'zeta3', 'partialfrac'): '6019e2c7f7e4a2197d1861df73cd521afa800cd3bb26a6e88a9662d1432d79da',
+    ('8i', 'E', None): '7765350a5d67db6294771f5d689b85397f4bcf2d30520c937f7ecfdf9ac47749',
+    ('8i', 'Pi', None): '90a3c31e72bb4dbaf7465066d34653c9f26ce42408538aef69ee5d613d0c7a2d',
+    ('8i', 'Z', None): '9736663e4c49f6c182dbe7eb7604a1e8826a359873252ec3a672b7fb6afe7439',
+    ('8i', 'cn', None): '603de7adcc68deef8ec192d89f54b9486ac1d307098125fe7cb23bf7cacd3189',
+    ('8i', 'delta1', 'sigma'): '4bb561f61103f6d608b00562abed9716bcc8f48b1ba09f96b9419d8200b7359b',
+    ('8i', 'delta1', 'zetadiff'): '354a70a940663d60ddef838886acf0af659adbbcdabfaa851f1732c535debe6f',
+    ('8i', 'delta1', 'wp'): 'e135e6ed1dd497cea526b81ecfe3230a7f4ae4cd1902e1dec6b10376723b1617',
+    ('8i', 'delta1', 'theta'): 'b215566d5ca302025013b2cb3e2e60ff569309d73f888426edb65a683027fa7a',
+    ('8i', 'delta12', 'wp'): '9c7c40758d11ed427ab092cf28eafe1757976ab6395362ab3292ea095d03704e',
+    ('8i', 'delta12', 'zetadiff'): 'bad84f97c21ca91ee12de5617cf76c63b4478b8fa385f9c7fa65b42d3a539837',
+    ('8i', 'delta12', 'sigma'): '25daaeb474b269f3025d776ceff756ca157ac927d76445bec99a378249a1f60e',
+    ('8i', 'delta12', 'theta'): 'e529a0e9381b05825b7992955997296cb5e4b1d6f8b764bd2b8ade4093227e38',
+    ('8i', 'delta2', 'sigma'): 'c943bd3b9a83005378e62ae542b0a565be7553aae5253ddb5541f8a956475421',
+    ('8i', 'delta2', 'zetadiff'): '38816eba02d1b8c031cab2d45aa0d642dfa9c207d16d54fb2f66b10f1a34b737',
+    ('8i', 'delta2', 'wp'): '0e67880ecc49482f58ebdc8ec07dae462ee5076d84d0dc8501a300bc3890c6a1',
+    ('8i', 'delta2', 'theta'): '52bb4a547d6bc6c5e22b64077cdb8731c061ba7f3ad050bebe4a777a4d23ab3a',
+    ('8i', 'delta23', 'wp'): '2a0a23e068c95f0f1322226f210a7a60c4f9c3810496aa30562477b25c0716df',
+    ('8i', 'delta23', 'zetadiff'): '1dceb30e91dbd65854e64fa75ba2b406d631a83856db1799ef64e59bfccf8c44',
+    ('8i', 'delta23', 'sigma'): '5dbd69d7634aeb16099daad122932a10651d5f3817691d9b2bcafbb3eacc5741',
+    ('8i', 'delta23', 'theta'): '2c5be5881edc8130b593fd5859a93892ba91dd748125d5c4970dd0e5595c5325',
+    ('8i', 'delta3', 'sigma'): '7f0b9bd3f80457dd207fd0507ebb962bae5ab718cb07aaa7560576c7db451a14',
+    ('8i', 'delta3', 'zetadiff'): '5498a3e95d097b66e8893cbaa802e8f610c91c9f97b6eebf410654e6718de322',
+    ('8i', 'delta3', 'wp'): 'eca9f69766fde3f31a526ea0596721764edc8e350eb8db47cc2930c7690dffa3',
+    ('8i', 'delta3', 'theta'): 'bfce72d6ab5eadeb7497bca4d4f2ff585c6786341839bdb5101fa4d31a7153e4',
+    ('8i', 'delta31', 'wp'): 'd8b80fa3c8dee69f3005e4ea09aa96b034a7783d089792803a466ed251e31d4f',
+    ('8i', 'delta31', 'zetadiff'): '9592f9d503254ec9bbcf21bc43854654a659983358c8e8300c6c8c2033195663',
+    ('8i', 'delta31', 'sigma'): '74cedb6c8b18e21b2be991083e2505a4feb81bba18ca93b47d8dc3ffe7cfeee9',
+    ('8i', 'delta31', 'theta'): '67b5f6a492865441e46bf94918e1fba371a4388d48c5aa019e0ea2573315b207',
+    ('8i', 'dn', None): '268122040d6e93c8be39956d852ad836e00e209a7145c2bbea31872c92620696',
+    ('8i', 'sigma', None): '372d26517a84871c671445ec5adeff15c68bc73f55d259b558bea1a81f56b870',
+    ('8i', 'sigma1', None): '122966abc56b2086d746e11a3c9344d689cac1a7238d99d3ff09ca09bf1c2268',
+    ('8i', 'sigma2', None): 'cb21f3bce19aea9bcf027da8a58f87ad58cbd704aca924b16b4320858ee7754b',
+    ('8i', 'sigma3', None): '0c85c25b8438e55dbaf40eaae8891a1279e52845318c80d2cb69487bd4e7e03b',
+    ('8i', 'sn', None): '4e9700a6c89988ac1745059929ef8e481cc34fbaa10c1b767a41c4c8e9c40f45',
+    ('8i', 'wp', None): '164119ddf44781430e3f0b91fb65a937632b63280ba4ca4d860de8162f8a2462',
+    ('8i', 'wp_prime', None): 'b7450796f2fef22d7547771e693528dd2c0b73c25d19a53211cc82357f277e6e',
+    ('8i', 'zeta', None): 'dcb550d36366519c9784a68f831e4d16552c8b04bd3b41bf58211f269f6a75fe',
+    ('8i', 'zeta1', 'theta'): '6fe00f5b93ebcf30f4abaab5a54c0099401140d02fd4c2cf098dc798a7526869',
+    ('8i', 'zeta1', 'shift'): 'b286df5fffd36d01f0d0388cc3a4fe0f3381daecb99efc1b082d218dbe9ae730',
+    ('8i', 'zeta1', 'qseries'): 'a5f5e9fd366d0cdddcf28ce9c0d02ddf3c2b4ffc3aef2e146d00a12085d7d59e',
+    ('8i', 'zeta1', 'partialfrac'): '0e41f16c77810513be6c4b8a957f6f1ab4bca4c3427ebf0783f35d2f17cd1dac',
+    ('8i', 'zeta2', 'theta'): '9c9a25bc374a935e83bff07a1ab085ea30b76f74ff67fddef3f90c9ed52e6e29',
+    ('8i', 'zeta2', 'shift'): '0df7dad4a17b2ead8fb5d9a4aff561a036275add266d6c031bcad67a1acd132e',
+    ('8i', 'zeta2', 'qseries'): '9b8f5fe488090c3e26819b3aeeab12707451c6e4f37d0ad8e9c4f4f271d9009f',
+    ('8i', 'zeta2', 'partialfrac'): '89bc4c220f055e86db64db52488579149dd9cb026c935a457d63e2b4aae79d96',
+    ('8i', 'zeta3', 'theta'): '418e34c4715a0f6b6b549f5a569c1297b5b8dd36f70d170430b2d450ef3677d6',
+    ('8i', 'zeta3', 'shift'): '305ff480e6f249f55008b83cd446aae17d9fc2719a1e6ac9c4633dfc8f53ab66',
+    ('8i', 'zeta3', 'qseries'): '8905a6697fadaabbb3b183ff7933ae937208a7670e9b948ceb6f2de64bdedd95',
+    ('8i', 'zeta3', 'partialfrac'): 'feec2465415304c9124a9678f5a5d2693c81c963e962dc3803806f100b2cf4a0',
+}
+
+
+@pytest.mark.parametrize(
+    "lattice, name, route", list(_cases()), ids=lambda v: "-" if v is None else v
+)
+def test_output_bytes(lattice, name, route):
+    assert digest(lattice, name, route) == DIGESTS[(lattice, name, route)]
+
+
+def test_every_case_has_a_digest():
+    assert set(DIGESTS) == set(_cases())
+
+
+def test_pole_guard_runs_before_an_overflowing_record():
+    # The record of omega1 = 1e-160 overflows ((pi/(2*omega1))^2): a point
+    # off the poles is a usage error, and the pole itself is still AtPole.
+    lat = ["--omega1", "1e-160,0", "--tau", "0,1"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(["eval", "--fn", "wp", "--u", "0,0", *lat]) == 3
+        assert main(["eval", "--fn", "wp", "--u", "1e-161,0", *lat]) == 2
+        assert main(["table", "--fn", "wp", "--re=0:0:1", "--im=0:0:1", "--format", "csv", *lat]) == 0
+    assert out.getvalue() == '{"value": null, "status": "AtPole"}\nre_u,im_u,re_value,im_value,status\n0.0,0.0,,,AtPole\n'
+    assert "overflows" in err.getvalue()

@@ -7,6 +7,7 @@ import pytest
 from weierzeta import (
     DeltaRoute,
     Status,
+    build_lattice,
     constants,
     constants_from_deltas,
     delta,
@@ -159,6 +160,18 @@ def test_delta_wp_route_near_omega_lam_matches_zetadiff(name):
             ref = delta(lat, lam, u, DeltaRoute.ZETA_DIFF).value
             assert got.status is Status.FINITE
             assert abs(got.value - ref) <= 1e-8 * abs(ref), (lam, eps)
+
+
+@pytest.mark.parametrize("scale", [1e-80, 1.0, 1e80])
+def test_delta_wp_route_next_to_omega1_at_any_scale(scale):
+    # The wp form's zone around omega_lam keeps its size in periods; where
+    # it read 0.0 (omega1 = 1e-80) the wp form ran 1e-6 periods from omega1
+    # and was 3.7e-6 off the sigma route.
+    lat = build_lattice(scale, scale * (0.3 + 1.1j))
+    u = lat.omega1 + 1e-6 * (1 + 0.7j) * lat.min_period
+    got = delta(lat, 1, u, DeltaRoute.WP_QUOTIENT).value
+    ref = delta(lat, 1, u, DeltaRoute.SIGMA_QUOTIENT).value
+    assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_TAUS))
