@@ -160,7 +160,7 @@ def cmd_table(args) -> int:
     a = parse_complex(args.a, lat) if args.a is not None else None
     try:
         lc = constants(lat, cfg)
-    except (WeierzetaError, ArithmeticError):
+    except WeierzetaError:
         lc = None  # each point then looks it up after its guard, as eval does
     run = fn.run
 

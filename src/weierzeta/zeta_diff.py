@@ -8,8 +8,9 @@ omega_lam, omega_mu and zeros at 0, omega_nu.
 
 Both evaluate along four routes that cross-certify each other.  Each public
 function is a kernel behind `weier_core._guarded`, which locates the
-argument and guards it against the pole cosets once, and looks the record
-up after that; every route is then one theta pass at that point: `zetadiff` subtracts two theta log-derivatives from it, and the
+argument, guards it against the pole cosets once and then looks the record
+up; every route is then one theta pass at that
+point: `zetadiff` subtracts two theta log-derivatives from it, and the
 others take one closed form in s = (sigma, sigma_1, sigma_2, sigma_3) or
 in the thetas.  For delta the wp route is wp' / (2 (wp - e_lam)), with the
 sigma form inside the zone of omega_lam (`LatticeConstants.zones`), where
