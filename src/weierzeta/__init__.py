@@ -1,5 +1,6 @@
 """Weierstrass elliptic function family with auxiliary zetas and zeta
-differences, a Jacobi bridge, and a numerical identity-verification harness.
+differences, a Jacobi bridge, and a numerical identity-verification harness,
+whose names (_SUITE_NAMES) load `weierzeta.verify` on first use.
 """
 
 from .errors import (
@@ -64,13 +65,15 @@ from .jacobi import (
     jacobi_params,
     sn_cn_dn,
 )
-from .verify import (
-    IdentityReport,
-    IdentitySpec,
-    default_suite,
-    report_to_json,
-    reports_to_json,
-    run_suite,
-)
 
 __version__ = "0.1.0"
+
+_SUITE_NAMES = {"IdentityReport", "IdentitySpec", "default_suite", "report_to_json", "reports_to_json", "run_suite"}
+
+
+def __getattr__(name: str):
+    if name in _SUITE_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 identity-suite failure, 2 usage error, 3 pole hit.
 Complex values are written "re,im" on the command line; the half-period
-keywords w1|w2|w3 (or omega1|...) are accepted for point arguments.
+keywords w1|w2|w3 (or omega1|...) are accepted for point arguments.  `eval`,
+`table` and `constants` load the function table alone; `verify` imports the
+identity suite (`weierzeta.verify`) when it runs.
 """
 
 from __future__ import annotations
@@ -10,13 +12,13 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import fnmatch
+import math
 import sys
 
 from .errors import BranchAmbiguity, PoleProximityError, WeierzetaError
+from .functions import FUNCTIONS
 from .lattice import build_lattice, constants, constants_to_json
 from .theta import SeriesConfig
-from .verify import FUNCTIONS, default_suite, reports_to_json, run_suite
 from .weier_core import _FINITE, EvalResult, Status
 
 
@@ -139,9 +141,11 @@ def _parse_axis(spec: str):
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError("axis count must be >= 1")
+    step = (stop - start) / (count - 1) if count > 1 else 0.0
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
+        raise ValueError(f"axis {spec!r} is not finite")
     if count == 1:
         return [start]
-    step = (stop - start) / (count - 1)
     return [start + k * step for k in range(count)]
 
 
@@ -195,6 +199,10 @@ def cmd_constants(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import fnmatch
+
+    from .verify import default_suite, reports_to_json, run_suite
+
     lat, cfg = _build(args)
     suite = default_suite()
     if args.only:

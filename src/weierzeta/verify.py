@@ -1,13 +1,12 @@
-"""Function table and identity-certification harness.
+"""Identity-certification harness.
 
-FUNCTIONS binds each public function name to its callable, its routes and
-its need for a second argument; `weierzeta eval`, `weierzeta table` and the
-suite runner all read it.  Every displayed identity in scope is registered
-as an IdentitySpec whose sides are table functions, written `name` or
+Every displayed identity in scope is registered as an IdentitySpec whose
+sides are functions of the table in `weierzeta.functions`, written `name` or
 `name:route`, or compound evaluators from EVALUATORS.  run_suite samples
 guarded points in the fundamental cell, evaluates both sides, and reports
 relative residual statistics per identity.  Deterministic given (lattice,
-suite, n, seed).
+suite, n, seed).  Only `verify` and the package's suite names, on first use,
+import this module: `eval`, `table` and `constants` read the table alone.
 """
 
 from __future__ import annotations
@@ -17,13 +16,14 @@ import math
 import random
 from collections import namedtuple
 
-from .aux_zeta import ZetaRoute, _zeta_aux, zeta_aux
-from .errors import PoleProximityError, SuiteConfigError, ValueOverflow, WeierzetaError
-from .jacobi import _E_Z, _params, jacobi_E_Z_Pi, sn_cn_dn
-from .lattice import Lattice, _tuple_new, complement, constants, locate, nearest
+from .aux_zeta import ZetaRoute, zeta_aux
+from .errors import PoleProximityError, SuiteConfigError, WeierzetaError
+from .functions import FUNCTIONS, _jacobi
+from .jacobi import _params
+from .lattice import Lattice, complement, constants, locate, nearest
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import _FINITE, EvalResult, _guarded, _sigma, _thetas, _wp, _wp_prime, _zeta_w
-from .zeta_diff import DeltaRoute, _delta, _delta2, delta2_prime, delta_prime
+from .weier_core import _thetas
+from .zeta_diff import delta2_prime, delta_prime
 
 PI = math.pi
 
@@ -47,90 +47,6 @@ PARTIALFRAC_TOL = 1e-5
 # alone: evaluation errors of the library and floating-point failures.
 # Anything else is a fault in the program or the suite and still ends the run.
 SAMPLE_ERRORS = (WeierzetaError, ArithmeticError, ValueError)
-
-
-# ---------------------------------------------------------------------------
-# Function table
-# ---------------------------------------------------------------------------
-
-
-class Function(namedtuple("Function", "run routes needs_a", defaults=((), False))):
-    """One public function as `eval`, `table` and the suite call it.
-
-    run(lat, lc, cfg, u, a, route) returns an EvalResult.  It runs the
-    function's kernel, not the public function, on the lattice's record lc
-    (`table` looks it up once per command, the suite once per lattice), and
-    looks it up itself only for lc None, after the pole guard where there is
-    one; Pi makes its own lookups.  `routes` holds the accepted routes, the
-    default first.
-    """
-
-    __slots__ = ()
-
-    def route(self, name: str | None):
-        """The route called name, or the default for None; ValueError if
-        this function does not accept it."""
-        if name is None:
-            return self.routes[0] if self.routes else None
-        for r in self.routes:
-            if r.value == name:
-                return r
-        raise ValueError(f"route {name!r} not valid")
-
-
-def _finite(value: complex) -> EvalResult:
-    return _tuple_new(EvalResult, (value, _FINITE, None))
-
-
-def _jacobi(lat: Lattice, lc, cfg: SeriesConfig, u: complex) -> tuple:
-    """(sn, cn, dn) at the Jacobi argument scale*u; a u too large to reduce
-    raises ValueOverflow naming u, not its scaled image."""
-    p = _params(lc or constants(lat, cfg))
-    try:
-        return sn_cn_dn(p, p.scale * u)
-    except ValueOverflow:
-        raise ValueOverflow(f"the cell coordinates of u = {u!r} are too large to reduce") from None
-
-
-def _functions() -> dict:
-    zeta_routes = (ZetaRoute.THETA, ZetaRoute.SHIFT, ZetaRoute.QSERIES, ZetaRoute.PARTIAL_FRACTION)
-    delta_routes = (DeltaRoute.SIGMA_QUOTIENT, DeltaRoute.ZETA_DIFF, DeltaRoute.WP_QUOTIENT, DeltaRoute.THETA_QUOTIENT)
-    delta2_routes = (DeltaRoute.WP_QUOTIENT, DeltaRoute.ZETA_DIFF, DeltaRoute.SIGMA_QUOTIENT, DeltaRoute.THETA_QUOTIENT)
-    table = {
-        "wp": Function(lambda lat, lc, cfg, u, *_: _guarded(_wp, lat, u, (0,), cfg, lc)),
-        "wp_prime": Function(lambda lat, lc, cfg, u, *_: _guarded(_wp_prime, lat, u, (0,), cfg, lc)),
-        "zeta": Function(lambda lat, lc, cfg, u, *_: _guarded(_zeta_w, lat, u, (0,), cfg, lc)),
-    }
-    for k in (0, 1, 2, 3):
-        table[f"sigma{k or ''}"] = Function(
-            lambda lat, lc, cfg, u, *_, k=k: _finite(_sigma(lat, lc or constants(lat, cfg), k, u, cfg))
-        )
-    for i in (1, 2, 3):
-        table[f"zeta{i}"] = Function(
-            lambda lat, lc, cfg, u, a, r, i=i: _guarded(_zeta_aux, lat, u, (i,), cfg, lc, i, r), zeta_routes
-        )
-        table[f"delta{i}"] = Function(
-            lambda lat, lc, cfg, u, a, r, i=i: _guarded(_delta, lat, u, (0, i), cfg, lc, i, r), delta_routes
-        )
-    for i, j in ((1, 2), (2, 3), (3, 1)):
-        table[f"delta{i}{j}"] = Function(
-            lambda lat, lc, cfg, u, a, r, i=i, j=j: _guarded(_delta2, lat, u, (i, j), cfg, lc, i, j, r),
-            delta2_routes,
-        )
-    for k, name in enumerate(("sn", "cn", "dn")):
-        table[name] = Function(lambda lat, lc, cfg, u, *_, k=k: _finite(_jacobi(lat, lc, cfg, u)[k]))
-    for k, name in enumerate(("E", "Z")):
-        table[name] = Function(
-            lambda lat, lc, cfg, u, *_, k=k: _finite(_E_Z(lat, lc or constants(lat, cfg), u, cfg)[k])
-        )
-    table["Pi"] = Function(
-        lambda lat, lc, cfg, u, a, r: _finite(jacobi_E_Z_Pi(lat, u, 0j if a is None else a, cfg)[2]),
-        needs_a=True,
-    )
-    return table
-
-
-FUNCTIONS = _functions()
 
 
 IdentitySpec = namedtuple("IdentitySpec", "name lhs rhs arity tol exclusions", defaults=(1, 1e-9, ()))

@@ -13,7 +13,8 @@ import pytest
 import weierzeta
 from weierzeta import jacobi
 from weierzeta.cli import main, parse_complex
-from weierzeta.verify import FUNCTIONS, Function, default_suite
+from weierzeta.functions import FUNCTIONS, Function
+from weierzeta.verify import default_suite
 from weierzeta import build_lattice
 
 
@@ -141,6 +142,24 @@ def test_table_deterministic_bytes():
 def test_table_malformed_grid():
     rc, _, err = run_cli(["table", "--fn", "wp", "--re", "0:1", "--im", "0:0:1"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "axis, spec",
+    [("re", "nan:1:3"), ("re", "-1e308:1e308:3"), ("im", "0:inf:1"), ("im", "0:1e400:2")],
+    ids=["nan-start", "step-overflows", "infinite-stop", "stop-overflows"],
+)
+def test_table_refuses_a_non_finite_axis(monkeypatch, axis, spec):
+    # Refused before any point runs, naming the axis: a point used to be
+    # blamed ("the cell coordinates of u = (nan+0.1j) are too large").
+    def no_point(*args):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setitem(FUNCTIONS, "wp", FUNCTIONS["wp"]._replace(run=no_point))
+    axes = {"re": "0:0.5:3", "im": "0.1:0.2:2", axis: spec}
+    rc, out, err = run_cli(["table", "--fn", "wp", f"--re={axes['re']}", f"--im={axes['im']}"])
+    assert rc == 2 and out == ""
+    assert err == f"table: axis {spec!r} is not finite\n"
 
 
 def test_constants_square_lattice():
@@ -412,18 +431,20 @@ GRID = ["--re=0:0.5:3", "--im=0.1:0.5:3"]
     "argv",
     [
         ["eval", "--fn", "wp", "--u", "0.2,0.1"],
+        ["eval", "--list-fns"],
         ["table", "--fn", "sn"] + GRID,
         ["table", "--fn", "sn", "--format", "csv"] + GRID,
         ["constants"],
     ],
-    ids=["eval", "table", "table-csv", "constants"],
+    ids=["eval", "eval-list-fns", "table", "table-csv", "constants"],
 )
 def test_commands_start_without_numpy(argv):
-    # numpy serves only the lattice-sum oracles; the scalar commands must
-    # not pay for importing it.
+    # numpy serves only the lattice-sum oracles and the identity suite only
+    # `verify`; the scalar commands must not pay for importing either.
     rc, out, modules = run_fresh("-m", "weierzeta.cli", *argv)
     assert rc == 0 and out
-    assert "weierzeta.verify" in modules
+    assert "weierzeta.functions" in modules
+    assert "weierzeta.verify" not in modules
     assert not loads_numpy(modules)
     assert not DATACLASS_IMPORTS & modules
 
@@ -431,8 +452,31 @@ def test_commands_start_without_numpy(argv):
 def test_package_import_without_numpy():
     rc, _, modules = run_fresh("-c", "import weierzeta")
     assert rc == 0 and "weierzeta" in modules
+    assert "weierzeta.verify" not in modules
     assert not loads_numpy(modules)
     assert not DATACLASS_IMPORTS & modules
+
+
+def test_verify_loads_the_suite():
+    rc, out, modules = run_fresh("-m", "weierzeta.cli", "verify", "--n", "3", "--only", "cor212_*")
+    assert rc == 0
+    assert [r["name"] for r in json.loads(out)] == ["cor212_row_r1", "cor212_row_r2", "cor212_row_r3"]
+    assert "weierzeta.verify" in modules
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["IdentityReport", "IdentitySpec", "default_suite", "report_to_json", "reports_to_json", "run_suite"],
+)
+def test_suite_names_resolve_to_the_suite_module(name):
+    from weierzeta import verify
+
+    assert getattr(weierzeta, name) is getattr(verify, name)
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        weierzeta.no_such_name
 
 
 def test_verify_and_partialfrac_eval_load_no_numpy():

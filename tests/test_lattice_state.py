@@ -35,7 +35,7 @@ from weierzeta import (
 )
 from weierzeta import aux_zeta, lattice, theta, weier_core
 from weierzeta.theta import DEFAULT_CONFIG
-from weierzeta.verify import FUNCTIONS
+from weierzeta.functions import FUNCTIONS
 
 from conftest import guarded_points, make_lattice
 

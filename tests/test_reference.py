@@ -14,6 +14,9 @@ from weierzeta import (
     delta2,
     delta2_prime,
     jacobi_E_Z,
+    sigma,
+    sigma_aux,
+    wp,
     wp_prime,
     zeta_aux,
     zeta_w,
@@ -173,3 +176,44 @@ def test_zeta_aux_routes_against_60_digits(reference, tau):
                     got = zeta_aux(lat, lam, u, route)
                     assert got.is_finite
                     assert reference.rel_error(got.value, want, ref.unit) <= tol, (route, lam, u)
+
+
+def _sigma(reference, ref, u):
+    """sigma(u) = exp(eta1 u^2 / (2 omega1)) theta1(c u) / (c theta1'(0)) by jtheta."""
+    mp = reference.mp
+    return mp.exp(ref.eta1 * u**2 / (2 * ref.w1)) * mp.jtheta(1, ref.c * u, ref.q) / (
+        ref.c * mp.jtheta(1, 0, ref.q, 1)
+    )
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_TAUS))
+def test_core_functions_and_constants_against_60_digits(reference, name):
+    # wp, zeta, sigma, the sigma_lam, e_lam, eta_lam, g2 and g3 on the five
+    # lattices, each judged on its natural unit: g3 vanishes on the square
+    # lattice and g2 on the rhombic one, so those two take |e1|^2 and |e1|^3.
+    lat = build_lattice(0.5, 0.5 * REFERENCE_TAUS[name])
+    lc = constants(lat)
+    pts = guarded_points(lat, random.Random(name), 4)
+    with reference.mp.workdps(60):
+        ref = reference.LatticeRef(lat.omega1, lat.omega3)
+        e1 = abs(ref.e1)
+        errs = {
+            "g2": reference.rel_error(lc.g2, ref.g2, e1**2),
+            "g3": reference.rel_error(lc.g3, ref.g3, e1**3),
+        }
+        for lam in (1, 2, 3):
+            errs[f"e{lam}"] = reference.rel_error(lc.e(lam), (ref.e1, ref.e2, ref.e3)[lam - 1], e1)
+            errs[f"eta{lam}"] = reference.rel_error(lc.eta(lam), ref.eta(lam), ref.unit)
+        for u in pts:
+            for label, got, want, floor in (
+                ("wp", wp(lat, u), ref.wp(u), ref.unit**2),
+                ("zeta", zeta_w(lat, u), ref.zeta(u), ref.unit),
+            ):
+                assert got.is_finite, (label, u)
+                errs[f"{label} {u}"] = reference.rel_error(got.value, want, floor)
+            errs[f"sigma {u}"] = reference.rel_error(sigma(lat, u), _sigma(reference, ref, u), 1 / ref.unit)
+            for lam in (1, 2, 3):
+                w = ref.half_period(lam)
+                want = reference.mp.exp(-ref.eta(lam) * u) * _sigma(reference, ref, u + w) / _sigma(reference, ref, w)
+                errs[f"sigma{lam} {u}"] = reference.rel_error(sigma_aux(lat, lam, u), want, 1)
+    assert max(errs.values()) <= reference.REL_TOL, max(errs, key=errs.get)

@@ -15,10 +15,11 @@ from weierzeta import (
     reports_to_json,
     run_suite,
 )
-from weierzeta import verify
+from weierzeta import functions
 from weierzeta.cli import main
 from weierzeta.errors import PoleProximityError, SuiteConfigError
-from weierzeta.verify import EVALUATORS, FUNCTIONS, _side
+from weierzeta.functions import FUNCTIONS
+from weierzeta.verify import EVALUATORS, _side
 
 
 
@@ -148,14 +149,14 @@ def test_evaluators_used_and_sides_resolve(capsys):
 )
 def test_jacobi_sides_compute_sn_cn_dn_once_per_point(monkeypatch, generic_lat, name, calls):
     count = 0
-    sn_cn_dn = verify.sn_cn_dn
+    sn_cn_dn = functions.sn_cn_dn
 
     def counted(*args):
         nonlocal count
         count += 1
         return sn_cn_dn(*args)
 
-    monkeypatch.setattr(verify, "sn_cn_dn", counted)
+    monkeypatch.setattr(functions, "sn_cn_dn", counted)
     spec = next(s for s in default_suite() if s.name == name)
     (rep,) = run_suite(generic_lat, [spec], n=10, seed=5)
     assert rep.passed
@@ -187,7 +188,7 @@ def test_raising_identity_fails_alone(monkeypatch, capsys, generic_lat, evaluato
     assert all("error" not in report_to_json(r) for r in (reports[0], reports[2]))
 
     # Through the command line: every identity still reports, exit code 1.
-    monkeypatch.setattr("weierzeta.cli.default_suite", lambda: (good, bad))
+    monkeypatch.setattr("weierzeta.verify.default_suite", lambda: (good, bad))
     assert main(["verify", "--n", "3", "--seed", "2"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert [r["name"] for r in payload] == ["good", "bad"]
@@ -208,7 +209,7 @@ def test_nan_residual_fails_and_stays_json(monkeypatch, capsys, generic_lat):
     assert out["meanRel"] is None
     assert [f["residual"] for f in out["failures"]] == [None] * 3
 
-    monkeypatch.setattr("weierzeta.cli.default_suite", lambda: (good, bad))
+    monkeypatch.setattr("weierzeta.verify.default_suite", lambda: (good, bad))
     assert main(["verify", "--n", "3", "--seed", "2"]) == 1
     payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
     assert [r["passed"] for r in payload] == [True, False]
