@@ -39,10 +39,10 @@ from operator import mul
 
 from .errors import SeriesDivergence
 from .lattice import (
-    _HALF_CELL,
     Lattice,
     LatticeConstants,
     Located,
+    _coset_pairs,
     check_index,
     complement,
     constants,
@@ -191,38 +191,6 @@ def _pair_moments(pairs, rho: float) -> list:
         sums.append(sum(term, 0j))
         term = list(map(mul, term, ratio))
     return sums
-
-
-def _coset_pairs(lat: Lattice, k: int, r_lo: float, r_hi: float) -> list:
-    """P = p*p for one point p of each pair +-p of omega_k + lattice with
-    r_lo < |p| <= r_hi, p and the pair's representative formed as in
-    `lattice.half_lattice_squares`.  Each row of fixed m holds its points on
-    a line, so the n with |p| <= r_hi lie between the roots of a quadratic
-    in n; one more n either side absorbs their rounding.  A row tangent to
-    the circle has a discriminant of 0 that rounding can make negative, so
-    only a clearly negative one skips the row."""
-    two_w1, two_w3 = lat.period1, lat.period3
-    alpha, beta = _HALF_CELL[k]
-    offset = alpha * two_w1 + beta * two_w3
-    w1sq = abs(two_w1) ** 2
-    row_gap = abs(lat.area) / abs(two_w1)
-    out = []
-    for m in range(math.ceil(-beta), int((r_hi / row_gap) - beta) + 2):
-        c = offset + m * two_w3
-        b = c.real * two_w1.real + c.imag * two_w1.imag
-        csq = abs(c) ** 2
-        disc = b * b - w1sq * (csq - r_hi * r_hi)
-        if disc < -1e-9 * w1sq * (csq + r_hi * r_hi):
-            continue
-        root = math.sqrt(max(disc, 0.0))
-        n_lo = math.floor((-b - root) / w1sq) - 1
-        if m + beta == 0:
-            n_lo = max(n_lo, math.floor(-alpha) + 1)
-        for n in range(n_lo, math.ceil((-b + root) / w1sq) + 2):
-            pt = offset + n * two_w1 + m * two_w3
-            if r_lo < abs(pt) <= r_hi:
-                out.append(pt * pt)
-    return out
 
 
 @lru_cache(maxsize=64)

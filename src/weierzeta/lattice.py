@@ -9,8 +9,9 @@ Omega_{n,m} = 2*omega1*n + 2*omega3*m.
 `constants` is the one per-lattice record: the theta nullwerte, the
 half-period values and invariants, and the Jacobi moduli and complete
 integrals, built together once per (lattice, series config).
-`half_lattice_squares` is the point table of the lattice-sum oracles: the
-squares of one point of each pair +-p of a coset inside a disc.
+`_coset_pairs` is the one enumerator of a coset's pairs +-p inside a
+circle, as their squares p*p: the lattice-sum oracles sum the lattice's over
+a disc, and the partial-fraction route (`aux_zeta`) sums each coset's.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 import sys
 from collections import namedtuple
 from functools import lru_cache
+from operator import mul
 
 from .errors import ConvergencePolicyError, InvalidPeriodRatio, ValueOverflow, ZeroPeriod
 from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _quarter_nome, theta_nullwerte
@@ -173,6 +175,44 @@ def nearest_translate(lat: Lattice, u: complex, offset: complex) -> tuple[float,
 
 # Cell coordinates of the half-period of each index; 0 stands for the lattice.
 _HALF_CELL = ((0.0, 0.0), (0.5, 0.0), (-0.5, -0.5), (0.0, 0.5))
+
+
+def _coset_pairs(lat: Lattice, k: int, r_lo: float, r_hi: float) -> list:
+    """P = p*p for one point p of each pair +-p of omega_k + lattice (k = 0
+    the lattice itself) with r_lo < |p| <= r_hi.
+
+    Every coset is symmetric under p -> -p, so each pair is one term in P.
+    With (alpha, beta) the coset's cell coordinates (_HALF_CELL),
+    p = omega_k + 2n*omega1 + 2m*omega3 is the representative of its pair
+    when (m + beta, n + alpha) > (0, 0) in lexicographic order: chosen by
+    index, since Re p is exactly 0 on some lattices and rounding need not
+    keep -p the negative of p.  Each row of fixed m holds its points on a
+    line, so the n with |p| <= r_hi lie between the roots of a quadratic in
+    n; one more n either side absorbs their rounding.  A row tangent to the
+    circle has a discriminant of 0 that rounding can make negative, so only
+    a clearly negative one skips the row."""
+    two_w1, two_w3 = lat.period1, lat.period3
+    alpha, beta = _HALF_CELL[k]
+    offset = alpha * two_w1 + beta * two_w3
+    w1sq = abs(two_w1) ** 2
+    row_gap = abs(lat.area) / abs(two_w1)
+    out = []
+    for m in range(math.ceil(-beta), int((r_hi / row_gap) - beta) + 2):
+        c = offset + m * two_w3
+        b = c.real * two_w1.real + c.imag * two_w1.imag
+        csq = abs(c) ** 2
+        disc = b * b - w1sq * (csq - r_hi * r_hi)
+        if disc < -1e-9 * w1sq * (csq + r_hi * r_hi):
+            continue
+        root = math.sqrt(max(disc, 0.0))
+        n_lo = math.floor((-b - root) / w1sq) - 1
+        if m + beta == 0:
+            n_lo = max(n_lo, math.floor(-alpha) + 1)
+        for n in range(n_lo, math.ceil((-b + root) / w1sq) + 2):
+            pt = offset + n * two_w1 + m * two_w3
+            if r_lo < abs(pt) <= r_hi:
+                out.append(pt * pt)
+    return out
 
 
 def nearest(lat: Lattice, p: Located, k: int) -> tuple[float, complex]:
@@ -379,40 +419,24 @@ def constants_to_json(lat: Lattice, lc: LatticeConstants) -> dict:
     }
 
 
-# The lattice-sum oracles below import numpy when called, so that the theta
-# routes start without it.
-@lru_cache(maxsize=64)
-def half_lattice_squares(lat: Lattice, radius: int, k: int) -> "np.ndarray":
-    """P = p*p for one point p of each pair +-p of omega_k + lattice (k = 0
-    the lattice itself) inside the disc |p| <= radius * min period.
+def _disc_pairs(lat: Lattice, radius: int) -> list:
+    """P = p*p for one point p of each pair +-p of the lattice inside the
+    disc |p| <= radius * min period, the pairs the lattice-sum oracles sum.
 
     The cutoff is symmetric in the plane metric, which is what makes the
     slowly convergent lattice tails cancel angularly; a square index-box
     cutoff leaves an O(radius^-2) bias that symmetric truncation removes.
-    The disc and each coset are symmetric under p -> -p, so the oracles sum
-    over pairs in P.  With (alpha, beta) the coset's cell coordinates
-    (_HALF_CELL), p = omega_k + 2n*omega1 + 2m*omega3 is the representative
-    of its pair when (m + beta, n + alpha) > (0, 0) in lexicographic order:
-    chosen by index, since Re p is exactly 0 on some lattices and rounding
-    need not keep -p the negative of p.
     """
-    import numpy as np
-
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    two_w1, two_w3 = lat.period1, lat.period3
-    alpha, beta = _HALF_CELL[k]
-    offset = alpha * two_w1 + beta * two_w3
-    cut = radius * lat.min_period
-    area = abs(lat.area)
-    n_span = int(math.ceil((cut + abs(offset)) * abs(two_w3) / area)) + 1
-    m_span = int(math.ceil((cut + abs(offset)) * abs(two_w1) / area)) + 1
-    n = np.arange(-n_span, n_span + 1)
-    m = np.arange(math.ceil(-beta), m_span + 1)
-    p = offset + n * two_w1 + m[:, None] * two_w3
-    keep = ((m[:, None] + beta > 0) | (n + alpha > 0)) & (np.abs(p) <= cut)
-    p = p[keep]
-    return p * p
+    return _coset_pairs(lat, 0, 0.0, radius * lat.min_period)
+
+
+def _fsum(terms) -> complex:
+    """The sum of complex terms, each part exactly rounded (`math.fsum`), so
+    it does not depend on their order."""
+    terms = list(terms)
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def eisenstein_invariants(lat: Lattice, shell_radius: int) -> tuple[complex, complex]:
@@ -422,10 +446,6 @@ def eisenstein_invariants(lat: Lattice, shell_radius: int) -> tuple[complex, com
     Truncated at |Omega| <= shell_radius * min period; serves as an
     independent oracle for `constants`, not as a production path.
     """
-    import numpy as np
-
-    inv = 1.0 / half_lattice_squares(lat, shell_radius, 0)
-    inv2 = inv * inv
-    g2 = 120.0 * complex(np.sum(inv2))
-    g3 = 280.0 * complex(np.sum(inv2 * inv))
-    return g2, g3
+    inv = [1.0 / big_p for big_p in _disc_pairs(lat, shell_radius)]
+    inv2 = [x * x for x in inv]
+    return 120.0 * _fsum(inv2), 280.0 * _fsum(map(mul, inv2, inv))

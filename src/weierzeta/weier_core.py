@@ -11,7 +11,7 @@ guard on its pole cosets at the located point, then the kernel with the
 lattice's record, which the caller hands in or which is looked up after the
 guard.  Slow lattice-sum and product oracles are provided for
 each function; they exist for verification only, and sum each pair +-Omega of
-lattice points as one term in Omega^2 (`lattice.half_lattice_squares`).
+lattice points as one term in Omega^2 (`lattice._disc_pairs`).
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from .lattice import (
     Lattice,
     LatticeConstants,
     Located,
+    _disc_pairs,
+    _fsum,
     _tuple_new,
     check_index,
     constants,
-    half_lattice_squares,
     locate,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig, _theta4
@@ -222,29 +223,28 @@ def _wp_prime(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig)
 # ---------------------------------------------------------------------------
 # Slow oracles: direct lattice sums/products, truncated at a symmetric cutoff
 # |point| <= radius * min period, each pair +-Omega folded into one term in
-# P = Omega^2 (see half_lattice_squares).  Verification only; each imports
-# numpy when called, so that the theta routes start without it.
+# P = Omega^2 (see lattice._disc_pairs), each part summed exactly rounded.
+# Verification only.
 # ---------------------------------------------------------------------------
 
 
 def wp_lattice_sum(lat: Lattice, u: complex, radius: int = 200) -> complex:
     """1/u^2 + sum over the lattice of 1/(u-Omega)^2 - 1/Omega^2,
     taken over the pairs as 2u^2 * sum of (3P - u^2)/(P (u^2 - P)^2)."""
-    import numpy as np
-
-    big_p = half_lattice_squares(lat, radius, 0)
     usq = u * u
-    d = usq - big_p
-    return 1.0 / usq + 2 * usq * complex(np.sum((3 * big_p - usq) / (big_p * d * d)))
+    terms = []
+    for big_p in _disc_pairs(lat, radius):
+        d = usq - big_p
+        terms.append((3 * big_p - usq) / (big_p * d * d))
+    return 1.0 / usq + 2 * usq * _fsum(terms)
 
 
 def zeta_lattice_sum(lat: Lattice, u: complex, radius: int = 200) -> complex:
     """1/u + sum over the lattice of 1/(u-Omega) + 1/Omega + u/Omega^2,
     taken over the pairs as 2u^3 * sum of 1/(P (u^2 - P))."""
-    import numpy as np
-
-    big_p = half_lattice_squares(lat, radius, 0)
-    return 1.0 / u + 2 * u**3 * complex(np.sum(1.0 / (big_p * (u * u - big_p))))
+    usq = u * u
+    terms = (1.0 / (big_p * (usq - big_p)) for big_p in _disc_pairs(lat, radius))
+    return 1.0 / u + 2 * u**3 * _fsum(terms)
 
 
 def sigma_product(lat: Lattice, u: complex, radius: int = 60) -> complex:
@@ -254,7 +254,6 @@ def sigma_product(lat: Lattice, u: complex, radius: int = 60) -> complex:
     principal logs per pair are safe because the exponential removes any
     2*pi*i bookkeeping.
     """
-    import numpy as np
-
-    x = (u * u) / half_lattice_squares(lat, radius, 0)
-    return u * cmath.exp(complex(np.sum(np.log(1.0 - x) + x)))
+    usq = u * u
+    xs = (usq / big_p for big_p in _disc_pairs(lat, radius))
+    return u * cmath.exp(_fsum(cmath.log(1.0 - x) + x for x in xs))

@@ -1,8 +1,8 @@
 """Auxiliary zeta functions: four routes, quasi-periodicity, q-series forms."""
 
+import math
 import random
 
-import numpy as np
 import pytest
 
 from weierzeta import (
@@ -14,7 +14,7 @@ from weierzeta import (
     wp,
     zeta_aux,
 )
-from weierzeta.lattice import half_lattice_squares
+from weierzeta.lattice import _coset_pairs, _fsum
 from weierzeta.theta import DEFAULT_CONFIG
 
 from conftest import REFERENCE_TAUS, guarded_points, make_lattice
@@ -167,21 +167,24 @@ def test_qseries_divergence_with_tiny_budget():
 def test_coset_closed_forms_match_the_disc_sums(name):
     # The partial-fraction tables' M_0 and M_1, with the near pairs they
     # leave out, are the whole coset's pair sums of P^-2 = p^-4 and P^-3:
-    # A/6 and e_lam*A/10.  Against numpy sums over the pairs of the disc of
-    # 200 minimum periods, within that disc's truncation, read off as the
-    # change of its sums from the disc of 100, plus rounding on the sum of
-    # the magnitudes (the p^-6 sum is exactly 0 on the square lattice's
-    # omega_2 coset).
+    # A/6 and e_lam*A/10.  Against exactly rounded sums over the pairs of
+    # the disc of 200 minimum periods, within that disc's truncation, read
+    # off as the change of its sums from the disc of 100, plus rounding on
+    # the sum of the magnitudes (the p^-6 sum is exactly 0 on the square
+    # lattice's omega_2 coset).
     lat = make_lattice(name)
+    r100, r200 = 100 * lat.min_period, 200 * lat.min_period
     for lam in (1, 2, 3):
         near, moments, rho = aux_zeta._coset_tables(lat, DEFAULT_CONFIG, lam)
         inner = aux_zeta._pair_moments(near, rho)
         whole = (moments[-1] + inner[0], (moments[-2] + inner[1]) / rho**2)
-        disc = {}
-        for radius in (100, 200):
-            inv = 1.0 / half_lattice_squares(lat, radius, lam)
-            disc[radius] = [(complex(np.sum(inv**j)), np.sum(np.abs(inv) ** j)) for j in (2, 3)]
-        for got, (s100, _), (s200, magnitude) in zip(whole, disc[100], disc[200]):
+        inv = [1.0 / big_p for big_p in _coset_pairs(lat, lam, 0.0, r100)]
+        n100 = len(inv)
+        inv += [1.0 / big_p for big_p in _coset_pairs(lat, lam, r100, r200)]
+        for j, got in zip((2, 3), whole):
+            terms = [x**j for x in inv]
+            s100, s200 = _fsum(terms[:n100]), _fsum(terms)
+            magnitude = math.fsum(abs(x) ** j for x in inv)
             assert abs(got - s200) <= abs(s200 - s100) + 1e-14 * magnitude
 
 
@@ -198,13 +201,13 @@ def test_split_enumeration_keeps_rows_tangent_to_the_cut(tau, k, tangent):
     lat = build_lattice(0.5, 0.5 * tau)
     rho = aux_zeta._coset_tables(lat, DEFAULT_CONFIG, max(k, 1))[2]
     split, cut = aux_zeta.PAIR_SPLIT * rho, aux_zeta.PAIR_ANNULUS * rho
-    near = aux_zeta._coset_pairs(lat, k, 0.0, split)
-    far = aux_zeta._coset_pairs(lat, k, split, cut)
+    near = _coset_pairs(lat, k, 0.0, split)
+    far = _coset_pairs(lat, k, split, cut)
 
     def order(pairs):
         return sorted(pairs, key=lambda z: (z.real, z.imag))
 
-    assert order(near + far) == order(aux_zeta._coset_pairs(lat, k, 0.0, cut))
+    assert order(near + far) == order(_coset_pairs(lat, k, 0.0, cut))
     assert any(abs(big_p - tangent) <= 1e-12 * abs(tangent) for big_p in near)
 
 

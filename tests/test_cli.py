@@ -210,6 +210,17 @@ def test_max_terms_budget():
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "table", "constants", "verify"])
+@pytest.mark.parametrize("flag, value", [("--rel-tol", "inf"), ("--abs-tol", "nan"), ("--abs-tol", "-inf")])
+def test_non_finite_tolerance_is_a_usage_error(command, flag, value):
+    # --rel-tol inf printed a value 0.04 off with status Finite, and
+    # --abs-tol nan was blamed on the series budget.
+    argv = {"eval": ["eval", "--fn", "wp", "--u", "0.1"], "table": ["table", "--fn", "wp"] + GRID}
+    rc, out, err = run_cli(argv.get(command, [command]) + [f"{flag}={value}"])
+    assert rc == 2 and out == ""
+    assert err.startswith("weierzeta: tolerances must be finite")
+
+
 def test_precision_is_not_read_from_the_environment(monkeypatch):
     # The precision flags are the only way to set the series budget: a
     # malformed variable of the old names is ignored, not a traceback.
@@ -439,7 +450,7 @@ GRID = ["--re=0:0.5:3", "--im=0.1:0.5:3"]
     ids=["eval", "eval-list-fns", "table", "table-csv", "constants"],
 )
 def test_commands_start_without_numpy(argv):
-    # numpy serves only the lattice-sum oracles and the identity suite only
+    # The package imports no numpy, and the identity suite serves only
     # `verify`; the scalar commands must not pay for importing either.
     rc, out, modules = run_fresh("-m", "weierzeta.cli", *argv)
     assert rc == 0 and out

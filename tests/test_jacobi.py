@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from weierzeta import (
@@ -31,15 +30,15 @@ from conftest import (
 PI = math.pi
 
 
-def quad_complete_integrals(ksq: complex, nodes: int = 240):
-    """Gauss-Legendre quadrature of the defining integrals on [0, pi/2]
-    in the substituted form x = sin(theta) (oracle)."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    th = (x + 1) * (PI / 4)
-    wt = w * (PI / 4)
-    s2 = np.sin(th) ** 2
-    root = np.sqrt(1 - ksq * s2 + 0j)
-    return complex(np.sum(wt / root)), complex(np.sum(wt * root))
+def quad_complete_integrals(ksq: complex, dps: int = 30):
+    """K and E from their defining integrals over theta in [0, pi/2], by
+    mpmath's adaptive quadrature at dps digits (oracle)."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(dps):
+        m = mp.mpc(ksq)
+        big_k = mp.quad(lambda th: 1 / mp.sqrt(1 - m * mp.sin(th) ** 2), [0, mp.pi / 2])
+        big_e = mp.quad(lambda th: mp.sqrt(1 - m * mp.sin(th) ** 2), [0, mp.pi / 2])
+        return complex(big_k), complex(big_e)
 
 
 def test_zero_modulus_integrals():

@@ -24,7 +24,6 @@ from weierzeta.lattice import (
     cell_coords,
     complement,
     constants_to_json,
-    half_lattice_squares,
     locate,
     nearest_translate,
     reduce_to_cell,
@@ -342,6 +341,28 @@ def _fsum(terms):
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
+def _numpy_half_table(lat, radius, k):
+    """P = p*p for one point p of each pair +-p of omega_k + lattice inside
+    the disc |p| <= radius * min period, by numpy over an index box: the
+    reference the pure-Python `lattice._coset_pairs` is checked against.
+    The pair's representative is chosen as there: with (alpha, beta) the
+    coset's cell coordinates, p = omega_k + 2n*omega1 + 2m*omega3 when
+    (m + beta, n + alpha) > (0, 0) in lexicographic order."""
+    two_w1, two_w3 = lat.period1, lat.period3
+    alpha, beta = lattice._HALF_CELL[k]
+    offset = alpha * two_w1 + beta * two_w3
+    cut = radius * lat.min_period
+    area = abs(lat.area)
+    n_span = int(math.ceil((cut + abs(offset)) * abs(two_w3) / area)) + 1
+    m_span = int(math.ceil((cut + abs(offset)) * abs(two_w1) / area)) + 1
+    n = np.arange(-n_span, n_span + 1)
+    m = np.arange(math.ceil(-beta), m_span + 1)
+    p = offset + n * two_w1 + m[:, None] * two_w3
+    keep = ((m[:, None] + beta > 0) | (n + alpha > 0)) & (np.abs(p) <= cut)
+    p = p[keep]
+    return p * p
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("name", sorted(REFERENCE_TAUS))
 def test_half_table_holds_one_point_of_each_pair(name, k):
@@ -349,7 +370,7 @@ def test_half_table_holds_one_point_of_each_pair(name, k):
     # the sign of Re p would keep both p and -p or neither.
     lat = make_lattice(name)
     pts = np.array(_disc_points(lat, 20, k))
-    table = half_lattice_squares(lat, 20, k)
+    table = np.array(lattice._coset_pairs(lat, k, 0.0, 20 * lat.min_period))
     assert 2 * len(table) == len(pts)
     # Match each disc point to the table entry nearest its square: every
     # entry is met by exactly two points, and those two are p and -p.
@@ -366,21 +387,21 @@ def _disc_split(lat, k, radius):
     """(near, far, moments, rho) of the partial-fraction route's pair form
     over the pairs of the disc |p| <= radius * min period instead of the
     whole coset: the pairs within PAIR_SPLIT * rho and the rest of the disc,
-    both by `aux_zeta._coset_pairs`, and the rest's `_pair_moments`, highest
+    both by `lattice._coset_pairs`, and the rest's `_pair_moments`, highest
     first, as `aux_zeta._pair_series` reads them."""
     rho = aux_zeta._coset_tables(lat, DEFAULT_CONFIG, k)[2]
     assert rho == max(abs(lat.omega1 + lat.omega3), abs(lat.omega1 - lat.omega3))
     cut = radius * lat.min_period
     split = min(cut, aux_zeta.PAIR_SPLIT * rho)
-    near = aux_zeta._coset_pairs(lat, k, 0.0, split)
-    far = aux_zeta._coset_pairs(lat, k, split, cut)
+    near = lattice._coset_pairs(lat, k, 0.0, split)
+    far = lattice._coset_pairs(lat, k, split, cut)
     return near, far, aux_zeta._pair_moments(far, rho)[::-1], rho
 
 
 def _pair_keys(lat, squares):
     """The doubled cell coordinates (2a, 2b) of one point p = 2a*omega1 +
     2b*omega3 of each pair +-p with the given squares, the pair's sign fixed
-    as in half_lattice_squares, in lexicographic order; and the squares in
+    as in `lattice._coset_pairs`, in lexicographic order; and the squares in
     that order."""
     big_p = np.asarray(squares)
     a, b = cell_coords(lat, np.sqrt(big_p))
@@ -427,14 +448,14 @@ def test_paired_oracles_match_unpaired_sums(name):
 def test_split_pair_sum_matches_the_direct_sum(name, k, radius):
     # At reduced points the near pairs are summed term by term and the far
     # ones from moments; against the pairwise sum over the same pairs.  The
-    # pure-Python enumeration lists the pairs of the numpy table, each
-    # square within two units in the last place (numpy may fuse the
+    # pure-Python enumeration lists the pairs of the numpy reference table,
+    # each square within two units in the last place (numpy may fuse the
     # square's multiply and add).
     lat = make_lattice(name)
     near, far, moments, rho = _disc_split(lat, k, radius)
     table = np.array(near + far)
     keys, squares = _pair_keys(lat, table)
-    numpy_keys, numpy_squares = _pair_keys(lat, half_lattice_squares(lat, radius, k))
+    numpy_keys, numpy_squares = _pair_keys(lat, _numpy_half_table(lat, radius, k))
     assert np.array_equal(keys, numpy_keys)
     assert np.all(np.abs(squares - numpy_squares) <= 4.5e-16 * np.abs(numpy_squares))
     if radius > 1:
@@ -455,13 +476,18 @@ def test_split_pair_sum_matches_the_direct_sum(name, k, radius):
 
 
 def test_pair_sum_beyond_the_cell_is_the_direct_sum():
-    # zeta_lattice_sum is the direct numpy sum over its disc, bit for bit,
-    # beyond the cell and at a reduced point alike.
+    # zeta_lattice_sum is the exactly rounded direct sum over the pairs of
+    # its disc, bit for bit, beyond the cell and at a reduced point alike;
+    # and that sum is within rounding of the numpy reference table's.
     lat = make_lattice("generic")
-    table = half_lattice_squares(lat, 20, 0)
+    pairs = lattice._coset_pairs(lat, 0, 0.0, 20 * lat.min_period)
+    table = _numpy_half_table(lat, 20, 0)
     for u in (3.2 + 1.7j, 0.3 * lat.omega1 + 0.2 * lat.omega3):
-        direct = 1.0 / u + 2 * u**3 * complex(np.sum(1.0 / (table * (u * u - table))))
+        direct = 1.0 / u + 2 * u**3 * _fsum(1.0 / (big_p * (u * u - big_p)) for big_p in pairs)
         assert zeta_lattice_sum(lat, u, 20) == direct
+        terms = 2 * u**3 / (table * (u * u - table))
+        numpy_direct = 1.0 / u + complex(math.fsum(terms.real), math.fsum(terms.imag))
+        assert abs(direct - numpy_direct) <= 1e-15 * (abs(1 / u) + np.sum(np.abs(terms)))
 
 
 def test_oracles_refuse_radius_below_one():

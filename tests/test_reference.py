@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import permutations
 
 import pytest
 
@@ -13,9 +14,12 @@ from weierzeta import (
     delta,
     delta2,
     delta2_prime,
+    delta_prime,
     jacobi_E_Z,
+    jacobi_params,
     sigma,
     sigma_aux,
+    sn_cn_dn,
     wp,
     wp_prime,
     zeta_aux,
@@ -216,4 +220,44 @@ def test_core_functions_and_constants_against_60_digits(reference, name):
                 w = ref.half_period(lam)
                 want = reference.mp.exp(-ref.eta(lam) * u) * _sigma(reference, ref, u + w) / _sigma(reference, ref, w)
                 errs[f"sigma{lam} {u}"] = reference.rel_error(sigma_aux(lat, lam, u), want, 1)
+    assert max(errs.values()) <= reference.REL_TOL, max(errs, key=errs.get)
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_TAUS))
+def test_zeta_differences_and_jacobi_against_60_digits(reference, name):
+    # Delta_lam and Delta_{lam,mu} on every route and for all six ordered
+    # pairs, their derivatives against differences of wp, sn, cn and dn
+    # against mpmath's ellipfun, and E and Z, on the five lattices.
+    # Weight-1 values are judged on the lattice's unit, the derivatives on
+    # its square, the Jacobi values on 1.
+    lat = build_lattice(0.5, 0.5 * REFERENCE_TAUS[name])
+    params = jacobi_params(lat)
+    pts = guarded_points(lat, random.Random(name), 4)
+    errs = {}
+
+    def check(label, got, want, floor):
+        assert got.is_finite, label
+        errs[label] = reference.rel_error(got.value, want, floor)
+
+    with reference.mp.workdps(60):
+        ref = reference.LatticeRef(lat.omega1, lat.omega3)
+        unit = ref.unit
+        for u in pts:
+            wp_u, zeta_u = ref.wp(u), ref.zeta(u)
+            aux = {lam: ref.zeta_aux(lam, u) for lam in (1, 2, 3)}
+            shifted = {lam: ref.wp(u + ref.half_period(lam)) for lam in (1, 2, 3)}
+            for lam in (1, 2, 3):
+                for route in DeltaRoute:
+                    check(f"delta{lam} {route.value} {u}", delta(lat, lam, u, route), aux[lam] - zeta_u, unit)
+                check(f"delta_prime{lam} {u}", delta_prime(lat, lam, u), wp_u - shifted[lam], unit**2)
+            for lam, mu in permutations((1, 2, 3), 2):
+                for route in DeltaRoute:
+                    got = delta2(lat, lam, mu, u, route)
+                    check(f"delta{lam}{mu} {route.value} {u}", got, aux[lam] - aux[mu], unit)
+                got = delta2_prime(lat, lam, mu, u)
+                check(f"delta{lam}{mu}_prime {u}", got, shifted[mu] - shifted[lam], unit**2)
+            for label, got, want in zip(("sn", "cn", "dn"), sn_cn_dn(params, params.scale * u), ref.sn_cn_dn(u)):
+                errs[f"{label} {u}"] = reference.rel_error(got, want, 1)
+            for label, got, want in zip(("E", "Z"), jacobi_E_Z(lat, u), ref.jacobi_E_Z(u)):
+                errs[f"{label} {u}"] = reference.rel_error(got, want, 1)
     assert max(errs.values()) <= reference.REL_TOL, max(errs, key=errs.get)

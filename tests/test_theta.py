@@ -239,6 +239,13 @@ def test_config_validation():
         SeriesConfig(max_terms=3)
     with pytest.raises(ValueError):
         DEFAULT_CONFIG._replace(abs_tol=0.0, rel_tol=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SeriesConfig(abs_tol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SeriesConfig(rel_tol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            DEFAULT_CONFIG._replace(rel_tol=bad)
     assert DEFAULT_CONFIG._replace(max_terms=64) == SeriesConfig(max_terms=64)
     with pytest.raises(ValueError):
         theta_eval(5, 0.0, 1j)
