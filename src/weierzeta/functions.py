@@ -9,7 +9,7 @@ from collections import namedtuple
 
 from .aux_zeta import ZetaRoute, _zeta_aux
 from .errors import ValueOverflow
-from .jacobi import _E_Z, _params, jacobi_E_Z_Pi, sn_cn_dn
+from .jacobi import _E_Z, _E_Z_Pi, _params, sn_cn_dn
 from .lattice import Lattice, _tuple_new, constants
 from .theta import SeriesConfig
 from .weier_core import _FINITE, EvalResult, _guarded, _sigma, _wp, _wp_prime, _zeta_w
@@ -23,8 +23,7 @@ class Function(namedtuple("Function", "run routes needs_a", defaults=((), False)
     function's kernel, not the public function, on the lattice's record lc
     (`table` looks it up once per command, the suite once per lattice), and
     looks it up itself only for lc None, after the pole guard where there is
-    one; Pi makes its own lookups.  `routes` holds the accepted routes, the
-    default first.
+    one.  `routes` holds the accepted routes, the default first.
     """
 
     __slots__ = ()
@@ -86,7 +85,7 @@ def _functions() -> dict:
             lambda lat, lc, cfg, u, *_, k=k: _finite(_E_Z(lat, lc or constants(lat, cfg), u, cfg)[k])
         )
     table["Pi"] = Function(
-        lambda lat, lc, cfg, u, a, r: _finite(jacobi_E_Z_Pi(lat, u, 0j if a is None else a, cfg)[2]),
+        lambda lat, lc, cfg, u, a, r: _finite(_E_Z_Pi(lat, lc or constants(lat, cfg), u, 0j if a is None else a, cfg)[2]),
         needs_a=True,
     )
     return table

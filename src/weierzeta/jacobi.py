@@ -25,8 +25,8 @@ from .lattice import (
     constants,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import _sigmas, _theta_zeta, _translate_sign, pole_status, sigma_aux
-from .aux_zeta import zeta_aux
+from .weier_core import _guarded, _sigma, _sigmas, _theta_zeta, _translate_sign, pole_status
+from .aux_zeta import ZetaRoute, _zeta_aux
 
 PI = math.pi
 
@@ -101,18 +101,24 @@ def jacobi_E_Z_Pi(
     E and Z are `jacobi_E_Z`; Pi needs the log of a sigma quotient, tracked
     continuously along the straight segment from 0 so the branch agrees with
     the defining integral from 0.  Raises PoleProximityError when u or a is
-    at/near a pole of the third auxiliary zeta.
+    at/near a pole of the third auxiliary zeta, DegenerateLattice as
+    `jacobi_params` does, BranchAmbiguity where the tracking fails, and
+    ValueOverflow where a sigma_3 factor on the segment overflows.
     """
-    big_e, big_z = jacobi_E_Z(lat, u, cfg)
-    z3a = zeta_aux(lat, 3, a, cfg=cfg)
+    return _E_Z_Pi(lat, constants(lat, cfg), u, a, cfg)
+
+
+def _E_Z_Pi(lat: Lattice, lc: LatticeConstants, u: complex, a: complex, cfg: SeriesConfig) -> tuple:
+    big_e, big_z = _E_Z(lat, lc, u, cfg)
+    z3a = _guarded(_zeta_aux, lat, a, (3,), cfg, lc, 3, ZetaRoute.THETA)
     if not z3a.is_finite:
         raise PoleProximityError(f"a = {a!r} is at/near a pole of the third auxiliary zeta")
     if u == 0:
         return big_e, big_z, 0j
-    return big_e, big_z, 0.5 * _tracked_log_ratio(lat, u, a, cfg) + z3a.value * u
+    return big_e, big_z, 0.5 * _tracked_log_ratio(lat, lc, u, a, cfg) + z3a.value * u
 
 
-def _tracked_log_ratio(lat: Lattice, u: complex, a: complex, cfg: SeriesConfig) -> complex:
+def _tracked_log_ratio(lat: Lattice, lc: LatticeConstants, u: complex, a: complex, cfg: SeriesConfig) -> complex:
     """log of sigma_3(u - a)/sigma_3(u + a), continuous along t*u from t=0.
 
     At t = 0 the ratio is exactly 1 (sigma_3 is even).  The principal log of
@@ -122,8 +128,8 @@ def _tracked_log_ratio(lat: Lattice, u: complex, a: complex, cfg: SeriesConfig) 
     """
 
     def ratio(t: float) -> complex:
-        num = sigma_aux(lat, 3, t * u - a, cfg)
-        den = sigma_aux(lat, 3, t * u + a, cfg)
+        num = _sigma(lat, lc, 3, t * u - a, cfg)
+        den = _sigma(lat, lc, 3, t * u + a, cfg)
         if den == 0 or num == 0:
             raise BranchAmbiguity(
                 f"sigma_3 vanishes on the tracking segment at t = {t}; Pi is singular there"

@@ -23,6 +23,7 @@ from weierzeta import (
     delta2_prime,
     delta_prime,
     jacobi_E_Z,
+    jacobi_E_Z_Pi,
     jacobi_params,
     run_suite,
     sigma,
@@ -165,6 +166,7 @@ def test_one_constants_lookup_per_public_call(warm_lattice):
         "constants_from_deltas": lambda u: constants_from_deltas(lat, u),
         "jacobi_params": lambda u: jacobi_params(lat),
         "jacobi_E_Z": lambda u: jacobi_E_Z(lat, u),
+        "jacobi_E_Z_Pi": lambda u: jacobi_E_Z_Pi(lat, u, pts[-1] - u),
     }
     for r in ZetaRoute:
         calls[f"zeta_aux_{r.value}"] = lambda u, r=r: zeta_aux(lat, 3, u, r)
@@ -188,23 +190,22 @@ def test_one_constants_lookup_per_public_call(warm_lattice):
 
 
 def test_registry_looks_nothing_up_when_handed_the_record(warm_lattice):
-    # Every entry but Pi, which makes its own lookups, on every route: as
-    # eval calls it, without the record, one lookup; as table and the suite
-    # call it, handed the record, none.  The first call builds the
-    # partial-fraction route's per-lattice tables, which look the record up.
+    # Every entry on every route: as eval calls it, without the record, one
+    # lookup; as table and the suite call it, handed the record, none.  The
+    # first call builds the partial-fraction route's per-lattice tables,
+    # which look the record up.
     lat, pts = warm_lattice
     lc = constants(lat)
     for name, f in FUNCTIONS.items():
-        if f.needs_a:
-            continue
         for r in f.routes or (None,):
             f.run(lat, lc, DEFAULT_CONFIG, pts[0], None, r)
             for u in pts:
+                a = pts[-1] - u if f.needs_a else None
                 before = constants.cache_info()
-                f.run(lat, None, DEFAULT_CONFIG, u, None, r)
+                f.run(lat, None, DEFAULT_CONFIG, u, a, r)
                 after = constants.cache_info()
                 assert (after.hits - before.hits, after.misses - before.misses) == (1, 0), (name, r)
-                f.run(lat, lc, DEFAULT_CONFIG, u, None, r)
+                f.run(lat, lc, DEFAULT_CONFIG, u, a, r)
                 assert constants.cache_info() == after, (name, r)
 
 

@@ -1,6 +1,8 @@
-"""Library values against bench/reference.py's 30-digit mpmath values."""
+"""Library values against bench/reference.py's 30-digit mpmath values, and
+Pi against a quadrature of its defining integral."""
 
 import json
+import math
 import random
 from itertools import permutations
 
@@ -16,6 +18,7 @@ from weierzeta import (
     delta2_prime,
     delta_prime,
     jacobi_E_Z,
+    jacobi_E_Z_Pi,
     jacobi_params,
     sigma,
     sigma_aux,
@@ -261,3 +264,88 @@ def test_zeta_differences_and_jacobi_against_60_digits(reference, name):
             for label, got, want in zip(("E", "Z"), jacobi_E_Z(lat, u), ref.jacobi_E_Z(u)):
                 errs[f"{label} {u}"] = reference.rel_error(got, want, 1)
     assert max(errs.values()) <= reference.REL_TOL, max(errs, key=errs.get)
+
+
+def _gauss_legendre(n: int) -> list:
+    """(node, weight) of the n-point Gauss-Legendre rule on [-1, 1], by
+    Newton's method on the Legendre recurrence."""
+    rule = []
+    for i in range(1, n + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(8):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            x -= p1 / dp
+        rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return rule
+
+
+GAUSS_8 = _gauss_legendre(8)
+
+
+def test_gauss_legendre_rule_is_exact_to_degree_15():
+    for deg in range(16):
+        want = 2 / (deg + 1) if deg % 2 == 0 else 0.0
+        assert abs(math.fsum(w * x**deg for x, w in GAUSS_8) - want) <= 1e-15, deg
+
+
+def _pi_quadrature(p, x: complex, alpha: complex, panels: int) -> complex:
+    """Jacobi's Pi(x, alpha), the integral of k^2 sn(a) cn(a) dn(a) sn^2(t) /
+    (1 - k^2 sn^2(a) sn^2(t)) along the segment t from 0 to x, by the
+    8-point Gauss-Legendre rule on each of `panels` equal panels, with sn,
+    cn and dn from sn_cn_dn."""
+    ksq = p.k * p.k
+    sa, ca, da = sn_cn_dn(p, alpha)
+    total = 0j
+    for j in range(panels):
+        for node, w in GAUSS_8:
+            sn2 = sn_cn_dn(p, (j + (node + 1) / 2) / panels * x)[0] ** 2
+            total += w * sn2 / (1 - ksq * sa * sa * sn2)
+    return ksq * sa * ca * da * total * x / (2 * panels)
+
+
+class OffByPiI(Exception):
+    """Pi is off its defining integral by a nonzero multiple of pi*i."""
+
+
+def _pi_pairs():
+    # Four guarded (u, a) pairs on each reference lattice, u the points the
+    # 60-digit tests above use; then the pairs measured off by pi*i: on rect
+    # (tau = 2i) and on tall (tau = 0.1+3i), points the guard accepts.
+    off = {("tall", 3)}
+    mark = pytest.mark.xfail(
+        strict=True, raises=OffByPiI,
+        reason="ROADMAP item 5: the tracker misses a step that winds by 2*pi",
+    )
+    for name in REFERENCE_TAUS:
+        lat = build_lattice(0.5, 0.5 * REFERENCE_TAUS[name])
+        pts = guarded_points(lat, random.Random(name), 8)
+        for i, (u, a) in enumerate(zip(pts[:4], pts[4:])):
+            yield pytest.param(name, u, a, id=f"{name}-{i}", marks=mark if (name, i) in off else ())
+    for name, u, a in (
+        ("rect", 0.25935401432800764 + 0.46866192209339275j, 0.9956448355104628 + 0.9405270150448959j),
+        ("rect", 0.62 + 1.48j, 0.8 + 1.89j),
+        ("tall", 0.49 + 0.74j, 0.6 + 1.72j),
+    ):
+        yield pytest.param(name, u, a, id=f"{name}-u={u}", marks=mark)
+
+
+@pytest.mark.parametrize("name, u, a", list(_pi_pairs()))
+def test_Pi_against_its_defining_integral(name, u, a):
+    # 41 panels, with 81 as the quadrature's own check; relative on a floor
+    # of 1.  A value off by a whole multiple of pi*i is the tracker's known
+    # fault, and raises OffByPiI; any other miss fails outright.
+    lat = build_lattice(0.5, 0.5 * REFERENCE_TAUS[name])
+    p = jacobi_params(lat)
+    want = _pi_quadrature(p, p.scale * u, p.scale * a, 41)
+    check = _pi_quadrature(p, p.scale * u, p.scale * a, 81)
+    assert abs(want - check) <= 1e-10 * max(1.0, abs(want))
+    got = jacobi_E_Z_Pi(lat, u, a)[2]
+    if abs(got - want) <= 1e-9 * max(1.0, abs(want)):
+        return
+    turns = (got - want) / (1j * math.pi)
+    if round(turns.real) and abs(turns - round(turns.real)) <= 1e-9:
+        raise OffByPiI(f"Pi is {round(turns.real)}*pi*i off at u = {u!r}, a = {a!r}")
+    pytest.fail(f"Pi is {got!r}, the integral {want!r}")
