@@ -71,11 +71,10 @@ def zeta_aux(
     u: complex,
     route: ZetaRoute = ZetaRoute.THETA,
     cfg: SeriesConfig = DEFAULT_CONFIG,
-    qseries_form: str = "exp",
 ) -> EvalResult:
     """Auxiliary zeta for half-period index lam along the chosen route."""
     check_index(lam)
-    return _guarded(_zeta_aux, lat, u, (lam,), cfg, None, lam, route, qseries_form)
+    return _guarded(_zeta_aux, lat, u, (lam,), cfg, None, lam, route)
 
 
 def _zeta_aux(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int, route, form="exp"):
@@ -99,8 +98,7 @@ def _shift(lat: Lattice, lc: LatticeConstants, lam: int, u: complex, cfg: Series
 def _qseries(
     lat: Lattice, lc: LatticeConstants, lam: int, p: Located, cfg: SeriesConfig, form: str
 ) -> complex:
-    if form not in ("exp", "cos"):
-        raise ValueError(f"qseries form must be 'exp' or 'cos', got {form!r}")
+    """The q-series of index lam in its "exp" form, or in its "cos" form."""
     u_red = p.u_red
     incr = 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3
     w1 = lat.omega1

@@ -21,11 +21,12 @@ from .lattice import (
     JacobiParams,
     Lattice,
     LatticeConstants,
+    _translate_sign,
     agm_complete_integrals,
     constants,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import _guarded, _sigma, _sigmas, _theta_zeta, _translate_sign, pole_status
+from .weier_core import _guarded, _sigma, _sigmas, _theta_zeta, pole_status
 from .aux_zeta import ZetaRoute, _zeta_aux
 
 PI = math.pi

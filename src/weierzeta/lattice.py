@@ -155,12 +155,6 @@ def reduce_to_cell(lat: Lattice, u: complex) -> tuple[complex, int, int]:
     return locate(lat, u)[3:]
 
 
-def _closest(lat: Lattice, u: complex, offset: complex, alpha: float, beta: float) -> tuple:
-    """Distance from u to pt = offset + 2*round(alpha)*omega1 + 2*round(beta)*omega3, and pt."""
-    pt = offset + 2 * round(alpha) * lat.omega1 + 2 * round(beta) * lat.omega3
-    return abs(u - pt), pt
-
-
 def nearest_translate(lat: Lattice, u: complex, offset: complex) -> tuple[float, complex]:
     """Distance from u to the coset offset + lattice, and the closest point.
 
@@ -170,11 +164,33 @@ def nearest_translate(lat: Lattice, u: complex, offset: complex) -> tuple[float,
     each cell coordinate is then within 1/2 of the point's.  Farther out the
     distance returned is an upper bound.
     """
-    return _closest(lat, u, offset, *cell_coords(lat, u - offset))
+    alpha, beta = cell_coords(lat, u - offset)
+    pt = offset + 2 * round(alpha) * lat.omega1 + 2 * round(beta) * lat.omega3
+    return abs(u - pt), pt
 
 
 # Cell coordinates of the half-period of each index; 0 stands for the lattice.
+# The coset distances (`nearest`), the translate signs (`_translate_sign`) and
+# the pair enumerator (`_coset_pairs`) read the half-periods here alone.
 _HALF_CELL = ((0.0, 0.0), (0.5, 0.0), (-0.5, -0.5), (0.0, 0.5))
+
+
+def nearest(lat: Lattice, p: Located, k: int) -> tuple[float, complex]:
+    """`nearest_translate` to the coset omega_k + lattice (k = 0 the lattice),
+    from the located point's own cell coordinates less omega_k's: the same
+    rounding, so for the lattice the translate's n, m are the point's own."""
+    a, b = _HALF_CELL[k]
+    pt = lat.offsets[k] + 2 * round(p.alpha - a) * lat.omega1 + 2 * round(p.beta - b) * lat.omega3
+    return abs(p.u - pt), pt
+
+
+def _translate_sign(p: Located, k: int) -> float:
+    """The sign by which sigma_k's quasi-periodicity at the translate (n, m)
+    of p differs from sigma's (1 for k = 0): exp(eta_Omega*omega_k -
+    eta_k*Omega) = exp(2*pi*i*(n*b - m*a)) by the Legendre relation, with
+    (a, b) the cell coordinates of omega_k."""
+    a, b = _HALF_CELL[k]
+    return -1.0 if (p.n * b - p.m * a) % 1 else 1.0
 
 
 def _coset_pairs(lat: Lattice, k: int, r_lo: float, r_hi: float) -> list:
@@ -213,18 +229,6 @@ def _coset_pairs(lat: Lattice, k: int, r_lo: float, r_hi: float) -> list:
             if r_lo < abs(pt) <= r_hi:
                 out.append(pt * pt)
     return out
-
-
-def nearest(lat: Lattice, p: Located, k: int) -> tuple[float, complex]:
-    """`nearest_translate` to the coset omega_k + lattice (k = 0 the lattice),
-    from the located point's own cell coordinates.  For the lattice these are
-    already rounded to the point's n, m; `_closest`'s arithmetic is kept, so
-    the distance and the point are its bits."""
-    if k == 0:
-        pt = 0j + 2 * p.n * lat.omega1 + 2 * p.m * lat.omega3
-        return abs(p.u - pt), pt
-    a, b = _HALF_CELL[k]
-    return _closest(lat, p.u, lat.offsets[k], p.alpha - a, p.beta - b)
 
 
 # The AGM stops once |c_n| <= AGM_TOL * |a_n|.

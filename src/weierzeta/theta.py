@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from operator import index
 
 from .errors import NearZeroDenominator, SeriesDivergence
 
@@ -47,6 +48,10 @@ class SeriesConfig(namedtuple("SeriesConfig", "abs_tol rel_tol max_terms")):
             raise ValueError("tolerances must be non-negative")
         if abs_tol == 0 and rel_tol == 0:
             raise ValueError("at least one of abs_tol/rel_tol must be positive")
+        try:
+            max_terms = index(max_terms)
+        except TypeError:
+            raise ValueError(f"max_terms must be an integer, got {max_terms!r}") from None
         if max_terms < 4:
             raise ValueError("max_terms must be >= 4")
         return super().__new__(cls, abs_tol, rel_tol, max_terms)

@@ -16,13 +16,13 @@ import math
 import random
 from collections import namedtuple
 
-from .aux_zeta import ZetaRoute, zeta_aux
+from .aux_zeta import ZetaRoute, _zeta_aux
 from .errors import PoleProximityError, SuiteConfigError, WeierzetaError
 from .functions import FUNCTIONS, _jacobi
 from .jacobi import _params
 from .lattice import Lattice, complement, constants, locate, nearest
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import _thetas
+from .weier_core import _guarded, _thetas
 from .zeta_diff import delta2_prime, delta_prime
 
 PI = math.pi
@@ -188,7 +188,7 @@ def _register_all() -> None:
     # ---- auxiliary zeta routes ----------------------------------------------
     for lam in (1, 2, 3):
         _ev(f"zeta{lam}_qcos")(
-            lambda c, u, i=lam: _val(zeta_aux(c.lat, i, u, ZetaRoute.QSERIES, c.cfg, qseries_form="cos"))
+            lambda c, u, i=lam: _val(_guarded(_zeta_aux, c.lat, u, (i,), c.cfg, c.lc, i, ZetaRoute.QSERIES, "cos"))
         )
 
     quasi_pairs = {(1, 1), (2, 3), (3, 2)}

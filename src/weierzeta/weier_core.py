@@ -23,17 +23,18 @@ from operator import itemgetter
 
 from .errors import NearZeroDenominator, ValueOverflow
 from .lattice import (
-    _HALF_CELL,
     HALF_PERIOD_ORDER,
     Lattice,
     LatticeConstants,
     Located,
     _disc_pairs,
     _fsum,
+    _translate_sign,
     _tuple_new,
     check_index,
     constants,
     locate,
+    nearest,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig, _theta4
 
@@ -67,18 +68,11 @@ class EvalResult(namedtuple("EvalResult", "value status pole", defaults=(None,))
 def pole_status(lat: Lattice, u: complex, cosets) -> tuple[Located, EvalResult | None]:
     """The located u, and the EvalResult for u at/near a pole (else None):
     each pole coset, a half-period index (0 for the lattice), is tested once
-    against NEAR_POLE_FACTOR * min_period, by `lattice.nearest`'s arithmetic
-    written out."""
+    against NEAR_POLE_FACTOR * min_period by its `lattice.nearest` distance."""
     p = locate(lat, u)
     radius = NEAR_POLE_FACTOR * lat.min_period
-    w1, w3 = lat.omega1, lat.omega3
     for k in cosets:
-        if k == 0:
-            translate = 0j + 2 * p.n * w1 + 2 * p.m * w3
-        else:
-            a, b = _HALF_CELL[k]
-            translate = lat.offsets[k] + 2 * round(p.alpha - a) * w1 + 2 * round(p.beta - b) * w3
-        dist = abs(u - translate)
+        dist, translate = nearest(lat, p, k)
         if dist == 0.0:
             return p, EvalResult(_NAN, Status.AT_POLE, translate)
         if dist < radius:
@@ -96,15 +90,6 @@ def _guarded(kernel, lat: Lattice, u: complex, cosets, cfg: SeriesConfig, lc, *a
     if lc is None:
         lc = constants(lat, cfg)
     return _tuple_new(EvalResult, (kernel(lat, lc, p, cfg, *args), _FINITE, None))
-
-
-def _translate_sign(p: Located, k: int) -> float:
-    """The sign by which sigma_k's quasi-periodicity at the translate (n, m)
-    of p differs from sigma's (1 for k = 0): exp(eta_Omega*omega_k -
-    eta_k*Omega) = exp(2*pi*i*(n*b - m*a)) by the Legendre relation, with
-    (a, b) the cell coordinates of omega_k."""
-    a, b = _HALF_CELL[k]
-    return -1.0 if (p.n * b - p.m * a) % 1 else 1.0
 
 
 _IN_HALF_PERIOD_ORDER = (

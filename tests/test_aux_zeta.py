@@ -14,7 +14,7 @@ from weierzeta import (
     wp,
     zeta_aux,
 )
-from weierzeta.lattice import _coset_pairs, _fsum
+from weierzeta.lattice import _coset_pairs, _fsum, locate
 from weierzeta.theta import DEFAULT_CONFIG
 
 from conftest import REFERENCE_TAUS, guarded_points, make_lattice
@@ -77,12 +77,17 @@ def test_cross_route_agreement_generic_lattice():
 
 
 def test_cosine_and_exponential_forms_agree():
+    # The cosine form is reached through the kernel, as the identity suite
+    # reaches it; its exponential form is the public q-series route's value.
     lat = make_lattice("generic")
+    lc = constants(lat)
     rng = random.Random(13)
     for lam in (1, 2, 3):
         for u in guarded_points(lat, rng, 20, guard=0.03, offsets=(lat.half_period(lam),)):
-            qe = zeta_aux(lat, lam, u, ZetaRoute.QSERIES, qseries_form="exp").value
-            qc = zeta_aux(lat, lam, u, ZetaRoute.QSERIES, qseries_form="cos").value
+            p = locate(lat, u)
+            qe = aux_zeta._zeta_aux(lat, lc, p, DEFAULT_CONFIG, lam, ZetaRoute.QSERIES, "exp")
+            qc = aux_zeta._zeta_aux(lat, lc, p, DEFAULT_CONFIG, lam, ZetaRoute.QSERIES, "cos")
+            assert qe == zeta_aux(lat, lam, u, ZetaRoute.QSERIES).value
             assert abs(qe - qc) <= 1e-12 * max(abs(qe), 1.0)
 
 

@@ -206,16 +206,16 @@ def test_nearest_translate_matches_brute_force_below_inradius(name):
     angle=st.floats(0, 1),
 )
 def test_lattice_coset_guard_is_nearest_bit_for_bit(name, n, m, r, angle):
-    # nearest's coset-0 distance and translate come from the n, m that
-    # locate rounded; they must be the bits _closest gives from the cell
-    # coordinates, at exact lattice points, at the pole radius, anywhere in
-    # the cell (r up to 1e8 pole radii) and at far translates.
+    # nearest's coset-0 distance and translate come from the located point's
+    # cell coordinates; they must be the bits nearest_translate gives from
+    # u's own, at exact lattice points, at the pole radius, anywhere in the
+    # cell (r up to 1e8 pole radii) and at far translates.
     lat = build_lattice(*BASES[name])
     pt = 2 * n * lat.omega1 + 2 * m * lat.omega3
     u = pt + r * NEAR_POLE_FACTOR * lat.min_period * cmath.exp(2j * PI * angle)
     p = locate(lat, u)
     got = lattice.nearest(lat, p, 0)
-    want = lattice._closest(lat, p.u, 0j, p.alpha, p.beta)
+    want = nearest_translate(lat, u, 0j)
     # repr round-trips every float and tells -0.0 from 0.0.
     assert list(map(repr, got)) == list(map(repr, want))
 

@@ -247,6 +247,20 @@ def test_config_validation():
         with pytest.raises(ValueError, match="finite"):
             DEFAULT_CONFIG._replace(rel_tol=bad)
     assert DEFAULT_CONFIG._replace(max_terms=64) == SeriesConfig(max_terms=64)
+    # A budget that is not an integer is refused when built, not in range()
+    # at the first evaluation; anything with __index__ is an integer.
+    for bad in (100.0, 96.5, "96", None):
+        with pytest.raises(ValueError, match="integer"):
+            SeriesConfig(max_terms=bad)
+        with pytest.raises(ValueError, match="integer"):
+            DEFAULT_CONFIG._replace(max_terms=bad)
+
+    class Budget:
+        def __index__(self):
+            return 64
+
+    assert SeriesConfig(max_terms=Budget()) == SeriesConfig(max_terms=64)
+    assert type(SeriesConfig(max_terms=Budget()).max_terms) is int
     with pytest.raises(ValueError):
         theta_eval(5, 0.0, 1j)
     with pytest.raises(ValueError):
