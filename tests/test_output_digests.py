@@ -1,4 +1,4 @@
-"""The bytes of `table` and `eval`, pinned by SHA-256.
+"""The bytes of `table`, `eval` and `verify`, pinned by SHA-256.
 
 For every FUNCTIONS entry on every route, on the generic lattice and at
 tau = 8i: a small `table` grid in CSV and in JSON that takes in the lattice
@@ -7,6 +7,8 @@ lattice within rounding) omega3, and `eval` at a regular point, at 0, next
 to 0 and at the half-periods, in both formats.  Each digest covers the
 command line, the exit code, stdout and stderr of every command.  A change
 to any evaluation path that moves one byte of output fails here.
+`verify --n 20 --seed 12345` is pinned on the five reference lattices and
+at tau = 8i, where half the identities fail.
 """
 
 import hashlib
@@ -181,3 +183,33 @@ def test_pole_guard_runs_before_an_overflowing_record():
         assert main(["table", "--fn", "wp", "--re=0:0:1", "--im=0:0:1", "--format", "csv", *lat]) == 0
     assert out.getvalue() == '{"value": null, "status": "AtPole"}\nre_u,im_u,re_value,im_value,status\n0.0,0.0,,,AtPole\n'
     assert "overflows" in err.getvalue()
+
+
+VERIFY_LATTICES = {
+    "square": "0,1",
+    "rect": "0,2",
+    "rhombic": "0.5,0.8660254037844386",
+    "generic": "0.3,1.1",
+    "tall": "0.1,3",
+    "8i": "0,8",
+}
+
+# Recorded at commit 450d579.
+VERIFY_DIGESTS = {
+    "square": "d5953bc41a7313b2b1593ecda1a13e247970ac5cfe67525c961bf155e76fdaa9",
+    "rect": "8317cdeb284fbf1803a4c14dfe8d1acbf7f0b4776a47f3b668f39abb747459fc",
+    "rhombic": "452ffbcb923ad1de3758e5dcc9cb2f75a9f21b58d3bb6e33aa64f40bf9758451",
+    "generic": "3d33cf96f463b5876671e5755688dcc7a41bd52da2e86cbe952313acc9476b23",
+    "tall": "249c74282aa622b92bf422fe437b7fdabcd00f20de94620b84d6f6b6351111f3",
+    "8i": "7019eabfe8574ecd8618c5bebf6dc246372db9d2f2d12e45b499f40655b7c1eb",
+}
+
+
+@pytest.mark.parametrize("lattice", list(VERIFY_LATTICES))
+def test_verify_output_bytes(lattice):
+    argv = ["verify", "--tau", VERIFY_LATTICES[lattice], "--n", "20", "--seed", "12345"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    got = hashlib.sha256(repr((argv, rc, out.getvalue(), err.getvalue())).encode()).hexdigest()
+    assert got == VERIFY_DIGESTS[lattice]
