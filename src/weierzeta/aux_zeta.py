@@ -74,7 +74,7 @@ def zeta_aux(
 ) -> EvalResult:
     """Auxiliary zeta for half-period index lam along the chosen route."""
     check_index(lam)
-    return _guarded(_zeta_aux, lat, u, (lam,), cfg, None, lam, route)
+    return _guarded(_zeta_aux, lat, locate(lat, u), (lam,), cfg, None, lam, route)
 
 
 def _zeta_aux(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int, route, form="exp"):

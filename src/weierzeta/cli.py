@@ -17,7 +17,7 @@ import sys
 
 from .errors import BranchAmbiguity, PoleProximityError, WeierzetaError
 from .functions import FUNCTIONS
-from .lattice import build_lattice, constants, constants_to_json
+from .lattice import build_lattice, constants, constants_to_json, locate
 from .theta import SeriesConfig
 from .weier_core import _FINITE, EvalResult, Status
 
@@ -123,7 +123,7 @@ def cmd_eval(args) -> int:
     u = parse_complex(args.u, lat)
     a = parse_complex(args.a, lat) if args.a is not None else None
     try:
-        res = fn.run(lat, None, cfg, u, a, route)
+        res = fn.run(lat, None, cfg, locate(lat, u), a, route)
     except (PoleProximityError, BranchAmbiguity) as exc:
         sys.stderr.write(f"eval: {exc}\n")
         return 3
@@ -172,7 +172,7 @@ def cmd_table(args) -> int:
         for im in ims:
             for re in res:
                 try:
-                    yield run(lat, lc, cfg, complex(re, im), a, route)
+                    yield run(lat, lc, cfg, locate(lat, complex(re, im)), a, route)
                 except (PoleProximityError, BranchAmbiguity):
                     yield EvalResult(complex("nan"), Status.AT_POLE)
 

@@ -10,20 +10,22 @@ from collections import namedtuple
 from .aux_zeta import ZetaRoute, _zeta_aux
 from .errors import ValueOverflow
 from .jacobi import _E_Z, _E_Z_Pi, _params, sn_cn_dn
-from .lattice import Lattice, _tuple_new, constants
+from .lattice import Lattice, constants
 from .theta import SeriesConfig
-from .weier_core import _FINITE, EvalResult, _guarded, _sigma, _wp, _wp_prime, _zeta_w
+from .weier_core import _FINITE, EvalResult, _guarded, _sigma, _tuple_new, _wp, _wp_prime, _zeta_w
 from .zeta_diff import DeltaRoute, _delta, _delta2
 
 
 class Function(namedtuple("Function", "run routes needs_a", defaults=((), False))):
     """One public function as `eval`, `table` and the suite call it.
 
-    run(lat, lc, cfg, u, a, route) returns an EvalResult.  It runs the
-    function's kernel, not the public function, on the lattice's record lc
-    (`table` looks it up once per command, the suite once per lattice), and
-    looks it up itself only for lc None, after the pole guard where there is
-    one.  `routes` holds the accepted routes, the default first.
+    run(lat, lc, cfg, p, a, route) returns an EvalResult at the point p
+    located by the caller (`lattice.locate`; `eval` and `table` locate each
+    point once, the suite each distinct point of an identity once).  It runs
+    the function's kernel, not the public function, on the lattice's record
+    lc (`table` looks it up once per command, the suite once per lattice),
+    and looks it up itself only for lc None, after the pole guard where there
+    is one.  `routes` holds the accepted routes, the default first.
     """
 
     __slots__ = ()
@@ -58,34 +60,34 @@ def _functions() -> dict:
     delta_routes = (DeltaRoute.SIGMA_QUOTIENT, DeltaRoute.ZETA_DIFF, DeltaRoute.WP_QUOTIENT, DeltaRoute.THETA_QUOTIENT)
     delta2_routes = (DeltaRoute.WP_QUOTIENT, DeltaRoute.ZETA_DIFF, DeltaRoute.SIGMA_QUOTIENT, DeltaRoute.THETA_QUOTIENT)
     table = {
-        "wp": Function(lambda lat, lc, cfg, u, *_: _guarded(_wp, lat, u, (0,), cfg, lc)),
-        "wp_prime": Function(lambda lat, lc, cfg, u, *_: _guarded(_wp_prime, lat, u, (0,), cfg, lc)),
-        "zeta": Function(lambda lat, lc, cfg, u, *_: _guarded(_zeta_w, lat, u, (0,), cfg, lc)),
+        "wp": Function(lambda lat, lc, cfg, p, *_: _guarded(_wp, lat, p, (0,), cfg, lc)),
+        "wp_prime": Function(lambda lat, lc, cfg, p, *_: _guarded(_wp_prime, lat, p, (0,), cfg, lc)),
+        "zeta": Function(lambda lat, lc, cfg, p, *_: _guarded(_zeta_w, lat, p, (0,), cfg, lc)),
     }
     for k in (0, 1, 2, 3):
         table[f"sigma{k or ''}"] = Function(
-            lambda lat, lc, cfg, u, *_, k=k: _finite(_sigma(lat, lc or constants(lat, cfg), k, u, cfg))
+            lambda lat, lc, cfg, p, *_, k=k: _finite(_sigma(lat, lc or constants(lat, cfg), k, p, cfg))
         )
     for i in (1, 2, 3):
         table[f"zeta{i}"] = Function(
-            lambda lat, lc, cfg, u, a, r, i=i: _guarded(_zeta_aux, lat, u, (i,), cfg, lc, i, r), zeta_routes
+            lambda lat, lc, cfg, p, a, r, i=i: _guarded(_zeta_aux, lat, p, (i,), cfg, lc, i, r), zeta_routes
         )
         table[f"delta{i}"] = Function(
-            lambda lat, lc, cfg, u, a, r, i=i: _guarded(_delta, lat, u, (0, i), cfg, lc, i, r), delta_routes
+            lambda lat, lc, cfg, p, a, r, i=i: _guarded(_delta, lat, p, (0, i), cfg, lc, i, r), delta_routes
         )
     for i, j in ((1, 2), (2, 3), (3, 1)):
         table[f"delta{i}{j}"] = Function(
-            lambda lat, lc, cfg, u, a, r, i=i, j=j: _guarded(_delta2, lat, u, (i, j), cfg, lc, i, j, r),
+            lambda lat, lc, cfg, p, a, r, i=i, j=j: _guarded(_delta2, lat, p, (i, j), cfg, lc, i, j, r),
             delta2_routes,
         )
     for k, name in enumerate(("sn", "cn", "dn")):
-        table[name] = Function(lambda lat, lc, cfg, u, *_, k=k: _finite(_jacobi(lat, lc, cfg, u)[k]))
+        table[name] = Function(lambda lat, lc, cfg, p, *_, k=k: _finite(_jacobi(lat, lc, cfg, p.u)[k]))
     for k, name in enumerate(("E", "Z")):
         table[name] = Function(
-            lambda lat, lc, cfg, u, *_, k=k: _finite(_E_Z(lat, lc or constants(lat, cfg), u, cfg)[k])
+            lambda lat, lc, cfg, p, *_, k=k: _finite(_E_Z(lat, lc or constants(lat, cfg), p, cfg)[k])
         )
     table["Pi"] = Function(
-        lambda lat, lc, cfg, u, a, r: _finite(_E_Z_Pi(lat, lc or constants(lat, cfg), u, 0j if a is None else a, cfg)[2]),
+        lambda lat, lc, cfg, p, a, r: _finite(_E_Z_Pi(lat, lc or constants(lat, cfg), p, 0j if a is None else a, cfg)[2]),
         needs_a=True,
     )
     return table

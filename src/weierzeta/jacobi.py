@@ -21,9 +21,11 @@ from .lattice import (
     JacobiParams,
     Lattice,
     LatticeConstants,
+    Located,
     _translate_sign,
     agm_complete_integrals,
     constants,
+    locate,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import _guarded, _sigma, _sigmas, _theta_zeta, pole_status
@@ -59,7 +61,8 @@ def sn_cn_dn(p: JacobiParams, x: complex) -> tuple[complex, complex, complex]:
     constants lookup is made.
     """
     lat, cfg = p.lattice, p.cfg
-    pt, bad = pole_status(lat, x / p.scale, (3,))
+    pt = locate(lat, x / p.scale)
+    bad = pole_status(lat, pt, (3,))
     if bad is not None:
         raise PoleProximityError(
             f"Jacobi argument {x!r} sits at a shared sn/cn/dn pole (u near {bad.pole!r})"
@@ -81,17 +84,17 @@ def jacobi_E_Z(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> 
     scale*omega1 = K, as on the reference lattices; on other bases of a
     lattice the two differ by a multiple of x.
     """
-    return _E_Z(lat, constants(lat, cfg), u, cfg)
+    return _E_Z(lat, constants(lat, cfg), locate(lat, u), cfg)
 
 
-def _E_Z(lat: Lattice, lc: LatticeConstants, u: complex, cfg: SeriesConfig) -> tuple[complex, complex]:
-    p = _params(lc)
-    pt, bad = pole_status(lat, u, (3,))
-    if bad is not None:
-        raise PoleProximityError(f"u = {u!r} is at/near a pole of the third auxiliary zeta")
-    z3 = _theta_zeta(lat, lc, pt, cfg, 3)[0]
-    big_e = (z3 + lc.e1 * u) / p.scale
-    return big_e, big_e - (p.big_e / p.big_k) * (p.scale * u)
+def _E_Z(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> tuple[complex, complex]:
+    """(E, Z) at the located point p."""
+    jp = _params(lc)
+    if pole_status(lat, p, (3,)) is not None:
+        raise PoleProximityError(f"u = {p.u!r} is at/near a pole of the third auxiliary zeta")
+    z3 = _theta_zeta(lat, lc, p, cfg, 3)[0]
+    big_e = (z3 + lc.e1 * p.u) / jp.scale
+    return big_e, big_e - (jp.big_e / jp.big_k) * (jp.scale * p.u)
 
 
 def jacobi_E_Z_Pi(
@@ -106,14 +109,16 @@ def jacobi_E_Z_Pi(
     `jacobi_params` does, BranchAmbiguity where the tracking fails, and
     ValueOverflow where a sigma_3 factor on the segment overflows.
     """
-    return _E_Z_Pi(lat, constants(lat, cfg), u, a, cfg)
+    return _E_Z_Pi(lat, constants(lat, cfg), locate(lat, u), a, cfg)
 
 
-def _E_Z_Pi(lat: Lattice, lc: LatticeConstants, u: complex, a: complex, cfg: SeriesConfig) -> tuple:
-    big_e, big_z = _E_Z(lat, lc, u, cfg)
-    z3a = _guarded(_zeta_aux, lat, a, (3,), cfg, lc, 3, ZetaRoute.THETA)
+def _E_Z_Pi(lat: Lattice, lc: LatticeConstants, p: Located, a: complex, cfg: SeriesConfig) -> tuple:
+    """(E, Z, Pi) at the located point p and the second argument a."""
+    big_e, big_z = _E_Z(lat, lc, p, cfg)
+    z3a = _guarded(_zeta_aux, lat, locate(lat, a), (3,), cfg, lc, 3, ZetaRoute.THETA)
     if not z3a.is_finite:
         raise PoleProximityError(f"a = {a!r} is at/near a pole of the third auxiliary zeta")
+    u = p.u
     if u == 0:
         return big_e, big_z, 0j
     return big_e, big_z, 0.5 * _tracked_log_ratio(lat, lc, u, a, cfg) + z3a.value * u
@@ -129,8 +134,8 @@ def _tracked_log_ratio(lat: Lattice, lc: LatticeConstants, u: complex, a: comple
     """
 
     def ratio(t: float) -> complex:
-        num = _sigma(lat, lc, 3, t * u - a, cfg)
-        den = _sigma(lat, lc, 3, t * u + a, cfg)
+        num = _sigma(lat, lc, 3, locate(lat, t * u - a), cfg)
+        den = _sigma(lat, lc, 3, locate(lat, t * u + a), cfg)
         if den == 0 or num == 0:
             raise BranchAmbiguity(
                 f"sigma_3 vanishes on the tracking segment at t = {t}; Pi is singular there"

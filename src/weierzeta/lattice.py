@@ -120,10 +120,23 @@ def cell_coords(lat: Lattice, u: complex) -> tuple[float, float]:
     return alpha, beta
 
 
-# A located point: u = 2*alpha*omega1 + 2*beta*omega3 = u_red + 2*n*omega1 + 2*m*omega3.
-Located = namedtuple("Located", "u alpha beta u_red n m")
+class Located:
+    """A located point, made by `locate` alone: u = 2*alpha*omega1 +
+    2*beta*omega3 = u_red + 2*n*omega1 + 2*m*omega3, and the theta pass at
+    u_red, which `weier_core._thetas` fills on first use (None until then).
+    The pass belongs to one series config, so a located point serves the
+    one (lattice, config) its caller evaluates on."""
 
-_tuple_new = tuple.__new__  # a named tuple without its Python-level __new__, for per-point records
+    __slots__ = ("u", "alpha", "beta", "u_red", "n", "m", "thetas", "__weakref__")
+
+    def __init__(self, u: complex, alpha: float, beta: float, u_red: complex, n: int, m: int):
+        self.u = u
+        self.alpha = alpha
+        self.beta = beta
+        self.u_red = u_red
+        self.n = n
+        self.m = m
+        self.thetas = None
 
 
 # Cell coordinates at or past this size have no fractional bit left, so
@@ -147,12 +160,13 @@ def locate(lat: Lattice, u: complex) -> Located:
         u_red = u - 2 * n * lat.omega1 - 2 * m * lat.omega3
     except OverflowError:
         raise ValueOverflow(f"the cell coordinates of u = {u!r} are too large to reduce") from None
-    return _tuple_new(Located, (u, alpha, beta, u_red, n, m))
+    return Located(u, alpha, beta, u_red, n, m)
 
 
 def reduce_to_cell(lat: Lattice, u: complex) -> tuple[complex, int, int]:
     """(u_red, n, m) of `locate`: u = u_red + 2*n*omega1 + 2*m*omega3."""
-    return locate(lat, u)[3:]
+    p = locate(lat, u)
+    return p.u_red, p.n, p.m
 
 
 def nearest_translate(lat: Lattice, u: complex, offset: complex) -> tuple[float, complex]:

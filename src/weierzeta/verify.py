@@ -20,10 +20,10 @@ from .aux_zeta import ZetaRoute, _zeta_aux
 from .errors import PoleProximityError, SuiteConfigError, WeierzetaError
 from .functions import FUNCTIONS, _jacobi
 from .jacobi import _params
-from .lattice import Lattice, complement, constants, locate, nearest
+from .lattice import Lattice, Located, complement, constants, locate, nearest
 from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import _guarded, _thetas
-from .zeta_diff import delta2_prime, delta_prime
+from .zeta_diff import _delta2_prime, _delta_prime
 
 PI = math.pi
 
@@ -75,8 +75,11 @@ class _Ctx:
 
     `memo` holds the value of each table function call, keyed on (name,
     route name, u), so a side that needs a value twice, or both sides of an
-    identity, evaluate it once; run_suite empties it at each identity.  A
-    call that raises stores nothing and raises again when repeated.
+    identity, evaluate it once.  `points` holds one located point per
+    distinct u (`at`), seeded with the sample points as `_sample_points`
+    located them, so every side that reads u shares its one location and its
+    theta pass.  run_suite empties both at each identity.  A call that raises
+    stores no value and raises again when repeated.
     """
 
     def __init__(self, lat: Lattice, cfg: SeriesConfig):
@@ -84,6 +87,7 @@ class _Ctx:
         self.cfg = cfg
         self.lc = constants(lat, cfg)
         self.memo = {}
+        self.points = {}
 
     @property
     def jp(self):
@@ -100,8 +104,15 @@ class _Ctx:
     def evaluate(self, key: tuple, run, route) -> complex:
         """Value of key = (name, route name, u) by the table entry's run on
         the route it resolves to, kept in `memo`."""
-        value = self.memo[key] = _val(run(self.lat, self.lc, self.cfg, key[2], None, route))
+        value = self.memo[key] = _val(run(self.lat, self.lc, self.cfg, self.at(key[2]), None, route))
         return value
+
+    def at(self, u: complex) -> Located:
+        """The located point u of the current identity, located on first use."""
+        p = self.points.get(u)
+        if p is None:
+            p = self.points[u] = locate(self.lat, u)
+        return p
 
     def jac(self, u: complex) -> tuple:
         """(sn, cn, dn) at the Jacobi argument scale*u, the table's sn, cn
@@ -109,10 +120,10 @@ class _Ctx:
         return _jacobi(self.lat, self.lc, self.cfg, u)
 
     def dp(self, lam, u):
-        return _val(delta_prime(self.lat, lam, u, self.cfg))
+        return _val(_guarded(_delta_prime, self.lat, self.at(u), (0, lam), self.cfg, self.lc, lam))
 
     def d2p(self, lam, mu, u):
-        return _val(delta2_prime(self.lat, lam, mu, u, self.cfg))
+        return _val(_guarded(_delta2_prime, self.lat, self.at(u), (lam, mu), self.cfg, self.lc, lam, mu))
 
     def w(self, lam):
         return self.lat.half_period(lam)
@@ -188,7 +199,7 @@ def _register_all() -> None:
     # ---- auxiliary zeta routes ----------------------------------------------
     for lam in (1, 2, 3):
         _ev(f"zeta{lam}_qcos")(
-            lambda c, u, i=lam: _val(_guarded(_zeta_aux, c.lat, u, (i,), c.cfg, c.lc, i, ZetaRoute.QSERIES, "cos"))
+            lambda c, u, i=lam: _val(_guarded(_zeta_aux, c.lat, c.at(u), (i,), c.cfg, c.lc, i, ZetaRoute.QSERIES, "cos"))
         )
 
     quasi_pairs = {(1, 1), (2, 3), (3, 2)}
@@ -211,7 +222,7 @@ def _register_all() -> None:
     _ev("delta_l1_sigma4")(delta_sigma4)
 
     def delta_eq7(c, u):
-        t = _thetas(c.lat, locate(c.lat, u), c.cfg, deriv=True)
+        t = _thetas(c.lat, c.at(u), c.cfg, deriv=True)
         return (t[5] / t[1] - t[4] / t[0]) / (2 * c.lat.omega1)
 
     _ev("delta_l1_eq7")(delta_eq7)
@@ -220,7 +231,7 @@ def _register_all() -> None:
         # Simplified theta-product form for lam = 2 (mu, nu = 3, 1), sign
         # fixed by the -1/u origin limit.
         mu, nu = complement(2)
-        t = _thetas(c.lat, locate(c.lat, u), c.cfg)
+        t = _thetas(c.lat, c.at(u), c.cfg)
         t0 = c.lc.nullwerte[2]
         return -(PI / (2 * c.lat.omega1)) * t0**2 * t[mu] * t[nu] / (t[2] * t[0])
 
@@ -585,23 +596,28 @@ def _exclusion_cosets(tokens) -> tuple[list[int], list[tuple[int, int]]]:
     return single, pair
 
 
-def _sample_points(lat: Lattice, rng: random.Random, arity: int, single, pair):
+def _sample_points(lat: Lattice, rng: random.Random, arity: int, single, pair) -> list[Located]:
+    """arity points drawn uniformly in the fundamental cell, each at least
+    POLE_GUARD * min_period from the cosets in single, and for two points z,
+    w each z + sign*w of pair from its coset: the located sample points,
+    followed by the located z + sign*w.  Each point is located once."""
     guard = POLE_GUARD * lat.min_period
     for _ in range(10_000):
-        pts = []
+        located = []
         for _ in range(arity):
             a, b = rng.random(), rng.random()
-            pts.append(2 * a * lat.omega1 + 2 * b * lat.omega3)
-        ok = all(
-            nearest(lat, p, k)[0] >= guard for p in [locate(lat, u) for u in pts] for k in single
-        )
-        if ok and arity == 2 and pair:
-            z, w = pts
-            ok = all(
-                nearest(lat, locate(lat, z + sign * w), k)[0] >= guard for sign, k in pair
-            )
-        if ok:
-            return pts
+            located.append(locate(lat, 2 * a * lat.omega1 + 2 * b * lat.omega3))
+        tests = [(p, k) for p in located for k in single]
+        if arity == 2:
+            z, w = located[0].u, located[1].u
+            for sign, k in pair:
+                located.append(locate(lat, z + sign * w))
+                tests.append((located[-1], k))
+        for p, k in tests:
+            if nearest(lat, p, k)[0] < guard:
+                break
+        else:
+            return located
     raise SuiteConfigError("could not sample a guarded point after 10000 tries")
 
 
@@ -653,6 +669,7 @@ def run_suite(
     reports = []
     for index, spec in enumerate(suite):
         ctx.memo.clear()
+        ctx.points.clear()
         lhs, rhs = _side(spec, spec.lhs), _side(spec, spec.rhs)
         if spec.arity not in (1, 2):
             raise SuiteConfigError(f"{spec.name}: arity must be 1 or 2")
@@ -662,7 +679,10 @@ def run_suite(
         failures = []
         error = None
         for _ in range(n):
-            pts = _sample_points(lat, rng, spec.arity, single, pair)
+            located = _sample_points(lat, rng, spec.arity, single, pair)
+            for p in located:
+                ctx.points.setdefault(p.u, p)
+            pts = [p.u for p in located[: spec.arity]]
             try:
                 rel = _residual(ctx, lhs, rhs, pts)
             except SAMPLE_ERRORS as exc:

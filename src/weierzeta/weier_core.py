@@ -1,15 +1,16 @@
 """Weierstrass sigma, zeta, and p-functions via the theta route.
 
 Production evaluation reduces the argument to the centred fundamental cell
-and runs one theta pass there, held in half-period order (`_thetas`: entry
-k vanishes on omega_k + lattice).  The four sigmas at the reduced point
+(`lattice.locate`) and runs one theta pass there, held in half-period order
+(`_thetas`: entry k vanishes on omega_k + lattice) and kept on the located
+point, so every kernel that reads the point shares it.  The four sigmas at the reduced point
 (`_sigmas`) leave out the Gaussian factor they share, which every quotient
 of degree 0 cancels; only `sigma` and `sigma_aux` apply it, with the
 quasi-periodicity factor and the sign of the translate, in one body.
 Every function with poles is a kernel behind one path (`_guarded`): the
-guard on its pole cosets at the located point, then the kernel with the
-lattice's record, which the caller hands in or which is looked up after the
-guard.  Slow lattice-sum and product oracles are provided for
+guard on its pole cosets at the located point the caller hands in, then the
+kernel with the lattice's record, which the caller hands in or which is
+looked up after the guard.  Slow lattice-sum and product oracles are provided for
 each function; they exist for verification only, and sum each pair +-Omega of
 lattice points as one term in Omega^2 (`lattice._disc_pairs`).
 """
@@ -30,7 +31,6 @@ from .lattice import (
     _disc_pairs,
     _fsum,
     _translate_sign,
-    _tuple_new,
     check_index,
     constants,
     locate,
@@ -51,6 +51,8 @@ class Status(enum.Enum):
 
 _FINITE = Status.FINITE  # read once: an Enum member is a descriptor lookup
 
+_tuple_new = tuple.__new__  # a named tuple without its Python-level __new__, for per-point results
+
 
 class EvalResult(namedtuple("EvalResult", "value status pole", defaults=(None,))):
     """Complex value plus pole status; value is meaningful only when Finite.
@@ -65,26 +67,25 @@ class EvalResult(namedtuple("EvalResult", "value status pole", defaults=(None,))
         return self.status is _FINITE
 
 
-def pole_status(lat: Lattice, u: complex, cosets) -> tuple[Located, EvalResult | None]:
-    """The located u, and the EvalResult for u at/near a pole (else None):
+def pole_status(lat: Lattice, p: Located, cosets) -> EvalResult | None:
+    """The EvalResult for the located point p at/near a pole, else None:
     each pole coset, a half-period index (0 for the lattice), is tested once
     against NEAR_POLE_FACTOR * min_period by its `lattice.nearest` distance."""
-    p = locate(lat, u)
     radius = NEAR_POLE_FACTOR * lat.min_period
     for k in cosets:
         dist, translate = nearest(lat, p, k)
         if dist == 0.0:
-            return p, EvalResult(_NAN, Status.AT_POLE, translate)
+            return EvalResult(_NAN, Status.AT_POLE, translate)
         if dist < radius:
-            return p, EvalResult(_NAN, Status.NEAR_POLE, translate)
-    return p, None
+            return EvalResult(_NAN, Status.NEAR_POLE, translate)
+    return None
 
 
-def _guarded(kernel, lat: Lattice, u: complex, cosets, cfg: SeriesConfig, lc, *args) -> EvalResult:
-    """`pole_status` on the cosets, and off them kernel(lat, lc, p, cfg, *args)
-    at the located point p, Finite.  lc None is looked up here, after the
-    guard, so a pole is reported even where the record overflows."""
-    p, bad = pole_status(lat, u, cosets)
+def _guarded(kernel, lat: Lattice, p: Located, cosets, cfg: SeriesConfig, lc, *args) -> EvalResult:
+    """`pole_status` of the located point p on the cosets, and off them
+    kernel(lat, lc, p, cfg, *args), Finite.  lc None is looked up here, after
+    the guard, so a pole is reported even where the record overflows."""
+    bad = pole_status(lat, p, cosets)
     if bad is not None:
         return bad
     if lc is None:
@@ -101,8 +102,14 @@ _IN_HALF_PERIOD_ORDER = (
 def _thetas(lat: Lattice, p: Located, cfg: SeriesConfig, deriv: bool = False) -> tuple:
     """The one theta pass of every kernel, _theta4 at v = u_red/(2*omega1),
     in half-period order: entry k vanishes on omega_k + lattice (k = 0 the
-    lattice, the odd theta), and with deriv its v-derivative sits at 4 + k."""
-    return _IN_HALF_PERIOD_ORDER[deriv](_theta4(p.u_red / lat.period1, lat.tau, lat.q4, cfg, deriv))
+    lattice, the odd theta), and with deriv its v-derivative sits at 4 + k.
+    The pass is kept on p: a point is summed at most once without and once
+    with the derivatives, and a derivative pass, whose first four entries are
+    the plain pass bit for bit, also serves every later plain request."""
+    raw = p.thetas
+    if raw is None or (deriv and len(raw) == 4):
+        raw = p.thetas = _theta4(p.u_red / lat.period1, lat.tau, lat.q4, cfg, deriv)
+    return _IN_HALF_PERIOD_ORDER[deriv](raw)
 
 
 def _sigmas(lat: Lattice, lc, p: Located, cfg: SeriesConfig) -> tuple:
@@ -128,22 +135,21 @@ def _wp_pair(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) 
 
 def sigma(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Entire sigma function; exact zeros on the lattice."""
-    return _sigma(lat, constants(lat, cfg), 0, u, cfg)
+    return _sigma(lat, constants(lat, cfg), 0, locate(lat, u), cfg)
 
 
 def sigma_aux(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Auxiliary sigma for half-period index lam, normalised to 1 at u = 0."""
     check_index(lam)
-    return _sigma(lat, constants(lat, cfg), lam, u, cfg)
+    return _sigma(lat, constants(lat, cfg), lam, locate(lat, u), cfg)
 
 
-def _sigma(lat: Lattice, lc: LatticeConstants, k: int, u: complex, cfg: SeriesConfig) -> complex:
-    """sigma (k = 0) or sigma_k at u: the reduced value from `_sigmas` times
-    the Gaussian factor, then, for u = u_red + Omega with Omega = 2n*omega1 +
-    2m*omega3, times sigma's quasi-period factor
+def _sigma(lat: Lattice, lc: LatticeConstants, k: int, p: Located, cfg: SeriesConfig) -> complex:
+    """sigma (k = 0) or sigma_k at the located point p: the reduced value
+    from `_sigmas` times the Gaussian factor, then, for u = u_red + Omega
+    with Omega = 2n*omega1 + 2m*omega3, times sigma's quasi-period factor
     (-1)^(n+m+nm) exp(eta_Omega*(u_red + Omega/2)) and the translate's sign.
     A factor too large for a float raises ValueOverflow."""
-    p = locate(lat, u)
     n, m = p.n, p.m
     val = _sigmas(lat, lc, p, cfg)[k]
     try:
@@ -152,13 +158,13 @@ def _sigma(lat: Lattice, lc: LatticeConstants, k: int, u: complex, cfg: SeriesCo
             eta = 2 * n * lc.eta1 + 2 * m * lc.eta3
             val *= cmath.exp(eta * (p.u_red + n * lat.omega1 + m * lat.omega3))
     except OverflowError:
-        raise ValueOverflow(f"the exponential factor of sigma overflows at u = {u!r}") from None
+        raise ValueOverflow(f"the exponential factor of sigma overflows at u = {p.u!r}") from None
     return val * _translate_sign(p, k) * (-1.0 if (n + m + n * m) % 2 else 1.0)
 
 
 def zeta_w(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
     """Weierstrass zeta; simple poles on the lattice."""
-    return _guarded(_zeta_w, lat, u, (0,), cfg, None)
+    return _guarded(_zeta_w, lat, locate(lat, u), (0,), cfg, None)
 
 
 def _zeta_w(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> complex:
@@ -187,18 +193,19 @@ def _theta_zeta(
 
 def wp(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
     """Weierstrass p-function via e1 + (sigma1/sigma)^2; double poles on the lattice."""
-    return _guarded(_wp, lat, u, (0,), cfg, None)
+    return _guarded(_wp, lat, locate(lat, u), (0,), cfg, None)
 
 
 def _wp(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> complex:
-    s0, s1, _, _ = _sigmas(lat, lc, p, cfg)
-    ratio = s1 / s0
+    """e1 + (sigma_1/sigma)^2, the two sigmas formed as `_sigmas` forms them."""
+    t = _thetas(lat, p, cfg)
+    ratio = t[1] / lc.nullwerte[1] / (lc.sigma_factor * t[0])
     return lc.e1 + ratio * ratio
 
 
 def wp_prime(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
     """Derivative of wp via -2*sigma1*sigma2*sigma3/sigma^3; triple poles on the lattice."""
-    return _guarded(_wp_prime, lat, u, (0,), cfg, None)
+    return _guarded(_wp_prime, lat, locate(lat, u), (0,), cfg, None)
 
 
 def _wp_prime(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> complex:

@@ -7,9 +7,9 @@ second-kind difference for (lam, mu) subtracts two auxiliary zetas: poles at
 omega_lam, omega_mu and zeros at 0, omega_nu.
 
 Both evaluate along four routes that cross-certify each other.  Each public
-function is a kernel behind `weier_core._guarded`, which locates the
-argument, guards it against the pole cosets once and then looks the record
-up; every route is then one theta pass at that
+function locates its argument and runs a kernel behind
+`weier_core._guarded`, which guards the point against the pole cosets once
+and then looks the record up; every route is then one theta pass at that
 point: `zetadiff` subtracts two theta log-derivatives from it, and the
 others take one closed form in s = (sigma, sigma_1, sigma_2, sigma_3) or
 in the thetas.  For delta the wp route is wp' / (2 (wp - e_lam)), with the
@@ -56,7 +56,7 @@ def delta(
 ) -> EvalResult:
     """First-kind zeta difference for half-period index lam."""
     check_index(lam)
-    return _guarded(_delta, lat, u, (0, lam), cfg, None, lam, route)
+    return _guarded(_delta, lat, locate(lat, u), (0, lam), cfg, None, lam, route)
 
 
 def _delta(
@@ -95,7 +95,7 @@ def delta_prime(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_
     the poles.
     """
     check_index(lam)
-    return _guarded(_delta_prime, lat, u, (0, lam), cfg, None, lam)
+    return _guarded(_delta_prime, lat, locate(lat, u), (0, lam), cfg, None, lam)
 
 
 def _delta_prime(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int) -> complex:
@@ -116,7 +116,7 @@ def delta2(
 ) -> EvalResult:
     """Second-kind zeta difference for the ordered pair (lam, mu)."""
     _check_pair(lam, mu)
-    return _guarded(_delta2, lat, u, (lam, mu), cfg, None, lam, mu, route)
+    return _guarded(_delta2, lat, locate(lat, u), (lam, mu), cfg, None, lam, mu, route)
 
 
 def _delta2(
@@ -169,7 +169,7 @@ def delta2_prime(
     e_mu - e_lam, and free of cancellation near the poles.
     """
     _check_pair(lam, mu)
-    return _guarded(_delta2_prime, lat, u, (lam, mu), cfg, None, lam, mu)
+    return _guarded(_delta2_prime, lat, locate(lat, u), (lam, mu), cfg, None, lam, mu)
 
 
 def _delta2_prime(

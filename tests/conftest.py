@@ -7,6 +7,7 @@ import cmath
 import fnmatch
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,28 @@ def guarded_points(lat, rng: random.Random, n: int, guard: float = 0.05, offsets
         if all(nearest_translate(lat, u, off)[0] >= guard * lat.min_period for off in offsets):
             pts.append(u)
     return pts
+
+
+def rebind(monkeypatch, fn, replacement) -> None:
+    """Make every weierzeta module that binds fn bind replacement instead."""
+    for name, mod in list(sys.modules.items()):
+        if name == "weierzeta" or name.startswith("weierzeta."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Record the arguments of every call of fn made through any weierzeta
+    module binding it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    rebind(monkeypatch, fn, counted)
+    return calls
 
 
 def suite_residuals(lat, pattern: str, pts) -> list[float]:

@@ -5,7 +5,6 @@ point, and each public call guards its point and looks its constants up
 once.  The records are immutable values."""
 
 import random
-import sys
 
 import pytest
 
@@ -38,23 +37,7 @@ from weierzeta import aux_zeta, lattice, theta, weier_core
 from weierzeta.theta import DEFAULT_CONFIG
 from weierzeta.functions import FUNCTIONS
 
-from conftest import guarded_points, make_lattice
-
-
-def _count_calls(monkeypatch, fn) -> list:
-    """Record every call of fn made through any weierzeta module binding it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "weierzeta" or name.startswith("weierzeta."):
-            for attr, obj in list(vars(mod).items()):
-                if obj is fn:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
+from conftest import count_calls, guarded_points, make_lattice
 
 
 def _warm_calls(lat):
@@ -89,7 +72,7 @@ def warm_lattice():
 def test_warm_lattice_never_recomputes_nullwerte(monkeypatch, warm_lattice):
     lat, pts = warm_lattice
     calls = _warm_calls(lat)
-    nullwerte = _count_calls(monkeypatch, theta.theta_nullwerte)
+    nullwerte = count_calls(monkeypatch, theta.theta_nullwerte)
     for fn in calls.values():
         for u in pts:
             fn(u)
@@ -102,7 +85,7 @@ def test_one_theta_pass_per_point(monkeypatch, warm_lattice):
     # next to the origin, where delta2_prime's form has no 0/0.
     pts = pts + [lat.omega3 + 1e-4 * (1 + 0.7j), 1e-5 * (1 + 1j)]
     calls = _warm_calls(lat)
-    passes = _count_calls(monkeypatch, theta._theta4)
+    passes = count_calls(monkeypatch, theta._theta4)
     for name, fn in calls.items():
         before = len(passes)
         for u in pts:
@@ -126,16 +109,19 @@ def test_one_guard_per_public_call(monkeypatch, warm_lattice):
     for r in DeltaRoute:
         calls[f"delta_{r.value}"] = lambda u, r=r: delta(lat, 1, u, r)
         calls[f"delta2_{r.value}"] = lambda u, r=r: delta2(lat, 2, 3, u, r)
-    # The registry's guarded entries, handed the record as table hands it.
+    # The registry's guarded entries, handed the record and the located
+    # point as table hands them.
     lc = constants(lat)
     for name in ("wp", "wp_prime", "zeta", "zeta2", "delta3", "delta31"):
         f = FUNCTIONS[name]
         for r in f.routes or (None,):
-            calls[f"FUNCTIONS[{name}]:{r}"] = lambda u, f=f, r=r: f.run(lat, lc, DEFAULT_CONFIG, u, None, r)
-    guards = _count_calls(monkeypatch, weier_core.pole_status)
+            calls[f"FUNCTIONS[{name}]:{r}"] = lambda u, f=f, r=r: f.run(
+                lat, lc, DEFAULT_CONFIG, lattice.locate(lat, u), None, r
+            )
+    guards = count_calls(monkeypatch, weier_core.pole_status)
     # One location per call; the shift form also locates u + omega_lam.
-    coords = _count_calls(monkeypatch, lattice.locate)
-    shifts = _count_calls(monkeypatch, aux_zeta._shift)
+    coords = count_calls(monkeypatch, lattice.locate)
+    shifts = count_calls(monkeypatch, aux_zeta._shift)
     for name, fn in calls.items():
         before = len(guards), len(coords), len(shifts)
         for u in pts:
@@ -198,14 +184,14 @@ def test_registry_looks_nothing_up_when_handed_the_record(warm_lattice):
     lc = constants(lat)
     for name, f in FUNCTIONS.items():
         for r in f.routes or (None,):
-            f.run(lat, lc, DEFAULT_CONFIG, pts[0], None, r)
+            f.run(lat, lc, DEFAULT_CONFIG, lattice.locate(lat, pts[0]), None, r)
             for u in pts:
                 a = pts[-1] - u if f.needs_a else None
                 before = constants.cache_info()
-                f.run(lat, None, DEFAULT_CONFIG, u, a, r)
+                f.run(lat, None, DEFAULT_CONFIG, lattice.locate(lat, u), a, r)
                 after = constants.cache_info()
                 assert (after.hits - before.hits, after.misses - before.misses) == (1, 0), (name, r)
-                f.run(lat, lc, DEFAULT_CONFIG, u, a, r)
+                f.run(lat, lc, DEFAULT_CONFIG, lattice.locate(lat, u), a, r)
                 assert constants.cache_info() == after, (name, r)
 
 
@@ -249,7 +235,7 @@ def test_records_are_immutable_values(name):
 
 def test_delta2_theta_route_needs_no_zeta_aux(monkeypatch):
     lat = build_lattice(0.5, 0.5 * (0.17 + 1.37j))  # new to the constants cache
-    aux = _count_calls(monkeypatch, aux_zeta.zeta_aux)
+    aux = count_calls(monkeypatch, aux_zeta.zeta_aux)
     for lam, mu in ((1, 2), (2, 1), (2, 3), (3, 2), (3, 1), (1, 3)):
         delta2(lat, lam, mu, 0.21 + 0.13j, DeltaRoute.THETA_QUOTIENT)
     assert aux == []
@@ -266,7 +252,7 @@ def test_constants_one_entry_however_cfg_is_passed():
 def test_constants_of_lattice_serve_library_calls(monkeypatch):
     lat = build_lattice(0.5, 0.5 * (-0.19 + 1.29j))
     constants(lat)
-    nullwerte = _count_calls(monkeypatch, theta.theta_nullwerte)
+    nullwerte = count_calls(monkeypatch, theta.theta_nullwerte)
     wp(lat, 0.21 + 0.13j)
     assert nullwerte == []
 
@@ -284,6 +270,6 @@ def test_jacobi_params_are_the_constants_record():
 def test_warm_jacobi_params_runs_no_agm(monkeypatch):
     lat = build_lattice(0.5, 0.5 * (-0.31 + 1.17j))  # new to the constants cache
     constants(lat)
-    agm = _count_calls(monkeypatch, agm_complete_integrals)
+    agm = count_calls(monkeypatch, agm_complete_integrals)
     jacobi_params(lat)
     assert agm == []

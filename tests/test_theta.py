@@ -122,6 +122,34 @@ def test_pass_omits_only_what_rounding_hides(tau):
         assert theta._theta4(v, tau, q4, DEFAULT_CONFIG, True) == theta._theta4(v, tau, q4, longer, True), v
 
 
+# Cell coordinates of v = alpha + beta*tau: inside the centred cell, and in
+# the cells around it.
+CELL_COORD = st.just(0.0) | st.floats(-0.5, 0.5) | st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tau=st.sampled_from(TAUS + STRIP_TAUS + (8j,)),
+    alpha=CELL_COORD,
+    beta=CELL_COORD,
+)
+def test_derivative_pass_holds_the_plain_pass_bit_for_bit(tau, alpha, beta):
+    # A located point keeps one theta pass, and a derivative pass serves its
+    # plain requests: its first four entries must be the plain pass's bits.
+    q4 = theta._quarter_nome(tau)
+    for v in (0.0, alpha + beta * tau):
+        try:
+            plain = theta._theta4(v, tau, q4, DEFAULT_CONFIG)
+        except SeriesDivergence:
+            with pytest.raises(SeriesDivergence):
+                theta._theta4(v, tau, q4, DEFAULT_CONFIG, deriv=True)
+            continue
+        full = theta._theta4(v, tau, q4, DEFAULT_CONFIG, deriv=True)
+        assert len(full) == 8
+        # repr round-trips every float and tells -0.0 from 0.0.
+        assert [repr(t) for t in full[:4]] == [repr(t) for t in plain], v
+
+
 def test_odd_series_vanishes_exactly_at_zero():
     assert theta_eval(0, 0.0, 0.3 + 1.1j) == 0
 

@@ -2,9 +2,16 @@
 
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
+import weakref
+from collections import Counter
 
 import pytest
+
+import weierzeta
 
 from weierzeta import (
     IdentitySpec,
@@ -15,11 +22,13 @@ from weierzeta import (
     reports_to_json,
     run_suite,
 )
-from weierzeta import functions
+from weierzeta import constants, functions, lattice, theta
 from weierzeta.cli import main
 from weierzeta.errors import PoleProximityError, SuiteConfigError
 from weierzeta.functions import FUNCTIONS
 from weierzeta.verify import EVALUATORS, _side
+
+from conftest import count_calls, rebind
 
 
 
@@ -171,9 +180,14 @@ def _at_pole(c, u):
     return c("wp", 0j)
 
 
+def _too_far(c, u):
+    # Locating the point fails inside the side, so it fails its identity.
+    return c("wp", 1e300 + 0j)
+
+
 @pytest.mark.parametrize(
     "evaluator, error",
-    [(_raises_zero_division, "ZeroDivisionError"), (_at_pole, "PoleProximityError")],
+    [(_raises_zero_division, "ZeroDivisionError"), (_at_pole, "PoleProximityError"), (_too_far, "ValueOverflow")],
 )
 def test_raising_identity_fails_alone(monkeypatch, capsys, generic_lat, evaluator, error):
     monkeypatch.setitem(EVALUATORS, "raises", evaluator)
@@ -235,10 +249,12 @@ def test_memo_evaluates_each_side_value_once(monkeypatch, generic_lat):
 
 
 def test_memo_holds_one_identity_at_a_time(monkeypatch, generic_lat):
-    seen = []
+    seen, points, samples = [], [], []
 
     def probe(c, u):
         seen.append(set(c.memo))
+        samples.append(u)
+        points.append(set(c.points))
         return c("wp", u)
 
     monkeypatch.setitem(EVALUATORS, "probe", probe)
@@ -248,6 +264,9 @@ def test_memo_holds_one_identity_at_a_time(monkeypatch, generic_lat):
     assert all(r.passed for r in reports)
     assert seen[0] == set()  # nothing of wp_diffeq_factored is left
     assert all(len(keys) == i and all(k[:2] == ("wp", None) for k in keys) for i, keys in enumerate(seen))
+    # The located points go with the memo: only the probe's samples so far,
+    # each seeded by the sampler before its sides run.
+    assert points == [set(samples[: i + 1]) for i in range(len(samples))]
     assert reports[1].max_rel == 0.0  # both sides read the one stored value
 
 
@@ -270,3 +289,70 @@ def test_memo_keeps_the_report_of_a_raising_side(monkeypatch, generic_lat):
     assert rep.error == "PoleProximityError" and not rep.passed
     assert rep.samples == 2 and rep.max_rel == 0.0
     assert rep.failures == (((points[2],), None),)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["eq4_delta_product_12", "eq9_dlog_delta1", "wp_diffeq_factored", "thm26_delta1_sigma_4factor"],
+)
+def test_suite_locates_each_point_once_and_sums_it_once_per_kind(monkeypatch, generic_lat, name):
+    # Every side of an identity reads its points from the one located point
+    # of each: the sample points, as sampled, and the half-periods and
+    # shifted points the sigma forms read, which recur at every sample.  A
+    # point's theta pass is summed at most once without and once with the
+    # derivatives, and never without them after a pass with them.
+    constants(generic_lat)
+    located = count_calls(monkeypatch, lattice.locate)
+    passes = count_calls(monkeypatch, theta._theta4)
+    spec = next(s for s in default_suite() if s.name == name)
+    (rep,) = run_suite(generic_lat, [spec], n=10, seed=12345)
+    assert rep.passed and rep.samples == 10
+    points = Counter(args[1] for args in located)
+    assert len(points) >= 10 and set(points.values()) == {1}
+    kinds = [(args[0], bool(len(args) > 4 and args[4])) for args in passes]
+    assert len(set(kinds)) == len(kinds)
+    for i, (v, deriv) in enumerate(kinds):
+        assert deriv or (v, True) not in kinds[:i], v
+
+
+def test_suite_keeps_no_located_point(monkeypatch, generic_lat):
+    made = []
+    locate = lattice.locate
+
+    def tracked(*args):
+        p = locate(*args)
+        made.append(weakref.ref(p))
+        return p
+
+    rebind(monkeypatch, locate, tracked)
+    reports = run_suite(generic_lat, default_suite(), n=2, seed=4)
+    assert all(r.passed for r in reports)
+    assert len(made) > 2 * len(reports)
+    assert [r for r in made if r() is not None] == []
+
+
+def _fresh_verify(args: list) -> list:
+    """The JSON reports of `verify` in a fresh interpreter."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(weierzeta.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "weierzeta.cli", "verify", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_runs_on_one_lattice_are_fresh_runs(generic_lat):
+    # A located point keeps a pass summed under its run's SeriesConfig, and
+    # none outlives its run: runs on one lattice under two configs, one after
+    # the other, give what each gives in a fresh interpreter.
+    args = ["--tau", "0.3,1.1", "--n", "5", "--seed", "8", "--only", "prop24_*"]
+    loose = ["--abs-tol", "1e-6", "--rel-tol", "0"]
+    want = {"default": _fresh_verify(args), "loose": _fresh_verify(args + loose)}
+    assert want["default"] != want["loose"]
+    suite = [s for s in default_suite() if s.name.startswith("prop24_")]
+    cfgs = {"default": SeriesConfig(), "loose": SeriesConfig(abs_tol=1e-6, rel_tol=0.0)}
+    for name in ("loose", "default", "loose"):
+        reports = run_suite(generic_lat, suite, n=5, seed=8, cfg=cfgs[name])
+        assert reports_to_json(reports) == want[name], name
