@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from .errors import BranchAmbiguity, PoleProximityError, WeierzetaError
+from .errors import BranchAmbiguity, WeierzetaError
 from .functions import FUNCTIONS
 from .lattice import build_lattice, constants, constants_to_json, locate
 from .theta import SeriesConfig
@@ -124,7 +124,7 @@ def cmd_eval(args) -> int:
     a = parse_complex(args.a, lat) if args.a is not None else None
     try:
         res = fn.run(lat, None, cfg, locate(lat, u), a, route)
-    except (PoleProximityError, BranchAmbiguity) as exc:
+    except BranchAmbiguity as exc:
         sys.stderr.write(f"eval: {exc}\n")
         return 3
     if args.format == "csv":
@@ -173,7 +173,7 @@ def cmd_table(args) -> int:
             for re in res:
                 try:
                     yield run(lat, lc, cfg, locate(lat, complex(re, im)), a, route)
-                except (PoleProximityError, BranchAmbiguity):
+                except BranchAmbiguity:
                     yield EvalResult(complex("nan"), Status.AT_POLE)
 
     rows = results()

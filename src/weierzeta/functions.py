@@ -8,10 +8,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .aux_zeta import ZetaRoute, _zeta_aux
-from .errors import ValueOverflow
-from .jacobi import _E_Z, _E_Z_Pi, _params, sn_cn_dn
-from .lattice import Lattice, constants
-from .theta import SeriesConfig
+from .jacobi import _E_Z, _guarded_Pi, _record, _sn_cn_dn
+from .lattice import constants
 from .weier_core import _FINITE, EvalResult, _guarded, _sigma, _tuple_new, _wp, _wp_prime, _zeta_w
 from .zeta_diff import DeltaRoute, _delta, _delta2
 
@@ -25,7 +23,8 @@ class Function(namedtuple("Function", "run routes needs_a", defaults=((), False)
     the function's kernel, not the public function, on the lattice's record
     lc (`table` looks it up once per command, the suite once per lattice),
     and looks it up itself only for lc None, after the pole guard where there
-    is one.  `routes` holds the accepted routes, the default first.
+    is one (a Jacobi entry: before it, to refuse a degenerate lattice first).
+    `routes` holds the accepted routes, the default first.
     """
 
     __slots__ = ()
@@ -45,14 +44,9 @@ def _finite(value: complex) -> EvalResult:
     return _tuple_new(EvalResult, (value, _FINITE, None))
 
 
-def _jacobi(lat: Lattice, lc, cfg: SeriesConfig, u: complex) -> tuple:
-    """(sn, cn, dn) at the Jacobi argument scale*u; a u too large to reduce
-    raises ValueOverflow naming u, not its scaled image."""
-    p = _params(lc or constants(lat, cfg))
-    try:
-        return sn_cn_dn(p, p.scale * u)
-    except ValueOverflow:
-        raise ValueOverflow(f"the cell coordinates of u = {u!r} are too large to reduce") from None
+def _part(res: EvalResult, k: int) -> EvalResult:
+    """Entry k of the tuple a Finite result holds; a pole result as it is."""
+    return _finite(res.value[k]) if res.status is _FINITE else res
 
 
 def _functions() -> dict:
@@ -81,14 +75,15 @@ def _functions() -> dict:
             delta2_routes,
         )
     for k, name in enumerate(("sn", "cn", "dn")):
-        table[name] = Function(lambda lat, lc, cfg, p, *_, k=k: _finite(_jacobi(lat, lc, cfg, p.u)[k]))
+        table[name] = Function(
+            lambda lat, lc, cfg, p, *_, k=k: _part(_guarded(_sn_cn_dn, lat, p, (3,), cfg, _record(lat, lc, cfg).jacobi), k)
+        )
     for k, name in enumerate(("E", "Z")):
         table[name] = Function(
-            lambda lat, lc, cfg, p, *_, k=k: _finite(_E_Z(lat, lc or constants(lat, cfg), p, cfg)[k])
+            lambda lat, lc, cfg, p, *_, k=k: _part(_guarded(_E_Z, lat, p, (3,), cfg, _record(lat, lc, cfg)), k)
         )
     table["Pi"] = Function(
-        lambda lat, lc, cfg, p, a, r: _finite(_E_Z_Pi(lat, lc or constants(lat, cfg), p, 0j if a is None else a, cfg)[2]),
-        needs_a=True,
+        lambda lat, lc, cfg, p, a, r: _part(_guarded_Pi(lat, lc, p, cfg, 0j if a is None else a), 2), needs_a=True
     )
     return table
 

@@ -3,10 +3,11 @@
 The moduli (from the half-period differences) and the complete integrals
 (from the arithmetic-geometric mean) are built with the lattice's constants,
 in `lattice.constants`; this module hands them out behind the degeneracy
-test and forms sn/cn/dn from sigma quotients, so that every transformation
-formula connecting them to the zeta differences can be checked numerically.
-Arguments named x live on the Jacobi side; u = x/scale lives on the lattice
-side, where scale**2 = e1 - e3.
+test.  sn/cn/dn (sigma quotients), E/Z and Pi are kernels behind the one
+pole guard (`weier_core._guarded`) on the omega_3 coset, where all of them
+have their poles, at the point the caller located; the degeneracy test runs
+before the guard.  Arguments named x live on the Jacobi side; u = x/scale
+lives on the lattice side, where scale**2 = e1 - e3.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import BranchAmbiguity, DegenerateLattice, PoleProximityError
+from .errors import BranchAmbiguity, DegenerateLattice
 # AGM_TOL and agm_complete_integrals are re-exported from here.
 from .lattice import (
     AGM_TOL,
@@ -28,8 +29,7 @@ from .lattice import (
     locate,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import _guarded, _sigma, _sigmas, _theta_zeta, pole_status
-from .aux_zeta import ZetaRoute, _zeta_aux
+from .weier_core import EvalResult, _guarded, _sigma, _sigmas, _theta_zeta, _val, pole_status
 
 PI = math.pi
 
@@ -42,36 +42,35 @@ def jacobi_params(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> JacobiPar
     negligible against the invariants (two half-period values collide and
     the moduli lose meaning).
     """
-    return _params(constants(lat, cfg))
+    return _record(lat, None, cfg).jacobi
 
 
-def _params(lc: LatticeConstants) -> JacobiParams:
+def _record(lat: Lattice, lc, cfg: SeriesConfig) -> LatticeConstants:
+    """The lattice's record lc, looked up for None, unless the lattice is
+    degenerate: every Jacobi evaluation refuses one before its pole guard."""
+    lc = lc or constants(lat, cfg)
     if lc.degenerate:
         raise DegenerateLattice(f"discriminant {lc.disc!r} is numerically zero")
-    return lc.jacobi
+    return lc
 
 
 def sn_cn_dn(p: JacobiParams, x: complex) -> tuple[complex, complex, complex]:
-    """(sn, cn, dn) at Jacobi argument x, from sigma quotients.
-
-    sn = scale*sigma/sigma_3, cn = sigma_1/sigma_3, dn = sigma_2/sigma_3 at
-    u = x/scale; the shared poles sit on the omega_3 coset, and within the
-    pole radius of it this raises PoleProximityError.  The sigmas divide by
-    the record's `sigma_factor` and `nullwerte` that p carries, so no
-    constants lookup is made.
+    """(sn, cn, dn) at Jacobi argument x, `_sn_cn_dn` at u = x/scale, and
+    PoleProximityError near their shared poles, the omega_3 coset.  p carries
+    the record's `sigma_factor` and `nullwerte`, so no lookup is made.
     """
-    lat, cfg = p.lattice, p.cfg
-    pt = locate(lat, x / p.scale)
-    bad = pole_status(lat, pt, (3,))
-    if bad is not None:
-        raise PoleProximityError(
-            f"Jacobi argument {x!r} sits at a shared sn/cn/dn pole (u near {bad.pole!r})"
-        )
+    return _val(_guarded(_sn_cn_dn, p.lattice, locate(p.lattice, x / p.scale), (3,), p.cfg, p))
+
+
+def _sn_cn_dn(lat: Lattice, jp: JacobiParams, p: Located, cfg: SeriesConfig) -> tuple:
+    """(sn, cn, dn) at x = scale*u for the located point p: sn =
+    scale*sigma/sigma_3, cn = sigma_1/sigma_3, dn = sigma_2/sigma_3, the
+    sigmas normalised by what the JacobiParams jp carry."""
     # The Gaussian and quasi-period factors common to all four sigmas cancel;
     # only the auxiliary signs of the translate remain.
-    s0, s1, s2, s3 = _sigmas(lat, p, pt, cfg)
-    s3 *= _translate_sign(pt, 3)
-    return p.scale * s0 / s3, s1 * _translate_sign(pt, 1) / s3, s2 * _translate_sign(pt, 2) / s3
+    s0, s1, s2, s3 = _sigmas(lat, jp, p, cfg)
+    s3 *= _translate_sign(p, 3)
+    return jp.scale * s0 / s3, s1 * _translate_sign(p, 1) / s3, s2 * _translate_sign(p, 2) / s3
 
 
 def jacobi_E_Z(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> tuple[complex, complex]:
@@ -82,16 +81,16 @@ def jacobi_E_Z(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> 
     `big_e`, the principal K(k) and E(k) of DLMF 22.16.  The paper's form
     Z = (zeta_3(u) - eta1*u/omega1)/scale is the same function only where
     scale*omega1 = K, as on the reference lattices; on other bases of a
-    lattice the two differ by a multiple of x.
+    lattice the two differ by a multiple of x.  Raises PoleProximityError
+    when u is at/near a pole of the third auxiliary zeta.
     """
-    return _E_Z(lat, constants(lat, cfg), locate(lat, u), cfg)
+    lc = constants(lat, cfg)
+    return _val(_guarded(_E_Z, lat, locate(lat, u), (3,), cfg, _record(lat, lc, cfg)))
 
 
 def _E_Z(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> tuple[complex, complex]:
     """(E, Z) at the located point p."""
-    jp = _params(lc)
-    if pole_status(lat, p, (3,)) is not None:
-        raise PoleProximityError(f"u = {p.u!r} is at/near a pole of the third auxiliary zeta")
+    jp = lc.jacobi
     z3 = _theta_zeta(lat, lc, p, cfg, 3)[0]
     big_e = (z3 + lc.e1 * p.u) / jp.scale
     return big_e, big_e - (jp.big_e / jp.big_k) * (jp.scale * p.u)
@@ -104,24 +103,29 @@ def jacobi_E_Z_Pi(
 
     E and Z are `jacobi_E_Z`; Pi needs the log of a sigma quotient, tracked
     continuously along the straight segment from 0 so the branch agrees with
-    the defining integral from 0.  Raises PoleProximityError when u or a is
-    at/near a pole of the third auxiliary zeta, DegenerateLattice as
-    `jacobi_params` does, BranchAmbiguity where the tracking fails, and
-    ValueOverflow where a sigma_3 factor on the segment overflows.
+    the defining integral from 0.  Raises DegenerateLattice as
+    `jacobi_params` does, PoleProximityError when a, tested first, or u is
+    at/near a pole of the third auxiliary zeta, BranchAmbiguity where the
+    tracking fails, and ValueOverflow where a sigma_3 factor overflows.
     """
-    return _E_Z_Pi(lat, constants(lat, cfg), locate(lat, u), a, cfg)
+    return _val(_guarded_Pi(lat, constants(lat, cfg), locate(lat, u), cfg, a))
 
 
-def _E_Z_Pi(lat: Lattice, lc: LatticeConstants, p: Located, a: complex, cfg: SeriesConfig) -> tuple:
-    """(E, Z, Pi) at the located point p and the second argument a."""
+def _guarded_Pi(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, a: complex) -> EvalResult:
+    """`_E_Z_Pi` at the located point p and at a, located here: a degenerate
+    lattice is refused, then a's pole status reported, then p's."""
+    lc = _record(lat, lc, cfg)
+    pa = locate(lat, a)
+    return pole_status(lat, pa, (3,)) or _guarded(_E_Z_Pi, lat, p, (3,), cfg, lc, pa)
+
+
+def _E_Z_Pi(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, pa: Located) -> tuple:
+    """(E, Z, Pi) at the located point p and the located second argument pa."""
     big_e, big_z = _E_Z(lat, lc, p, cfg)
-    z3a = _guarded(_zeta_aux, lat, locate(lat, a), (3,), cfg, lc, 3, ZetaRoute.THETA)
-    if not z3a.is_finite:
-        raise PoleProximityError(f"a = {a!r} is at/near a pole of the third auxiliary zeta")
-    u = p.u
-    if u == 0:
+    z3a = _theta_zeta(lat, lc, pa, cfg, 3)[0]
+    if p.u == 0:
         return big_e, big_z, 0j
-    return big_e, big_z, 0.5 * _tracked_log_ratio(lat, lc, u, a, cfg) + z3a.value * u
+    return big_e, big_z, 0.5 * _tracked_log_ratio(lat, lc, p.u, pa.u, cfg) + z3a * p.u
 
 
 def _tracked_log_ratio(lat: Lattice, lc: LatticeConstants, u: complex, a: complex, cfg: SeriesConfig) -> complex:

@@ -17,12 +17,12 @@ import random
 from collections import namedtuple
 
 from .aux_zeta import ZetaRoute, _zeta_aux
-from .errors import PoleProximityError, SuiteConfigError, WeierzetaError
-from .functions import FUNCTIONS, _jacobi
-from .jacobi import _params
+from .errors import SuiteConfigError, WeierzetaError
+from .functions import FUNCTIONS
+from .jacobi import _record, _sn_cn_dn
 from .lattice import Lattice, Located, complement, constants, locate, nearest
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import _guarded, _thetas
+from .weier_core import _guarded, _thetas, _val
 from .zeta_diff import _delta2_prime, _delta_prime
 
 PI = math.pi
@@ -91,7 +91,7 @@ class _Ctx:
 
     @property
     def jp(self):
-        return _params(self.lc)
+        return _record(self.lat, self.lc, self.cfg).jacobi
 
     def __call__(self, name: str, u: complex, route: str | None = None) -> complex:
         """Value of the table function name at u on route; raises at a pole."""
@@ -116,8 +116,8 @@ class _Ctx:
 
     def jac(self, u: complex) -> tuple:
         """(sn, cn, dn) at the Jacobi argument scale*u, the table's sn, cn
-        and dn in one call; raises at their shared poles."""
-        return _jacobi(self.lat, self.lc, self.cfg, u)
+        and dn in one kernel call; raises at their shared poles."""
+        return _val(_guarded(_sn_cn_dn, self.lat, self.at(u), (3,), self.cfg, self.jp))
 
     def dp(self, lam, u):
         return _val(_guarded(_delta_prime, self.lat, self.at(u), (0, lam), self.cfg, self.lc, lam))
@@ -136,12 +136,6 @@ class _Ctx:
 
     def fd_step(self) -> float:
         return FD_STEP * self.lat.min_period
-
-
-def _val(res):
-    if not res.is_finite:
-        raise PoleProximityError(f"evaluator hit a {res.status.value} point at {res.pole!r}")
-    return res.value
 
 
 def _fd(f, u, h):

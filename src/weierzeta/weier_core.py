@@ -22,7 +22,7 @@ import enum
 from collections import namedtuple
 from operator import itemgetter
 
-from .errors import NearZeroDenominator, ValueOverflow
+from .errors import NearZeroDenominator, PoleProximityError, ValueOverflow
 from .lattice import (
     HALF_PERIOD_ORDER,
     Lattice,
@@ -91,6 +91,13 @@ def _guarded(kernel, lat: Lattice, p: Located, cosets, cfg: SeriesConfig, lc, *a
     if lc is None:
         lc = constants(lat, cfg)
     return _tuple_new(EvalResult, (kernel(lat, lc, p, cfg, *args), _FINITE, None))
+
+
+def _val(res: EvalResult):
+    """The value of a Finite result; PoleProximityError for a pole status."""
+    if not res.is_finite:
+        raise PoleProximityError(f"evaluator hit a {res.status.value} point at {res.pole!r}")
+    return res.value
 
 
 _IN_HALF_PERIOD_ORDER = (

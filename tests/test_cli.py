@@ -16,6 +16,8 @@ from weierzeta.cli import main, parse_complex
 from weierzeta.functions import FUNCTIONS, Function
 from weierzeta.verify import default_suite
 from weierzeta import build_lattice
+from weierzeta.lattice import locate
+from weierzeta.theta import DEFAULT_CONFIG
 
 
 def run_cli(argv):
@@ -246,12 +248,15 @@ def test_non_finite_point_is_a_usage_error(u):
     assert rc == 2 and out == "" and "not finite" in err
 
 
-@pytest.mark.parametrize("fn", ["wp", "sigma", "delta12"])
+@pytest.mark.parametrize(
+    "fn", [["wp"], ["sigma"], ["delta12"], ["sn"], ["E"], ["Pi", "--a", "0.1,0.05"]], ids=lambda f: f[0]
+)
 def test_point_past_the_translate_range_is_a_usage_error(fn):
     # A finite u whose cell coordinates round to an n with 2*n past the
-    # float range.
-    rc, out, err = run_cli(["eval", "--fn", fn, "--u", "1e308,0"])
+    # float range; the message names u itself, not the Jacobi argument.
+    rc, out, err = run_cli(["eval", "--fn", *fn, "--u", "1e308,0"])
     assert rc == 2 and out == "" and "too large" in err
+    assert f"u = {complex(1e308, 0)!r}" in err
 
 
 @pytest.mark.parametrize(
@@ -355,6 +360,45 @@ def test_eval_with_explicit_omega3():
 
     ref = wp(build_lattice(0.5, 0.5j), 0.2 + 0.1j).value
     assert abs(complex(*json.loads(out)["value"]) - ref) < 1e-12 * abs(ref)
+
+
+# The default lattice's omega3 is 0.15+0.55i: this grid point of
+# `table --re=0:1:21 --im=0:1.1:3` lies within the pole radius of it.
+NEAR_OMEGA3 = "0.15000000000000002,0.55"
+
+
+@pytest.mark.parametrize("fn", [["sn"], ["E"], ["Pi", "--a", "0.1,0.05"]], ids=lambda f: f[0])
+def test_jacobi_table_reports_a_near_pole_as_zeta3_does(fn):
+    rows = []
+    for f in (fn, ["zeta3"]):
+        rc, out, _ = run_cli(["table", "--fn", *f, "--re=0:1:21", "--im=0:1.1:3", "--format", "csv"])
+        assert rc == 0
+        rows.append(next(r for r in out.splitlines() if r.startswith(NEAR_OMEGA3 + ",")))
+    assert rows[0] == rows[1] == f"{NEAR_OMEGA3},,,NearPole"
+
+
+def test_jacobi_eval_prints_a_near_pole_and_exits_3():
+    rc, out, err = run_cli(["eval", "--fn", "cn", "--u", NEAR_OMEGA3])
+    assert rc == 3 and err == ""
+    assert json.loads(out) == {"value": None, "status": "NearPole"}
+
+
+@pytest.mark.parametrize("name", ["sn", "cn", "dn", "E", "Z", "Pi"])
+def test_jacobi_entries_report_the_status_of_zeta3(name):
+    # At omega3, next to it and at a translate of it, each Jacobi entry
+    # returns zeta3's status and pole, with the record handed in or looked
+    # up, and raises nothing; so does Pi with its a there.
+    lat = build_lattice(0.5, complex(0.3, 1.1) * 0.5)
+    lc = weierzeta.constants(lat)
+    zeta3, regular = FUNCTIONS["zeta3"], 0.1 + 0.05j
+    w3 = lat.omega3
+    for u in (w3, w3 + 1e-9 * lat.min_period * (1 + 0.7j), 2 * lat.omega1 + w3):
+        want = zeta3.run(lat, lc, DEFAULT_CONFIG, locate(lat, u), None, zeta3.route(None))
+        assert not want.is_finite
+        for x, a in [(u, regular)] + ([(regular, u)] if name == "Pi" else []):
+            for record in (lc, None):
+                got = FUNCTIONS[name].run(lat, record, DEFAULT_CONFIG, locate(lat, x), a, None)
+                assert (got.status, got.pole) == (want.status, want.pole), (u, x, a)
 
 
 def test_eval_jacobi_layer_functions():

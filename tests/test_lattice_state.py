@@ -112,7 +112,7 @@ def test_one_guard_per_public_call(monkeypatch, warm_lattice):
     # The registry's guarded entries, handed the record and the located
     # point as table hands them.
     lc = constants(lat)
-    for name in ("wp", "wp_prime", "zeta", "zeta2", "delta3", "delta31"):
+    for name in ("wp", "wp_prime", "zeta", "zeta2", "delta3", "delta31", "sn", "E"):
         f = FUNCTIONS[name]
         for r in f.routes or (None,):
             calls[f"FUNCTIONS[{name}]:{r}"] = lambda u, f=f, r=r: f.run(

@@ -58,12 +58,13 @@ def _cases():
                 yield lattice, name, route
 
 
-# Recorded at commit 26bb0fd.
+# Recorded at commit 26bb0fd; the generic sn, cn, dn, E, Z and Pi digests
+# again when the Jacobi family moved behind the pole guard.
 DIGESTS = {
-    ('generic', 'E', None): 'dffacecab5322c8a3ac3f318f83b8b2264e9355c35e86ef81838cff4e15c0d45',
-    ('generic', 'Pi', None): '8f5d1fc8ea52b9cee9712481da705b2c3f2ec07c0eb1326357457c30ecd688fc',
-    ('generic', 'Z', None): '9db2c5729f2a85d659fa8a56d1f48fa0819c97450eadc85f2ca2d0ab4354a7a7',
-    ('generic', 'cn', None): 'e20601c84d0420dfd7157cc895804ae8cd756fbf878bdfc7c7230ca698653cd1',
+    ('generic', 'E', None): 'f07736c8b5137d9b8622dab7edb62fc08795fe8c4a6f6c64f0db6eefa96249e4',
+    ('generic', 'Pi', None): '015be076c96f7bee178fb41579792ec05de2e5cb0119b88caddff529f30a37f1',
+    ('generic', 'Z', None): 'b659a0db2f33239d52593686a64e7739396176faba14fb0c9e62f52b4a1bcdca',
+    ('generic', 'cn', None): '00b14c4a8c22c1003a3512142b804bad9f2b1435f0f0fe9a82d90a719cf43ab6',
     ('generic', 'delta1', 'sigma'): 'ccf4c5cb64800266309522ee1cddf263e6c583aa8deb0475ac0b3386386e9f27',
     ('generic', 'delta1', 'zetadiff'): 'a9574db9d2e52f5ac371c585543d286f0ed919291bfd4f5ca7245e21b1b636ce',
     ('generic', 'delta1', 'wp'): 'f1ac356a4b96d319f030892e5c9a8a52116a7eca50600e928b024672bbd61b3f',
@@ -88,12 +89,12 @@ DIGESTS = {
     ('generic', 'delta31', 'zetadiff'): 'd044aa2825d368adc119daac476e801f1779f86278f1252cfddd262a5f4e6d05',
     ('generic', 'delta31', 'sigma'): '6bc8299506a3ce97afee10dba24d5be95f432a23f43f5dc246320d3b9793736d',
     ('generic', 'delta31', 'theta'): '29ce633def7cbd077dc8cfe99d784c4ddfac9e2e36a120b82b630685fec9ebaa',
-    ('generic', 'dn', None): '7930025644677f2b61ba7cf5ce4370cb8b644aaed493804853a2fd5d90ef52ef',
+    ('generic', 'dn', None): '1eb287667e5fd8ee057a2d3f5cb146ffe6602db92c6a513b1801c868cb7bcd6b',
     ('generic', 'sigma', None): '3825d3ad3436de143b6fa77f253577e8a2c867f55459f7d194ba73c0f3b2c59f',
     ('generic', 'sigma1', None): '65388c9c0e6557ce8d4a49da6e0a61500947f400ae8accc308bb86c9c2dce3ba',
     ('generic', 'sigma2', None): '001ecc29de0ce850fd26f01f18c05894973e308fbebe18d8a5f5dc7ddc9cffb1',
     ('generic', 'sigma3', None): '70cb9951599e0b7c988b22182269eb08ba4cee6995c496b64a6d463e4cbd26da',
-    ('generic', 'sn', None): '888e12f24c3e05f1adeb9aac4d49cb839d82d383a2b8c4c4d64afcc05bddb7a1',
+    ('generic', 'sn', None): 'bcd3b1bcf4facd10ae859c76ff1c73c60216ca77e67a49e0be3cce29943cabd5',
     ('generic', 'wp', None): 'f2c94d0e2adbcf5e8c087c688eb2cf39199b65ecf5f59de0f83f2f630270a3de',
     ('generic', 'wp_prime', None): 'f48614b9206e576dcff780663e2e1a7e2d53c2d600091e7c9075dce02c613425',
     ('generic', 'zeta', None): 'a1968af16e7810b7aea53c04241229be85d900b24cc7535155b08e01c53ff648',
@@ -194,13 +195,14 @@ VERIFY_LATTICES = {
     "8i": "0,8",
 }
 
-# Recorded at commit 450d579.
+# Recorded at commit 450d579; all but 8i again when the Jacobi family moved
+# behind the pole guard (its identity rows move in the last digits).
 VERIFY_DIGESTS = {
-    "square": "d5953bc41a7313b2b1593ecda1a13e247970ac5cfe67525c961bf155e76fdaa9",
-    "rect": "8317cdeb284fbf1803a4c14dfe8d1acbf7f0b4776a47f3b668f39abb747459fc",
-    "rhombic": "452ffbcb923ad1de3758e5dcc9cb2f75a9f21b58d3bb6e33aa64f40bf9758451",
-    "generic": "3d33cf96f463b5876671e5755688dcc7a41bd52da2e86cbe952313acc9476b23",
-    "tall": "249c74282aa622b92bf422fe437b7fdabcd00f20de94620b84d6f6b6351111f3",
+    "square": "6d0e6c4cc9381595baec76211c6a276f8a4876df62d40b99105943c233da87bd",
+    "rect": "5182b792baf0ecca0a1fe10847bd89251b7157be1791817a0a3b8ae23a7bb297",
+    "rhombic": "94a699d46755a9f6724126c345270b9e5a54382b02f7cb3f57d0e0d303ef5119",
+    "generic": "f62e7679fafb96a783e7514d38ddd3d2779854b5f82f8dd88b0b3a1fa414d212",
+    "tall": "af28c26652259fdbbc5ed82c375107c90154ef145c0ae63bf017b56ad420f4c9",
     "8i": "7019eabfe8574ecd8618c5bebf6dc246372db9d2f2d12e45b499f40655b7c1eb",
 }
 

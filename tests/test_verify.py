@@ -22,7 +22,7 @@ from weierzeta import (
     reports_to_json,
     run_suite,
 )
-from weierzeta import constants, functions, lattice, theta
+from weierzeta import constants, jacobi, lattice, theta
 from weierzeta.cli import main
 from weierzeta.errors import PoleProximityError, SuiteConfigError
 from weierzeta.functions import FUNCTIONS
@@ -157,19 +157,11 @@ def test_evaluators_used_and_sides_resolve(capsys):
     ],
 )
 def test_jacobi_sides_compute_sn_cn_dn_once_per_point(monkeypatch, generic_lat, name, calls):
-    count = 0
-    sn_cn_dn = functions.sn_cn_dn
-
-    def counted(*args):
-        nonlocal count
-        count += 1
-        return sn_cn_dn(*args)
-
-    monkeypatch.setattr(functions, "sn_cn_dn", counted)
+    counted = count_calls(monkeypatch, jacobi._sn_cn_dn)
     spec = next(s for s in default_suite() if s.name == name)
     (rep,) = run_suite(generic_lat, [spec], n=10, seed=5)
     assert rep.passed
-    assert count == 10 * calls
+    assert len(counted) == 10 * calls
 
 
 def _raises_zero_division(c, u):
@@ -293,7 +285,16 @@ def test_memo_keeps_the_report_of_a_raising_side(monkeypatch, generic_lat):
 
 @pytest.mark.parametrize(
     "name",
-    ["eq4_delta_product_12", "eq9_dlog_delta1", "wp_diffeq_factored", "thm26_delta1_sigma_4factor"],
+    [
+        "eq4_delta_product_12",
+        "eq9_dlog_delta1",
+        "wp_diffeq_factored",
+        "thm26_delta1_sigma_4factor",
+        "cor212_row_r1",
+        "thm211_squared_ns",
+        "thm213_Pi_integrand",
+        "thm213_E_derivative",
+    ],
 )
 def test_suite_locates_each_point_once_and_sums_it_once_per_kind(monkeypatch, generic_lat, name):
     # Every side of an identity reads its points from the one located point
