@@ -54,12 +54,15 @@ def complement(lam: int) -> tuple[int, int]:
 
 
 class Lattice(namedtuple(
-    "Lattice", "omega1 omega3 omega2 tau q period1 period3 area min_period q4 offsets"
+    "Lattice", "omega1 omega3 omega2 tau q period1 period3 area min_period heights q4 offsets"
 )):
     """Immutable period lattice with its ratio and nome, and the geometry
     every located point reads, built once by `build_lattice`: the periods
     2*omega1 and 2*omega3, the cell area (the determinant of that basis),
-    the shorter period's length, q^(1/4) = exp(i*pi*tau/4) for the theta
+    the shorter period's length, the cell's two heights |area|/|2*omega3|
+    and |area|/|2*omega1| (the spacing of its rows along each period),
+    which `near` rejects distant points by, or (0, 0) on a cell where
+    `near`'s margin does not hold, q^(1/4) = exp(i*pi*tau/4) for the theta
     pass, and the coset offsets (0, omega1, omega2, omega3) by half-period
     index."""
 
@@ -105,9 +108,13 @@ def build_lattice(omega1: complex, omega3: complex) -> Lattice:
     if not math.isfinite(area):
         raise ValueOverflow(f"the area of the cell of periods {w1!r}, {w3!r} overflows")
     omega2 = -(omega1 + omega3)
+    heights = (abs(area) / abs(w3), abs(area) / abs(w1))
+    lengths = abs(w1) + abs(w3)
+    if not (2.0**-300 < min(heights) and lengths <= _ASPECT * min(heights) and lengths < 2.0**300):
+        heights = (0.0, 0.0)  # `near` measures every distance
     return Lattice(
-        omega1=omega1, omega3=omega3, omega2=omega2, tau=tau, q=q,
-        period1=w1, period3=w3, area=area, min_period=min(abs(w1), abs(w3)), q4=q4,
+        omega1=omega1, omega3=omega3, omega2=omega2, tau=tau, q=q, period1=w1, period3=w3,
+        area=area, min_period=min(abs(w1), abs(w3)), heights=heights, q4=q4,
         offsets=(0j, omega1, omega2, omega3),
     )
 
@@ -192,10 +199,67 @@ _HALF_CELL = ((0.0, 0.0), (0.5, 0.0), (-0.5, -0.5), (0.0, 0.5))
 def nearest(lat: Lattice, p: Located, k: int) -> tuple[float, complex]:
     """`nearest_translate` to the coset omega_k + lattice (k = 0 the lattice),
     from the located point's own cell coordinates less omega_k's: the same
-    rounding, so for the lattice the translate's n, m are the point's own."""
+    rounding, so for the lattice the translate's n, m are the point's own.
+    The one distance formula; the guards reach it through `near`, which
+    calls it only for a point within reach of the coset."""
     a, b = _HALF_CELL[k]
     pt = lat.offsets[k] + 2 * round(p.alpha - a) * lat.omega1 + 2 * round(p.beta - b) * lat.omega3
     return abs(p.u - pt), pt
+
+
+# `near` rejects by cell coordinates only for |alpha| + |beta| < _FAR_CELLS,
+# on cells with |2*omega1| + |2*omega3| <= _ASPECT * min(heights)
+# (`build_lattice` zeroes the heights of any other), and with _SLACK
+# min_periods added to the radius; `near` derives the margin.
+_FAR_CELLS = 2.0**16
+_ASPECT = 2.0**16
+_SLACK = 2.0**-16
+
+# The distance of each coset's cell coordinates from the nearest integers:
+# 0 or 1/2.
+_HALF_GAP = tuple((abs(a), abs(b)) for a, b in _HALF_CELL)
+
+
+def near(lat: Lattice, p: Located, k: int, r: float) -> tuple[float, complex] | None:
+    """Is the located point p within r of omega_k + lattice?  `nearest`'s
+    (dist, translate) when dist < r, else None; `nearest` runs only for a
+    point within reach.
+
+    With (a, b) omega_k's cell coordinates, every point of the coset is
+    u - (alpha - a - n)*2*omega1 - (beta - b - m)*2*omega3 for integers n,
+    m, so its distance from u is at least |alpha - a - n| * h1 and
+    |beta - b - m| * h3, (h1, h3) = `heights`: at least g*h, g the gap from
+    alpha - a (or beta - b) to the nearest integer, read from the point's
+    reduced coordinate as | |alpha - p.n| - |a| |.  A point with
+    g*h >= r + _SLACK*min_period is rejected, since then `nearest`'s
+    distance, to whichever translate it rounds to, is at least r.
+
+    The margin.  With eps = 2^-53, W = |2*omega1| + |2*omega3| and |alpha| +
+    |beta| < F = _FAR_CELLS (so |n|, |m| <= F + 1 for any translate
+    `nearest` rounds to): alpha's numerator is rounded by
+    2*eps*|u|*|2*omega3| and the area by 2*eps*|2*omega1|*|2*omega3|, which
+    is 2*eps*|u| + 3*eps*|alpha|*|2*omega1| once multiplied by h1; the
+    computed h1 is off by eps*|2*omega1| + eps*h1 at g <= 1/2, and the gap
+    itself by eps*h1 (alpha - p.n is exact); nearest's translate is off by
+    3*eps*(|omega_k| + |n|*|2*omega1| + |m|*|2*omega3|) plus eps*W/2 for the
+    rounded omega2, and its abs by 2*eps of itself.  With |u| <=
+    |alpha|*|2*omega1| + |beta|*|2*omega3| these sum below 12*eps*(F + 2)*W,
+    and the relative terms (r < g*h <= W/2) are smaller still.  On a cell
+    with W <= _ASPECT * min(heights) <= _ASPECT * min_period that is below
+    16*eps*(F + 2)*_ASPECT*min_period < _SLACK*min_period.  `build_lattice`
+    also keeps the heights within [2^-300, 2^300], where every product is
+    a normal number or its underflow is far below the slack.  A far point
+    (|alpha| + |beta| >= F) and a cell with zero heights always measure the
+    distance."""
+    alpha, beta = p.alpha, p.beta
+    if abs(alpha) + abs(beta) < _FAR_CELLS:
+        a, b = _HALF_GAP[k]
+        h1, h3 = lat.heights
+        reach = r + _SLACK * lat.min_period
+        if abs(a - abs(alpha - p.n)) * h1 >= reach or abs(b - abs(beta - p.m)) * h3 >= reach:
+            return None
+    hit = nearest(lat, p, k)
+    return hit if hit[0] < r else None
 
 
 def _translate_sign(p: Located, k: int) -> float:

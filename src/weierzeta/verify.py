@@ -20,7 +20,7 @@ from .aux_zeta import ZetaRoute, _zeta_aux
 from .errors import SuiteConfigError, WeierzetaError
 from .functions import FUNCTIONS
 from .jacobi import _record, _sn_cn_dn
-from .lattice import Lattice, Located, complement, constants, locate, nearest
+from .lattice import Lattice, Located, complement, constants, locate, near
 from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import _guarded, _thetas, _val
 from .zeta_diff import _delta2_prime, _delta_prime
@@ -608,7 +608,7 @@ def _sample_points(lat: Lattice, rng: random.Random, arity: int, single, pair) -
                 located.append(locate(lat, z + sign * w))
                 tests.append((located[-1], k))
         for p, k in tests:
-            if nearest(lat, p, k)[0] < guard:
+            if near(lat, p, k, guard) is not None:
                 break
         else:
             return located

@@ -34,7 +34,7 @@ from .lattice import (
     check_index,
     constants,
     locate,
-    nearest,
+    near,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig, _theta4
 
@@ -70,14 +70,15 @@ class EvalResult(namedtuple("EvalResult", "value status pole", defaults=(None,))
 def pole_status(lat: Lattice, p: Located, cosets) -> EvalResult | None:
     """The EvalResult for the located point p at/near a pole, else None:
     each pole coset, a half-period index (0 for the lattice), is tested once
-    against NEAR_POLE_FACTOR * min_period by its `lattice.nearest` distance."""
+    against NEAR_POLE_FACTOR * min_period by `lattice.near`, which rejects a
+    point whose cell coordinates keep it a margin beyond that radius and
+    measures the `lattice.nearest` distance of any other."""
     radius = NEAR_POLE_FACTOR * lat.min_period
     for k in cosets:
-        dist, translate = nearest(lat, p, k)
-        if dist == 0.0:
-            return EvalResult(_NAN, Status.AT_POLE, translate)
-        if dist < radius:
-            return EvalResult(_NAN, Status.NEAR_POLE, translate)
+        hit = near(lat, p, k, radius)
+        if hit is not None:
+            dist, translate = hit
+            return EvalResult(_NAN, Status.AT_POLE if dist == 0.0 else Status.NEAR_POLE, translate)
     return None
 
 

@@ -32,7 +32,7 @@ from collections import namedtuple
 
 from .errors import IdenticalIndices, PoleProximityError
 from .lattice import (
-    Lattice, LatticeConstants, Located, check_index, complement, constants, locate, nearest,
+    Lattice, LatticeConstants, Located, check_index, complement, constants, locate, near,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import NEAR_POLE_FACTOR, EvalResult, _guarded, _sigmas, _theta_zeta, _thetas, _wp_pair
@@ -65,7 +65,7 @@ def _delta(
     if route is DeltaRoute.ZETA_DIFF:
         z, z_lam = _theta_zeta(lat, lc, p, cfg, 0, lam)
         return z_lam - z
-    if route is DeltaRoute.WP_QUOTIENT and nearest(lat, p, lam)[0] >= lc.zones[lam - 1]:
+    if route is DeltaRoute.WP_QUOTIENT and near(lat, p, lam, lc.zones[lam - 1]) is None:
         # Outside the zone where wp - e_lam cancels; the sigma form serves inside.
         wp_, wpp = _wp_pair(lat, lc, p, cfg)
         return 0.5 * wpp / (wp_ - lc.e(lam))
@@ -139,8 +139,8 @@ def _delta2(
         # within the pole radius like wp itself, and at u = omega_nu, where
         # wp - e_nu cancels; the sigma form serves around them.
         route is DeltaRoute.WP_QUOTIENT
-        and nearest(lat, p, 0)[0] >= NEAR_POLE_FACTOR * lat.min_period
-        and nearest(lat, p, nu)[0] >= lc.zones[nu - 1]
+        and near(lat, p, 0, NEAR_POLE_FACTOR * lat.min_period) is None
+        and near(lat, p, nu, lc.zones[nu - 1]) is None
     ):
         wp_, wpp = _wp_pair(lat, lc, p, cfg)
         return 2 * lc.ediff(lam, mu) * (wp_ - lc.e(nu)) / wpp
@@ -197,7 +197,7 @@ def constants_from_deltas(
     """
     p = locate(lat, u)
     guard = 100 * NEAR_POLE_FACTOR * lat.min_period
-    if any(nearest(lat, p, k)[0] < guard for k in range(4)):
+    if any(near(lat, p, k, guard) is not None for k in range(4)):
         raise PoleProximityError(
             f"constants_from_deltas needs u away from every half-period coset, got {u!r}"
         )

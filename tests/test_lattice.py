@@ -13,12 +13,16 @@ from weierzeta import (
     aux_zeta,
     build_lattice,
     constants,
+    default_suite,
     eisenstein_invariants,
     sigma_product,
     wp_lattice_sum,
     zeta_lattice_sum,
 )
-from weierzeta.errors import ConvergencePolicyError, InvalidPeriodRatio, ValueOverflow, ZeroPeriod
+from weierzeta.cli import main
+from weierzeta.errors import (
+    ConvergencePolicyError, InvalidPeriodRatio, ValueOverflow, WeierzetaError, ZeroPeriod,
+)
 from weierzeta import lattice
 from weierzeta.lattice import (
     cell_coords,
@@ -28,11 +32,11 @@ from weierzeta.lattice import (
     nearest_translate,
     reduce_to_cell,
 )
-from weierzeta.verify import POLE_GUARD
+from weierzeta.verify import POLE_GUARD, run_suite
 from weierzeta.theta import DEFAULT_CONFIG
 from weierzeta.weier_core import NEAR_POLE_FACTOR
 
-from conftest import REFERENCE_TAUS, make_lattice
+from conftest import REFERENCE_TAUS, count_calls, make_lattice
 
 PI = math.pi
 
@@ -220,6 +224,110 @@ def test_lattice_coset_guard_is_nearest_bit_for_bit(name, n, m, r, angle):
     assert list(map(repr, got)) == list(map(repr, want))
 
 
+def _near_radii(lat):
+    """Every radius a coset is tested at: the pole radius, verify's sampling
+    guard and the zones of the wp routes, where the record builds."""
+    radii = [NEAR_POLE_FACTOR * lat.min_period, POLE_GUARD * lat.min_period]
+    try:
+        radii += constants(lat).zones
+    except WeierzetaError:
+        pass
+    return radii
+
+
+def _near_agrees(lat, u):
+    """near answers every coset and radius at u as nearest's distance does,
+    with nearest's bits within the radius."""
+    p = locate(lat, u)
+    for k in range(4):
+        want = lattice.nearest(lat, p, k)
+        for r in _near_radii(lat):
+            got = lattice.near(lat, p, k, r)
+            if want[0] < r:
+                # repr round-trips every float and tells -0.0 from 0.0.
+                assert got is not None and list(map(repr, got)) == list(map(repr, want)), (u, k, r)
+            else:
+                assert got is None, (u, k, r)
+
+
+def _basis(re, im, scale, turn):
+    omega1 = scale * cmath.exp(2j * PI * turn)
+    return omega1, omega1 * complex(re, im)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    basis=st.sampled_from(sorted(BASES)).map(BASES.get)
+    | st.builds(
+        _basis, st.floats(-4, 4), st.floats(0.1, 40), st.floats(-3, 3).map(lambda e: 10.0**e), st.floats(0, 1)
+    ),
+    data=st.data(),
+)
+def test_near_is_nearest_below_the_radius(basis, data):
+    # The cell-coordinate rejection is conservative: on reference, skewed,
+    # thin (Im tau up to 40) and scaled cells, near agrees with nearest
+    # anywhere in and around the cell, at r*(1 +- 1e-12) from a coset point
+    # for every radius r and at its reach r + _SLACK*min_period, and at far
+    # points (cell coordinates up to 2^50, where near measures).
+    lat = build_lattice(*basis)
+    kind = data.draw(st.sampled_from(["cell", "radius", "reach", "far"]))
+    if kind == "cell":
+        u = 2 * data.draw(st.floats(-1, 2)) * lat.omega1 + 2 * data.draw(st.floats(-1, 2)) * lat.omega3
+    else:
+        size = 2 ** data.draw(st.integers(0, 50)) if kind == "far" else 3
+        n, m = data.draw(st.integers(-size, size)), data.draw(st.integers(-size, size))
+        # A zone can be larger than the cell (tall cells) or infinite.
+        r = data.draw(st.sampled_from([r for r in _near_radii(lat) if r < lat.min_period]))
+        if kind == "reach":
+            r += lattice._SLACK * lat.min_period
+        d = r * data.draw(st.sampled_from([0.0, 1 - 1e-12, 1.0, 1 + 1e-12]))
+        coset = data.draw(st.sampled_from(lat.offsets))
+        # Across a row of the cell the distance is the cell-coordinate bound.
+        rows = [1j * w / abs(w) for w in (lat.period1, lat.period3)]
+        step = data.draw(st.sampled_from(rows) | st.floats(0, 1).map(lambda t: cmath.exp(2j * PI * t)))
+        u = coset + 2 * n * lat.omega1 + 2 * m * lat.omega3 + d * step
+    _near_agrees(lat, u)
+
+
+def test_near_measures_every_distance_on_a_very_thin_cell():
+    # Past _ASPECT the rounding of the cell coordinates is not bounded by the
+    # slack, so the heights are zero and every test measures its distance.
+    lat = build_lattice(0.5, 0.5 * (1e5 + 0.1j))
+    assert lat.heights == (0.0, 0.0)
+    rng = random.Random(7)
+    for _ in range(20):
+        _near_agrees(lat, 2 * rng.uniform(-1, 2) * lat.omega1 + 2 * rng.uniform(-1, 2) * lat.omega3)
+    _near_agrees(lat, lat.omega3 + 1e-9 * lat.min_period)
+
+
+def test_run_suite_measures_few_coset_distances(monkeypatch):
+    # The sampler, the pole guard and the wp routes' zone tests reject by
+    # cell coordinates; on generic at n=20 only the few points within reach
+    # of a radius reach nearest (4, where every test measured 10,684).
+    calls = count_calls(monkeypatch, lattice.nearest)
+    run_suite(make_lattice("generic"), default_suite(), n=20, seed=12345)
+    assert len(calls) < 20
+
+
+def test_delta12_table_measures_no_far_point(monkeypatch, capsys):
+    # Every nearest call of the delta12 table is for a point within reach of
+    # the largest radius delta12 tests (its pole radius and the zone of
+    # omega3).  The grid holds delta12's poles on omega1 + lattice (twice)
+    # and omega2 + lattice, and its zeros 0 and omega3.
+    nearest = lattice.nearest
+    lat = make_lattice("generic")
+    calls = count_calls(monkeypatch, nearest)
+    argv = ["table", "--fn", "delta12", "--re=0:1:41", "--im=0:1.1:45", "--tau", "0.3,1.1", "--format", "csv"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row for row in rows if not row.endswith(",Finite")] == [
+        "0.5,0.0,,,AtPole", "0.65,0.55,,,NearPole", "0.8,1.1,,,AtPole",
+    ]
+    radius = max(NEAR_POLE_FACTOR * lat.min_period, constants(lat).zones[2])
+    assert calls
+    assert all(nearest(*args)[0] < 4 * radius for args in calls)
+
+
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_cell_geometry_is_built_with_the_lattice(name):
     # The fields hold what the per-point path computed from the half-periods.
@@ -228,6 +336,7 @@ def test_cell_geometry_is_built_with_the_lattice(name):
     assert (lat.period1, lat.period3) == (w1, w3)
     assert lat.area == w1.real * w3.imag - w1.imag * w3.real
     assert lat.min_period == min(abs(w1), abs(w3))
+    assert lat.heights == (abs(lat.area) / abs(w3), abs(lat.area) / abs(w1))
     assert lat.q4 == cmath.exp(0.25j * PI * lat.tau)
     assert lat.offsets == (0j, lat.omega1, lat.omega2, lat.omega3)
     assert [lat.half_period(k) for k in (1, 2, 3)] == [lat.omega1, lat.omega2, lat.omega3]
