@@ -3,15 +3,16 @@
 Exit codes: 0 success, 1 identity-suite failure, 2 usage error, 3 pole hit.
 Complex values are written "re,im" on the command line; the half-period
 keywords w1|w2|w3 (or omega1|...) are accepted for point arguments.  `eval`,
-`table` and `constants` load the function table alone; `verify` imports the
-identity suite (`weierzeta.verify`) when it runs.
+`table` and `constants` load the function table alone, which loads the kernel
+module of the function evaluated on first use; `verify` imports the identity
+suite (`weierzeta.verify`) when it runs.  `json` is imported where JSON is
+written (`_write_json`), so `table --format csv` never loads it.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import math
 import sys
 
@@ -82,6 +83,12 @@ def _value_json(r: EvalResult) -> dict:
     return {"value": [r.value.real, r.value.imag] if finite else None, "status": r.status.value}
 
 
+def _write_json(payload, **options) -> None:
+    import json  # here alone: the CSV outputs never load it
+
+    sys.stdout.write(json.dumps(payload, **options) + "\n")
+
+
 def _value_csv(r: EvalResult) -> str:
     """The CSV fields of a result, "re,im,status", the value empty unless Finite."""
     if r.status is _FINITE:
@@ -130,7 +137,7 @@ def cmd_eval(args) -> int:
     if args.format == "csv":
         sys.stdout.write(f"re_value,im_value,status\n{_value_csv(res)}\n")
     else:
-        sys.stdout.write(json.dumps(_value_json(res)) + "\n")
+        _write_json(_value_json(res))
     return 0 if res.status is Status.FINITE else 3
 
 
@@ -186,15 +193,13 @@ def cmd_table(args) -> int:
             lines += [f"{x}{im_txt}{_value_csv(next(rows))}\n" for x in re_txt]
         sys.stdout.write("".join(lines))
     else:
-        payload = [{"u": [re, im], **_value_json(next(rows))} for im in ims for re in res]
-        sys.stdout.write(json.dumps(payload) + "\n")
+        _write_json([{"u": [re, im], **_value_json(next(rows))} for im in ims for re in res])
     return 0
 
 
 def cmd_constants(args) -> int:
     lat, cfg = _build(args)
-    payload = constants_to_json(lat, constants(lat, cfg))
-    sys.stdout.write(json.dumps(payload) + "\n")
+    _write_json(constants_to_json(lat, constants(lat, cfg)))
     return 0
 
 
@@ -211,7 +216,7 @@ def cmd_verify(args) -> int:
             sys.stderr.write(f"verify: no identity matches {args.only!r}\n")
             return 2
     reports = run_suite(lat, suite, n=args.n, seed=args.seed, cfg=cfg)
-    sys.stdout.write(json.dumps(reports_to_json(reports), allow_nan=False) + "\n")
+    _write_json(reports_to_json(reports), allow_nan=False)
     return 0 if all(r.passed for r in reports) else 1
 
 

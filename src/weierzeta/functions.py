@@ -1,20 +1,42 @@
 """Function table: FUNCTIONS binds each public function name to its callable,
 its routes and its need for a second argument.  `eval` and `table` read it
 without loading the identity suite, which builds its sides on it too.
+
+The table names every entry, route and need for a second argument without
+loading a kernel module: `aux_zeta`, `zeta_diff` and `jacobi` each load at the
+first read of one of their names here, which `route` makes for an entry with
+routes and `run` for the others.  So a command loads only the layers its
+function evaluates.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .aux_zeta import ZetaRoute, _zeta_aux
-from .jacobi import _E_Z, _guarded_Pi, _record, _sn_cn_dn
 from .lattice import constants
 from .weier_core import _FINITE, EvalResult, _guarded, _sigma, _tuple_new, _wp, _wp_prime, _zeta_w
-from .zeta_diff import DeltaRoute, _delta, _delta2
 
 
-class Function(namedtuple("Function", "run routes needs_a", defaults=((), False))):
+class _Kernel:
+    """A kernel module before its first use here.  The first read of one of
+    its names imports it and binds it in this one's place, so every later
+    read is a plain module attribute read, which sees any rebinding of that
+    attribute."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getattr__(self, attr: str):
+        module = globals()[self.name] = __import__(self.name, globals(), None, (attr,), 1)
+        return getattr(module, attr)
+
+
+aux_zeta, zeta_diff, jacobi = _Kernel("aux_zeta"), _Kernel("zeta_diff"), _Kernel("jacobi")
+
+
+class Function(namedtuple("Function", "run route_names needs_a route_enum", defaults=((), False, None))):
     """One public function as `eval`, `table` and the suite call it.
 
     run(lat, lc, cfg, p, a, route) returns an EvalResult at the point p
@@ -24,19 +46,30 @@ class Function(namedtuple("Function", "run routes needs_a", defaults=((), False)
     lc (`table` looks it up once per command, the suite once per lattice),
     and looks it up itself only for lc None, after the pole guard where there
     is one (a Jacobi entry: before it, to refuse a degenerate lattice first).
-    `routes` holds the accepted routes, the default first.
+    `route_names` names the accepted routes, the default first, by their
+    member names in the route enum that `route_enum()` returns (reading it
+    loads the kernel module); `routes` holds the members.
     """
 
     __slots__ = ()
 
+    @property
+    def routes(self) -> tuple:
+        return tuple(getattr(self.route_enum(), n) for n in self.route_names)
+
     def route(self, name: str | None):
-        """The route called name, or the default for None; ValueError if
-        this function does not accept it."""
-        if name is None:
-            return self.routes[0] if self.routes else None
-        for r in self.routes:
-            if r.value == name:
-                return r
+        """The route whose value is name, or the default for None; ValueError
+        if this function does not accept it."""
+        if self.route_names:
+            enum = self.route_enum()
+            if name is None:
+                return getattr(enum, self.route_names[0])
+            for member in self.route_names:
+                r = getattr(enum, member)
+                if r._value_ == name:
+                    return r
+        elif name is None:
+            return None
         raise ValueError(f"route {name!r} not valid")
 
 
@@ -50,9 +83,7 @@ def _part(res: EvalResult, k: int) -> EvalResult:
 
 
 def _functions() -> dict:
-    zeta_routes = (ZetaRoute.THETA, ZetaRoute.SHIFT, ZetaRoute.QSERIES, ZetaRoute.PARTIAL_FRACTION)
-    delta_routes = (DeltaRoute.SIGMA_QUOTIENT, DeltaRoute.ZETA_DIFF, DeltaRoute.WP_QUOTIENT, DeltaRoute.THETA_QUOTIENT)
-    delta2_routes = (DeltaRoute.WP_QUOTIENT, DeltaRoute.ZETA_DIFF, DeltaRoute.SIGMA_QUOTIENT, DeltaRoute.THETA_QUOTIENT)
+    zeta_enum, delta_enum = lambda: aux_zeta.ZetaRoute, lambda: zeta_diff.DeltaRoute
     table = {
         "wp": Function(lambda lat, lc, cfg, p, *_: _guarded(_wp, lat, p, (0,), cfg, lc)),
         "wp_prime": Function(lambda lat, lc, cfg, p, *_: _guarded(_wp_prime, lat, p, (0,), cfg, lc)),
@@ -64,26 +95,36 @@ def _functions() -> dict:
         )
     for i in (1, 2, 3):
         table[f"zeta{i}"] = Function(
-            lambda lat, lc, cfg, p, a, r, i=i: _guarded(_zeta_aux, lat, p, (i,), cfg, lc, i, r), zeta_routes
+            lambda lat, lc, cfg, p, a, r, i=i: _guarded(aux_zeta._zeta_aux, lat, p, (i,), cfg, lc, i, r),
+            ("THETA", "SHIFT", "QSERIES", "PARTIAL_FRACTION"),
+            route_enum=zeta_enum,
         )
         table[f"delta{i}"] = Function(
-            lambda lat, lc, cfg, p, a, r, i=i: _guarded(_delta, lat, p, (0, i), cfg, lc, i, r), delta_routes
+            lambda lat, lc, cfg, p, a, r, i=i: _guarded(zeta_diff._delta, lat, p, (0, i), cfg, lc, i, r),
+            ("SIGMA_QUOTIENT", "ZETA_DIFF", "WP_QUOTIENT", "THETA_QUOTIENT"),
+            route_enum=delta_enum,
         )
     for i, j in ((1, 2), (2, 3), (3, 1)):
         table[f"delta{i}{j}"] = Function(
-            lambda lat, lc, cfg, p, a, r, i=i, j=j: _guarded(_delta2, lat, p, (i, j), cfg, lc, i, j, r),
-            delta2_routes,
+            lambda lat, lc, cfg, p, a, r, i=i, j=j: _guarded(zeta_diff._delta2, lat, p, (i, j), cfg, lc, i, j, r),
+            ("WP_QUOTIENT", "ZETA_DIFF", "SIGMA_QUOTIENT", "THETA_QUOTIENT"),
+            route_enum=delta_enum,
         )
     for k, name in enumerate(("sn", "cn", "dn")):
         table[name] = Function(
-            lambda lat, lc, cfg, p, *_, k=k: _part(_guarded(_sn_cn_dn, lat, p, (3,), cfg, _record(lat, lc, cfg).jacobi), k)
+            lambda lat, lc, cfg, p, *_, k=k: _part(
+                _guarded(jacobi._sn_cn_dn, lat, p, (3,), cfg, jacobi._record(lat, lc, cfg).jacobi), k
+            )
         )
     for k, name in enumerate(("E", "Z")):
         table[name] = Function(
-            lambda lat, lc, cfg, p, *_, k=k: _part(_guarded(_E_Z, lat, p, (3,), cfg, _record(lat, lc, cfg)), k)
+            lambda lat, lc, cfg, p, *_, k=k: _part(
+                _guarded(jacobi._E_Z, lat, p, (3,), cfg, jacobi._record(lat, lc, cfg)), k
+            )
         )
     table["Pi"] = Function(
-        lambda lat, lc, cfg, p, a, r: _part(_guarded_Pi(lat, lc, p, cfg, 0j if a is None else a), 2), needs_a=True
+        lambda lat, lc, cfg, p, a, r: _part(jacobi._guarded_Pi(lat, lc, p, cfg, 0j if a is None else a), 2),
+        needs_a=True,
     )
     return table
 

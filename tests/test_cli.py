@@ -474,6 +474,13 @@ def loads_numpy(modules) -> bool:
     return any(m == "numpy" or m.startswith("numpy.") for m in modules)
 
 
+KERNEL_MODULES = {"weierzeta.aux_zeta", "weierzeta.zeta_diff", "weierzeta.jacobi"}
+
+
+def package_modules(modules) -> set:
+    return {m for m in modules if m.startswith("weierzeta.")}
+
+
 # The records are named tuples: start-up builds no dataclass, whose module
 # pulls in inspect and execs generated methods for each class.
 DATACLASS_IMPORTS = {"dataclasses", "inspect"}
@@ -505,18 +512,51 @@ def test_commands_start_without_numpy(argv):
 
 
 def test_package_import_without_numpy():
+    # The package namespace is lazy: importing it loads no submodule.
     rc, _, modules = run_fresh("-c", "import weierzeta")
     assert rc == 0 and "weierzeta" in modules
-    assert "weierzeta.verify" not in modules
+    assert not package_modules(modules)
     assert not loads_numpy(modules)
     assert not DATACLASS_IMPORTS & modules
+
+
+def table_csv_modules(*argv) -> set:
+    rc, out, modules = run_fresh("-m", "weierzeta.cli", "table", *argv, *GRID, "--format", "csv")
+    assert rc == 0 and len(out.splitlines()) == 10
+    return modules
+
+
+def test_table_csv_of_wp_loads_no_other_layer_and_no_json():
+    modules = table_csv_modules("--fn", "wp")
+    assert "weierzeta.functions" in modules
+    assert not (KERNEL_MODULES | {"weierzeta.verify", "json"}) & modules
+
+
+@pytest.mark.parametrize(
+    "argv, kernel",
+    [
+        (["--fn", "zeta2", "--route", "qseries"], "weierzeta.aux_zeta"),
+        (["--fn", "delta12"], "weierzeta.zeta_diff"),
+        (["--fn", "sn"], "weierzeta.jacobi"),
+    ],
+    ids=["zeta2", "delta12", "sn"],
+)
+def test_table_csv_adds_only_the_kernel_module_it_evaluates(argv, kernel):
+    wp = package_modules(table_csv_modules("--fn", "wp"))
+    assert package_modules(table_csv_modules(*argv)) - wp == {kernel}
+
+
+def test_list_fns_loads_no_kernel_module():
+    rc, out, modules = run_fresh("-m", "weierzeta.cli", "eval", "--list-fns")
+    assert rc == 0 and sorted(out.split()) == sorted(FUNCTIONS)
+    assert not (KERNEL_MODULES | {"weierzeta.verify"}) & modules
 
 
 def test_verify_loads_the_suite():
     rc, out, modules = run_fresh("-m", "weierzeta.cli", "verify", "--n", "3", "--only", "cor212_*")
     assert rc == 0
     assert [r["name"] for r in json.loads(out)] == ["cor212_row_r1", "cor212_row_r2", "cor212_row_r3"]
-    assert "weierzeta.verify" in modules
+    assert KERNEL_MODULES | {"weierzeta.verify", "json"} <= modules
 
 
 @pytest.mark.parametrize(
@@ -532,6 +572,65 @@ def test_suite_names_resolve_to_the_suite_module(name):
 def test_unknown_package_attribute_raises():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         weierzeta.no_such_name
+
+
+# Each public name of the package by the module that defines it.
+PUBLIC_NAMES = {
+    "errors": [
+        "BranchAmbiguity", "ConvergencePolicyError", "DegenerateLattice", "IdenticalIndices",
+        "InvalidPeriodRatio", "NearZeroDenominator", "PoleProximityError", "SeriesDivergence",
+        "SuiteConfigError", "ValueOverflow", "WeierzetaError", "ZeroPeriod",
+    ],
+    "theta": ["DEFAULT_CONFIG", "HALF_PERIOD_THETA", "SeriesConfig", "theta_dlog", "theta_eval", "theta_nullwerte"],
+    "lattice": [
+        "Lattice", "LatticeConstants", "build_lattice", "complement", "constants", "constants_to_json",
+        "eisenstein_invariants", "reduce_to_cell",
+    ],
+    "weier_core": [
+        "EvalResult", "Status", "sigma", "sigma_aux", "sigma_product", "wp", "wp_lattice_sum", "wp_prime",
+        "zeta_lattice_sum", "zeta_w",
+    ],
+    "aux_zeta": ["ZetaRoute", "zeta_aux"],
+    "zeta_diff": [
+        "DeltaConstants", "DeltaRoute", "constants_from_deltas", "delta", "delta2", "delta2_prime", "delta_prime",
+    ],
+    "jacobi": ["JacobiParams", "agm_complete_integrals", "jacobi_E_Z", "jacobi_E_Z_Pi", "jacobi_params", "sn_cn_dn"],
+    "verify": ["IdentityReport", "IdentitySpec", "default_suite", "report_to_json", "reports_to_json", "run_suite"],
+}
+
+
+def test_package_lists_its_57_public_names():
+    names = [n for ns in PUBLIC_NAMES.values() for n in ns]
+    assert len(set(names)) == len(names) == 57
+    assert sorted(weierzeta.__all__) == sorted(names)
+    assert set(names) <= set(dir(weierzeta))
+
+
+def test_public_names_are_their_modules_attributes():
+    for module, names in PUBLIC_NAMES.items():
+        for name in names:
+            assert getattr(weierzeta, name) is getattr(sys.modules[f"weierzeta.{module}"], name), name
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from weierzeta import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(weierzeta.__all__)
+    assert all(namespace[n] is getattr(weierzeta, n) for n in namespace)
+
+
+def test_public_name_is_stored_in_the_package_on_first_access():
+    code = (
+        "import weierzeta\n"
+        "for name in ('wp', 'run_suite'):\n"
+        "    before = name in vars(weierzeta)\n"
+        "    getattr(weierzeta, name)\n"
+        "    print(name, before, vars(weierzeta).get(name) is getattr(weierzeta, name))\n"
+    )
+    rc, out, _ = run_fresh("-c", code)
+    assert rc == 0
+    assert out.splitlines() == ["wp False True", "run_suite False True"]
 
 
 def test_verify_and_partialfrac_eval_load_no_numpy():
