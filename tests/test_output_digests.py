@@ -7,6 +7,8 @@ lattice within rounding) omega3, and `eval` at a regular point, at 0, next
 to 0 and at the half-periods, in both formats.  Each digest covers the
 command line, the exit code, stdout and stderr of every command.  A change
 to any evaluation path that moves one byte of output fails here.
+The benchmark's four `table` commands are pinned on its full 81 x 89 grid,
+which passes next to far more coset and zone edges than the small grids.
 `verify --n 20 --seed 12345` is pinned on the five reference lattices and
 at tau = 8i, where half the identities fail.
 """
@@ -42,8 +44,12 @@ def _commands(lattice: str, name: str, route: str | None) -> list[list[str]]:
 
 
 def digest(lattice: str, name: str, route: str | None) -> str:
+    return _digest(_commands(lattice, name, route))
+
+
+def _digest(commands) -> str:
     h = hashlib.sha256()
-    for argv in _commands(lattice, name, route):
+    for argv in commands:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             rc = main(argv)
@@ -171,6 +177,27 @@ def test_output_bytes(lattice, name, route):
 
 def test_every_case_has_a_digest():
     assert set(DIGESTS) == set(_cases())
+
+
+# The benchmark's `table_grid` commands: one period cell of the generic
+# lattice on the 0.0125 grid, from the origin bench/common.py draws for seed 1,
+# so every pole coset lies on the grid.
+BENCH_GRID = ["--re=-0.28750000000000003:0.7124999999999999:81", "--im=0.5375:1.6375000000000002:89"]
+BENCH_ROUTES = {"wp": [], "zeta2": ["--route", "qseries"], "delta12": [], "sn": []}
+
+# Recorded at commit be23457.
+BENCH_DIGESTS = {
+    "wp": "305660eb07e2c886aff1b8b27da72e1fc4df629a2fcfa86a2f2c44ee7e4a8126",
+    "zeta2": "d8bb52b18f847d882866e7ba096ba1454abc300dd3fea085dba0fbfbf5f259c6",
+    "delta12": "2681dac5b70f020ba1ce0d6bd8c1c0c46ec428260fa5a79c8750cf79172085bc",
+    "sn": "3616b90f89469b6762166615ac914993de53ff51df4be5311d0b76fdf3e7f113",
+}
+
+
+@pytest.mark.parametrize("name", list(BENCH_ROUTES))
+def test_benchmark_table_bytes(name):
+    argv = ["table", "--fn", name, *BENCH_GRID, "--tau", "0.3,1.1", "--format", "csv", *BENCH_ROUTES[name]]
+    assert _digest([argv]) == BENCH_DIGESTS[name]
 
 
 def test_pole_guard_runs_before_an_overflowing_record():
