@@ -65,6 +65,11 @@ class ZetaRoute(enum.Enum):
     PARTIAL_FRACTION = "partialfrac"
 
 
+# The members in definition order, read once for `_zeta_aux`'s per-point
+# tests: on Python 3.11 a ZetaRoute.X read goes through EnumType.__getattr__.
+_SHIFT, _THETA, _QSERIES, _PARTIAL_FRACTION = ZetaRoute
+
+
 def zeta_aux(
     lat: Lattice,
     lam: int,
@@ -78,13 +83,13 @@ def zeta_aux(
 
 
 def _zeta_aux(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int, route, form="exp"):
-    if route is ZetaRoute.SHIFT:
+    if route is _SHIFT:
         return _shift(lat, lc, lam, p.u, cfg)
-    if route is ZetaRoute.THETA:
+    if route is _THETA:
         return _theta_zeta(lat, lc, p, cfg, lam)[0]
-    if route is ZetaRoute.QSERIES:
+    if route is _QSERIES:
         return _qseries(lat, lc, lam, p, cfg, form)
-    if route is ZetaRoute.PARTIAL_FRACTION:
+    if route is _PARTIAL_FRACTION:
         return _partialfrac(lat, lc, lam, p, cfg)
     raise ValueError(f"unknown route {route!r}")
 

@@ -31,6 +31,10 @@ PI = math.pi
 # Largest nome |q| build_lattice accepts.
 Q_MAX = 0.9
 
+# The pole radius: a point within NEAR_POLE_FACTOR * min_period of a pole
+# coset is at or near a pole.
+NEAR_POLE_FACTOR = 1e-8
+
 # Theta index of the lattice (0) and of each half-period coset omega_1,
 # omega_2, omega_3: the one place where half-period labels meet theta
 # indices.  The nullwerte and every theta pass (weier_core._thetas) are held
@@ -54,7 +58,8 @@ def complement(lam: int) -> tuple[int, int]:
 
 
 class Lattice(namedtuple(
-    "Lattice", "omega1 omega3 omega2 tau q period1 period3 area min_period heights q4 offsets"
+    "Lattice",
+    "omega1 omega3 omega2 tau q period1 period3 area min_period heights q4 offsets pole_radius pole_reach",
 )):
     """Immutable period lattice with its ratio and nome, and the geometry
     every located point reads, built once by `build_lattice`: the periods
@@ -63,8 +68,9 @@ class Lattice(namedtuple(
     and |area|/|2*omega1| (the spacing of its rows along each period),
     which `near` rejects distant points by, or (0, 0) on a cell where
     `near`'s margin does not hold, q^(1/4) = exp(i*pi*tau/4) for the theta
-    pass, and the coset offsets (0, omega1, omega2, omega3) by half-period
-    index."""
+    pass, the coset offsets (0, omega1, omega2, omega3) by half-period
+    index, and the pole radius NEAR_POLE_FACTOR * min_period with its
+    `reach`, which every pole guard reads."""
 
     __slots__ = ()
 
@@ -108,14 +114,16 @@ def build_lattice(omega1: complex, omega3: complex) -> Lattice:
     if not math.isfinite(area):
         raise ValueOverflow(f"the area of the cell of periods {w1!r}, {w3!r} overflows")
     omega2 = -(omega1 + omega3)
+    min_period = min(abs(w1), abs(w3))
+    pole_radius = NEAR_POLE_FACTOR * min_period
     heights = (abs(area) / abs(w3), abs(area) / abs(w1))
     lengths = abs(w1) + abs(w3)
     if not (2.0**-300 < min(heights) and lengths <= _ASPECT * min(heights) and lengths < 2.0**300):
         heights = (0.0, 0.0)  # `near` measures every distance
     return Lattice(
         omega1=omega1, omega3=omega3, omega2=omega2, tau=tau, q=q, period1=w1, period3=w3,
-        area=area, min_period=min(abs(w1), abs(w3)), heights=heights, q4=q4,
-        offsets=(0j, omega1, omega2, omega3),
+        area=area, min_period=min_period, heights=heights, q4=q4, offsets=(0j, omega1, omega2, omega3),
+        pole_radius=pole_radius, pole_reach=reach(pole_radius, min_period),
     )
 
 
@@ -129,20 +137,24 @@ def cell_coords(lat: Lattice, u: complex) -> tuple[float, float]:
 
 class Located:
     """A located point, made by `locate` alone: u = 2*alpha*omega1 +
-    2*beta*omega3 = u_red + 2*n*omega1 + 2*m*omega3, and the theta pass at
-    u_red, which `weier_core._thetas` fills on first use (None until then).
-    The pass belongs to one series config, so a located point serves the
-    one (lattice, config) its caller evaluates on."""
+    2*beta*omega3 = u_red + 2*n*omega1 + 2*m*omega3, the reduced gaps
+    |alpha - n| and |beta - m| that `near` reads (None for a far point,
+    which `near` always measures), and the theta pass at u_red, which
+    `weier_core._thetas` fills on first use (None until then).  The pass
+    belongs to one series config, so a located point serves the one
+    (lattice, config) its caller evaluates on."""
 
-    __slots__ = ("u", "alpha", "beta", "u_red", "n", "m", "thetas", "__weakref__")
+    __slots__ = ("u", "alpha", "beta", "u_red", "n", "m", "gap_alpha", "gap_beta", "thetas", "__weakref__")
 
-    def __init__(self, u: complex, alpha: float, beta: float, u_red: complex, n: int, m: int):
+    def __init__(self, u: complex, alpha: float, beta: float, u_red: complex, n: int, m: int, gap_alpha, gap_beta):
         self.u = u
         self.alpha = alpha
         self.beta = beta
         self.u_red = u_red
         self.n = n
         self.m = m
+        self.gap_alpha = gap_alpha
+        self.gap_beta = gap_beta
         self.thetas = None
 
 
@@ -152,22 +164,27 @@ _COORD_LIMIT = 2.0**52
 
 
 def locate(lat: Lattice, u: complex) -> Located:
-    """The one placement of u behind every evaluator: the cell coordinates the
-    guard and the zone tests read, and from their rounding the reduction the
-    theta pass reads (u_red with cell coordinates in [-1/2, 1/2]).  Cell
-    coordinates that are not finite or reach _COORD_LIMIT in size, where no
-    digit of the reduction is left, raise ValueOverflow."""
+    """The one placement of u behind every evaluator: the cell coordinates,
+    and from their rounding the reduction the theta pass reads (u_red with
+    cell coordinates in [-1/2, 1/2]) and the gaps |alpha - n|, |beta - m|
+    every coset test of the point reads (`near`), taken here once with the
+    far-point test.  Cell coordinates that are not finite or reach
+    _COORD_LIMIT in size, where no digit of the reduction is left, raise
+    ValueOverflow."""
     w1, w3, det = lat.period1, lat.period3, lat.area  # `cell_coords`, written out
     alpha = (u.real * w3.imag - u.imag * w3.real) / det
     beta = (w1.real * u.imag - w1.imag * u.real) / det
+    size_alpha, size_beta = abs(alpha), abs(beta)
     try:
-        if not (abs(alpha) < _COORD_LIMIT and abs(beta) < _COORD_LIMIT):
+        if not (size_alpha < _COORD_LIMIT and size_beta < _COORD_LIMIT):
             raise OverflowError
         n, m = round(alpha), round(beta)
         u_red = u - 2 * n * lat.omega1 - 2 * m * lat.omega3
     except OverflowError:
         raise ValueOverflow(f"the cell coordinates of u = {u!r} are too large to reduce") from None
-    return Located(u, alpha, beta, u_red, n, m)
+    if size_alpha + size_beta < _FAR_CELLS:
+        return Located(u, alpha, beta, u_red, n, m, abs(alpha - n), abs(beta - m))
+    return Located(u, alpha, beta, u_red, n, m, None, None)
 
 
 def reduce_to_cell(lat: Lattice, u: complex) -> tuple[complex, int, int]:
@@ -207,32 +224,41 @@ def nearest(lat: Lattice, p: Located, k: int) -> tuple[float, complex]:
     return abs(p.u - pt), pt
 
 
-# `near` rejects by cell coordinates only for |alpha| + |beta| < _FAR_CELLS,
-# on cells with |2*omega1| + |2*omega3| <= _ASPECT * min(heights)
-# (`build_lattice` zeroes the heights of any other), and with _SLACK
-# min_periods added to the radius; `near` derives the margin.
+# `near` rejects by cell coordinates only for |alpha| + |beta| < _FAR_CELLS
+# (`locate` gives a far point no gaps), on cells with |2*omega1| +
+# |2*omega3| <= _ASPECT * min(heights) (`build_lattice` zeroes the heights of
+# any other), and with _SLACK min_periods added to the radius (`reach`);
+# `near` derives the margin.
 _FAR_CELLS = 2.0**16
 _ASPECT = 2.0**16
 _SLACK = 2.0**-16
+
+
+def reach(r: float, min_period: float) -> float:
+    """r + _SLACK*min_period, within which `near` measures a distance; its
+    owner takes it once per radius (`build_lattice`, `constants`)."""
+    return r + _SLACK * min_period
+
 
 # The distance of each coset's cell coordinates from the nearest integers:
 # 0 or 1/2.
 _HALF_GAP = tuple((abs(a), abs(b)) for a, b in _HALF_CELL)
 
 
-def near(lat: Lattice, p: Located, k: int, r: float) -> tuple[float, complex] | None:
+def near(lat: Lattice, p: Located, k: int, r: float, r_reach: float) -> tuple[float, complex] | None:
     """Is the located point p within r of omega_k + lattice?  `nearest`'s
     (dist, translate) when dist < r, else None; `nearest` runs only for a
-    point within reach.
+    point within r_reach = `reach`(r, min_period), which the caller takes
+    once per radius (`Lattice.pole_reach`, `LatticeConstants.zone_reaches`).
 
     With (a, b) omega_k's cell coordinates, every point of the coset is
     u - (alpha - a - n)*2*omega1 - (beta - b - m)*2*omega3 for integers n,
     m, so its distance from u is at least |alpha - a - n| * h1 and
     |beta - b - m| * h3, (h1, h3) = `heights`: at least g*h, g the gap from
     alpha - a (or beta - b) to the nearest integer, read from the point's
-    reduced coordinate as | |alpha - p.n| - |a| |.  A point with
-    g*h >= r + _SLACK*min_period is rejected, since then `nearest`'s
-    distance, to whichever translate it rounds to, is at least r.
+    reduced gap |alpha - p.n| (`locate` stores it) as | |alpha - p.n| - |a| |.
+    A point with g*h >= r + _SLACK*min_period is rejected, since then
+    `nearest`'s distance, to whichever translate it rounds to, is at least r.
 
     The margin.  With eps = 2^-53, W = |2*omega1| + |2*omega3| and |alpha| +
     |beta| < F = _FAR_CELLS (so |n|, |m| <= F + 1 for any translate
@@ -249,14 +275,14 @@ def near(lat: Lattice, p: Located, k: int, r: float) -> tuple[float, complex] | 
     16*eps*(F + 2)*_ASPECT*min_period < _SLACK*min_period.  `build_lattice`
     also keeps the heights within [2^-300, 2^300], where every product is
     a normal number or its underflow is far below the slack.  A far point
-    (|alpha| + |beta| >= F) and a cell with zero heights always measure the
-    distance."""
-    alpha, beta = p.alpha, p.beta
-    if abs(alpha) + abs(beta) < _FAR_CELLS:
+    (|alpha| + |beta| >= F, which `locate` gives no gaps) and a cell with zero
+    heights always measure the distance.  The gaps and the reach are these
+    expressions, each evaluated once, so the margin holds as derived."""
+    gap_alpha = p.gap_alpha
+    if gap_alpha is not None:
         a, b = _HALF_GAP[k]
         h1, h3 = lat.heights
-        reach = r + _SLACK * lat.min_period
-        if abs(a - abs(alpha - p.n)) * h1 >= reach or abs(b - abs(beta - p.m)) * h3 >= reach:
+        if abs(a - gap_alpha) * h1 >= r_reach or abs(b - p.gap_beta) * h3 >= r_reach:
             return None
     hit = nearest(lat, p, k)
     return hit if hit[0] < r else None
@@ -351,7 +377,7 @@ def agm_complete_integrals(ksq: complex, kpsq: complex) -> tuple[complex, comple
 class LatticeConstants(namedtuple(
     "LatticeConstants",
     "e1 e2 e3 ediffs eta1 eta2 eta3 g2 g3 disc ksq kpsq nullwerte nullwert_prime jacobi"
-    " sigma_factor zones degenerate",
+    " sigma_factor zones zone_reaches degenerate",
 )):
     """Per-lattice state: half-period values and their differences, elliptic
     invariants, squared moduli, the theta nullwerte every evaluation divides
@@ -371,6 +397,7 @@ class LatticeConstants(namedtuple(
     wp - e_k ~ A_k d^2 with A_k = (e_k - e_i)(e_k - e_j), so the forms lose
     about eps*max|e|/(|A_k| d^2) to rounding, and within ten times that
     against bench/reference.py; the zone ends where ten times it is 1e-9.
+    `zone_reaches[k - 1]` is that zone's `reach`, which `near` reads.
     `degenerate` is true when `jacobi_params` refuses the lattice:
     |disc| <= 1e-10 * max(|g2|^3, 27 |g3|^2).  Both are taken on the e
     differences scaled by 2^-2k, 2k the even number at or below the binary
@@ -455,6 +482,7 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
         e1=e1, e2=e2, e3=e3, ediffs=(d23, d13, d12), eta1=eta1, eta2=eta2, eta3=eta3,
         g2=g2, g3=g3, disc=disc, ksq=ksq, kpsq=kpsq,
         nullwerte=nw, nullwert_prime=tp, jacobi=jacobi, sigma_factor=sigma_factor, zones=zones,
+        zone_reaches=tuple(reach(z, lat.min_period) for z in zones),
         degenerate=abs(discs) <= 1e-10 * max(abs(g2s) ** 3, 27 * abs(g3s) ** 2, 1e-300),
     )
 

@@ -16,11 +16,11 @@ import math
 import random
 from collections import namedtuple
 
-from .aux_zeta import ZetaRoute, _zeta_aux
+from .aux_zeta import _QSERIES, _zeta_aux
 from .errors import SuiteConfigError, WeierzetaError
 from .functions import FUNCTIONS
 from .jacobi import _record, _sn_cn_dn
-from .lattice import Lattice, Located, complement, constants, locate, near
+from .lattice import Lattice, Located, complement, constants, locate, near, reach
 from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import _guarded, _thetas, _val
 from .zeta_diff import _delta2_prime, _delta_prime
@@ -79,7 +79,9 @@ class _Ctx:
     distinct u (`at`), seeded with the sample points as `_sample_points`
     located them, so every side that reads u shares its one location and its
     theta pass.  run_suite empties both at each identity.  A call that raises
-    stores no value and raises again when repeated.
+    stores no value and raises again when repeated.  `entries` holds each
+    (name, route name) resolved to its table entry's run and route member
+    (`entry`), for the whole run.
     """
 
     def __init__(self, lat: Lattice, cfg: SeriesConfig):
@@ -88,6 +90,7 @@ class _Ctx:
         self.lc = constants(lat, cfg)
         self.memo = {}
         self.points = {}
+        self.entries = {}
 
     @property
     def jp(self):
@@ -98,8 +101,16 @@ class _Ctx:
         key = (name, route, u)
         if key in self.memo:
             return self.memo[key]
-        f = FUNCTIONS[name]
-        return self.evaluate(key, f.run, f.route(route))
+        return self.evaluate(key, *self.entry(name, route))
+
+    def entry(self, name: str, route: str | None) -> tuple:
+        """(run, route member) of the table function name on route, resolved
+        on first use; ValueError for a route it does not accept."""
+        found = self.entries.get((name, route))
+        if found is None:
+            f = FUNCTIONS[name]
+            found = self.entries[name, route] = (f.run, f.route(route))
+        return found
 
     def evaluate(self, key: tuple, run, route) -> complex:
         """Value of key = (name, route name, u) by the table entry's run on
@@ -193,7 +204,7 @@ def _register_all() -> None:
     # ---- auxiliary zeta routes ----------------------------------------------
     for lam in (1, 2, 3):
         _ev(f"zeta{lam}_qcos")(
-            lambda c, u, i=lam: _val(_guarded(_zeta_aux, c.lat, c.at(u), (i,), c.cfg, c.lc, i, ZetaRoute.QSERIES, "cos"))
+            lambda c, u, i=lam: _val(_guarded(_zeta_aux, c.lat, c.at(u), (i,), c.cfg, c.lc, i, _QSERIES, "cos"))
         )
 
     quasi_pairs = {(1, 1), (2, 3), (3, 2)}
@@ -596,6 +607,7 @@ def _sample_points(lat: Lattice, rng: random.Random, arity: int, single, pair) -
     w each z + sign*w of pair from its coset: the located sample points,
     followed by the located z + sign*w.  Each point is located once."""
     guard = POLE_GUARD * lat.min_period
+    guard_reach = reach(guard, lat.min_period)
     for _ in range(10_000):
         located = []
         for _ in range(arity):
@@ -608,28 +620,28 @@ def _sample_points(lat: Lattice, rng: random.Random, arity: int, single, pair) -
                 located.append(locate(lat, z + sign * w))
                 tests.append((located[-1], k))
         for p, k in tests:
-            if near(lat, p, k, guard) is not None:
+            if near(lat, p, k, guard, guard_reach) is not None:
                 break
         else:
             return located
     raise SuiteConfigError("could not sample a guarded point after 10000 tries")
 
 
-def _side(spec: IdentitySpec, name: str):
+def _side(ctx: _Ctx, spec: IdentitySpec, name: str):
     """The evaluator for one side of spec: a table function, written `name`
-    or `name:route`, or an EVALUATORS entry."""
+    or `name:route` and resolved by the run's context, or an EVALUATORS
+    entry."""
     fn, _, route = name.partition(":")
     if fn in FUNCTIONS:
         route = route or None
-        f = FUNCTIONS[fn]
         try:
-            resolved = f.route(route)
+            run, resolved = ctx.entry(fn, route)
         except ValueError:
             raise SuiteConfigError(f"{spec.name}: route {route!r} not valid for {fn!r}") from None
 
         def side(c, u):
             key = (fn, route, u)
-            return c.memo[key] if key in c.memo else c.evaluate(key, f.run, resolved)
+            return c.memo[key] if key in c.memo else c.evaluate(key, run, resolved)
 
         return side
     try:
@@ -664,7 +676,7 @@ def run_suite(
     for index, spec in enumerate(suite):
         ctx.memo.clear()
         ctx.points.clear()
-        lhs, rhs = _side(spec, spec.lhs), _side(spec, spec.rhs)
+        lhs, rhs = _side(ctx, spec, spec.lhs), _side(ctx, spec, spec.rhs)
         if spec.arity not in (1, 2):
             raise SuiteConfigError(f"{spec.name}: arity must be 1 or 2")
         single, pair = _exclusion_cosets(spec.exclusions)

@@ -23,8 +23,9 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .errors import NearZeroDenominator, PoleProximityError, ValueOverflow
-from .lattice import (
+from .lattice import (  # NEAR_POLE_FACTOR stays importable from here
     HALF_PERIOD_ORDER,
+    NEAR_POLE_FACTOR,
     Lattice,
     LatticeConstants,
     Located,
@@ -37,8 +38,6 @@ from .lattice import (
     near,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig, _theta4
-
-NEAR_POLE_FACTOR = 1e-8
 
 _NAN = complex(float("nan"), float("nan"))
 
@@ -70,12 +69,12 @@ class EvalResult(namedtuple("EvalResult", "value status pole", defaults=(None,))
 def pole_status(lat: Lattice, p: Located, cosets) -> EvalResult | None:
     """The EvalResult for the located point p at/near a pole, else None:
     each pole coset, a half-period index (0 for the lattice), is tested once
-    against NEAR_POLE_FACTOR * min_period by `lattice.near`, which rejects a
-    point whose cell coordinates keep it a margin beyond that radius and
-    measures the `lattice.nearest` distance of any other."""
-    radius = NEAR_POLE_FACTOR * lat.min_period
+    against the lattice's pole radius and reach by `lattice.near`, which
+    rejects a point whose gaps (taken by `locate`) keep it a margin beyond
+    that radius and measures the `lattice.nearest` distance of any other."""
+    radius, r_reach = lat.pole_radius, lat.pole_reach
     for k in cosets:
-        hit = near(lat, p, k, radius)
+        hit = near(lat, p, k, radius, r_reach)
         if hit is not None:
             dist, translate = hit
             return EvalResult(_NAN, Status.AT_POLE if dist == 0.0 else Status.NEAR_POLE, translate)

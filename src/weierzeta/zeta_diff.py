@@ -32,10 +32,10 @@ from collections import namedtuple
 
 from .errors import IdenticalIndices, PoleProximityError
 from .lattice import (
-    Lattice, LatticeConstants, Located, check_index, complement, constants, locate, near,
+    NEAR_POLE_FACTOR, Lattice, LatticeConstants, Located, check_index, complement, constants, locate, near, reach,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import NEAR_POLE_FACTOR, EvalResult, _guarded, _sigmas, _theta_zeta, _thetas, _wp_pair
+from .weier_core import EvalResult, _guarded, _sigmas, _theta_zeta, _thetas, _wp_pair
 
 PI = math.pi
 
@@ -45,6 +45,11 @@ class DeltaRoute(enum.Enum):
     WP_QUOTIENT = "wp"
     SIGMA_QUOTIENT = "sigma"
     THETA_QUOTIENT = "theta"
+
+
+# The members in definition order, read once for the kernels' per-point
+# tests: on Python 3.11 a DeltaRoute.X read goes through EnumType.__getattr__.
+_ZETA_DIFF, _WP_QUOTIENT, _SIGMA_QUOTIENT, _THETA_QUOTIENT = DeltaRoute
 
 
 def delta(
@@ -62,16 +67,16 @@ def delta(
 def _delta(
     lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int, route: DeltaRoute
 ) -> complex:
-    if route is DeltaRoute.ZETA_DIFF:
+    if route is _ZETA_DIFF:
         z, z_lam = _theta_zeta(lat, lc, p, cfg, 0, lam)
         return z_lam - z
-    if route is DeltaRoute.WP_QUOTIENT and near(lat, p, lam, lc.zones[lam - 1]) is None:
+    if route is _WP_QUOTIENT and near(lat, p, lam, lc.zones[lam - 1], lc.zone_reaches[lam - 1]) is None:
         # Outside the zone where wp - e_lam cancels; the sigma form serves inside.
         wp_, wpp = _wp_pair(lat, lc, p, cfg)
         return 0.5 * wpp / (wp_ - lc.e(lam))
-    if route is DeltaRoute.WP_QUOTIENT or route is DeltaRoute.SIGMA_QUOTIENT:
+    if route is _WP_QUOTIENT or route is _SIGMA_QUOTIENT:
         return _delta_sigma(_sigmas(lat, lc, p, cfg), lam)
-    if route is DeltaRoute.THETA_QUOTIENT:
+    if route is _THETA_QUOTIENT:
         # A nullwerte constant times a quotient of four thetas; the minus sign
         # is fixed by the -1/u behaviour at the origin.
         mu, nu = complement(lam)
@@ -123,10 +128,10 @@ def _delta2(
     lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int, mu: int, route: DeltaRoute
 ) -> complex:
     nu = 6 - lam - mu
-    if route is DeltaRoute.ZETA_DIFF:
+    if route is _ZETA_DIFF:
         z_lam, z_mu = _theta_zeta(lat, lc, p, cfg, lam, mu)
         return z_lam - z_mu
-    if route is DeltaRoute.THETA_QUOTIENT:
+    if route is _THETA_QUOTIENT:
         # The theta image of the sigma form, negated for lam < mu: there
         # e_lam - e_mu = (pi/2 omega1)^2 theta_nu(0)^4 (how `constants` builds
         # the e's), and Jacobi's theta'(0) = pi theta_1(0) theta_2(0) theta_3(0)
@@ -138,13 +143,13 @@ def _delta2(
         # The wp form has removable 0/0 points at its zeros: at u = 0, refused
         # within the pole radius like wp itself, and at u = omega_nu, where
         # wp - e_nu cancels; the sigma form serves around them.
-        route is DeltaRoute.WP_QUOTIENT
-        and near(lat, p, 0, NEAR_POLE_FACTOR * lat.min_period) is None
-        and near(lat, p, nu, lc.zones[nu - 1]) is None
+        route is _WP_QUOTIENT
+        and near(lat, p, 0, lat.pole_radius, lat.pole_reach) is None
+        and near(lat, p, nu, lc.zones[nu - 1], lc.zone_reaches[nu - 1]) is None
     ):
         wp_, wpp = _wp_pair(lat, lc, p, cfg)
         return 2 * lc.ediff(lam, mu) * (wp_ - lc.e(nu)) / wpp
-    if route is DeltaRoute.WP_QUOTIENT or route is DeltaRoute.SIGMA_QUOTIENT:
+    if route is _WP_QUOTIENT or route is _SIGMA_QUOTIENT:
         s = _sigmas(lat, lc, p, cfg)
         return lc.ediff(mu, lam) * s[nu] * s[0] / (s[lam] * s[mu])
     raise ValueError(f"unknown route {route!r}")
@@ -197,7 +202,8 @@ def constants_from_deltas(
     """
     p = locate(lat, u)
     guard = 100 * NEAR_POLE_FACTOR * lat.min_period
-    if any(near(lat, p, k, guard) is not None for k in range(4)):
+    guard_reach = reach(guard, lat.min_period)
+    if any(near(lat, p, k, guard, guard_reach) is not None for k in range(4)):
         raise PoleProximityError(
             f"constants_from_deltas needs u away from every half-period coset, got {u!r}"
         )

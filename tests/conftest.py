@@ -111,7 +111,7 @@ def suite_residuals(lat, pattern: str, pts) -> list[float]:
     ctx = _Ctx(lat, DEFAULT_CONFIG)
     specs = [s for s in default_suite() if fnmatch.fnmatch(s.name, pattern)]
     assert specs, pattern
-    return [_residual(ctx, _side(s, s.lhs), _side(s, s.rhs), pts) for s in specs]
+    return [_residual(ctx, _side(ctx, s, s.lhs), _side(ctx, s, s.rhs), pts) for s in specs]
 
 
 def check_thm211(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> list[float]:

@@ -452,22 +452,41 @@ def test_eval_does_not_hide_key_error(monkeypatch):
         main(["eval", "--fn", "wp", "--u", "0.1,0.1"])
 
 
+# The child lists sys.modules on stderr at exit: every module it loaded, by
+# an import statement, `__import__` or `importlib.import_module` alike
+# (`-X importtime` logs no `importlib.import_module` load).
+_MODULES_LINE = "modules at exit:"
+_REPORT_MODULES = (
+    "import atexit, sys\n"
+    f"atexit.register(lambda: print({_MODULES_LINE!r}, *sys.modules, file=sys.stderr))\n"
+)
+
+
 def run_fresh(*args):
-    """(exit code, stdout, imported module names) of a fresh interpreter
-    started as `python -X importtime *args` on this package."""
+    """(exit code, stdout, names of the modules loaded at exit) of a fresh
+    interpreter on this package, started as `python -m module ...` or
+    `python -c code ...` (args)."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(weierzeta.__file__))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    flag, target, *rest = args
+    if flag == "-m":
+        code = f"import runpy\nrunpy.run_module({target!r}, run_name='__main__', alter_sys=True)\n"
+    else:
+        assert flag == "-c", args
+        code = target
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args],
+        [sys.executable, "-c", _REPORT_MODULES + code, *rest],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    modules = {
-        line.rsplit("|", 1)[-1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    }
-    return proc.returncode, proc.stdout, modules
+    reports = [line[len(_MODULES_LINE):].split() for line in proc.stderr.splitlines() if line.startswith(_MODULES_LINE)]
+    assert len(reports) == 1, proc.stderr
+    return proc.returncode, proc.stdout, set(reports[0])
+
+
+def test_run_fresh_sees_a_module_loaded_by_importlib():
+    rc, _, modules = run_fresh("-c", "import importlib\nimportlib.import_module('weierzeta.jacobi')")
+    assert rc == 0 and "weierzeta.jacobi" in modules
 
 
 def loads_numpy(modules) -> bool:

@@ -242,7 +242,7 @@ def _near_agrees(lat, u):
     for k in range(4):
         want = lattice.nearest(lat, p, k)
         for r in _near_radii(lat):
-            got = lattice.near(lat, p, k, r)
+            got = lattice.near(lat, p, k, r, lattice.reach(r, lat.min_period))
             if want[0] < r:
                 # repr round-trips every float and tells -0.0 from 0.0.
                 assert got is not None and list(map(repr, got)) == list(map(repr, want)), (u, k, r)
@@ -340,6 +340,30 @@ def test_cell_geometry_is_built_with_the_lattice(name):
     assert lat.q4 == cmath.exp(0.25j * PI * lat.tau)
     assert lat.offsets == (0j, lat.omega1, lat.omega2, lat.omega3)
     assert [lat.half_period(k) for k in (1, 2, 3)] == [lat.omega1, lat.omega2, lat.omega3]
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_radii_and_reaches_are_taken_once_per_lattice(name):
+    # The pole guard and the wp routes' zone tests read the radius and reach
+    # `near`'s margin is derived for: r and r + _SLACK*min_period.
+    lat = build_lattice(*BASES[name])
+    slack = lattice._SLACK * lat.min_period
+    assert lat.pole_radius == NEAR_POLE_FACTOR * lat.min_period
+    assert lat.pole_reach == lat.pole_radius + slack
+    lc = constants(lat)
+    assert lc.zone_reaches == tuple(z + slack for z in lc.zones)
+
+
+def test_locate_keeps_the_gaps_near_reads():
+    # The reduced gaps |alpha - n|, |beta - m|, and none for a far point,
+    # which `near` always measures.
+    lat = make_lattice("generic")
+    for a, b in ((0.3, 0.2), (-2.7, 5.49), (0.5, -0.5), (3e4, -3e4 + 0.25)):
+        p = locate(lat, 2 * a * lat.omega1 + 2 * b * lat.omega3)
+        assert (p.gap_alpha, p.gap_beta) == (abs(p.alpha - p.n), abs(p.beta - p.m))
+    far = locate(lat, 2 * 4e4 * lat.omega1 + 2 * 3e4 * lat.omega3)
+    assert abs(far.alpha) + abs(far.beta) >= 2.0**16
+    assert far.gap_alpha is None and far.gap_beta is None
 
 
 def test_complement_triples():

@@ -25,8 +25,8 @@ from weierzeta import (
 from weierzeta import constants, jacobi, lattice, theta
 from weierzeta.cli import main
 from weierzeta.errors import PoleProximityError, SuiteConfigError
-from weierzeta.functions import FUNCTIONS
-from weierzeta.verify import EVALUATORS, _side
+from weierzeta.functions import FUNCTIONS, Function
+from weierzeta.verify import EVALUATORS, _Ctx, _side
 
 from conftest import count_calls, rebind
 
@@ -131,15 +131,16 @@ def test_two_point_identities_sample_two_points(generic_lat):
     assert all(r.passed for r in reports)
 
 
-def test_evaluators_used_and_sides_resolve(capsys):
+def test_evaluators_used_and_sides_resolve(capsys, generic_lat):
     suite = default_suite()
     sides = {name for s in suite for name in (s.lhs, s.rhs)}
     assert set(EVALUATORS) <= sides
     assert not set(EVALUATORS) & set(FUNCTIONS)
+    ctx = _Ctx(generic_lat, theta.DEFAULT_CONFIG)
     for s in suite:
-        assert callable(_side(s, s.lhs)) and callable(_side(s, s.rhs))
+        assert callable(_side(ctx, s, s.lhs)) and callable(_side(ctx, s, s.rhs))
     with pytest.raises(SuiteConfigError):
-        _side(IdentitySpec("bad_route", "wp:theta", "wp"), "wp:theta")
+        _side(ctx, IdentitySpec("bad_route", "wp:theta", "wp"), "wp:theta")
     assert main(["eval", "--list-fns"]) == 0
     assert capsys.readouterr().out.split() == sorted(FUNCTIONS)
 
@@ -220,6 +221,22 @@ def test_nan_residual_fails_and_stays_json(monkeypatch, capsys, generic_lat):
     payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
     assert [r["passed"] for r in payload] == [True, False]
     assert payload[1]["maxRel"] is None and payload[1]["meanRel"] is None
+
+
+def test_run_suite_resolves_each_route_once(monkeypatch, generic_lat):
+    # Each (function, route name) the suite evaluates is resolved once per
+    # run, by the sides and the compound evaluators alike; the run used to
+    # resolve one at every memo miss, 3,772 times on generic at n=20.
+    calls = []
+    route = Function.route
+
+    def counted(self, name):
+        calls.append((self, name))
+        return route(self, name)
+
+    monkeypatch.setattr(Function, "route", counted)
+    run_suite(generic_lat, default_suite(), n=20, seed=12345)
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_memo_evaluates_each_side_value_once(monkeypatch, generic_lat):

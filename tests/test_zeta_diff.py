@@ -1,6 +1,9 @@
 """Zeta differences: route agreement, derivatives, zeros, constant recovery."""
 
+import enum
+import io
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -296,3 +299,28 @@ def test_property_delta2_antisymmetric_and_definitional(a, b):
     d2v = delta(lat, 2, u)
     if d1.is_finite and d2v.is_finite:
         assert abs(r12.value - (d1.value - d2v.value)) <= 1e-9 * max(abs(r12.value), 1.0)
+
+
+def test_route_kernels_read_no_route_member_per_point(monkeypatch):
+    # The kernels compare against module-level aliases of their routes' members:
+    # on Python 3.11 each DeltaRoute.X or ZetaRoute.X read goes through
+    # EnumType.__getattr__.  Such reads happen once per command, not per point.
+    from weierzeta.cli import main
+
+    reads = []
+
+    def counting(cls, name):
+        if type.__getattribute__(cls, "__name__") in ("DeltaRoute", "ZetaRoute") and not name.startswith("_"):
+            reads.append(name)
+        return type.__getattribute__(cls, name)
+
+    def table_reads(fn, route, count):
+        reads.clear()
+        argv = ["table", "--fn", fn, "--route", route, "--re=0.1:0.9:" + count, "--im=0.2:0.4:3", "--format", "csv"]
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return len(reads)
+
+    monkeypatch.setattr(enum.EnumType, "__getattribute__", counting)
+    for fn, route in (("delta12", "wp"), ("delta1", "wp"), ("delta23", "sigma"), ("zeta2", "qseries"), ("zeta1", "partialfrac")):
+        assert table_reads(fn, route, "2") == table_reads(fn, route, "21"), (fn, route)
