@@ -1,6 +1,5 @@
 """Zeta differences: route agreement, derivatives, zeros, constant recovery."""
 
-import enum
 import io
 import random
 from contextlib import redirect_stdout
@@ -20,6 +19,7 @@ from weierzeta import (
     wp,
     wp_prime,
 )
+from weierzeta.cli import main
 from weierzeta.errors import IdenticalIndices, PoleProximityError
 from weierzeta.lattice import complement
 from weierzeta.theta import HALF_PERIOD_THETA, theta_dlog
@@ -305,8 +305,6 @@ def test_route_kernels_read_no_route_member_per_point(monkeypatch):
     # The kernels compare against module-level aliases of their routes' members:
     # on Python 3.11 each DeltaRoute.X or ZetaRoute.X read goes through
     # EnumType.__getattr__.  Such reads happen once per command, not per point.
-    from weierzeta.cli import main
-
     reads = []
 
     def counting(cls, name):
@@ -321,6 +319,6 @@ def test_route_kernels_read_no_route_member_per_point(monkeypatch):
             assert main(argv) == 0
         return len(reads)
 
-    monkeypatch.setattr(enum.EnumType, "__getattribute__", counting)
+    monkeypatch.setattr(type(DeltaRoute), "__getattribute__", counting)
     for fn, route in (("delta12", "wp"), ("delta1", "wp"), ("delta23", "sigma"), ("zeta2", "qseries"), ("zeta1", "partialfrac")):
         assert table_reads(fn, route, "2") == table_reads(fn, route, "21"), (fn, route)
