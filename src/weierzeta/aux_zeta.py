@@ -205,7 +205,8 @@ def _coset_tables(lat: Lattice, cfg: SeriesConfig, lam: int) -> tuple[list, list
     near pairs: with A = (e_lam - e_mu)(e_lam - e_nu), wp(omega_lam + v) =
     e_lam + A v^2 + e_lam A v^4 + ..., so the coset sums p^-4 to A/3 and
     p^-6 to e_lam A/5 (DLMF 23.3, 23.9), and the pairs to half of each.
-    M_2 .. M_8 are summed over PAIR_SPLIT * rho < |p| <= PAIR_ANNULUS * rho."""
+    M_2 .. M_8 are summed over PAIR_SPLIT * rho < |p| <= PAIR_ANNULUS * rho.
+    A disc past `lattice.MAX_PAIRS` pairs raises ConvergencePolicyError."""
     lc = constants(lat, cfg)
     rho = max(abs(lat.omega1 + lat.omega3), abs(lat.omega1 - lat.omega3))
     near = _coset_pairs(lat, lam, 0.0, PAIR_SPLIT * rho)

@@ -127,14 +127,6 @@ def build_lattice(omega1: complex, omega3: complex) -> Lattice:
     )
 
 
-def cell_coords(lat: Lattice, u: complex) -> tuple[float, float]:
-    """Real coordinates (alpha, beta) with u = 2*alpha*omega1 + 2*beta*omega3."""
-    w1, w3, det = lat.period1, lat.period3, lat.area
-    alpha = (u.real * w3.imag - u.imag * w3.real) / det
-    beta = (w1.real * u.imag - w1.imag * u.real) / det
-    return alpha, beta
-
-
 class Located:
     """A located point, made by `locate` alone: u = 2*alpha*omega1 +
     2*beta*omega3 = u_red + 2*n*omega1 + 2*m*omega3, the reduced gaps
@@ -171,7 +163,7 @@ def locate(lat: Lattice, u: complex) -> Located:
     far-point test.  Cell coordinates that are not finite or reach
     _COORD_LIMIT in size, where no digit of the reduction is left, raise
     ValueOverflow."""
-    w1, w3, det = lat.period1, lat.period3, lat.area  # `cell_coords`, written out
+    w1, w3, det = lat.period1, lat.period3, lat.area
     alpha = (u.real * w3.imag - u.imag * w3.real) / det
     beta = (w1.real * u.imag - w1.imag * u.real) / det
     size_alpha, size_beta = abs(alpha), abs(beta)
@@ -194,16 +186,14 @@ def reduce_to_cell(lat: Lattice, u: complex) -> tuple[complex, int, int]:
 
 
 def nearest_translate(lat: Lattice, u: complex, offset: complex) -> tuple[float, complex]:
-    """Distance from u to the coset offset + lattice, and the closest point.
-
-    The point is u - offset with its cell coordinates rounded.  It is the
-    closest one whenever the closest lies within h/2 = min_period*sin(theta)/2,
-    theta the angle between the periods: h/2 is the inradius of the cell, so
-    each cell coordinate is then within 1/2 of the point's.  Farther out the
-    distance returned is an upper bound.
-    """
-    alpha, beta = cell_coords(lat, u - offset)
-    pt = offset + 2 * round(alpha) * lat.omega1 + 2 * round(beta) * lat.omega3
+    """Distance from u to the coset offset + lattice, and the point: offset
+    plus the translate `locate` rounds u - offset to (so u is refused where
+    `locate` refuses).  It is the closest one whenever the closest lies within
+    the cell's inradius h/2 = min_period*sin(theta)/2, theta the angle between
+    the periods, where each cell coordinate is within 1/2 of u's; farther out
+    the distance is an upper bound."""
+    p = locate(lat, u - offset)
+    pt = offset + 2 * p.n * lat.omega1 + 2 * p.m * lat.omega3
     return abs(u - pt), pt
 
 
@@ -215,10 +205,10 @@ _HALF_CELL = ((0.0, 0.0), (0.5, 0.0), (-0.5, -0.5), (0.0, 0.5))
 
 def nearest(lat: Lattice, p: Located, k: int) -> tuple[float, complex]:
     """`nearest_translate` to the coset omega_k + lattice (k = 0 the lattice),
-    from the located point's own cell coordinates less omega_k's: the same
-    rounding, so for the lattice the translate's n, m are the point's own.
-    The one distance formula; the guards reach it through `near`, which
-    calls it only for a point within reach of the coset."""
+    from the located point's cell coordinates less omega_k's, rounded: for
+    the lattice the translate's n, m are the point's own.  The one
+    coset-distance formula; the guards reach it through `near`, which calls
+    it only for a point within reach of the coset."""
     a, b = _HALF_CELL[k]
     pt = lat.offsets[k] + 2 * round(p.alpha - a) * lat.omega1 + 2 * round(p.beta - b) * lat.omega3
     return abs(p.u - pt), pt
@@ -297,9 +287,17 @@ def _translate_sign(p: Located, k: int) -> float:
     return -1.0 if (p.n * b - p.m * a) % 1 else 1.0
 
 
+# Most pairs `_coset_pairs` lists, by its estimate pi*r_hi^2/(2*|area|):
+# well above the largest counts in use on thin bases, about 3e5 for the
+# partial-fraction tables and 1.9e6 for the oracles at 200 min periods.
+MAX_PAIRS = 2**22
+
+
 def _coset_pairs(lat: Lattice, k: int, r_lo: float, r_hi: float) -> list:
     """P = p*p for one point p of each pair +-p of omega_k + lattice (k = 0
-    the lattice itself) with r_lo < |p| <= r_hi.
+    the lattice itself) with r_lo < |p| <= r_hi.  A disc of radius r_hi
+    holds about pi*r_hi^2/(2*|area|) pairs; past MAX_PAIRS this raises
+    ConvergencePolicyError before listing any.
 
     Every coset is symmetric under p -> -p, so each pair is one term in P.
     With (alpha, beta) the coset's cell coordinates (_HALF_CELL),
@@ -311,6 +309,12 @@ def _coset_pairs(lat: Lattice, k: int, r_lo: float, r_hi: float) -> list:
     n; one more n either side absorbs their rounding.  A row tangent to the
     circle has a discriminant of 0 that rounding can make negative, so only
     a clearly negative one skips the row."""
+    estimate = PI * r_hi * r_hi / (2 * abs(lat.area))
+    if estimate > MAX_PAIRS:
+        raise ConvergencePolicyError(
+            f"about {estimate:.3g} pairs of the coset lie within |p| <= {r_hi:.6g} on the half-periods "
+            f"{lat.omega1!r}, {lat.omega3!r}, more than MAX_PAIRS = {MAX_PAIRS}; a reduced basis needs fewer"
+        )
     two_w1, two_w3 = lat.period1, lat.period3
     alpha, beta = _HALF_CELL[k]
     offset = alpha * two_w1 + beta * two_w3

@@ -178,12 +178,6 @@ def theta_eval(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_C
     return _theta4(v, tau, _quarter_nome(tau), cfg)[idx]
 
 
-def theta_deriv(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
-    """First v-derivative of the idx-th theta function (term-differentiated)."""
-    _check_idx(idx, tau)
-    return _theta4(v, tau, _quarter_nome(tau), cfg, deriv=True)[4 + idx]
-
-
 def theta_dlog(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Logarithmic v-derivative theta'_idx(v)/theta_idx(v), from one pass;
     raises NearZeroDenominator only where theta_idx(v) is exactly 0."""

@@ -22,7 +22,7 @@ from weierzeta import (
     jacobi_params,
     sn_cn_dn,
 )
-from weierzeta.lattice import Lattice, nearest_translate
+from weierzeta.lattice import Lattice, locate, nearest
 from weierzeta.theta import DEFAULT_CONFIG, SeriesConfig
 from weierzeta.verify import _Ctx, _residual, _side
 
@@ -71,14 +71,15 @@ def reference():
 
 def guarded_points(lat, rng: random.Random, n: int, guard: float = 0.05, offsets=None):
     """n points in the fundamental cell at least guard*min_period from the
-    given cosets (all four half-period classes by default)."""
-    if offsets is None:
-        offsets = (0j, lat.omega1, lat.omega2, lat.omega3)
+    cosets of the given offsets (all four half-period classes by default),
+    by the coset distances of the located point (`lattice.nearest`)."""
+    cosets = range(4) if offsets is None else [lat.offsets.index(off) for off in offsets]
     pts = []
     while len(pts) < n:
         a, b = rng.random(), rng.random()
         u = 2 * a * lat.omega1 + 2 * b * lat.omega3
-        if all(nearest_translate(lat, u, off)[0] >= guard * lat.min_period for off in offsets):
+        p = locate(lat, u)
+        if all(nearest(lat, p, k)[0] >= guard * lat.min_period for k in cosets):
             pts.append(u)
     return pts
 

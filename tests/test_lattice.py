@@ -2,7 +2,10 @@
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +28,6 @@ from weierzeta.errors import (
 )
 from weierzeta import lattice
 from weierzeta.lattice import (
-    cell_coords,
     complement,
     constants_to_json,
     locate,
@@ -131,8 +133,9 @@ def test_reduction_and_coords():
     u = 0.123 - 0.456j + 6 * lat.omega1 - 4 * lat.omega3
     u_red, n, m = reduce_to_cell(lat, u)
     assert (n, m) == (3, -2)
-    a, b = cell_coords(lat, u_red)
-    assert abs(a) <= 0.5 + 1e-12 and abs(b) <= 0.5 + 1e-12
+    p = locate(lat, u_red)
+    assert abs(p.alpha) <= 0.5 + 1e-12 and abs(p.beta) <= 0.5 + 1e-12
+    assert (p.n, p.m) == (0, 0)
     assert abs(u_red + 2 * n * lat.omega1 + 2 * m * lat.omega3 - u) < 1e-12
 
 
@@ -141,6 +144,17 @@ def test_nearest_translate_exact_hit():
     d, t = nearest_translate(lat, lat.omega1 + 2 * lat.omega3, lat.omega1)
     assert d == 0.0
     assert t == lat.omega1 + 2 * lat.omega3
+
+
+@pytest.mark.parametrize("u", [complex(math.inf, 0), 1e300], ids=["inf", "1e300"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_nearest_translate_refuses_what_locate_refuses(u, k):
+    # u - offset is placed by `locate`: coordinates that are not finite, or
+    # too large to keep a digit of the reduction, are a typed refusal, not
+    # an untyped OverflowError from round or a translate equal to u.
+    lat = make_lattice("generic")
+    with pytest.raises(ValueOverflow, match="too large"):
+        nearest_translate(lat, u, lat.offsets[k])
 
 
 # Every distance a coset distance is compared with, in minimum periods: the
@@ -160,8 +174,8 @@ BASES = {name: (0.5, 0.5 * tau) for name, tau in REFERENCE_TAUS.items()} | THIN_
 
 def _brute_nearest(lat, u, offset, reach=8):
     """Closest point of offset + lattice among (2*reach + 1)**2 candidates."""
-    alpha, beta = cell_coords(lat, u - offset)
-    n0, m0 = round(alpha), round(beta)
+    p = locate(lat, u - offset)
+    n0, m0 = p.n, p.m
     candidates = [
         offset + 2 * (n0 + dn) * lat.omega1 + 2 * (m0 + dm) * lat.omega3
         for dn in range(-reach, reach + 1)
@@ -537,7 +551,9 @@ def _pair_keys(lat, squares):
     as in `lattice._coset_pairs`, in lexicographic order; and the squares in
     that order."""
     big_p = np.asarray(squares)
-    a, b = cell_coords(lat, np.sqrt(big_p))
+    p, w1, w3 = np.sqrt(big_p), lat.period1, lat.period3
+    a = (p.real * w3.imag - p.imag * w3.real) / lat.area  # `locate`'s cell coordinates
+    b = (w1.real * p.imag - w1.imag * p.real) / lat.area
     a, b = np.rint(2 * a).astype(int), np.rint(2 * b).astype(int)
     sign = np.where((b < 0) | ((b == 0) & (a < 0)), -1, 1)
     a, b = sign * a, sign * b
@@ -621,6 +637,62 @@ def test_pair_sum_beyond_the_cell_is_the_direct_sum():
         terms = 2 * u**3 / (table * (u * u - table))
         numpy_direct = 1.0 / u + complex(math.fsum(terms.real), math.fsum(terms.imag))
         assert abs(direct - numpy_direct) <= 1e-15 * (abs(1 / u) + np.sum(np.abs(terms)))
+
+
+def _pair_estimate(lat, r):
+    """The pair count `lattice._coset_pairs` estimates for the disc of radius
+    r: half the cells of area |area| the disc covers."""
+    return math.pi * r * r / (2 * abs(lat.area))
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_pair_estimate_follows_the_count(name):
+    # On the partial-fraction route's two discs the estimate is within 10%
+    # of the count at PAIR_SPLIT*rho (50 to 18,500 pairs) and within 1% at
+    # PAIR_ANNULUS*rho (800 to 296,000).  The oracles' largest disc, 200 min
+    # periods, stays under half the cap on every base, thin ones included.
+    lat = build_lattice(*BASES[name])
+    rho = max(abs(lat.omega1 + lat.omega3), abs(lat.omega1 - lat.omega3))
+    for k in (0, 2):
+        for factor, tol in ((aux_zeta.PAIR_SPLIT, 0.1), (aux_zeta.PAIR_ANNULUS, 0.01)):
+            count = len(lattice._coset_pairs(lat, k, 0.0, factor * rho))
+            assert abs(_pair_estimate(lat, factor * rho) / count - 1) <= tol, (k, factor, count)
+    assert _pair_estimate(lat, 200 * lat.min_period) < lattice.MAX_PAIRS / 2
+
+
+def test_pair_enumeration_refuses_past_its_cap(monkeypatch):
+    # The cap is read against the estimate, before any pair is listed.
+    lat = make_lattice("generic")
+    r = 32 * lat.min_period
+    estimate = _pair_estimate(lat, r)
+    monkeypatch.setattr(lattice, "MAX_PAIRS", estimate * (1 + 1e-9))
+    assert lattice._coset_pairs(lat, 1, 0.0, r)
+    monkeypatch.setattr(lattice, "MAX_PAIRS", estimate * (1 - 1e-9))
+    with pytest.raises(ConvergencePolicyError, match=r"pairs of the coset .* half-periods \(0\.5\+0j\)"):
+        lattice._coset_pairs(lat, 1, 0.0, r)
+
+
+def test_thin_basis_partial_fractions_refuse_in_bounded_memory():
+    # tau = 1e5+0.1i builds (|q| = 0.73), but its circumradius is 1e5
+    # periods, so the route's near disc alone holds about 2.5e12 pairs.
+    # Run only in a child under a 1 GiB address-space limit: without the
+    # cap the enumeration grows to gigabytes and dies with MemoryError.
+    resource = pytest.importorskip("resource")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(lattice.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "weierzeta.cli", "eval", "--fn", "zeta1", "--route", "partialfrac",
+         "--tau", "100000,0.1", "--u", "0.1,0.02"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "about 2.51e+12 pairs of the coset" in proc.stderr
+    assert f"more than MAX_PAIRS = {lattice.MAX_PAIRS}" in proc.stderr
 
 
 def test_oracles_refuse_radius_below_one():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from weierzeta import DEFAULT_CONFIG, SeriesConfig, theta_dlog, theta_eval, theta_nullwerte
 from weierzeta.errors import NearZeroDenominator, SeriesDivergence
 from weierzeta import theta
-from weierzeta.theta import theta_deriv
 
 PI = math.pi
 TAUS = (1j, 2j, 0.3 + 1.1j, 0.5 + 0.8660254037844386j)
@@ -100,14 +99,13 @@ def test_pass_within_tolerance_of_brute_force(tau, cfg):
         refs, scales = theta_brute_mp(v, tau)
         for i in range(8):
             assert_within_tolerance(got[i], refs[i], scales[i], cfg, (v, i))
-    # Unreduced arguments through the public one-index calls.
+    # Unreduced arguments, through theta_eval and the derivative pass.
     for v in (0.3 + 1.7 * tau, -2.2 + 0.4 * tau, 0.8 - 1.3 * tau):
         refs, scales = theta_brute_mp(v, tau)
+        derivs = theta._theta4(v, tau, theta._quarter_nome(tau), cfg, deriv=True)[4:]
         for idx in range(4):
             assert_within_tolerance(theta_eval(idx, v, tau, cfg), refs[idx], scales[idx], cfg, (v, idx))
-            assert_within_tolerance(
-                theta_deriv(idx, v, tau, cfg), refs[4 + idx], scales[4 + idx], cfg, (v, 4 + idx)
-            )
+            assert_within_tolerance(derivs[idx], refs[4 + idx], scales[4 + idx], cfg, (v, 4 + idx))
 
 
 @pytest.mark.parametrize("tau", TAUS + STRIP_TAUS[:1])
@@ -172,7 +170,8 @@ def test_matches_brute_force_partial_sums(tau, idx):
 def test_derivative_matches_term_differentiated_brute_force(tau, idx):
     for v in sample_points(tau):
         ref = theta_brute(idx, v, tau, deriv=True)
-        assert abs(theta_deriv(idx, v, tau) - ref) <= 1e-13 * abs(ref)
+        got = theta._theta4(v, tau, theta._quarter_nome(tau), DEFAULT_CONFIG, deriv=True)[4 + idx]
+        assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("tau", TAUS)
@@ -180,7 +179,8 @@ def test_derivative_matches_term_differentiated_brute_force(tau, idx):
 def test_derivative_matches_brute_force_differences(tau, idx):
     v, h = 0.21 + 0.07j, 1e-6
     fd = (theta_brute(idx, v + h, tau) - theta_brute(idx, v - h, tau)) / (2 * h)
-    assert abs(theta_deriv(idx, v, tau) - fd) < 1e-7
+    got = theta._theta4(v, tau, theta._quarter_nome(tau), DEFAULT_CONFIG, deriv=True)[4 + idx]
+    assert abs(got - fd) < 1e-7
 
 
 @settings(max_examples=40, deadline=None)
