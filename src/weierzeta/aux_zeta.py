@@ -17,14 +17,14 @@ the circumradius of the centred cell.  It splits the pairs of the coset at
 |w| = 8*rho: the near ones are summed term by term at each point, and the
 far ones, where |u/w|^2 <= 1/64, as the power series -sum_{j<J} x^j M_j of
 their sum of 1/(P (u^2 - P)), P = w^2 and x = u^2/rho^2, with the moments
-M_j = sum_far P^-2 (rho^2/P)^j built once per (lattice, cfg, coset) in pure
-Python (`_coset_tables`).  J = 9 terms leave out less than 2^-53 of each far
-term (64^-9 = 2^-54).  M_0 and M_1 are the whole coset's sums of w^-4 and
-w^-6, closed forms in e_lam and the e differences, less the near pairs;
-M_2 .. M_8 are summed over the pairs with 8*rho < |w| <= 32*rho; beyond,
-the terms of each circle all but cancel, and the route stays within 1e-12
-of a 60-digit reference on the five reference lattices.  What the route
-reads: the near field and M_2 .. M_8 read only the lattice geometry; M_0
+M_j = sum_far P^-2 (rho^2/P)^j built once per record and coset in pure
+Python (`_coset_tables`) and kept in the record's `pair_tables`.  J = 9
+terms leave out less than 2^-53 of each far term (64^-9 = 2^-54).  M_0 and
+M_1 are the whole coset's sums of w^-4 and w^-6, closed forms in e_lam and
+the e differences, less the near pairs; M_2 .. M_8 are summed over the
+pairs with 8*rho < |w| <= 32*rho; beyond, the terms of each circle all but
+cancel, and the route stays within 1e-12 of a 60-digit reference on the
+five reference lattices.  What the route reads: the near field and M_2 .. M_8 read only the lattice geometry; M_0
 and M_1 read e_lam and the record's e differences (from the nullwerte), as
 the -e_lam*u term reads e_lam.  No theta pass is involved.
 """
@@ -34,7 +34,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from functools import lru_cache
 from operator import mul
 
 from .errors import SeriesDivergence
@@ -45,7 +44,6 @@ from .lattice import (
     _coset_pairs,
     check_index,
     complement,
-    constants,
     locate,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig
@@ -90,7 +88,7 @@ def _zeta_aux(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig,
     if route is _QSERIES:
         return _qseries(lat, lc, lam, p, cfg, form)
     if route is _PARTIAL_FRACTION:
-        return _partialfrac(lat, lc, lam, p, cfg)
+        return _partialfrac(lat, lc, lam, p)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -150,13 +148,12 @@ def _qseries(
     )
 
 
-def _partialfrac(
-    lat: Lattice, lc: LatticeConstants, lam: int, p: Located, cfg: SeriesConfig
-) -> complex:
+def _partialfrac(lat: Lattice, lc: LatticeConstants, lam: int, p: Located) -> complex:
     """-e_lam*u + the sum over omega_lam + lattice of 1/(u-w) + 1/w + u/w^2 at
     u = u_red, plus the lattice increment: the pair sum of `_pair_series`
-    over the whole coset, from the tables of `_coset_tables`."""
-    total = -lc.e(lam) * p.u_red + _pair_series(*_coset_tables(lat, cfg, lam), p.u_red)
+    over the whole coset, from the record's tables (`_coset_tables`)."""
+    tables = lc.pair_tables[lam - 1] or _coset_tables(lat, lc, lam)
+    total = -lc.e(lam) * p.u_red + _pair_series(*tables, p.u_red)
     return total + 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3
 
 
@@ -196,8 +193,7 @@ def _pair_moments(pairs, rho: float) -> list:
     return sums
 
 
-@lru_cache(maxsize=64)
-def _coset_tables(lat: Lattice, cfg: SeriesConfig, lam: int) -> tuple[list, list, float]:
+def _coset_tables(lat: Lattice, lc: LatticeConstants, lam: int) -> tuple[list, list, float]:
     """(near, moments, rho) for `_pair_series` over the whole coset
     omega_lam + lattice: rho = max(|omega1 + omega3|, |omega1 - omega3|),
     the pairs with |p| <= PAIR_SPLIT * rho, and the far pairs' moments,
@@ -206,8 +202,8 @@ def _coset_tables(lat: Lattice, cfg: SeriesConfig, lam: int) -> tuple[list, list
     e_lam + A v^2 + e_lam A v^4 + ..., so the coset sums p^-4 to A/3 and
     p^-6 to e_lam A/5 (DLMF 23.3, 23.9), and the pairs to half of each.
     M_2 .. M_8 are summed over PAIR_SPLIT * rho < |p| <= PAIR_ANNULUS * rho.
-    A disc past `lattice.MAX_PAIRS` pairs raises ConvergencePolicyError."""
-    lc = constants(lat, cfg)
+    A disc past `lattice.MAX_PAIRS` pairs raises ConvergencePolicyError.
+    The tables are stored in lc.pair_tables[lam - 1] and returned."""
     rho = max(abs(lat.omega1 + lat.omega3), abs(lat.omega1 - lat.omega3))
     near = _coset_pairs(lat, lam, 0.0, PAIR_SPLIT * rho)
     inner = _pair_moments(near, rho)
@@ -216,4 +212,5 @@ def _coset_tables(lat: Lattice, cfg: SeriesConfig, lam: int) -> tuple[list, list
     a = lc.ediff(lam, mu) * lc.ediff(lam, nu)
     moments[0] = a / 6 - inner[0]
     moments[1] = rho * rho * (lc.e(lam) * a / 10) - inner[1]
-    return near, moments[::-1], rho
+    tables = lc.pair_tables[lam - 1] = (near, moments[::-1], rho)
+    return tables

@@ -8,7 +8,8 @@ Omega_{n,m} = 2*omega1*n + 2*omega3*m.
 `build_lattice` also fixes the cell geometry every located point reads.
 `constants` is the one per-lattice record: the theta nullwerte, the
 half-period values and invariants, and the Jacobi moduli and complete
-integrals, built together once per (lattice, series config).
+integrals, built together once per (lattice, series config), and the
+partial-fraction route's coset tables, filled on first use.
 `_coset_pairs` is the one enumerator of a coset's pairs +-p inside a
 circle, as their squares p*p: the lattice-sum oracles sum the lattice's over
 a disc, and the partial-fraction route (`aux_zeta`) sums each coset's.
@@ -23,7 +24,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
-from .errors import ConvergencePolicyError, InvalidPeriodRatio, ValueOverflow, ZeroPeriod
+from .errors import ConvergencePolicyError, IdenticalIndices, InvalidPeriodRatio, ValueOverflow, ZeroPeriod
 from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _quarter_nome, theta_nullwerte
 
 PI = math.pi
@@ -49,6 +50,14 @@ def check_index(lam: int) -> None:
     """ValueError unless lam is a half-period index 1, 2 or 3."""
     if lam not in _COMPLEMENT:
         raise ValueError(f"half-period index must be 1, 2 or 3, got {lam!r}")
+
+
+def check_pair(lam: int, mu: int) -> None:
+    """check_index of each, then IdenticalIndices for lam == mu."""
+    check_index(lam)
+    check_index(mu)
+    if lam == mu:
+        raise IdenticalIndices(f"half-period indices must differ, got {lam} twice")
 
 
 def complement(lam: int) -> tuple[int, int]:
@@ -131,10 +140,10 @@ class Located:
     """A located point, made by `locate` alone: u = 2*alpha*omega1 +
     2*beta*omega3 = u_red + 2*n*omega1 + 2*m*omega3, the reduced gaps
     |alpha - n| and |beta - m| that `near` reads (None for a far point,
-    which `near` always measures), and the theta pass at u_red, which
-    `weier_core._thetas` fills on first use (None until then).  The pass
-    belongs to one series config, so a located point serves the one
-    (lattice, config) its caller evaluates on."""
+    which `near` always measures), and the theta pass at u_red in
+    half-period order, which `weier_core._thetas` fills on first use (None
+    until then).  The pass belongs to one series config, so a located point
+    serves the one (lattice, config) its caller evaluates on."""
 
     __slots__ = ("u", "alpha", "beta", "u_red", "n", "m", "gap_alpha", "gap_beta", "thetas", "__weakref__")
 
@@ -381,7 +390,7 @@ def agm_complete_integrals(ksq: complex, kpsq: complex) -> tuple[complex, comple
 class LatticeConstants(namedtuple(
     "LatticeConstants",
     "e1 e2 e3 ediffs eta1 eta2 eta3 g2 g3 disc ksq kpsq nullwerte nullwert_prime jacobi"
-    " sigma_factor zones zone_reaches degenerate",
+    " sigma_factor zones zone_reaches degenerate pair_tables",
 )):
     """Per-lattice state: half-period values and their differences, elliptic
     invariants, squared moduli, the theta nullwerte every evaluation divides
@@ -408,20 +417,31 @@ class LatticeConstants(namedtuple(
     exponent of max |e|.  That scaling is exact, so the zones and the
     decision are the unscaled ones wherever those powers are normal numbers,
     and they stay in range at any scale of the lattice.
+    `pair_tables[lam - 1]` holds the partial-fraction route's tables for the
+    coset omega_lam + lattice, None until `aux_zeta._coset_tables` fills it
+    (two threads racing there build equal tables, and either is kept).
+    The record is hashed on its lattice and series config, which fix every
+    other field.
     """
 
     __slots__ = ()
 
+    def __hash__(self) -> int:
+        return hash((self.jacobi.lattice, self.jacobi.cfg))
+
     def e(self, lam: int) -> complex:
+        check_index(lam)
         return (self.e1, self.e2, self.e3)[lam - 1]
 
     def ediff(self, lam: int, mu: int) -> complex:
         """e_lam - e_mu for distinct indices: (pi/(2*omega1))^2 nullwerte[nu]^4
         for lam < mu, nu the third index, and its negative for lam > mu."""
+        check_pair(lam, mu)
         d = self.ediffs[5 - lam - mu]
         return d if lam < mu else -d
 
     def eta(self, lam: int) -> complex:
+        check_index(lam)
         return (self.eta1, self.eta2, self.eta3)[lam - 1]
 
 
@@ -429,9 +449,10 @@ def constants(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> LatticeConsta
     """All per-lattice constants, from theta nullwerte.
 
     This cache is the one per-lattice state of the package: the nullwerte
-    are summed here once, and the Jacobi parameters are built with them.
-    It is keyed on (lat, cfg) however cfg is passed; `constants.cache_info()`
-    reports it.
+    are summed here once, the Jacobi parameters are built with them, and
+    the partial-fraction tables are kept in the record (`pair_tables`), so
+    they live and are evicted with it.  It is keyed on (lat, cfg) however
+    cfg is passed; `constants.cache_info()` reports it.
     """
     return _constants(lat, cfg)
 
@@ -488,6 +509,7 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
         nullwerte=nw, nullwert_prime=tp, jacobi=jacobi, sigma_factor=sigma_factor, zones=zones,
         zone_reaches=tuple(reach(z, lat.min_period) for z in zones),
         degenerate=abs(discs) <= 1e-10 * max(abs(g2s) ** 3, 27 * abs(g3s) ** 2, 1e-300),
+        pair_tables=[None, None, None],
     )
 
 

@@ -113,10 +113,11 @@ def _thetas(lat: Lattice, p: Located, cfg: SeriesConfig, deriv: bool = False) ->
     The pass is kept on p: a point is summed at most once without and once
     with the derivatives, and a derivative pass, whose first four entries are
     the plain pass bit for bit, also serves every later plain request."""
-    raw = p.thetas
-    if raw is None or (deriv and len(raw) == 4):
-        raw = p.thetas = _theta4(p.u_red / lat.period1, lat.tau, lat.q4, cfg, deriv)
-    return _IN_HALF_PERIOD_ORDER[deriv](raw)
+    t = p.thetas
+    if t is None or (deriv and len(t) == 4):
+        raw = _theta4(p.u_red / lat.period1, lat.tau, lat.q4, cfg, deriv)
+        t = p.thetas = _IN_HALF_PERIOD_ORDER[deriv](raw)
+    return t
 
 
 def _sigmas(lat: Lattice, lc, p: Located, cfg: SeriesConfig) -> tuple:

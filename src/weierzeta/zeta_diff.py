@@ -30,9 +30,10 @@ import enum
 import math
 from collections import namedtuple
 
-from .errors import IdenticalIndices, PoleProximityError
+from .errors import PoleProximityError
 from .lattice import (
-    NEAR_POLE_FACTOR, Lattice, LatticeConstants, Located, check_index, complement, constants, locate, near, reach,
+    NEAR_POLE_FACTOR, Lattice, LatticeConstants, Located, check_index, check_pair, complement, constants, locate,
+    near, reach,
 )
 from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import EvalResult, _guarded, _sigmas, _theta_zeta, _thetas, _wp_pair
@@ -120,7 +121,7 @@ def delta2(
     cfg: SeriesConfig = DEFAULT_CONFIG,
 ) -> EvalResult:
     """Second-kind zeta difference for the ordered pair (lam, mu)."""
-    _check_pair(lam, mu)
+    check_pair(lam, mu)
     return _guarded(_delta2, lat, locate(lat, u), (lam, mu), cfg, None, lam, mu, route)
 
 
@@ -155,13 +156,6 @@ def _delta2(
     raise ValueError(f"unknown route {route!r}")
 
 
-def _check_pair(lam: int, mu: int) -> None:
-    check_index(lam)
-    check_index(mu)
-    if lam == mu:
-        raise IdenticalIndices(f"second-kind difference needs distinct indices, got {lam}")
-
-
 def delta2_prime(
     lat: Lattice, lam: int, mu: int, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> EvalResult:
@@ -173,7 +167,7 @@ def delta2_prime(
     with each 1/r_k as (sigma/sigma_k)^2: exact at u = 0, where it is
     e_mu - e_lam, and free of cancellation near the poles.
     """
-    _check_pair(lam, mu)
+    check_pair(lam, mu)
     return _guarded(_delta2_prime, lat, locate(lat, u), (lam, mu), cfg, None, lam, mu)
 
 

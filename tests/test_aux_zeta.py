@@ -180,7 +180,7 @@ def test_coset_closed_forms_match_the_disc_sums(name):
     lat = make_lattice(name)
     r100, r200 = 100 * lat.min_period, 200 * lat.min_period
     for lam in (1, 2, 3):
-        near, moments, rho = aux_zeta._coset_tables(lat, DEFAULT_CONFIG, lam)
+        near, moments, rho = aux_zeta._coset_tables(lat, constants(lat), lam)
         inner = aux_zeta._pair_moments(near, rho)
         whole = (moments[-1] + inner[0], (moments[-2] + inner[1]) / rho**2)
         inv = [1.0 / big_p for big_p in _coset_pairs(lat, lam, 0.0, r100)]
@@ -204,7 +204,7 @@ def test_split_enumeration_keeps_rows_tangent_to_the_cut(tau, k, tangent):
     # their row touches the circle: rounding made its discriminant negative,
     # and the pair fell in neither the near set nor the annulus.
     lat = build_lattice(0.5, 0.5 * tau)
-    rho = aux_zeta._coset_tables(lat, DEFAULT_CONFIG, max(k, 1))[2]
+    rho = aux_zeta._coset_tables(lat, constants(lat), max(k, 1))[2]
     split, cut = aux_zeta.PAIR_SPLIT * rho, aux_zeta.PAIR_ANNULUS * rho
     near = _coset_pairs(lat, k, 0.0, split)
     far = _coset_pairs(lat, k, split, cut)

@@ -35,7 +35,6 @@ from weierzeta.lattice import (
     reduce_to_cell,
 )
 from weierzeta.verify import POLE_GUARD, run_suite
-from weierzeta.theta import DEFAULT_CONFIG
 from weierzeta.weier_core import NEAR_POLE_FACTOR
 
 from conftest import REFERENCE_TAUS, count_calls, make_lattice
@@ -536,7 +535,7 @@ def _disc_split(lat, k, radius):
     whole coset: the pairs within PAIR_SPLIT * rho and the rest of the disc,
     both by `lattice._coset_pairs`, and the rest's `_pair_moments`, highest
     first, as `aux_zeta._pair_series` reads them."""
-    rho = aux_zeta._coset_tables(lat, DEFAULT_CONFIG, k)[2]
+    rho = aux_zeta._coset_tables(lat, constants(lat), k)[2]
     assert rho == max(abs(lat.omega1 + lat.omega3), abs(lat.omega1 - lat.omega3))
     cut = radius * lat.min_period
     split = min(cut, aux_zeta.PAIR_SPLIT * rho)

@@ -4,9 +4,13 @@ the complete integrals, each multi-theta quotient runs one theta pass per
 point, and each public call guards its point and looks its constants up
 once.  The records are immutable values."""
 
+import importlib
+import pkgutil
 import random
 
 import pytest
+
+import weierzeta
 
 from weierzeta import (
     DeltaRoute,
@@ -34,6 +38,7 @@ from weierzeta import (
     zeta_w,
 )
 from weierzeta import aux_zeta, lattice, theta, weier_core
+from weierzeta.errors import IdenticalIndices
 from weierzeta.theta import DEFAULT_CONFIG
 from weierzeta.functions import FUNCTIONS
 
@@ -175,24 +180,72 @@ def test_one_constants_lookup_per_public_call(warm_lattice):
         assert constants.cache_info() == before
 
 
-def test_registry_looks_nothing_up_when_handed_the_record(warm_lattice):
-    # Every entry on every route: as eval calls it, without the record, one
-    # lookup; as table and the suite call it, handed the record, none.  The
-    # first call builds the partial-fraction route's per-lattice tables,
-    # which look the record up.
-    lat, pts = warm_lattice
+def test_registry_looks_nothing_up_when_handed_the_record():
+    # Every entry on every route: as table and the suite call it, handed the
+    # record, none, from the first call on a lattice new to the cache (the
+    # partial-fraction route fills its tables into the record it is handed);
+    # as eval calls it, without the record, one lookup.
+    lat = build_lattice(0.5, 0.5 * (0.37 + 1.17j))  # new to the constants cache
+    pts = guarded_points(lat, random.Random(2), 6)
     lc = constants(lat)
     for name, f in FUNCTIONS.items():
         for r in f.routes or (None,):
-            f.run(lat, lc, DEFAULT_CONFIG, lattice.locate(lat, pts[0]), None, r)
             for u in pts:
                 a = pts[-1] - u if f.needs_a else None
                 before = constants.cache_info()
+                f.run(lat, lc, DEFAULT_CONFIG, lattice.locate(lat, u), a, r)
+                assert constants.cache_info() == before, (name, r)
                 f.run(lat, None, DEFAULT_CONFIG, lattice.locate(lat, u), a, r)
                 after = constants.cache_info()
                 assert (after.hits - before.hits, after.misses - before.misses) == (1, 0), (name, r)
-                f.run(lat, lc, DEFAULT_CONFIG, lattice.locate(lat, u), a, r)
-                assert constants.cache_info() == after, (name, r)
+
+
+def test_constants_is_the_only_cache():
+    # The partial-fraction tables live in the record, so no module keeps a
+    # cache of its own beside `constants`.
+    caches = []
+    for info in pkgutil.iter_modules(weierzeta.__path__):
+        mod = importlib.import_module(f"weierzeta.{info.name}")
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_info") and obj is not constants and obj is not lattice._constants:
+                caches.append(f"{info.name}.{name}")
+    assert caches == []
+    assert constants.cache_info == lattice._constants.cache_info
+
+
+def test_filling_the_pair_tables_keeps_the_record_a_value(monkeypatch):
+    lat = build_lattice(0.5, 0.5 * (-0.31 + 1.23j))  # new to the constants cache
+    lc = constants(lat)
+    copy, digest = type(lc)(*lc), hash(lc)
+    assert lc.pair_tables == [None, None, None]
+    built = count_calls(monkeypatch, aux_zeta._coset_tables)
+    for lam in (1, 2, 3):
+        for u in (0.21 + 0.13j, -0.17 + 0.09j):
+            assert zeta_aux(lat, lam, u, ZetaRoute.PARTIAL_FRACTION).is_finite
+    # One build per coset, kept in the record for every later point.
+    assert [args[2] for args in built] == [1, 2, 3]
+    assert all(tables is not None for tables in lc.pair_tables)
+    assert hash(lc) == digest == hash(copy)
+    assert lc == copy and {copy: 1}[lc] == 1
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda lc: lc.e(0), ValueError),  # returned e3
+        (lambda lc: lc.e(4), ValueError),
+        (lambda lc: lc.eta(0), ValueError),  # returned eta3
+        (lambda lc: lc.eta(-1), ValueError),  # returned eta2
+        (lambda lc: lc.ediff(2, 2), IdenticalIndices),  # returned e3 - e1
+        (lambda lc: lc.ediff(1, 1), IdenticalIndices),  # raised an untyped IndexError
+        (lambda lc: lc.ediff(0, 4), ValueError),  # returned e1 - e3
+        (lambda lc: lc.ediff(3, 0), ValueError),
+    ],
+    ids=["e0", "e4", "eta0", "eta-1", "ediff22", "ediff11", "ediff04", "ediff30"],
+)
+def test_record_index_accessors_refuse_what_is_not_an_index(call, error):
+    with pytest.raises(error):
+        call(constants(make_lattice("generic")))
 
 
 def _records() -> dict:
