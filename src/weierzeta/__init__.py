@@ -4,7 +4,9 @@ differences, a Jacobi bridge, and a numerical identity-verification harness.
 The package namespace is lazy (PEP 562): `import weierzeta` loads no
 submodule.  Each public name loads its home module (`_HOME`) on first access
 and is then stored here, so later accesses are plain attribute reads; the
-identity suite's names load `weierzeta.verify`.
+identity suite's names load `weierzeta.verify`.  The kernel modules
+(`_KERNELS`) load on first read too, so the function table reaches them as
+attributes of the package.
 """
 
 __version__ = "0.1.0"
@@ -30,8 +32,13 @@ _HOME = {
 
 __all__ = list(_HOME)
 
+_KERNELS = ("aux_zeta", "zeta_diff", "jacobi")
+
 
 def __getattr__(name: str):
+    if name in _KERNELS:
+        __import__(f"{__name__}.{name}")  # the import binds the module here
+        return globals()[name]
     module = _HOME.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -141,7 +141,13 @@ def cmd_eval(args) -> int:
     return 0 if res.status is Status.FINITE else 3
 
 
-def _parse_axis(spec: str):
+# Most points `table` tabulates: its rows are held in memory until written,
+# about 0.3 KB a point in CSV and 0.64 KB in JSON.
+MAX_TABLE_POINTS = 2**20
+
+
+def _parse_axis(spec: str) -> tuple:
+    """(start, step, count) of the axis 'start:stop:count'."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"axis spec must be 'start:stop:count', got {spec!r}")
@@ -151,9 +157,11 @@ def _parse_axis(spec: str):
     step = (stop - start) / (count - 1) if count > 1 else 0.0
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
         raise ValueError(f"axis {spec!r} is not finite")
-    if count == 1:
-        return [start]
-    return [start + k * step for k in range(count)]
+    return start, step, count
+
+
+def _axis(start: float, step: float, count: int) -> list:
+    return [start] if count == 1 else [start + k * step for k in range(count)]
 
 
 def cmd_table(args) -> int:
@@ -163,11 +171,16 @@ def cmd_table(args) -> int:
     fn, route = found
     lat, cfg = _build(args)
     try:
-        res = _parse_axis(args.re)
-        ims = _parse_axis(args.im)
+        re_axis, im_axis = _parse_axis(args.re), _parse_axis(args.im)
     except ValueError as exc:
         sys.stderr.write(f"table: {exc}\n")
         return 2
+    if re_axis[2] * im_axis[2] > MAX_TABLE_POINTS:
+        sys.stderr.write(
+            f"table: a grid of {re_axis[2]} x {im_axis[2]} points is more than MAX_TABLE_POINTS = {MAX_TABLE_POINTS}\n"
+        )
+        return 2
+    res, ims = _axis(*re_axis), _axis(*im_axis)
     a = parse_complex(args.a, lat) if args.a is not None else None
     try:
         lc = constants(lat, cfg)

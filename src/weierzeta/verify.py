@@ -97,11 +97,15 @@ class _Ctx:
         return _record(self.lat, self.lc, self.cfg).jacobi
 
     def __call__(self, name: str, u: complex, route: str | None = None) -> complex:
-        """Value of the table function name at u on route; raises at a pole."""
+        """Value of the table function name at u on route, by its table
+        entry's run on the route member it resolves to, kept in `memo`;
+        raises at a pole."""
         key = (name, route, u)
         if key in self.memo:
             return self.memo[key]
-        return self.evaluate(key, *self.entry(name, route))
+        run, member = self.entry(name, route)
+        value = self.memo[key] = _val(run(self.lat, self.lc, self.cfg, self.at(u), None, member))
+        return value
 
     def entry(self, name: str, route: str | None) -> tuple:
         """(run, route member) of the table function name on route, resolved
@@ -111,12 +115,6 @@ class _Ctx:
             f = FUNCTIONS[name]
             found = self.entries[name, route] = (f.run, f.route(route))
         return found
-
-    def evaluate(self, key: tuple, run, route) -> complex:
-        """Value of key = (name, route name, u) by the table entry's run on
-        the route it resolves to, kept in `memo`."""
-        value = self.memo[key] = _val(run(self.lat, self.lc, self.cfg, self.at(key[2]), None, route))
-        return value
 
     def at(self, u: complex) -> Located:
         """The located point u of the current identity, located on first use."""
@@ -635,15 +633,10 @@ def _side(ctx: _Ctx, spec: IdentitySpec, name: str):
     if fn in FUNCTIONS:
         route = route or None
         try:
-            run, resolved = ctx.entry(fn, route)
+            ctx.entry(fn, route)
         except ValueError:
             raise SuiteConfigError(f"{spec.name}: route {route!r} not valid for {fn!r}") from None
-
-        def side(c, u):
-            key = (fn, route, u)
-            return c.memo[key] if key in c.memo else c.evaluate(key, run, resolved)
-
-        return side
+        return lambda c, u: c(fn, u, route)
     try:
         return EVALUATORS[name]
     except KeyError:

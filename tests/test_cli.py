@@ -12,6 +12,7 @@ import pytest
 
 import weierzeta
 from weierzeta import jacobi
+from weierzeta import cli
 from weierzeta.cli import main, parse_complex
 from weierzeta.functions import FUNCTIONS, Function
 from weierzeta.verify import default_suite
@@ -162,6 +163,48 @@ def test_table_refuses_a_non_finite_axis(monkeypatch, axis, spec):
     rc, out, err = run_cli(["table", "--fn", "wp", f"--re={axes['re']}", f"--im={axes['im']}"])
     assert rc == 2 and out == ""
     assert err == f"table: axis {spec!r} is not finite\n"
+
+
+def test_table_refuses_a_grid_past_the_cap_before_any_point(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_TABLE_POINTS", 6)
+    rc, out, _ = run_cli(["table", "--fn", "wp", "--re=0:0.5:3", "--im=0.1:0.2:2", "--format", "csv"])
+    assert rc == 0 and len(out.splitlines()) == 7
+
+    def no_point(*args):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setitem(FUNCTIONS, "wp", FUNCTIONS["wp"]._replace(run=no_point))
+    rc, out, err = run_cli(["table", "--fn", "wp", "--re=0:0.5:7", "--im=0.1:0.2:1"])
+    assert rc == 2 and out == ""
+    assert err == "table: a grid of 7 x 1 points is more than MAX_TABLE_POINTS = 6\n"
+
+
+def test_oversized_table_refuses_in_bounded_memory():
+    # 2e8 points on one axis: without the cap the axis alone is 1.6 GB of
+    # floats, and under a 1 GiB address-space limit the child died with an
+    # untyped MemoryError.  The counts are checked before either axis is built.
+    resource = pytest.importorskip("resource")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(weierzeta.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "weierzeta.cli", "table", "--fn", "wp", "--re=0:1:200000000", "--im=0.5:1:1",
+         "--format", "csv"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"table: a grid of 200000000 x 1 points is more than MAX_TABLE_POINTS = {2**20}\n"
+
+
+def test_table_of_400_by_400_points():
+    rc, out, _ = run_cli(["table", "--fn", "wp", "--re=0:1:400", "--im=0.01:1.1:400", "--format", "csv"])
+    lines = out.splitlines()
+    assert rc == 0 and len(lines) == 1 + 400 * 400
+    assert lines[-1].startswith("1.0,1.1,") and lines[-1].endswith(",Finite")
 
 
 def test_constants_square_lattice():
@@ -563,6 +606,23 @@ def test_table_csv_of_wp_loads_no_other_layer_and_no_json():
 def test_table_csv_adds_only_the_kernel_module_it_evaluates(argv, kernel):
     wp = package_modules(table_csv_modules("--fn", "wp"))
     assert package_modules(table_csv_modules(*argv)) - wp == {kernel}
+
+
+@pytest.mark.parametrize("kernel", ["aux_zeta", "zeta_diff", "jacobi"])
+def test_package_attribute_loads_the_kernel_module_alone(kernel):
+    # Reading weierzeta.<kernel> after `import weierzeta` loads what importing
+    # the module loads, no other kernel module and not the function table, and
+    # binds the module in the package.
+    read = (
+        f"import sys, weierzeta\nmodule = weierzeta.{kernel}\n"
+        f"print(vars(weierzeta)[{kernel!r}] is module is sys.modules['weierzeta.{kernel}'])"
+    )
+    rc, out, modules = run_fresh("-c", read)
+    assert rc == 0 and out == "True\n"
+    _, _, imported = run_fresh("-c", f"import weierzeta.{kernel}")
+    assert modules == imported
+    assert KERNEL_MODULES & modules == {f"weierzeta.{kernel}"}
+    assert not {"weierzeta.functions", "weierzeta.verify"} & modules
 
 
 def test_list_fns_loads_no_kernel_module():

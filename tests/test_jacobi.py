@@ -256,3 +256,16 @@ def test_pi_overflow_is_typed():
     a = -4.035813921045829 + 7.465584129911877j
     with pytest.raises(WeierzetaError):
         jacobi_E_Z_Pi(lat, u, a)
+
+
+def test_pi_branch_ambiguity_on_a_sweep_lattice():
+    # Visit 1 of the benchmark sweep at seed 11 (pool lattice 150), where the
+    # tracker's bisection gives up; type and message recorded at commit
+    # 5bde8f7.
+    lat = build_lattice(0.6417239197705301 - 0.19541523721842716j, 2.4585922646065765 - 0.6625536440755486j)
+    u = 1.5064697532240534 - 0.42336477491680535j
+    a = 5.267259687066154 - 1.4451455863429774j
+    with pytest.raises(WeierzetaError) as info:
+        jacobi_E_Z_Pi(lat, u, a)
+    assert type(info.value) is BranchAmbiguity
+    assert str(info.value) == "cannot resolve the log branch near t = 0.78125 on the Pi segment"

@@ -8,6 +8,7 @@ from itertools import permutations
 
 import pytest
 
+from weierzeta import jacobi
 from weierzeta import (
     DeltaRoute,
     ZetaRoute,
@@ -349,3 +350,67 @@ def test_Pi_against_its_defining_integral(name, u, a):
     if round(turns.real) and abs(turns - round(turns.real)) <= 1e-9:
         raise OffByPiI(f"Pi is {round(turns.real)}*pi*i off at u = {u!r}, a = {a!r}")
     pytest.fail(f"Pi is {got!r}, the integral {want!r}")
+
+
+# Per reference lattice, the (u, a) of 40 guarded pairs (the first 40 and the
+# next 40 of guarded_points under the seed "deep:<name>") whose tracker made
+# the most sigma_3 evaluations among the pairs that match the 41-panel
+# quadrature to 1e-9, and repr(jacobi_E_Z_Pi(lat, u, a)), recorded at commit
+# 5bde8f7.  The deepest such pairs made 24 / 40 / 36 / 40 / 68 evaluations; a
+# segment taken in one step makes 4.
+PI_DEEP = {
+    "square": (
+        0.6641687827529777 + 0.628718087439008j,
+        0.8057840081316099 + 0.2681084231332638j,
+        "((1.3957223147394864+0.4380505034295283j), (-0.39838869007689937-1.2602979719774599j), "
+        "(-2.5642780694935823-1.1831041447913409j))",
+    ),
+    "rect": (
+        0.939477219802582 + 1.9596986970751988j,
+        0.3408367180366314 + 1.2912940208201447j,
+        "((2.926761124631085+4.124102599346903j), (-0.002851546939860672-1.986911073362477j), "
+        "(3.984499499916467-2.138788130561089j))",
+    ),
+    "rhombic": (
+        1.205980270863992 + 0.7857089731408391j,
+        0.7142149689781622 + 0.8519828383127532j,
+        "((3.4403359216218203-0.8425655416167279j), (-0.6374660859055408-2.174189280918731j), "
+        "(-0.5276436029364424+2.44654076392473j))",
+    ),
+    "generic": (
+        0.8218188519555252 + 1.028167195094849j,
+        0.8707687494633224 + 0.8737498724543006j,
+        "((2.4187462076160866+0.9383576994516907j), (-0.23117901975434751-1.821281236563943j), "
+        "(0.5918748551450514-3.2310766860941964j))",
+    ),
+    "tall": (
+        0.3787986485535458 + 2.7584589393641923j,
+        0.8987722417379215 + 2.0788468217813305j,
+        "((1.1910126774188434+6.664144535030511j), (0.00048307264182789744-1.9990316613416361j), "
+        "(6.040433714972528-1.6347850788130662j))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PI_DEEP))
+def test_Pi_bytes_where_the_tracker_bisects(monkeypatch, name):
+    # The output digests pin Pi on the generic lattice alone, at points where
+    # the tracker mostly takes the segment in one step.  These pairs bisect
+    # deepest, so a change to the tracker's work (ROADMAP item 5) that moves
+    # a byte of Pi fails here.
+    u, a, want = PI_DEEP[name]
+    lat = build_lattice(0.5, 0.5 * REFERENCE_TAUS[name])
+    sigma = jacobi._sigma
+    ks = []
+
+    def counted(lat, lc, k, p, cfg):
+        ks.append(k)
+        return sigma(lat, lc, k, p, cfg)
+
+    monkeypatch.setattr(jacobi, "_sigma", counted)
+    got = jacobi_E_Z_Pi(lat, u, a)
+    assert repr(got) == want
+    assert ks.count(3) > 4
+    p = jacobi_params(lat)
+    quad = _pi_quadrature(p, p.scale * u, p.scale * a, 41)
+    assert abs(got[2] - quad) <= 1e-9 * max(1.0, abs(quad))
