@@ -175,10 +175,9 @@ def cmd_table(args) -> int:
     except ValueError as exc:
         sys.stderr.write(f"table: {exc}\n")
         return 2
-    if re_axis[2] * im_axis[2] > MAX_TABLE_POINTS:
-        sys.stderr.write(
-            f"table: a grid of {re_axis[2]} x {im_axis[2]} points is more than MAX_TABLE_POINTS = {MAX_TABLE_POINTS}\n"
-        )
+    nre, nim = re_axis[2], im_axis[2]
+    if nre * nim > MAX_TABLE_POINTS:
+        sys.stderr.write(f"table: a grid of {nre} x {nim} points is more than MAX_TABLE_POINTS = {MAX_TABLE_POINTS}\n")
         return 2
     res, ims = _axis(*re_axis), _axis(*im_axis)
     a = parse_complex(args.a, lat) if args.a is not None else None
