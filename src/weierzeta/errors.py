@@ -46,4 +46,5 @@ class BranchAmbiguity(WeierzetaError):
 
 
 class SuiteConfigError(WeierzetaError):
-    """An identity suite referenced an unknown evaluator or a bad setting."""
+    """An identity suite has a side that is neither a table function nor
+    callable, an unknown route or exclusion token, or a bad setting."""

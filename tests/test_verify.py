@@ -26,7 +26,7 @@ from weierzeta import constants, jacobi, lattice, theta
 from weierzeta.cli import main
 from weierzeta.errors import PoleProximityError, SuiteConfigError
 from weierzeta.functions import FUNCTIONS, Function
-from weierzeta.verify import EVALUATORS, _Ctx, _side
+from weierzeta.verify import _Ctx, _side
 
 from conftest import count_calls, rebind
 
@@ -88,6 +88,62 @@ def test_unknown_evaluator_rejected(generic_lat):
             run_suite(generic_lat, [bogus3], n=2, seed=0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        IdentitySpec("bad", "no_such_function", "wp"),
+        IdentitySpec("bad", "wp", "wp:theta"),
+        IdentitySpec("bad", "wp", 3.0),
+        IdentitySpec("bad", "wp", "wp", arity=3),
+        IdentitySpec("bad", "wp", "wp", arity=1.0),
+        IdentitySpec("bad", lambda c, z, w: c("wp", z), "wp", arity=2),
+        IdentitySpec("bad", "wp", "wp", exclusions=("w4",)),
+        IdentitySpec("bad", "wp", "wp", tol=-1.0),
+        IdentitySpec("bad", "wp", "wp", tol=math.nan),
+        IdentitySpec("bad", "wp", "wp", tol=math.inf),
+        IdentitySpec("bad", "wp", "wp", tol="1e-9"),
+    ],
+)
+def test_malformed_spec_refused_before_any_sample(generic_lat, bad):
+    # The whole suite is checked first, so a bad spec after a good one is
+    # refused, naming itself, before the good one's side is ever called.
+    calls = []
+
+    def probe(c, u):
+        calls.append(u)
+        return c("wp", u)
+
+    good = IdentitySpec("good", probe, "wp", exclusions=("0",))
+    with pytest.raises(SuiteConfigError, match="^bad: "):
+        run_suite(generic_lat, [good, bad], n=2, seed=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"n": 2.5}, {"n": "3"}, {"n": None}, {"seed": "x"}, {"seed": 1.5}, {"seed": None}]
+)
+def test_n_and_seed_must_be_integers(generic_lat, kwargs):
+    spec = IdentitySpec("wp_even", lambda c, u: c("wp", -u), "wp", exclusions=("0",))
+    with pytest.raises(SuiteConfigError, match="must be integers"):
+        run_suite(generic_lat, [spec], **{"n": 2, "seed": 0, **kwargs})
+
+
+class _Index:
+    """An integer by __index__ alone."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_n_and_seed_are_read_by_their_index(generic_lat):
+    spec = IdentitySpec("wp_even", lambda c, u: c("wp", -u), "wp", exclusions=("0",))
+    want = reports_to_json(run_suite(generic_lat, [spec], n=3, seed=5))
+    assert reports_to_json(run_suite(generic_lat, [spec], n=_Index(3), seed=_Index(5))) == want
+
+
 def test_report_json_schema(generic_lat):
     suite = [s for s in default_suite() if s.name == "eq3_delta1_wp_quotient"]
     rep = run_suite(generic_lat, suite, n=4, seed=3)[0]
@@ -132,13 +188,19 @@ def test_two_point_identities_sample_two_points(generic_lat):
 
 
 def test_evaluators_used_and_sides_resolve(capsys, generic_lat):
+    # Every side is a table function on a route it accepts, or a callable.
     suite = default_suite()
-    sides = {name for s in suite for name in (s.lhs, s.rhs)}
-    assert set(EVALUATORS) <= sides
-    assert not set(EVALUATORS) & set(FUNCTIONS)
+    names = [s.name for s in suite]
+    assert len(names) == len(set(names))
     ctx = _Ctx(generic_lat, theta.DEFAULT_CONFIG)
     for s in suite:
-        assert callable(_side(ctx, s, s.lhs)) and callable(_side(ctx, s, s.rhs))
+        for side in (s.lhs, s.rhs):
+            if isinstance(side, str):
+                fn, _, route = side.partition(":")
+                FUNCTIONS[fn].route(route or None)
+            else:
+                assert callable(side), (s.name, side)
+            assert callable(_side(ctx, s, side))
     with pytest.raises(SuiteConfigError):
         _side(ctx, IdentitySpec("bad_route", "wp:theta", "wp"), "wp:theta")
     assert main(["eval", "--list-fns"]) == 0
@@ -183,9 +245,8 @@ def _too_far(c, u):
     [(_raises_zero_division, "ZeroDivisionError"), (_at_pole, "PoleProximityError"), (_too_far, "ValueOverflow")],
 )
 def test_raising_identity_fails_alone(monkeypatch, capsys, generic_lat, evaluator, error):
-    monkeypatch.setitem(EVALUATORS, "raises", evaluator)
-    good = IdentitySpec("good", "wp_neg", "wp", exclusions=("0",))
-    bad = IdentitySpec("bad", "wp", "raises", exclusions=("0",))
+    good = IdentitySpec("good", lambda c, u: c("wp", -u), "wp", exclusions=("0",))
+    bad = IdentitySpec("bad", "wp", evaluator, exclusions=("0",))
     reports = run_suite(generic_lat, [good, bad, good], n=3, seed=2)
     assert [r.passed for r in reports] == [True, False, True]
     failed = report_to_json(reports[1])
@@ -207,9 +268,8 @@ def _refuse_constant(name):
 
 
 def test_nan_residual_fails_and_stays_json(monkeypatch, capsys, generic_lat):
-    monkeypatch.setitem(EVALUATORS, "nan_side", lambda c, u: complex("nan"))
-    good = IdentitySpec("good", "wp_neg", "wp", exclusions=("0",))
-    bad = IdentitySpec("bad", "wp", "nan_side", exclusions=("0",))
+    good = IdentitySpec("good", lambda c, u: c("wp", -u), "wp", exclusions=("0",))
+    bad = IdentitySpec("bad", "wp", lambda c, u: complex("nan"), exclusions=("0",))
     (rep,) = run_suite(generic_lat, [bad], n=3, seed=2)
     assert not rep.passed and len(rep.failures) == 3
     out = report_to_json(rep)
@@ -257,7 +317,7 @@ def test_memo_evaluates_each_side_value_once(monkeypatch, generic_lat):
         assert rep.passed and count == 10
 
 
-def test_memo_holds_one_identity_at_a_time(monkeypatch, generic_lat):
+def test_memo_holds_one_identity_at_a_time(generic_lat):
     seen, points, samples = [], [], []
 
     def probe(c, u):
@@ -266,9 +326,8 @@ def test_memo_holds_one_identity_at_a_time(monkeypatch, generic_lat):
         points.append(set(c.points))
         return c("wp", u)
 
-    monkeypatch.setitem(EVALUATORS, "probe", probe)
     first = next(s for s in default_suite() if s.name == "wp_diffeq_factored")
-    spec = IdentitySpec("probe", "probe", "wp", exclusions=("0",))
+    spec = IdentitySpec("probe", probe, "wp", exclusions=("0",))
     reports = run_suite(generic_lat, [first, spec], n=4, seed=1)
     assert all(r.passed for r in reports)
     assert seen[0] == set()  # nothing of wp_diffeq_factored is left
@@ -279,7 +338,7 @@ def test_memo_holds_one_identity_at_a_time(monkeypatch, generic_lat):
     assert reports[1].max_rel == 0.0  # both sides read the one stored value
 
 
-def test_memo_keeps_the_report_of_a_raising_side(monkeypatch, generic_lat):
+def test_memo_keeps_the_report_of_a_raising_side(generic_lat):
     points = []
 
     def late_pole(c, u):
@@ -292,8 +351,7 @@ def test_memo_keeps_the_report_of_a_raising_side(monkeypatch, generic_lat):
             return c("wp", 0j)
         return value
 
-    monkeypatch.setitem(EVALUATORS, "late_pole", late_pole)
-    spec = IdentitySpec("late", "wp", "late_pole", exclusions=("0",))
+    spec = IdentitySpec("late", "wp", late_pole, exclusions=("0",))
     (rep,) = run_suite(generic_lat, [spec], n=5, seed=3)
     assert rep.error == "PoleProximityError" and not rep.passed
     assert rep.samples == 2 and rep.max_rel == 0.0
