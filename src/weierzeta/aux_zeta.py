@@ -37,15 +37,7 @@ import math
 from operator import mul
 
 from .errors import SeriesDivergence
-from .lattice import (
-    Lattice,
-    LatticeConstants,
-    Located,
-    _coset_pairs,
-    check_index,
-    complement,
-    locate,
-)
+from .lattice import Lattice, LatticeConstants, Located, _coset_pairs, check_index, complement, locate
 from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import EvalResult, _guarded, _theta_zeta
 
@@ -77,36 +69,35 @@ def zeta_aux(
 ) -> EvalResult:
     """Auxiliary zeta for half-period index lam along the chosen route."""
     check_index(lam)
-    return _guarded(_zeta_aux, lat, locate(lat, u), (lam,), cfg, None, lam, route)
+    return _guarded(_zeta_aux, locate(lat, u, cfg), (lam,), None, lam, route)
 
 
-def _zeta_aux(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int, route, form="exp"):
+def _zeta_aux(lc: LatticeConstants, p: Located, lam: int, route, form="exp"):
     if route is _SHIFT:
-        return _shift(lat, lc, lam, p.u, cfg)
+        return _shift(lc, p, lam, p.u)
     if route is _THETA:
-        return _theta_zeta(lat, lc, p, cfg, lam)[0]
+        return _theta_zeta(lc, p, lam)[0]
     if route is _QSERIES:
-        return _qseries(lat, lc, lam, p, cfg, form)
+        return _qseries(lc, p, lam, form)
     if route is _PARTIAL_FRACTION:
-        return _partialfrac(lat, lc, lam, p)
+        return _partialfrac(lc, p, lam)
     raise ValueError(f"unknown route {route!r}")
 
 
-def _shift(lat: Lattice, lc: LatticeConstants, lam: int, u: complex, cfg: SeriesConfig) -> complex:
-    """zeta(u + omega_lam) - eta_lam, for u off the omega_lam coset."""
-    p = locate(lat, u + lat.half_period(lam))
-    return _theta_zeta(lat, lc, p, cfg, 0)[0] - lc.eta(lam)
+def _shift(lc: LatticeConstants, p: Located, lam: int, u: complex) -> complex:
+    """zeta(u + omega_lam) - eta_lam on p's lattice and config, for u (p.u
+    or p.u_red) off the omega_lam coset."""
+    lat = p.lat
+    return _theta_zeta(lc, locate(lat, u + lat.half_period(lam), p.cfg), 0)[0] - lc.eta(lam)
 
 
-def _qseries(
-    lat: Lattice, lc: LatticeConstants, lam: int, p: Located, cfg: SeriesConfig, form: str
-) -> complex:
+def _qseries(lc: LatticeConstants, p: Located, lam: int, form: str) -> complex:
     """The q-series of index lam in its "exp" form, or in its "cos" form."""
-    u_red = p.u_red
+    u_red, lat = p.u_red, p.lat
     incr = 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3
     w1 = lat.omega1
     if abs((PI * u_red / w1).imag) >= 2 * PI * lat.tau.imag * QSERIES_STRIP:
-        return _shift(lat, lc, lam, u_red, cfg) + incr
+        return _shift(lc, p, lam, u_red) + incr
     q = lat.q
     total = lc.eta1 * u_red / w1
     if lam == 1:
@@ -126,7 +117,7 @@ def _qseries(
         c = cmath.cos(PI * u_red / w1)
         s = cmath.sin(PI * u_red / w1)
         coef = -sgn * 2 * PI / w1
-    abs_tol, rel_tol, max_terms = cfg
+    abs_tol, rel_tol, max_terms = p.cfg
     small = 0
     for _ in range(max_terms):
         if exp_form:
@@ -148,11 +139,11 @@ def _qseries(
     )
 
 
-def _partialfrac(lat: Lattice, lc: LatticeConstants, lam: int, p: Located) -> complex:
+def _partialfrac(lc: LatticeConstants, p: Located, lam: int) -> complex:
     """-e_lam*u + the sum over omega_lam + lattice of 1/(u-w) + 1/w + u/w^2 at
     u = u_red, plus the lattice increment: the pair sum of `_pair_series`
     over the whole coset, from the record's tables (`_coset_tables`)."""
-    tables = lc.pair_tables[lam - 1] or _coset_tables(lat, lc, lam)
+    tables = lc.pair_tables[lam - 1] or _coset_tables(p.lat, lc, lam)
     total = -lc.e(lam) * p.u_red + _pair_series(*tables, p.u_red)
     return total + 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3
 

@@ -130,7 +130,7 @@ def cmd_eval(args) -> int:
     u = parse_complex(args.u, lat)
     a = parse_complex(args.a, lat) if args.a is not None else None
     try:
-        res = fn.run(lat, None, cfg, locate(lat, u), a, route)
+        res = fn.run(None, locate(lat, u, cfg), a, route)
     except BranchAmbiguity as exc:
         sys.stderr.write(f"eval: {exc}\n")
         return 3
@@ -191,7 +191,7 @@ def cmd_table(args) -> int:
         for im in ims:
             for re in res:
                 try:
-                    yield run(lat, lc, cfg, locate(lat, complex(re, im)), a, route)
+                    yield run(lc, locate(lat, complex(re, im), cfg), a, route)
                 except BranchAmbiguity:
                     yield EvalResult(complex("nan"), Status.AT_POLE)
 

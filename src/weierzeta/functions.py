@@ -24,13 +24,14 @@ package = sys.modules[__package__]
 class Function(namedtuple("Function", "run default_route needs_a route_enum", defaults=(None, False, None))):
     """One public function as `eval`, `table` and the suite call it.
 
-    run(lat, lc, cfg, p, a, route) returns an EvalResult at the point p
-    located by the caller (`lattice.locate`; `eval` and `table` locate each
-    point once, the suite each distinct point of an identity once).  It runs
-    the function's kernel, not the public function, on the lattice's record
-    lc (`table` looks it up once per command, the suite once per lattice),
-    and looks it up itself only for lc None, after the pole guard where there
-    is one (a Jacobi entry: before it, to refuse a degenerate lattice first).
+    run(lc, p, a, route) returns an EvalResult at the point p located by
+    the caller (`lattice.locate`; `eval` and `table` locate each point once,
+    the suite each distinct point of an identity once), which carries the
+    lattice and series config it is evaluated on.  It runs the function's
+    kernel, not the public function, on the lattice's record lc (`table`
+    looks it up once per command, the suite once per lattice), and looks it
+    up itself only for lc None, after the pole guard where there is one (a
+    Jacobi entry: before it, to refuse a degenerate lattice first).
     A function with routes accepts every member of the package's route enum
     named `route_enum` (reading it loads the kernel module), and
     `default_route` names the default member; `routes` holds the members,
@@ -68,49 +69,42 @@ def _part(res: EvalResult, k: int) -> EvalResult:
 
 def _functions() -> dict:
     table = {
-        "wp": Function(lambda lat, lc, cfg, p, *_: _guarded(_wp, lat, p, (0,), cfg, lc)),
-        "wp_prime": Function(lambda lat, lc, cfg, p, *_: _guarded(_wp_prime, lat, p, (0,), cfg, lc)),
-        "zeta": Function(lambda lat, lc, cfg, p, *_: _guarded(_zeta_w, lat, p, (0,), cfg, lc)),
+        "wp": Function(lambda lc, p, *_: _guarded(_wp, p, (0,), lc)),
+        "wp_prime": Function(lambda lc, p, *_: _guarded(_wp_prime, p, (0,), lc)),
+        "zeta": Function(lambda lc, p, *_: _guarded(_zeta_w, p, (0,), lc)),
     }
     for k in (0, 1, 2, 3):
         table[f"sigma{k or ''}"] = Function(
-            lambda lat, lc, cfg, p, *_, k=k: _finite(_sigma(lat, lc or constants(lat, cfg), k, p, cfg))
+            lambda lc, p, *_, k=k: _finite(_sigma(lc or constants(p.lat, p.cfg), p, k))
         )
     for i in (1, 2, 3):
         table[f"zeta{i}"] = Function(
-            lambda lat, lc, cfg, p, a, r, i=i: _guarded(package.aux_zeta._zeta_aux, lat, p, (i,), cfg, lc, i, r),
-            "THETA",
-            route_enum="ZetaRoute",
+            lambda lc, p, a, r, i=i: _guarded(package.aux_zeta._zeta_aux, p, (i,), lc, i, r),
+            "THETA", route_enum="ZetaRoute",
         )
         table[f"delta{i}"] = Function(
-            lambda lat, lc, cfg, p, a, r, i=i: _guarded(package.zeta_diff._delta, lat, p, (0, i), cfg, lc, i, r),
-            "SIGMA_QUOTIENT",
-            route_enum="DeltaRoute",
+            lambda lc, p, a, r, i=i: _guarded(package.zeta_diff._delta, p, (0, i), lc, i, r),
+            "SIGMA_QUOTIENT", route_enum="DeltaRoute",
         )
     for i, j in ((1, 2), (2, 3), (3, 1)):
         table[f"delta{i}{j}"] = Function(
-            lambda lat, lc, cfg, p, a, r, i=i, j=j: _guarded(
-                package.zeta_diff._delta2, lat, p, (i, j), cfg, lc, i, j, r
-            ),
-            "WP_QUOTIENT",
-            route_enum="DeltaRoute",
+            lambda lc, p, a, r, i=i, j=j: _guarded(package.zeta_diff._delta2, p, (i, j), lc, i, j, r),
+            "WP_QUOTIENT", route_enum="DeltaRoute",
         )
     for k, name in enumerate(("sn", "cn", "dn")):
         table[name] = Function(
-            lambda lat, lc, cfg, p, *_, k=k: _part(
-                _guarded(package.jacobi._sn_cn_dn, lat, p, (3,), cfg, package.jacobi._record(lat, lc, cfg).jacobi),
-                k,
+            lambda lc, p, *_, k=k: _part(
+                _guarded(package.jacobi._sn_cn_dn, p, (3,), package.jacobi._record(p.lat, lc, p.cfg).jacobi), k
             )
         )
     for k, name in enumerate(("E", "Z")):
         table[name] = Function(
-            lambda lat, lc, cfg, p, *_, k=k: _part(
-                _guarded(package.jacobi._E_Z, lat, p, (3,), cfg, package.jacobi._record(lat, lc, cfg)), k
+            lambda lc, p, *_, k=k: _part(
+                _guarded(package.jacobi._E_Z, p, (3,), package.jacobi._record(p.lat, lc, p.cfg)), k
             )
         )
     table["Pi"] = Function(
-        lambda lat, lc, cfg, p, a, r: _part(package.jacobi._guarded_Pi(lat, lc, p, cfg, 0j if a is None else a), 2),
-        needs_a=True,
+        lambda lc, p, a, r: _part(package.jacobi._guarded_Pi(lc, p, 0j if a is None else a), 2), needs_a=True
     )
     return table
 

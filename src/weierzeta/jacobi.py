@@ -59,16 +59,16 @@ def sn_cn_dn(p: JacobiParams, x: complex) -> tuple[complex, complex, complex]:
     PoleProximityError near their shared poles, the omega_3 coset.  p carries
     the record's `sigma_factor` and `nullwerte`, so no lookup is made.
     """
-    return _val(_guarded(_sn_cn_dn, p.lattice, locate(p.lattice, x / p.scale), (3,), p.cfg, p))
+    return _val(_guarded(_sn_cn_dn, locate(p.lattice, x / p.scale, p.cfg), (3,), p))
 
 
-def _sn_cn_dn(lat: Lattice, jp: JacobiParams, p: Located, cfg: SeriesConfig) -> tuple:
+def _sn_cn_dn(jp: JacobiParams, p: Located) -> tuple:
     """(sn, cn, dn) at x = scale*u for the located point p: sn =
     scale*sigma/sigma_3, cn = sigma_1/sigma_3, dn = sigma_2/sigma_3, the
     sigmas normalised by what the JacobiParams jp carry."""
     # The Gaussian and quasi-period factors common to all four sigmas cancel;
     # only the auxiliary signs of the translate remain.
-    s0, s1, s2, s3 = _sigmas(lat, jp, p, cfg)
+    s0, s1, s2, s3 = _sigmas(jp, p)
     s3 *= _translate_sign(p, 3)
     return jp.scale * s0 / s3, s1 * _translate_sign(p, 1) / s3, s2 * _translate_sign(p, 2) / s3
 
@@ -85,13 +85,13 @@ def jacobi_E_Z(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> 
     when u is at/near a pole of the third auxiliary zeta.
     """
     lc = constants(lat, cfg)
-    return _val(_guarded(_E_Z, lat, locate(lat, u), (3,), cfg, _record(lat, lc, cfg)))
+    return _val(_guarded(_E_Z, locate(lat, u, cfg), (3,), _record(lat, lc, cfg)))
 
 
-def _E_Z(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> tuple[complex, complex]:
+def _E_Z(lc: LatticeConstants, p: Located) -> tuple[complex, complex]:
     """(E, Z) at the located point p."""
     jp = lc.jacobi
-    z3 = _theta_zeta(lat, lc, p, cfg, 3)[0]
+    z3 = _theta_zeta(lc, p, 3)[0]
     big_e = (z3 + lc.e1 * p.u) / jp.scale
     return big_e, big_e - (jp.big_e / jp.big_k) * (jp.scale * p.u)
 
@@ -108,38 +108,41 @@ def jacobi_E_Z_Pi(
     at/near a pole of the third auxiliary zeta, BranchAmbiguity where the
     tracking fails, and ValueOverflow where a sigma_3 factor overflows.
     """
-    return _val(_guarded_Pi(lat, constants(lat, cfg), locate(lat, u), cfg, a))
+    return _val(_guarded_Pi(constants(lat, cfg), locate(lat, u, cfg), a))
 
 
-def _guarded_Pi(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, a: complex) -> EvalResult:
-    """`_E_Z_Pi` at the located point p and at a, located here: a degenerate
+def _guarded_Pi(lc, p: Located, a: complex) -> EvalResult:
+    """`_E_Z_Pi` at the located point p and at a, located here on p's
+    lattice and config, with the record lc (None: looked up): a degenerate
     lattice is refused, then a's pole status reported, then p's."""
-    lc = _record(lat, lc, cfg)
-    pa = locate(lat, a)
-    return pole_status(lat, pa, (3,)) or _guarded(_E_Z_Pi, lat, p, (3,), cfg, lc, pa)
+    lc = _record(p.lat, lc, p.cfg)
+    pa = locate(p.lat, a, p.cfg)
+    return pole_status(pa, (3,)) or _guarded(_E_Z_Pi, p, (3,), lc, pa)
 
 
-def _E_Z_Pi(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, pa: Located) -> tuple:
+def _E_Z_Pi(lc: LatticeConstants, p: Located, pa: Located) -> tuple:
     """(E, Z, Pi) at the located point p and the located second argument pa."""
-    big_e, big_z = _E_Z(lat, lc, p, cfg)
-    z3a = _theta_zeta(lat, lc, pa, cfg, 3)[0]
+    big_e, big_z = _E_Z(lc, p)
+    z3a = _theta_zeta(lc, pa, 3)[0]
     if p.u == 0:
         return big_e, big_z, 0j
-    return big_e, big_z, 0.5 * _tracked_log_ratio(lat, lc, p.u, pa.u, cfg) + z3a * p.u
+    return big_e, big_z, 0.5 * _tracked_log_ratio(lc, p, pa) + z3a * p.u
 
 
-def _tracked_log_ratio(lat: Lattice, lc: LatticeConstants, u: complex, a: complex, cfg: SeriesConfig) -> complex:
-    """log of sigma_3(u - a)/sigma_3(u + a), continuous along t*u from t=0.
+def _tracked_log_ratio(lc: LatticeConstants, p: Located, pa: Located) -> complex:
+    """log of sigma_3(u - a)/sigma_3(u + a), u = p.u and a = pa.u, continuous
+    along t*u from t=0, each sample located on p's lattice and config.
 
     At t = 0 the ratio is exactly 1 (sigma_3 is even).  The principal log of
     each step ratio is accumulated; a step whose phase jump cannot be brought
     under pi/2 by bisection signals a crossing of the zero set, where the
     branch genuinely is ambiguous.
     """
+    lat, cfg, u, a = p.lat, p.cfg, p.u, pa.u
 
     def ratio(t: float) -> complex:
-        num = _sigma(lat, lc, 3, locate(lat, t * u - a), cfg)
-        den = _sigma(lat, lc, 3, locate(lat, t * u + a), cfg)
+        num = _sigma(lc, locate(lat, t * u - a, cfg), 3)
+        den = _sigma(lc, locate(lat, t * u + a, cfg), 3)
         if den == 0 or num == 0:
             raise BranchAmbiguity(
                 f"sigma_3 vanishes on the tracking segment at t = {t}; Pi is singular there"

@@ -137,17 +137,19 @@ def build_lattice(omega1: complex, omega3: complex) -> Lattice:
 
 
 class Located:
-    """A located point, made by `locate` alone: u = 2*alpha*omega1 +
+    """A located point, made by `locate` alone: the lattice and the series
+    config every guard and kernel reads here, u = 2*alpha*omega1 +
     2*beta*omega3 = u_red + 2*n*omega1 + 2*m*omega3, the reduced gaps
-    |alpha - n| and |beta - m| that `near` reads (None for a far point,
-    which `near` always measures), and the theta pass at u_red in
-    half-period order, which `weier_core._thetas` fills on first use (None
-    until then).  The pass belongs to one series config, so a located point
-    serves the one (lattice, config) its caller evaluates on."""
+    |alpha - n| and |beta - m| that `near` reads (None for a far point, which
+    `near` always measures), and the theta pass at u_red in half-period order
+    under cfg, which `weier_core._thetas` fills on first use (None until then)."""
 
-    __slots__ = ("u", "alpha", "beta", "u_red", "n", "m", "gap_alpha", "gap_beta", "thetas", "__weakref__")
+    __slots__ = ("lat", "cfg", "u", "alpha", "beta", "u_red", "n", "m", "gap_alpha", "gap_beta", "thetas",
+                 "__weakref__")
 
-    def __init__(self, u: complex, alpha: float, beta: float, u_red: complex, n: int, m: int, gap_alpha, gap_beta):
+    def __init__(self, lat, cfg, u, alpha, beta, u_red, n, m, gap_alpha, gap_beta):
+        self.lat = lat
+        self.cfg = cfg
         self.u = u
         self.alpha = alpha
         self.beta = beta
@@ -164,14 +166,14 @@ class Located:
 _COORD_LIMIT = 2.0**52
 
 
-def locate(lat: Lattice, u: complex) -> Located:
-    """The one placement of u behind every evaluator: the cell coordinates,
-    and from their rounding the reduction the theta pass reads (u_red with
-    cell coordinates in [-1/2, 1/2]) and the gaps |alpha - n|, |beta - m|
-    every coset test of the point reads (`near`), taken here once with the
-    far-point test.  Cell coordinates that are not finite or reach
-    _COORD_LIMIT in size, where no digit of the reduction is left, raise
-    ValueOverflow."""
+def locate(lat: Lattice, u: complex, cfg: SeriesConfig) -> Located:
+    """The one placement of u behind every evaluator, on lat under cfg, which
+    the point keeps: the cell coordinates, and from their rounding the
+    reduction the theta pass reads (u_red with cell coordinates in
+    [-1/2, 1/2]) and the gaps |alpha - n|, |beta - m| every coset test of
+    the point reads (`near`), taken here once with the far-point test.  Cell
+    coordinates that are not finite or reach _COORD_LIMIT in size, where no
+    digit of the reduction is left, raise ValueOverflow."""
     w1, w3, det = lat.period1, lat.period3, lat.area
     alpha = (u.real * w3.imag - u.imag * w3.real) / det
     beta = (w1.real * u.imag - w1.imag * u.real) / det
@@ -184,13 +186,14 @@ def locate(lat: Lattice, u: complex) -> Located:
     except OverflowError:
         raise ValueOverflow(f"the cell coordinates of u = {u!r} are too large to reduce") from None
     if size_alpha + size_beta < _FAR_CELLS:
-        return Located(u, alpha, beta, u_red, n, m, abs(alpha - n), abs(beta - m))
-    return Located(u, alpha, beta, u_red, n, m, None, None)
+        return Located(lat, cfg, u, alpha, beta, u_red, n, m, abs(alpha - n), abs(beta - m))
+    return Located(lat, cfg, u, alpha, beta, u_red, n, m, None, None)
 
 
 def reduce_to_cell(lat: Lattice, u: complex) -> tuple[complex, int, int]:
-    """(u_red, n, m) of `locate`: u = u_red + 2*n*omega1 + 2*m*omega3."""
-    p = locate(lat, u)
+    """(u_red, n, m) of `locate`: u = u_red + 2*n*omega1 + 2*m*omega3.  No
+    theta pass is taken, so the point's config is never read."""
+    p = locate(lat, u, DEFAULT_CONFIG)
     return p.u_red, p.n, p.m
 
 
@@ -201,7 +204,7 @@ def nearest_translate(lat: Lattice, u: complex, offset: complex) -> tuple[float,
     the cell's inradius h/2 = min_period*sin(theta)/2, theta the angle between
     the periods, where each cell coordinate is within 1/2 of u's; farther out
     the distance is an upper bound."""
-    p = locate(lat, u - offset)
+    p = locate(lat, u - offset, DEFAULT_CONFIG)
     pt = offset + 2 * p.n * lat.omega1 + 2 * p.m * lat.omega3
     return abs(u - pt), pt
 
@@ -212,13 +215,14 @@ def nearest_translate(lat: Lattice, u: complex, offset: complex) -> tuple[float,
 _HALF_CELL = ((0.0, 0.0), (0.5, 0.0), (-0.5, -0.5), (0.0, 0.5))
 
 
-def nearest(lat: Lattice, p: Located, k: int) -> tuple[float, complex]:
+def nearest(p: Located, k: int) -> tuple[float, complex]:
     """`nearest_translate` to the coset omega_k + lattice (k = 0 the lattice),
     from the located point's cell coordinates less omega_k's, rounded: for
     the lattice the translate's n, m are the point's own.  The one
     coset-distance formula; the guards reach it through `near`, which calls
     it only for a point within reach of the coset."""
     a, b = _HALF_CELL[k]
+    lat = p.lat
     pt = lat.offsets[k] + 2 * round(p.alpha - a) * lat.omega1 + 2 * round(p.beta - b) * lat.omega3
     return abs(p.u - pt), pt
 
@@ -244,7 +248,7 @@ def reach(r: float, min_period: float) -> float:
 _HALF_GAP = tuple((abs(a), abs(b)) for a, b in _HALF_CELL)
 
 
-def near(lat: Lattice, p: Located, k: int, r: float, r_reach: float) -> tuple[float, complex] | None:
+def near(p: Located, k: int, r: float, r_reach: float) -> tuple[float, complex] | None:
     """Is the located point p within r of omega_k + lattice?  `nearest`'s
     (dist, translate) when dist < r, else None; `nearest` runs only for a
     point within r_reach = `reach`(r, min_period), which the caller takes
@@ -280,10 +284,10 @@ def near(lat: Lattice, p: Located, k: int, r: float, r_reach: float) -> tuple[fl
     gap_alpha = p.gap_alpha
     if gap_alpha is not None:
         a, b = _HALF_GAP[k]
-        h1, h3 = lat.heights
+        h1, h3 = p.lat.heights
         if abs(a - gap_alpha) * h1 >= r_reach or abs(b - p.gap_beta) * h3 >= r_reach:
             return None
-    hit = nearest(lat, p, k)
+    hit = nearest(p, k)
     return hit if hit[0] < r else None
 
 

@@ -18,6 +18,7 @@ import math
 import operator
 import random
 from collections import namedtuple
+from types import FunctionType
 
 from .aux_zeta import _QSERIES, _zeta_aux
 from .errors import SuiteConfigError, WeierzetaError
@@ -80,7 +81,9 @@ IdentityReport.__doc__ = """Residual statistics of one identity over its samples
 
 
 class _Ctx:
-    """Per-(lattice, config) evaluation context shared by all sides.
+    """Per-(lattice, config) evaluation context shared by all sides.  Each
+    point is located on the lattice under the config (`at`), so it carries
+    both into every kernel, and the lattice's record `lc` goes beside it.
 
     `memo` holds the value of each table function call, keyed on (name,
     route name, u), so a side that needs a value twice, or both sides of an
@@ -113,7 +116,7 @@ class _Ctx:
         if key in self.memo:
             return self.memo[key]
         run, member = self.entry(name, route)
-        value = self.memo[key] = _val(run(self.lat, self.lc, self.cfg, self.at(u), None, member))
+        value = self.memo[key] = _val(run(self.lc, self.at(u), None, member))
         return value
 
     def entry(self, name: str, route: str | None) -> tuple:
@@ -129,19 +132,19 @@ class _Ctx:
         """The located point u of the current identity, located on first use."""
         p = self.points.get(u)
         if p is None:
-            p = self.points[u] = locate(self.lat, u)
+            p = self.points[u] = locate(self.lat, u, self.cfg)
         return p
 
     def jac(self, u: complex) -> tuple:
         """(sn, cn, dn) at the Jacobi argument scale*u, the table's sn, cn
         and dn in one kernel call; raises at their shared poles."""
-        return _val(_guarded(_sn_cn_dn, self.lat, self.at(u), (3,), self.cfg, self.jp))
+        return _val(_guarded(_sn_cn_dn, self.at(u), (3,), self.jp))
 
     def dp(self, lam, u):
-        return _val(_guarded(_delta_prime, self.lat, self.at(u), (0, lam), self.cfg, self.lc, lam))
+        return _val(_guarded(_delta_prime, self.at(u), (0, lam), self.lc, lam))
 
     def d2p(self, lam, mu, u):
-        return _val(_guarded(_delta2_prime, self.lat, self.at(u), (lam, mu), self.cfg, self.lc, lam, mu))
+        return _val(_guarded(_delta2_prime, self.at(u), (lam, mu), self.lc, lam, mu))
 
     def w(self, lam):
         return self.lat.half_period(lam)
@@ -190,7 +193,7 @@ def default_suite() -> tuple[IdentitySpec, ...]:
         add(IdentitySpec(f"prop23_exp_form_zeta{lam}", f"zeta{lam}:qseries", f"zeta{lam}:shift", exclusions=excl))
         add(IdentitySpec(
             f"prop23_cos_form_zeta{lam}",
-            lambda c, u, i=lam: _val(_guarded(_zeta_aux, c.lat, c.at(u), (i,), c.cfg, c.lc, i, _QSERIES, "cos")),
+            lambda c, u, i=lam: _val(_guarded(_zeta_aux, c.at(u), (i,), c.lc, i, _QSERIES, "cos")),
             f"zeta{lam}:qseries", exclusions=excl,
         ))
         add(IdentitySpec(
@@ -241,14 +244,14 @@ def default_suite() -> tuple[IdentitySpec, ...]:
         return num / den
 
     def delta_eq7(c, u):
-        t = _thetas(c.lat, c.at(u), c.cfg, deriv=True)
+        t = _thetas(c.at(u), deriv=True)
         return (t[5] / t[1] - t[4] / t[0]) / (2 * c.lat.omega1)
 
     def delta_eq8s(c, u):
         # Simplified theta-product form for lam = 2 (mu, nu = 3, 1), sign
         # fixed by the -1/u origin limit.
         mu, nu = complement(2)
-        t = _thetas(c.lat, c.at(u), c.cfg)
+        t = _thetas(c.at(u))
         t0 = c.lc.nullwerte[2]
         return -(PI / (2 * c.lat.omega1)) * t0**2 * t[mu] * t[nu] / (t[2] * t[0])
 
@@ -549,26 +552,27 @@ def _exclusion_cosets(spec: IdentitySpec) -> tuple[list[int], list[tuple[int, in
     return single, pair
 
 
-def _sample_points(lat: Lattice, rng: random.Random, spec: IdentitySpec, single, pair) -> list[Located]:
-    """spec.arity points drawn uniformly in the fundamental cell, each at least
-    POLE_GUARD * min_period from the cosets in single, and for two points z,
-    w each z + sign*w of pair from its coset: the located sample points,
-    followed by the located z + sign*w.  Each point is located once."""
+def _sample_points(ctx: _Ctx, rng: random.Random, spec: IdentitySpec, single, pair) -> list[Located]:
+    """spec.arity points drawn uniformly in the fundamental cell of ctx's
+    lattice, each at least POLE_GUARD * min_period from the cosets in single,
+    and for two points z, w each z + sign*w of pair from its coset: the
+    sample points, then the z + sign*w, each located once under ctx's config."""
+    lat, cfg = ctx.lat, ctx.cfg
     guard = POLE_GUARD * lat.min_period
     guard_reach = reach(guard, lat.min_period)
     for _ in range(10_000):
         located = []
         for _ in range(spec.arity):
             a, b = rng.random(), rng.random()
-            located.append(locate(lat, 2 * a * lat.omega1 + 2 * b * lat.omega3))
+            located.append(locate(lat, 2 * a * lat.omega1 + 2 * b * lat.omega3, cfg))
         tests = [(p, k) for p in located for k in single]
         if spec.arity == 2:
             z, w = located[0].u, located[1].u
             for sign, k in pair:
-                located.append(locate(lat, z + sign * w))
+                located.append(locate(lat, z + sign * w, cfg))
                 tests.append((located[-1], k))
         for p, k in tests:
-            if near(lat, p, k, guard, guard_reach) is not None:
+            if near(p, k, guard, guard_reach) is not None:
                 break
         else:
             return located
@@ -595,10 +599,19 @@ def _side(ctx: _Ctx, spec: IdentitySpec, side):
 def _check(ctx: _Ctx, spec: IdentitySpec) -> tuple:
     """(lhs, rhs, single, pair): the evaluators of spec's two sides and its
     exclusion cosets; SuiteConfigError naming spec for a side, an arity, an
-    exclusion token or a tolerance it cannot run with."""
+    exclusion token or a tolerance it cannot run with.  A plain function side
+    without *args must require 1 + arity positional parameters."""
     lhs, rhs = _side(ctx, spec, spec.lhs), _side(ctx, spec, spec.rhs)
     if not isinstance(spec.arity, int) or spec.arity not in (1, 2):
         raise SuiteConfigError(f"{spec.name}: arity must be 1 or 2")
+    for label, side in (("lhs", spec.lhs), ("rhs", spec.rhs)):
+        code = side.__code__ if isinstance(side, FunctionType) else None
+        if code is not None and not code.co_flags & 0x04:  # 0x04 = inspect.CO_VARARGS, a side with *args
+            required = code.co_argcount - len(side.__defaults__ or ())
+            if required != 1 + spec.arity:
+                raise SuiteConfigError(
+                    f"{spec.name}: the {label} side requires {required} positional parameters, not 1 + {spec.arity}"
+                )
     if spec.arity == 2 and not (callable(spec.lhs) and callable(spec.rhs)):
         raise SuiteConfigError(f"{spec.name}: arity 2 needs two callable sides; a table function reads one point")
     single, pair = _exclusion_cosets(spec)
@@ -645,7 +658,7 @@ def run_suite(
         failures = []
         error = None
         for _ in range(n):
-            located = _sample_points(lat, rng, spec, single, pair)
+            located = _sample_points(ctx, rng, spec, single, pair)
             for p in located:
                 ctx.points.setdefault(p.u, p)
             pts = [p.u for p in located[: spec.arity]]

@@ -7,10 +7,11 @@ point, so every kernel that reads the point shares it.  The four sigmas at the r
 (`_sigmas`) leave out the Gaussian factor they share, which every quotient
 of degree 0 cancels; only `sigma` and `sigma_aux` apply it, with the
 quasi-periodicity factor and the sign of the translate, in one body.
-Every function with poles is a kernel behind one path (`_guarded`): the
-guard on its pole cosets at the located point the caller hands in, then the
-kernel with the lattice's record, which the caller hands in or which is
-looked up after the guard.  Slow lattice-sum and product oracles are provided for
+Every function with poles is a kernel (lc, p, *args) behind one path
+(`_guarded`): the guard on its pole cosets at the located point p the caller
+hands in, which carries its lattice and series config, then the kernel with
+the lattice's record lc, which the caller hands in or which is looked up
+after the guard.  Slow lattice-sum and product oracles are provided for
 each function; they exist for verification only, and sum each pair +-Omega of
 lattice points as one term in Omega^2 (`lattice._disc_pairs`).
 """
@@ -23,9 +24,8 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .errors import NearZeroDenominator, PoleProximityError, ValueOverflow
-from .lattice import (  # NEAR_POLE_FACTOR stays importable from here
+from .lattice import (
     HALF_PERIOD_ORDER,
-    NEAR_POLE_FACTOR,
     Lattice,
     LatticeConstants,
     Located,
@@ -66,31 +66,32 @@ class EvalResult(namedtuple("EvalResult", "value status pole", defaults=(None,))
         return self.status is _FINITE
 
 
-def pole_status(lat: Lattice, p: Located, cosets) -> EvalResult | None:
+def pole_status(p: Located, cosets) -> EvalResult | None:
     """The EvalResult for the located point p at/near a pole, else None:
     each pole coset, a half-period index (0 for the lattice), is tested once
     against the lattice's pole radius and reach by `lattice.near`, which
     rejects a point whose gaps (taken by `locate`) keep it a margin beyond
     that radius and measures the `lattice.nearest` distance of any other."""
-    radius, r_reach = lat.pole_radius, lat.pole_reach
+    radius, r_reach = p.lat.pole_radius, p.lat.pole_reach
     for k in cosets:
-        hit = near(lat, p, k, radius, r_reach)
+        hit = near(p, k, radius, r_reach)
         if hit is not None:
             dist, translate = hit
             return EvalResult(_NAN, Status.AT_POLE if dist == 0.0 else Status.NEAR_POLE, translate)
     return None
 
 
-def _guarded(kernel, lat: Lattice, p: Located, cosets, cfg: SeriesConfig, lc, *args) -> EvalResult:
+def _guarded(kernel, p: Located, cosets, lc, *args) -> EvalResult:
     """`pole_status` of the located point p on the cosets, and off them
-    kernel(lat, lc, p, cfg, *args), Finite.  lc None is looked up here, after
-    the guard, so a pole is reported even where the record overflows."""
-    bad = pole_status(lat, p, cosets)
+    kernel(lc, p, *args), Finite.  lc None is looked up here, on the lattice
+    and config p carries, after the guard, so a pole is reported even where
+    the record overflows."""
+    bad = pole_status(p, cosets)
     if bad is not None:
         return bad
     if lc is None:
-        lc = constants(lat, cfg)
-    return _tuple_new(EvalResult, (kernel(lat, lc, p, cfg, *args), _FINITE, None))
+        lc = constants(p.lat, p.cfg)
+    return _tuple_new(EvalResult, (kernel(lc, p, *args), _FINITE, None))
 
 
 def _val(res: EvalResult):
@@ -106,21 +107,21 @@ _IN_HALF_PERIOD_ORDER = (
 )
 
 
-def _thetas(lat: Lattice, p: Located, cfg: SeriesConfig, deriv: bool = False) -> tuple:
-    """The one theta pass of every kernel, _theta4 at v = u_red/(2*omega1),
-    in half-period order: entry k vanishes on omega_k + lattice (k = 0 the
-    lattice, the odd theta), and with deriv its v-derivative sits at 4 + k.
-    The pass is kept on p: a point is summed at most once without and once
+def _thetas(p: Located, deriv: bool = False) -> tuple:
+    """The one theta pass of every kernel, _theta4 at v = u_red/(2*omega1)
+    under the point's config, in half-period order: entry k vanishes on
+    omega_k + lattice (k = 0 the lattice, the odd theta), and with deriv its
+    v-derivative sits at 4 + k.  The pass is kept on p: a point is summed at most once without and once
     with the derivatives, and a derivative pass, whose first four entries are
     the plain pass bit for bit, also serves every later plain request."""
     t = p.thetas
     if t is None or (deriv and len(t) == 4):
-        raw = _theta4(p.u_red / lat.period1, lat.tau, lat.q4, cfg, deriv)
+        raw = _theta4(p.u_red / p.lat.period1, p.lat.tau, p.lat.q4, p.cfg, deriv)
         t = p.thetas = _IN_HALF_PERIOD_ORDER[deriv](raw)
     return t
 
 
-def _sigmas(lat: Lattice, lc, p: Located, cfg: SeriesConfig) -> tuple:
+def _sigmas(lc, p: Located) -> tuple:
     """(sigma, sigma_1, sigma_2, sigma_3) at the reduced argument of p, from
     one theta pass, each without the Gaussian factor exp(eta1*u_red^2/(2*omega1))
     the four share: 2*omega1*theta(v)/theta'(0) (`sigma_factor` times
@@ -129,37 +130,37 @@ def _sigmas(lat: Lattice, lc, p: Located, cfg: SeriesConfig) -> tuple:
     Every quotient of degree 0 in them cancels that factor, and only `sigma`
     and `sigma_aux`, which return a sigma itself, apply it; on tall or skewed
     cells it underflows before anything else does."""
-    t = _thetas(lat, p, cfg)
+    t = _thetas(p)
     nw = lc.nullwerte
     return lc.sigma_factor * t[0], t[1] / nw[1], t[2] / nw[2], t[3] / nw[3]
 
 
-def _wp_pair(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> tuple:
+def _wp_pair(lc: LatticeConstants, p: Located) -> tuple:
     """(wp, wp') at a located point off the lattice, from one theta pass."""
-    s0, s1, s2, s3 = _sigmas(lat, lc, p, cfg)
+    s0, s1, s2, s3 = _sigmas(lc, p)
     ratio = s1 / s0
     return lc.e1 + ratio * ratio, -2 * (s1 * s2 * s3) / s0**3
 
 
 def sigma(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Entire sigma function; exact zeros on the lattice."""
-    return _sigma(lat, constants(lat, cfg), 0, locate(lat, u), cfg)
+    return _sigma(constants(lat, cfg), locate(lat, u, cfg), 0)
 
 
 def sigma_aux(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Auxiliary sigma for half-period index lam, normalised to 1 at u = 0."""
     check_index(lam)
-    return _sigma(lat, constants(lat, cfg), lam, locate(lat, u), cfg)
+    return _sigma(constants(lat, cfg), locate(lat, u, cfg), lam)
 
 
-def _sigma(lat: Lattice, lc: LatticeConstants, k: int, p: Located, cfg: SeriesConfig) -> complex:
+def _sigma(lc: LatticeConstants, p: Located, k: int) -> complex:
     """sigma (k = 0) or sigma_k at the located point p: the reduced value
     from `_sigmas` times the Gaussian factor, then, for u = u_red + Omega
     with Omega = 2n*omega1 + 2m*omega3, times sigma's quasi-period factor
     (-1)^(n+m+nm) exp(eta_Omega*(u_red + Omega/2)) and the translate's sign.
     A factor too large for a float raises ValueOverflow."""
-    n, m = p.n, p.m
-    val = _sigmas(lat, lc, p, cfg)[k]
+    n, m, lat = p.n, p.m, p.lat
+    val = _sigmas(lc, p)[k]
     try:
         val *= cmath.exp(lc.eta1 * p.u_red * p.u_red / (2 * lat.omega1))
         if n or m:
@@ -172,24 +173,22 @@ def _sigma(lat: Lattice, lc: LatticeConstants, k: int, p: Located, cfg: SeriesCo
 
 def zeta_w(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
     """Weierstrass zeta; simple poles on the lattice."""
-    return _guarded(_zeta_w, lat, locate(lat, u), (0,), cfg, None)
+    return _guarded(_zeta_w, locate(lat, u, cfg), (0,), None)
 
 
-def _zeta_w(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> complex:
-    return _theta_zeta(lat, lc, p, cfg, 0)[0]
+def _zeta_w(lc: LatticeConstants, p: Located) -> complex:
+    return _theta_zeta(lc, p, 0)[0]
 
 
-def _theta_zeta(
-    lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, *ks: int
-) -> list[complex]:
+def _theta_zeta(lc: LatticeConstants, p: Located, *ks: int) -> list[complex]:
     """eta1*u_red/omega1 + theta_k'/theta_k / (2*omega1) plus the lattice
     increment at p for each half-period index k given (0 for the lattice),
     all from one theta pass: zeta_w for k = 0, the auxiliary zeta of index k
     otherwise.  Only an exact zero of theta_k raises: the callers guard
     first, and no bound fits every lattice (the terms of the odd theta and of
     theta_1 carry |q|^(1/4))."""
-    w1 = lat.omega1
-    t = _thetas(lat, p, cfg, deriv=True)
+    w1 = p.lat.omega1
+    t = _thetas(p, deriv=True)
     out = []
     for k in ks:
         if t[k] == 0:
@@ -201,23 +200,23 @@ def _theta_zeta(
 
 def wp(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
     """Weierstrass p-function via e1 + (sigma1/sigma)^2; double poles on the lattice."""
-    return _guarded(_wp, lat, locate(lat, u), (0,), cfg, None)
+    return _guarded(_wp, locate(lat, u, cfg), (0,), None)
 
 
-def _wp(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> complex:
+def _wp(lc: LatticeConstants, p: Located) -> complex:
     """e1 + (sigma_1/sigma)^2, the two sigmas formed as `_sigmas` forms them."""
-    t = _thetas(lat, p, cfg)
+    t = _thetas(p)
     ratio = t[1] / lc.nullwerte[1] / (lc.sigma_factor * t[0])
     return lc.e1 + ratio * ratio
 
 
 def wp_prime(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> EvalResult:
     """Derivative of wp via -2*sigma1*sigma2*sigma3/sigma^3; triple poles on the lattice."""
-    return _guarded(_wp_prime, lat, locate(lat, u), (0,), cfg, None)
+    return _guarded(_wp_prime, locate(lat, u, cfg), (0,), None)
 
 
-def _wp_prime(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig) -> complex:
-    return _wp_pair(lat, lc, p, cfg)[1]
+def _wp_prime(lc: LatticeConstants, p: Located) -> complex:
+    return _wp_pair(lc, p)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -62,27 +62,25 @@ def delta(
 ) -> EvalResult:
     """First-kind zeta difference for half-period index lam."""
     check_index(lam)
-    return _guarded(_delta, lat, locate(lat, u), (0, lam), cfg, None, lam, route)
+    return _guarded(_delta, locate(lat, u, cfg), (0, lam), None, lam, route)
 
 
-def _delta(
-    lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int, route: DeltaRoute
-) -> complex:
+def _delta(lc: LatticeConstants, p: Located, lam: int, route: DeltaRoute) -> complex:
     if route is _ZETA_DIFF:
-        z, z_lam = _theta_zeta(lat, lc, p, cfg, 0, lam)
+        z, z_lam = _theta_zeta(lc, p, 0, lam)
         return z_lam - z
-    if route is _WP_QUOTIENT and near(lat, p, lam, lc.zones[lam - 1], lc.zone_reaches[lam - 1]) is None:
+    if route is _WP_QUOTIENT and near(p, lam, lc.zones[lam - 1], lc.zone_reaches[lam - 1]) is None:
         # Outside the zone where wp - e_lam cancels; the sigma form serves inside.
-        wp_, wpp = _wp_pair(lat, lc, p, cfg)
+        wp_, wpp = _wp_pair(lc, p)
         return 0.5 * wpp / (wp_ - lc.e(lam))
     if route is _WP_QUOTIENT or route is _SIGMA_QUOTIENT:
-        return _delta_sigma(_sigmas(lat, lc, p, cfg), lam)
+        return _delta_sigma(_sigmas(lc, p), lam)
     if route is _THETA_QUOTIENT:
         # A nullwerte constant times a quotient of four thetas; the minus sign
         # is fixed by the -1/u behaviour at the origin.
         mu, nu = complement(lam)
-        nw, t = lc.nullwerte, _thetas(lat, p, cfg)
-        const = -nw[lam] * lc.nullwert_prime / (2 * lat.omega1 * nw[mu] * nw[nu])
+        nw, t = lc.nullwerte, _thetas(p)
+        const = -nw[lam] * lc.nullwert_prime / (2 * p.lat.omega1 * nw[mu] * nw[nu])
         return const * t[mu] * t[nu] / (t[lam] * t[0])
     raise ValueError(f"unknown route {route!r}")
 
@@ -101,12 +99,12 @@ def delta_prime(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_
     the poles.
     """
     check_index(lam)
-    return _guarded(_delta_prime, lat, locate(lat, u), (0, lam), cfg, None, lam)
+    return _guarded(_delta_prime, locate(lat, u, cfg), (0, lam), None, lam)
 
 
-def _delta_prime(lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int) -> complex:
+def _delta_prime(lc: LatticeConstants, p: Located, lam: int) -> complex:
     mu, nu = complement(lam)
-    s = _sigmas(lat, lc, p, cfg)
+    s = _sigmas(lc, p)
     ratio = s[lam] / s[0]
     r = ratio * ratio
     return r - lc.ediff(lam, mu) * lc.ediff(lam, nu) / r
@@ -122,22 +120,20 @@ def delta2(
 ) -> EvalResult:
     """Second-kind zeta difference for the ordered pair (lam, mu)."""
     check_pair(lam, mu)
-    return _guarded(_delta2, lat, locate(lat, u), (lam, mu), cfg, None, lam, mu, route)
+    return _guarded(_delta2, locate(lat, u, cfg), (lam, mu), None, lam, mu, route)
 
 
-def _delta2(
-    lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int, mu: int, route: DeltaRoute
-) -> complex:
-    nu = 6 - lam - mu
+def _delta2(lc: LatticeConstants, p: Located, lam: int, mu: int, route: DeltaRoute) -> complex:
+    nu, lat = 6 - lam - mu, p.lat
     if route is _ZETA_DIFF:
-        z_lam, z_mu = _theta_zeta(lat, lc, p, cfg, lam, mu)
+        z_lam, z_mu = _theta_zeta(lc, p, lam, mu)
         return z_lam - z_mu
     if route is _THETA_QUOTIENT:
         # The theta image of the sigma form, negated for lam < mu: there
         # e_lam - e_mu = (pi/2 omega1)^2 theta_nu(0)^4 (how `constants` builds
         # the e's), and Jacobi's theta'(0) = pi theta_1(0) theta_2(0) theta_3(0)
         # carries the sigma form over to this one.
-        t = _thetas(lat, p, cfg)
+        t = _thetas(p)
         val = (PI / (2 * lat.omega1)) * lc.nullwerte[nu] ** 2 * t[nu] * t[0] / (t[lam] * t[mu])
         return -val if lam < mu else val
     if (
@@ -145,13 +141,13 @@ def _delta2(
         # within the pole radius like wp itself, and at u = omega_nu, where
         # wp - e_nu cancels; the sigma form serves around them.
         route is _WP_QUOTIENT
-        and near(lat, p, 0, lat.pole_radius, lat.pole_reach) is None
-        and near(lat, p, nu, lc.zones[nu - 1], lc.zone_reaches[nu - 1]) is None
+        and near(p, 0, lat.pole_radius, lat.pole_reach) is None
+        and near(p, nu, lc.zones[nu - 1], lc.zone_reaches[nu - 1]) is None
     ):
-        wp_, wpp = _wp_pair(lat, lc, p, cfg)
+        wp_, wpp = _wp_pair(lc, p)
         return 2 * lc.ediff(lam, mu) * (wp_ - lc.e(nu)) / wpp
     if route is _WP_QUOTIENT or route is _SIGMA_QUOTIENT:
-        s = _sigmas(lat, lc, p, cfg)
+        s = _sigmas(lc, p)
         return lc.ediff(mu, lam) * s[nu] * s[0] / (s[lam] * s[mu])
     raise ValueError(f"unknown route {route!r}")
 
@@ -168,14 +164,12 @@ def delta2_prime(
     e_mu - e_lam, and free of cancellation near the poles.
     """
     check_pair(lam, mu)
-    return _guarded(_delta2_prime, lat, locate(lat, u), (lam, mu), cfg, None, lam, mu)
+    return _guarded(_delta2_prime, locate(lat, u, cfg), (lam, mu), None, lam, mu)
 
 
-def _delta2_prime(
-    lat: Lattice, lc: LatticeConstants, p: Located, cfg: SeriesConfig, lam: int, mu: int
-) -> complex:
+def _delta2_prime(lc: LatticeConstants, p: Located, lam: int, mu: int) -> complex:
     nu = 6 - lam - mu
-    s = _sigmas(lat, lc, p, cfg)
+    s = _sigmas(lc, p)
     inv_m, inv_l = s[0] / s[mu], s[0] / s[lam]
     return lc.ediff(mu, lam) * (
         1 + lc.ediff(mu, nu) * inv_m * inv_m + lc.ediff(lam, nu) * inv_l * inv_l
@@ -194,14 +188,14 @@ def constants_from_deltas(
     Every formula is independent of u; only sigma-quotient values feed the
     recovery, so the result genuinely cross-checks the nullwerte constants.
     """
-    p = locate(lat, u)
+    p = locate(lat, u, cfg)
     guard = 100 * NEAR_POLE_FACTOR * lat.min_period
     guard_reach = reach(guard, lat.min_period)
-    if any(near(lat, p, k, guard, guard_reach) is not None for k in range(4)):
+    if any(near(p, k, guard, guard_reach) is not None for k in range(4)):
         raise PoleProximityError(
             f"constants_from_deltas needs u away from every half-period coset, got {u!r}"
         )
-    s = _sigmas(lat, constants(lat, cfg), p, cfg)
+    s = _sigmas(constants(lat, cfg), p)
     d = {lam: _delta_sigma(s, lam) for lam in (1, 2, 3)}
     d2 = {(a, b): d[a] - d[b] for a in (1, 2, 3) for b in (1, 2, 3) if a != b}
     e = {}

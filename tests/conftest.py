@@ -78,8 +78,8 @@ def guarded_points(lat, rng: random.Random, n: int, guard: float = 0.05, offsets
     while len(pts) < n:
         a, b = rng.random(), rng.random()
         u = 2 * a * lat.omega1 + 2 * b * lat.omega3
-        p = locate(lat, u)
-        if all(nearest(lat, p, k)[0] >= guard * lat.min_period for k in cosets):
+        p = locate(lat, u, DEFAULT_CONFIG)
+        if all(nearest(p, k)[0] >= guard * lat.min_period for k in cosets):
             pts.append(u)
     return pts
 

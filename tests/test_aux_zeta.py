@@ -84,9 +84,9 @@ def test_cosine_and_exponential_forms_agree():
     rng = random.Random(13)
     for lam in (1, 2, 3):
         for u in guarded_points(lat, rng, 20, guard=0.03, offsets=(lat.half_period(lam),)):
-            p = locate(lat, u)
-            qe = aux_zeta._zeta_aux(lat, lc, p, DEFAULT_CONFIG, lam, ZetaRoute.QSERIES, "exp")
-            qc = aux_zeta._zeta_aux(lat, lc, p, DEFAULT_CONFIG, lam, ZetaRoute.QSERIES, "cos")
+            p = locate(lat, u, DEFAULT_CONFIG)
+            qe = aux_zeta._zeta_aux(lc, p, lam, ZetaRoute.QSERIES, "exp")
+            qc = aux_zeta._zeta_aux(lc, p, lam, ZetaRoute.QSERIES, "cos")
             assert qe == zeta_aux(lat, lam, u, ZetaRoute.QSERIES).value
             assert abs(qe - qc) <= 1e-12 * max(abs(qe), 1.0)
 

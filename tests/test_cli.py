@@ -436,11 +436,11 @@ def test_jacobi_entries_report_the_status_of_zeta3(name):
     zeta3, regular = FUNCTIONS["zeta3"], 0.1 + 0.05j
     w3 = lat.omega3
     for u in (w3, w3 + 1e-9 * lat.min_period * (1 + 0.7j), 2 * lat.omega1 + w3):
-        want = zeta3.run(lat, lc, DEFAULT_CONFIG, locate(lat, u), None, zeta3.route(None))
+        want = zeta3.run(lc, locate(lat, u, DEFAULT_CONFIG), None, zeta3.route(None))
         assert not want.is_finite
         for x, a in [(u, regular)] + ([(regular, u)] if name == "Pi" else []):
             for record in (lc, None):
-                got = FUNCTIONS[name].run(lat, record, DEFAULT_CONFIG, locate(lat, x), a, None)
+                got = FUNCTIONS[name].run(record, locate(lat, x, DEFAULT_CONFIG), a, None)
                 assert (got.status, got.pole) == (want.status, want.pole), (u, x, a)
 
 
@@ -487,7 +487,7 @@ def test_table_pi_needs_a():
 
 
 def test_eval_does_not_hide_key_error(monkeypatch):
-    def broken(lat, lc, cfg, u, a, route):
+    def broken(lc, p, a, route):
         raise KeyError("inside evaluation")
 
     monkeypatch.setitem(FUNCTIONS, "wp", Function(broken))
@@ -579,6 +579,14 @@ def test_package_import_without_numpy():
     assert rc == 0 and "weierzeta" in modules
     assert not package_modules(modules)
     assert not loads_numpy(modules)
+    assert not DATACLASS_IMPORTS & modules
+
+
+def test_verify_checks_its_sides_without_inspect():
+    # The suite counts a side's parameters from its code object alone.
+    rc, out, modules = run_fresh("-m", "weierzeta.cli", "verify", "--n", "1", "--only", "weierstrass_3term*")
+    assert rc == 0 and out
+    assert "weierzeta.verify" in modules
     assert not DATACLASS_IMPORTS & modules
 
 

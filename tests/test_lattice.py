@@ -19,6 +19,7 @@ from weierzeta import (
     default_suite,
     eisenstein_invariants,
     sigma_product,
+    wp,
     wp_lattice_sum,
     zeta_lattice_sum,
 )
@@ -26,16 +27,18 @@ from weierzeta.cli import main
 from weierzeta.errors import (
     ConvergencePolicyError, InvalidPeriodRatio, ValueOverflow, WeierzetaError, ZeroPeriod,
 )
-from weierzeta import lattice
+from weierzeta import lattice, weier_core
 from weierzeta.lattice import (
+    NEAR_POLE_FACTOR,
     complement,
     constants_to_json,
     locate,
     nearest_translate,
     reduce_to_cell,
 )
+from weierzeta.functions import FUNCTIONS
+from weierzeta.theta import DEFAULT_CONFIG, SeriesConfig
 from weierzeta.verify import POLE_GUARD, run_suite
-from weierzeta.weier_core import NEAR_POLE_FACTOR
 
 from conftest import REFERENCE_TAUS, count_calls, make_lattice
 
@@ -73,7 +76,7 @@ def test_build_refuses_cells_beyond_float_range(w1, w3, error):
 def test_locate_refuses_coordinates_that_are_not_finite(u):
     lat = build_lattice(1e-5, 1e-5j)
     with pytest.raises(ValueOverflow):
-        locate(lat, u)
+        locate(lat, u, DEFAULT_CONFIG)
 
 
 @pytest.mark.parametrize("u", [1e308, 1.7e308j, -1e308 - 1e308j])
@@ -82,7 +85,7 @@ def test_locate_refuses_translates_past_float_range(u):
     # float range, so the reduction cannot be formed.
     lat = build_lattice(0.5, 0.55j)
     with pytest.raises(ValueOverflow):
-        locate(lat, u)
+        locate(lat, u, DEFAULT_CONFIG)
 
 
 @pytest.mark.parametrize(
@@ -93,8 +96,8 @@ def test_locate_refuses_coordinates_without_a_fractional_bit(u):
     # the reduction cannot place u in its cell; just below it still can.
     lat = build_lattice(0.5, 0.55j)
     with pytest.raises(ValueOverflow, match="too large"):
-        locate(lat, u)
-    assert abs(locate(lat, 2.0**51 + 0.5).u_red) == 0.5  # spacing 0.5 at 2**51
+        locate(lat, u, DEFAULT_CONFIG)
+    assert abs(locate(lat, 2.0**51 + 0.5, DEFAULT_CONFIG).u_red) == 0.5  # spacing 0.5 at 2**51
 
 
 def test_constants_type_the_overflow_of_the_period_scale():
@@ -132,7 +135,7 @@ def test_reduction_and_coords():
     u = 0.123 - 0.456j + 6 * lat.omega1 - 4 * lat.omega3
     u_red, n, m = reduce_to_cell(lat, u)
     assert (n, m) == (3, -2)
-    p = locate(lat, u_red)
+    p = locate(lat, u_red, DEFAULT_CONFIG)
     assert abs(p.alpha) <= 0.5 + 1e-12 and abs(p.beta) <= 0.5 + 1e-12
     assert (p.n, p.m) == (0, 0)
     assert abs(u_red + 2 * n * lat.omega1 + 2 * m * lat.omega3 - u) < 1e-12
@@ -173,7 +176,7 @@ BASES = {name: (0.5, 0.5 * tau) for name, tau in REFERENCE_TAUS.items()} | THIN_
 
 def _brute_nearest(lat, u, offset, reach=8):
     """Closest point of offset + lattice among (2*reach + 1)**2 candidates."""
-    p = locate(lat, u - offset)
+    p = locate(lat, u - offset, DEFAULT_CONFIG)
     n0, m0 = p.n, p.m
     candidates = [
         offset + 2 * (n0 + dn) * lat.omega1 + 2 * (m0 + dm) * lat.omega3
@@ -204,10 +207,10 @@ def test_nearest_translate_matches_brute_force_below_inradius(name):
                 p = off + 2 * n * lat.omega1 + 2 * m * lat.omega3
                 pts += [p + r * t * cmath.exp(2j * PI * rng.random()) for r in (0.5, 0.99, 1.01)]
     for u in pts:
-        p = locate(lat, u)
+        p = locate(lat, u, DEFAULT_CONFIG)
         for k, off in enumerate(offsets):
             nearest = _brute_nearest(lat, u, off)
-            for dist, translate in (nearest_translate(lat, u, off), lattice.nearest(lat, p, k)):
+            for dist, translate in (nearest_translate(lat, u, off), lattice.nearest(p, k)):
                 for t in limits:
                     assert (dist < t) == (abs(u - nearest) < t), (u, off, t)
                     if dist < t:
@@ -230,8 +233,8 @@ def test_lattice_coset_guard_is_nearest_bit_for_bit(name, n, m, r, angle):
     lat = build_lattice(*BASES[name])
     pt = 2 * n * lat.omega1 + 2 * m * lat.omega3
     u = pt + r * NEAR_POLE_FACTOR * lat.min_period * cmath.exp(2j * PI * angle)
-    p = locate(lat, u)
-    got = lattice.nearest(lat, p, 0)
+    p = locate(lat, u, DEFAULT_CONFIG)
+    got = lattice.nearest(p, 0)
     want = nearest_translate(lat, u, 0j)
     # repr round-trips every float and tells -0.0 from 0.0.
     assert list(map(repr, got)) == list(map(repr, want))
@@ -251,11 +254,11 @@ def _near_radii(lat):
 def _near_agrees(lat, u):
     """near answers every coset and radius at u as nearest's distance does,
     with nearest's bits within the radius."""
-    p = locate(lat, u)
+    p = locate(lat, u, DEFAULT_CONFIG)
     for k in range(4):
-        want = lattice.nearest(lat, p, k)
+        want = lattice.nearest(p, k)
         for r in _near_radii(lat):
-            got = lattice.near(lat, p, k, r, lattice.reach(r, lat.min_period))
+            got = lattice.near(p, k, r, lattice.reach(r, lat.min_period))
             if want[0] < r:
                 # repr round-trips every float and tells -0.0 from 0.0.
                 assert got is not None and list(map(repr, got)) == list(map(repr, want)), (u, k, r)
@@ -367,14 +370,27 @@ def test_radii_and_reaches_are_taken_once_per_lattice(name):
     assert lc.zone_reaches == tuple(z + slack for z in lc.zones)
 
 
+def test_located_point_carries_its_lattice_and_config():
+    # Every guard and kernel reads the lattice and the series config from the
+    # point, so a dropped config is a TypeError, never the default.
+    lat, u = make_lattice("generic"), 0.21 + 0.13j
+    loose = SeriesConfig(abs_tol=1e-4, rel_tol=1e-4)
+    p = locate(lat, u, loose)
+    assert p.lat is lat and p.cfg is loose
+    with pytest.raises(TypeError):
+        locate(lat, u)
+    assert weier_core._thetas(p) != weier_core._thetas(locate(lat, u, DEFAULT_CONFIG))
+    assert FUNCTIONS["wp"].run(None, p, None, None) == wp(lat, u, loose) != wp(lat, u)
+
+
 def test_locate_keeps_the_gaps_near_reads():
     # The reduced gaps |alpha - n|, |beta - m|, and none for a far point,
     # which `near` always measures.
     lat = make_lattice("generic")
     for a, b in ((0.3, 0.2), (-2.7, 5.49), (0.5, -0.5), (3e4, -3e4 + 0.25)):
-        p = locate(lat, 2 * a * lat.omega1 + 2 * b * lat.omega3)
+        p = locate(lat, 2 * a * lat.omega1 + 2 * b * lat.omega3, DEFAULT_CONFIG)
         assert (p.gap_alpha, p.gap_beta) == (abs(p.alpha - p.n), abs(p.beta - p.m))
-    far = locate(lat, 2 * 4e4 * lat.omega1 + 2 * 3e4 * lat.omega3)
+    far = locate(lat, 2 * 4e4 * lat.omega1 + 2 * 3e4 * lat.omega3, DEFAULT_CONFIG)
     assert abs(far.alpha) + abs(far.beta) >= 2.0**16
     assert far.gap_alpha is None and far.gap_beta is None
 
@@ -614,7 +630,9 @@ def test_split_pair_sum_matches_the_direct_sum(name, k, radius):
         corners = [(1 - 1e-9) * c for c in corners]  # the corners are omega_2's coset
     near_cosets = [s * lat.offsets[j] for j in (1, 2, 3) for s in (1 - 1e-3, 1 - 1e-6)]
     rng = random.Random(f"{name}{k}{radius}")
-    inside = [locate(lat, complex(rng.uniform(-3, 3), rng.uniform(-3, 3))).u_red for _ in range(8)]
+    inside = [
+        locate(lat, complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), DEFAULT_CONFIG).u_red for _ in range(8)
+    ]
     for u in corners + near_cosets + inside:
         assert abs(u) <= rho
         terms = 2 * u**3 / (table * (u * u - table))

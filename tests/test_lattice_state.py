@@ -121,7 +121,7 @@ def test_one_guard_per_public_call(monkeypatch, warm_lattice):
         f = FUNCTIONS[name]
         for r in f.routes or (None,):
             calls[f"FUNCTIONS[{name}]:{r}"] = lambda u, f=f, r=r: f.run(
-                lat, lc, DEFAULT_CONFIG, lattice.locate(lat, u), None, r
+                lc, lattice.locate(lat, u, DEFAULT_CONFIG), None, r
             )
     guards = count_calls(monkeypatch, weier_core.pole_status)
     # One location per call; the shift form also locates u + omega_lam.
@@ -193,9 +193,9 @@ def test_registry_looks_nothing_up_when_handed_the_record():
             for u in pts:
                 a = pts[-1] - u if f.needs_a else None
                 before = constants.cache_info()
-                f.run(lat, lc, DEFAULT_CONFIG, lattice.locate(lat, u), a, r)
+                f.run(lc, lattice.locate(lat, u, DEFAULT_CONFIG), a, r)
                 assert constants.cache_info() == before, (name, r)
-                f.run(lat, None, DEFAULT_CONFIG, lattice.locate(lat, u), a, r)
+                f.run(None, lattice.locate(lat, u, DEFAULT_CONFIG), a, r)
                 after = constants.cache_info()
                 assert (after.hits - before.hits, after.misses - before.misses) == (1, 0), (name, r)
 

@@ -403,9 +403,9 @@ def test_Pi_bytes_where_the_tracker_bisects(monkeypatch, name):
     sigma = jacobi._sigma
     ks = []
 
-    def counted(lat, lc, k, p, cfg):
+    def counted(lc, p, k):
         ks.append(k)
-        return sigma(lat, lc, k, p, cfg)
+        return sigma(lc, p, k)
 
     monkeypatch.setattr(jacobi, "_sigma", counted)
     got = jacobi_E_Z_Pi(lat, u, a)

@@ -102,6 +102,9 @@ def test_unknown_evaluator_rejected(generic_lat):
         IdentitySpec("bad", "wp", "wp", tol=math.nan),
         IdentitySpec("bad", "wp", "wp", tol=math.inf),
         IdentitySpec("bad", "wp", "wp", tol="1e-9"),
+        IdentitySpec("bad", lambda c, u: c("wp", u), lambda c, z, w: c("wp", z), arity=2),
+        IdentitySpec("bad", lambda c, z, w: c("wp", z), lambda c, z, w: c("wp", w)),
+        IdentitySpec("bad", "wp", lambda c: c("wp", 0.1)),
     ],
 )
 def test_malformed_spec_refused_before_any_sample(generic_lat, bad):
@@ -117,6 +120,28 @@ def test_malformed_spec_refused_before_any_sample(generic_lat, bad):
     with pytest.raises(SuiteConfigError, match="^bad: "):
         run_suite(generic_lat, [good, bad], n=2, seed=0)
     assert calls == []
+
+
+def test_sides_are_checked_by_their_required_positional_parameters(generic_lat):
+    # Defaults bind a side's captured values and are not counted, a side
+    # taking *args accepts any arity, and a callable that is not a plain
+    # function is called unchecked.
+    class Side:
+        def __call__(self, c, u):
+            return c("wp", u)
+
+    specs = [
+        IdentitySpec(
+            "defaults", lambda c, u, k=2: c("wp", u) - c.e(k), lambda c, u, k=2: c("wp", u) - c.e(k), exclusions=("0",)
+        ),
+        IdentitySpec("star", lambda c, *pts: c("wp", pts[0]), "wp", exclusions=("0",)),
+        IdentitySpec("object", Side(), "wp", exclusions=("0",)),
+        IdentitySpec("pair", lambda c, *pts: c("wp", pts[0]), lambda c, z, w=None: c("wp", z), arity=2),
+    ]
+    with pytest.raises(SuiteConfigError, match=r"^pair: the rhs side requires 2 positional parameters, not 1 \+ 2$"):
+        run_suite(generic_lat, specs, n=2, seed=0)
+    reports = run_suite(generic_lat, specs[:3], n=2, seed=0)
+    assert [r.passed for r in reports] == [True] * 3
 
 
 @pytest.mark.parametrize(
