@@ -1,4 +1,4 @@
-"""Auxiliary zeta functions, evaluable by four independent routes.
+"""Auxiliary zeta functions, evaluable by five routes (one q-series in two forms).
 
 For each half-period index lam, the auxiliary zeta is the log-derivative of
 the auxiliary sigma; it equals zeta(u + omega_lam) - eta_lam, is odd, is not
@@ -9,6 +9,7 @@ Routes:
   SHIFT            zeta(u + omega_lam) - eta_lam
   THETA            eta1*u/omega1 + theta log-derivative of the companion index
   QSERIES          the lam-specific q-series (tan term only for lam = 1)
+  QSERIES_COS      the same q-series with its terms in cos and sin (Prop 2.3)
   PARTIAL_FRACTION coset partial-fraction sum over the whole coset, no cutoff,
                    each pair +-w of coset points one term in w^2
 
@@ -53,11 +54,12 @@ class ZetaRoute(enum.Enum):
     THETA = "theta"
     QSERIES = "qseries"
     PARTIAL_FRACTION = "partialfrac"
+    QSERIES_COS = "qseries_cos"
 
 
 # The members in definition order, read once for `_zeta_aux`'s per-point
 # tests: on Python 3.11 a ZetaRoute.X read goes through EnumType.__getattr__.
-_SHIFT, _THETA, _QSERIES, _PARTIAL_FRACTION = ZetaRoute
+_SHIFT, _THETA, _QSERIES, _PARTIAL_FRACTION, _QSERIES_COS = ZetaRoute
 
 
 def zeta_aux(
@@ -72,13 +74,14 @@ def zeta_aux(
     return _guarded(_zeta_aux, locate(lat, u, cfg), (lam,), None, lam, route)
 
 
-def _zeta_aux(lc: LatticeConstants, p: Located, lam: int, route, form="exp"):
+def _zeta_aux(lc: LatticeConstants, p: Located, lam: int, route):
+    """The auxiliary zeta of index lam at p on route, a ZetaRoute member."""
     if route is _SHIFT:
         return _shift(lc, p, lam, p.u)
     if route is _THETA:
         return _theta_zeta(lc, p, lam)[0]
-    if route is _QSERIES:
-        return _qseries(lc, p, lam, form)
+    if route is _QSERIES or route is _QSERIES_COS:
+        return _qseries(lc, p, lam, route)
     if route is _PARTIAL_FRACTION:
         return _partialfrac(lc, p, lam)
     raise ValueError(f"unknown route {route!r}")
@@ -91,8 +94,8 @@ def _shift(lc: LatticeConstants, p: Located, lam: int, u: complex) -> complex:
     return _theta_zeta(lc, locate(lat, u + lat.half_period(lam), p.cfg), 0)[0] - lc.eta(lam)
 
 
-def _qseries(lc: LatticeConstants, p: Located, lam: int, form: str) -> complex:
-    """The q-series of index lam in its "exp" form, or in its "cos" form."""
+def _qseries(lc: LatticeConstants, p: Located, lam: int, route: ZetaRoute) -> complex:
+    """The q-series of index lam in its exp form on QSERIES, its cos form on QSERIES_COS."""
     u_red, lat = p.u_red, p.lat
     incr = 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3
     w1 = lat.omega1
@@ -108,7 +111,7 @@ def _qseries(lc: LatticeConstants, p: Located, lam: int, form: str) -> complex:
     else:
         qpow, sgn = q, -1.0
     step = q * q
-    exp_form = form == "exp"
+    exp_form = route is _QSERIES
     if exp_form:
         wplus = cmath.exp(1j * PI * u_red / w1)
         wminus = 1.0 / wplus

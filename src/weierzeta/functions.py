@@ -22,7 +22,8 @@ package = sys.modules[__package__]
 
 
 class Function(namedtuple("Function", "run default_route needs_a route_enum", defaults=(None, False, None))):
-    """One public function as `eval`, `table` and the suite call it.
+    """One public function as `eval`, `table` and the suite call it; the
+    table holds every public evaluation at one lattice point.
 
     run(lc, p, a, route) returns an EvalResult at the point p located by
     the caller (`lattice.locate`; `eval` and `table` locate each point once,
@@ -86,10 +87,16 @@ def _functions() -> dict:
             lambda lc, p, a, r, i=i: _guarded(package.zeta_diff._delta, p, (0, i), lc, i, r),
             "SIGMA_QUOTIENT", route_enum="DeltaRoute",
         )
+        table[f"delta{i}_prime"] = Function(
+            lambda lc, p, *_, i=i: _guarded(package.zeta_diff._delta_prime, p, (0, i), lc, i)
+        )
     for i, j in ((1, 2), (2, 3), (3, 1)):
         table[f"delta{i}{j}"] = Function(
             lambda lc, p, a, r, i=i, j=j: _guarded(package.zeta_diff._delta2, p, (i, j), lc, i, j, r),
             "WP_QUOTIENT", route_enum="DeltaRoute",
+        )
+        table[f"delta{i}{j}_prime"] = Function(
+            lambda lc, p, *_, i=i, j=j: _guarded(package.zeta_diff._delta2_prime, p, (i, j), lc, i, j)
         )
     for k, name in enumerate(("sn", "cn", "dn")):
         table[name] = Function(

@@ -20,14 +20,12 @@ import random
 from collections import namedtuple
 from types import FunctionType
 
-from .aux_zeta import _QSERIES, _zeta_aux
 from .errors import SuiteConfigError, WeierzetaError
 from .functions import FUNCTIONS
 from .jacobi import _record, _sn_cn_dn
 from .lattice import Lattice, Located, complement, constants, locate, near, reach
 from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import _guarded, _thetas, _val
-from .zeta_diff import _delta2_prime, _delta_prime
 
 PI = math.pi
 
@@ -93,7 +91,8 @@ class _Ctx:
     theta pass.  run_suite empties both at each identity.  A call that raises
     stores no value and raises again when repeated.  `entries` holds each
     (name, route name) resolved to its table entry's run and route member
-    (`entry`), for the whole run.
+    (`entry`), for the whole run.  The table is its one way to a kernel,
+    but for `jac` (sn, cn and dn in one call) and the theta-level sides.
     """
 
     def __init__(self, lat: Lattice, cfg: SeriesConfig):
@@ -140,12 +139,6 @@ class _Ctx:
         and dn in one kernel call; raises at their shared poles."""
         return _val(_guarded(_sn_cn_dn, self.at(u), (3,), self.jp))
 
-    def dp(self, lam, u):
-        return _val(_guarded(_delta_prime, self.at(u), (0, lam), self.lc, lam))
-
-    def d2p(self, lam, mu, u):
-        return _val(_guarded(_delta2_prime, self.at(u), (lam, mu), self.lc, lam, mu))
-
     def w(self, lam):
         return self.lat.half_period(lam)
 
@@ -186,16 +179,12 @@ def default_suite() -> tuple[IdentitySpec, ...]:
     specs: list[IdentitySpec] = []
     add = specs.append
 
-    # Auxiliary zeta: four routes and the quasi-periodicity law.
+    # Auxiliary zeta: five routes and the quasi-periodicity law.
     for lam in (1, 2, 3):
         excl = (f"w{lam}",)
         add(IdentitySpec(f"prop24_theta_route_zeta{lam}", f"zeta{lam}:theta", f"zeta{lam}:shift", exclusions=excl))
         add(IdentitySpec(f"prop23_exp_form_zeta{lam}", f"zeta{lam}:qseries", f"zeta{lam}:shift", exclusions=excl))
-        add(IdentitySpec(
-            f"prop23_cos_form_zeta{lam}",
-            lambda c, u, i=lam: _val(_guarded(_zeta_aux, c.at(u), (i,), c.lc, i, _QSERIES, "cos")),
-            f"zeta{lam}:qseries", exclusions=excl,
-        ))
+        add(IdentitySpec(f"prop23_cos_form_zeta{lam}", f"zeta{lam}:qseries_cos", f"zeta{lam}:qseries", exclusions=excl))
         add(IdentitySpec(
             f"prop22_partialfrac_zeta{lam}", f"zeta{lam}:partialfrac", f"zeta{lam}:shift",
             tol=PARTIALFRAC_TOL, exclusions=excl,
@@ -295,9 +284,6 @@ def default_suite() -> tuple[IdentitySpec, ...]:
     ))
 
     # Derivative closed forms and the log-derivative identities.
-    def ddelta_l1(c, u):
-        return c.dp(1, u)
-
     def ddelta_form2(c, u):
         p = c("wp", u)
         ppp = 6 * p * p - c.lc.g2 / 2
@@ -307,15 +293,17 @@ def default_suite() -> tuple[IdentitySpec, ...]:
         return c("delta1", u) + c("delta2", u) + c("delta3", u)
 
     add(IdentitySpec(
-        "thm27_delta1_prime_shift", ddelta_l1, lambda c, u: c("wp", u) - c("wp", u + c.w(1)), exclusions=("0", "w1"),
+        "thm27_delta1_prime_shift", "delta1_prime", lambda c, u: c("wp", u) - c("wp", u + c.w(1)),
+        exclusions=("0", "w1"),
     ))
-    add(IdentitySpec("thm27_delta1_prime_wpp_form", ddelta_l1, ddelta_form2, exclusions=("0", "w1")))
+    add(IdentitySpec("thm27_delta1_prime_wpp_form", "delta1_prime", ddelta_form2, exclusions=("0", "w1")))
     add(IdentitySpec(
-        "eq9_dlog_delta1", lambda c, u: c.dp(1, u) / c("delta1", u),
+        "eq9_dlog_delta1", lambda c, u: c("delta1_prime", u) / c("delta1", u),
         lambda c, u: c("zeta2", u) + c("zeta3", u) - c("zeta1", u) - c("zeta", u), exclusions=_ALL,
     ))
     add(IdentitySpec(
-        "eq10_dlog_pair", lambda c, u: 0.5 * c.dp(1, u) / c("delta1", u) + 0.5 * c.dp(2, u) / c("delta2", u),
+        "eq10_dlog_pair",
+        lambda c, u: 0.5 * c("delta1_prime", u) / c("delta1", u) + 0.5 * c("delta2_prime", u) / c("delta2", u),
         "delta3:zetadiff", exclusions=_ALL,
     ))
     add(IdentitySpec(
@@ -388,9 +376,6 @@ def default_suite() -> tuple[IdentitySpec, ...]:
             lambda c, u, s=f"sigma{mu}": c(s, u) ** 2, exclusions=(),
         ))
 
-    def ddelta2_12(c, u):
-        return c.d2p(1, 2, u)
-
     def ddelta2_form1(c, u):
         p = c("wp", u)
         return (c.e(1) - c.e(2)) * (
@@ -398,10 +383,10 @@ def default_suite() -> tuple[IdentitySpec, ...]:
         )
 
     add(IdentitySpec(
-        "thm210_delta2_prime_shift", ddelta2_12, lambda c, u: c("wp", u + c.w(2)) - c("wp", u + c.w(1)),
+        "thm210_delta2_prime_shift", "delta12_prime", lambda c, u: c("wp", u + c.w(2)) - c("wp", u + c.w(1)),
         exclusions=("w1", "w2"),
     ))
-    add(IdentitySpec("thm210_delta2_prime_epole_form", ddelta2_12, ddelta2_form1, exclusions=("0", "w1", "w2")))
+    add(IdentitySpec("thm210_delta2_prime_epole_form", "delta12_prime", ddelta2_form1, exclusions=("0", "w1", "w2")))
 
     # Two-point identities.
     def w3term2_lhs(c, u, a):

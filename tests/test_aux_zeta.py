@@ -77,17 +77,18 @@ def test_cross_route_agreement_generic_lattice():
 
 
 def test_cosine_and_exponential_forms_agree():
-    # The cosine form is reached through the kernel, as the identity suite
-    # reaches it; its exponential form is the public q-series route's value.
+    # Each form is a route: the kernel on the route member gives the public
+    # route's value bit for bit, and the two forms agree.
     lat = make_lattice("generic")
     lc = constants(lat)
     rng = random.Random(13)
     for lam in (1, 2, 3):
         for u in guarded_points(lat, rng, 20, guard=0.03, offsets=(lat.half_period(lam),)):
             p = locate(lat, u, DEFAULT_CONFIG)
-            qe = aux_zeta._zeta_aux(lc, p, lam, ZetaRoute.QSERIES, "exp")
-            qc = aux_zeta._zeta_aux(lc, p, lam, ZetaRoute.QSERIES, "cos")
+            qe = aux_zeta._zeta_aux(lc, p, lam, ZetaRoute.QSERIES)
+            qc = aux_zeta._zeta_aux(lc, p, lam, ZetaRoute.QSERIES_COS)
             assert qe == zeta_aux(lat, lam, u, ZetaRoute.QSERIES).value
+            assert qc == zeta_aux(lat, lam, u, ZetaRoute.QSERIES_COS).value
             assert abs(qe - qc) <= 1e-12 * max(abs(qe), 1.0)
 
 

@@ -106,6 +106,8 @@ def test_list_fns_contains_documented_registry():
         "zeta1", "zeta2", "zeta3",
         "delta1", "delta2", "delta3",
         "delta12", "delta23", "delta31",
+        "delta1_prime", "delta2_prime", "delta3_prime",
+        "delta12_prime", "delta23_prime", "delta31_prime",
         "sn", "cn", "dn", "E", "Z", "Pi",
     }
     assert expected <= names
@@ -643,7 +645,9 @@ def test_verify_loads_the_suite():
     rc, out, modules = run_fresh("-m", "weierzeta.cli", "verify", "--n", "3", "--only", "cor212_*")
     assert rc == 0
     assert [r["name"] for r in json.loads(out)] == ["cor212_row_r1", "cor212_row_r2", "cor212_row_r3"]
-    assert KERNEL_MODULES | {"weierzeta.verify", "json"} <= modules
+    # The Jacobi rows read the zetadiff route and sn, cn, dn: no auxiliary zeta.
+    assert {"weierzeta.zeta_diff", "weierzeta.jacobi", "weierzeta.verify", "json"} <= modules
+    assert "weierzeta.aux_zeta" not in modules
 
 
 @pytest.mark.parametrize(

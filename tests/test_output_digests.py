@@ -20,7 +20,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from weierzeta.cli import main
-from weierzeta.verify import FUNCTIONS
+from weierzeta.functions import FUNCTIONS
 
 LATTICES = {
     "generic": ["--tau", "0.3,1.1"],
@@ -170,6 +170,25 @@ DIGESTS = {
     ('8i', 'zeta3', 'shift'): '305ff480e6f249f55008b83cd446aae17d9fc2719a1e6ac9c4633dfc8f53ab66',
     ('8i', 'zeta3', 'qseries'): '8905a6697fadaabbb3b183ff7933ae937208a7670e9b948ceb6f2de64bdedd95',
     ('8i', 'zeta3', 'partialfrac'): 'feec2465415304c9124a9678f5a5d2693c81c963e962dc3803806f100b2cf4a0',
+    # Recorded when the derivatives and the q-series cos form joined the table.
+    ('generic', 'delta12_prime', None): '27a19a53907bdf51c552aa2729eec0b7154fda8b9e1fc38536f2e57b82af206e',
+    ('generic', 'delta1_prime', None): '2db12d79534f10e09c83fa995f5f0d16f06220d7c77ad6e491d70a8466582354',
+    ('generic', 'delta23_prime', None): 'bf8ca0c382c5e2f9470576e39dd611a0cdc26c5ed6aff50bd13f5ce1efe1eb3c',
+    ('generic', 'delta2_prime', None): '99e0ab2fde46e29cee6e9a504abd70241742190b640f8df717d43619698dd746',
+    ('generic', 'delta31_prime', None): 'b31d7dd8bb276a989e5def615df368d92b9069b50ed7febf6dc1123ad471c24e',
+    ('generic', 'delta3_prime', None): '233397b95a4f671981fbd5378130656cd113d6ac95a92662c5426150ad6582da',
+    ('generic', 'zeta1', 'qseries_cos'): '8615c24da09448788500ecfa9da9be1f7c77940c1eda7738ebd4f5c597714d56',
+    ('generic', 'zeta2', 'qseries_cos'): '9a8a68bf4722fbd5e89748a7539d1e46f10cc05ca1a1793af121d19a372d29ba',
+    ('generic', 'zeta3', 'qseries_cos'): '455f7be676ee6880b91d59e25f0e6ae46ffd86bc85db0e8636e91d50c11f6e91',
+    ('8i', 'delta12_prime', None): '8842a6e59c10699024eae14e037f67a2a5b141924d2e9bee0d019938b52ee4c4',
+    ('8i', 'delta1_prime', None): '85bb1ebe9bed125bac0503d231bdfeb05e3910e2f35f12082d1385ac089cad79',
+    ('8i', 'delta23_prime', None): 'f2611cf3dff9860fabc0f4778a8db3cc4068aac657ecacd679e7abdb021b43a9',
+    ('8i', 'delta2_prime', None): '7fd849758a22ad09e4a8dbafccecdc4fa2b0274786febd1cc848ddb26d95a324',
+    ('8i', 'delta31_prime', None): 'fd57bc5684389fd50a342af9881d60f7aadb0c47bf9d4f56c5daa71a2d024f7c',
+    ('8i', 'delta3_prime', None): '8909d69b29bea70ee24816f7b3854f9f9f38b34c9688af5731535fe96dd235f0',
+    ('8i', 'zeta1', 'qseries_cos'): 'ae1bf16db388289c74834270dd1325e12e0565a64c7c8dcbde116d0dceaf1b51',
+    ('8i', 'zeta2', 'qseries_cos'): '6f19ec0565c06efdaee31d496ad2515cb6731e4f227b6a4427a2e9f3da758619',
+    ('8i', 'zeta3', 'qseries_cos'): '14743bdadf5be1ebc1c3cb928075d4617a31591dbb6a5aff693a1890a58c835e',
 }
 
 
@@ -319,6 +338,16 @@ LOOSE_DIGESTS = {
     ('zeta3', 'shift'): '4c8feca37a56ff6014b14f6c0c6731d21fe835c24e04e80b1735c1abafd1bf4c',
     ('zeta3', 'qseries'): 'c1515cc396e3efb475769b70626f431d982a0d62f2f16c8117d6b6748c0cebbc',
     ('zeta3', 'partialfrac'): 'eca300ffd66dea65c59c7b2ee780210668f6426103f82f07a93b7c05270c9760',
+    # Recorded when the derivatives and the q-series cos form joined the table.
+    ('delta12_prime', None): 'c6950f2faa67e1e902e58ddc8ec601463fc66a18153f50f18e8065c518f892a8',
+    ('delta1_prime', None): 'c3f6cd65ffe4141830feb5a7c6f53b9c44642ddd7ebde0e4083cded436e092a6',
+    ('delta23_prime', None): 'b29eea5f88aa267813e8699ee31f486249a118af5567f93d398edc6977af752a',
+    ('delta2_prime', None): 'bb9c0aa49d656545ee5a0b5c06820238173ff20a2a4b0ce6ba9b8444ead24625',
+    ('delta31_prime', None): '0b2046e10ed476b5599df4f211b41d245754a0cda5432795dde21416c12cf816',
+    ('delta3_prime', None): 'a8de072aac07ee2adabd453fc6d611807c67500a728215412651305db6f1fe2c',
+    ('zeta1', 'qseries_cos'): 'c474a6ceeb21f6c1b0d6ae9febc280c1f4fbb9f69a4803874bf13e646f148364',
+    ('zeta2', 'qseries_cos'): '7fb1da6fc0ea27df7f8271901041260d683652607a03c4b9093dd42255581e57',
+    ('zeta3', 'qseries_cos'): '43e4fa980da95a7d7ea726049e54be458ea038883c0cdf0f94e766d7737d468f',
 }
 
 
@@ -336,7 +365,7 @@ def test_output_bytes_under_a_loose_policy(name, route):
 
 def test_every_generic_case_has_a_loose_digest():
     assert set(LOOSE_DIGESTS) == {(n, r) for lat, n, r in _cases() if lat == "generic"}
-    assert LOOSE_UNMOVED <= set(LOOSE_DIGESTS) and len(LOOSE_DIGESTS) - len(LOOSE_UNMOVED) == 40
+    assert LOOSE_UNMOVED <= set(LOOSE_DIGESTS) and len(LOOSE_DIGESTS) - len(LOOSE_UNMOVED) == 49
 
 
 # Recorded at commit ae38e7e.
