@@ -1,4 +1,4 @@
-"""Auxiliary zeta functions, evaluable by five routes (one q-series in two forms).
+"""Auxiliary zeta functions, evaluable by four independent routes.
 
 For each half-period index lam, the auxiliary zeta is the log-derivative of
 the auxiliary sigma; it equals zeta(u + omega_lam) - eta_lam, is odd, is not
@@ -9,7 +9,6 @@ Routes:
   SHIFT            zeta(u + omega_lam) - eta_lam
   THETA            eta1*u/omega1 + theta log-derivative of the companion index
   QSERIES          the lam-specific q-series (tan term only for lam = 1)
-  QSERIES_COS      the same q-series with its terms in cos and sin (Prop 2.3)
   PARTIAL_FRACTION coset partial-fraction sum over the whole coset, no cutoff,
                    each pair +-w of coset points one term in w^2
 
@@ -54,12 +53,11 @@ class ZetaRoute(enum.Enum):
     THETA = "theta"
     QSERIES = "qseries"
     PARTIAL_FRACTION = "partialfrac"
-    QSERIES_COS = "qseries_cos"
 
 
 # The members in definition order, read once for `_zeta_aux`'s per-point
 # tests: on Python 3.11 a ZetaRoute.X read goes through EnumType.__getattr__.
-_SHIFT, _THETA, _QSERIES, _PARTIAL_FRACTION, _QSERIES_COS = ZetaRoute
+_SHIFT, _THETA, _QSERIES, _PARTIAL_FRACTION = ZetaRoute
 
 
 def zeta_aux(
@@ -80,8 +78,8 @@ def _zeta_aux(lc: LatticeConstants, p: Located, lam: int, route):
         return _shift(lc, p, lam, p.u)
     if route is _THETA:
         return _theta_zeta(lc, p, lam)[0]
-    if route is _QSERIES or route is _QSERIES_COS:
-        return _qseries(lc, p, lam, route)
+    if route is _QSERIES:
+        return _qseries(lc, p, lam, False)
     if route is _PARTIAL_FRACTION:
         return _partialfrac(lc, p, lam)
     raise ValueError(f"unknown route {route!r}")
@@ -94,8 +92,9 @@ def _shift(lc: LatticeConstants, p: Located, lam: int, u: complex) -> complex:
     return _theta_zeta(lc, locate(lat, u + lat.half_period(lam), p.cfg), 0)[0] - lc.eta(lam)
 
 
-def _qseries(lc: LatticeConstants, p: Located, lam: int, route: ZetaRoute) -> complex:
-    """The q-series of index lam in its exp form on QSERIES, its cos form on QSERIES_COS."""
+def _qseries(lc: LatticeConstants, p: Located, lam: int, cos: bool) -> complex:
+    """The q-series of index lam in its exp form (the QSERIES route), or with
+    its terms in cos and sin (Prop 2.3; the table entries `zeta{lam}_cos`)."""
     u_red, lat = p.u_red, p.lat
     incr = 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3
     w1 = lat.omega1
@@ -111,8 +110,7 @@ def _qseries(lc: LatticeConstants, p: Located, lam: int, route: ZetaRoute) -> co
     else:
         qpow, sgn = q, -1.0
     step = q * q
-    exp_form = route is _QSERIES
-    if exp_form:
+    if not cos:
         wplus = cmath.exp(1j * PI * u_red / w1)
         wminus = 1.0 / wplus
         coef = sgn * 1j * PI / w1
@@ -123,7 +121,7 @@ def _qseries(lc: LatticeConstants, p: Located, lam: int, route: ZetaRoute) -> co
     abs_tol, rel_tol, max_terms = p.cfg
     small = 0
     for _ in range(max_terms):
-        if exp_form:
+        if not cos:
             a = qpow * wplus
             b = qpow * wminus
             term = coef * (a / (1.0 + sgn * a) - b / (1.0 + sgn * b))

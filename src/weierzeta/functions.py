@@ -23,7 +23,8 @@ package = sys.modules[__package__]
 
 class Function(namedtuple("Function", "run default_route needs_a route_enum", defaults=(None, False, None))):
     """One public function as `eval`, `table` and the suite call it; the
-    table holds every public evaluation at one lattice point.
+    table holds every public evaluation at one lattice point, and the
+    q-series cos form (`zeta{lam}_cos`), which only the table evaluates.
 
     run(lc, p, a, route) returns an EvalResult at the point p located by
     the caller (`lattice.locate`; `eval` and `table` locate each point once,
@@ -82,6 +83,9 @@ def _functions() -> dict:
         table[f"zeta{i}"] = Function(
             lambda lc, p, a, r, i=i: _guarded(package.aux_zeta._zeta_aux, p, (i,), lc, i, r),
             "THETA", route_enum="ZetaRoute",
+        )
+        table[f"zeta{i}_cos"] = Function(
+            lambda lc, p, *_, i=i: _guarded(package.aux_zeta._qseries, p, (i,), lc, i, True)
         )
         table[f"delta{i}"] = Function(
             lambda lc, p, a, r, i=i: _guarded(package.zeta_diff._delta, p, (0, i), lc, i, r),

@@ -179,12 +179,12 @@ def default_suite() -> tuple[IdentitySpec, ...]:
     specs: list[IdentitySpec] = []
     add = specs.append
 
-    # Auxiliary zeta: five routes and the quasi-periodicity law.
+    # Auxiliary zeta: four routes, the q-series cos form and the quasi-periodicity law.
     for lam in (1, 2, 3):
         excl = (f"w{lam}",)
         add(IdentitySpec(f"prop24_theta_route_zeta{lam}", f"zeta{lam}:theta", f"zeta{lam}:shift", exclusions=excl))
         add(IdentitySpec(f"prop23_exp_form_zeta{lam}", f"zeta{lam}:qseries", f"zeta{lam}:shift", exclusions=excl))
-        add(IdentitySpec(f"prop23_cos_form_zeta{lam}", f"zeta{lam}:qseries_cos", f"zeta{lam}:qseries", exclusions=excl))
+        add(IdentitySpec(f"prop23_cos_form_zeta{lam}", f"zeta{lam}_cos", f"zeta{lam}:qseries", exclusions=excl))
         add(IdentitySpec(
             f"prop22_partialfrac_zeta{lam}", f"zeta{lam}:partialfrac", f"zeta{lam}:shift",
             tol=PARTIALFRAC_TOL, exclusions=excl,

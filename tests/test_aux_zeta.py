@@ -14,6 +14,7 @@ from weierzeta import (
     wp,
     zeta_aux,
 )
+from weierzeta.functions import FUNCTIONS
 from weierzeta.lattice import _coset_pairs, _fsum, locate
 from weierzeta.theta import DEFAULT_CONFIG
 
@@ -77,19 +78,19 @@ def test_cross_route_agreement_generic_lattice():
 
 
 def test_cosine_and_exponential_forms_agree():
-    # Each form is a route: the kernel on the route member gives the public
-    # route's value bit for bit, and the two forms agree.
+    # The cos form is the table entry zeta{lam}_cos; the exp form is the
+    # public q-series route, which the zeta{lam} entry gives bit for bit.
     lat = make_lattice("generic")
     lc = constants(lat)
     rng = random.Random(13)
     for lam in (1, 2, 3):
         for u in guarded_points(lat, rng, 20, guard=0.03, offsets=(lat.half_period(lam),)):
             p = locate(lat, u, DEFAULT_CONFIG)
-            qe = aux_zeta._zeta_aux(lc, p, lam, ZetaRoute.QSERIES)
-            qc = aux_zeta._zeta_aux(lc, p, lam, ZetaRoute.QSERIES_COS)
-            assert qe == zeta_aux(lat, lam, u, ZetaRoute.QSERIES).value
-            assert qc == zeta_aux(lat, lam, u, ZetaRoute.QSERIES_COS).value
-            assert abs(qe - qc) <= 1e-12 * max(abs(qe), 1.0)
+            qe = FUNCTIONS[f"zeta{lam}"].run(lc, p, None, ZetaRoute.QSERIES)
+            qc = FUNCTIONS[f"zeta{lam}_cos"].run(lc, p, None, None)
+            assert qe == zeta_aux(lat, lam, u, ZetaRoute.QSERIES)
+            assert qe.status is qc.status is Status.FINITE
+            assert abs(qe.value - qc.value) <= 1e-12 * max(abs(qe.value), 1.0)
 
 
 @pytest.mark.parametrize("pair", [(1, 1), (2, 3), (3, 1), (1, 2)])

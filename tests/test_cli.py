@@ -104,6 +104,7 @@ def test_list_fns_contains_documented_registry():
         "wp", "wp_prime", "zeta", "sigma",
         "sigma1", "sigma2", "sigma3",
         "zeta1", "zeta2", "zeta3",
+        "zeta1_cos", "zeta2_cos", "zeta3_cos",
         "delta1", "delta2", "delta3",
         "delta12", "delta23", "delta31",
         "delta1_prime", "delta2_prime", "delta3_prime",

@@ -177,18 +177,18 @@ DIGESTS = {
     ('generic', 'delta2_prime', None): '99e0ab2fde46e29cee6e9a504abd70241742190b640f8df717d43619698dd746',
     ('generic', 'delta31_prime', None): 'b31d7dd8bb276a989e5def615df368d92b9069b50ed7febf6dc1123ad471c24e',
     ('generic', 'delta3_prime', None): '233397b95a4f671981fbd5378130656cd113d6ac95a92662c5426150ad6582da',
-    ('generic', 'zeta1', 'qseries_cos'): '8615c24da09448788500ecfa9da9be1f7c77940c1eda7738ebd4f5c597714d56',
-    ('generic', 'zeta2', 'qseries_cos'): '9a8a68bf4722fbd5e89748a7539d1e46f10cc05ca1a1793af121d19a372d29ba',
-    ('generic', 'zeta3', 'qseries_cos'): '455f7be676ee6880b91d59e25f0e6ae46ffd86bc85db0e8636e91d50c11f6e91',
+    ('generic', 'zeta1_cos', None): 'eab50eec57d57a9bbb2d96eb7d3b5d8685adc4e9e41a54405d744116dfaa9314',
+    ('generic', 'zeta2_cos', None): 'a3d68885bb48501893a7317aea9863fd172ba7e31b82593696f69d31719ee8ad',
+    ('generic', 'zeta3_cos', None): 'e391fcdd538e2c1829638c10ca9ca5a5ec4da336b30dcea3a40ad44cf1398697',
     ('8i', 'delta12_prime', None): '8842a6e59c10699024eae14e037f67a2a5b141924d2e9bee0d019938b52ee4c4',
     ('8i', 'delta1_prime', None): '85bb1ebe9bed125bac0503d231bdfeb05e3910e2f35f12082d1385ac089cad79',
     ('8i', 'delta23_prime', None): 'f2611cf3dff9860fabc0f4778a8db3cc4068aac657ecacd679e7abdb021b43a9',
     ('8i', 'delta2_prime', None): '7fd849758a22ad09e4a8dbafccecdc4fa2b0274786febd1cc848ddb26d95a324',
     ('8i', 'delta31_prime', None): 'fd57bc5684389fd50a342af9881d60f7aadb0c47bf9d4f56c5daa71a2d024f7c',
     ('8i', 'delta3_prime', None): '8909d69b29bea70ee24816f7b3854f9f9f38b34c9688af5731535fe96dd235f0',
-    ('8i', 'zeta1', 'qseries_cos'): 'ae1bf16db388289c74834270dd1325e12e0565a64c7c8dcbde116d0dceaf1b51',
-    ('8i', 'zeta2', 'qseries_cos'): '6f19ec0565c06efdaee31d496ad2515cb6731e4f227b6a4427a2e9f3da758619',
-    ('8i', 'zeta3', 'qseries_cos'): '14743bdadf5be1ebc1c3cb928075d4617a31591dbb6a5aff693a1890a58c835e',
+    ('8i', 'zeta1_cos', None): 'ae1a3746f67da642128e2aae0eee7b85efb4727ef666c478eb068426c4153394',
+    ('8i', 'zeta2_cos', None): '05325a2891ac17c9004f38e26f72691097ec17fa43fc81684826853bd3ba4134',
+    ('8i', 'zeta3_cos', None): '427a0efb0fe0a8a69008f7a39c502888401ce46e53a23c6de66fec9a9cef4cb3',
 }
 
 
@@ -345,9 +345,9 @@ LOOSE_DIGESTS = {
     ('delta2_prime', None): 'bb9c0aa49d656545ee5a0b5c06820238173ff20a2a4b0ce6ba9b8444ead24625',
     ('delta31_prime', None): '0b2046e10ed476b5599df4f211b41d245754a0cda5432795dde21416c12cf816',
     ('delta3_prime', None): 'a8de072aac07ee2adabd453fc6d611807c67500a728215412651305db6f1fe2c',
-    ('zeta1', 'qseries_cos'): 'c474a6ceeb21f6c1b0d6ae9febc280c1f4fbb9f69a4803874bf13e646f148364',
-    ('zeta2', 'qseries_cos'): '7fb1da6fc0ea27df7f8271901041260d683652607a03c4b9093dd42255581e57',
-    ('zeta3', 'qseries_cos'): '43e4fa980da95a7d7ea726049e54be458ea038883c0cdf0f94e766d7737d468f',
+    ('zeta1_cos', None): '21e612a700e092d8a7a70a40428dabd0debb442e362c5a0bb5f166ba44f44fd0',
+    ('zeta2_cos', None): '6d85fe869db81b1eaa6beb6a5cc922dc4ce07fd446a453d02551fd6f492cbdca',
+    ('zeta3_cos', None): '7f75fb66a6681b87c81a6c9c30ce5b5d05fa925c93e3a7f6c0a88a508f18a30e',
 }
 
 

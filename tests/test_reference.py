@@ -147,6 +147,57 @@ def test_e_differences_that_cancel(reference, height):
             assert reference.rel_error(got.value, want, 1e-300) <= 1e-9
 
 
+class LostToCancellation(Exception):
+    """A derivative with status Finite is off its reference by more than
+    1e-9 of its own size."""
+
+
+# Points far from the real axis of tall lattices (the last one nearer it),
+# where Delta'_1 = wp(u) - wp(u + omega1) is exponentially small: 3.7e-9 at
+# 8i, 5.5e-19 at 16i, 1.9e-48 at 40i.  The closed form r - A/r (r = wp - e1,
+# A = (e1 - e2)(e1 - e3)) cancels there: Delta'_1 is 1.4e-6 relative off
+# at 8i, and reads 0 at 16i and -3.6e-15 at 40i.  Delta'_{1,2} and Delta'_{3,1} lose 1.3e-5 at
+# the last point.  The other entries keep 1e-9 at every point.
+TALL_DERIVATIVE_POINTS = {
+    "8i": (8j, 0.3 + 3.6j), "16i": (16j, 0.3 + 7.2j), "40i": (40j, 0.3 + 18j), "40i-low": (40j, 0.13 + 4.2j),
+}
+CANCELS = {(label, "delta1_prime") for label in TALL_DERIVATIVE_POINTS} | {
+    ("40i-low", "delta12_prime"), ("40i-low", "delta31_prime"),
+}
+
+
+def _tall_derivative_cases():
+    mark = pytest.mark.xfail(
+        strict=True, raises=LostToCancellation,
+        reason="ROADMAP item 21: Delta'_1 by r - A/r cancels where it is exponentially small",
+    )
+    for label in TALL_DERIVATIVE_POINTS:
+        for entry, pair in [(f"delta{k}_prime", (k,)) for k in (1, 2, 3)] + [
+            (f"delta{i}{j}_prime", (i, j)) for i, j in ((1, 2), (2, 3), (3, 1))
+        ]:
+            marks = mark if (label, entry) in CANCELS else ()
+            yield pytest.param(label, pair, id=f"{label}-{entry}", marks=marks)
+
+
+@pytest.mark.parametrize("label, pair", list(_tall_derivative_cases()))
+def test_derivatives_where_they_are_exponentially_small(reference, label, pair):
+    # Relative to the value itself, against the reference at 120 digits.
+    tau, u = TALL_DERIVATIVE_POINTS[label]
+    lat = build_lattice(0.5, 0.5 * tau)
+    with reference.mp.workdps(120):
+        ref = reference.LatticeRef(lat.omega1, lat.omega3)
+        if len(pair) == 1:
+            got = delta_prime(lat, pair[0], u)
+            want = ref.wp(u) - ref.wp(u + ref.half_period(pair[0]))
+        else:
+            got = delta2_prime(lat, *pair, u)
+            want = ref.wp(u + ref.half_period(pair[1])) - ref.wp(u + ref.half_period(pair[0]))
+        err = reference.rel_error(got.value, want, 1e-300)
+    assert got.is_finite
+    if err > 1e-9:
+        raise LostToCancellation(f"{got.value!r} against {complex(want)!r}: {err:.2g} relative")
+
+
 def test_Z_in_another_basis(reference):
     # The ST image of the generic lattice, omega1' = omega1 + omega3 and
     # omega3' = -omega1: scale*omega1' is not K there, and Z by the paper's
