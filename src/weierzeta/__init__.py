@@ -24,7 +24,7 @@ _HOME = {
         " zeta_lattice_sum zeta_w",
         "aux_zeta": "ZetaRoute zeta_aux",
         "zeta_diff": "DeltaConstants DeltaRoute constants_from_deltas delta delta2 delta2_prime delta_prime",
-        "jacobi": "JacobiParams agm_complete_integrals jacobi_E_Z jacobi_E_Z_Pi jacobi_params sn_cn_dn",
+        "jacobi": "agm_complete_integrals jacobi_E_Z jacobi_E_Z_Pi jacobi_params sn_cn_dn",
         "verify": "IdentityReport IdentitySpec default_suite report_to_json reports_to_json run_suite",
     }.items()
     for name in names.split()

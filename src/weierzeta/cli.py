@@ -108,10 +108,14 @@ def _lookup(command: str, args):
         sys.stderr.write(f"{command}: function {args.fn!r} needs --a\n")
         return None
     try:
-        return fn, fn.route(args.route)
+        route = fn.route(args.route)
     except ValueError:
         sys.stderr.write(f"{command}: route {args.route!r} not valid for {args.fn!r}\n")
         return None
+    if args.a is not None and not fn.needs_a:
+        sys.stderr.write(f"{command}: function {args.fn!r} takes no --a\n")
+        return None
+    return fn, route
 
 
 def cmd_eval(args) -> int:

@@ -33,7 +33,8 @@ class Function(namedtuple("Function", "run default_route needs_a route_enum", de
     kernel, not the public function, on the lattice's record lc (`table`
     looks it up once per command, the suite once per lattice), and looks it
     up itself only for lc None, after the pole guard where there is one (a
-    Jacobi entry: before it, to refuse a degenerate lattice first).
+    Jacobi entry: before it, in `jacobi._jacobi`, to refuse a degenerate
+    lattice first).
     A function with routes accepts every member of the package's route enum
     named `route_enum` (reading it loads the kernel module), and
     `default_route` names the default member; `routes` holds the members,
@@ -102,18 +103,13 @@ def _functions() -> dict:
         table[f"delta{i}{j}_prime"] = Function(
             lambda lc, p, *_, i=i, j=j: _guarded(package.zeta_diff._delta2_prime, p, (i, j), lc, i, j)
         )
-    for k, name in enumerate(("sn", "cn", "dn")):
-        table[name] = Function(
-            lambda lc, p, *_, k=k: _part(
-                _guarded(package.jacobi._sn_cn_dn, p, (3,), package.jacobi._record(p.lat, lc, p.cfg).jacobi), k
+    for kernel, names in (("_sn_cn_dn", ("sn", "cn", "dn")), ("_E_Z", ("E", "Z"))):
+        for k, name in enumerate(names):
+            table[name] = Function(
+                lambda lc, p, *_, kernel=kernel, k=k: _part(
+                    package.jacobi._jacobi(getattr(package.jacobi, kernel), lc, p), k
+                )
             )
-        )
-    for k, name in enumerate(("E", "Z")):
-        table[name] = Function(
-            lambda lc, p, *_, k=k: _part(
-                _guarded(package.jacobi._E_Z, p, (3,), package.jacobi._record(p.lat, lc, p.cfg)), k
-            )
-        )
     table["Pi"] = Function(
         lambda lc, p, a, r: _part(package.jacobi._guarded_Pi(lc, p, 0j if a is None else a), 2), needs_a=True
     )

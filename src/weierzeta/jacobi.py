@@ -1,13 +1,14 @@
 """Jacobian elliptic functions and integrals tied to the zeta differences.
 
-The moduli (from the half-period differences) and the complete integrals
-(from the arithmetic-geometric mean) are built with the lattice's constants,
-in `lattice.constants`; this module hands them out behind the degeneracy
-test.  sn/cn/dn (sigma quotients), E/Z and Pi are kernels behind the one
-pole guard (`weier_core._guarded`) on the omega_3 coset, where all of them
-have their poles, at the point the caller located; the degeneracy test runs
-before the guard.  Arguments named x live on the Jacobi side; u = x/scale
-lives on the lattice side, where scale**2 = e1 - e3.
+The moduli (from the half-period differences), the complete integrals (from
+the arithmetic-geometric mean) and the scale are fields of the lattice's one
+record, `lattice.constants`; `jacobi_params` hands the record out behind the
+degeneracy test.  sn/cn/dn (sigma quotients), E/Z and Pi are kernels (lc, p,
+*args) on that record behind one Jacobi guard (`_jacobi`): the degeneracy
+test, then the pole guard (`weier_core._guarded`) on the omega_3 coset,
+where all of them have their poles, at the point the caller located.
+Arguments named x live on the Jacobi side; u = x/scale lives on the lattice
+side, where scale**2 = e1 - e3.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import BranchAmbiguity, DegenerateLattice
 # AGM_TOL and agm_complete_integrals are re-exported from here.
 from .lattice import (
     AGM_TOL,
-    JacobiParams,
     Lattice,
     LatticeConstants,
     Located,
@@ -34,15 +34,16 @@ from .weier_core import EvalResult, _guarded, _sigma, _sigmas, _theta_zeta, _val
 PI = math.pi
 
 
-def jacobi_params(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> JacobiParams:
-    """Moduli and complete integrals for the lattice, as built with its
-    constants.
+def jacobi_params(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> LatticeConstants:
+    """The lattice's record, `constants(lat, cfg)`, whose moduli `k` and
+    `kprime`, complete integrals `big_k` and `big_e`, and `scale` the Jacobi
+    functions read.
 
     Raises DegenerateLattice, on every call, when the discriminant is
     negligible against the invariants (two half-period values collide and
     the moduli lose meaning).
     """
-    return _record(lat, None, cfg).jacobi
+    return _record(lat, None, cfg)
 
 
 def _record(lat: Lattice, lc, cfg: SeriesConfig) -> LatticeConstants:
@@ -54,23 +55,31 @@ def _record(lat: Lattice, lc, cfg: SeriesConfig) -> LatticeConstants:
     return lc
 
 
-def sn_cn_dn(p: JacobiParams, x: complex) -> tuple[complex, complex, complex]:
-    """(sn, cn, dn) at Jacobi argument x, `_sn_cn_dn` at u = x/scale, and
-    PoleProximityError near their shared poles, the omega_3 coset.  p carries
-    the record's `sigma_factor` and `nullwerte`, so no lookup is made.
+def _jacobi(kernel, lc, p: Located, *args) -> EvalResult:
+    """The Jacobi guard: kernel(lc, p, *args) on the record lc (None: looked
+    up on p's lattice and config), refused for a degenerate lattice, then
+    behind the pole guard on the omega_3 coset."""
+    return _guarded(kernel, p, (3,), _record(p.lat, lc, p.cfg), *args)
+
+
+def sn_cn_dn(p: LatticeConstants, x: complex) -> tuple[complex, complex, complex]:
+    """(sn, cn, dn) at Jacobi argument x, `_sn_cn_dn` at u = x/scale on the
+    record p that `jacobi_params` returns, with no lookup.  Raises
+    DegenerateLattice for a degenerate lattice, then PoleProximityError near
+    the shared poles of the three, the omega_3 coset.
     """
-    return _val(_guarded(_sn_cn_dn, locate(p.lattice, x / p.scale, p.cfg), (3,), p))
+    return _val(_jacobi(_sn_cn_dn, p, locate(p.lattice, x / p.scale, p.cfg)))
 
 
-def _sn_cn_dn(jp: JacobiParams, p: Located) -> tuple:
+def _sn_cn_dn(lc: LatticeConstants, p: Located) -> tuple:
     """(sn, cn, dn) at x = scale*u for the located point p: sn =
     scale*sigma/sigma_3, cn = sigma_1/sigma_3, dn = sigma_2/sigma_3, the
-    sigmas normalised by what the JacobiParams jp carry."""
+    sigmas normalised by the record lc."""
     # The Gaussian and quasi-period factors common to all four sigmas cancel;
     # only the auxiliary signs of the translate remain.
-    s0, s1, s2, s3 = _sigmas(jp, p)
+    s0, s1, s2, s3 = _sigmas(lc, p)
     s3 *= _translate_sign(p, 3)
-    return jp.scale * s0 / s3, s1 * _translate_sign(p, 1) / s3, s2 * _translate_sign(p, 2) / s3
+    return lc.scale * s0 / s3, s1 * _translate_sign(p, 1) / s3, s2 * _translate_sign(p, 2) / s3
 
 
 def jacobi_E_Z(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> tuple[complex, complex]:
@@ -81,19 +90,19 @@ def jacobi_E_Z(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> 
     `big_e`, the principal K(k) and E(k) of DLMF 22.16.  The paper's form
     Z = (zeta_3(u) - eta1*u/omega1)/scale is the same function only where
     scale*omega1 = K, as on the reference lattices; on other bases of a
-    lattice the two differ by a multiple of x.  Raises PoleProximityError
-    when u is at/near a pole of the third auxiliary zeta.
+    lattice the two differ by a multiple of x.  Raises DegenerateLattice as
+    `jacobi_params` does, then PoleProximityError when u is at/near a pole
+    of the third auxiliary zeta.
     """
     lc = constants(lat, cfg)
-    return _val(_guarded(_E_Z, locate(lat, u, cfg), (3,), _record(lat, lc, cfg)))
+    return _val(_jacobi(_E_Z, lc, locate(lat, u, cfg)))
 
 
 def _E_Z(lc: LatticeConstants, p: Located) -> tuple[complex, complex]:
     """(E, Z) at the located point p."""
-    jp = lc.jacobi
     z3 = _theta_zeta(lc, p, 3)[0]
-    big_e = (z3 + lc.e1 * p.u) / jp.scale
-    return big_e, big_e - (jp.big_e / jp.big_k) * (jp.scale * p.u)
+    big_e = (z3 + lc.e1 * p.u) / lc.scale
+    return big_e, big_e - (lc.big_e / lc.big_k) * (lc.scale * p.u)
 
 
 def jacobi_E_Z_Pi(

@@ -356,14 +356,6 @@ def _coset_pairs(lat: Lattice, k: int, r_lo: float, r_hi: float) -> list:
 AGM_TOL = 1e-15
 
 
-JacobiParams = namedtuple(
-    "JacobiParams", "k kprime big_k big_e scale lattice cfg sigma_factor nullwerte"
-)
-JacobiParams.__doc__ = """Moduli, complete integrals, the lattice they came from,
-and the record's sigma normalisation (`sigma_factor`, `nullwerte`), so that
-sn, cn and dn need no constants lookup."""
-
-
 def agm_complete_integrals(ksq: complex, kpsq: complex) -> tuple[complex, complex]:
     """Complete integrals (K, E) for squared moduli via the AGM iteration.
 
@@ -393,26 +385,29 @@ def agm_complete_integrals(ksq: complex, kpsq: complex) -> tuple[complex, comple
 
 class LatticeConstants(namedtuple(
     "LatticeConstants",
-    "e1 e2 e3 ediffs eta1 eta2 eta3 g2 g3 disc ksq kpsq nullwerte nullwert_prime jacobi"
-    " sigma_factor zones zone_reaches degenerate pair_tables",
+    "e1 e2 e3 ediffs eta1 eta2 eta3 g2 g3 disc ksq kpsq k kprime big_k big_e scale nullwerte nullwert_prime"
+    " sigma_factor zones zone_reaches degenerate pair_tables lattice cfg",
 )):
     """Per-lattice state: half-period values and their differences, elliptic
-    invariants, squared moduli, the theta nullwerte every evaluation divides
-    by, the Jacobi parameters, and the per-lattice factors and radii the
-    evaluators read at every point.
+    invariants, the moduli and complete integrals of the Jacobi bridge, the
+    theta nullwerte every evaluation divides by, and the per-lattice factors
+    and radii the evaluators read at every point, with the lattice and
+    series config they were built for.
 
     `nullwerte` is in half-period order (HALF_PERIOD_ORDER): `nullwerte[k]`
     is theta(0) of the theta that vanishes on omega_k + lattice, and
     `nullwerte[0]`, the odd theta's, is exactly 0.  `nullwert_prime` is the
     odd theta's derivative at 0.  `ediffs` holds (e2 - e3, e1 - e3, e1 - e2)
     as the nullwerte give them; read them through `ediff`, never as a
-    difference of the rounded e's, which cancels on tall lattices.  `jacobi`
-    holds the moduli, the complete integrals and the scale of the Jacobi
-    bridge.  `sigma_factor` is 2*omega1/theta'(0), the factor of the odd
-    theta in sigma.  `zones[k - 1]` is the radius around omega_k inside
-    which zeta_diff's wp forms give way to the sigma form: at distance d,
-    wp - e_k ~ A_k d^2 with A_k = (e_k - e_i)(e_k - e_j), so the forms lose
-    about eps*max|e|/(|A_k| d^2) to rounding, and within ten times that
+    difference of the rounded e's, which cancels on tall lattices.  `k` and
+    `kprime` are the principal roots of `ksq` and `kpsq`, `big_k` and `big_e`
+    the complete integrals K(k) and E(k) by the AGM, and `scale` = sqrt(e1 -
+    e3) takes u to the Jacobi argument x = scale*u.  `sigma_factor` is
+    2*omega1/theta'(0), the factor of the odd theta in sigma.
+    `zones[k - 1]` is the radius around omega_k inside which zeta_diff's wp
+    forms give way to the sigma form: at distance d, wp - e_k ~ A_k d^2
+    with A_k = (e_k - e_i)(e_k - e_j), so the forms lose about
+    eps*max|e|/(|A_k| d^2) to rounding, and within ten times that
     against bench/reference.py; the zone ends where ten times it is 1e-9.
     `zone_reaches[k - 1]` is that zone's `reach`, which `near` reads.
     `degenerate` is true when `jacobi_params` refuses the lattice:
@@ -424,14 +419,14 @@ class LatticeConstants(namedtuple(
     `pair_tables[lam - 1]` holds the partial-fraction route's tables for the
     coset omega_lam + lattice, None until `aux_zeta._coset_tables` fills it
     (two threads racing there build equal tables, and either is kept).
-    The record is hashed on its lattice and series config, which fix every
-    other field.
+    The record is hashed on its `lattice` and series config `cfg`, which fix
+    every other field.
     """
 
     __slots__ = ()
 
     def __hash__(self) -> int:
-        return hash((self.jacobi.lattice, self.jacobi.cfg))
+        return hash((self.lattice, self.cfg))
 
     def e(self, lam: int) -> complex:
         check_index(lam)
@@ -453,9 +448,9 @@ def constants(lat: Lattice, cfg: SeriesConfig = DEFAULT_CONFIG) -> LatticeConsta
     """All per-lattice constants, from theta nullwerte.
 
     This cache is the one per-lattice state of the package: the nullwerte
-    are summed here once, the Jacobi parameters are built with them, and
-    the partial-fraction tables are kept in the record (`pair_tables`), so
-    they live and are evicted with it.  It is keyed on (lat, cfg) however
+    are summed here once, the Jacobi moduli and integrals are built with
+    them, and the partial-fraction tables are kept in the record
+    (`pair_tables`), so they live and are evicted with it.  It is keyed on (lat, cfg) however
     cfg is passed; `constants.cache_info()` reports it.
     """
     return _constants(lat, cfg)
@@ -489,11 +484,6 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
     ksq = d23 / d13
     kpsq = d12 / d13
     big_k, big_e = agm_complete_integrals(ksq, kpsq)
-    sigma_factor = 2 * w1 / tp
-    jacobi = JacobiParams(
-        k=cmath.sqrt(ksq), kprime=cmath.sqrt(kpsq), big_k=big_k, big_e=big_e,
-        scale=cmath.sqrt(e1 - e3), lattice=lat, cfg=cfg, sigma_factor=sigma_factor, nullwerte=nw,
-    )
     e_max = max(abs(e1), abs(e2), abs(e3))
     k = math.frexp(e_max)[1] // 2
     s12, s13, s23 = (
@@ -509,11 +499,11 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
     )
     return LatticeConstants(
         e1=e1, e2=e2, e3=e3, ediffs=(d23, d13, d12), eta1=eta1, eta2=eta2, eta3=eta3,
-        g2=g2, g3=g3, disc=disc, ksq=ksq, kpsq=kpsq,
-        nullwerte=nw, nullwert_prime=tp, jacobi=jacobi, sigma_factor=sigma_factor, zones=zones,
-        zone_reaches=tuple(reach(z, lat.min_period) for z in zones),
+        g2=g2, g3=g3, disc=disc, ksq=ksq, kpsq=kpsq, k=cmath.sqrt(ksq), kprime=cmath.sqrt(kpsq),
+        big_k=big_k, big_e=big_e, scale=cmath.sqrt(e1 - e3), nullwerte=nw, nullwert_prime=tp,
+        sigma_factor=2 * w1 / tp, zones=zones, zone_reaches=tuple(reach(z, lat.min_period) for z in zones),
         degenerate=abs(discs) <= 1e-10 * max(abs(g2s) ** 3, 27 * abs(g3s) ** 2, 1e-300),
-        pair_tables=[None, None, None],
+        pair_tables=[None, None, None], lattice=lat, cfg=cfg,
     )
 
 

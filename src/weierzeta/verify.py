@@ -22,10 +22,10 @@ from types import FunctionType
 
 from .errors import SuiteConfigError, WeierzetaError
 from .functions import FUNCTIONS
-from .jacobi import _record, _sn_cn_dn
+from .jacobi import _jacobi, _sn_cn_dn
 from .lattice import Lattice, Located, complement, constants, locate, near, reach
 from .theta import DEFAULT_CONFIG, SeriesConfig
-from .weier_core import _guarded, _thetas, _val
+from .weier_core import _thetas, _val
 
 PI = math.pi
 
@@ -81,7 +81,8 @@ IdentityReport.__doc__ = """Residual statistics of one identity over its samples
 class _Ctx:
     """Per-(lattice, config) evaluation context shared by all sides.  Each
     point is located on the lattice under the config (`at`), so it carries
-    both into every kernel, and the lattice's record `lc` goes beside it.
+    both into every kernel, and the lattice's record `lc` goes beside it;
+    the sides read its constants there, the Jacobi `scale` among them.
 
     `memo` holds the value of each table function call, keyed on (name,
     route name, u), so a side that needs a value twice, or both sides of an
@@ -92,7 +93,8 @@ class _Ctx:
     stores no value and raises again when repeated.  `entries` holds each
     (name, route name) resolved to its table entry's run and route member
     (`entry`), for the whole run.  The table is its one way to a kernel,
-    but for `jac` (sn, cn and dn in one call) and the theta-level sides.
+    but for `jac` (sn, cn and dn in one call, behind the table's Jacobi
+    guard) and the theta-level sides.
     """
 
     def __init__(self, lat: Lattice, cfg: SeriesConfig):
@@ -102,10 +104,6 @@ class _Ctx:
         self.memo = {}
         self.points = {}
         self.entries = {}
-
-    @property
-    def jp(self):
-        return _record(self.lat, self.lc, self.cfg).jacobi
 
     def __call__(self, name: str, u: complex, route: str | None = None) -> complex:
         """Value of the table function name at u on route, by its table
@@ -136,8 +134,9 @@ class _Ctx:
 
     def jac(self, u: complex) -> tuple:
         """(sn, cn, dn) at the Jacobi argument scale*u, the table's sn, cn
-        and dn in one kernel call; raises at their shared poles."""
-        return _val(_guarded(_sn_cn_dn, self.at(u), (3,), self.jp))
+        and dn in one kernel call behind their guard (`jacobi._jacobi`);
+        raises on a degenerate lattice and at their shared poles."""
+        return _val(_jacobi(_sn_cn_dn, self.lc, self.at(u)))
 
     def w(self, lam):
         return self.lat.half_period(lam)
@@ -476,9 +475,9 @@ def default_suite() -> tuple[IdentitySpec, ...]:
     # to the naive quotient: delta_lam ~ -1/u at the origin while the
     # sn/cn/dn quotients behave as +1/x there.
     for lam, rhs in (
-        (1, lambda c, s, cn, d: -c.jp.scale * d / (s * cn)),
-        (2, lambda c, s, cn, d: -c.jp.scale * cn / (d * s)),
-        (3, lambda c, s, cn, d: -c.jp.scale * cn * d / s),
+        (1, lambda c, s, cn, d: -c.lc.scale * d / (s * cn)),
+        (2, lambda c, s, cn, d: -c.lc.scale * cn / (d * s)),
+        (3, lambda c, s, cn, d: -c.lc.scale * cn * d / s),
     ):
         add(IdentitySpec(f"cor212_row_r{lam}", f"delta{lam}:zetadiff", jacobi_side(rhs), exclusions=_ALL))
     add(IdentitySpec(
@@ -493,19 +492,19 @@ def default_suite() -> tuple[IdentitySpec, ...]:
     ))
 
     def t213_E_fd(c, u):
-        s = c.jp.scale
+        s = c.lc.scale
         f = lambda x: (c("zeta3", x) + c.e(1) * x) / s
         return _fd(f, u, c.fd_step())
 
     def t213_pi_rhs(c, u, a):
-        s = c.jp.scale
+        s = c.lc.scale
         sa, ca, da = c.jac(a)
         su = c.jac(u)[0]
         k2 = c.lc.ksq
         return s * k2 * sa * ca * da * su * su / (1 - k2 * sa * sa * su * su)
 
     add(IdentitySpec(
-        "thm213_E_derivative", t213_E_fd, jacobi_side(lambda c, s, cn, d: c.jp.scale * d ** 2),
+        "thm213_E_derivative", t213_E_fd, jacobi_side(lambda c, s, cn, d: c.lc.scale * d ** 2),
         tol=FD_TOL, exclusions=("w3",),
     ))
     add(IdentitySpec(

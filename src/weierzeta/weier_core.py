@@ -121,15 +121,15 @@ def _thetas(p: Located, deriv: bool = False) -> tuple:
     return t
 
 
-def _sigmas(lc, p: Located) -> tuple:
+def _sigmas(lc: LatticeConstants, p: Located) -> tuple:
     """(sigma, sigma_1, sigma_2, sigma_3) at the reduced argument of p, from
     one theta pass, each without the Gaussian factor exp(eta1*u_red^2/(2*omega1))
     the four share: 2*omega1*theta(v)/theta'(0) (`sigma_factor` times
-    theta(v)) and theta_k(v)/theta_k(0).  lc is the lattice's
-    LatticeConstants or JacobiParams; both carry `sigma_factor` and `nullwerte`.
-    Every quotient of degree 0 in them cancels that factor, and only `sigma`
-    and `sigma_aux`, which return a sigma itself, apply it; on tall or skewed
-    cells it underflows before anything else does."""
+    theta(v)) and theta_k(v)/theta_k(0), with the `sigma_factor` and
+    `nullwerte` of the lattice's record lc.  Every quotient of degree 0 in
+    them cancels that factor, and only `sigma` and `sigma_aux`, which return
+    a sigma itself, apply it; on tall or skewed cells it underflows before
+    anything else does."""
     t = _thetas(p)
     nw = lc.nullwerte
     return lc.sigma_factor * t[0], t[1] / nw[1], t[2] / nw[2], t[3] / nw[3]

@@ -49,7 +49,7 @@ def _covered(lat) -> dict:
     the point the call evaluates u at) for every table entry it maps to.
     sn_cn_dn takes x = scale*u and evaluates x/scale; the record holds the
     scale of a degenerate lattice too, whose Jacobi calls raise."""
-    scale = wz.constants(lat).jacobi.scale
+    scale = wz.constants(lat).scale
 
     def jacobi_x(u):
         return scale * u / scale

@@ -11,11 +11,16 @@ from weierzeta import (
     delta,
     delta2,
     constants,
+    jacobi_E_Z,
     jacobi_E_Z_Pi,
     jacobi_params,
     sn_cn_dn,
 )
 from weierzeta.errors import BranchAmbiguity, DegenerateLattice, PoleProximityError, WeierzetaError
+from weierzeta.functions import FUNCTIONS
+from weierzeta.lattice import locate
+from weierzeta.theta import DEFAULT_CONFIG
+from weierzeta.weier_core import pole_status
 
 from conftest import (
     RECTANGULAR,
@@ -96,6 +101,43 @@ def test_degenerate_lattice_rejected():
                 jp(lat)
     finally:
         jac.constants = original
+
+
+# tau = 8i: |disc| against the invariants is below the degeneracy threshold.
+TALL_DEGENERATE = (0.5, 4j)
+PI_A = 0.1 + 0.05j
+
+
+def _jacobi_calls(lat, u) -> dict:
+    """Every Jacobi evaluation at u: the public functions, and each table
+    entry run with the record and with None."""
+    lc = constants(lat)
+    calls = {
+        "jacobi_params": lambda: jacobi_params(lat),
+        "sn_cn_dn": lambda: sn_cn_dn(lc, lc.scale * u),
+        "jacobi_E_Z": lambda: jacobi_E_Z(lat, u),
+        "jacobi_E_Z_Pi": lambda: jacobi_E_Z_Pi(lat, u, PI_A),
+    }
+    for name in ("sn", "cn", "dn", "E", "Z", "Pi"):
+        for given, rec in (("record", lc), ("none", None)):
+            calls[f"{name}_{given}"] = lambda name=name, rec=rec: FUNCTIONS[name].run(
+                rec, locate(lat, u, DEFAULT_CONFIG), PI_A, None
+            )
+    return calls
+
+
+@pytest.mark.parametrize("where", ["regular", "near_omega3"])
+@pytest.mark.parametrize("call", sorted(_jacobi_calls(build_lattice(*TALL_DEGENERATE), 0j)))
+def test_every_jacobi_evaluation_refuses_a_degenerate_lattice(call, where):
+    # sn_cn_dn used to evaluate on the record of a degenerate lattice.
+    lat = build_lattice(*TALL_DEGENERATE)
+    assert constants(lat).degenerate
+    u = 0.21 + 0.37j if where == "regular" else lat.omega3 + 1e-3 * lat.pole_radius
+    # The near point is within the pole radius of omega_3: the refusal comes
+    # before any pole status.
+    assert (pole_status(locate(lat, u, DEFAULT_CONFIG), (3,)) is None) == (where == "regular")
+    with pytest.raises(DegenerateLattice):
+        _jacobi_calls(lat, u)[call]()
 
 
 def test_sn_cn_dn_normalisation_and_parity():

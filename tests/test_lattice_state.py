@@ -1,8 +1,8 @@
 """Per-lattice state: one `constants` entry per lattice, which also holds
-the Jacobi parameters; once it is warm, no call recomputes the nullwerte or
-the complete integrals, each multi-theta quotient runs one theta pass per
-point, and each public call guards its point and looks its constants up
-once.  The records are immutable values."""
+the Jacobi moduli and integrals; once it is warm, no call recomputes the
+nullwerte or the complete integrals, each multi-theta quotient runs one
+theta pass per point, and each public call guards its point and looks its
+constants up once.  The records are immutable values."""
 
 import importlib
 import pkgutil
@@ -255,7 +255,6 @@ def _records() -> dict:
     return {
         "Lattice": lat,
         "LatticeConstants": lc,
-        "JacobiParams": lc.jacobi,
         "SeriesConfig": SeriesConfig(abs_tol=1e-15),
         "EvalResult": wp(lat, 0.21 + 0.13j),
         "DeltaConstants": constants_from_deltas(lat, 0.21 + 0.13j),
@@ -268,7 +267,7 @@ def _records() -> dict:
 @pytest.mark.parametrize(
     "name",
     [
-        "Lattice", "LatticeConstants", "JacobiParams", "SeriesConfig", "EvalResult",
+        "Lattice", "LatticeConstants", "SeriesConfig", "EvalResult",
         "DeltaConstants", "Function", "IdentitySpec", "IdentityReport",
     ],
 )
@@ -284,6 +283,10 @@ def test_records_are_immutable_values(name):
     assert copy is not rec
     assert copy == rec and hash(copy) == hash(rec)
     assert {rec: 1}[copy] == 1
+    if name == "LatticeConstants":
+        # The Jacobi moduli, integrals and scale are fields of the one record.
+        assert {"k", "kprime", "big_k", "big_e", "scale", "lattice", "cfg"} <= set(rec._fields)
+        assert not hasattr(rec, "jacobi")
 
 
 def test_delta2_theta_route_needs_no_zeta_aux(monkeypatch):
@@ -317,7 +320,7 @@ def test_jacobi_params_built_once_per_lattice():
 
 def test_jacobi_params_are_the_constants_record():
     lat = build_lattice(0.5, 0.5 * (0.27 + 1.33j))
-    assert jacobi_params(lat) is constants(lat).jacobi
+    assert jacobi_params(lat) is constants(lat)
 
 
 def test_warm_jacobi_params_runs_no_agm(monkeypatch):
