@@ -17,7 +17,7 @@ _HOME = {
         "errors": "BranchAmbiguity ConvergencePolicyError DegenerateLattice IdenticalIndices InvalidPeriodRatio"
         " NearZeroDenominator PoleProximityError SeriesDivergence SuiteConfigError ValueOverflow"
         " WeierzetaError ZeroPeriod",
-        "theta": "DEFAULT_CONFIG HALF_PERIOD_THETA SeriesConfig theta_dlog theta_eval theta_nullwerte",
+        "theta": "DEFAULT_CONFIG SeriesConfig theta_dlog theta_eval theta_nullwerte",
         "lattice": "Lattice LatticeConstants build_lattice complement constants constants_to_json"
         " eisenstein_invariants reduce_to_cell",
         "weier_core": "EvalResult Status sigma sigma_aux sigma_product wp wp_lattice_sum wp_prime"

@@ -25,7 +25,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import ConvergencePolicyError, IdenticalIndices, InvalidPeriodRatio, ValueOverflow, ZeroPeriod
-from .theta import DEFAULT_CONFIG, HALF_PERIOD_THETA, SeriesConfig, _quarter_nome, theta_nullwerte
+from .theta import DEFAULT_CONFIG, SeriesConfig, _quarter_nome, theta_nullwerte
 
 PI = math.pi
 
@@ -35,12 +35,6 @@ Q_MAX = 0.9
 # The pole radius: a point within NEAR_POLE_FACTOR * min_period of a pole
 # coset is at or near a pole.
 NEAR_POLE_FACTOR = 1e-8
-
-# Theta index of the lattice (0) and of each half-period coset omega_1,
-# omega_2, omega_3: the one place where half-period labels meet theta
-# indices.  The nullwerte and every theta pass (weier_core._thetas) are held
-# in this order, so entry k of either belongs to omega_k + lattice.
-HALF_PERIOD_ORDER = (0, HALF_PERIOD_THETA[1], HALF_PERIOD_THETA[2], HALF_PERIOD_THETA[3])
 
 # Cyclic complementary pair for each half-period index.
 _COMPLEMENT = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
@@ -141,8 +135,7 @@ class Located:
     config every guard and kernel reads here, u = 2*alpha*omega1 +
     2*beta*omega3 = u_red + 2*n*omega1 + 2*m*omega3, the reduced gaps
     |alpha - n| and |beta - m| that `near` reads (None for a far point, which
-    `near` always measures), and the theta pass at u_red in half-period order
-    under cfg, which `weier_core._thetas` fills on first use (None until then)."""
+    `near` always measures), and the theta pass at u_red under cfg, which `weier_core._thetas` fills on first use (None until then)."""
 
     __slots__ = ("lat", "cfg", "u", "alpha", "beta", "u_red", "n", "m", "gap_alpha", "gap_beta", "thetas",
                  "__weakref__")
@@ -394,8 +387,8 @@ class LatticeConstants(namedtuple(
     and radii the evaluators read at every point, with the lattice and
     series config they were built for.
 
-    `nullwerte` is in half-period order (HALF_PERIOD_ORDER): `nullwerte[k]`
-    is theta(0) of the theta that vanishes on omega_k + lattice, and
+    `nullwerte[k]` is theta_{k+1}(0) (`theta` numbers the series as DLMF
+    does), the nullwert of the theta that vanishes on omega_k + lattice, and
     `nullwerte[0]`, the odd theta's, is exactly 0.  `nullwert_prime` is the
     odd theta's derivative at 0.  `ediffs` holds (e2 - e3, e1 - e3, e1 - e2)
     as the nullwerte give them; read them through `ediff`, never as a
@@ -467,8 +460,8 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
     from the third-derivative nullwert, eta3 from the Legendre relation
     eta1*omega3 - eta3*omega1 = i*pi/2, and eta2 = -eta1 - eta3.
     """
-    t1, t2, t3, tp, tppp = theta_nullwerte(lat.tau, cfg)
-    nw = tuple((0j, t1, t2, t3)[i] for i in HALF_PERIOD_ORDER)
+    t2, t3, t4, tp, tppp = theta_nullwerte(lat.tau, cfg)
+    nw = (0j, t2, t3, t4)
     w1 = lat.omega1
     try:
         c = (PI / (2 * w1)) ** 2

@@ -1,19 +1,22 @@
 """Jacobi theta functions as truncated q-series.
 
-Four series are indexed 0..3.  Index 0 is the odd function whose zeros fill
-the period lattice; indices 1..3 are the even companions.  Written with
-x = pi*v and q = exp(i*pi*tau):
+Four series are indexed 0..3 as DLMF 20.2 numbers them: index k is
+theta_{k+1}, the series that vanishes on omega_k + lattice (k = 0 the
+lattice itself, the odd series; omega_1, omega_2, omega_3 at v = 1/2,
+(1 + tau)/2 and tau/2).  Written with x = pi*v and q = exp(i*pi*tau):
 
-    theta_0(v) = 2 * sum_{n>=0} (-1)^n q^((n+1/2)^2) sin((2n+1)x)
-    theta_1(v) = 2 * sum_{n>=0}        q^((n+1/2)^2) cos((2n+1)x)
-    theta_2(v) = 1 + 2 * sum_{n>=1} (-1)^n q^(n^2) cos(2nx)
-    theta_3(v) = 1 + 2 * sum_{n>=1}        q^(n^2) cos(2nx)
+    theta_1(v) = 2 * sum_{n>=0} (-1)^n q^((n+1/2)^2) sin((2n+1)x)    index 0
+    theta_2(v) = 2 * sum_{n>=0}        q^((n+1/2)^2) cos((2n+1)x)    index 1
+    theta_3(v) = 1 + 2 * sum_{n>=1}        q^(n^2) cos(2nx)          index 2
+    theta_4(v) = 1 + 2 * sum_{n>=1} (-1)^n q^(n^2) cos(2nx)          index 3
 
-All four are summed together in one pass (`_theta4`), whose length follows
-in closed form from |q|, |Im v| and the truncation policy.  The pairing of
-the n-th and (-n)-th exponential terms (n and -n-1 for the half-integer
-exponents) is kept as the sin/cos form above, so the odd series vanishes
-identically at v = 0 with no cancellation error.
+So every kernel reads a theta pass and the nullwerte in half-period order
+as they come: no other module permutes them.  All four are summed together
+in one pass (`_theta4`), whose length follows in closed form from |q|,
+|Im v| and the truncation policy.  The pairing of the n-th and (-n)-th
+exponential terms (n and -n-1 for the half-integer exponents) is kept as
+the sin/cos form above, so the odd series vanishes identically at v = 0
+with no cancellation error.
 """
 
 from __future__ import annotations
@@ -27,14 +30,6 @@ from .errors import NearZeroDenominator, SeriesDivergence
 
 PI = math.pi
 _LN2 = math.log(2.0)
-
-# Theta index whose zero set lies on the coset of each half-period
-# (omega_1 -> index 1, omega_2 -> index 3, omega_3 -> index 2).  This is
-# what makes the auxiliary sigma/zeta formulas hold; it is fixed by the
-# zero loci of the four series above.  lattice.HALF_PERIOD_ORDER turns it
-# into the order every theta pass of the kernels and the nullwerte are held in.
-HALF_PERIOD_THETA = {1: 1, 2: 3, 3: 2}
-
 
 class SeriesConfig(namedtuple("SeriesConfig", "abs_tol rel_tol max_terms")):
     """Truncation policy shared by every series and product in the package."""
@@ -88,7 +83,7 @@ def _theta4(v: complex, tau: complex, q4: complex, cfg: SeriesConfig, deriv: boo
 
     With x = pi*v, each term of the four series is C_k = 2 q^(k^2/4) cos(kx)
     or S_k = 2 q^(k^2/4) sin(kx): odd k for indices 0 and 1, even k for 2
-    and 3.  Both follow from C_0 = 2, S_0 = 0 by one rotation per step,
+    and 3, the alternating series (indices 0 and 3) with the sign (-1)^n.  Both follow from C_0 = 2, S_0 = 0 by one rotation per step,
 
         C_{k+1} = r_k (C_k cos x - S_k sin x),  S_{k+1} = r_k (S_k cos x + C_k sin x),
 
@@ -96,7 +91,7 @@ def _theta4(v: complex, tau: complex, q4: complex, cfg: SeriesConfig, deriv: boo
     sin or cos (the joint evaluation from shared q-powers of Johansson,
     arXiv:1806.06725).  The sines are carried directly rather than as
     differences of exponentials, so they keep full relative accuracy as
-    v -> 0, and theta_0(0) is exactly zero.
+    v -> 0, and the odd series is exactly zero at v = 0.
 
     Step n adds the terms of k = 2n+1 and 2n+2, and the number of steps is
     fixed before the first; no term is tested.  With y = |Im x| and
@@ -113,8 +108,9 @@ def _theta4(v: complex, tau: complex, q4: complex, cfg: SeriesConfig, deriv: boo
     raises SeriesDivergence.  The derivatives ride along, so both modes
     return equal values.
 
-    Returns (theta_0, ..., theta_3), followed with deriv by their four
-    v-derivatives.
+    Returns the four series in DLMF order, (theta_1, ..., theta_4), each
+    at the index of the half-period coset it vanishes on, followed with
+    deriv by their four v-derivatives in the same order.
     """
     abs_tol, rel_tol, max_terms = cfg
     x = PI * v
@@ -137,62 +133,64 @@ def _theta4(v: complex, tau: complex, q4: complex, cfg: SeriesConfig, deriv: boo
     s0 = s1 = d0 = d1 = d2 = d3 = 0j
     s2 = s3 = 1.0 + 0j
     for n in range(int(0.5 * k_min + 1.5)):
-        # k = 2n+1: the n-th terms of theta_0 and theta_1.
+        # k = 2n+1: the n-th terms of indices 0 and 1.
         c, s = c * rc - s * rs, s * rc + c * rs
         rc *= q2
         rs *= q2
         c_odd, s_odd = c, s
-        # k = 2n+2: the (n+1)-th terms of theta_2 and theta_3.
+        # k = 2n+2: the (n+1)-th terms of indices 2 and 3.
         c, s = c * rc - s * rs, s * rc + c * rs
         rc *= q2
         rs *= q2
         if n & 1:
             s0 -= s_odd
-            s2 += c
+            s3 += c
         else:
             s0 += s_odd
-            s2 -= c
+            s3 -= c
         s1 += c_odd
-        s3 += c
+        s2 += c
         if deriv:
             k = 2 * n + 1
             odd_d = k * c_odd
             even_d = (k + 1) * s
             if n & 1:
                 d0 -= odd_d
-                d2 -= even_d
+                d3 -= even_d
             else:
                 d0 += odd_d
-                d2 += even_d
+                d3 += even_d
             d1 += k * s_odd
-            d3 += even_d
+            d2 += even_d
     vals = (s0, s1, s2, s3)
     if not deriv:
         return vals
-    return vals + (PI * d0, -PI * d1, PI * d2, -PI * d3)
+    return vals + (PI * d0, -PI * d1, -PI * d2, PI * d3)
 
 
 def theta_eval(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
-    """Value of the idx-th theta function at v for half-period ratio tau."""
+    """Value of theta_{idx+1} (DLMF 20.2) at v for half-period ratio tau."""
     _check_idx(idx, tau)
     return _theta4(v, tau, _quarter_nome(tau), cfg)[idx]
 
 
 def theta_dlog(idx: int, v: complex, tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
-    """Logarithmic v-derivative theta'_idx(v)/theta_idx(v), from one pass;
-    raises NearZeroDenominator only where theta_idx(v) is exactly 0."""
+    """Logarithmic v-derivative of theta_{idx+1} (DLMF 20.2), from one pass;
+    raises NearZeroDenominator only where that theta is exactly 0 at v."""
     _check_idx(idx, tau)
     vals = _theta4(v, tau, _quarter_nome(tau), cfg, deriv=True)
     if vals[idx] == 0:
-        raise NearZeroDenominator(f"theta_{idx}({v!r}) is zero")
+        raise NearZeroDenominator(f"theta_{idx + 1}({v!r}) is zero")
     return vals[4 + idx] / vals[idx]
 
 
 def theta_nullwerte(tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG):
-    """Nullwerte (theta1_0, theta2_0, theta3_0, theta'_0, theta'''_0) at v = 0.
+    """Nullwerte (theta_2(0), theta_3(0), theta_4(0), theta_1'(0), theta_1'''(0)).
 
-    The first and third derivatives are those of the odd series, obtained by
-    term-wise differentiation.  All but the third derivative come from one
+    The first three are indices 1, 2 and 3 at v = 0, in DLMF order, so
+    (0, theta_2(0), theta_3(0), theta_4(0)) is indexed by half-period as a
+    theta pass is.  The derivatives are those of the odd series theta_1,
+    obtained by term-wise differentiation.  All but the third derivative come from one
     theta pass at v = 0, the same pass every evaluation at v = 0 runs.  The
     third derivative sums the terms -2 pi^3 (-1)^n (2n+1)^3 q^((n+1/2)^2),
     with the q-powers by the recurrence q^((n+3/2)^2) = q^((n+1/2)^2) q^(2n+2),

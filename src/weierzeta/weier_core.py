@@ -1,9 +1,9 @@
 """Weierstrass sigma, zeta, and p-functions via the theta route.
 
 Production evaluation reduces the argument to the centred fundamental cell
-(`lattice.locate`) and runs one theta pass there, held in half-period order
-(`_thetas`: entry k vanishes on omega_k + lattice) and kept on the located
-point, so every kernel that reads the point shares it.  The four sigmas at the reduced point
+(`lattice.locate`) and runs one theta pass there (`_thetas`: entry k
+vanishes on omega_k + lattice, as `theta` numbers the series) and keeps it
+on the located point, so every kernel that reads the point shares it.  The four sigmas at the reduced point
 (`_sigmas`) leave out the Gaussian factor they share, which every quotient
 of degree 0 cancels; only `sigma` and `sigma_aux` apply it, with the
 quasi-periodicity factor and the sign of the translate, in one body.
@@ -21,11 +21,9 @@ from __future__ import annotations
 import cmath
 import enum
 from collections import namedtuple
-from operator import itemgetter
 
 from .errors import NearZeroDenominator, PoleProximityError, ValueOverflow
 from .lattice import (
-    HALF_PERIOD_ORDER,
     Lattice,
     LatticeConstants,
     Located,
@@ -101,23 +99,17 @@ def _val(res: EvalResult):
     return res.value
 
 
-_IN_HALF_PERIOD_ORDER = (
-    itemgetter(*HALF_PERIOD_ORDER),
-    itemgetter(*HALF_PERIOD_ORDER, *(4 + i for i in HALF_PERIOD_ORDER)),
-)
-
-
 def _thetas(p: Located, deriv: bool = False) -> tuple:
     """The one theta pass of every kernel, _theta4 at v = u_red/(2*omega1)
-    under the point's config, in half-period order: entry k vanishes on
-    omega_k + lattice (k = 0 the lattice, the odd theta), and with deriv its
-    v-derivative sits at 4 + k.  The pass is kept on p: a point is summed at most once without and once
-    with the derivatives, and a derivative pass, whose first four entries are
-    the plain pass bit for bit, also serves every later plain request."""
+    under the point's config, as it comes: entry k vanishes on omega_k +
+    lattice (k = 0 the lattice, the odd theta), and with deriv its
+    v-derivative sits at 4 + k.  The pass is kept on p: a point is summed at
+    most once without and once with the derivatives, and a derivative pass,
+    whose first four entries are the plain pass bit for bit, also serves
+    every later plain request."""
     t = p.thetas
     if t is None or (deriv and len(t) == 4):
-        raw = _theta4(p.u_red / p.lat.period1, p.lat.tau, p.lat.q4, p.cfg, deriv)
-        t = p.thetas = _IN_HALF_PERIOD_ORDER[deriv](raw)
+        t = p.thetas = _theta4(p.u_red / p.lat.period1, p.lat.tau, p.lat.q4, p.cfg, deriv)
     return t
 
 
@@ -125,7 +117,7 @@ def _sigmas(lc: LatticeConstants, p: Located) -> tuple:
     """(sigma, sigma_1, sigma_2, sigma_3) at the reduced argument of p, from
     one theta pass, each without the Gaussian factor exp(eta1*u_red^2/(2*omega1))
     the four share: 2*omega1*theta(v)/theta'(0) (`sigma_factor` times
-    theta(v)) and theta_k(v)/theta_k(0), with the `sigma_factor` and
+    theta(v)) and t_k(v)/t_k(0), t_k the theta of index k, with the `sigma_factor` and
     `nullwerte` of the lattice's record lc.  Every quotient of degree 0 in
     them cancels that factor, and only `sigma` and `sigma_aux`, which return
     a sigma itself, apply it; on tall or skewed cells it underflows before
@@ -185,8 +177,8 @@ def _theta_zeta(lc: LatticeConstants, p: Located, *ks: int) -> list[complex]:
     increment at p for each half-period index k given (0 for the lattice),
     all from one theta pass: zeta_w for k = 0, the auxiliary zeta of index k
     otherwise.  Only an exact zero of theta_k raises: the callers guard
-    first, and no bound fits every lattice (the terms of the odd theta and of
-    theta_1 carry |q|^(1/4))."""
+    first, and no bound fits every lattice (the terms of indices 0 and 1
+    carry |q|^(1/4))."""
     w1 = p.lat.omega1
     t = _thetas(p, deriv=True)
     out = []

@@ -131,7 +131,7 @@ def _delta2(lc: LatticeConstants, p: Located, lam: int, mu: int, route: DeltaRou
     if route is _THETA_QUOTIENT:
         # The theta image of the sigma form, negated for lam < mu: there
         # e_lam - e_mu = (pi/2 omega1)^2 theta_nu(0)^4 (how `constants` builds
-        # the e's), and Jacobi's theta'(0) = pi theta_1(0) theta_2(0) theta_3(0)
+        # the e's), and Jacobi's theta_1'(0) = pi theta_2(0) theta_3(0) theta_4(0)
         # carries the sigma form over to this one.
         t = _thetas(p)
         val = (PI / (2 * lat.omega1)) * lc.nullwerte[nu] ** 2 * t[nu] * t[0] / (t[lam] * t[mu])

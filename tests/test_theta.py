@@ -29,8 +29,9 @@ def sample_points(tau: complex) -> list[complex]:
 
 
 def theta_brute(idx: int, v: complex, tau: complex, n_max: int = 200, deriv: bool = False) -> complex:
-    """Direct partial sum of the defining exponential series (oracle); with
-    deriv, the same sum differentiated term by term in v."""
+    """Direct partial sum of the defining exponential series of
+    theta_{idx+1} (DLMF 20.2.1-20.2.4; oracle); with deriv, the same sum
+    differentiated term by term in v."""
     total = 0j
     for n in range(-n_max, n_max + 1):
         if idx in (0, 1):
@@ -39,7 +40,7 @@ def theta_brute(idx: int, v: complex, tau: complex, n_max: int = 200, deriv: boo
         else:
             k = 2 * n
             term = cmath.exp(1j * PI * tau * n * n + k * 1j * PI * v)
-        if idx in (0, 2):
+        if idx in (0, 3):
             term *= (-1) ** n
         total += 1j * PI * k * term if deriv else term
     return -1j * total if idx == 0 else total
@@ -48,8 +49,8 @@ def theta_brute(idx: int, v: complex, tau: complex, n_max: int = 200, deriv: boo
 @functools.lru_cache(maxsize=None)
 def theta_brute_mp(v: complex, tau: complex) -> tuple:
     """The defining sums of theta_brute at 30 digits, for all four series and
-    their v-derivatives at once: (theta_0..3, theta_0'..3'), and for each the
-    rounding scale of the pass, the sum over its terms of (|k| + 1)|term|
+    their v-derivatives at once: (indices 0..3, then their derivatives), and
+    for each the rounding scale of the pass, the sum over its terms of (|k| + 1)|term|
     (term k comes out of |k| rotations)."""
     mpmath = pytest.importorskip("mpmath")
     a, y = PI * tau.imag / 4, PI * abs(v.imag)
@@ -62,7 +63,7 @@ def theta_brute_mp(v: complex, tau: complex) -> tuple:
             term = mpmath.exp(1j * mpmath.pi * (tau_mp * k * k / 4 + k * v_mp))
             n = (k - 1) // 2 if k % 2 else k // 2
             for idx in ((0, 1) if k % 2 else (2, 3)):
-                t = -term if idx in (0, 2) and n % 2 else term
+                t = -term if idx in (0, 3) and n % 2 else term
                 d = 1j * mpmath.pi * k * t
                 sums[idx] += t
                 sums[4 + idx] += d
@@ -152,8 +153,38 @@ def test_odd_series_vanishes_exactly_at_zero():
     assert theta_eval(0, 0.0, 0.3 + 1.1j) == 0
 
 
+@pytest.mark.parametrize("tau", TAUS + STRIP_TAUS)
+@pytest.mark.parametrize("idx", [0, 1, 2, 3])
+def test_index_is_dlmf_numbering(tau, idx):
+    # Index k is DLMF's theta_{k+1}: mpmath.jtheta(k + 1, pi*v, q), and its
+    # derivative in v is pi times jtheta's in z = pi*v.
+    mpmath = pytest.importorskip("mpmath")
+    q = cmath.exp(1j * PI * tau)
+    for v in sample_points(tau):
+        with mpmath.workdps(30):
+            ref = complex(mpmath.jtheta(idx + 1, PI * v, q))
+            dref = PI * complex(mpmath.jtheta(idx + 1, PI * v, q, derivative=1))
+        full = theta._theta4(v, tau, theta._quarter_nome(tau), DEFAULT_CONFIG, deriv=True)
+        assert abs(theta_eval(idx, v, tau) - ref) <= 1e-13 * max(1.0, abs(ref)), v
+        assert abs(full[4 + idx] - dref) <= 1e-13 * max(1.0, abs(dref)), v
+    with mpmath.workdps(30):
+        assert all(
+            abs(t - complex(mpmath.jtheta(k, 0, q))) <= 1e-13 * abs(t)
+            for k, t in zip((2, 3, 4), theta_nullwerte(tau)[:3])
+        )
+
+
+@pytest.mark.parametrize("tau", TAUS + STRIP_TAUS)
+def test_each_index_vanishes_on_its_half_period(tau):
+    # v = 0, 1/2, (1 + tau)/2, tau/2: omega_k/(2*omega1) for k = 0..3.
+    for idx, v in enumerate((0.0, 0.5, 0.5 + 0.5 * tau, 0.5 * tau)):
+        scale = max(abs(theta_eval(k, v, tau)) for k in range(4))
+        assert abs(theta_eval(idx, v, tau)) <= 1e-14 * scale, idx
+
+
 def test_small_nome_limit_of_even_series():
     # Only the n=0 term survives as q -> 0.
+    assert abs(theta_eval(2, 0.0, 40j) - 1) < 1e-50
     assert abs(theta_eval(3, 0.0, 40j) - 1) < 1e-50
 
 
@@ -248,16 +279,17 @@ def test_term_budget_at_large_nome():
     # |q| = 0.9 still converges to abs 1e-15 within 64 terms.
     tau = 1j * (-math.log(0.9) / PI)
     cfg = SeriesConfig(abs_tol=1e-15, rel_tol=0.0, max_terms=64)
-    val = theta_eval(3, 0.3, tau, cfg)
-    ref = theta_brute(3, 0.3, tau, 400)
+    val = theta_eval(2, 0.3, tau, cfg)
+    ref = theta_brute(2, 0.3, tau, 400)
     assert abs(val - ref) < 1e-12 * abs(ref)
 
 
 def test_series_divergence_when_budget_too_small():
     tau = 1j * (-math.log(0.9) / PI)
     cfg = SeriesConfig(abs_tol=1e-15, rel_tol=0.0, max_terms=6)
-    with pytest.raises(SeriesDivergence):
-        theta_eval(3, 0.3, tau, cfg)
+    for idx in (0, 1, 2, 3):
+        with pytest.raises(SeriesDivergence):
+            theta_eval(idx, 0.3, tau, cfg)
 
 
 def test_config_validation():
