@@ -36,8 +36,8 @@ import enum
 import math
 from operator import mul
 
-from .errors import SeriesDivergence
-from .lattice import Lattice, LatticeConstants, Located, _coset_pairs, check_index, complement, locate
+from .errors import SeriesDivergence, ValueOverflow
+from .lattice import Lattice, LatticeConstants, Located, _coset_pairs, _ldexp, check_index, complement, locate
 from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import EvalResult, _guarded, _theta_zeta
 
@@ -143,10 +143,15 @@ def _qseries(lc: LatticeConstants, p: Located, lam: int, cos: bool) -> complex:
 def _partialfrac(lc: LatticeConstants, p: Located, lam: int) -> complex:
     """-e_lam*u + the sum over omega_lam + lattice of 1/(u-w) + 1/w + u/w^2 at
     u = u_red, plus the lattice increment: the pair sum of `_pair_series`
-    over the whole coset, from the record's tables (`_coset_tables`)."""
-    tables = lc.pair_tables[lam - 1] or _coset_tables(p.lat, lc, lam)
-    total = -lc.e(lam) * p.u_red + _pair_series(*tables, p.u_red)
-    return total + 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3
+    over the whole coset, from the record's tables (`_coset_tables`), taken
+    in their units of 2^e and scaled back.  A value outside the float range
+    raises ValueOverflow."""
+    near, moments, rho, e = lc.pair_tables[lam - 1] or _coset_tables(p.lat, lc, lam)
+    pairs = _ldexp(_pair_series(near, moments, rho, _ldexp(p.u_red, -e)), -e)
+    total = -lc.e(lam) * p.u_red + pairs + 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3
+    if not cmath.isfinite(total):
+        raise ValueOverflow(f"the partial-fraction sum is outside the float range at u = {p.u!r}")
+    return total
 
 
 # The pairs of a coset split at |w| = PAIR_SPLIT * rho (rho the cell's
@@ -185,24 +190,30 @@ def _pair_moments(pairs, rho: float) -> list:
     return sums
 
 
-def _coset_tables(lat: Lattice, lc: LatticeConstants, lam: int) -> tuple[list, list, float]:
-    """(near, moments, rho) for `_pair_series` over the whole coset
-    omega_lam + lattice: rho = max(|omega1 + omega3|, |omega1 - omega3|),
-    the pairs with |p| <= PAIR_SPLIT * rho, and the far pairs' moments,
-    highest first.  M_0 and M_1 are the whole coset's closed forms less the
+def _coset_tables(lat: Lattice, lc: LatticeConstants, lam: int) -> tuple[list, list, float, int]:
+    """(near, moments, rho, e) for `_pair_series` over the whole coset
+    omega_lam + lattice, in units of 2^e with 1 <= |2*omega1|/2^e < 2, so
+    that no product of pairs or moments leaves the float range at any scale
+    of the lattice (scaling by a power of 2 is exact, and every reference
+    lattice has e = 0): rho = max(|omega1 + omega3|, |omega1 - omega3|), the
+    pairs with |p| <= PAIR_SPLIT * rho, and the far pairs' moments, highest
+    first.  M_0 and M_1 are the whole coset's closed forms less the
     near pairs: with A = (e_lam - e_mu)(e_lam - e_nu), wp(omega_lam + v) =
     e_lam + A v^2 + e_lam A v^4 + ..., so the coset sums p^-4 to A/3 and
     p^-6 to e_lam A/5 (DLMF 23.3, 23.9), and the pairs to half of each.
     M_2 .. M_8 are summed over PAIR_SPLIT * rho < |p| <= PAIR_ANNULUS * rho.
     A disc past `lattice.MAX_PAIRS` pairs raises ConvergencePolicyError.
     The tables are stored in lc.pair_tables[lam - 1] and returned."""
-    rho = max(abs(lat.omega1 + lat.omega3), abs(lat.omega1 - lat.omega3))
-    near = _coset_pairs(lat, lam, 0.0, PAIR_SPLIT * rho)
+    e = math.frexp(abs(lat.period1))[1] - 1
+    w1, w3 = _ldexp(lat.omega1, -e), _ldexp(lat.omega3, -e)
+    rho = max(abs(w1 + w3), abs(w1 - w3))
+    near = _coset_pairs(lat, lam, 0.0, PAIR_SPLIT * rho, e)
     inner = _pair_moments(near, rho)
-    moments = _pair_moments(_coset_pairs(lat, lam, PAIR_SPLIT * rho, PAIR_ANNULUS * rho), rho)
+    moments = _pair_moments(_coset_pairs(lat, lam, PAIR_SPLIT * rho, PAIR_ANNULUS * rho, e), rho)
     mu, nu = complement(lam)
-    a = lc.ediff(lam, mu) * lc.ediff(lam, nu)
+    # The e's are of degree -2 in the periods: in these units, times 2^(2e).
+    a = _ldexp(lc.ediff(lam, mu), 2 * e) * _ldexp(lc.ediff(lam, nu), 2 * e)
     moments[0] = a / 6 - inner[0]
-    moments[1] = rho * rho * (lc.e(lam) * a / 10) - inner[1]
-    tables = lc.pair_tables[lam - 1] = (near, moments[::-1], rho)
+    moments[1] = rho * rho * (_ldexp(lc.e(lam), 2 * e) * a / 10) - inner[1]
+    tables = lc.pair_tables[lam - 1] = (near, moments[::-1], rho, e)
     return tables

@@ -38,7 +38,8 @@ class PoleProximityError(WeierzetaError):
 
 
 class ValueOverflow(WeierzetaError, OverflowError):
-    """A value is too large for a float (sigma's exponential factors)."""
+    """A value is outside the float range (sigma's exponential factors, or
+    wp' and the partial-fraction sum far from unit scale)."""
 
 
 class BranchAmbiguity(WeierzetaError):

@@ -299,11 +299,19 @@ def _translate_sign(p: Located, k: int) -> float:
 MAX_PAIRS = 2**22
 
 
-def _coset_pairs(lat: Lattice, k: int, r_lo: float, r_hi: float) -> list:
+def _ldexp(z: complex, e: int) -> complex:
+    """z * 2^e, exact wherever both parts stay normal numbers."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+
+def _coset_pairs(lat: Lattice, k: int, r_lo: float, r_hi: float, e: int = 0) -> list:
     """P = p*p for one point p of each pair +-p of omega_k + lattice (k = 0
-    the lattice itself) with r_lo < |p| <= r_hi.  A disc of radius r_hi
-    holds about pi*r_hi^2/(2*|area|) pairs; past MAX_PAIRS this raises
-    ConvergencePolicyError before listing any.
+    the lattice itself) with r_lo < |p| <= r_hi, all in units of 2^e: the
+    pairs are listed on the lattice scaled by 2^-e, which is exact, so on a
+    lattice far from unit scale the caller picks e to keep every product
+    here in range.  A disc of radius r_hi holds about pi*r_hi^2/(2*|area|)
+    pairs; past MAX_PAIRS this raises ConvergencePolicyError before listing
+    any.
 
     Every coset is symmetric under p -> -p, so each pair is one term in P.
     With (alpha, beta) the coset's cell coordinates (_HALF_CELL),
@@ -315,17 +323,18 @@ def _coset_pairs(lat: Lattice, k: int, r_lo: float, r_hi: float) -> list:
     n; one more n either side absorbs their rounding.  A row tangent to the
     circle has a discriminant of 0 that rounding can make negative, so only
     a clearly negative one skips the row."""
-    estimate = PI * r_hi * r_hi / (2 * abs(lat.area))
+    two_w1, two_w3 = _ldexp(lat.period1, -e), _ldexp(lat.period3, -e)
+    area = abs(math.ldexp(lat.area, -2 * e))
+    estimate = PI * r_hi * r_hi / (2 * area)
     if estimate > MAX_PAIRS:
         raise ConvergencePolicyError(
             f"about {estimate:.3g} pairs of the coset lie within |p| <= {r_hi:.6g} on the half-periods "
             f"{lat.omega1!r}, {lat.omega3!r}, more than MAX_PAIRS = {MAX_PAIRS}; a reduced basis needs fewer"
         )
-    two_w1, two_w3 = lat.period1, lat.period3
     alpha, beta = _HALF_CELL[k]
     offset = alpha * two_w1 + beta * two_w3
     w1sq = abs(two_w1) ** 2
-    row_gap = abs(lat.area) / abs(two_w1)
+    row_gap = area / abs(two_w1)
     out = []
     for m in range(math.ceil(-beta), int((r_hi / row_gap) - beta) + 2):
         c = offset + m * two_w3
@@ -479,9 +488,7 @@ def _constants(lat: Lattice, cfg: SeriesConfig) -> LatticeConstants:
     big_k, big_e = agm_complete_integrals(ksq, kpsq)
     e_max = max(abs(e1), abs(e2), abs(e3))
     k = math.frexp(e_max)[1] // 2
-    s12, s13, s23 = (
-        complex(math.ldexp(d.real, -2 * k), math.ldexp(d.imag, -2 * k)) for d in (d12, d13, d23)
-    )
+    s12, s13, s23 = (_ldexp(d, -2 * k) for d in (d12, d13, d23))
     *_, g2s, g3s, discs = _invariants(s12, s13, s23)
     # Each zone scales as the periods do: taken on the differences scaled by
     # 2^-2k, it is the unscaled one times 2^k, exactly.

@@ -127,11 +127,18 @@ def _sigmas(lc: LatticeConstants, p: Located) -> tuple:
     return lc.sigma_factor * t[0], t[1] / nw[1], t[2] / nw[2], t[3] / nw[3]
 
 
-def _wp_pair(lc: LatticeConstants, p: Located) -> tuple:
-    """(wp, wp') at a located point off the lattice, from one theta pass."""
+def _wp_pair(lc: LatticeConstants, p: Located) -> tuple | None:
+    """(wp, wp') at a located point off the lattice, from one theta pass;
+    None where the pair is outside the float range: wp' is of order u^-3,
+    and sigma^3 overflows or underflows long before the quotient does on a
+    lattice far from unit scale."""
     s0, s1, s2, s3 = _sigmas(lc, p)
-    ratio = s1 / s0
-    return lc.e1 + ratio * ratio, -2 * (s1 * s2 * s3) / s0**3
+    try:
+        ratio = s1 / s0
+        pair = lc.e1 + ratio * ratio, -2 * (s1 * s2 * s3) / s0**3
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return pair if cmath.isfinite(pair[0]) and cmath.isfinite(pair[1]) else None
 
 
 def sigma(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
@@ -208,7 +215,10 @@ def wp_prime(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> Ev
 
 
 def _wp_prime(lc: LatticeConstants, p: Located) -> complex:
-    return _wp_pair(lc, p)[1]
+    pair = _wp_pair(lc, p)
+    if pair is None:
+        raise ValueOverflow(f"wp' is outside the float range at u = {p.u!r}")
+    return pair[1]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections import namedtuple
 
 from .errors import PoleProximityError
@@ -39,6 +40,7 @@ from .theta import DEFAULT_CONFIG, SeriesConfig
 from .weier_core import EvalResult, _guarded, _sigmas, _theta_zeta, _thetas, _wp_pair
 
 PI = math.pi
+_FLOAT_MIN = sys.float_info.min
 
 
 class DeltaRoute(enum.Enum):
@@ -70,9 +72,11 @@ def _delta(lc: LatticeConstants, p: Located, lam: int, route: DeltaRoute) -> com
         z, z_lam = _theta_zeta(lc, p, 0, lam)
         return z_lam - z
     if route is _WP_QUOTIENT and near(p, lam, lc.zones[lam - 1], lc.zone_reaches[lam - 1]) is None:
-        # Outside the zone where wp - e_lam cancels; the sigma form serves inside.
-        wp_, wpp = _wp_pair(lc, p)
-        return 0.5 * wpp / (wp_ - lc.e(lam))
+        # Outside the zone where wp - e_lam cancels; the sigma form serves
+        # inside, and wherever the pair is outside the float range.
+        pair = _wp_pair(lc, p)
+        if pair is not None:
+            return 0.5 * pair[1] / (pair[0] - lc.e(lam))
     if route is _WP_QUOTIENT or route is _SIGMA_QUOTIENT:
         return _delta_sigma(_sigmas(lc, p), lam)
     if route is _THETA_QUOTIENT:
@@ -96,7 +100,9 @@ def delta_prime(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_
 
     Evaluated as r - (e_lam - e_mu)(e_lam - e_nu) / r with r =
     (sigma_lam/sigma)^2 = wp - e_lam from one pass, so no term cancels near
-    the poles.
+    the poles.  On a lattice far from unit scale, where the product of the
+    two differences, of order omega^-4, leaves the range of normal floats,
+    each difference is divided in turn.
     """
     check_index(lam)
     return _guarded(_delta_prime, locate(lat, u, cfg), (0, lam), None, lam)
@@ -107,7 +113,11 @@ def _delta_prime(lc: LatticeConstants, p: Located, lam: int) -> complex:
     s = _sigmas(lc, p)
     ratio = s[lam] / s[0]
     r = ratio * ratio
-    return r - lc.ediff(lam, mu) * lc.ediff(lam, nu) / r
+    d_mu, d_nu = lc.ediff(lam, mu), lc.ediff(lam, nu)
+    a = d_mu * d_nu
+    if _FLOAT_MIN <= abs(a) < math.inf:
+        return r - a / r
+    return r - d_mu * (d_nu / r)
 
 
 def delta2(
@@ -130,7 +140,7 @@ def _delta2(lc: LatticeConstants, p: Located, lam: int, mu: int, route: DeltaRou
         return z_lam - z_mu
     if route is _THETA_QUOTIENT:
         # The theta image of the sigma form, negated for lam < mu: there
-        # e_lam - e_mu = (pi/2 omega1)^2 theta_nu(0)^4 (how `constants` builds
+        # e_lam - e_mu = (pi/2 omega1)^2 nullwerte[nu]^4 (how `constants` builds
         # the e's), and Jacobi's theta_1'(0) = pi theta_2(0) theta_3(0) theta_4(0)
         # carries the sigma form over to this one.
         t = _thetas(p)
@@ -144,8 +154,13 @@ def _delta2(lc: LatticeConstants, p: Located, lam: int, mu: int, route: DeltaRou
         and near(p, 0, lat.pole_radius, lat.pole_reach) is None
         and near(p, nu, lc.zones[nu - 1], lc.zone_reaches[nu - 1]) is None
     ):
-        wp_, wpp = _wp_pair(lc, p)
-        return 2 * lc.ediff(lam, mu) * (wp_ - lc.e(nu)) / wpp
+        # The sigma form serves too where the pair, or the numerator, of
+        # order u^-4, leaves the range of normal floats.
+        pair = _wp_pair(lc, p)
+        if pair is not None:
+            num = 2 * lc.ediff(lam, mu) * (pair[0] - lc.e(nu))
+            if _FLOAT_MIN <= abs(num) < math.inf:
+                return num / pair[1]
     if route is _WP_QUOTIENT or route is _SIGMA_QUOTIENT:
         s = _sigmas(lc, p)
         return lc.ediff(mu, lam) * s[nu] * s[0] / (s[lam] * s[mu])

@@ -182,7 +182,7 @@ def test_coset_closed_forms_match_the_disc_sums(name):
     lat = make_lattice(name)
     r100, r200 = 100 * lat.min_period, 200 * lat.min_period
     for lam in (1, 2, 3):
-        near, moments, rho = aux_zeta._coset_tables(lat, constants(lat), lam)
+        near, moments, rho, _ = aux_zeta._coset_tables(lat, constants(lat), lam)
         inner = aux_zeta._pair_moments(near, rho)
         whole = (moments[-1] + inner[0], (moments[-2] + inner[1]) / rho**2)
         inv = [1.0 / big_p for big_p in _coset_pairs(lat, lam, 0.0, r100)]

@@ -360,6 +360,59 @@ def test_extreme_scale_is_a_usage_error(lattice):
     assert rc == 2 and out == "" and err.startswith("weierzeta: ")
 
 
+# Square lattices far from unit scale, each with a point at (0.21 + 0.13i) omega1.
+FAR_SCALES = {
+    scale: ["--omega1", f"{scale!r},0", "--tau", "0,1", "--u", f"{0.21 * scale!r},{0.13 * scale!r}"]
+    for scale in (1e-120, 1e-100, 1e100, 1e120)
+}
+
+
+@pytest.mark.parametrize(
+    "fn, scale",
+    [(["wp_prime"], 1e-120), (["wp_prime"], 1e120), (["delta12"], 1e-120), (["delta1", "--route", "wp"], 1e120),
+     (["delta12"], 1e-100), (["delta12"], 1e100)],
+    ids=["wp_prime-1e-120", "wp_prime-1e120", "delta12-1e-120", "delta1-wp-1e120", "delta12-1e-100", "delta12-1e100"],
+)
+def test_wp_forms_beyond_float_range(fn, scale):
+    # wp' is of order u^-3, about 1e+-362 here: sigma^3 over- or underflowed
+    # (a traceback), and on the delta12 wp route the numerator, of order
+    # u^-4, gave 0 or NaN at 1e+-100.  wp' is a usage error there, and the
+    # wp routes of the deltas serve the sigma form, which is in range.
+    rc, out, err = run_cli(["eval", "--fn", *fn, *FAR_SCALES[scale]])
+    if fn[0] == "wp_prime":
+        assert rc == 2 and out == "" and "outside the float range" in err and "Traceback" not in err
+    else:
+        rc_sigma, sigma_out, _ = run_cli(["eval", "--fn", fn[0], "--route", "sigma", *FAR_SCALES[scale]])
+        assert rc == rc_sigma == 0 and out == sigma_out, err
+        assert json.loads(out)["status"] == "Finite"
+
+
+@pytest.mark.parametrize(
+    "fn, lattice",
+    [
+        ("zeta2", ["--omega1", "8.034690221294951e+59,0", "--tau", "0.3,1.1",
+                   "--u=-5.945670763758264e+59,6.58844598146186e+59"]),
+        ("zeta2", ["--omega1", "3.111507638930571e-61,0", "--tau", "0.3,1.1",
+                   "--u=-2.3025156528086224e-61,2.551436263923068e-61"]),
+        *((f"zeta{lam}", FAR_SCALES[scale]) for lam in (1, 2, 3) for scale in (1e-120, 1e120)),
+        ("zeta2", ["--omega1", "1e80,0", "--tau", "0,1", "--u", "2.1e79,1.3e79"]),
+    ],
+    ids=["2^199", "2^-201", *(f"zeta{lam}-{s}" for lam in (1, 2, 3) for s in ("1e-120", "1e120")), "1e80"],
+)
+def test_partial_fractions_far_from_unit_scale(fn, lattice):
+    # The pairs and moments are taken in units of 2^e, 1 <= |2*omega1|/2^e < 2:
+    # unscaled, M_1 (of order omega^-6) underflowed at 2^199 (19% off) and
+    # overflowed at 2^-201 (NaN), the row bounds (of order omega^4) overflowed
+    # at 1e80, and the pair terms underflowed to a division by 0 at 1e-120.
+    rc, out, err = run_cli(["eval", "--fn", fn, "--route", "partialfrac", *lattice])
+    assert rc in (0, 2) and "Traceback" not in err, err
+    if rc == 0:
+        _, theta_out, _ = run_cli(["eval", "--fn", fn, "--route", "theta", *lattice])
+        got, want = (json.loads(s, parse_constant=pytest.fail) for s in (out, theta_out))
+        assert got["status"] == want["status"] == "Finite"
+        assert abs(complex(*got["value"]) - complex(*want["value"])) <= 1e-12 * abs(complex(*want["value"]))
+
+
 @pytest.mark.parametrize(
     "fn", [["wp"], ["zeta2", "--route", "qseries"], ["delta12"], ["sn"]], ids=lambda f: f[0]
 )
