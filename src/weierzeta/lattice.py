@@ -328,8 +328,9 @@ def _coset_pairs(lat: Lattice, k: int, r_lo: float, r_hi: float, e: int = 0) -> 
     estimate = PI * r_hi * r_hi / (2 * area)
     if estimate > MAX_PAIRS:
         raise ConvergencePolicyError(
-            f"about {estimate:.3g} pairs of the coset lie within |p| <= {r_hi:.6g} on the half-periods "
-            f"{lat.omega1!r}, {lat.omega3!r}, more than MAX_PAIRS = {MAX_PAIRS}; a reduced basis needs fewer"
+            f"about {estimate:.3g} pairs of the coset lie within |p| <= {math.ldexp(r_hi, e):.6g} on the "
+            f"half-periods {lat.omega1!r}, {lat.omega3!r}, more than MAX_PAIRS = {MAX_PAIRS}; "
+            "a reduced basis needs fewer"
         )
     alpha, beta = _HALF_CELL[k]
     offset = alpha * two_w1 + beta * two_w3

@@ -83,7 +83,8 @@ def _theta4(v: complex, tau: complex, q4: complex, cfg: SeriesConfig, deriv: boo
 
     With x = pi*v, each term of the four series is C_k = 2 q^(k^2/4) cos(kx)
     or S_k = 2 q^(k^2/4) sin(kx): odd k for indices 0 and 1, even k for 2
-    and 3, the alternating series (indices 0 and 3) with the sign (-1)^n.  Both follow from C_0 = 2, S_0 = 0 by one rotation per step,
+    and 3, the alternating series (indices 0 and 3) with the sign (-1)^n.
+    Both follow from C_0 = 2, S_0 = 0 by one rotation per step,
 
         C_{k+1} = r_k (C_k cos x - S_k sin x),  S_{k+1} = r_k (S_k cos x + C_k sin x),
 
@@ -190,15 +191,15 @@ def theta_nullwerte(tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG):
     The first three are indices 1, 2 and 3 at v = 0, in DLMF order, so
     (0, theta_2(0), theta_3(0), theta_4(0)) is indexed by half-period as a
     theta pass is.  The derivatives are those of the odd series theta_1,
-    obtained by term-wise differentiation.  All but the third derivative come from one
-    theta pass at v = 0, the same pass every evaluation at v = 0 runs.  The
-    third derivative sums the terms -2 pi^3 (-1)^n (2n+1)^3 q^((n+1/2)^2),
+    obtained by term-wise differentiation.  All but the third derivative
+    come from one theta pass at v = 0, the same pass every evaluation at
+    v = 0 runs.  The third derivative sums the terms -2 pi^3 (-1)^n (2n+1)^3 q^((n+1/2)^2),
     with the q-powers by the recurrence q^((n+3/2)^2) = q^((n+1/2)^2) q^(2n+2),
     until two consecutive terms pass the truncation test.
     """
     _check_tau(tau)
     h = _quarter_nome(tau)
-    _, t1, t2, t3, tp, _, _, _ = _theta4(0.0, tau, h, cfg, deriv=True)
+    _, t2, t3, t4, tp, _, _, _ = _theta4(0.0, tau, h, cfg, deriv=True)
     q2 = h**8
     ratio = q2
     tppp = 0j
@@ -211,7 +212,7 @@ def theta_nullwerte(tau: complex, cfg: SeriesConfig = DEFAULT_CONFIG):
         if abs(term) <= cfg.abs_tol + cfg.rel_tol * abs(tppp):
             small += 1
             if small >= 2:
-                return t1, t2, t3, tp, tppp
+                return t2, t3, t4, tp, tppp
         else:
             small = 0
         h *= ratio
