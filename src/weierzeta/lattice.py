@@ -135,7 +135,8 @@ class Located:
     config every guard and kernel reads here, u = 2*alpha*omega1 +
     2*beta*omega3 = u_red + 2*n*omega1 + 2*m*omega3, the reduced gaps
     |alpha - n| and |beta - m| that `near` reads (None for a far point, which
-    `near` always measures), and the theta pass at u_red under cfg, which `weier_core._thetas` fills on first use (None until then)."""
+    `near` always measures), and the theta pass at u_red under cfg, which
+    `weier_core._thetas` fills on first use (None until then)."""
 
     __slots__ = ("lat", "cfg", "u", "alpha", "beta", "u_red", "n", "m", "gap_alpha", "gap_beta", "thetas",
                  "__weakref__")

@@ -3,9 +3,9 @@
 Production evaluation reduces the argument to the centred fundamental cell
 (`lattice.locate`) and runs one theta pass there (`_thetas`: entry k
 vanishes on omega_k + lattice, as `theta` numbers the series) and keeps it
-on the located point, so every kernel that reads the point shares it.  The four sigmas at the reduced point
-(`_sigmas`) leave out the Gaussian factor they share, which every quotient
-of degree 0 cancels; only `sigma` and `sigma_aux` apply it, with the
+on the located point, so every kernel that reads the point shares it.  The
+four sigmas at the reduced point (`_sigmas`) leave out the Gaussian factor
+they share, which every quotient of degree 0 cancels; only `sigma` and `sigma_aux` apply it, with the
 quasi-periodicity factor and the sign of the translate, in one body.
 Every function with poles is a kernel (lc, p, *args) behind one path
 (`_guarded`): the guard on its pole cosets at the located point p the caller
@@ -117,8 +117,8 @@ def _sigmas(lc: LatticeConstants, p: Located) -> tuple:
     """(sigma, sigma_1, sigma_2, sigma_3) at the reduced argument of p, from
     one theta pass, each without the Gaussian factor exp(eta1*u_red^2/(2*omega1))
     the four share: 2*omega1*theta(v)/theta'(0) (`sigma_factor` times
-    theta(v)) and t_k(v)/t_k(0), t_k the theta of index k, with the `sigma_factor` and
-    `nullwerte` of the lattice's record lc.  Every quotient of degree 0 in
+    theta(v)) and t_k(v)/t_k(0), t_k the theta of index k, with the
+    `sigma_factor` and `nullwerte` of the lattice's record lc.  Every quotient of degree 0 in
     them cancels that factor, and only `sigma` and `sigma_aux`, which return
     a sigma itself, apply it; on tall or skewed cells it underflows before
     anything else does."""
