@@ -8,7 +8,8 @@ itself consists of regular points (with value 0 at u = 0).
 Routes:
   SHIFT            zeta(u + omega_lam) - eta_lam
   THETA            eta1*u/omega1 + theta log-derivative of the companion index
-  QSERIES          the lam-specific q-series (tan term only for lam = 1)
+  QSERIES          the lam-specific q-series (tan term only for lam = 1),
+                   summed at every point of the centred cell
   PARTIAL_FRACTION coset partial-fraction sum over the whole coset, no cutoff,
                    each pair +-w of coset points one term in w^2
 
@@ -43,11 +44,6 @@ from .weier_core import EvalResult, _guarded, _theta_zeta
 
 PI = math.pi
 
-# q-series points with |Im(pi*u/omega1)| beyond this multiple of 2*pi*Im(tau)
-# lose geometric convergence; fall back to the shift route there.
-QSERIES_STRIP = 0.45
-
-
 class ZetaRoute(enum.Enum):
     SHIFT = "shift"
     THETA = "theta"
@@ -75,7 +71,7 @@ def zeta_aux(
 def _zeta_aux(lc: LatticeConstants, p: Located, lam: int, route):
     """The auxiliary zeta of index lam at p on route, a ZetaRoute member."""
     if route is _SHIFT:
-        return _shift(lc, p, lam, p.u)
+        return _shift(lc, p, lam)
     if route is _THETA:
         return _theta_zeta(lc, p, lam)[0]
     if route is _QSERIES:
@@ -85,51 +81,53 @@ def _zeta_aux(lc: LatticeConstants, p: Located, lam: int, route):
     raise ValueError(f"unknown route {route!r}")
 
 
-def _shift(lc: LatticeConstants, p: Located, lam: int, u: complex) -> complex:
-    """zeta(u + omega_lam) - eta_lam on p's lattice and config, for u (p.u
-    or p.u_red) off the omega_lam coset."""
+def _shift(lc: LatticeConstants, p: Located, lam: int) -> complex:
+    """zeta(u + omega_lam) - eta_lam at p, off the omega_lam coset, on p's
+    lattice and config."""
     lat = p.lat
-    return _theta_zeta(lc, locate(lat, u + lat.half_period(lam), p.cfg), 0)[0] - lc.eta(lam)
+    return _theta_zeta(lc, locate(lat, p.u + lat.half_period(lam), p.cfg), 0)[0] - lc.eta(lam)
 
 
 def _qseries(lc: LatticeConstants, p: Located, lam: int, cos: bool) -> complex:
-    """The q-series of index lam in its exp form (the QSERIES route), or with
-    its terms in cos and sin (Prop 2.3; the table entries `zeta{lam}_cos`)."""
+    """The q-series of index lam at every point of the centred cell, in its
+    exp form (the QSERIES route), or with its terms in cos and sin (Prop
+    2.3; the table entries `zeta{lam}_cos`).  The exp form's leading terms
+    a, b = exp(i*pi*(c*tau +- u_red/omega1)), c = 2 for lam = 1 and 1
+    otherwise, are each advanced by q^2; in the cell |Im(u_red/omega1)| <=
+    Im(tau), so |a|, |b| <= 1.  The cos form's cos and sin overflow on tall
+    cells, which the guard reports as ValueOverflow.  The stop test is taken
+    in units of |2*omega1|, so it reads the same at every scale."""
     u_red, lat = p.u_red, p.lat
     incr = 2 * p.n * lc.eta1 + 2 * p.m * lc.eta3
     w1 = lat.omega1
-    if abs((PI * u_red / w1).imag) >= 2 * PI * lat.tau.imag * QSERIES_STRIP:
-        return _shift(lc, p, lam, u_red) + incr
+    x = PI * u_red / w1
     q = lat.q
     total = lc.eta1 * u_red / w1
     if lam == 1:
         total -= (PI / (2 * w1)) * cmath.tan(PI * u_red / (2 * w1))
-        qpow, sgn = q * q, 1.0
-    elif lam == 2:
-        qpow, sgn = q, 1.0
+        qpow, sgn, c = q * q, 1.0, 2
     else:
-        qpow, sgn = q, -1.0
+        qpow, sgn, c = q, (1.0 if lam == 2 else -1.0), 1
     step = q * q
     if not cos:
-        wplus = cmath.exp(1j * PI * u_red / w1)
-        wminus = 1.0 / wplus
+        a = cmath.exp(1j * (c * PI * lat.tau + x))
+        b = cmath.exp(1j * (c * PI * lat.tau - x))
         coef = sgn * 1j * PI / w1
     else:
-        c = cmath.cos(PI * u_red / w1)
-        s = cmath.sin(PI * u_red / w1)
+        cx, sx = cmath.cos(x), cmath.sin(x)
         coef = -sgn * 2 * PI / w1
     abs_tol, rel_tol, max_terms = p.cfg
+    unit = abs(lat.period1)
     small = 0
     for _ in range(max_terms):
         if not cos:
-            a = qpow * wplus
-            b = qpow * wminus
             term = coef * (a / (1.0 + sgn * a) - b / (1.0 + sgn * b))
+            a, b = a * step, b * step
         else:
-            term = coef * qpow * s / (1.0 + sgn * 2 * qpow * c + qpow * qpow)
+            term = coef * qpow * sx / (1.0 + sgn * 2 * qpow * cx + qpow * qpow)
+            qpow *= step
         total += term
-        qpow *= step
-        if abs(term) <= abs_tol + rel_tol * abs(total):
+        if abs(term) * unit <= abs_tol + rel_tol * abs(total) * unit:
             small += 1
             if small >= 2:
                 return total + incr

@@ -56,7 +56,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--abs-tol", type=float, default=1e-16)
     p.add_argument("--rel-tol", type=float, default=1e-16)
-    p.add_argument("--max-terms", type=int, default=96)
+    p.add_argument("--max-terms", type=int, default=256)
 
 
 def _build(args):

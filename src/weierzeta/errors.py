@@ -38,8 +38,9 @@ class PoleProximityError(WeierzetaError):
 
 
 class ValueOverflow(WeierzetaError, OverflowError):
-    """A value is outside the float range (sigma's exponential factors, or
-    wp' and the partial-fraction sum far from unit scale)."""
+    """A value is outside the float range (sigma's exponential factors, wp',
+    the partial-fraction sum and the lattice-sum oracles far from unit scale,
+    or a kernel's terms on a very tall cell)."""
 
 
 class BranchAmbiguity(WeierzetaError):

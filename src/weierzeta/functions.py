@@ -15,7 +15,6 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 
-from .lattice import constants
 from .weier_core import _FINITE, EvalResult, _guarded, _sigma, _tuple_new, _wp, _wp_prime, _zeta_w
 
 package = sys.modules[__package__]
@@ -78,7 +77,7 @@ def _functions() -> dict:
     }
     for k in (0, 1, 2, 3):
         table[f"sigma{k or ''}"] = Function(
-            lambda lc, p, *_, k=k: _finite(_sigma(lc or constants(p.lat, p.cfg), p, k))
+            lambda lc, p, *_, k=k: _guarded(_sigma, p, (), lc, k)
         )
     for i in (1, 2, 3):
         table[f"zeta{i}"] = Function(

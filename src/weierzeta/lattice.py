@@ -551,9 +551,13 @@ def constants_to_json(lat: Lattice, lc: LatticeConstants) -> dict:
     }
 
 
-def _disc_pairs(lat: Lattice, radius: int) -> list:
-    """P = p*p for one point p of each pair +-p of the lattice inside the
-    disc |p| <= radius * min period, the pairs the lattice-sum oracles sum.
+def _disc_pairs(lat: Lattice, radius: int) -> tuple[list, int]:
+    """(pairs, e): P = p*p for one point p of each pair +-p of the lattice
+    inside the disc |p| <= radius * min period, the pairs the lattice-sum
+    oracles sum, in units of 2^e with 1 <= |2*omega1|/2^e < 2, as
+    `aux_zeta._coset_tables` takes its pairs, so no product of them leaves
+    the float range at any scale of the lattice.  Each oracle sums at u
+    scaled by 2^-e and scales its result back (`_unscaled`).
 
     The cutoff is symmetric in the plane metric, which is what makes the
     slowly convergent lattice tails cancel angularly; a square index-box
@@ -561,7 +565,21 @@ def _disc_pairs(lat: Lattice, radius: int) -> list:
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    return _coset_pairs(lat, 0, 0.0, radius * lat.min_period)
+    e = math.frexp(abs(lat.period1))[1] - 1
+    return _coset_pairs(lat, 0, 0.0, radius * math.ldexp(lat.min_period, -e), e), e
+
+
+def _unscaled(z: complex, e: int) -> complex:
+    """z * 2^e, an oracle's sum z taken on the lattice scaled to unit size
+    and scaled back by its weight; ValueOverflow where that overflows or
+    underflows to 0 from a nonzero z."""
+    try:
+        out = _ldexp(z, e)
+        if out or not z:
+            return out
+    except OverflowError:
+        pass
+    raise ValueOverflow(f"a lattice sum, {z!r} times 2^{e}, is outside the float range")
 
 
 def _fsum(terms) -> complex:
@@ -578,6 +596,7 @@ def eisenstein_invariants(lat: Lattice, shell_radius: int) -> tuple[complex, com
     Truncated at |Omega| <= shell_radius * min period; serves as an
     independent oracle for `constants`, not as a production path.
     """
-    inv = [1.0 / big_p for big_p in _disc_pairs(lat, shell_radius)]
+    pairs, e = _disc_pairs(lat, shell_radius)
+    inv = [1.0 / big_p for big_p in pairs]
     inv2 = [x * x for x in inv]
-    return 120.0 * _fsum(inv2), 280.0 * _fsum(map(mul, inv2, inv))
+    return _unscaled(120.0 * _fsum(inv2), -4 * e), _unscaled(280.0 * _fsum(map(mul, inv2, inv)), -6 * e)

@@ -36,7 +36,7 @@ class SeriesConfig(namedtuple("SeriesConfig", "abs_tol rel_tol max_terms")):
 
     __slots__ = ()
 
-    def __new__(cls, abs_tol: float = 1e-16, rel_tol: float = 1e-16, max_terms: int = 96):
+    def __new__(cls, abs_tol: float = 1e-16, rel_tol: float = 1e-16, max_terms: int = 256):
         if not (math.isfinite(abs_tol) and math.isfinite(rel_tol)):
             raise ValueError(f"tolerances must be finite, got abs_tol={abs_tol!r}, rel_tol={rel_tol!r}")
         if abs_tol < 0 or rel_tol < 0:

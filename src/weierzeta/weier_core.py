@@ -7,13 +7,16 @@ on the located point, so every kernel that reads the point shares it.  The
 four sigmas at the reduced point (`_sigmas`) leave out the Gaussian factor
 they share, which every quotient of degree 0 cancels; only `sigma` and `sigma_aux` apply it, with the
 quasi-periodicity factor and the sign of the translate, in one body.
-Every function with poles is a kernel (lc, p, *args) behind one path
-(`_guarded`): the guard on its pole cosets at the located point p the caller
-hands in, which carries its lattice and series config, then the kernel with
-the lattice's record lc, which the caller hands in or which is looked up
-after the guard.  Slow lattice-sum and product oracles are provided for
-each function; they exist for verification only, and sum each pair +-Omega of
-lattice points as one term in Omega^2 (`lattice._disc_pairs`).
+Each function of a point is a kernel (lc, p, *args) behind one path
+(`_guarded`): the guard on its pole cosets (none for the sigmas) at the
+located point p the caller hands in, which carries its lattice and series
+config, then the kernel with the lattice's record lc, which the caller
+hands in or which is looked up after the guard; an overflow inside the
+kernel is raised as ValueOverflow.
+Slow lattice-sum and product oracles are provided for each function; they
+exist for verification only, and sum each pair +-Omega of lattice points as
+one term in Omega^2 (`lattice._disc_pairs`), on the lattice scaled to unit
+size.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ from .lattice import (
     Located,
     _disc_pairs,
     _fsum,
+    _ldexp,
     _translate_sign,
+    _unscaled,
     check_index,
     constants,
     locate,
@@ -83,13 +88,20 @@ def _guarded(kernel, p: Located, cosets, lc, *args) -> EvalResult:
     """`pole_status` of the located point p on the cosets, and off them
     kernel(lc, p, *args), Finite.  lc None is looked up here, on the lattice
     and config p carries, after the guard, so a pole is reported even where
-    the record overflows."""
+    the record overflows.  An OverflowError or ZeroDivisionError the kernel
+    raises (a term past the float range on a very tall cell) is raised as
+    ValueOverflow."""
     bad = pole_status(p, cosets)
     if bad is not None:
         return bad
     if lc is None:
         lc = constants(p.lat, p.cfg)
-    return _tuple_new(EvalResult, (kernel(lc, p, *args), _FINITE, None))
+    try:
+        return _tuple_new(EvalResult, (kernel(lc, p, *args), _FINITE, None))
+    except ValueOverflow:
+        raise
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueOverflow(f"a term is outside the float range at u = {p.u!r} ({exc})") from None
 
 
 def _val(res: EvalResult):
@@ -143,13 +155,13 @@ def _wp_pair(lc: LatticeConstants, p: Located) -> tuple | None:
 
 def sigma(lat: Lattice, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Entire sigma function; exact zeros on the lattice."""
-    return _sigma(constants(lat, cfg), locate(lat, u, cfg), 0)
+    return _guarded(_sigma, locate(lat, u, cfg), (), None, 0).value
 
 
 def sigma_aux(lat: Lattice, lam: int, u: complex, cfg: SeriesConfig = DEFAULT_CONFIG) -> complex:
     """Auxiliary sigma for half-period index lam, normalised to 1 at u = 0."""
     check_index(lam)
-    return _sigma(constants(lat, cfg), locate(lat, u, cfg), lam)
+    return _guarded(_sigma, locate(lat, u, cfg), (), None, lam).value
 
 
 def _sigma(lc: LatticeConstants, p: Located, k: int) -> complex:
@@ -232,20 +244,24 @@ def _wp_prime(lc: LatticeConstants, p: Located) -> complex:
 def wp_lattice_sum(lat: Lattice, u: complex, radius: int = 200) -> complex:
     """1/u^2 + sum over the lattice of 1/(u-Omega)^2 - 1/Omega^2,
     taken over the pairs as 2u^2 * sum of (3P - u^2)/(P (u^2 - P)^2)."""
+    pairs, e = _disc_pairs(lat, radius)
+    u = _ldexp(u, -e)
     usq = u * u
     terms = []
-    for big_p in _disc_pairs(lat, radius):
+    for big_p in pairs:
         d = usq - big_p
         terms.append((3 * big_p - usq) / (big_p * d * d))
-    return 1.0 / usq + 2 * usq * _fsum(terms)
+    return _unscaled(1.0 / usq + 2 * usq * _fsum(terms), -2 * e)
 
 
 def zeta_lattice_sum(lat: Lattice, u: complex, radius: int = 200) -> complex:
     """1/u + sum over the lattice of 1/(u-Omega) + 1/Omega + u/Omega^2,
     taken over the pairs as 2u^3 * sum of 1/(P (u^2 - P))."""
+    pairs, e = _disc_pairs(lat, radius)
+    u = _ldexp(u, -e)
     usq = u * u
-    terms = (1.0 / (big_p * (usq - big_p)) for big_p in _disc_pairs(lat, radius))
-    return 1.0 / u + 2 * u**3 * _fsum(terms)
+    terms = (1.0 / (big_p * (usq - big_p)) for big_p in pairs)
+    return _unscaled(1.0 / u + 2 * u**3 * _fsum(terms), -e)
 
 
 def sigma_product(lat: Lattice, u: complex, radius: int = 60) -> complex:
@@ -255,6 +271,8 @@ def sigma_product(lat: Lattice, u: complex, radius: int = 60) -> complex:
     principal logs per pair are safe because the exponential removes any
     2*pi*i bookkeeping.
     """
+    pairs, e = _disc_pairs(lat, radius)
+    u = _ldexp(u, -e)
     usq = u * u
-    xs = (usq / big_p for big_p in _disc_pairs(lat, radius))
-    return u * cmath.exp(_fsum(cmath.log(1.0 - x) + x for x in xs))
+    xs = (usq / big_p for big_p in pairs)
+    return _unscaled(u * cmath.exp(_fsum(cmath.log(1.0 - x) + x for x in xs)), e)

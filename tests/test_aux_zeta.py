@@ -7,6 +7,7 @@ import pytest
 
 from weierzeta import (
     Status,
+    ValueOverflow,
     ZetaRoute,
     aux_zeta,
     build_lattice,
@@ -15,8 +16,9 @@ from weierzeta import (
     zeta_aux,
 )
 from weierzeta.functions import FUNCTIONS
-from weierzeta.lattice import _coset_pairs, _fsum, locate
+from weierzeta.lattice import _coset_pairs, _fsum, locate, nearest
 from weierzeta.theta import DEFAULT_CONFIG
+from weierzeta.verify import POLE_GUARD
 
 from conftest import REFERENCE_TAUS, guarded_points, make_lattice
 
@@ -75,6 +77,49 @@ def test_cross_route_agreement_generic_lattice():
             sh = zeta_aux(lat, lam, u, ZetaRoute.SHIFT).value
             pf = zeta_aux(lat, lam, u, ZetaRoute.PARTIAL_FRACTION).value
             assert abs(sh - pf) <= 1e-5 * max(abs(sh), 1.0)
+
+
+QSERIES_GRID_LATTICES = {
+    **{name: (0.5, 0.5 * tau) for name, tau in REFERENCE_TAUS.items()},
+    "0.45+0.04i": (0.5, 0.5 * (0.45 + 0.04j)),
+    "8i": (0.5, 4j),
+    "300i": (0.5, 150j),
+    "generic-2^200": (2.0**199, 2.0**199 * (0.3 + 1.1j)),
+    "generic-2^-200": (2.0**-201, 2.0**-201 * (0.3 + 1.1j)),
+}
+
+
+@pytest.mark.parametrize("name", list(QSERIES_GRID_LATTICES))
+def test_qseries_sums_its_series_across_the_whole_cell(name):
+    # A 41 x 41 grid over the centred cell, edges included, each point at
+    # least POLE_GUARD min periods from omega_lam + lattice: the q-series in
+    # its exp and cos forms matches the theta route within 1e-13, relative
+    # with a floor of 1/|2*omega1|, near the cell's edges too.  The cos
+    # form's cos and sin leave the float range only where |Im(pi*u/omega1)|
+    # is past about 710, on very tall cells, where it is refused.
+    lat = build_lattice(*QSERIES_GRID_LATTICES[name])
+    lc = constants(lat)
+    floor = 1 / abs(lat.period1)
+    steps = [i / 40 - 0.5 for i in range(41)]
+    refused = 0
+    for alpha in steps:
+        for beta in steps:
+            p = locate(lat, 2 * alpha * lat.omega1 + 2 * beta * lat.omega3, DEFAULT_CONFIG)
+            for lam in (1, 2, 3):
+                if nearest(p, lam)[0] < POLE_GUARD * lat.min_period:
+                    continue
+                want = FUNCTIONS[f"zeta{lam}"].run(lc, p, None, ZetaRoute.THETA).value
+                tol = 1e-13 * max(abs(want), floor)
+                got = FUNCTIONS[f"zeta{lam}"].run(lc, p, None, ZetaRoute.QSERIES).value
+                assert abs(got - want) <= tol, (lam, alpha, beta, got, want)
+                try:
+                    got = FUNCTIONS[f"zeta{lam}_cos"].run(lc, p, None, None).value
+                except ValueOverflow:
+                    assert abs((math.pi * p.u_red / lat.omega1).imag) > 700, (lam, alpha, beta)
+                    refused += 1
+                    continue
+                assert abs(got - want) <= tol, (lam, alpha, beta, got, want)
+    assert (refused > 0) == (name == "300i")
 
 
 def test_cosine_and_exponential_forms_agree():

@@ -9,6 +9,7 @@ is some public function's, or named as table-only.
 """
 
 import inspect
+import random
 
 import pytest
 
@@ -151,3 +152,25 @@ def test_suite_reaches_no_kernel_past_the_table():
     from weierzeta import verify
 
     assert not {"_delta_prime", "_delta2_prime", "_zeta_aux", "_QSERIES"} & set(vars(verify))
+
+
+@pytest.mark.parametrize("height", [300, 600, 850])
+def test_every_entry_on_a_very_tall_cell_is_finite_a_pole_or_typed(height):
+    # On cells with Im(tau) in the hundreds, exp(+-i*pi*u/omega1) and the
+    # theta pass's cos x leave the float range; each entry on each route,
+    # at six seeded points across the cell and two near its top and bottom
+    # edges, returns a Finite or pole result, or raises a WeierzetaError
+    # (ValueOverflow for a term past the float range), never an untyped error.
+    lat = build_lattice(0.5, 0.5j * height)
+    rng = random.Random(height)
+    pts = [(2 * rng.random() - 1) * lat.omega1 + (2 * rng.random() - 1) * lat.omega3 for _ in range(6)]
+    pts += [-0.82 * lat.omega1 - 0.94 * lat.omega3, -0.54 * lat.omega1 + 0.89 * lat.omega3]
+    a = 0.2 * lat.omega1 + 0.1 * lat.omega3
+    for name, f in FUNCTIONS.items():
+        for route in f.routes or (None,):
+            for u in pts:
+                try:
+                    res = f.run(None, locate(lat, u, DEFAULT_CONFIG), a, route)
+                except WeierzetaError:
+                    continue
+                assert isinstance(res.status, wz.Status), (name, route, u)

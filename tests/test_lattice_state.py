@@ -134,13 +134,13 @@ def test_one_guard_per_public_call(monkeypatch, warm_lattice):
         assert len(guards) - before[0] == len(pts), name
         assert len(coords) - before[1] == len(pts) + len(shifts) - before[2], name
     assert len(shifts) == 2 * len(pts)  # the shift route's calls, public and registry
-    # Beyond QSERIES_STRIP (|beta| >= 0.45) the q-series route falls back to
-    # the shift form, still behind the one guard.
+    # Near the cell's edge (|beta| = 0.48) the q-series route sums its own
+    # series behind the one guard and calls no other route.
     before = len(guards), len(coords), len(shifts)
     zeta_aux(lat, 1, 0.4 * lat.omega1 + 0.96 * lat.omega3, ZetaRoute.QSERIES)
-    assert len(shifts) - before[2] == 1
+    assert len(shifts) - before[2] == 0
     assert len(guards) - before[0] == 1
-    assert len(coords) - before[1] == 2
+    assert len(coords) - before[1] == 1
 
 
 def test_one_constants_lookup_per_public_call(warm_lattice):
@@ -164,9 +164,9 @@ def test_one_constants_lookup_per_public_call(warm_lattice):
     for r in DeltaRoute:
         calls[f"delta_{r.value}"] = lambda u, r=r: delta(lat, 1, u, r)
         calls[f"delta2_{r.value}"] = lambda u, r=r: delta2(lat, 2, 3, u, r)
-    # Past QSERIES_STRIP the q-series route takes the shift form.
-    strip_edge = 0.4 * lat.omega1 + 0.96 * lat.omega3
-    calls["zeta_aux_qseries_fallback"] = lambda u: zeta_aux(lat, 1, strip_edge, ZetaRoute.QSERIES)
+    # Near the cell's edge the q-series route sums its series as elsewhere.
+    cell_edge = 0.4 * lat.omega1 + 0.96 * lat.omega3
+    calls["zeta_aux_qseries_cell_edge"] = lambda u: zeta_aux(lat, 1, cell_edge, ZetaRoute.QSERIES)
     for name, fn in calls.items():
         for u in pts:
             before = constants.cache_info()

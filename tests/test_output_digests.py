@@ -70,7 +70,9 @@ def _cases():
 
 
 # Recorded at commit 26bb0fd; the generic sn, cn, dn, E, Z and Pi digests
-# again when the Jacobi family moved behind the pole guard.
+# again when the Jacobi family moved behind the pole guard, and the q-series
+# and cos-form digests when the q-series came to sum its own series across
+# the whole cell.
 DIGESTS = {
     ('generic', 'E', None): 'f07736c8b5137d9b8622dab7edb62fc08795fe8c4a6f6c64f0db6eefa96249e4',
     ('generic', 'Pi', None): '015be076c96f7bee178fb41579792ec05de2e5cb0119b88caddff529f30a37f1',
@@ -111,15 +113,15 @@ DIGESTS = {
     ('generic', 'zeta', None): 'a1968af16e7810b7aea53c04241229be85d900b24cc7535155b08e01c53ff648',
     ('generic', 'zeta1', 'theta'): '2a1a1a38d2c65b04de96a453c17e364896f76b0c51e8a07d304cd82c696282da',
     ('generic', 'zeta1', 'shift'): '59658d893a9f109fcba3a6892ff121da1523094d545bceff51bd4fda804e180c',
-    ('generic', 'zeta1', 'qseries'): 'a0c62bb17e83d5017e93efed2e691e4d7dd663f364e8a3cf2f5ff574780c4f60',
+    ('generic', 'zeta1', 'qseries'): 'b1d97845df32bb779762d6a7c0bd2da3b4727f036284da91e4eda4802fe4da17',
     ('generic', 'zeta1', 'partialfrac'): '7779dd4b79a20276e79d30814ea3e94b6c09b7ff4c549b4319e9129dd93cf195',
     ('generic', 'zeta2', 'theta'): '7e880e1bcc17701b89236021e9d2eae88158a2950e50639f1685a792c020dc28',
     ('generic', 'zeta2', 'shift'): 'd0f4e8d475be9fa856dbd1bbb906522e102f94290535b6be45fd96a0798c219f',
-    ('generic', 'zeta2', 'qseries'): 'e10aac5246c1cddddec1641e66d15b75e35cc655c533195328e88fe931197fac',
+    ('generic', 'zeta2', 'qseries'): '675fd65c45fbb541d474c5f4b39c17446bb3995849861724c803c5c086cc5fd2',
     ('generic', 'zeta2', 'partialfrac'): '233a1e6ce4dffcae506dbf6ca04cc74742da9c8d9b5c7682cf47c98b2e4ae374',
     ('generic', 'zeta3', 'theta'): '84e5a4f8653b4788ca45372df50b566908870e76ed850e57e27fa3832f5aab74',
     ('generic', 'zeta3', 'shift'): '24c926175fa19d882da8a38fe936dd849354eb82738418e10e08583464ad223a',
-    ('generic', 'zeta3', 'qseries'): 'b05f6bd61a6cb4d8f25fb718afca439ffd6f67fd98b50c592ed3077cf90704a0',
+    ('generic', 'zeta3', 'qseries'): 'b220062c57d5021d0666396b01ff68f820547770fa49aedd81dafdd57210ea34',
     ('generic', 'zeta3', 'partialfrac'): '6019e2c7f7e4a2197d1861df73cd521afa800cd3bb26a6e88a9662d1432d79da',
     ('8i', 'E', None): '7765350a5d67db6294771f5d689b85397f4bcf2d30520c937f7ecfdf9ac47749',
     ('8i', 'Pi', None): '90a3c31e72bb4dbaf7465066d34653c9f26ce42408538aef69ee5d613d0c7a2d',
@@ -160,15 +162,15 @@ DIGESTS = {
     ('8i', 'zeta', None): 'dcb550d36366519c9784a68f831e4d16552c8b04bd3b41bf58211f269f6a75fe',
     ('8i', 'zeta1', 'theta'): '6fe00f5b93ebcf30f4abaab5a54c0099401140d02fd4c2cf098dc798a7526869',
     ('8i', 'zeta1', 'shift'): 'b286df5fffd36d01f0d0388cc3a4fe0f3381daecb99efc1b082d218dbe9ae730',
-    ('8i', 'zeta1', 'qseries'): 'a5f5e9fd366d0cdddcf28ce9c0d02ddf3c2b4ffc3aef2e146d00a12085d7d59e',
+    ('8i', 'zeta1', 'qseries'): '8682ee022b0ccdcbb0d9ddfcf6e352a5057a277ac9214eae698a1aed3136f608',
     ('8i', 'zeta1', 'partialfrac'): '0e41f16c77810513be6c4b8a957f6f1ab4bca4c3427ebf0783f35d2f17cd1dac',
     ('8i', 'zeta2', 'theta'): '9c9a25bc374a935e83bff07a1ab085ea30b76f74ff67fddef3f90c9ed52e6e29',
     ('8i', 'zeta2', 'shift'): '0df7dad4a17b2ead8fb5d9a4aff561a036275add266d6c031bcad67a1acd132e',
-    ('8i', 'zeta2', 'qseries'): '9b8f5fe488090c3e26819b3aeeab12707451c6e4f37d0ad8e9c4f4f271d9009f',
+    ('8i', 'zeta2', 'qseries'): '40c2c30e48a867a1c436dcf45ba7e8a0949236bd2b4b2d8f1d1bfe8a0ea46f0a',
     ('8i', 'zeta2', 'partialfrac'): '89bc4c220f055e86db64db52488579149dd9cb026c935a457d63e2b4aae79d96',
     ('8i', 'zeta3', 'theta'): '418e34c4715a0f6b6b549f5a569c1297b5b8dd36f70d170430b2d450ef3677d6',
     ('8i', 'zeta3', 'shift'): '305ff480e6f249f55008b83cd446aae17d9fc2719a1e6ac9c4633dfc8f53ab66',
-    ('8i', 'zeta3', 'qseries'): '8905a6697fadaabbb3b183ff7933ae937208a7670e9b948ceb6f2de64bdedd95',
+    ('8i', 'zeta3', 'qseries'): '9cdbc07e852ed10fcf08eb79308fddc57aaeabdcac9322dea0ddd562cf2906bb',
     ('8i', 'zeta3', 'partialfrac'): 'feec2465415304c9124a9678f5a5d2693c81c963e962dc3803806f100b2cf4a0',
     # Recorded when the derivatives and the q-series cos form joined the table.
     ('generic', 'delta12_prime', None): '27a19a53907bdf51c552aa2729eec0b7154fda8b9e1fc38536f2e57b82af206e',
@@ -177,18 +179,18 @@ DIGESTS = {
     ('generic', 'delta2_prime', None): '99e0ab2fde46e29cee6e9a504abd70241742190b640f8df717d43619698dd746',
     ('generic', 'delta31_prime', None): 'b31d7dd8bb276a989e5def615df368d92b9069b50ed7febf6dc1123ad471c24e',
     ('generic', 'delta3_prime', None): '233397b95a4f671981fbd5378130656cd113d6ac95a92662c5426150ad6582da',
-    ('generic', 'zeta1_cos', None): 'eab50eec57d57a9bbb2d96eb7d3b5d8685adc4e9e41a54405d744116dfaa9314',
-    ('generic', 'zeta2_cos', None): 'a3d68885bb48501893a7317aea9863fd172ba7e31b82593696f69d31719ee8ad',
-    ('generic', 'zeta3_cos', None): 'e391fcdd538e2c1829638c10ca9ca5a5ec4da336b30dcea3a40ad44cf1398697',
+    ('generic', 'zeta1_cos', None): 'ce87a0c38c4f80370d512eacd4c1d9305a60210130bf15864e4423647c93d033',
+    ('generic', 'zeta2_cos', None): '46161c263b892b1141e66c82a8f8d03f0b88ad529f92b0e55e964e1992ed4dad',
+    ('generic', 'zeta3_cos', None): '533299e6c7d3713d08f7bde3d1d29c5a02ff8693483c8df996e6ba1a4035024b',
     ('8i', 'delta12_prime', None): '8842a6e59c10699024eae14e037f67a2a5b141924d2e9bee0d019938b52ee4c4',
     ('8i', 'delta1_prime', None): '85bb1ebe9bed125bac0503d231bdfeb05e3910e2f35f12082d1385ac089cad79',
     ('8i', 'delta23_prime', None): 'f2611cf3dff9860fabc0f4778a8db3cc4068aac657ecacd679e7abdb021b43a9',
     ('8i', 'delta2_prime', None): '7fd849758a22ad09e4a8dbafccecdc4fa2b0274786febd1cc848ddb26d95a324',
     ('8i', 'delta31_prime', None): 'fd57bc5684389fd50a342af9881d60f7aadb0c47bf9d4f56c5daa71a2d024f7c',
     ('8i', 'delta3_prime', None): '8909d69b29bea70ee24816f7b3854f9f9f38b34c9688af5731535fe96dd235f0',
-    ('8i', 'zeta1_cos', None): 'ae1a3746f67da642128e2aae0eee7b85efb4727ef666c478eb068426c4153394',
-    ('8i', 'zeta2_cos', None): '05325a2891ac17c9004f38e26f72691097ec17fa43fc81684826853bd3ba4134',
-    ('8i', 'zeta3_cos', None): '427a0efb0fe0a8a69008f7a39c502888401ce46e53a23c6de66fec9a9cef4cb3',
+    ('8i', 'zeta1_cos', None): '3921789dd21f02a6063cc2d49a9d5481743edcc180d68051fe8fba3fa8378ed5',
+    ('8i', 'zeta2_cos', None): 'bb3449b9a2187b93ed4e080f12e670e88f257e9e7fe8d0e5b70b77acf04f36af',
+    ('8i', 'zeta3_cos', None): '5479bbaa8bad1e74c39b055b42e68d527177bedfd4571a70c6412ea1683b5284',
 }
 
 
@@ -209,10 +211,11 @@ def test_every_case_has_a_digest():
 BENCH_GRID = ["--re=-0.28750000000000003:0.7124999999999999:81", "--im=0.5375:1.6375000000000002:89"]
 BENCH_ROUTES = {"wp": [], "zeta2": ["--route", "qseries"], "delta12": [], "sn": []}
 
-# Recorded at commit be23457.
+# Recorded at commit be23457; zeta2 again when the q-series came to sum its
+# own series across the whole cell.
 BENCH_DIGESTS = {
     "wp": "305660eb07e2c886aff1b8b27da72e1fc4df629a2fcfa86a2f2c44ee7e4a8126",
-    "zeta2": "d8bb52b18f847d882866e7ba096ba1454abc300dd3fea085dba0fbfbf5f259c6",
+    "zeta2": "aeb2d186a66252767ae6dcbd284efe8caafaff6c27e729b104b97b2a54a05a79",
     "delta12": "2681dac5b70f020ba1ce0d6bd8c1c0c46ec428260fa5a79c8750cf79172085bc",
     "sn": "3616b90f89469b6762166615ac914993de53ff51df4be5311d0b76fdf3e7f113",
 }
@@ -247,14 +250,15 @@ VERIFY_LATTICES = {
 }
 
 # Recorded at commit 450d579; all but 8i again when the Jacobi family moved
-# behind the pole guard (its identity rows move in the last digits).
+# behind the pole guard (its identity rows move in the last digits), and all
+# again when the q-series came to sum its own series across the whole cell.
 VERIFY_DIGESTS = {
-    "square": "6d0e6c4cc9381595baec76211c6a276f8a4876df62d40b99105943c233da87bd",
-    "rect": "5182b792baf0ecca0a1fe10847bd89251b7157be1791817a0a3b8ae23a7bb297",
-    "rhombic": "94a699d46755a9f6724126c345270b9e5a54382b02f7cb3f57d0e0d303ef5119",
-    "generic": "f62e7679fafb96a783e7514d38ddd3d2779854b5f82f8dd88b0b3a1fa414d212",
-    "tall": "af28c26652259fdbbc5ed82c375107c90154ef145c0ae63bf017b56ad420f4c9",
-    "8i": "7019eabfe8574ecd8618c5bebf6dc246372db9d2f2d12e45b499f40655b7c1eb",
+    "square": "fa85c01afd98807bac0bcc4ed515f31728234a1539e210c7247043847b954a38",
+    "rect": "aae879bf3bf8b8abdcb81809a7fe49533c1adc02b0cf8986291be9c91f612bd6",
+    "rhombic": "d8e122ea5c19374d9d0e1fad7f8cb7f688919e75d880de11f0679540c9cf561d",
+    "generic": "1ea75467c64e88c0cf483f1ff819840e46a1ebbd8d43921f3e3f8ecdbb41dde0",
+    "tall": "a634ed9cfedcb4a83fcc3c18c4c474640ace7becf359bc3fd1a1245d93cb44f3",
+    "8i": "597b723333f10dcf2c73469354d5efc92526d2ff0de8bba693dd704cbb928835",
 }
 
 
@@ -287,7 +291,8 @@ def _loose_tables(name: str, route: str | None, policy: list) -> list[list[str]]
     return [argv + policy for argv in _commands("generic", name, route)[:2]]
 
 
-# Recorded at commit ae38e7e.
+# Recorded at commit ae38e7e; the q-series and cos-form digests again when the
+# q-series came to sum its own series across the whole cell.
 LOOSE_DIGESTS = {
     ('E', None): 'bd10c9326643a1f31d30b2afbd16873f39fafa21ba06199ca015d810aa11d319',
     ('Pi', None): 'fd74d3912a0a99c291f8de1cac8b0a94c9f9e4db53a684728d903d0ec327ba8e',
@@ -328,15 +333,15 @@ LOOSE_DIGESTS = {
     ('zeta', None): '42b839fae5d4f973425fa311edb4136f9070369a6ebb58a655e8ea950640a40d',
     ('zeta1', 'theta'): '564fd6cce3a1ebd675bac515d4213152460947812e665234606c08ed11e560e9',
     ('zeta1', 'shift'): 'b5ee559d5e3ebc183e9c1c10dfd48db283cf717e06b441da11a1057214d4beff',
-    ('zeta1', 'qseries'): '8d3f0f1803f52d811c263784492bf9a28aa8669bba62d7b31f24218de6690212',
+    ('zeta1', 'qseries'): 'c3d9159e0839a53a273bd914c888f13f1508ede3f3b1221301f60458dcca1dec',
     ('zeta1', 'partialfrac'): 'e1e1a06ba58ceb2b1622e9bc87d82e5f16e2f757d0462e9b00ccba70a0cf084c',
     ('zeta2', 'theta'): '1a198351ce88a6d59a5468d29876510b8e808371285892b36d9c440b43d1c4f2',
     ('zeta2', 'shift'): '1375aa08bccfbd8ef53273d291c351aa7a47d4af47c020d8f3615c1800cab4f4',
-    ('zeta2', 'qseries'): 'e58ccc988067dc3270c1442f1e22abecfaeda6c183cc3624bea9a11aefb0794e',
+    ('zeta2', 'qseries'): 'a5357c6ecaedee353f0d408b9d5a830d25ab8d9486c351b34797e776e2604012',
     ('zeta2', 'partialfrac'): 'b58dc1423b96c604ddce27fd634f0e9f3e43e0746abb02bc9aac47340696cb03',
     ('zeta3', 'theta'): 'a0c363ac19104a18fe7c242c9010c9fabf0c942b26aa5f77f3d8b51307f29ec5',
     ('zeta3', 'shift'): '4c8feca37a56ff6014b14f6c0c6731d21fe835c24e04e80b1735c1abafd1bf4c',
-    ('zeta3', 'qseries'): 'c1515cc396e3efb475769b70626f431d982a0d62f2f16c8117d6b6748c0cebbc',
+    ('zeta3', 'qseries'): '6af6a41b71fb979d48f5b5ccb660e67bd80e170d34ef86f8ffadd7c71c6ca271',
     ('zeta3', 'partialfrac'): 'eca300ffd66dea65c59c7b2ee780210668f6426103f82f07a93b7c05270c9760',
     # Recorded when the derivatives and the q-series cos form joined the table.
     ('delta12_prime', None): 'c6950f2faa67e1e902e58ddc8ec601463fc66a18153f50f18e8065c518f892a8',
@@ -345,9 +350,9 @@ LOOSE_DIGESTS = {
     ('delta2_prime', None): 'bb9c0aa49d656545ee5a0b5c06820238173ff20a2a4b0ce6ba9b8444ead24625',
     ('delta31_prime', None): '0b2046e10ed476b5599df4f211b41d245754a0cda5432795dde21416c12cf816',
     ('delta3_prime', None): 'a8de072aac07ee2adabd453fc6d611807c67500a728215412651305db6f1fe2c',
-    ('zeta1_cos', None): '21e612a700e092d8a7a70a40428dabd0debb442e362c5a0bb5f166ba44f44fd0',
-    ('zeta2_cos', None): '6d85fe869db81b1eaa6beb6a5cc922dc4ce07fd446a453d02551fd6f492cbdca',
-    ('zeta3_cos', None): '7f75fb66a6681b87c81a6c9c30ce5b5d05fa925c93e3a7f6c0a88a508f18a30e',
+    ('zeta1_cos', None): '2c443a958554febdff5ea5a89efc51640b561da9690aac88557889db4737d5b0',
+    ('zeta2_cos', None): '32a3ea293595f6df89bfaacb5791dbb5c29fcfa4d5bd18af18baa1179c69058a',
+    ('zeta3_cos', None): '369873270507b9fe23f72b3cabffb4f09cb08f29e8063e402416a96657c6c254',
 }
 
 
@@ -368,9 +373,10 @@ def test_every_generic_case_has_a_loose_digest():
     assert LOOSE_UNMOVED <= set(LOOSE_DIGESTS) and len(LOOSE_DIGESTS) - len(LOOSE_UNMOVED) == 49
 
 
-# Recorded at commit ae38e7e.
+# Recorded at commit ae38e7e, and again when the q-series came to sum its own
+# series across the whole cell.
 LOOSE_VERIFY = ["verify", "--tau", "0.3,1.1", "--n", "5", "--seed", "12345"]
-LOOSE_VERIFY_DIGEST = "ab3a921ac23dcf7d2af4727ad9ba63abaf2dfd92be3431e0d1d2d85dcc44cec7"
+LOOSE_VERIFY_DIGEST = "c5354d4de10bc9237fe21fc68219898f9fdf15ae9cf72a8805204bca59a97cac"
 
 
 def test_verify_output_bytes_under_a_loose_policy():

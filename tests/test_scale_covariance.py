@@ -6,7 +6,8 @@ each route, must give 2^(w*k) times its unit-scale value, bit for bit, w its
 weight in the periods.  The oracle needs no reference value, and it reaches
 every route at once.  Far enough from unit scale, where the values themselves
 near the ends of the float range, it asks only for a finite value, a pole
-status or a typed error.
+status or a typed error.  The four lattice-sum oracles are held to the same
+rule, or refuse a value that leaves the float range.
 """
 
 import cmath
@@ -81,22 +82,8 @@ def _compared(outcome, w: int = 0, k: int = 0):
     return (value.real.hex(), value.imag.hex()), status, pole
 
 
-# ROADMAP item 4: the q-series stops on an absolute tolerance in the units of
-# zeta, so on a lattice scaled up it stops early.
-QSERIES_EARLY_STOP = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 4: the q-series truncation test is not scale-free"
-)
-
-
-def _is_qseries(name, route):
-    return name.endswith("_cos") or route is wz.ZetaRoute.QSERIES
-
-
 SCALE_CASES = [
-    pytest.param(
-        name, route, k, id=f"{_row_id(name, route)}-2^{k}",
-        marks=QSERIES_EARLY_STOP if k > 1 and _is_qseries(name, route) else (),
-    )
+    pytest.param(name, route, k, id=f"{_row_id(name, route)}-2^{k}")
     for name, route in ROWS
     for k in (1, -1, 37, -37, 200, -200)
 ]
@@ -122,3 +109,42 @@ def test_entry_far_from_unit_scale_is_finite_a_pole_or_typed(name, route, k):
         if isinstance(outcome, tuple):
             value, status, _ = outcome
             assert status is not wz.Status.FINITE or cmath.isfinite(value), (name, route, outcome)
+
+
+# The four lattice-sum oracles at radius 20, each as a tuple of values with
+# their weights (g2 -4, g3 -6, wp -2, zeta -1, sigma +1).
+ORACLES = {
+    "eisenstein_invariants": ((-4, -6), lambda lat, u: wz.eisenstein_invariants(lat, 20)),
+    "wp_lattice_sum": ((-2,), lambda lat, u: (wz.wp_lattice_sum(lat, u, 20),)),
+    "zeta_lattice_sum": ((-1,), lambda lat, u: (wz.zeta_lattice_sum(lat, u, 20),)),
+    "sigma_product": ((1,), lambda lat, u: (wz.sigma_product(lat, u, 20),)),
+}
+
+
+def _scaled_in_range(z: complex, k: int) -> complex | None:
+    """z * 2^k, or None where that overflows or underflows to 0 from z != 0."""
+    try:
+        out = _scaled(z, k)
+    except OverflowError:
+        return None
+    return out if out or not z else None
+
+
+@pytest.mark.parametrize("k", [37, -37, 200, -200, 400, -400])
+@pytest.mark.parametrize("name", list(ORACLES))
+@pytest.mark.parametrize("lattice", ["square", "generic"])
+def test_oracle_scales_exactly_or_refuses(lattice, name, k):
+    # The oracles sum in units of 2^e, 1 <= |2*omega1|/2^e < 2, so at
+    # omega1 = 2^k/2 they sum what they sum at unit scale and scale it back;
+    # a value that leaves the float range is refused.
+    weights, oracle = ORACLES[name]
+    unit = make_lattice(lattice)
+    lat = wz.build_lattice(_scaled(unit.omega1, k), _scaled(unit.omega3, k))
+    u = 0.42 * unit.omega1 + 0.26 * unit.omega3
+    want = [_scaled_in_range(v, w * k) for v, w in zip(oracle(unit, u), weights)]
+    if None in want:
+        with pytest.raises(wz.ValueOverflow):
+            oracle(lat, _scaled(u, k))
+    else:
+        got = oracle(lat, _scaled(u, k))
+        assert [(v.real.hex(), v.imag.hex()) for v in got] == [(v.real.hex(), v.imag.hex()) for v in want]

@@ -72,9 +72,8 @@ FAILING = {
         ),
         **dict.fromkeys(_JACOBI.split(), "DegenerateLattice"),
     },
-    "0.45+0.04i": {
-        f"prop23_{form}_form_zeta{lam}": "SeriesDivergence" for lam in (1, 2, 3) for form in ("exp", "cos")
-    },
+    # At |q| = 0.88 the q-series sums about 145 terms, within its budget.
+    "0.45+0.04i": {},
 }
 
 # The sigma products whose factors are in range and whose product is not
@@ -91,8 +90,6 @@ def _item(name: str, kind: str) -> str:
     """The ROADMAP item that should remove a listed failure."""
     if kind == "DegenerateLattice":
         return "item 5 (the degeneracy threshold)"
-    if kind == "SeriesDivergence":
-        return "item 4 (the q-series budget)"
     if kind != "residual" and name in _SIGMA_PRODUCTS:
         return "item 10 (sigma in scaled form)"
     return "item 8 (cancellation in the identity's form)"
